@@ -5,9 +5,11 @@ result — it measures the *implementation* on two axes:
 
 * **Transport batching** (DESIGN.md §10): per-superstep wall-clock,
   physical message-object allocations, and peak traced memory of a
-  scalar PageRank run with the batched columnar transport against the
-  unbatched compatibility mode (``batch_syncs=False``), on both
-  partitioning families (``power_law(800)``).
+  scalar PageRank run on both partitioning families
+  (``power_law(800)``).  The columnar transport ships one message
+  object per ``(src, dst, kind)`` pair; the yardstick is one object
+  (and one 16-byte header) per logical record, which is what a
+  per-record transport allocates.
 * **Vectorized kernels** (DESIGN.md §11): the structure-of-arrays fast
   path against the per-vertex scalar loop on a larger graph
   (``power_law(4000)``) where the array kernels amortise their setup —
@@ -21,9 +23,9 @@ results land in ``BENCH_perf_hotpath.json`` at the repo root.
 
 Three gates:
 
-* ``test_message_object_reduction`` — batching must cut per-superstep
-  physical ``Message`` allocations by at least 3x (a hard floor; real
-  runs land far above it).
+* ``test_message_object_reduction`` — batching must pack at least 3
+  logical records per physical ``Message`` allocation (a hard floor;
+  real runs land far above it).
 * ``test_vectorized_speedup`` — the vectorized path must be at least
   5x faster per superstep than the scalar batched path on the larger
   workload, with byte-identical traffic accounting.
@@ -45,6 +47,7 @@ import pytest
 
 from repro.api import make_engine
 from repro.graph import generators
+from repro.utils.sizing import BYTES_PER_MSG_HEADER
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_perf_hotpath.json"
@@ -64,8 +67,8 @@ try:
 except (OSError, ValueError):
     _COMMITTED = None
 
-#: (workload, partition, batch_syncs, vectorized) -> measurement record.
-_RESULTS: dict[tuple[str, str, bool, bool], dict] = {}
+#: (workload, partition, vectorized) -> measurement record.
+_RESULTS: dict[tuple[str, str, bool], dict] = {}
 _GRAPHS: dict[str, object] = {}
 
 
@@ -77,9 +80,8 @@ def _graph(workload: str):
     return _GRAPHS[workload]
 
 
-def _measure(workload: str, partition: str, batch_syncs: bool,
-             vectorized: bool) -> dict:
-    key = (workload, partition, batch_syncs, vectorized)
+def _measure(workload: str, partition: str, vectorized: bool) -> dict:
+    key = (workload, partition, vectorized)
     if key in _RESULTS:
         return _RESULTS[key]
     n, iterations, reps = WORKLOADS[workload]
@@ -89,7 +91,6 @@ def _measure(workload: str, partition: str, batch_syncs: bool,
         return make_engine(graph, "pagerank", num_nodes=NUM_NODES,
                            partition=partition,
                            max_iterations=iterations,
-                           batch_syncs=batch_syncs,
                            vectorized=vectorized)
 
     # Timing pass(es): no instrumentation, best-of-N against scheduler
@@ -114,7 +115,6 @@ def _measure(workload: str, partition: str, batch_syncs: bool,
         "workload": workload,
         "graph": f"power_law({n}, alpha=2.0, seed=7)",
         "partition": partition,
-        "batch_syncs": batch_syncs,
         "vectorized": vectorized,
         "iterations": result.num_iterations,
         "wall_s": wall_s,
@@ -136,17 +136,14 @@ def _flush() -> None:
     summary = {}
     for partition in PARTITIONS:
         entry = {}
-        before = _RESULTS.get(("batch", partition, False, False))
-        after = _RESULTS.get(("batch", partition, True, False))
-        if before and after:
+        batch = _RESULTS.get(("batch", partition, False))
+        if batch:
             entry["message_object_reduction"] = \
-                before["message_objects"] / max(after["message_objects"], 1)
-            entry["batch_wall_speedup"] = \
-                before["wall_s"] / max(after["wall_s"], 1e-9)
-            entry["wire_bytes_saved"] = \
-                before["wire_bytes"] - after["wire_bytes"]
-        scalar = _RESULTS.get(("vectorized", partition, True, False))
-        vec = _RESULTS.get(("vectorized", partition, True, True))
+                batch["logical_records"] / max(batch["message_objects"], 1)
+            entry["wire_bytes_saved"] = BYTES_PER_MSG_HEADER * (
+                batch["logical_records"] - batch["message_objects"])
+        scalar = _RESULTS.get(("vectorized", partition, False))
+        vec = _RESULTS.get(("vectorized", partition, True))
         if scalar and vec:
             entry["vectorized_speedup"] = \
                 scalar["wall_per_superstep_s"] / \
@@ -165,34 +162,14 @@ def _flush() -> None:
 
 @pytest.mark.parametrize("partition", PARTITIONS)
 def test_message_object_reduction(partition):
-    before = _measure("batch", partition, batch_syncs=False,
-                      vectorized=False)
-    after = _measure("batch", partition, batch_syncs=True,
-                     vectorized=False)
-    # Same logical traffic either way: batching only changes packaging.
-    assert after["logical_records"] == before["logical_records"]
-    assert after["iterations"] == before["iterations"]
-    reduction = before["message_objects"] / max(after["message_objects"], 1)
-    print(f"\n{partition}: {before['message_objects']} -> "
-          f"{after['message_objects']} message objects "
-          f"({reduction:.1f}x), wall "
-          f"{before['wall_s']:.3f}s -> {after['wall_s']:.3f}s")
+    run = _measure("batch", partition, vectorized=False)
+    # A per-record transport allocates one message object, and pays one
+    # header, per logical record.
+    reduction = run["logical_records"] / max(run["message_objects"], 1)
+    print(f"\n{partition}: {run['logical_records']} records in "
+          f"{run['message_objects']} message objects "
+          f"({reduction:.1f}x), wall {run['wall_s']:.3f}s")
     assert reduction >= 3.0
-    # Fewer physical messages means fewer 16-byte headers on the wire.
-    assert after["wire_bytes"] < before["wire_bytes"]
-
-
-@pytest.mark.parametrize("partition", PARTITIONS)
-def test_batched_is_not_slower(partition):
-    """Sanity margin, not a tight gate: the batched path must not be
-    dramatically slower than the per-record path it replaces.  (The
-    2x regression gate against the committed baseline runs in CI with
-    ``PERF_BASELINE_CHECK=1``.)"""
-    before = _measure("batch", partition, batch_syncs=False,
-                      vectorized=False)
-    after = _measure("batch", partition, batch_syncs=True,
-                     vectorized=False)
-    assert after["wall_s"] < before["wall_s"] * 1.5
 
 
 @pytest.mark.parametrize("partition", PARTITIONS)
@@ -200,10 +177,8 @@ def test_vectorized_speedup(partition):
     """The SoA kernels must beat the scalar loop >=5x per superstep —
     while shipping bit-identical traffic (the differential suite checks
     values; this checks the accounting at benchmark scale)."""
-    scalar = _measure("vectorized", partition, batch_syncs=True,
-                      vectorized=False)
-    vec = _measure("vectorized", partition, batch_syncs=True,
-                   vectorized=True)
+    scalar = _measure("vectorized", partition, vectorized=False)
+    vec = _measure("vectorized", partition, vectorized=True)
     assert vec["iterations"] == scalar["iterations"]
     assert vec["logical_records"] == scalar["logical_records"]
     assert vec["wire_bytes"] == scalar["wire_bytes"]
@@ -227,15 +202,13 @@ def test_vectorized_speedup(partition):
 def test_no_wallclock_regression(workload, partition, vectorized):
     assert _COMMITTED is not None, \
         "no committed BENCH_perf_hotpath.json to gate against"
-    baseline = {(r.get("workload", "batch"), r["partition"],
-                 r["batch_syncs"], r.get("vectorized", False)): r
+    baseline = {(r["workload"], r["partition"], r["vectorized"]): r
                 for r in _COMMITTED["runs"]}
-    old = baseline.get((workload, partition, True, vectorized))
+    old = baseline.get((workload, partition, vectorized))
     assert old is not None, \
         f"baseline missing ({workload}, {partition}, vectorized=" \
         f"{vectorized}) run"
-    new = _measure(workload, partition, batch_syncs=True,
-                   vectorized=vectorized)
+    new = _measure(workload, partition, vectorized=vectorized)
     ratio = new["wall_per_superstep_s"] / \
         max(old["wall_per_superstep_s"], 1e-9)
     print(f"\n{workload}/{partition}: per-superstep wall "

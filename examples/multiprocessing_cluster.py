@@ -12,9 +12,10 @@ across *actual* worker processes connected by pipes:
   coordinator's commit barrier;
 * one worker is killed mid-run with a real ``SIGKILL``; the
   coordinator detects the death via its heartbeat/sentinel loop and
-  rebirths the partition on a fresh process from the replicas the
-  *surviving* workers hold (no disk involved), and the job finishes
-  with exactly the same ranks as a clean run;
+  runs the engine's own recovery (here: Rebirth) over the replicas the
+  *surviving* workers hold (no disk involved), re-forks the workers
+  from the recovered state, and the job finishes with exactly the
+  same ranks as a clean run;
 * a simulator run of the identical spec cross-checks the distributed
   execution value-for-value and message-for-message.
 
@@ -58,9 +59,11 @@ def main() -> None:
         failures=((KILL_AT_ITERATION, (KILLED_WORKER,), "compute"),))
     with MultiprocessingBackend() as backend:
         survived = backend.run(graph, kill_spec)
+    event, = survived.extra["recoveries"]
     print(f"  worker {KILLED_WORKER} killed at iteration "
-          f"{KILL_AT_ITERATION}; {survived.failures_recovered} rebirth "
-          f"recovered its partition from surviving replicas")
+          f"{KILL_AT_ITERATION}; {survived.failures_recovered} recovery "
+          f"event ({event['strategy']} of ranks {event['failed_nodes']}) "
+          f"rebuilt its partition from surviving replicas")
 
     worst = max(abs(clean.values[v] - survived.values[v])
                 for v in clean.values)

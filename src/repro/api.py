@@ -64,7 +64,6 @@ def make_engine(graph: Graph, algorithm: str | VertexProgram,
                 checkpoint_in_memory: bool = False,
                 safety_checkpoint_interval: int = 0,
                 selfish_optimization: bool = True,
-                batch_syncs: bool = True,
                 sync_elision: bool = True,
                 vectorized: bool = True,
                 combining: bool = True,
@@ -116,7 +115,6 @@ def make_engine(graph: Graph, algorithm: str | VertexProgram,
                               seed=seed, **cluster_kwargs),
         engine=EngineConfig(partition=partition,
                             max_iterations=max_iterations,
-                            batch_syncs=batch_syncs,
                             sync_elision=sync_elision,
                             vectorized=vectorized,
                             combining=combining),

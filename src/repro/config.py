@@ -192,12 +192,6 @@ class EngineConfig:
     halt_on_inactive: bool = True
     #: Collect per-iteration metrics (message/byte counters).
     collect_metrics: bool = True
-    #: Ship sync/gather/activate traffic as one columnar batch per
-    #: (src, dst, kind) pair per superstep (DESIGN.md §10).  When off,
-    #: each record travels as its own single-record batch — wire-byte
-    #: equivalent to the historical per-record path; kept as the
-    #: before-side of the perf benchmark and for differential tests.
-    batch_syncs: bool = True
     #: Elide sync records for masters whose committed update is a
     #: non-activating no-op (value and flags unchanged).  Never changes
     #: results; collapses traffic in the convergence tail.

@@ -153,87 +153,6 @@ class Engine:
         self.metrics = MetricsRegistry()
         self.cluster.network.bind_metrics(self.metrics)
 
-        # -- loading phase (Section 4) --------------------------------
-        with self.tracer.span("load", cat="load",
-                              algorithm=program.name):
-            if partitioning is None:
-                partitioner = make_partitioner(self.job.engine.partition)
-                with self.tracer.span("load.partition", cat="load"):
-                    partitioning = partitioner(graph,
-                                               self.cluster.num_workers,
-                                               seed=self.seed)
-            partitioning.validate(graph)
-            self.partitioning = partitioning
-            plan_cfg = (self.job.ft
-                        if self.job.ft.mode is FTMode.REPLICATION
-                        else _zero_ft(self.job.ft))
-            with self.tracer.span("load.replicate", cat="load"):
-                self.plan = plan_replication(graph, partitioning, plan_cfg,
-                                             seed=self.seed)
-            with self.tracer.span("load.construct", cat="load"):
-                self.local_graphs, self.construction = build_local_graphs(
-                    graph, partitioning, self.plan)
-            for node_id, lg in self.local_graphs.items():
-                self.cluster.node(node_id).local = lg
-            self.master_node_of: list[int] = [int(n)
-                                              for n in self.plan.master_of]
-            self.is_edge_cut = partitioning.kind == "edge-cut"
-            #: Transport policy (DESIGN.md §10): columnar batching and
-            #: no-op sync elision.
-            self._batch_syncs = self.job.engine.batch_syncs
-            self._sync_elision = self.job.engine.sync_elision
-            self._combining = self.job.engine.combining
-            #: Backend-agnostic per-node protocol (DESIGN.md §12): the
-            #: scalar compute/sync/commit paths below delegate here, and
-            #: the multiprocessing backend runs the same object inside
-            #: worker processes.  ``selfish_opt`` is refreshed at every
-            #: superstep from :attr:`selfish_opt_active`.
-            self._protocol = NodeProtocol(
-                program, self.is_edge_cut,
-                sync_elision=self._sync_elision,
-                selfish_opt=False,
-                combining=self._combining)
-            #: Vectorized SoA fast path (DESIGN.md §11): engaged when
-            #: the config allows it AND the program declares an array
-            #: kernel; edge-mutating programs always run scalar.
-            kernel = (program.kernel()
-                      if (self.job.engine.vectorized
-                          and not program.mutates_edges) else None)
-            self._vec = (VectorizedExecutor(self, kernel)
-                         if kernel is not None else None)
-
-            # -- fault-tolerance wiring --------------------------------
-            self.ckpt: CheckpointManager | None = None
-            self.edge_ckpt: EdgeCkptStore | None = None
-            #: REPLICATION composed with low-frequency full snapshots —
-            #: the checkpoint rung of the fallback ladder (DESIGN.md §9).
-            self._safety_ckpt = (
-                self.job.ft.mode is FTMode.REPLICATION
-                and self.job.ft.safety_checkpoint_interval > 0)
-            with self.tracer.span("load.ft_init", cat="load",
-                                  ft_mode=self.job.ft.mode.value):
-                if self.job.ft.mode is FTMode.CHECKPOINT:
-                    self.ckpt = CheckpointManager(
-                        self.cluster.store, self.model,
-                        interval=self.job.ft.checkpoint_interval,
-                        in_memory=self.job.ft.checkpoint_in_memory,
-                        num_nodes=self.cluster.num_workers,
-                        tracer=self.tracer)
-                    self.ckpt.write_metadata(self.local_graphs)
-                elif self._safety_ckpt:
-                    self.ckpt = CheckpointManager(
-                        self.cluster.store, self.model,
-                        interval=self.job.ft.safety_checkpoint_interval,
-                        in_memory=self.job.ft.checkpoint_in_memory,
-                        num_nodes=self.cluster.num_workers,
-                        tracer=self.tracer)
-                    self.ckpt.write_metadata(self.local_graphs)
-                if (self.job.ft.mode is FTMode.REPLICATION
-                        and not self.is_edge_cut):
-                    self.edge_ckpt = EdgeCkptStore(self.cluster.store,
-                                                   self.cluster.num_workers)
-                    self._write_edge_ckpt_files()
-
         # -- runtime state ------------------------------------------------
         self.iteration = 0
         #: Superstep of the last committed barrier (DESIGN.md §13):
@@ -301,8 +220,87 @@ class Engine:
         #: leader and its term (bumped per election).
         self.recovery_leader = -1
         self.leader_term = 0
-        self._init_values()
-        self._update_ft_gauges()
+
+        # -- loading phase (Section 4) --------------------------------
+        with self.tracer.span("load", cat="load",
+                              algorithm=program.name):
+            if partitioning is None:
+                partitioner = make_partitioner(self.job.engine.partition)
+                with self.tracer.span("load.partition", cat="load"):
+                    partitioning = partitioner(graph,
+                                               self.cluster.num_workers,
+                                               seed=self.seed)
+            partitioning.validate(graph)
+            self.partitioning = partitioning
+            plan_cfg = (self.job.ft
+                        if self.job.ft.mode is FTMode.REPLICATION
+                        else _zero_ft(self.job.ft))
+            with self.tracer.span("load.replicate", cat="load"):
+                self.plan = plan_replication(graph, partitioning, plan_cfg,
+                                             seed=self.seed)
+            with self.tracer.span("load.construct", cat="load"):
+                self.local_graphs, self.construction = build_local_graphs(
+                    graph, partitioning, self.plan)
+            for node_id, lg in self.local_graphs.items():
+                self.cluster.node(node_id).local = lg
+            self.master_node_of: list[int] = [int(n)
+                                              for n in self.plan.master_of]
+            self.is_edge_cut = partitioning.kind == "edge-cut"
+            #: Transport policy (DESIGN.md §10): no-op sync elision.
+            self._sync_elision = self.job.engine.sync_elision
+            self._combining = self.job.engine.combining
+            #: Backend-agnostic per-node protocol (DESIGN.md §12): the
+            #: scalar compute/sync/commit paths below delegate here, and
+            #: the multiprocessing backend runs the same object inside
+            #: worker processes.  ``selfish_opt`` is refreshed at every
+            #: superstep from :attr:`selfish_opt_active`.
+            self._protocol = NodeProtocol(
+                program, self.is_edge_cut,
+                sync_elision=self._sync_elision,
+                selfish_opt=False,
+                combining=self._combining)
+            #: Vectorized SoA fast path (DESIGN.md §11): engaged when
+            #: the config allows it AND the program declares an array
+            #: kernel; edge-mutating programs always run scalar.
+            kernel = (program.kernel()
+                      if (self.job.engine.vectorized
+                          and not program.mutates_edges) else None)
+            self._vec = (VectorizedExecutor(self, kernel)
+                         if kernel is not None else None)
+
+            # -- fault-tolerance wiring --------------------------------
+            self.ckpt: CheckpointManager | None = None
+            self.edge_ckpt: EdgeCkptStore | None = None
+            #: REPLICATION composed with low-frequency full snapshots —
+            #: the checkpoint rung of the fallback ladder (DESIGN.md §9).
+            self._safety_ckpt = (
+                self.job.ft.mode is FTMode.REPLICATION
+                and self.job.ft.safety_checkpoint_interval > 0)
+            with self.tracer.span("load.ft_init", cat="load",
+                                  ft_mode=self.job.ft.mode.value):
+                if self.job.ft.mode is FTMode.CHECKPOINT:
+                    self.ckpt = CheckpointManager(
+                        self.cluster.store, self.model,
+                        interval=self.job.ft.checkpoint_interval,
+                        in_memory=self.job.ft.checkpoint_in_memory,
+                        num_nodes=self.cluster.num_workers,
+                        tracer=self.tracer)
+                    self.ckpt.write_metadata(self.local_graphs)
+                elif self._safety_ckpt:
+                    self.ckpt = CheckpointManager(
+                        self.cluster.store, self.model,
+                        interval=self.job.ft.safety_checkpoint_interval,
+                        in_memory=self.job.ft.checkpoint_in_memory,
+                        num_nodes=self.cluster.num_workers,
+                        tracer=self.tracer)
+                    self.ckpt.write_metadata(self.local_graphs)
+                if (self.job.ft.mode is FTMode.REPLICATION
+                        and not self.is_edge_cut):
+                    self.edge_ckpt = EdgeCkptStore(self.cluster.store,
+                                                   self.cluster.num_workers)
+                    self._write_edge_ckpt_files()
+            self._init_values()
+            self._update_ft_gauges()
 
     # ------------------------------------------------------------------
     # public API
@@ -716,21 +714,10 @@ class Engine:
             self._step_vertices[node] += vertices
 
     def _flush_batches(self, node: int, outbox: dict) -> None:
-        """Ship a node's accumulated batches, one message per pair.
-
-        With ``batch_syncs`` disabled each record travels as its own
-        single-record batch — wire-byte equivalent to the historical
-        per-record transport (the perf benchmark's before-side).
-        """
+        """Ship a node's accumulated batches, one message per pair."""
         net = self.cluster.network
-        if self._batch_syncs:
-            for (dst, kind), batch in outbox.items():
-                net.send(Message(kind, node, dst, batch, batch.nbytes()))
-        else:
-            for (dst, kind), batch in outbox.items():
-                for i in range(batch.record_count):
-                    sub = batch.select((i,))
-                    net.send(Message(kind, node, dst, sub, sub.nbytes()))
+        for (dst, kind), batch in outbox.items():
+            net.send(Message(kind, node, dst, batch, batch.nbytes()))
         outbox.clear()
 
     # -- vertex-cut -----------------------------------------------------------
@@ -869,19 +856,11 @@ class Engine:
         for node in alive:
             lg = self.local_graphs[node]
             for msg in net.deliver(node):
-                payload = msg.payload
-                if isinstance(payload, SyncBatch):
-                    if self._vec is not None:
-                        self._vec.stage_sync_batch(node, payload)
-                    else:
-                        proto.apply_sync_batch(lg, payload,
-                                               self._dirty[node])
-                    continue
-                # Legacy scalar payloads (recovery paths, tests).
                 if self._vec is not None:
-                    self._vec.stage_scalar(node, payload)
-                    continue
-                proto.apply_scalar_sync(lg, payload, self._dirty[node])
+                    self._vec.stage_sync_batch(node, msg.payload)
+                else:
+                    proto.apply_sync_batch(lg, msg.payload,
+                                           self._dirty[node])
 
     def _commit_edge_mutations(self) -> None:
         if self._edge_updates:

@@ -10,10 +10,9 @@ engine accumulates one *columnar* batch per ``(src, dst, kind)`` pair
 per superstep and ships it as a single :class:`~repro.cluster.network.
 Message`.  A batch holds parallel arrays (gids, values, packed flag
 bits, per-record wire sizes), so the per-superstep object count is
-O(node pairs), not O(vertices x replicas).  The per-record dataclasses
-below remain the canonical definition of each record's wire size; the
-batches replicate those sizes exactly, and the transport charges one
-header per batch instead of one per record.
+O(node pairs), not O(vertices x replicas).  Each batch's ``append``
+is the canonical definition of its record's wire size, and the
+transport charges one header per batch instead of one per record.
 """
 
 from __future__ import annotations
@@ -25,89 +24,20 @@ from typing import Any
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
 
-@dataclass(frozen=True)
-class SyncPayload:
-    """Master -> replica value synchronisation."""
-
-    gid: int
-    value: Any
-    #: Did this update request activation of out-neighbors?
-    activates: bool
-
-    def nbytes(self, value_nbytes: int) -> int:
-        return BYTES_PER_VID + value_nbytes + 1
-
-
-@dataclass(frozen=True)
-class MirrorSyncPayload:
-    """Master -> mirror full-state synchronisation.
-
-    Beyond the plain sync, carries the dynamic full-state extras: the
-    master's self-sustained activity for the next superstep (remote
-    activations are replayed at recovery instead, Section 5.1.3) and —
-    for edge-mutating algorithms under edge-cut — the superstep's edge
-    updates, so the mirror's duplicated edge list stays fresh
-    (Section 4.3: edges are "duplicated and synchronized to replicas
-    upon updates").
-    """
-
-    gid: int
-    value: Any
-    activates: bool
-    #: Master stays active next superstep by its own computation.
-    self_active: bool
-    #: ``(in-edge index, new weight)`` pairs; empty for the common
-    #: immutable-edge algorithms.
-    edge_updates: tuple[tuple[int, float], ...] = ()
-
-    def nbytes(self, value_nbytes: int) -> int:
-        return (BYTES_PER_VID + value_nbytes + 2
-                + 12 * len(self.edge_updates))
-
-
-@dataclass(frozen=True)
-class GatherPayload:
-    """Replica -> master partial accumulator (vertex-cut gather)."""
-
-    gid: int
-    acc: Any
-
-    def nbytes(self, acc_nbytes: int) -> int:
-        return BYTES_PER_VID + acc_nbytes
-
-
-@dataclass(frozen=True)
-class ActivatePayload:
-    """Activation signal for a vertex's master (vertex-cut scatter)."""
-
-    gid: int
-
-    def nbytes(self) -> int:
-        return BYTES_PER_VID
-
-
-@dataclass(frozen=True)
-class ActiveBroadcastPayload:
-    """Master -> replicas: activity flag for the coming superstep."""
-
-    gid: int
-    active: bool
-
-    def nbytes(self) -> int:
-        return BYTES_PER_VID + 1
-
-
 class SyncBatch:
     """Columnar master -> replica sync batch (one per (src, dst, kind)).
 
-    ``full_state=False`` batches plain :class:`SyncPayload` records
-    (kind ``SYNC``); ``full_state=True`` batches
-    :class:`MirrorSyncPayload` records (kind ``MIRROR_SYNC``), adding
-    the self-active flag bit and per-record edge-update lists.
+    ``full_state=False`` batches plain sync records (kind ``SYNC``);
+    ``full_state=True`` batches mirror full-state records (kind
+    ``MIRROR_SYNC``), adding the master's self-sustained activity for
+    the next superstep (remote activations are replayed at recovery
+    instead, Section 5.1.3) and — for edge-mutating algorithms under
+    edge-cut — the superstep's ``(in-edge index, new weight)`` updates,
+    so the mirror's duplicated edge list stays fresh (Section 4.3).
 
-    ``sizes[i]`` is record *i*'s wire size, matching the per-record
-    payload's ``nbytes`` exactly, so a batch's payload bytes are the
-    sum of its records and chaos sub-batch splits stay byte-exact.
+    ``sizes[i]`` is record *i*'s wire size, so a batch's payload bytes
+    are the sum of its records and chaos sub-batch splits stay
+    byte-exact.
     """
 
     is_columnar = True

@@ -49,7 +49,6 @@ from repro.cluster.network import MessageKind
 from repro.engine.messages import (
     ActivateBatch,
     GatherBatch,
-    MirrorSyncPayload,
     RawGatherBatch,
     SyncBatch,
 )
@@ -450,22 +449,6 @@ class VectorizedExecutor:
                     for idx, weight in updates:
                         gid0, epos, _old = slot.full_edges[idx]
                         slot.full_edges[idx] = (gid0, epos, weight)
-
-    def stage_scalar(self, node: int, payload) -> None:
-        """Stage one legacy per-record payload (recovery paths, tests)."""
-        st = self._state(node)
-        lg = self.engine.local_graphs[node]
-        pos = lg.index_of[payload.gid]
-        st.pend_mask[pos] = True
-        st.pend_values[pos] = payload.value
-        st.pend_activates[pos] = payload.activates
-        if isinstance(payload, MirrorSyncPayload):
-            st.pend_self_active[pos] = payload.self_active
-            slot = lg.slots[pos]
-            if payload.edge_updates and slot.full_edges is not None:
-                for idx, weight in payload.edge_updates:
-                    gid0, epos, _old = slot.full_edges[idx]
-                    slot.full_edges[idx] = (gid0, epos, weight)
 
     # -- barrier commit ------------------------------------------------
 

@@ -98,7 +98,6 @@ class BackendSpec:
     ft_level: int = 1
     recovery: str = "rebirth"
     max_iterations: int = 30
-    batch_syncs: bool = True
     sync_elision: bool = True
     vectorized: bool = True
     #: Message-combining layer (DESIGN.md §15): off ships raw per-edge
@@ -154,7 +153,6 @@ class BackendSpec:
             "ft_level": self.ft_level,
             "recovery": self.recovery,
             "max_iterations": self.max_iterations,
-            "batch_syncs": self.batch_syncs,
             "sync_elision": self.sync_elision,
             "vectorized": self.vectorized,
             "combining": self.combining,
@@ -178,6 +176,8 @@ class BackendRunResult:
     keys, the paper's message unit); ``total_batches`` counts physical
     transfers.  The differential oracle compares ``values``,
     ``total_msgs``, ``msgs_by_kind`` and ``syncs_elided`` exactly.
+    ``failures_recovered`` counts engine recovery events, however many
+    ranks each covered; ``extra["recoveries"]`` lists them.
     """
 
     backend: str
@@ -196,6 +196,25 @@ class BackendRunResult:
     combined_records: int = 0
     combine_ratio: float = 1.0
     extra: dict = field(default_factory=dict)
+
+
+def recoveries_report(recoveries) -> list[dict]:
+    """``extra["recoveries"]``: one dict per engine recovery event
+    (:class:`repro.ft.recovery.RecoveryStats`), same shape on every
+    backend."""
+    return [
+        {
+            "strategy": r.strategy,
+            "at_iteration": r.at_iteration,
+            "failed_nodes": list(r.failed_nodes),
+            "detection_s": r.detection_s,
+            "reconstruct_s": r.reconstruct_s,
+            "replay_s": r.replay_s,
+            "reload_s": r.reload_s,
+            "recovery_bytes": r.recovery_bytes,
+        }
+        for r in recoveries
+    ]
 
 
 class ExecutionBackend(ABC):

@@ -2,11 +2,11 @@
 
 Each cluster node runs as a real ``multiprocessing.Process`` (fork
 start method) owning one partition's :class:`LocalGraph`, forked from
-a pristine parent-side ``Engine`` that itself never runs a superstep.
-Workers execute exactly the scalar :class:`~repro.exec.protocol.
-NodeProtocol` the simulator delegates to; the coordinator drives the
-superstep rounds over per-worker duplex pipes (star topology) and
-routes the encoded columnar batches between workers.
+a parent-side ``Engine`` — the *parent image* — that itself never runs
+a superstep.  Workers execute exactly the scalar
+:class:`~repro.exec.protocol.NodeProtocol` the simulator delegates to;
+the coordinator drives the superstep rounds over per-worker duplex
+pipes (star topology) and routes the encoded columnar batches.
 
 Determinism / parity
 --------------------
@@ -16,7 +16,7 @@ protocol over the same forked per-node state, and the protocol is
 order-independent across senders (each gid has a single master, partial
 gathers fold in sorted sender order, activations are idempotent), so
 nondeterministic frame arrival cannot change outcomes.  The coordinator
-books traffic per routed batch with the simulator's own units — logical
+books traffic per routed batch in the simulator's own units — logical
 records per batch, payload bytes plus ``BYTES_PER_MSG_HEADER`` per
 physical batch.
 
@@ -25,65 +25,55 @@ Failure handling
 The chaos schedule (``BackendSpec.failures``) delivers real
 ``SIGKILL``s.  Death is detected by the coordinator's heartbeat loop —
 ``multiprocessing.connection.wait`` over worker pipes *and* process
-sentinels, with consecutive-miss counting as the hang guard.  A death
-inside a compute round — or anywhere up to the finalize round of the
-commit exchange, since nothing commits before ``finalize_commit`` —
-aborts the iteration on the survivors (staged state is discarded) and
-the iteration is redone after recovery, bounded by
-``max_iteration_retries`` redos per iteration; a death between
-iterations recovers in place.  Only a death inside the finalize round
-itself is unrecoverable (some workers may already have committed).
-Recovery elects a recovery leader with the simulator's seeded election
-(bookkeeping parity; the coordinator still drives the protocol).
-Recovery is the rebirth rung only: a replacement worker is
-forked from the pristine parent engine, survivors ship the replication
-state they hold for the dead rank (mirror copies preferred, lowest
-surviving rank breaking ties), the replacement's masters are
-conservatively reactivated, and — under vertex-cut — every rank's next
-phase-0 broadcast is forced so activity flags re-converge.
+sentinels, with consecutive-miss counting as the hang guard.  Nothing
+commits before ``finalize_commit``, so a death anywhere up to the
+finalize round leaves every survivor's *committed* state at the last
+barrier.  Recovery is not re-implemented here: the coordinator pulls
+that committed state into the parent image, marks the dead ranks
+crashed on the parent's ``Cluster`` and calls the engine's own
+``Engine._recover`` — election, the Rebirth -> Migration ladder, FT
+repair, broadcast refresh, selfish read fence — then re-forks one
+worker per live rank from the recovered image and redoes the
+interrupted iteration (at most ``max_iteration_retries`` redos each).
+Survivors' staged state dies with their processes.  Only a death
+inside the finalize round itself is a hard error (some workers may
+already have committed).
 
 Elastic membership
 ------------------
-``BackendSpec.membership`` events run at the same logical points as on
-the simulator — flaps at superstep start, joins and drains after the
-commit barrier of their iteration.  A flap is a real ``SIGSTOP`` /
-``SIGCONT`` stall of the worker process, absorbed by the heartbeat
-loop's consecutive-miss counting (flap tolerance: a slow worker is not
-a dead worker).  Joins and drains run as a stop-the-world
-**fullstate reshape-restart**: the coordinator pulls every rank's
-committed master state into the parent engine, replays the change
-through the simulator's own :class:`~repro.membership.manager.
-MembershipManager` (same Fennel plan seed, so the resulting placement
-matches the simulator's), and re-forks every worker from the reshaped
-parent.  Values are untouched throughout — the cross-backend oracle
-compares elastic runs bit-for-bit.
+``BackendSpec.membership`` events run at the simulator's logical
+points — flaps at superstep start, joins and drains after the commit
+barrier of their iteration.  A flap is a real ``SIGSTOP``/``SIGCONT``
+stall, absorbed by the heartbeat loop's consecutive-miss counting (a
+slow worker is not a dead worker).  Joins and drains take the same
+pull -> mutate the parent image -> re-fork route as recovery, replaying
+the change through the simulator's own :class:`~repro.membership.
+manager.MembershipManager` (same Fennel plan seed, same placement).
 
 Scope limits (rejected specs raise :class:`BackendError`): fork start
-method required, edge-mutating programs unsupported, ``ft_mode`` must
-be ``none``/``replication``, recovery must be ``rebirth``, batched
-syncs are mandatory (the wire format is the batch), and joins/drains
-need replication over an edge-cut partitioning (the simulator's
-``check_supported`` contract).
+method required, no edge-mutating programs, no ``checkpoint``
+``ft_mode``, and joins/drains need replication over an edge-cut
+partitioning (the simulator's ``check_supported`` contract).
 """
 
 from __future__ import annotations
 
 import heapq
+import multiprocessing
 import os
 import signal
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from multiprocessing.connection import wait as mpc_wait
 from typing import Any
 
 from repro.api import make_engine
 from repro.config import MP_HEARTBEAT_INTERVAL_S, MP_HEARTBEAT_MISSES
 from repro.engine.messages import ActivateBatch, RawGatherBatch
 from repro.engine.vertex_program import ApplyContext
-from repro.errors import UnrecoverableFailureError
 from repro.exec.base import (BackendError, BackendRunResult, BackendSpec,
-                             ExecutionBackend)
-from repro.membership.election import elect_leader
+                             ExecutionBackend, recoveries_report)
 from repro.exec.protocol import NodeProtocol
 from repro.exec.serialize import (TAG_GATHER, TAG_RAW_GATHER, decode_batch,
                                   encode_batch, encoded_logical_nbytes,
@@ -93,8 +83,7 @@ from repro.exec.serialize import (TAG_GATHER, TAG_RAW_GATHER, decode_batch,
 from repro.serve.router import MISS, ReplicaRouter
 from repro.serve.server import ReadResponse, ServeStats, WorkloadCursor
 from repro.serve.view import CommittedView
-from repro.serve.workload import (NEIGHBORHOOD, POINT, TOPK,
-                                  workload_from_config)
+from repro.serve.workload import POINT, TOPK, workload_from_config
 from repro.utils.sizing import BYTES_PER_MSG_HEADER
 
 
@@ -109,82 +98,6 @@ class _WorkerDeath(Exception):
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-
-
-def _force_rebroadcast(lg, pending_broadcast: set[int]) -> None:
-    """Queue a full activity re-broadcast (vertex-cut recovery).
-
-    Replica activity flags may be stale after a rebirth — the
-    replacement worker's copies restart at forked-initial activity — so
-    every master marks its replicas stale and re-broadcasts on the next
-    phase 0 (the simulator's ``_refresh_broadcast_state`` analogue,
-    made total because survivors cannot know which flags the dead rank
-    lost).
-    """
-    for slot in lg.iter_masters():
-        slot.replicas_known_active = not slot.active
-        pending_broadcast.add(slot.gid)
-
-
-def _extract_records(lg, dead: tuple[int, ...]) -> tuple[list, list]:
-    """Survivor-side replication-state scan for the dead ranks.
-
-    Returns ``(master_records, replica_records)``:
-
-    * master records — this rank's replica/mirror copies of vertices
-      mastered on a dead rank, ``(gid, master_node, value,
-      last_activates, last_update_iter, mirror_self_active, is_mirror)``;
-    * replica records — this rank's own masters that keep copies on a
-      dead rank, ``(gid, value, last_activates, last_update_iter,
-      self_active, active, dead_targets)``.
-    """
-    dead_set = set(dead)
-    masters: list = []
-    replicas: list = []
-    for slot in lg.iter_slots():
-        if slot.is_master:
-            targets = tuple(node for node, _m in slot.meta.sync_targets()
-                            if node in dead_set)
-            if targets:
-                replicas.append((slot.gid, slot.value, slot.last_activates,
-                                 slot.last_update_iter,
-                                 slot.mirror_self_active, slot.active,
-                                 targets))
-        elif slot.master_node in dead_set:
-            masters.append((slot.gid, slot.master_node, slot.value,
-                            slot.last_activates, slot.last_update_iter,
-                            slot.mirror_self_active, slot.is_mirror))
-    return masters, replicas
-
-
-def _apply_reseed(lg, masters, replicas, activate_gids) -> None:
-    """Replacement-worker state seeding from survivor records.
-
-    Masters take the surviving copy's committed value and are
-    conservatively reactivated (every dead-rank master recomputes once;
-    safe because ``apply`` is a pure function of neighbor state, and
-    exact whenever the vertex was in fact active at the kill point).
-    The replacement's replica copies take their owners' current
-    committed values — the local gathers of the next superstep read
-    them directly.
-    """
-    for gid, _master_node, value, la, lui, msa, is_mirror in masters:
-        slot = lg.slot_of(gid)
-        slot.value = value
-        slot.last_activates = la
-        slot.last_update_iter = lui
-        # Plain replicas never saw the master's self-active flag; assume
-        # active, consistent with the conservative reactivation below.
-        slot.mirror_self_active = msa if is_mirror else True
-    for gid, value, la, lui, self_active, active, _targets in replicas:
-        slot = lg.slot_of(gid)
-        slot.value = value
-        slot.last_activates = la
-        slot.last_update_iter = lui
-        slot.mirror_self_active = self_active
-        lg.set_active(slot, active)
-    for gid in activate_gids:
-        lg.set_active(lg.slot_of(gid), True)
 
 
 def _worker_main(rank: int, conn, close_conns, engine) -> None:
@@ -207,7 +120,9 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
     num_edges = engine.graph.num_edges
     dirty: dict[int, Any] = {}
     partials: dict[int, list] = {}
-    pending_broadcast: set[int] = set()
+    # Masters whose activity flag the replicas have not heard yet: empty
+    # on a fresh image, re-derived by the engine's recovery otherwise.
+    pending_broadcast: set[int] = set(engine._broadcast_pending.get(rank, ()))
 
     def ctx(iteration: int) -> ApplyContext:
         return ApplyContext(iteration=iteration, num_vertices=num_vertices,
@@ -284,25 +199,6 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
             pending_broadcast.update(stale)
             dirty = {}
             conn.send(("committed", it, len(lg.active_masters)))
-        elif tag == "abort":
-            for slot in dirty.values():
-                slot.clear_pending()
-            dirty = {}
-            partials = {}
-            conn.send(("aborted", frame[1]))
-        elif tag == "extract":
-            masters, replicas = _extract_records(lg, frame[1])
-            conn.send(("extracted", masters, replicas))
-        elif tag == "reseed":
-            _, masters, replicas, activate_gids, force = frame
-            _apply_reseed(lg, masters, replicas, activate_gids)
-            if force:
-                _force_rebroadcast(lg, pending_broadcast)
-            conn.send(("reseeded",))
-        elif tag == "recovered":
-            if frame[1]:
-                _force_rebroadcast(lg, pending_broadcast)
-            conn.send(("recovered_ack",))
         elif tag == "read":
             # Point reads of committed state: the coordinator only
             # sends these at protocol-safe points (workers idle between
@@ -322,19 +218,18 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
                 k, ((slot.value, -slot.gid) for slot in lg.iter_masters()))
             conn.send(("topk_done", req_id,
                        [(-neg_gid, value) for value, neg_gid in top]))
-        elif tag == "values":
-            conn.send(("values_done",
-                       {slot.gid: slot.value for slot in lg.iter_masters()}))
         elif tag == "fullstate":
-            # Committed full state of every local master — the
-            # coordinator writes it back into the parent engine before a
-            # membership reshape (only ever sent at a commit barrier, so
-            # no pending fields exist).
+            # Committed state of every local slot — the coordinator
+            # writes it back into the parent engine before a membership
+            # reshape or a recovery, and to read the job's result.
+            # Committed fields only: whatever an interrupted round
+            # staged lives in the pending fields and dies with this
+            # process.
             conn.send(("fullstate_done",
                        [(slot.gid, slot.value, slot.last_activates,
                          slot.last_update_iter, slot.mirror_self_active,
                          slot.active, slot.replicas_known_active)
-                        for slot in lg.iter_masters()]))
+                        for slot in lg.iter_slots()]))
         elif tag == "shutdown":
             return
         else:  # pragma: no cover - protocol bug guard
@@ -387,16 +282,15 @@ class _MpReadServer:
 
     Routing and accounting reuse the simulator's serve layer —
     :class:`~repro.serve.router.ReplicaRouter` /
-    :class:`~repro.serve.server.ServeStats` — over the pristine parent
-    engine, whose placement is the workers' placement (static under
-    rebirth-only recovery).  The parent's cluster never crashes, so the
-    router runs with ``use_cluster_liveness=False`` and the coordinator
-    passes the ranks it knows dead explicitly.  Reads execute as
-    batched ``read``/``topk`` frames against the workers holding the
-    routed copies, only at protocol-safe points (workers idle between
-    rounds), so every answer is a committed slot value.  Queries due at
-    one drain point share the drain's round-trip latency — they are
-    served concurrently by one frame exchange.
+    :class:`~repro.serve.server.ServeStats` — over the parent engine:
+    its placement is the workers' placement (it only ever changes
+    parent-side, in a recovery or a reshape, followed by a re-fork) and
+    its cluster marks exactly the ranks whose worker died as crashed.
+    Reads execute as batched ``read``/``topk`` frames against the
+    workers holding the routed copies, only at protocol-safe points
+    (workers idle between rounds), so every answer is a committed slot
+    value.  Queries due at one drain point share the drain's round-trip
+    latency — they are served concurrently by one frame exchange.
     """
 
     def __init__(self, backend: "MultiprocessingBackend", engine,
@@ -407,32 +301,25 @@ class _MpReadServer:
         self.cursor = WorkloadCursor(workload, cfg["expected_supersteps"])
         self.router = ReplicaRouter(
             engine, seed=cfg.get("route_seed", 0),
-            policy=cfg.get("policy", "round_robin"),
-            use_cluster_liveness=False)
+            policy=cfg.get("policy", "round_robin"))
         self.stats = ServeStats(cfg.get("keep_responses", True))
         self.neighborhood_limit = workload.neighborhood_limit
         self._req = 0
 
-    def drain(self, progress: float, committed: int,
-              dead=frozenset(), force_degraded: bool = False) -> None:
+    def drain(self, progress: float, committed: int) -> None:
         """Serve every query whose arrival progress has passed."""
         queries = self.cursor.due(progress)
         if queries:
-            self._serve_batch(queries, committed, dead, force_degraded)
-
-    def finish(self, committed: int) -> None:
-        queries = self.cursor.drain()
-        if queries:
-            self._serve_batch(queries, committed, frozenset(), False)
+            self._serve_batch(queries, committed)
 
     def report(self) -> dict:
         return self.stats.report(self.router, self.engine.metrics)
 
     # -- execution -------------------------------------------------------
 
-    def _serve_batch(self, queries, committed: int, dead,
-                     force_degraded: bool) -> None:
+    def _serve_batch(self, queries, committed: int) -> None:
         start = time.perf_counter()
+        in_recovery = self.engine.in_recovery
         alive = sorted(self.backend._workers)
         # Route every point/neighborhood gid, bucket by serving rank.
         plans: list = []
@@ -447,10 +334,9 @@ class _MpReadServer:
                     else self.view.out_neighbors(
                         query.gid, limit=self.neighborhood_limit))
             routed: list[tuple[int, int]] = []
-            degraded = force_degraded
+            degraded = in_recovery
             for gid in gids:
-                node, deg = self.router.route(
-                    gid, dead=dead, force_degraded=force_degraded)
+                node, deg = self.router.route(gid)
                 degraded = degraded or deg
                 routed.append((gid, node))
                 if node == MISS:
@@ -463,18 +349,16 @@ class _MpReadServer:
         values: dict[int, dict] = {}
         if by_rank:
             self._req += 1
-            req = self._req
-            for rank in sorted(by_rank):
-                self.backend._send(rank, ("read", req,
-                                          sorted(by_rank[rank])))
-            frames = self.backend._collect("read_done", req,
+            self.backend._send_all(
+                sorted(by_rank), "read", self._req,
+                per_rank={r: sorted(gids) for r, gids in by_rank.items()})
+            frames = self.backend._collect("read_done", self._req,
                                            sorted(by_rank))
             values = {rank: frame[2] for rank, frame in frames.items()}
         topk_merged: dict[int, tuple] = {}
         for k in sorted(topk_ks):
             self._req += 1
-            for rank in alive:
-                self.backend._send(rank, ("topk", self._req, k))
+            self.backend._send_all(alive, "topk", self._req, k)
             frames = self.backend._collect("topk_done", self._req, alive)
             merged = sorted((pair for frame in frames.values()
                              for pair in frame[2]),
@@ -485,10 +369,11 @@ class _MpReadServer:
         # Top-K coverage is partial whenever any rank is out of the
         # aggregation or recovery-recomputed selfish masters are still
         # in the ranking — the explicit-degradation contract.
-        topk_degraded = (force_degraded or bool(dead)
+        cluster = self.engine.cluster
+        topk_degraded = (in_recovery
                          or bool(self.engine.selfish_read_fence)
-                         or len(alive)
-                         < self.engine.cluster.expected_workers())
+                         or len(cluster.alive_workers())
+                         < cluster.expected_workers())
         for query, plan in zip(queries, plans):
             if query.kind == TOPK:
                 resp = ReadResponse(
@@ -500,18 +385,13 @@ class _MpReadServer:
                 parts = [(gid, None if node == MISS
                           else values[node][gid])
                          for gid, node in routed]
-                if query.kind == POINT:
-                    resp = ReadResponse(
-                        gid=query.gid, kind=POINT, value=parts[0][1],
-                        superstep=committed, degraded=degraded,
-                        replica_node=routed[0][1])
-                else:
-                    node0 = next((node for _gid, node in routed
-                                  if node != MISS), MISS)
-                    resp = ReadResponse(
-                        gid=query.gid, kind=NEIGHBORHOOD,
-                        value=tuple(parts), superstep=committed,
-                        degraded=degraded, replica_node=node0)
+                resp = ReadResponse(
+                    gid=query.gid, kind=query.kind,
+                    value=(parts[0][1] if query.kind == POINT
+                           else tuple(parts)),
+                    superstep=committed, degraded=degraded,
+                    replica_node=next((node for _gid, node in routed
+                                       if node != MISS), MISS))
             self.stats.record(resp, latency_s)
 
 
@@ -575,13 +455,32 @@ class MultiprocessingBackend(ExecutionBackend):
                 pass
         self._workers.clear()
 
+    def _restart_workers(self) -> None:
+        """Reap every worker and fork one per live rank of the parent
+        image (job start, membership reshape, recovery)."""
+        self.close()
+        for rank in self._engine._alive():
+            self._spawn_worker(rank)
+
     # -- frame plumbing --------------------------------------------------
 
-    def _send(self, rank: int, frame: tuple) -> None:
-        try:
-            self._workers[rank].conn.send(frame)
-        except (BrokenPipeError, OSError) as exc:
-            raise _WorkerDeath({rank}) from exc
+    def _send_all(self, ranks, *head, per_rank: dict | None = None) -> None:
+        """Send one frame ``head (+ per_rank[rank])`` to every rank.
+
+        A broken pipe does not stop the fan-out: every surviving rank
+        still gets the round's frame before the deaths are raised, so
+        whatever survivors apply from it (the phase-0 activity flags)
+        is all-or-nothing across them.
+        """
+        dead = set()
+        for rank in ranks:
+            frame = head if per_rank is None else head + (per_rank[rank],)
+            try:
+                self._workers[rank].conn.send(frame)
+            except (BrokenPipeError, OSError):
+                dead.add(rank)
+        if dead:
+            raise _WorkerDeath(dead)
 
     def _collect(self, tag: str, iteration: int | None,
                  ranks) -> dict[int, tuple]:
@@ -595,8 +494,6 @@ class MultiprocessingBackend(ExecutionBackend):
         matching ``(tag, iteration)`` are stale pre-abort output and
         are discarded.
         """
-        from multiprocessing.connection import wait as mpc_wait
-
         out: dict[int, tuple] = {}
         pending = set(ranks)
         misses = 0
@@ -654,10 +551,9 @@ class MultiprocessingBackend(ExecutionBackend):
                 continue
             os.kill(worker.proc.pid, signal.SIGKILL)
             killed.add(rank)
-        deadline = time.monotonic() + 10.0
         for rank in killed:
             proc = self._workers[rank].proc
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            proc.join(timeout=10.0)
             if proc.is_alive():  # pragma: no cover - SIGKILL cannot fail
                 raise BackendError(f"worker {rank} survived SIGKILL")
         return killed
@@ -679,17 +575,14 @@ class MultiprocessingBackend(ExecutionBackend):
     # -- elastic membership ----------------------------------------------
 
     def _sync_parent_from_workers(self) -> None:
-        """Pull every rank's committed master state into the parent.
+        """Pull every live rank's committed slot state into the parent.
 
-        Replica/mirror copies on the parent take the master's committed
-        state too — at a barrier under sync elision every copy already
-        agrees with its master, so this reproduces exactly the workers'
-        copy state (copies hold the flag the master last broadcast,
-        ``replicas_known_active``).
+        Workers never change the structure of their partition, so the
+        parent image already has every slot; only the committed dynamic
+        fields flow back.
         """
         alive = sorted(self._workers)
-        for rank in alive:
-            self._send(rank, ("fullstate",))
+        self._send_all(alive, "fullstate")
         frames = self._collect("fullstate_done", None, alive)
         engine = self._engine
         for rank in alive:
@@ -702,15 +595,22 @@ class MultiprocessingBackend(ExecutionBackend):
                 slot.mirror_self_active = msa
                 slot.replicas_known_active = rka
                 lg.set_active(slot, active)
-                for node, is_mirror in slot.meta.sync_targets():
-                    copy_lg = engine.local_graphs[node]
-                    copy = copy_lg.slot_of(gid)
-                    copy.value = value
-                    copy.last_activates = la
-                    copy.last_update_iter = lui
-                    if is_mirror:
-                        copy.mirror_self_active = msa
-                    copy_lg.set_active(copy, rka)
+        if engine.is_edge_cut:
+            return
+        # ``broadcast_build`` marks replicas as knowing a master's
+        # activity when it *builds* the phase-0 frame; a death caught
+        # before the frames are routed drops them.  With every copy at
+        # home the flag is re-derived exactly: the replicas know iff
+        # every live copy holds the master's flag.
+        for rank in alive:
+            for slot in engine.local_graphs[rank].iter_masters():
+                known = all(
+                    engine.local_graphs[node].slot_of(slot.gid).active
+                    == slot.active
+                    for node, _mirror in slot.meta.sync_targets()
+                    if node in self._workers)
+                slot.replicas_known_active = (slot.active if known
+                                              else not slot.active)
 
     def _reshape(self, events: list[tuple[str, Any, int]]) -> None:
         """Stop-the-world join/drain at a commit barrier.
@@ -730,174 +630,45 @@ class MultiprocessingBackend(ExecutionBackend):
         manager = engine._require_membership()
         while manager.active:
             manager.pump()
-        self.close()
-        for rank in sorted(engine.local_graphs):
-            self._spawn_worker(rank)
+        self._restart_workers()
         self._reshapes += 1
 
     # -- recovery --------------------------------------------------------
 
-    def _abort_survivors(self, iteration: int, survivors) -> None:
-        """Discard the aborted iteration's staged state everywhere; the
-        per-sender-FIFO ack drain also flushes stale pre-abort frames."""
-        for rank in survivors:
-            self._send(rank, ("abort", iteration))
-        for rank in survivors:
-            conn = self._workers[rank].conn
-            deadline = time.monotonic() + self.heartbeat_s * \
-                self.heartbeat_misses
-            while True:
-                if not conn.poll(timeout=0.2):
-                    if time.monotonic() > deadline:
-                        raise BackendError(
-                            f"worker {rank} never acked abort")
-                    continue
-                try:
-                    frame = conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise BackendError(
-                        f"worker {rank} died during abort") from exc
-                if frame == ("aborted", iteration):
-                    break
-
-    def _recover(self, dead: set[int], iteration: int, spec: BackendSpec,
-                 mid_iteration: bool) -> None:
-        """The rebirth rung over real processes.
-
-        Reap the corpses, abort the in-flight iteration on survivors
-        (if any), fork replacements from the pristine parent engine,
-        reseed them from survivor replication state, and force the
-        vertex-cut activity re-broadcast.
-        """
-        dead_sorted = sorted(dead)
-        survivors = sorted(set(self._workers) - dead)
-        # Seeded recovery-leader election — the simulator's bookkeeping,
-        # so both backends report comparable leadership terms (the
-        # coordinator process still drives the protocol itself).
-        if survivors:
-            self._leader_term += 1
-            self._leader = elect_leader(survivors, spec.seed,
-                                        self._leader_term)
-        for rank in dead_sorted:
-            worker = self._workers.pop(rank)
-            worker.proc.join(timeout=1.0)
-            try:
+    def _recover(self, dead: set[int], resume_iteration: int,
+                 progress: float) -> None:
+        """Run the engine's own recovery on the parent image (module
+        docstring) and re-fork; ``resume_iteration`` is the superstep
+        about to (re)run.  A worker dying while the degraded window is
+        served or the state is pulled only enlarges the failed set
+        (Section 5.3.2)."""
+        engine = self._engine
+        # The degraded window opens at detection: survivors still hold
+        # the last commit, so reads due by now fall back to surviving
+        # replicas, tagged by the router (no live copy = a miss).
+        engine.in_recovery = True
+        while dead:
+            for rank in sorted(dead):
+                worker = self._workers.pop(rank)
+                worker.proc.join(timeout=1.0)
                 worker.conn.close()
-            except OSError:
-                pass
-        if spec.ft_mode != "replication" or spec.ft_level < 1:
-            raise UnrecoverableFailureError(
-                f"workers {dead_sorted} killed with no replication to "
-                f"recover from (ft_mode={spec.ft_mode}, "
-                f"ft_level={spec.ft_level})",
-                rungs_attempted=(), surviving_nodes=tuple(survivors))
-        if len(dead_sorted) > self._standby_left:
-            raise UnrecoverableFailureError(
-                f"standby pool exhausted: {len(dead_sorted)} dead, "
-                f"{self._standby_left} standby forks left",
-                rungs_attempted=("rebirth",),
-                surviving_nodes=tuple(survivors))
-        self._standby_left -= len(dead_sorted)
-        if mid_iteration:
-            self._abort_survivors(iteration, survivors)
-        # The explicit degraded read window: the dead ranks are reaped
-        # and survivors hold the last commit, so reads due by now fall
-        # back to surviving replicas (selfish masters on dead ranks
-        # miss — their only current copy died) and are tagged degraded.
-        if self._serve is not None:
-            self._engine.in_recovery = True
+                engine.cluster.crash(rank)
             try:
-                self._serve.drain(
-                    iteration + (0.6 if mid_iteration else 1.0),
-                    committed=iteration - 1 if mid_iteration else iteration,
-                    dead=set(dead_sorted), force_degraded=True)
-            finally:
-                self._engine.in_recovery = False
-        for rank in dead_sorted:
-            self._spawn_worker(rank)
-
-        for rank in survivors:
-            self._send(rank, ("extract", tuple(dead_sorted)))
-        extracted = self._collect("extracted", None, survivors)
-
-        # Merge survivor snapshots: mirrors lead (full-state copies),
-        # the lowest surviving rank breaks ties.
-        best: dict[int, tuple[tuple, bool, int]] = {}
-        replicas_by_rank: dict[int, list] = {r: [] for r in dead_sorted}
-        for src in sorted(extracted):
-            _tag, masters, replicas = extracted[src]
-            for rec in masters:
-                gid, is_mirror = rec[0], rec[6]
-                cur = best.get(gid)
-                if cur is None or (is_mirror and not cur[1]):
-                    best[gid] = (rec, is_mirror, src)
-            for rec in replicas:
-                for dst in rec[6]:
-                    replicas_by_rank[dst].append(rec)
-        masters_by_rank: dict[int, list] = {r: [] for r in dead_sorted}
-        for rec, _is_mirror, _src in best.values():
-            masters_by_rank[rec[1]].append(rec)
-
-        # Simultaneous multi-rank death: replacement A also hosts
-        # replica copies of replacement B's masters, and no survivor
-        # owns those — forward the merged survivor snapshots as replica
-        # records between the reborn ranks (conservatively active; the
-        # forced phase-0 re-broadcast trues the flags up under
-        # vertex-cut before the next gather reads them).
-        for rank in dead_sorted:
-            for other in dead_sorted:
-                if other == rank:
-                    continue
-                lg = self._engine.local_graphs[other]
-                for slot in lg.iter_masters():
-                    if slot.gid not in best:
-                        continue
-                    targets = {node for node, _m
-                               in slot.meta.sync_targets()}
-                    if rank not in targets:
-                        continue
-                    rec, is_mirror, _src = best[slot.gid]
-                    _gid, _mn, value, la, lui, msa, _m = rec
-                    replicas_by_rank[rank].append(
-                        (slot.gid, value, la, lui,
-                         msa if is_mirror else True, True, (rank,)))
-
-        force = not self._engine.is_edge_cut
-        for rank in dead_sorted:
-            expected = [slot.gid for slot
-                        in self._engine.local_graphs[rank].iter_masters()]
-            lost = [gid for gid in expected
-                    if gid not in best]
-            if lost:
-                raise UnrecoverableFailureError(
-                    f"{len(lost)} vertices mastered on rank {rank} have "
-                    f"no surviving replica", lost_vertices=len(lost),
-                    rungs_attempted=("rebirth",),
-                    surviving_nodes=tuple(survivors))
-            self._send(rank, ("reseed", sorted(masters_by_rank[rank]),
-                              sorted(replicas_by_rank[rank]),
-                              expected, force))
-        self._collect("reseeded", None, dead_sorted)
-        for rank in survivors:
-            self._send(rank, ("recovered", force))
-        self._collect("recovered_ack", None, survivors)
-        self._rebirths += len(dead_sorted)
-        # Reborn selfish masters were reseeded from replicas that — by
-        # the selfish optimisation — never saw their syncs: stale until
-        # the redone superstep recomputes them.  Fence their reads to a
-        # degraded miss until the next commit (the simulator's
-        # ``Engine.selfish_read_fence``, same contract).
-        if self._engine.selfish_opt_active:
-            for rank in dead_sorted:
-                lg = self._engine.local_graphs[rank]
-                self._engine.selfish_read_fence.update(
-                    slot.gid for slot in lg.iter_masters() if slot.selfish)
+                if self._serve is not None:
+                    self._serve.drain(progress,
+                                      committed=resume_iteration - 1)
+                self._sync_parent_from_workers()
+                dead = set()
+            except _WorkerDeath as more:
+                dead = more.ranks
+        engine.iteration = resume_iteration
+        engine._recover(
+            tuple(sorted(engine.cluster.detector.newly_failed())))
+        self._restart_workers()
 
     # -- the run loop ----------------------------------------------------
 
     def _validate(self, spec: BackendSpec, engine) -> None:
-        import multiprocessing
-
         if "fork" not in multiprocessing.get_all_start_methods():
             raise BackendError(
                 "multiprocessing backend needs the fork start method")
@@ -909,13 +680,6 @@ class MultiprocessingBackend(ExecutionBackend):
             raise BackendError(
                 f"ft_mode {spec.ft_mode!r} is not supported on the "
                 f"multiprocessing backend")
-        if spec.recovery != "rebirth":
-            raise BackendError(
-                "the multiprocessing backend recovers by rebirth only")
-        if not spec.batch_syncs:
-            raise BackendError(
-                "the multiprocessing backend always batches syncs "
-                "(the wire format is the batch)")
         for iteration, _ranks, phase in spec.failures:
             if phase not in ("compute", "commit", "after_commit"):
                 raise BackendError(
@@ -935,16 +699,13 @@ class MultiprocessingBackend(ExecutionBackend):
                     f"max_iterations {spec.max_iterations}")
             if kind in ("drain", "flap") and event[2] is None:
                 raise BackendError(f"{kind} events need a target rank")
-            if kind in ("join", "drain"):
-                if spec.ft_mode != "replication" \
-                        or not engine.is_edge_cut:
-                    raise BackendError(
-                        "joins and drains need replication over an "
-                        "edge-cut partitioning")
+            if kind != "flap" and not (spec.ft_mode == "replication"
+                                       and engine.is_edge_cut):
+                raise BackendError(
+                    "joins and drains need replication over an "
+                    "edge-cut partitioning")
 
     def run(self, graph, spec: BackendSpec) -> BackendRunResult:
-        import multiprocessing
-
         # The parent engine is the state template: partitioned,
         # replicated and value-initialised in __init__, never run.
         # Workers fork from it, so every rank starts bit-identical to
@@ -964,22 +725,16 @@ class MultiprocessingBackend(ExecutionBackend):
             self.heartbeat_misses = spec.heartbeat_misses
         self._ctx = multiprocessing.get_context("fork")
         self._engine = engine
-        self._standby_left = spec.num_standby
-        self._rebirths = 0
         self._reshapes = 0
         self._flaps = 0
-        self._leader = -1
-        self._leader_term = 0
         serve_cfg = spec.serve_config()
         self._serve = None
         if serve_cfg is not None:
             workload = workload_from_config(graph.num_vertices, serve_cfg)
             self._serve = _MpReadServer(self, engine, workload, serve_cfg)
-        kills_pending = {"compute": defaultdict(set),
-                         "commit": defaultdict(set),
-                         "after_commit": defaultdict(set)}
+        kills: dict[tuple[str, int], set[int]] = defaultdict(set)
         for iteration, ranks, phase in spec.failures:
-            kills_pending[phase][iteration].update(ranks)
+            kills[phase, iteration].update(ranks)
         flaps_pending: dict[int, list[int]] = defaultdict(list)
         reshape_pending: dict[int, list] = defaultdict(list)
         for event in spec.membership:
@@ -997,8 +752,7 @@ class MultiprocessingBackend(ExecutionBackend):
         retries: dict[int, int] = defaultdict(int)
         start = time.perf_counter()
         try:
-            for rank in sorted(engine.local_graphs):
-                self._spawn_worker(rank)
+            self._restart_workers()
             while completed < spec.max_iterations:
                 it = completed
                 for rank in flaps_pending.pop(it, []):
@@ -1007,8 +761,8 @@ class MultiprocessingBackend(ExecutionBackend):
                     if self._serve is not None:
                         self._serve.drain(it + 0.0, committed=it - 1)
                     active_total, elided = self._iterate(
-                        it, book, kills_pending["compute"].pop(it, set()),
-                        kills_pending["commit"].pop(it, set()))
+                        it, book, kills.pop(("compute", it), ()),
+                        kills.pop(("commit", it), ()))
                 except _WorkerDeath as death:
                     retries[it] += 1
                     if retries[it] > self.max_iteration_retries:
@@ -1017,8 +771,7 @@ class MultiprocessingBackend(ExecutionBackend):
                             f"(workers {sorted(death.ranks)} last); "
                             f"giving up after max_iteration_retries="
                             f"{self.max_iteration_retries}") from death
-                    self._recover(death.ranks, it, spec,
-                                  mid_iteration=True)
+                    self._recover(death.ranks, it, it + 0.6)
                     continue  # redo the aborted iteration
                 elided_total += elided
                 completed += 1
@@ -1032,35 +785,35 @@ class MultiprocessingBackend(ExecutionBackend):
                 if active_total == 0:
                     halted = True
                     break
-                late = kills_pending["after_commit"].pop(it, set())
-                if late:
-                    dead = self._kill(late)
-                    if dead:
-                        self._recover(dead, it, spec, mid_iteration=False)
+                # As on the simulator, an ``after_commit`` kill of
+                # iteration N lands past the barrier that starts N.
+                dead = self._kill(kills.pop(("after_commit", completed), ()))
+                if dead:
+                    self._recover(dead, completed, float(completed))
             wall_s = time.perf_counter() - start
             if self._serve is not None:
-                self._serve.finish(committed=completed - 1)
-            values = self._collect_values()
+                self._serve.drain(float("inf"), committed=completed - 1)
+            self._sync_parent_from_workers()
+            values = engine.values()
         finally:
             self.close()
             self._engine = None
-        extra = {"workers": len(engine.local_graphs),
-                 "rebirths": self._rebirths,
-                 "standby_left": self._standby_left}
-        if spec.membership or self._rebirths:
+        extra = {"workers": len(engine._alive())}
+        if engine.recoveries:
+            extra["recoveries"] = recoveries_report(engine.recoveries)
+        if spec.membership or engine.recoveries:
             manager = engine._membership
+            done = [op.kind for op in manager.completed] if manager else []
             extra["membership"] = {
                 "epoch": engine.cluster.membership_epoch,
                 "moves": manager.moves_total if manager else 0,
                 "bytes": manager.bytes_total if manager else 0,
-                "joins": sum(1 for op in manager.completed
-                             if op.kind == "join") if manager else 0,
-                "drains": sum(1 for op in manager.completed
-                              if op.kind == "drain") if manager else 0,
+                "joins": done.count("join"),
+                "drains": done.count("drain"),
                 "flaps": self._flaps,
                 "reshapes": self._reshapes,
-                "leader": self._leader,
-                "leader_term": self._leader_term,
+                "leader": engine.recovery_leader,
+                "leader_term": engine.leader_term,
             }
         if self._serve is not None:
             extra["serve"] = self._serve.report()
@@ -1077,43 +830,37 @@ class MultiprocessingBackend(ExecutionBackend):
             syncs_elided=elided_total,
             wall_s=wall_s,
             halted=halted,
-            failures_recovered=self._rebirths,
+            failures_recovered=len(engine.recoveries),
             combined_records=book.combine_pre - book.combine_phys,
             combine_ratio=(book.combine_pre / book.combine_phys
                            if book.combine_phys else 1.0),
             extra=extra)
 
-    def _iterate(self, it: int, book: _TrafficBook, kill_now: set[int],
-                 kill_commit: set[int] = frozenset()) -> tuple[int, int]:
+    def _round(self, it: int, alive: list[int], tag: str, done: str,
+               per_rank: dict | None = None, kill=()) -> dict[int, tuple]:
+        """One frame exchange with every worker: send ``tag``, deliver
+        the scheduled SIGKILLs, gather the ``done`` replies."""
+        self._send_all(alive, tag, it, per_rank=per_rank)
+        if kill and (dead := self._kill(kill)):
+            raise _WorkerDeath(dead)
+        return self._collect(done, it, alive)
+
+    def _iterate(self, it: int, book: _TrafficBook, kill_now=(),
+                 kill_commit=()) -> tuple[int, int]:
         """One full superstep across the workers; returns
         ``(active_masters_after, syncs_elided)``."""
         alive = sorted(self._workers)
         if self._engine.is_edge_cut:
-            for rank in alive:
-                self._send(rank, ("compute", it))
-            if kill_now:
-                dead = self._kill(kill_now)
-                if dead:
-                    raise _WorkerDeath(dead)
-            computed = self._collect("computed", it, alive)
+            computed = self._round(it, alive, "compute", "computed",
+                                   kill=kill_now)
             sync_frames = self._route(computed, book)
             elided = sum(frame[5] for frame in computed.values())
         else:
-            for rank in alive:
-                self._send(rank, ("vc0", it))
-            if kill_now:
-                dead = self._kill(kill_now)
-                if dead:
-                    raise _WorkerDeath(dead)
-            vc0 = self._collect("vc0_done", it, alive)
-            ctrl_frames = self._route(vc0, book)
-            for rank in alive:
-                self._send(rank, ("vc1", it, ctrl_frames[rank]))
-            vc1 = self._collect("vc1_done", it, alive)
-            gather_frames = self._route(vc1, book)
-            for rank in alive:
-                self._send(rank, ("vc2", it, gather_frames[rank]))
-            vc2 = self._collect("vc2_done", it, alive)
+            vc0 = self._round(it, alive, "vc0", "vc0_done", kill=kill_now)
+            vc1 = self._round(it, alive, "vc1", "vc1_done",
+                              self._route(vc0, book))
+            vc2 = self._round(it, alive, "vc2", "vc2_done",
+                              self._route(vc1, book))
             sync_frames = self._route(vc2, book)
             elided = sum(frame[4] for frame in vc2.values())
 
@@ -1126,15 +873,10 @@ class MultiprocessingBackend(ExecutionBackend):
 
         # Commit stage 1 stays abortable: workers only stage pending
         # fields until the finalize round, so a death here propagates as
-        # ``_WorkerDeath`` — survivors abort, recovery runs, and the
-        # iteration is redone (bounded by ``max_iteration_retries``).
-        for rank in alive:
-            self._send(rank, ("commit", it, sync_frames[rank]))
-        if kill_commit:
-            dead = self._kill(kill_commit)
-            if dead:
-                raise _WorkerDeath(dead)
-        staged = self._collect("staged", it, alive)
+        # ``_WorkerDeath`` — recovery runs on the committed state and
+        # the iteration is redone (bounded by ``max_iteration_retries``).
+        staged = self._round(it, alive, "commit", "staged", sync_frames,
+                             kill=kill_commit)
         act_frames: dict[int, list] = {r: [] for r in alive}
         for src in sorted(staged):
             for dst, enc in staged[src][2]:
@@ -1144,9 +886,8 @@ class MultiprocessingBackend(ExecutionBackend):
         # processes ``commit2`` its slots flip, so a death here leaves a
         # half-committed superstep — a hard error, not a recovery case.
         try:
-            for rank in alive:
-                self._send(rank, ("commit2", it, act_frames[rank]))
-            committed = self._collect("committed", it, alive)
+            committed = self._round(it, alive, "commit2", "committed",
+                                    act_frames)
         except _WorkerDeath as death:
             raise BackendError(
                 f"workers {sorted(death.ranks)} died inside the finalize "
@@ -1154,13 +895,3 @@ class MultiprocessingBackend(ExecutionBackend):
                 f"cannot roll back a half-committed superstep"
             ) from death
         return sum(frame[2] for frame in committed.values()), elided
-
-    def _collect_values(self) -> dict[int, Any]:
-        alive = sorted(self._workers)
-        for rank in alive:
-            self._send(rank, ("values",))
-        frames = self._collect("values_done", None, alive)
-        values: dict[int, Any] = {}
-        for rank in alive:
-            values.update(frames[rank][1])
-        return values

@@ -30,8 +30,7 @@ from typing import Any
 from repro.cluster.network import MessageKind
 from repro.engine.combine import combiner_of, fold_raw_batch
 from repro.engine.messages import (ActiveBroadcastBatch, GatherBatch,
-                                   MirrorSyncPayload, RawGatherBatch,
-                                   SyncBatch)
+                                   RawGatherBatch, SyncBatch)
 from repro.utils.sizing import BYTES_PER_VID
 
 
@@ -327,20 +326,6 @@ class NodeProtocol:
                         gid0, pos, _old = slot.full_edges[idx]
                         slot.full_edges[idx] = (gid0, pos, weight)
             dirty[gid] = slot
-
-    def apply_scalar_sync(self, lg, payload, dirty: dict) -> None:
-        """Stage one legacy scalar sync payload (recovery paths, tests)."""
-        slot = lg.slot_of(payload.gid)
-        slot.pending_value = payload.value
-        slot.has_pending = True
-        slot.pending_activates = payload.activates
-        if isinstance(payload, MirrorSyncPayload):
-            slot.pending_active = payload.self_active
-            if payload.edge_updates and slot.full_edges is not None:
-                for idx, weight in payload.edge_updates:
-                    gid0, pos, _old = slot.full_edges[idx]
-                    slot.full_edges[idx] = (gid0, pos, weight)
-        dirty[payload.gid] = slot
 
     # -- barrier commit --------------------------------------------------
 

@@ -16,7 +16,12 @@ from __future__ import annotations
 import time
 
 from repro.api import make_engine
-from repro.exec.base import BackendRunResult, BackendSpec, ExecutionBackend
+from repro.exec.base import (
+    BackendRunResult,
+    BackendSpec,
+    ExecutionBackend,
+    recoveries_report,
+)
 from repro.serve.server import ReadServer, ServePump, WorkloadCursor
 from repro.serve.workload import workload_from_config
 
@@ -55,14 +60,7 @@ class SimulatorBackend(ExecutionBackend):
         if result.membership:
             extra["membership"] = result.membership
         if result.recoveries:
-            extra["recoveries"] = [
-                {"strategy": r.strategy, "at_iteration": r.at_iteration,
-                 "failed_nodes": list(r.failed_nodes),
-                 "detection_s": r.detection_s,
-                 "reconstruct_s": r.reconstruct_s,
-                 "replay_s": r.replay_s, "reload_s": r.reload_s,
-                 "recovery_bytes": r.recovery_bytes}
-                for r in result.recoveries]
+            extra["recoveries"] = recoveries_report(result.recoveries)
         if pump is not None:
             pump.finish()
             extra["serve"] = pump.server.report()

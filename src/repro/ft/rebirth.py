@@ -182,6 +182,12 @@ class RebirthRecovery:
 
         # ---------------- Replay ----------------
         replay_ops = common.replay_activations(engine, list(failed), None)
+        if not engine.is_edge_cut:
+            # A vertex-cut master's in-edges span nodes: activations
+            # scattered along the survivors' edges reached the dead
+            # master as remote signals, which only they can re-send.
+            replay_ops += common.replay_activations(
+                engine, survivors, set(recovered_masters))
         replay_edges = common.recompute_selfish_masters(
             engine, sorted(selfish_recovered))
         # Each newbie replays its own node's operations concurrently

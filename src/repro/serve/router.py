@@ -46,19 +46,13 @@ class ReplicaRouter:
     """Seeded replica-selection policy over a live engine's placement."""
 
     def __init__(self, engine: "Engine", seed: int = 0,
-                 policy: str = "round_robin",
-                 use_cluster_liveness: bool = True):
+                 policy: str = "round_robin"):
         if policy not in ("round_robin", "least_loaded"):
             raise ValueError(f"unknown routing policy {policy!r}")
         self.engine = engine
         self.policy = policy
         #: Reads served per node (the per-replica load report).
         self.load: Counter[int] = Counter()
-        #: Whether to consult the simulated cluster's liveness flags —
-        #: the multiprocessing coordinator routes over the pristine
-        #: parent engine (whose nodes are never "crashed") and passes
-        #: dead ranks explicitly instead.
-        self._use_cluster_liveness = use_cluster_liveness
         self._rr = seed
         #: Membership-epoch cache: the ineligible-node set is rebuilt
         #: only when the cluster's epoch moves (DESIGN.md §14).
@@ -80,12 +74,6 @@ class ReplicaRouter:
             return [master]
         return [master] + sorted(slot.meta.replica_positions)
 
-    def _is_alive(self, node: int, dead) -> bool:
-        if node in dead:
-            return False
-        return (not self._use_cluster_liveness
-                or self.engine.cluster.node(node).is_alive)
-
     def membership_ineligible(self) -> frozenset[int]:
         """Nodes no read may be routed to: joining, draining, retired.
 
@@ -102,14 +90,11 @@ class ReplicaRouter:
 
     # -- routing ---------------------------------------------------------
 
-    def route(self, gid: int, dead=frozenset(),
-              force_degraded: bool = False) -> tuple[int, bool]:
+    def route(self, gid: int) -> tuple[int, bool]:
         """Pick the copy that serves this read.
 
         Returns ``(node, degraded)``; ``node`` is :data:`MISS` when no
-        copy is alive.  ``dead`` lists ranks known dead by the caller
-        (multiprocessing coordinator); ``force_degraded`` marks reads
-        issued inside an explicitly degraded window.
+        copy is alive.
         """
         # A selfish master recomputed by recovery holds the value the
         # retry will commit, and no surviving copy holds the committed
@@ -118,8 +103,9 @@ class ReplicaRouter:
         if gid in self.engine.selfish_read_fence:
             return MISS, True
         candidates = self.candidates(gid)
-        alive = [n for n in candidates if self._is_alive(n, dead)]
-        degraded = (force_degraded or self.engine.in_recovery
+        cluster = self.engine.cluster
+        alive = [n for n in candidates if cluster.node(n).is_alive]
+        degraded = (self.engine.in_recovery
                     or len(alive) < len(candidates))
         ineligible = self.membership_ineligible()
         eligible = [n for n in alive if n not in ineligible]

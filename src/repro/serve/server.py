@@ -106,15 +106,12 @@ class ReadServer:
 
     def __init__(self, engine: "Engine", seed: int = 0,
                  policy: str = "round_robin",
-                 use_cluster_liveness: bool = True,
                  keep_responses: bool = True,
                  neighborhood_limit: int = 16):
         self.engine = engine
         self.neighborhood_limit = neighborhood_limit
         self.view = CommittedView(engine)
-        self.router = ReplicaRouter(
-            engine, seed=seed, policy=policy,
-            use_cluster_liveness=use_cluster_liveness)
+        self.router = ReplicaRouter(engine, seed=seed, policy=policy)
         self.stats = ServeStats(keep_responses)
 
     @property
@@ -135,25 +132,21 @@ class ReadServer:
 
     # -- query execution -------------------------------------------------
 
-    def serve(self, query: Query, dead=frozenset(),
-              force_degraded: bool = False) -> ReadResponse:
+    def serve(self, query: Query) -> ReadResponse:
         start = time.perf_counter()
         if query.kind == POINT:
-            resp = self._serve_point(query.gid, dead, force_degraded)
+            resp = self._serve_point(query.gid)
         elif query.kind == NEIGHBORHOOD:
-            resp = self._serve_neighborhood(query.gid, dead,
-                                            force_degraded)
+            resp = self._serve_neighborhood(query.gid)
         elif query.kind == TOPK:
-            resp = self._serve_topk(query.k, dead, force_degraded)
+            resp = self._serve_topk(query.k)
         else:
             raise ValueError(f"unknown query kind {query.kind}")
         self.stats.record(resp, time.perf_counter() - start)
         return resp
 
-    def _serve_point(self, gid: int, dead,
-                     force_degraded: bool) -> ReadResponse:
-        node, degraded = self.router.route(
-            gid, dead=dead, force_degraded=force_degraded)
+    def _serve_point(self, gid: int) -> ReadResponse:
+        node, degraded = self.router.route(gid)
         if node == MISS:
             self.stats.misses += 1
             value = None
@@ -163,16 +156,14 @@ class ReadServer:
                             superstep=self.view.superstep,
                             degraded=degraded, replica_node=node)
 
-    def _serve_neighborhood(self, gid: int, dead,
-                            force_degraded: bool) -> ReadResponse:
+    def _serve_neighborhood(self, gid: int) -> ReadResponse:
         nbrs = self.view.out_neighbors(gid,
                                        limit=self.neighborhood_limit)
         parts: list[tuple[int, Any]] = []
-        degraded = force_degraded or self.engine.in_recovery
+        degraded = self.engine.in_recovery
         node0 = MISS
         for nbr in nbrs:
-            node, deg = self.router.route(
-                nbr, dead=dead, force_degraded=force_degraded)
+            node, deg = self.router.route(nbr)
             degraded = degraded or deg
             if node == MISS:
                 self.stats.misses += 1
@@ -186,8 +177,7 @@ class ReadServer:
                             superstep=self.view.superstep,
                             degraded=degraded, replica_node=node0)
 
-    def _serve_topk(self, k: int, dead,
-                    force_degraded: bool) -> ReadResponse:
+    def _serve_topk(self, k: int) -> ReadResponse:
         top = self.view.top_k(k)
         # Top-K aggregates over alive nodes' masters: with any node
         # dead (even before detection fires) coverage may be partial,
@@ -198,13 +188,13 @@ class ReadServer:
         # ``expected_workers`` tracks elastic membership (joins grow
         # it, retirements shrink it) so a cleanly drained node does not
         # read as a permanently degraded cluster.
-        partial = bool(dead) or bool(engine.selfish_read_fence) or (
+        partial = bool(engine.selfish_read_fence) or (
             len(engine.cluster.alive_workers())
             < engine.cluster.expected_workers())
         return ReadResponse(
             gid=-1, kind=TOPK, value=tuple(top),
             superstep=self.view.superstep,
-            degraded=(force_degraded or engine.in_recovery or partial),
+            degraded=engine.in_recovery or partial,
             replica_node=MISS)
 
     # -- reporting -------------------------------------------------------

@@ -4,7 +4,9 @@ Chaos testing (see DESIGN.md, "Chaos testing"):
 
 * ``pytest -m chaos`` selects the seeded chaos sweeps;
 * ``--chaos-seed N`` replays one exact failure schedule — every chaos
-  failure message prints the one-line command to do so.
+  failure message prints the one-line command to do so;
+* ``pytest -m mp_matrix`` runs the half of the cross-backend recovery
+  matrix that tier-1 skips (``tests/test_mp_backend.py``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,17 @@ def pytest_addoption(parser):
         "--chaos-seed", type=int, default=None,
         help="Replay chaos tests with this exact schedule seed "
              "(printed by failing chaos runs).")
+
+
+def pytest_collection_modifyitems(config, items):
+    """``mp_matrix`` cases fork real processes by the dozen: they run
+    only when selected with ``-m mp_matrix`` (CI does)."""
+    if "mp_matrix" in config.getoption("-m"):
+        return
+    skip = pytest.mark.skip(reason="full matrix: select with -m mp_matrix")
+    for item in items:
+        if "mp_matrix" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from repro.cluster.network import Message, MessageKind, Network
 from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import (
     ActivateBatch,
+    ActiveBroadcastBatch,
     GatherBatch,
     RawGatherBatch,
     SyncBatch,
@@ -59,9 +60,10 @@ class TestBatchAccounting:
         batch = sync_batch(5, full_state=True)
         assert batch.nbytes() == sum(batch.record_nbytes(i)
                                      for i in range(5))
-        # Full-state records carry the two flag bytes of the scalar
-        # MirrorSyncPayload encoding.
+        # Full-state records carry two flag bytes (activates,
+        # self-active); plain records one.
         assert batch.record_nbytes(0) == BYTES_PER_VID + 8 + 2
+        assert sync_batch(1).record_nbytes(0) == BYTES_PER_VID + 8 + 1
 
     def test_traffic_stats_count_records_and_batches_separately(self):
         net = make_net()
@@ -93,25 +95,37 @@ class TestBatchAccounting:
     def test_batched_equals_unbatched_minus_saved_headers(self, partition):
         """Wire bytes: per-record payloads + one header per batch.
 
-        The unbatched run ships every record as its own single-record
-        batch, so it pays one header per record; batching saves exactly
-        (records - batches) headers and changes nothing else.
+        Shipping every record as its own message would pay one header
+        per record; batching saves exactly (records - batches) headers
+        and changes nothing else.  Checked against what actually went
+        through ``Network.send``.
         """
         graph = generators.power_law(80, alpha=2.0, seed=3, name="pl80")
-        _, batched = run_once(graph, "pagerank", partition,
-                              sync_elision=False, max_iterations=6)
-        _, unbatched = run_once(graph, "pagerank", partition,
-                                sync_elision=False, batch_syncs=False,
-                                max_iterations=6)
-        assert batched.values == unbatched.values
-        assert batched.total_messages == unbatched.total_messages
-        eng, res = run_once(graph, "pagerank", partition,
-                            sync_elision=False, max_iterations=6)
-        totals = eng.cluster.network.totals
-        saved = (totals.total_msgs - totals.total_batches) \
-            * BYTES_PER_MSG_HEADER
-        assert saved > 0
-        assert res.total_bytes == unbatched.total_bytes - saved
+        engine = make_engine(graph, "pagerank", partition=partition,
+                             num_nodes=4, sync_elision=False,
+                             max_iterations=6)
+        net = engine.cluster.network
+        sent = []
+        send = net.send
+
+        def spy(msg):
+            sent.append(msg)
+            return send(msg)
+
+        net.send = spy
+        result = engine.run()
+        totals = net.totals
+        records = sum(msg.payload.record_count for msg in sent)
+        payload_bytes = sum(
+            msg.payload.record_nbytes(i) for msg in sent
+            for i in range(msg.payload.record_count))
+        assert totals.total_batches == len(sent)
+        assert totals.total_msgs == records > len(sent)
+        assert result.total_bytes == totals.total_bytes == (
+            payload_bytes + BYTES_PER_MSG_HEADER * len(sent))
+        per_record = payload_bytes + BYTES_PER_MSG_HEADER * records
+        assert per_record - result.total_bytes == (
+            (records - len(sent)) * BYTES_PER_MSG_HEADER)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +239,7 @@ class TestSyncElision:
         """Crash + duplicate/delay faults: elision must not change the
         outcome.  ``drop`` faults are excluded by design — elision
         (like the real systems' TCP transport) assumes syncs are
-        reliably delivered; the unbatched path only heals a silent
+        reliably delivered; an elision-off run only heals a silent
         drop by accident of its redundant re-sends (DESIGN.md §10)."""
         _, clean = _cc_run(partition)
 
@@ -375,6 +389,9 @@ class TestBatchPayloads:
         assert a.record_count == 3
         assert a.nbytes() == 3 * BYTES_PER_VID
         assert a.select([2]).gids == [3]
+        b = ActiveBroadcastBatch()
+        b.append(4, True)
+        assert b.nbytes() == b.record_nbytes(0) == BYTES_PER_VID + 1
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +580,3 @@ class TestCombiningDifferential:
         assert net_on.chaos_delayed_msgs == net_off.chaos_delayed_msgs
         assert net_on.chaos_dropped_msgs > 0  # non-vacuous
 
-    def test_batch_syncs_off_keeps_parity(self):
-        """Per-record transport re-splits batches record by record; the
-        group-aware select must keep OFF-mode parity through it."""
-        _, on = _vc_run("random_vertex_cut", True, batch_syncs=False)
-        _, off = _vc_run("random_vertex_cut", False, batch_syncs=False)
-        assert on.values == off.values
-        assert on.total_messages == off.total_messages
-        assert on.total_bytes == off.total_bytes

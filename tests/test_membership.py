@@ -351,8 +351,8 @@ class TestServeRouting:
         violations = []
         original = server.router.route
 
-        def checked(gid, dead=frozenset(), force_degraded=False):
-            node, degraded = original(gid, dead, force_degraded)
+        def checked(gid):
+            node, degraded = original(gid)
             ineligible = cluster._transitioning | cluster._retired
             if node >= 0 and node in ineligible:
                 violations.append((gid, node))

@@ -4,34 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.messages import (
-    ActivatePayload,
-    ActiveBroadcastPayload,
-    GatherPayload,
-    MirrorSyncPayload,
-    RecoveredVertex,
-    RecoveryBatch,
-    SyncPayload,
-)
+from repro.engine.messages import RecoveredVertex, RecoveryBatch
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
-
-
-class TestSyncSizes:
-    def test_plain_sync(self):
-        payload = SyncPayload(gid=1, value=1.0, activates=True)
-        assert payload.nbytes(8) == BYTES_PER_VID + 8 + 1
-
-    def test_mirror_sync_carries_extras(self):
-        plain = SyncPayload(1, 1.0, True).nbytes(8)
-        mirror = MirrorSyncPayload(1, 1.0, True, True).nbytes(8)
-        assert mirror == plain + 1
-
-    def test_gather(self):
-        assert GatherPayload(1, 2.0).nbytes(24) == BYTES_PER_VID + 24
-
-    def test_activate_is_tiny(self):
-        assert ActivatePayload(1).nbytes() == BYTES_PER_VID
-        assert ActiveBroadcastPayload(1, True).nbytes() == BYTES_PER_VID + 1
 
 
 class TestRecoveredVertex:

@@ -7,18 +7,21 @@ accounting — the CI gate for the pluggable-backend refactor
 (DESIGN.md §12).
 
 The recovery tests deliver real ``SIGKILL``s to worker processes and
-assert the heartbeat/sentinel detection plus rebirth-from-replicas
-path converges to the failure-free values exactly.
+assert that heartbeat/sentinel detection plus the engine's own recovery
+ladder, run on the parent image, recovers by the same strategy as the
+simulator and converges to the failure-free values.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import signal
+from dataclasses import replace
 
 import pytest
 
 from repro.algorithms import PageRank
+from repro.chaos.oracle import values_close
 from repro.errors import UnrecoverableFailureError
 from repro.exec.base import BackendError, BackendSpec
 from repro.exec.mp import MultiprocessingBackend
@@ -146,75 +149,154 @@ class TestDifferentialOracle:
         assert mp_on.total_msgs < mp_off.total_msgs
 
 
+#: The cross-backend recovery oracle: every combination of the four
+#: factors.  Tier-1 runs the half-fraction (even level sum) in which
+#: every pair of factor levels still meets; the other half is marked
+#: ``mp_matrix`` (CI: ``-m mp_matrix``).
+ORACLE_CASES = [
+    pytest.param(*algorithm, partition, recovery, phase,
+                 marks=(() if (a + p + r + k) % 2 == 0
+                        else pytest.mark.mp_matrix))
+    for a, algorithm in enumerate([("pagerank", ()),
+                                   ("sssp", (("source", 0),))])
+    for p, partition in enumerate(["hash_edge_cut", "random_vertex_cut"])
+    for r, recovery in enumerate(["rebirth", "migration"])
+    for k, phase in enumerate(["compute", "after_commit"])]
+
+
+def _strategies(result):
+    return [(r["strategy"], tuple(r["failed_nodes"]))
+            for r in result.extra.get("recoveries", ())]
+
+
+def _recovery_points(result):
+    return [r["at_iteration"] for r in result.extra.get("recoveries", ())]
+
+
+def _assert_matches_failure_free(values, reference):
+    """Bit-equal, except that Migration under vertex-cut moves edges
+    between partial-gather groups: float sums re-associate, so the
+    simulator itself only promises the chaos oracle's tolerance."""
+    assert values.keys() == reference.keys()
+    assert all(values_close(values[gid], reference[gid])
+               for gid in reference)
+
+
 class TestRealKillRecovery:
-    """Real SIGKILL -> sentinel/heartbeat detection -> rebirth."""
+    """Real SIGKILL -> sentinel/heartbeat detection -> the engine's own
+    recovery ladder on the parent image -> re-fork."""
 
-    @pytest.mark.parametrize("partition",
-                             ["hash_edge_cut", "random_vertex_cut"])
-    @pytest.mark.parametrize("seed", [7, 21])
-    def test_kill_mid_compute_converges_to_failure_free(self, partition,
-                                                        seed):
-        g = generators.power_law(80, alpha=2.0, seed=seed, avg_degree=5.0)
-        base = BackendSpec(algorithm="sssp", num_nodes=4,
+    @pytest.mark.parametrize("algorithm,kwargs,partition,recovery,phase",
+                             ORACLE_CASES)
+    def test_recovery_oracle(self, graph, algorithm, kwargs, partition,
+                             recovery, phase):
+        """One mechanism, two backends: the same kill recovers by the
+        same strategy into the same bits, and converges to the
+        failure-free values."""
+        base = BackendSpec(algorithm=algorithm, num_nodes=4,
                            partition=partition, ft_level=1,
-                           max_iterations=15,
-                           algorithm_kwargs=(("source", 0),))
-        kill = BackendSpec(algorithm="sssp", num_nodes=4,
-                           partition=partition, ft_level=1,
-                           max_iterations=15,
-                           algorithm_kwargs=(("source", 0),),
-                           failures=((1, (2,), "compute"),))
-        reference = SimulatorBackend().run(g, base)
-        with MultiprocessingBackend() as backend:
-            survived = backend.run(g, kill)
-        assert survived.failures_recovered == 1
-        assert survived.values == reference.values
-        assert survived.iterations == reference.iterations
-
-    @pytest.mark.parametrize("phase", ["compute", "after_commit"])
-    def test_pagerank_kill_both_phases(self, graph, phase):
-        base = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
-                           max_iterations=8)
-        kill = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
-                           max_iterations=8,
-                           failures=((2, (1,), phase),))
+                           recovery=recovery, max_iterations=10,
+                           algorithm_kwargs=kwargs)
+        kill = replace(base, failures=((2, (1,), phase),))
         reference = SimulatorBackend().run(graph, base)
+        sim = SimulatorBackend().run(graph, kill)
         with MultiprocessingBackend() as backend:
-            survived = backend.run(graph, kill)
-        assert survived.failures_recovered == 1
-        assert survived.values == reference.values
+            mp = backend.run(graph, kill)
+        assert _strategies(mp) == _strategies(sim) == [(recovery, (1,))]
+        assert mp.failures_recovered == sim.failures_recovered == 1
+        assert _recovery_points(mp) == _recovery_points(sim) == [2]
+        assert mp.values == sim.values
+        assert mp.iterations == reference.iterations
+        if recovery == "migration" and partition == "random_vertex_cut":
+            _assert_matches_failure_free(mp.values, reference.values)
+        else:
+            assert mp.values == reference.values
+        assert multiprocessing.active_children() == []
 
     def test_double_kill_with_ft2(self, graph):
         """Two ranks SIGKILLed in one iteration; ft_level=2 still holds
-        a copy of everything on the survivors."""
+        a copy of everything on the survivors — one recovery event
+        covering both ranks, as on the simulator."""
         base = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=2,
                            max_iterations=8, num_standby=2)
-        kill = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=2,
-                           max_iterations=8, num_standby=2,
-                           failures=((1, (1, 3), "compute"),))
+        kill = replace(base, failures=((1, (1, 3), "compute"),))
         reference = SimulatorBackend().run(graph, base)
+        sim = SimulatorBackend().run(graph, kill)
         with MultiprocessingBackend() as backend:
             survived = backend.run(graph, kill)
-        assert survived.failures_recovered == 2
+        assert survived.failures_recovered == sim.failures_recovered == 1
+        assert _strategies(survived) == _strategies(sim) \
+            == [("rebirth", (1, 3))]
         assert survived.values == reference.values
 
-    def test_standby_pool_exhaustion_is_unrecoverable(self, graph):
-        spec = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
-                           max_iterations=10, num_standby=1,
-                           failures=((1, (2,), "compute"),
-                                     (3, (0,), "compute")))
+    def test_death_during_state_pull_enlarges_the_failed_set(
+            self, graph, monkeypatch):
+        """A second worker dying while the coordinator pulls survivor
+        state is recovered together with the first (Section 5.3.2)."""
+        base = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=2,
+                           max_iterations=8, num_standby=2)
+        kill = replace(base, failures=((2, (1,), "compute"),))
+        reference = SimulatorBackend().run(graph, base)
+        pull = MultiprocessingBackend._sync_parent_from_workers
+        pulls = []
+
+        def pull_with_second_death(backend):
+            pulls.append(sorted(backend._workers))
+            if len(pulls) == 1:
+                backend._kill({3})
+            pull(backend)
+
+        monkeypatch.setattr(MultiprocessingBackend,
+                            "_sync_parent_from_workers",
+                            pull_with_second_death)
         with MultiprocessingBackend() as backend:
-            with pytest.raises(UnrecoverableFailureError,
-                               match="standby pool exhausted"):
-                backend.run(graph, spec)
+            survived = backend.run(graph, kill)
+        # Two pulls to recover; the last one reads the job's result.
+        assert pulls == [[0, 2, 3], [0, 2], [0, 1, 2, 3]]
+        assert _strategies(survived) == [("rebirth", (1, 3))]
+        assert survived.values == reference.values
+        assert multiprocessing.active_children() == []
+
+    def test_standby_exhaustion_falls_back_to_migration(self, graph):
+        """The ladder is the engine's on both backends: the second kill
+        finds the standby pool dry and recovers by Migration, after
+        which the job runs on three ranks."""
+        base = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
+                           max_iterations=10, num_standby=1)
+        kill = replace(base, failures=((1, (2,), "compute"),
+                                       (3, (0,), "compute")))
+        reference = SimulatorBackend().run(graph, base)
+        sim = SimulatorBackend().run(graph, kill)
+        with MultiprocessingBackend() as backend:
+            mp = backend.run(graph, kill)
+        assert _strategies(mp) == _strategies(sim) \
+            == [("rebirth", (2,)), ("migration", (0,))]
+        assert mp.values == sim.values == reference.values
+        assert mp.extra["workers"] == 3
 
     def test_kill_without_replication_is_unrecoverable(self, graph):
         spec = BackendSpec(algorithm="pagerank", num_nodes=4,
                            ft_mode="none", ft_level=0, max_iterations=10,
                            failures=((1, (2,), "compute"),))
         with MultiprocessingBackend() as backend:
-            with pytest.raises(UnrecoverableFailureError):
+            with pytest.raises(UnrecoverableFailureError) as err:
                 backend.run(graph, spec)
+        assert err.value.surviving_nodes == (0, 1, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_lost_vertex_is_unrecoverable(self, graph):
+        """More simultaneous deaths than ft_level covers: the engine's
+        ladder reports which rungs it tried, and every worker is
+        reaped."""
+        spec = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
+                           max_iterations=10, num_standby=2,
+                           failures=((1, (1, 3), "compute"),))
+        with MultiprocessingBackend() as backend:
+            with pytest.raises(UnrecoverableFailureError) as err:
+                backend.run(graph, spec)
+        assert err.value.rungs_attempted == ("replication:exhausted",)
+        assert err.value.lost_vertices > 0
+        assert multiprocessing.active_children() == []
 
 
 class TestWorkerHygiene:
@@ -225,19 +307,7 @@ class TestWorkerHygiene:
                            max_iterations=4)
         with MultiprocessingBackend() as backend:
             backend.run(graph, spec)
-            assert not multiprocessing.active_children()
-
-    def test_no_children_leak_after_failed_run(self, graph):
-        """A run that dies with an unrecoverable failure must still
-        reap every worker (the context manager close is also a no-op
-        by then — run()'s finally already cleaned up)."""
-        spec = BackendSpec(algorithm="pagerank", num_nodes=4,
-                           ft_mode="none", ft_level=0, max_iterations=10,
-                           failures=((1, (2,), "compute"),))
-        with MultiprocessingBackend() as backend:
-            with pytest.raises(UnrecoverableFailureError):
-                backend.run(graph, spec)
-        assert not multiprocessing.active_children()
+            assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent(self, graph):
         backend = MultiprocessingBackend()
@@ -245,10 +315,37 @@ class TestWorkerHygiene:
                                        max_iterations=2))
         backend.close()
         backend.close()
-        assert not multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
+
+
+#: Every spec the backend refuses, with the reason it gives.
+REFUSED_SPECS = [
+    (dict(ft_mode="checkpoint"), "ft_mode"),
+    (dict(failures=((1, (0,), "barrier"),)), "failure phase"),
+    (dict(failures=((5, (0,), "compute"),)), "beyond max_iterations"),
+    (dict(membership=((1, "split", 0),)), "membership event kind"),
+    (dict(membership=((5, "flap", 0),)), "beyond max_iterations"),
+    (dict(membership=((1, "drain", None),)), "target rank"),
+    (dict(membership=((1, "flap", None),)), "target rank"),
+    (dict(membership=((1, "join", None),), ft_mode="none", ft_level=0),
+     "replication over an edge-cut"),
+    (dict(membership=((1, "drain", 1),), partition="random_vertex_cut"),
+     "replication over an edge-cut"),
+]
 
 
 class TestSpecValidation:
+    """Every scope limit is a typed error raised before any fork."""
+
+    @pytest.mark.parametrize("overrides,reason", REFUSED_SPECS)
+    def test_refused_specs(self, graph, overrides, reason):
+        spec = BackendSpec(**{"algorithm": "pagerank", "num_nodes": 3,
+                              "max_iterations": 4, **overrides})
+        with MultiprocessingBackend() as backend:
+            with pytest.raises(BackendError, match=reason):
+                backend.run(graph, spec)
+        assert multiprocessing.active_children() == []
+
     def test_rejects_edge_mutating_programs(self, graph, monkeypatch):
         monkeypatch.setattr(PageRank, "mutates_edges", True)
         spec = BackendSpec(algorithm="pagerank", num_nodes=2,
@@ -256,29 +353,17 @@ class TestSpecValidation:
         with MultiprocessingBackend() as backend:
             with pytest.raises(BackendError, match="edge-mutating"):
                 backend.run(graph, spec)
-        assert not multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
 
-    def test_rejects_unbatched_syncs(self, graph):
+    def test_requires_the_fork_start_method(self, graph, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
         spec = BackendSpec(algorithm="pagerank", num_nodes=2,
-                           max_iterations=2, batch_syncs=False)
+                           max_iterations=2)
         with MultiprocessingBackend() as backend:
-            with pytest.raises(BackendError, match="batches syncs"):
+            with pytest.raises(BackendError, match="fork start method"):
                 backend.run(graph, spec)
-
-    def test_rejects_non_rebirth_recovery(self, graph):
-        spec = BackendSpec(algorithm="pagerank", num_nodes=2,
-                           max_iterations=2, recovery="migration")
-        with MultiprocessingBackend() as backend:
-            with pytest.raises(BackendError, match="rebirth"):
-                backend.run(graph, spec)
-
-    def test_rejects_failure_beyond_horizon(self, graph):
-        spec = BackendSpec(algorithm="pagerank", num_nodes=2,
-                           max_iterations=2,
-                           failures=((5, (0,), "compute"),))
-        with MultiprocessingBackend() as backend:
-            with pytest.raises(BackendError, match="beyond"):
-                backend.run(graph, spec)
+        assert multiprocessing.active_children() == []
 
 
 class TestCommitRoundKill:
@@ -288,16 +373,16 @@ class TestCommitRoundKill:
     (deaths inside the finalize round) — never a hang and never silent
     divergence."""
 
-    def test_commit_kill_retries_bit_identical(self, graph):
+    @pytest.mark.parametrize("recovery", ["rebirth", "migration"])
+    def test_commit_kill_retries_bit_identical(self, graph, recovery):
+        """Values only: the simulator has no commit phase to kill in."""
         base = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
-                           max_iterations=8)
-        kill = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
-                           max_iterations=8,
-                           failures=((3, (1,), "commit"),))
+                           recovery=recovery, max_iterations=8)
+        kill = replace(base, failures=((3, (1,), "commit"),))
         reference = SimulatorBackend().run(graph, base)
         with MultiprocessingBackend() as backend:
             survived = backend.run(graph, kill)
-        assert survived.failures_recovered == 1
+        assert _strategies(survived) == [(recovery, (1,))]
         assert survived.values == reference.values
         assert survived.iterations == reference.iterations
 
@@ -309,7 +394,7 @@ class TestCommitRoundKill:
             backend.max_iteration_retries = 0
             with pytest.raises(BackendError, match="retr"):
                 backend.run(graph, kill)
-        assert not multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
 
 
 class TestElasticMembership:
@@ -362,11 +447,3 @@ class TestElasticMembership:
         memb = survived.extra["membership"]
         assert memb["leader"] >= 0
         assert memb["leader_term"] >= 1
-
-    def test_membership_requires_replication(self, graph):
-        spec = BackendSpec(algorithm="pagerank", num_nodes=4,
-                           ft_mode="none", max_iterations=6,
-                           membership=((2, "join", None),))
-        with MultiprocessingBackend() as backend:
-            with pytest.raises(BackendError, match="replication"):
-                backend.run(graph, spec)

@@ -90,6 +90,28 @@ class TestTimelineContract:
         assert tracer.spans("migration.reload")
         assert tracer.spans("migration.reconstruct")
 
+    def test_value_init_runs_inside_load_span(self, graph, monkeypatch):
+        """Loading is one span: value initialisation and the first FT
+        gauge publication happen while ``load`` is still open, so a
+        trace's top-level spans account for engine construction."""
+        from repro.engine.engine import Engine
+
+        tracer = Tracer()
+        open_spans = {}
+        for name in ("_init_values", "_update_ft_gauges"):
+            original = getattr(Engine, name)
+
+            def spy(self, _name=name, _original=original):
+                open_spans.setdefault(
+                    _name, [sp.name for sp in tracer._stack])
+                return _original(self)
+
+            monkeypatch.setattr(Engine, name, spy)
+        make_engine(graph, "pagerank", num_nodes=4, tracer=tracer)
+        assert open_spans == {"_init_values": ["load"],
+                              "_update_ft_gauges": ["load"]}
+        assert tracer.open_depth == 0
+
     def test_spans_never_leak(self, graph):
         _, _, tracer = traced_run(graph, failures=[(2, [1])],
                                   max_iterations=5)

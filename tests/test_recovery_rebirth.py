@@ -59,6 +59,21 @@ class TestEquivalence:
         for v in range(30):
             assert failed.values[v] == clean.values[v]
 
+    @pytest.mark.parametrize("phase", ["compute", "after_commit"])
+    def test_vertex_cut_replays_remote_activations(self, phase):
+        """A vertex-cut master is activated through edges on *other*
+        nodes too; those signals died with it and only the survivors
+        can re-send them.  SSSP's frontier makes a lost one visible: the
+        reborn master never recomputes and stays unreachable."""
+        g = generators.power_law(80, alpha=2.0, seed=7, avg_degree=5.0)
+        options = dict(num_nodes=4, max_iterations=15,
+                       partition="random_vertex_cut", recovery="rebirth",
+                       algorithm_kwargs={"source": 0})
+        clean = run_job(g, "sssp", **options)
+        failed = run_job(g, "sssp", failures=[(3, [1], phase)], **options)
+        assert len(failed.recoveries) == 1
+        assert failed.values == clean.values
+
     def test_two_sequential_failures(self, graph, baseline):
         result = run_job(graph, "pagerank", num_nodes=5, max_iterations=6,
                          recovery="rebirth", num_standby=2,

@@ -249,8 +249,9 @@ class TestRouting:
         gid = next(s.gid for s in engine.local_graphs[0].iter_masters()
                    if not s.selfish)
         master = engine.master_node_of[gid]
+        engine.cluster.crash(master)
         for _ in range(6):
-            node, degraded = router.route(gid, dead={master})
+            node, degraded = router.route(gid)
             assert node != master and node != MISS
             assert degraded is True
 
@@ -385,8 +386,11 @@ class TestCrossBackendServing:
         spec = make_spec(failures=FAILURES)
         with MultiprocessingBackend() as backend:
             mp = backend.run(graph, spec)
-        # The multiprocessing backend counts reborn ranks, not events.
-        assert mp.failures_recovered == 3
+        # Recovery events, as on the simulator: a double kill, then a
+        # single one.
+        assert mp.failures_recovered == 2
+        assert [r["failed_nodes"] for r in mp.extra["recoveries"]] == \
+            [[0, 1], [2]]
         serve = mp.extra["serve"]
         assert serve["queries"] == 2000
         assert serve["degraded_reads"] > 0

@@ -84,19 +84,6 @@ def test_scalar_vectorized_identical(chaos_graph, algorithm, partition,
              f"diverged on {field}")
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_unbatched_transport_identical(chaos_graph, algorithm):
-    """The legacy per-record transport re-splits columnar batches; the
-    vectorized path must stay exact through that packaging too."""
-    kw = _kwargs(algorithm, "hash_edge_cut", 1)
-    kw["batch_syncs"] = False
-    scalar = _run(chaos_graph, algorithm, False, kw)
-    vectorized = _run(chaos_graph, algorithm, True, kw)
-    for field in scalar:
-        assert vectorized[field] == scalar[field], \
-            f"{algorithm}/unbatched: vectorized path diverged on {field}"
-
-
 @pytest.mark.parametrize("partition", PARTITIONS)
 def test_elision_disabled_identical(chaos_graph, partition):
     """Sync elision off exercises the unfiltered sync fan-out."""
