@@ -1,35 +1,45 @@
-"""Vectorized superstep executor: the structure-of-arrays fast path.
+"""Vectorized superstep execution: the structure-of-arrays fast path.
 
 Runs one superstep array-at-a-time when the vertex program declares an
-:class:`~repro.algorithms.kernels.ArrayKernel`, replacing the
-per-vertex compute / sync-build / receive-staging / commit loops of
-:class:`~repro.engine.engine.Engine` while keeping the per-vertex
-:class:`~repro.engine.state.VertexSlot` array authoritative at every
-barrier boundary.  The contract (DESIGN.md §11) is *bit-for-bit*
-equality with the scalar loop: identical committed values, activity
-sets, message/byte counters, elision counts and simulated time.
+:class:`~repro.algorithms.kernels.ArrayKernel`, in two layers
+(DESIGN.md §11):
+
+* :class:`ArrayNodeProtocol` — the array image of
+  :class:`~repro.exec.protocol.NodeProtocol`: every compute, staging
+  and commit step of *one* partition over its :class:`_NodeState`
+  columns and plain outbox dicts.  It knows no engine, cluster,
+  network, tracer or chaos hook, so the multiprocessing backend's
+  forked workers run this same object.
+* :class:`VectorizedExecutor` — the simulator's *driver* of it: which
+  nodes run, where chaos hooks fire, when batches flush and deliver,
+  the step counters, and the state cache with its deferred slot
+  writeback.
+
+The contract is *bit-for-bit* equality with the scalar loop: identical
+committed values, activity sets, message/byte counters, elision counts
+and simulated time.
 
 Lifecycle
 ---------
 * Dynamic columns (values, activity flags) are read from the slots on
-  first touch of a node (:meth:`_state`) and then *carried across
-  supersteps*: the barrier commit dual-writes every slot update into
-  the arrays, so at each barrier the columns equal the slots exactly.
-* The cache is keyed by topology identity — any code path that rewrites
-  slots outside the executor's own commit also invalidates the SoA
+  first touch of a node and then *carried across supersteps*; only the
+  barrier commit writes them, so at each barrier they hold the
+  committed state exactly.
+* The executor's cache is keyed by topology identity — any code path
+  that rewrites slots outside the commit also invalidates the SoA
   topology (recovery's blanket :meth:`LocalGraph.invalidate_soa`,
   ``add_slot``/``remove_slot``), which makes :meth:`_state` rebuild the
-  columns from the slots.  The one slot mutation that happens *without*
-  a topology change is the vertex-cut phase-0 activity broadcast;
-  :meth:`vertex_cut_compute` refreshes the two affected columns after
-  it runs (only on supersteps where a broadcast was actually pending).
-* Compute stages results into pending *arrays* (not slot fields);
-  received sync batches stage into the same arrays.
-* The barrier commit writes values/flags back to the slots (native
-  Python scalars via ``tolist()``) *and* into the cached columns,
-  resolves activations through the out-edge arrays, applies activity
-  via :meth:`~repro.engine.local_graph.LocalGraph.set_active_bulk`,
-  then clears the pending masks.
+  columns from the slots.  The one slot mutation *without* a topology
+  change is the vertex-cut phase-0 activity broadcast; its driver
+  re-reads the two affected columns afterwards
+  (:meth:`_NodeState.refresh_activity`).
+* Compute and received sync batches stage into pending *arrays*.
+* The barrier commit is split where the multiprocessing backend splits
+  it: an abortable stage 1 (activation scatter), the activation intake,
+  and a finalize that *alone* writes the committed columns and applies
+  activity via :meth:`~repro.engine.local_graph.LocalGraph.
+  set_active_bulk`.  The slot writeback of values and flags is deferred
+  (:meth:`VectorizedExecutor.flush`).
 * A rollback drops the cached states entirely; the next superstep
   re-reads the (last-committed) slots.
 
@@ -65,20 +75,22 @@ NO_COLUMN = object()
 class _NodeState:
     """Per-node dynamic columns + pending staging.
 
-    Cached across supersteps keyed by topology identity; the commit
-    keeps the columns equal to the slots at every barrier.
+    The committed columns (``values`` … ``last_update``) change only in
+    :meth:`ArrayNodeProtocol.finalize_commit`; everything a superstep
+    stages lives in ``pend_*``, ``next_active`` and ``partials``.
     """
 
-    __slots__ = ("topo", "values", "active", "last_activates",
+    __slots__ = ("node", "topo", "values", "active", "last_activates",
                  "mirror_self_active", "replicas_known_active",
                  "last_update", "unflushed",
                  "pend_mask", "pend_values", "pend_activates",
-                 "pend_self_active", "next_active")
+                 "pend_self_active", "next_active", "partials")
 
     def __init__(self, lg, dtype):
         topo = lg.topology()
         slots = lg.slots
         n = topo.n
+        self.node = lg.node_id
         self.topo = topo
         self.values = np.array(
             [(0 if s is None else s.value) for s in slots], dtype=dtype)
@@ -97,13 +109,16 @@ class _NodeState:
             (-1 if s is None else s.last_update_iter for s in slots),
             np.int64, count=n)
         #: Positions whose committed value/flag columns are newer than
-        #: the slots (writeback is deferred to :meth:`flush`).
+        #: the slots (writeback is deferred to the executor's flush).
         self.unflushed = np.zeros(n, dtype=bool)
         self.pend_mask = np.zeros(n, dtype=bool)
         self.pend_values = np.zeros(n, dtype=dtype)
         self.pend_activates = np.zeros(n, dtype=bool)
         self.pend_self_active = np.zeros(n, dtype=bool)
         self.next_active = np.zeros(n, dtype=bool)
+        #: Vertex-cut: [(positions, sender_nodes, accs)] gathered this
+        #: superstep for the local masters.
+        self.partials: list = []
 
     def refresh_activity(self, lg) -> None:
         """Re-read the two columns the phase-0 broadcast can change.
@@ -121,29 +136,357 @@ class _NodeState:
             (s is not None and s.replicas_known_active for s in slots),
             bool, count=n)
 
+    def read(self, gids: list) -> list:
+        """Committed values of local copies, by gid."""
+        return self.values[self.topo.translate(
+            np.asarray(gids, dtype=np.int64))].tolist()
+
+    def committed_state(self) -> list[list]:
+        """Every local copy's committed state, one list per column:
+        gids, value, ``last_activates``, ``last_update_iter``,
+        ``mirror_self_active``, ``active``, ``replicas_known_active``."""
+        occ = np.flatnonzero(self.topo.occupied)
+        return [col[occ].tolist() for col in (
+            self.topo.gids, self.values, self.last_activates,
+            self.last_update, self.mirror_self_active, self.active,
+            self.replicas_known_active)]
+
+
+def _runs(keys: np.ndarray):
+    """``(start, stop)`` of every run of equal keys in a sorted column."""
+    bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return zip(bounds, np.r_[bounds[1:], keys.size])
+
+
+def top_masters(topo, values: np.ndarray, k: int,
+                largest: bool = True) -> list[tuple]:
+    """The K extreme ``(value, gid)`` pairs among one node's masters,
+    best-first, ties toward the lower gid."""
+    pos = np.flatnonzero(topo.is_master)
+    vals, gids = values[pos], topo.gids[pos]
+    order = np.lexsort((gids, -vals if largest else vals))[:k]
+    return list(zip(vals[order].tolist(), gids[order].tolist()))
+
+
+class ArrayNodeProtocol:
+    """The array superstep protocol of one partition (both modes).
+
+    Same knobs and the same per-node phases as the scalar
+    :class:`~repro.exec.protocol.NodeProtocol`, operating on a
+    :class:`_NodeState`; sync, gather and activation batches accumulate
+    into caller-owned ``outbox`` dicts keyed ``(dst_node, kind)``.
+    Stateless across supersteps, so one instance serves every partition
+    of a backend.
+    """
+
+    def __init__(self, kernel, is_edge_cut: bool,
+                 sync_elision: bool = True, selfish_opt: bool = False,
+                 combining: bool = True):
+        self.kernel = kernel
+        self.is_edge_cut = is_edge_cut
+        self.sync_elision = sync_elision
+        self.selfish_opt = selfish_opt
+        self.combining = combining
+
+    def new_state(self, lg) -> _NodeState:
+        """Build ``lg``'s topology (if not cached) and columns."""
+        return _NodeState(lg, self.kernel.dtype)
+
+    # -- compute -------------------------------------------------------
+
+    def edge_cut_compute_node(self, st: _NodeState, ctx,
+                              outbox: dict) -> tuple[int, int, int]:
+        """One node's edge-cut superstep: gather + apply + stage syncs.
+
+        Returns ``(edges_folded, vertices_computed, syncs_elided)``.
+        """
+        topo = st.topo
+        sel = st.active & topo.is_master
+        esel = np.flatnonzero(sel[topo.in_dst]) \
+            if topo.in_dst.size else topo.in_dst
+        acc, has = self.kernel.edge_fold(topo, st.values, esel)
+        elided = self._master_compute(st, sel, acc, has, ctx, outbox)
+        return int(topo.in_counts[sel].sum()), int(sel.sum()), elided
+
+    def vertex_gather(self, st: _NodeState, outbox: dict) -> int:
+        """One node's vertex-cut gather phase (phase 1).
+
+        Local partials go to ``st.partials``; remote ones accumulate
+        into per-master gather batches.  Every kernel declares a
+        combiner, so the combined batches carry their pre-combine
+        contribution counts (``folded``), and with combining off the
+        raw per-edge contributions ship in a RawGatherBatch instead
+        (DESIGN.md §15).  Returns the number of edges folded.
+        """
+        kernel = self.kernel
+        node = st.node
+        topo = st.topo
+        st.partials = []
+        sel = st.active & topo.has_in
+        esel = np.flatnonzero(sel[topo.in_dst]) \
+            if topo.in_dst.size else topo.in_dst
+        seg, contrib = kernel.edge_contrib(topo, st.values, esel)
+        acc = kernel.init_acc(topo.n)
+        kernel.fold_into(acc, seg, contrib)
+        cnt = np.bincount(seg, minlength=topo.n) if seg.size \
+            else np.zeros(topo.n, dtype=np.int64)
+        selpos = np.flatnonzero(sel)
+        local = selpos[topo.master_node[selpos] == node]
+        if local.size:
+            st.partials.append(
+                (local, np.full(local.size, node, dtype=np.int64),
+                 acc[local]))
+        remote = selpos[topo.master_node[selpos] != node]
+        if remote.size:
+            dsts = topo.master_node[remote]
+            order = np.argsort(dsts, kind="stable")
+            remote, dsts = remote[order], dsts[order]
+            rec_size = BYTES_PER_VID + kernel.acc_nbytes
+            folded_all = np.maximum(cnt[remote], 1)
+            if not self.combining:
+                # Raw shipping: gather every contributing edge of a
+                # remote record, grouped per record in batch order
+                # with the CSR within-group order preserved (the
+                # stable sort by record index), so the receiver's
+                # group folds replay the sender's fold exactly.
+                rec_idx = np.full(topo.n, -1, dtype=np.int64)
+                rec_idx[remote] = np.arange(remote.size)
+                rows = np.flatnonzero(rec_idx[seg] >= 0) \
+                    if seg.size else seg
+                rows = rows[np.argsort(rec_idx[seg[rows]],
+                                       kind="stable")]
+                flat = contrib[rows]
+                counts_all = cnt[remote]
+                coff = np.concatenate(([0], np.cumsum(counts_all)))
+                phys_all = (BYTES_PER_VID
+                            + folded_all * kernel.acc_nbytes)
+            for b, e in _runs(dsts):
+                grp = remote[b:e]
+                key = (int(dsts[b]), MessageKind.GATHER)
+                if self.combining:
+                    outbox[key] = GatherBatch.from_columns(
+                        topo.gids[grp].tolist(), acc[grp].tolist(),
+                        [rec_size] * grp.size,
+                        folded_all[b:e].tolist())
+                else:
+                    outbox[key] = RawGatherBatch.from_columns(
+                        topo.gids[grp].tolist(),
+                        counts_all[b:e].tolist(),
+                        flat[coff[b]:coff[e]].tolist(),
+                        [rec_size] * grp.size,
+                        phys_all[b:e].tolist())
+        return int(topo.in_counts[sel].sum())
+
+    def intake_partials(self, st: _NodeState, src: int, batch) -> None:
+        """Stage one received gather batch for the master fold."""
+        kernel = self.kernel
+        if isinstance(batch, RawGatherBatch):
+            accs = kernel.fold_groups(
+                np.asarray(batch.counts, dtype=np.int64), batch.contribs)
+        else:
+            accs = np.asarray(batch.accs, dtype=kernel.dtype)
+        pos = st.topo.translate(np.asarray(batch.gids, dtype=np.int64))
+        st.partials.append(
+            (pos, np.full(pos.size, src, dtype=np.int64), accs))
+
+    def master_fold_apply(self, st: _NodeState, ctx,
+                          outbox: dict) -> tuple[int, int]:
+        """One node's vertex-cut apply phase (phase 2): masters fold
+        partials in (position, sender) order — the vector image of the
+        scalar per-vertex sort-by-sender fold.  Returns
+        ``(vertices_computed, syncs_elided)``."""
+        kernel = self.kernel
+        topo = st.topo
+        sel = st.active & topo.is_master
+        acc = kernel.init_acc(topo.n)
+        has = np.zeros(topo.n, dtype=bool)
+        if st.partials:
+            pos = np.concatenate([p for p, _, _ in st.partials])
+            src = np.concatenate([s for _, s, _ in st.partials])
+            accs = np.concatenate([a for _, _, a in st.partials])
+            keep = sel[pos]
+            pos, src, accs = pos[keep], src[keep], accs[keep]
+            order = np.lexsort((src, pos))
+            kernel.fold_into(acc, pos[order], accs[order])
+            has[pos] = True
+        elided = self._master_compute(st, sel, acc, has, ctx, outbox)
+        return int(sel.sum()), elided
+
+    def _master_compute(self, st: _NodeState, sel: np.ndarray,
+                        acc: np.ndarray, has: np.ndarray, ctx,
+                        outbox: dict) -> int:
+        """Apply + stage + build syncs for one node's computed masters;
+        returns the number of sync records elided."""
+        kernel = self.kernel
+        topo = st.topo
+        old = st.values
+        new = kernel.apply(topo.gids, old, acc, has, ctx)
+        act = kernel.activates(topo.gids, old, new, ctx)
+        stay = kernel.stays_active(topo.gids, old, new, ctx)
+        st.pend_mask |= sel
+        st.pend_values[sel] = new[sel]
+        st.pend_activates[sel] = act[sel]
+        st.pend_self_active[sel] = stay[sel]
+        if self.sync_elision:
+            noop = ~act & ~st.last_activates & (new == old)
+            mirror_elide = noop & (stay == st.mirror_self_active)
+        else:
+            noop = mirror_elide = None
+        elided = 0
+        plain_size = BYTES_PER_VID + kernel.value_nbytes + 1
+        mirror_size = BYTES_PER_VID + kernel.value_nbytes + 2
+        for (dst, is_mirror), positions in topo.sync_plan.items():
+            cand = positions[sel[positions]]
+            if self.selfish_opt and cand.size:
+                cand = cand[~topo.selfish[cand]]
+            if noop is not None and cand.size:
+                elide = mirror_elide if is_mirror else noop
+                keep = cand[~elide[cand]]
+                elided += int(cand.size - keep.size)
+            else:
+                keep = cand
+            if not keep.size:
+                continue
+            # Flag bits mirror the scalar append calls exactly: plain
+            # syncs carry only the activates bit.
+            if is_mirror:
+                flags = (act[keep] + 2 * stay[keep]).tolist()
+                batch = SyncBatch.from_columns(
+                    topo.gids[keep].tolist(), new[keep].tolist(), flags,
+                    [mirror_size] * keep.size, full_state=True)
+                outbox[(dst, MessageKind.MIRROR_SYNC)] = batch
+            else:
+                flags = act[keep].astype(np.int64).tolist()
+                batch = SyncBatch.from_columns(
+                    topo.gids[keep].tolist(), new[keep].tolist(), flags,
+                    [plain_size] * keep.size)
+                outbox[(dst, MessageKind.SYNC)] = batch
+        return elided
+
+    # -- receive staging ----------------------------------------------
+
+    def stage_sync_batch(self, st: _NodeState, batch: SyncBatch) -> None:
+        """Stage every record of one received sync batch (kernel-backed
+        programs never mutate edges, so there are no edge updates)."""
+        pos = st.topo.translate(np.asarray(batch.gids, dtype=np.int64))
+        st.pend_mask[pos] = True
+        st.pend_values[pos] = np.asarray(batch.values,
+                                         dtype=self.kernel.dtype)
+        flags = np.asarray(batch.flags, dtype=np.int64)
+        st.pend_activates[pos] = (flags & SyncBatch.FLAG_ACTIVATES) != 0
+        if batch.full_state:
+            st.pend_self_active[pos] = \
+                (flags & SyncBatch.FLAG_SELF_ACTIVE) != 0
+
+    # -- barrier commit ------------------------------------------------
+
+    def commit_stage1(self, st: _NodeState) -> dict:
+        """Scatter the staged activations along local out-edges.
+
+        Local masters are marked in ``next_active``; remote ones come
+        back as one :class:`ActivateBatch` per master node, gids unique
+        and sorted (the scalar path's globally sorted signal set).
+        Abortable: no committed column is touched before
+        :meth:`finalize_commit`, so a backend that loses a worker
+        mid-commit can still export the previous commit from survivors.
+        """
+        topo = st.topo
+        outbox: dict = {}
+        sources = st.pend_mask & st.pend_activates
+        if sources.any() and topo.out_src.size:
+            tgt = topo.out_dst[sources[topo.out_src]]
+            m = topo.is_master[tgt]
+            st.next_active[tgt[m]] = True
+            rem = tgt[~m]
+            if rem.size:
+                pairs = np.unique(np.stack(
+                    [topo.master_node[rem], topo.gids[rem]], axis=1),
+                    axis=0)
+                dcol, gcol = pairs[:, 0], pairs[:, 1]
+                for b, e in _runs(dcol):
+                    outbox[(int(dcol[b]), MessageKind.ACTIVATE)] = \
+                        ActivateBatch(gcol[b:e].tolist())
+        return outbox
+
+    def apply_activations(self, st: _NodeState, gids) -> None:
+        """Mark remote activation signals received for local masters."""
+        st.next_active[st.topo.translate(
+            np.asarray(gids, dtype=np.int64))] = True
+
+    def finalize_commit(self, st: _NodeState, lg, iteration: int) -> list:
+        """Commit pending values and finalise activity — the point of
+        no return of the superstep, and the only writer of the
+        committed columns.  The slot writeback of values and flags is
+        deferred (marked ``unflushed``); activity goes to the slots at
+        once, for the positions whose flag changed.
+
+        Returns the master gids whose activity now differs from what
+        their replicas believe (vertex-cut broadcast backlog; always
+        empty under edge-cut).
+        """
+        topo = st.topo
+        pm = st.pend_mask
+        pos = np.flatnonzero(pm)
+        if pos.size:
+            st.values[pos] = st.pend_values[pos]
+            st.last_activates[pos] = st.pend_activates[pos]
+            st.last_update[pos] = iteration
+            st.unflushed[pos] = True
+        stale: list = []
+        touched = np.flatnonzero((pm | st.next_active) & topo.is_master)
+        if touched.size:
+            new_active = ((pm[touched] & st.pend_self_active[touched])
+                          | st.next_active[touched])
+            # Master/mirror self-activity shadows commit into the
+            # columns; the slot write rides the deferred flush (withp
+            # and mirrors are pend-masked, hence marked unflushed).
+            withp = touched[pm[touched]]
+            st.mirror_self_active[withp] = st.pend_self_active[withp]
+            # Only flip slots whose activity actually changed — the
+            # column mirrors the slot flags, so the delta filter
+            # leaves slot state and active sets exactly as the
+            # full-write would (always-active programs skip the
+            # whole per-slot loop).
+            cmask = new_active != st.active[touched]
+            if cmask.any():
+                lg.set_active_bulk(touched[cmask].tolist(),
+                                   new_active[cmask].tolist())
+            st.active[touched] = new_active
+            if not self.is_edge_cut:
+                stale = topo.gids[touched[
+                    new_active != st.replicas_known_active[touched]]
+                ].tolist()
+        mirrors = np.flatnonzero(pm & topo.is_mirror)
+        st.mirror_self_active[mirrors] = st.pend_self_active[mirrors]
+        # Reset the per-superstep staging; value/flag staging
+        # arrays need no clearing — every read is pend_mask-gated.
+        st.pend_mask[:] = False
+        st.next_active[:] = False
+        return stale
+
 
 class VectorizedExecutor:
-    """Array-at-a-time superstep execution for one engine."""
+    """The simulator's driver of :class:`ArrayNodeProtocol` for one
+    engine: node loops, chaos points, batch flush/delivery, counters and
+    the state cache."""
 
     def __init__(self, engine, kernel):
         self.engine = engine
-        self.kernel = kernel
+        self.proto = ArrayNodeProtocol(
+            kernel, engine.is_edge_cut,
+            sync_elision=engine._sync_elision,
+            combining=engine._combining)
         #: node -> _NodeState, cached across supersteps; a state is
         #: valid while its topology object is still the graph's cached
         #: one (recovery / slot churn invalidates the topology, which
         #: makes :meth:`_state` rebuild the columns from the slots).
         self._states: dict[int, _NodeState] = {}
-        #: Vertex-cut: node -> [(positions, sender_nodes, accs)].
-        self._partials: dict[int, list] = {}
         #: Whole-column slot writebacks performed (:meth:`flush` calls
         #: that found deferred commits).  The read-path contract is that
         #: point reads never advance this counter.
         self.flush_count = 0
 
-    # -- per-superstep state -------------------------------------------
-
-    def begin_superstep(self) -> None:
-        self._partials = {}
+    # -- state cache ---------------------------------------------------
 
     def rollback(self) -> None:
         """Flush committed columns, then discard all cached state.
@@ -155,7 +498,6 @@ class VectorizedExecutor:
         """
         self.flush()
         self._states = {}
-        self._partials = {}
 
     def flush(self) -> None:
         """Write deferred column commits back into the slots.
@@ -187,17 +529,15 @@ class VectorizedExecutor:
         """Flush-free committed read of one position's column value.
 
         The committed columns are authoritative between barriers — the
-        barrier commit dual-writes them and defers the slot writeback —
-        so a point read can take the value straight from the array
-        without forcing :meth:`flush`.  Returns :data:`NO_COLUMN` when
-        the node has no valid cached state (fresh engine, post-recovery
+        barrier commit writes them and defers the slot writeback — so a
+        point read can take the value straight from the array without
+        forcing :meth:`flush`.  Returns :data:`NO_COLUMN` when the node
+        has no valid cached state (fresh engine, post-recovery
         invalidation): the slots are then authoritative and the caller
         reads them directly.
         """
-        st = self._states.get(node)
-        if st is None or st.topo is not self.engine.local_graphs[node].topology():
-            return NO_COLUMN
-        return st.values[pos].item()
+        cols = self.committed_columns(node)
+        return cols if cols is NO_COLUMN else cols[1][pos].item()
 
     def committed_columns(self, node: int):
         """The node's committed value column + topology, flush-free.
@@ -214,15 +554,15 @@ class VectorizedExecutor:
         lg = self.engine.local_graphs[node]
         st = self._states.get(node)
         if st is None or st.topo is not lg.topology():
-            st = _NodeState(lg, self.kernel.dtype)
-            self._states[node] = st
+            st = self._states[node] = self.proto.new_state(lg)
         return st
 
     # -- compute -------------------------------------------------------
 
     def edge_cut_compute(self, alive: list[int]) -> None:
         engine = self.engine
-        self.begin_superstep()
+        proto = self.proto
+        proto.selfish_opt = engine.selfish_opt_active
         ctx = engine._ctx()
         # Same mid-loop chaos placement as the scalar path: a crash
         # lands after a prefix of the nodes computed and flushed.
@@ -232,22 +572,20 @@ class VectorizedExecutor:
                 engine._chaos_point("gather")
             if not engine.cluster.node(node).is_alive:
                 continue
-            st = self._state(node)
-            topo = st.topo
-            sel = st.active & topo.is_master
-            esel = np.flatnonzero(sel[topo.in_dst]) \
-                if topo.in_dst.size else topo.in_dst
-            acc, has = self.kernel.edge_fold(topo, st.values, esel)
-            self._master_compute(node, st, sel, acc, has, ctx)
-            engine._step_edges[node] += int(topo.in_counts[sel].sum())
-            engine._step_vertices[node] += int(sel.sum())
+            outbox: dict = {}
+            edges, vertices, elided = proto.edge_cut_compute_node(
+                self._state(node), ctx, outbox)
+            engine.syncs_elided += elided
+            engine._flush_batches(node, outbox)
+            engine._step_edges[node] += edges
+            engine._step_vertices[node] += vertices
 
     def vertex_cut_compute(self, alive: list[int]) -> None:
         engine = self.engine
-        self.begin_superstep()
+        proto = self.proto
+        proto.selfish_opt = engine.selfish_opt_active
         ctx = engine._ctx()
         net = engine.cluster.network
-        kernel = self.kernel
 
         # Phase 0: activity broadcast — shared with the scalar path.
         # States cached from earlier supersteps must re-read the two
@@ -268,236 +606,47 @@ class VectorizedExecutor:
                     st.refresh_activity(lg)
 
         # Phase 1: partial gathers over local in-edges flow to masters.
-        # Every kernel declares a combiner, so the combined batches
-        # carry their pre-combine contribution counts (``folded``), and
-        # with combining off the raw per-edge contributions ship in a
-        # RawGatherBatch instead (DESIGN.md §15).
-        combining = engine._combining
         for node in alive:
-            st = self._state(node)
-            topo = st.topo
-            sel = st.active & topo.has_in
-            esel = np.flatnonzero(sel[topo.in_dst]) \
-                if topo.in_dst.size else topo.in_dst
-            seg, contrib = kernel.edge_contrib(topo, st.values, esel)
-            acc = kernel.init_acc(topo.n)
-            kernel.fold_into(acc, seg, contrib)
-            cnt = np.bincount(seg, minlength=topo.n) if seg.size \
-                else np.zeros(topo.n, dtype=np.int64)
-            selpos = np.flatnonzero(sel)
-            local = selpos[topo.master_node[selpos] == node]
-            if local.size:
-                self._partials.setdefault(node, []).append(
-                    (local, np.full(local.size, node, dtype=np.int64),
-                     acc[local]))
-            remote = selpos[topo.master_node[selpos] != node]
-            if remote.size:
-                outbox: dict = {}
-                dsts = topo.master_node[remote]
-                order = np.argsort(dsts, kind="stable")
-                remote, dsts = remote[order], dsts[order]
-                bounds = np.flatnonzero(np.r_[True, dsts[1:] != dsts[:-1]])
-                rec_size = BYTES_PER_VID + kernel.acc_nbytes
-                folded_all = np.maximum(cnt[remote], 1)
-                if not combining:
-                    # Raw shipping: gather every contributing edge of a
-                    # remote record, grouped per record in batch order
-                    # with the CSR within-group order preserved (the
-                    # stable sort by record index), so the receiver's
-                    # group folds replay the sender's fold exactly.
-                    rec_idx = np.full(topo.n, -1, dtype=np.int64)
-                    rec_idx[remote] = np.arange(remote.size)
-                    rows = np.flatnonzero(rec_idx[seg] >= 0) \
-                        if seg.size else seg
-                    rows = rows[np.argsort(rec_idx[seg[rows]],
-                                           kind="stable")]
-                    flat = contrib[rows]
-                    counts_all = cnt[remote]
-                    coff = np.concatenate(
-                        ([0], np.cumsum(counts_all)))
-                    phys_all = (BYTES_PER_VID
-                                + folded_all * kernel.acc_nbytes)
-                for b, e in zip(bounds, np.r_[bounds[1:], dsts.size]):
-                    grp = remote[b:e]
-                    key = (int(dsts[b]), MessageKind.GATHER)
-                    if combining:
-                        outbox[key] = GatherBatch.from_columns(
-                            topo.gids[grp].tolist(), acc[grp].tolist(),
-                            [rec_size] * grp.size,
-                            folded_all[b:e].tolist())
-                    else:
-                        outbox[key] = RawGatherBatch.from_columns(
-                            topo.gids[grp].tolist(),
-                            counts_all[b:e].tolist(),
-                            flat[coff[b]:coff[e]].tolist(),
-                            [rec_size] * grp.size,
-                            phys_all[b:e].tolist())
-                engine._flush_batches(node, outbox)
-            engine._step_edges[node] += int(topo.in_counts[sel].sum())
+            outbox: dict = {}
+            engine._step_edges[node] += proto.vertex_gather(
+                self._state(node), outbox)
+            engine._flush_batches(node, outbox)
         engine._chaos_point("gather")
         alive = engine._filter_alive(alive)
         for node in alive:
             st = self._state(node)
             for msg in net.deliver(node):
-                batch = msg.payload
-                if isinstance(batch, RawGatherBatch):
-                    accs = kernel.fold_groups(
-                        np.asarray(batch.counts, dtype=np.int64),
-                        batch.contribs)
-                else:
-                    accs = np.asarray(batch.accs, dtype=kernel.dtype)
-                pos = st.topo.translate(
-                    np.asarray(batch.gids, dtype=np.int64))
-                self._partials.setdefault(node, []).append(
-                    (pos, np.full(pos.size, msg.src, dtype=np.int64),
-                     accs))
+                proto.intake_partials(st, msg.src, msg.payload)
 
-        # Phase 2: masters fold partials in (position, sender) order —
-        # the vector image of the scalar per-vertex sort-by-sender fold.
+        # Phase 2: masters fold partials, apply, and build syncs.
         for node in alive:
-            st = self._state(node)
-            topo = st.topo
-            sel = st.active & topo.is_master
-            acc = kernel.init_acc(topo.n)
-            has = np.zeros(topo.n, dtype=bool)
-            plist = self._partials.get(node)
-            if plist:
-                pos = np.concatenate([p for p, _, _ in plist])
-                src = np.concatenate([s for _, s, _ in plist])
-                accs = np.concatenate([a for _, _, a in plist])
-                keep = sel[pos]
-                pos, src, accs = pos[keep], src[keep], accs[keep]
-                order = np.lexsort((src, pos))
-                kernel.fold_into(acc, pos[order], accs[order])
-                has[pos] = True
-            self._master_compute(node, st, sel, acc, has, ctx)
-            engine._step_vertices[node] += int(sel.sum())
-
-    def _master_compute(self, node: int, st: _NodeState,
-                        sel: np.ndarray, acc: np.ndarray,
-                        has: np.ndarray, ctx) -> None:
-        """Apply + stage + build syncs for one node's computed masters."""
-        engine = self.engine
-        kernel = self.kernel
-        topo = st.topo
-        old = st.values
-        new = kernel.apply(topo.gids, old, acc, has, ctx)
-        act = kernel.activates(topo.gids, old, new, ctx)
-        stay = kernel.stays_active(topo.gids, old, new, ctx)
-        st.pend_mask |= sel
-        st.pend_values[sel] = new[sel]
-        st.pend_activates[sel] = act[sel]
-        st.pend_self_active[sel] = stay[sel]
-        outbox: dict = {}
-        if engine._sync_elision:
-            noop = ~act & ~st.last_activates & (new == old)
-            mirror_elide = noop & (stay == st.mirror_self_active)
-        else:
-            noop = mirror_elide = None
-        skip_selfish = engine.selfish_opt_active
-        plain_size = BYTES_PER_VID + kernel.value_nbytes + 1
-        mirror_size = BYTES_PER_VID + kernel.value_nbytes + 2
-        for (dst, is_mirror), positions in topo.sync_plan.items():
-            cand = positions[sel[positions]]
-            if skip_selfish and cand.size:
-                cand = cand[~topo.selfish[cand]]
-            if noop is not None and cand.size:
-                elide = mirror_elide if is_mirror else noop
-                keep = cand[~elide[cand]]
-                engine.syncs_elided += int(cand.size - keep.size)
-            else:
-                keep = cand
-            if not keep.size:
-                continue
-            # Flag bits mirror the scalar append calls exactly: plain
-            # syncs carry only the activates bit.
-            if is_mirror:
-                flags = (act[keep] + 2 * stay[keep]).tolist()
-                batch = SyncBatch.from_columns(
-                    topo.gids[keep].tolist(), new[keep].tolist(), flags,
-                    [mirror_size] * keep.size, full_state=True)
-                outbox[(dst, MessageKind.MIRROR_SYNC)] = batch
-            else:
-                flags = act[keep].astype(np.int64).tolist()
-                batch = SyncBatch.from_columns(
-                    topo.gids[keep].tolist(), new[keep].tolist(), flags,
-                    [plain_size] * keep.size)
-                outbox[(dst, MessageKind.SYNC)] = batch
-        engine._flush_batches(node, outbox)
+            outbox = {}
+            vertices, elided = proto.master_fold_apply(
+                self._state(node), ctx, outbox)
+            engine.syncs_elided += elided
+            engine._flush_batches(node, outbox)
+            engine._step_vertices[node] += vertices
 
     # -- receive staging ----------------------------------------------
 
     def stage_sync_batch(self, node: int, batch: SyncBatch) -> None:
-        st = self._state(node)
-        pos = st.topo.translate(np.asarray(batch.gids, dtype=np.int64))
-        st.pend_mask[pos] = True
-        st.pend_values[pos] = np.asarray(batch.values,
-                                         dtype=self.kernel.dtype)
-        flags = np.asarray(batch.flags, dtype=np.int64)
-        st.pend_activates[pos] = (flags & SyncBatch.FLAG_ACTIVATES) != 0
-        if batch.full_state:
-            st.pend_self_active[pos] = \
-                (flags & SyncBatch.FLAG_SELF_ACTIVE) != 0
-            if any(batch.edge_updates):
-                lg = self.engine.local_graphs[node]
-                for i, updates in enumerate(batch.edge_updates):
-                    if not updates:
-                        continue
-                    slot = lg.slot_of(batch.gids[i])
-                    if slot.full_edges is None:
-                        continue
-                    for idx, weight in updates:
-                        gid0, epos, _old = slot.full_edges[idx]
-                        slot.full_edges[idx] = (gid0, epos, weight)
+        self.proto.stage_sync_batch(self._state(node), batch)
 
     # -- barrier commit ------------------------------------------------
 
     def commit_values(self, alive: list[int], net) -> int:
         """Array image of Engine._commit_values; same three stages."""
         engine = self.engine
+        proto = self.proto
         iteration = engine.iteration
-        signals: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for node in alive:
-            st = self._state(node)
-            topo = st.topo
-            pm = st.pend_mask
-            # Stage 1a: activation scatter along local out-edges.
-            sources = pm & st.pend_activates
-            if sources.any() and topo.out_src.size:
-                tgt = topo.out_dst[sources[topo.out_src]]
-                if tgt.size:
-                    m = topo.is_master[tgt]
-                    st.next_active[tgt[m]] = True
-                    rem = tgt[~m]
-                    if rem.size:
-                        signals.append((node, topo.master_node[rem],
-                                        topo.gids[rem]))
-            # Stage 1b: value/flag commit into the columns; the slot
-            # writeback is deferred (marked ``unflushed``) and performed
-            # by :meth:`flush` before anything reads the slots.
-            pos = np.flatnonzero(pm)
-            if pos.size:
-                st.values[pos] = st.pend_values[pos]
-                st.last_activates[pos] = st.pend_activates[pos]
-                st.last_update[pos] = iteration
-                st.unflushed[pos] = True
+        # Stage 1: activation scatter along local out-edges.
+        outboxes = {node: proto.commit_stage1(self._state(node))
+                    for node in alive}
 
         # Stage 2: remote activation signals travel to the masters.
-        if signals:
-            per_src: dict[int, dict] = {}
-            for src_node, dsts, gids in signals:
-                # Unique + lexicographic (dst, gid) order reproduces the
-                # scalar path's globally sorted signal set per source.
-                pairs = np.unique(np.stack([dsts, gids], axis=1), axis=0)
-                outbox = per_src.setdefault(src_node, {})
-                dcol, gcol = pairs[:, 0], pairs[:, 1]
-                bounds = np.flatnonzero(
-                    np.r_[True, dcol[1:] != dcol[:-1]])
-                for b, e in zip(bounds, np.r_[bounds[1:], dcol.size]):
-                    outbox[(int(dcol[b]), MessageKind.ACTIVATE)] = \
-                        ActivateBatch(gcol[b:e].tolist())
-            for src_node in sorted(per_src):
-                engine._flush_batches(src_node, per_src[src_node])
+        if any(outboxes.values()):
+            for src_node in sorted(outboxes):
+                engine._flush_batches(src_node, outboxes[src_node])
             for node in alive:
                 st = self._state(node)
                 for msg in net.deliver(node):
@@ -506,49 +655,15 @@ class VectorizedExecutor:
                             f"unexpected {msg.kind.value} message from "
                             f"node {msg.src} in the activation exchange "
                             f"of iteration {iteration}")
-                    pos = st.topo.translate(
-                        np.asarray(msg.payload.gids, dtype=np.int64))
-                    st.next_active[pos] = True
+                    proto.apply_activations(st, msg.payload.gids)
 
-        # Stage 3: finalise activity, mirror shadows, broadcast queue.
+        # Stage 3: commit values, finalise activity, mirror shadows,
+        # broadcast queue.
         total = 0
         for node in alive:
-            st = self._state(node)
-            topo = st.topo
             lg = engine.local_graphs[node]
-            pm = st.pend_mask
-            touched = np.flatnonzero((pm | st.next_active)
-                                     & topo.is_master)
-            if touched.size:
-                new_active = ((pm[touched] & st.pend_self_active[touched])
-                              | st.next_active[touched])
-                # Master/mirror self-activity shadows commit into the
-                # columns; the slot write rides the deferred flush
-                # (withp and mirrors are pend-masked, so stage 1b
-                # already marked them unflushed).
-                withp = touched[pm[touched]]
-                st.mirror_self_active[withp] = st.pend_self_active[withp]
-                # Only flip slots whose activity actually changed — the
-                # column mirrors the slot flags, so the delta filter
-                # leaves slot state and active sets exactly as the
-                # full-write would (always-active programs skip the
-                # whole per-slot loop).
-                cmask = new_active != st.active[touched]
-                if cmask.any():
-                    lg.set_active_bulk(touched[cmask].tolist(),
-                                       new_active[cmask].tolist())
-                st.active[touched] = new_active
-                if not engine.is_edge_cut:
-                    stale = touched[
-                        new_active != st.replicas_known_active[touched]]
-                    if stale.size:
-                        engine._broadcast_pending[node].update(
-                            topo.gids[stale].tolist())
-            mirrors = np.flatnonzero(pm & topo.is_mirror)
-            st.mirror_self_active[mirrors] = st.pend_self_active[mirrors]
-            # Reset the per-superstep staging; value/flag staging
-            # arrays need no clearing — every read is pend_mask-gated.
-            st.pend_mask[:] = False
-            st.next_active[:] = False
+            stale = proto.finalize_commit(self._state(node), lg, iteration)
+            if stale:
+                engine._broadcast_pending[node].update(stale)
             total += len(lg.active_masters)
         return total

@@ -1,7 +1,7 @@
 """Pluggable execution backends (DESIGN.md §12).
 
-The same per-node superstep protocol (:mod:`repro.exec.protocol`) runs
-on two backends:
+The same per-node superstep protocols (:mod:`repro.exec.protocol`, and
+its array image in :mod:`repro.engine.vectorized`) run on two backends:
 
 * :mod:`repro.exec.simulator` — the deterministic in-process simulator
   (the ``Engine``), unchanged semantics for tests, chaos, and the cost

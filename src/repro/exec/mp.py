@@ -3,22 +3,29 @@
 Each cluster node runs as a real ``multiprocessing.Process`` (fork
 start method) owning one partition's :class:`LocalGraph`, forked from
 a parent-side ``Engine`` — the *parent image* — that itself never runs
-a superstep.  Workers execute exactly the scalar
-:class:`~repro.exec.protocol.NodeProtocol` the simulator delegates to;
-the coordinator drives the superstep rounds over per-worker duplex
-pipes (star topology) and routes the encoded columnar batches.
+a superstep.  A worker is the second driver of the per-node protocols
+the simulator runs.  With a ``vectorized`` spec (the default) and a
+program that declares an array kernel it builds its ``NodeTopology``
+and columns *after* the fork and runs every round on
+:class:`~repro.engine.vectorized.ArrayNodeProtocol`: batch columns go
+from the arrays straight into ``encode_batch``, received batches stage
+by column scatter, values never flush back to slots.  Otherwise
+(``cd``, ``als``, ``vectorized=False``) it runs the scalar
+:class:`~repro.exec.protocol.NodeProtocol`.  The coordinator drives the
+rounds over per-worker duplex pipes (star topology) and routes the
+encoded columnar batches; it cannot tell the two worker paths apart.
 
 Determinism / parity
 --------------------
 Committed values and logical-message counts are identical to the
 simulator by construction: both backends run the same per-node
-protocol over the same forked per-node state, and the protocol is
-order-independent across senders (each gid has a single master, partial
-gathers fold in sorted sender order, activations are idempotent), so
-nondeterministic frame arrival cannot change outcomes.  The coordinator
-books traffic per routed batch in the simulator's own units — logical
-records per batch, payload bytes plus ``BYTES_PER_MSG_HEADER`` per
-physical batch.
+protocol objects over the same forked per-node state, and the
+protocols are order-independent across senders (each gid has a single
+master, partial gathers fold in sorted sender order, activations are
+idempotent), so nondeterministic frame arrival cannot change outcomes.
+The coordinator books traffic per routed batch in the simulator's own
+units — logical records per batch, payload bytes plus
+``BYTES_PER_MSG_HEADER`` per physical batch.
 
 Failure handling
 ----------------
@@ -26,15 +33,16 @@ The chaos schedule (``BackendSpec.failures``) delivers real
 ``SIGKILL``s.  Death is detected by the coordinator's heartbeat loop —
 ``multiprocessing.connection.wait`` over worker pipes *and* process
 sentinels, with consecutive-miss counting as the hang guard.  Nothing
-commits before ``finalize_commit``, so a death anywhere up to the
-finalize round leaves every survivor's *committed* state at the last
-barrier.  Recovery is not re-implemented here: the coordinator pulls
-that committed state into the parent image, marks the dead ranks
-crashed on the parent's ``Cluster`` and calls the engine's own
-``Engine._recover`` — election, the Rebirth -> Migration ladder, FT
-repair, broadcast refresh, selfish read fence — then re-forks one
-worker per live rank from the recovered image and redoes the
-interrupted iteration (at most ``max_iteration_retries`` redos each).
+commits before ``finalize_commit`` on either protocol, so a death
+anywhere up to the finalize round leaves every survivor's *committed*
+state at the last barrier.  Recovery is not re-implemented here: the
+coordinator pulls that committed state (``fullstate``: one list per
+field) into the parent image, marks the dead ranks crashed on the
+parent's ``Cluster`` and calls the engine's own ``Engine._recover`` —
+election, the Rebirth -> Migration ladder, FT repair, broadcast
+refresh, selfish read fence — then re-forks one worker per live rank
+from the recovered image and redoes the interrupted iteration (at most
+``max_iteration_retries`` redos each).
 Survivors' staged state dies with their processes.  Only a death
 inside the finalize round itself is a hard error (some workers may
 already have committed).
@@ -71,6 +79,7 @@ from typing import Any
 from repro.api import make_engine
 from repro.config import MP_HEARTBEAT_INTERVAL_S, MP_HEARTBEAT_MISSES
 from repro.engine.messages import ActivateBatch, RawGatherBatch
+from repro.engine.vectorized import top_masters
 from repro.engine.vertex_program import ApplyContext
 from repro.exec.base import (BackendError, BackendRunResult, BackendSpec,
                              ExecutionBackend, recoveries_report)
@@ -100,6 +109,199 @@ class _WorkerDeath(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _encode_outbox(outbox: dict) -> list:
+    return [(dst, kind.value, encode_batch(batch))
+            for (dst, kind), batch in outbox.items()]
+
+
+class _ScalarWorker:
+    """One rank's round handlers over the scalar :class:`NodeProtocol`
+    — the path of programs without an array kernel and of
+    ``vectorized=False``.  A handler is named after its frame tag,
+    takes the frame's fields and returns the reply frame."""
+
+    def __init__(self, rank: int, engine):
+        self.rank = rank
+        self.lg = engine.local_graphs[rank]
+        self.proto = NodeProtocol(engine.program, engine.is_edge_cut,
+                                  sync_elision=engine._sync_elision,
+                                  selfish_opt=engine.selfish_opt_active,
+                                  combining=engine._combining)
+        self.graph = engine.graph
+        self.dirty: dict[int, Any] = {}
+        self.partials: dict[int, list] = {}
+        # Masters whose activity flag the replicas have not heard yet:
+        # empty on a fresh image, re-derived by the engine's recovery
+        # otherwise.
+        self.pending_broadcast: set[int] = set(
+            engine._broadcast_pending.get(rank, ()))
+
+    def ctx(self, iteration: int) -> ApplyContext:
+        return ApplyContext(iteration=iteration,
+                            num_vertices=self.graph.num_vertices,
+                            num_edges=self.graph.num_edges)
+
+    def compute(self, it: int) -> tuple:
+        self.dirty = {}
+        outbox: dict = {}
+        counts = self.proto.edge_cut_compute_node(
+            self.lg, self.ctx(it), outbox, self.dirty)
+        return ("computed", it, _encode_outbox(outbox), *counts)
+
+    def vc0(self, it: int) -> tuple:
+        self.dirty = {}
+        self.partials = {}
+        outbox = self.proto.broadcast_build(self.lg, self.pending_broadcast)
+        self.pending_broadcast = set()
+        return ("vc0_done", it, _encode_outbox(outbox))
+
+    def vc1(self, it: int, frames: list) -> tuple:
+        for _src, enc in frames:
+            self.proto.broadcast_apply(self.lg, decode_batch(enc))
+        outbox: dict = {}
+        local: list = []
+        edges = self.proto.vertex_gather(self.lg, self.ctx(it), outbox,
+                                         local)
+        for gid, acc in local:
+            self.partials.setdefault(gid, []).append((self.rank, acc))
+        return ("vc1_done", it, _encode_outbox(outbox), edges)
+
+    def vc2(self, it: int, frames: list) -> tuple:
+        for src, enc in frames:
+            batch = decode_batch(enc)
+            if isinstance(batch, RawGatherBatch):
+                accs = self.proto.fold_raw_gather(batch)
+            else:
+                accs = batch.accs
+            for gid, acc in zip(batch.gids, accs):
+                self.partials.setdefault(gid, []).append((src, acc))
+        outbox: dict = {}
+        counts = self.proto.master_fold_apply(
+            self.lg, self.partials, self.ctx(it), outbox, self.dirty)
+        return ("vc2_done", it, _encode_outbox(outbox), *counts)
+
+    def commit(self, it: int, frames: list) -> tuple:
+        for _src, enc in frames:
+            self.proto.apply_sync_batch(self.lg, decode_batch(enc),
+                                        self.dirty)
+        signals = self.proto.commit_stage1(self.lg, self.dirty, it)
+        by_dst: dict[int, ActivateBatch] = {}
+        for dst, gid in sorted(set(signals)):
+            by_dst.setdefault(dst, ActivateBatch()).append(gid)
+        return ("staged", it,
+                [(dst, encode_batch(b)) for dst, b in by_dst.items()])
+
+    def commit2(self, it: int, frames: list) -> tuple:
+        for _src, enc in frames:
+            self.proto.apply_activations(self.lg, decode_batch(enc).gids,
+                                         self.dirty)
+        self.pending_broadcast.update(
+            self.proto.finalize_commit(self.lg, self.dirty, it))
+        self.dirty = {}
+        return ("committed", it, len(self.lg.active_masters))
+
+    # Reads of committed state: the coordinator only sends these at
+    # protocol-safe points (workers idle between rounds, never inside
+    # the commit exchange), so every value is the last committed one.
+
+    def read(self, req_id: int, gids: list) -> tuple:
+        """Point reads; any local copy — master, replica or mirror —
+        answers (``None`` for a gid this rank does not hold)."""
+        return ("read_done", req_id,
+                {gid: (self.lg.slot_of(gid).value
+                       if gid in self.lg.index_of else None)
+                 for gid in gids})
+
+    def topk(self, req_id: int, k: int) -> tuple:
+        """Local-masters top-K by (value desc, gid asc); the
+        coordinator merges the per-rank lists."""
+        top = heapq.nlargest(k, ((slot.value, -slot.gid)
+                                 for slot in self.lg.iter_masters()))
+        return ("topk_done", req_id,
+                [(-neg_gid, value) for value, neg_gid in top])
+
+    def fullstate(self) -> tuple:
+        """Committed state of every local copy, one column per field
+        (``_sync_parent_from_workers`` reads it: before a reshape or a
+        recovery, and for the job's result).  Whatever an interrupted
+        round staged is pending state and dies with this process."""
+        return ("fullstate_done", list(zip(*[
+            (slot.gid, slot.value, slot.last_activates,
+             slot.last_update_iter, slot.mirror_self_active,
+             slot.active, slot.replicas_known_active)
+            for slot in self.lg.iter_slots()])))
+
+
+class _ArrayWorker(_ScalarWorker):
+    """The same rounds over ``ArrayNodeProtocol``: topology and columns
+    are built here, after the fork, and values never flush back to
+    slots.  Slots stay authoritative for *activity* only, which the
+    shared scalar phase-0 broadcast (``vc0``) reads and writes."""
+
+    def __init__(self, rank: int, engine):
+        super().__init__(rank, engine)
+        # The very protocol object the simulator's executor drives.
+        self.arrays = engine._vec.proto
+        self.arrays.selfish_opt = engine.selfish_opt_active
+        self.st = self.arrays.new_state(self.lg)
+        self.broadcast_sent = False
+
+    def compute(self, it: int) -> tuple:
+        outbox: dict = {}
+        counts = self.arrays.edge_cut_compute_node(self.st, self.ctx(it),
+                                                   outbox)
+        return ("computed", it, _encode_outbox(outbox), *counts)
+
+    def vc0(self, it: int) -> tuple:
+        self.broadcast_sent = bool(self.pending_broadcast)
+        return super().vc0(it)
+
+    def vc1(self, it: int, frames: list) -> tuple:
+        for _src, enc in frames:
+            self.proto.broadcast_apply(self.lg, decode_batch(enc))
+        if frames or self.broadcast_sent:
+            self.st.refresh_activity(self.lg)
+        outbox: dict = {}
+        edges = self.arrays.vertex_gather(self.st, outbox)
+        return ("vc1_done", it, _encode_outbox(outbox), edges)
+
+    def vc2(self, it: int, frames: list) -> tuple:
+        for src, enc in frames:
+            self.arrays.intake_partials(self.st, src, decode_batch(enc))
+        outbox: dict = {}
+        counts = self.arrays.master_fold_apply(self.st, self.ctx(it),
+                                               outbox)
+        return ("vc2_done", it, _encode_outbox(outbox), *counts)
+
+    def commit(self, it: int, frames: list) -> tuple:
+        for _src, enc in frames:
+            self.arrays.stage_sync_batch(self.st, decode_batch(enc))
+        outbox = self.arrays.commit_stage1(self.st)
+        return ("staged", it, [(dst, encode_batch(batch))
+                               for (dst, _kind), batch in outbox.items()])
+
+    def commit2(self, it: int, frames: list) -> tuple:
+        for _src, enc in frames:
+            self.arrays.apply_activations(self.st, decode_batch(enc).gids)
+        self.pending_broadcast.update(
+            self.arrays.finalize_commit(self.st, self.lg, it))
+        return ("committed", it, len(self.lg.active_masters))
+
+    def read(self, req_id: int, gids: list) -> tuple:
+        local = [gid for gid in gids if gid in self.lg.index_of]
+        values = dict.fromkeys(gids)
+        values.update(zip(local, self.st.read(local)))
+        return ("read_done", req_id, values)
+
+    def topk(self, req_id: int, k: int) -> tuple:
+        return ("topk_done", req_id, [
+            (gid, value) for value, gid in
+            top_masters(self.st.topo, self.st.values, k)])
+
+    def fullstate(self) -> tuple:
+        return ("fullstate_done", self.st.committed_state())
+
+
 def _worker_main(rank: int, conn, close_conns, engine) -> None:
     """Worker process main loop: one partition, frame-driven rounds."""
     for other in close_conns:
@@ -110,131 +312,19 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
     # A worker must never outlive an abruptly-gone coordinator; pipes
     # raise EOFError on recv once the parent closes, which exits below.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    lg = engine.local_graphs[rank]
-    proto = NodeProtocol(engine.program, engine.is_edge_cut,
-                         sync_elision=engine._sync_elision,
-                         selfish_opt=engine.selfish_opt_active,
-                         combining=engine._combining)
-    num_vertices = engine.graph.num_vertices
-    num_edges = engine.graph.num_edges
-    dirty: dict[int, Any] = {}
-    partials: dict[int, list] = {}
-    # Masters whose activity flag the replicas have not heard yet: empty
-    # on a fresh image, re-derived by the engine's recovery otherwise.
-    pending_broadcast: set[int] = set(engine._broadcast_pending.get(rank, ()))
-
-    def ctx(iteration: int) -> ApplyContext:
-        return ApplyContext(iteration=iteration, num_vertices=num_vertices,
-                            num_edges=num_edges)
-
-    def encode_outbox(outbox: dict) -> list:
-        return [(dst, kind.value, encode_batch(batch))
-                for (dst, kind), batch in outbox.items()]
-
+    # The parent image installs the array executor exactly when the
+    # spec asks for it and the program declares a kernel.
+    worker = (_ArrayWorker if engine._vec is not None
+              else _ScalarWorker)(rank, engine)
     while True:
         try:
             frame = conn.recv()
         except (EOFError, OSError):
             return
         tag = frame[0]
-        if tag == "compute":
-            it = frame[1]
-            dirty = {}
-            outbox: dict = {}
-            edges, vertices, elided = proto.edge_cut_compute_node(
-                lg, ctx(it), outbox, dirty)
-            conn.send(("computed", it, encode_outbox(outbox),
-                       edges, vertices, elided))
-        elif tag == "vc0":
-            it = frame[1]
-            dirty = {}
-            partials = {}
-            outbox = proto.broadcast_build(lg, pending_broadcast)
-            pending_broadcast = set()
-            conn.send(("vc0_done", it, encode_outbox(outbox)))
-        elif tag == "vc1":
-            it = frame[1]
-            for _src, enc in frame[2]:
-                proto.broadcast_apply(lg, decode_batch(enc))
-            outbox = {}
-            local: list = []
-            edges = proto.vertex_gather(lg, ctx(it), outbox, local)
-            for gid, acc in local:
-                partials.setdefault(gid, []).append((rank, acc))
-            conn.send(("vc1_done", it, encode_outbox(outbox), edges))
-        elif tag == "vc2":
-            it = frame[1]
-            for src, enc in frame[2]:
-                batch = decode_batch(enc)
-                if isinstance(batch, RawGatherBatch):
-                    accs = proto.fold_raw_gather(batch)
-                else:
-                    accs = batch.accs
-                for gid, acc in zip(batch.gids, accs):
-                    partials.setdefault(gid, []).append((src, acc))
-            outbox = {}
-            vertices, elided = proto.master_fold_apply(
-                lg, partials, ctx(it), outbox, dirty)
-            conn.send(("vc2_done", it, encode_outbox(outbox),
-                       vertices, elided))
-        elif tag == "commit":
-            it = frame[1]
-            for _src, enc in frame[2]:
-                proto.apply_sync_batch(lg, decode_batch(enc), dirty)
-            signals = proto.commit_stage1(lg, dirty, it)
-            by_dst: dict[int, ActivateBatch] = {}
-            for dst, gid in sorted(set(signals)):
-                batch = by_dst.get(dst)
-                if batch is None:
-                    batch = by_dst[dst] = ActivateBatch()
-                batch.append(gid)
-            conn.send(("staged", it,
-                       [(dst, encode_batch(b)) for dst, b in by_dst.items()]))
-        elif tag == "commit2":
-            it = frame[1]
-            for _src, enc in frame[2]:
-                proto.apply_activations(lg, decode_batch(enc).gids, dirty)
-            stale = proto.finalize_commit(lg, dirty, it)
-            pending_broadcast.update(stale)
-            dirty = {}
-            conn.send(("committed", it, len(lg.active_masters)))
-        elif tag == "read":
-            # Point reads of committed state: the coordinator only
-            # sends these at protocol-safe points (workers idle between
-            # rounds, never inside the commit exchange), so every slot
-            # value here is the last committed one.  Any local copy —
-            # master, replica or mirror — answers.
-            req_id, gids = frame[1], frame[2]
-            conn.send(("read_done", req_id,
-                       {gid: (lg.slot_of(gid).value
-                              if gid in lg.index_of else None)
-                        for gid in gids}))
-        elif tag == "topk":
-            # Local-masters top-K by (value desc, gid asc); the
-            # coordinator merges the per-rank lists.
-            req_id, k = frame[1], frame[2]
-            top = heapq.nlargest(
-                k, ((slot.value, -slot.gid) for slot in lg.iter_masters()))
-            conn.send(("topk_done", req_id,
-                       [(-neg_gid, value) for value, neg_gid in top]))
-        elif tag == "fullstate":
-            # Committed state of every local slot — the coordinator
-            # writes it back into the parent engine before a membership
-            # reshape or a recovery, and to read the job's result.
-            # Committed fields only: whatever an interrupted round
-            # staged lives in the pending fields and dies with this
-            # process.
-            conn.send(("fullstate_done",
-                       [(slot.gid, slot.value, slot.last_activates,
-                         slot.last_update_iter, slot.mirror_self_active,
-                         slot.active, slot.replicas_known_active)
-                        for slot in lg.iter_slots()]))
-        elif tag == "shutdown":
+        if tag == "shutdown":
             return
-        else:  # pragma: no cover - protocol bug guard
-            conn.send(("error", f"unknown frame tag {tag!r}"))
-            return
+        conn.send(getattr(worker, tag)(*frame[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +677,8 @@ class MultiprocessingBackend(ExecutionBackend):
         engine = self._engine
         for rank in alive:
             lg = engine.local_graphs[rank]
-            for gid, value, la, lui, msa, active, rka in frames[rank][1]:
+            for gid, value, la, lui, msa, active, rka in zip(
+                    *frames[rank][1]):
                 slot = lg.slot_of(gid)
                 slot.value = value
                 slot.last_activates = la
@@ -709,10 +800,10 @@ class MultiprocessingBackend(ExecutionBackend):
         # The parent engine is the state template: partitioned,
         # replicated and value-initialised in __init__, never run.
         # Workers fork from it, so every rank starts bit-identical to
-        # the simulator's; scalar workers make parent-side vectorized
-        # state irrelevant, so it is not built at all.
+        # the simulator's.  It never touches its array executor, so no
+        # topology or column is built parent-side: vectorized workers
+        # build their own after the fork.
         kwargs = spec.engine_kwargs()
-        kwargs["vectorized"] = False
         # Membership replays through the parent engine's own manager at
         # reshape points — never via the engine's scheduled events (the
         # parent runs no supersteps to pump them).
@@ -865,14 +956,14 @@ class MultiprocessingBackend(ExecutionBackend):
             elided = sum(frame[4] for frame in vc2.values())
 
         # Reads interleave mid-superstep: compute is done but nothing
-        # committed, so worker slots still hold the last commit —
-        # staged results live only in the pending fields.  (Never drain
-        # between the commit rounds below: slots flip there.)
+        # committed, so workers still hold the last commit — staged
+        # results live only in the pending fields / arrays.  (Never
+        # drain between the commit rounds below: state flips there.)
         if self._serve is not None:
             self._serve.drain(it + 0.5, committed=it - 1)
 
         # Commit stage 1 stays abortable: workers only stage pending
-        # fields until the finalize round, so a death here propagates as
+        # state until the finalize round, so a death here propagates as
         # ``_WorkerDeath`` — recovery runs on the committed state and
         # the iteration is redone (bounded by ``max_iteration_retries``).
         staged = self._round(it, alive, "commit", "staged", sync_frames,
@@ -883,7 +974,7 @@ class MultiprocessingBackend(ExecutionBackend):
                 book.count("activate", enc)
                 act_frames[dst].append((src, enc))
         # The finalize round is the point of no return: once any worker
-        # processes ``commit2`` its slots flip, so a death here leaves a
+        # processes ``commit2`` its state flips, so a death here leaves a
         # half-committed superstep — a hard error, not a recovery case.
         try:
             committed = self._round(it, alive, "commit2", "committed",

@@ -4,11 +4,14 @@ Extracted from ``Engine`` so the same scalar compute/sync/commit code
 drives both execution backends:
 
 * the deterministic in-process simulator — ``Engine``'s scalar paths
-  delegate here (the vectorized executor stays bit-equal to this code
-  by the PR-5 differential suite), and
+  delegate here, and
 * the multiprocessing backend (:mod:`repro.exec.mp`), where each
-  worker process owns one partition's :class:`LocalGraph` and runs
-  exactly this code between pipe exchanges.
+  scalar worker process owns one partition's :class:`LocalGraph` and
+  runs exactly this code between pipe exchanges.
+
+Programs with an array kernel run its array image on both backends
+(:class:`~repro.engine.vectorized.ArrayNodeProtocol`), held bit-equal
+to this code by the differential suites.
 
 Equality of committed values and logical-message counts across
 backends is therefore structural: both run the same per-node code over

@@ -27,9 +27,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from repro.engine.vectorized import NO_COLUMN
+from repro.engine.vectorized import NO_COLUMN, top_masters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
@@ -84,17 +82,10 @@ class CommittedView:
             cols = vec.committed_columns(node) if vec is not None \
                 else NO_COLUMN
             if cols is not NO_COLUMN:
-                topo, values = cols
-                pos = np.flatnonzero(topo.is_master)
-                if not pos.size:
-                    continue
-                vals, gids = values[pos], topo.gids[pos]
                 # Deterministic (value, gid) selection so the column
                 # path and the slot fallback pick identical K sets
                 # under value ties.
-                order = np.lexsort((gids, -vals if largest else vals))[:k]
-                per_node.append(list(zip(vals[order].tolist(),
-                                         gids[order].tolist())))
+                per_node.append(top_masters(*cols, k, largest))
             else:
                 items = [(slot.value, slot.gid)
                          for slot in lg.iter_masters()]

@@ -22,9 +22,11 @@ import pytest
 
 from repro.algorithms import PageRank
 from repro.chaos.oracle import values_close
+from repro.engine.vectorized import ArrayNodeProtocol
 from repro.errors import UnrecoverableFailureError
 from repro.exec.base import BackendError, BackendSpec
 from repro.exec.mp import MultiprocessingBackend
+from repro.exec.protocol import NodeProtocol
 from repro.exec.simulator import SimulatorBackend
 from repro.graph import generators
 
@@ -49,6 +51,14 @@ def watchdog():
     signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture(autouse=True)
+def no_orphan_workers():
+    """No worker process outlives its test — after success, failure,
+    refusal or retry alike."""
+    yield
+    assert multiprocessing.active_children() == []
+
+
 @pytest.fixture(scope="module")
 def graph():
     return generators.power_law(80, alpha=2.0, seed=7, avg_degree=5.0,
@@ -64,6 +74,13 @@ def _assert_equivalent(sim, mp):
     assert mp.total_batches == sim.total_batches
     assert mp.msgs_by_kind == sim.msgs_by_kind
     assert mp.syncs_elided == sim.syncs_elided
+
+
+def _forbid(patch, cls, name):
+    def wrong_path(*args, **kwargs):
+        raise AssertionError(f"{cls.__name__}.{name} ran on a worker "
+                             f"of the other path")
+    patch.setattr(cls, name, wrong_path)
 
 
 class TestDifferentialOracle:
@@ -87,6 +104,45 @@ class TestDifferentialOracle:
         with MultiprocessingBackend() as backend:
             mp = backend.run(graph, spec)
         _assert_equivalent(sim, mp)
+
+    @pytest.mark.parametrize("partition",
+                             ["hash_edge_cut", "random_vertex_cut"])
+    @pytest.mark.parametrize("algorithm,kwargs", [
+        ("pagerank", ()),
+        ("sssp", (("source", 0),)),
+    ])
+    def test_worker_paths_agree(self, graph, monkeypatch, algorithm,
+                                kwargs, partition):
+        """``BackendSpec.vectorized`` picks the worker path: array
+        workers (the default) ≡ scalar workers ≡ the simulator.  Forked
+        workers inherit the patches, so each run also proves it never
+        entered the other path's compute."""
+        spec = BackendSpec(algorithm=algorithm, num_nodes=4,
+                           partition=partition, ft_level=1,
+                           max_iterations=10, algorithm_kwargs=kwargs)
+        sim = SimulatorBackend().run(graph, spec)
+        with monkeypatch.context() as patch:
+            _forbid(patch, NodeProtocol, "compute_master")
+            with MultiprocessingBackend() as backend:
+                arrays = backend.run(graph, spec)
+        with monkeypatch.context() as patch:
+            _forbid(patch, ArrayNodeProtocol, "new_state")
+            with MultiprocessingBackend() as backend:
+                scalar = backend.run(graph, replace(spec, vectorized=False))
+        _assert_equivalent(sim, arrays)
+        _assert_equivalent(sim, scalar)
+
+    def test_kernel_less_program_falls_back_to_scalar_workers(
+            self, graph, monkeypatch):
+        """``cd`` declares no array kernel: the default spec runs it on
+        the scalar handlers, still bit-equal to the simulator."""
+        spec = BackendSpec(algorithm="cd", num_nodes=4, max_iterations=6)
+        sim = SimulatorBackend().run(graph, spec)
+        _forbid(monkeypatch, ArrayNodeProtocol, "new_state")
+        with MultiprocessingBackend() as backend:
+            mp = backend.run(graph, spec)
+        _assert_equivalent(sim, mp)
+        assert mp.total_msgs > 0
 
     @pytest.mark.parametrize("combining", [True, False])
     def test_combining_parity(self, graph, combining):
@@ -211,7 +267,6 @@ class TestRealKillRecovery:
             _assert_matches_failure_free(mp.values, reference.values)
         else:
             assert mp.values == reference.values
-        assert multiprocessing.active_children() == []
 
     def test_double_kill_with_ft2(self, graph):
         """Two ranks SIGKILLed in one iteration; ft_level=2 still holds
@@ -255,7 +310,6 @@ class TestRealKillRecovery:
         assert pulls == [[0, 2, 3], [0, 2], [0, 1, 2, 3]]
         assert _strategies(survived) == [("rebirth", (1, 3))]
         assert survived.values == reference.values
-        assert multiprocessing.active_children() == []
 
     def test_standby_exhaustion_falls_back_to_migration(self, graph):
         """The ladder is the engine's on both backends: the second kill
@@ -282,7 +336,6 @@ class TestRealKillRecovery:
             with pytest.raises(UnrecoverableFailureError) as err:
                 backend.run(graph, spec)
         assert err.value.surviving_nodes == (0, 1, 3)
-        assert multiprocessing.active_children() == []
 
     def test_lost_vertex_is_unrecoverable(self, graph):
         """More simultaneous deaths than ft_level covers: the engine's
@@ -296,7 +349,6 @@ class TestRealKillRecovery:
                 backend.run(graph, spec)
         assert err.value.rungs_attempted == ("replication:exhausted",)
         assert err.value.lost_vertices > 0
-        assert multiprocessing.active_children() == []
 
 
 class TestWorkerHygiene:
@@ -307,6 +359,7 @@ class TestWorkerHygiene:
                            max_iterations=4)
         with MultiprocessingBackend() as backend:
             backend.run(graph, spec)
+            # ``run`` itself reaps its workers, before ``close``.
             assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent(self, graph):
@@ -315,7 +368,6 @@ class TestWorkerHygiene:
                                        max_iterations=2))
         backend.close()
         backend.close()
-        assert multiprocessing.active_children() == []
 
 
 #: Every spec the backend refuses, with the reason it gives.
@@ -344,7 +396,6 @@ class TestSpecValidation:
         with MultiprocessingBackend() as backend:
             with pytest.raises(BackendError, match=reason):
                 backend.run(graph, spec)
-        assert multiprocessing.active_children() == []
 
     def test_rejects_edge_mutating_programs(self, graph, monkeypatch):
         monkeypatch.setattr(PageRank, "mutates_edges", True)
@@ -353,7 +404,6 @@ class TestSpecValidation:
         with MultiprocessingBackend() as backend:
             with pytest.raises(BackendError, match="edge-mutating"):
                 backend.run(graph, spec)
-        assert multiprocessing.active_children() == []
 
     def test_requires_the_fork_start_method(self, graph, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
@@ -363,7 +413,6 @@ class TestSpecValidation:
         with MultiprocessingBackend() as backend:
             with pytest.raises(BackendError, match="fork start method"):
                 backend.run(graph, spec)
-        assert multiprocessing.active_children() == []
 
 
 class TestCommitRoundKill:
@@ -386,6 +435,24 @@ class TestCommitRoundKill:
         assert survived.values == reference.values
         assert survived.iterations == reference.iterations
 
+    def test_commit_kill_pulls_the_previous_commit_from_array_workers(
+            self, graph):
+        """Vertex-cut SSSP, killed while survivors have already run
+        commit stage 1 (activation scatter and remote signals): the
+        ``fullstate`` they export is still the previous commit, so the
+        redo lands on the failure-free bits."""
+        base = BackendSpec(algorithm="sssp", num_nodes=4, ft_level=1,
+                           partition="random_vertex_cut", max_iterations=10,
+                           algorithm_kwargs=(("source", 0),))
+        reference = SimulatorBackend().run(graph, base)
+        for iteration in (1, 2, 3):
+            kill = replace(base, failures=((iteration, (2,), "commit"),))
+            with MultiprocessingBackend() as backend:
+                survived = backend.run(graph, kill)
+            assert _strategies(survived) == [("rebirth", (2,))]
+            assert survived.values == reference.values
+            assert survived.iterations == reference.iterations
+
     def test_retry_budget_exhaustion_is_structured(self, graph):
         kill = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
                            max_iterations=8,
@@ -394,7 +461,6 @@ class TestCommitRoundKill:
             backend.max_iteration_retries = 0
             with pytest.raises(BackendError, match="retr"):
                 backend.run(graph, kill)
-        assert multiprocessing.active_children() == []
 
 
 class TestElasticMembership:

@@ -398,3 +398,17 @@ class TestCrossBackendServing:
         mismatches = check_responses(mp.extra["serve_responses"],
                                      history)
         assert mismatches == [], mismatches[:3]
+
+    def test_scalar_workers_serve_the_same_history(self, graph):
+        """``vectorized=False`` workers answer reads from slots, the
+        default ones from committed columns: both stay bit-equal to the
+        replayed history, kills and mid-superstep reads included."""
+        from repro.exec.mp import MultiprocessingBackend
+        spec = make_spec(failures=FAILURES, vectorized=False)
+        with MultiprocessingBackend() as backend:
+            mp = backend.run(graph, spec)
+        assert mp.failures_recovered == 2
+        assert mp.extra["serve"]["queries"] == 2000
+        mismatches = check_responses(mp.extra["serve_responses"],
+                                     replay_committed_history(graph, spec))
+        assert mismatches == [], mismatches[:3]
