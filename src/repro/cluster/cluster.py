@@ -230,15 +230,8 @@ class Cluster:
         standbys = self.live_standby_nodes()
         if not standbys:
             raise NoStandbyNodeError("no live standby available for Rebirth")
-        physical = standbys[0]
-        del self.nodes[physical]
-        incarnation = crashed.incarnation + 1
-        fresh = Node(crashed_id, cores=self.config.cores_per_node)
-        fresh.incarnation = incarnation
-        self.nodes[crashed_id] = fresh
-        self.detector.forget(crashed_id)
-        self.coordination.register(crashed_id)
-        return fresh
+        del self.nodes[standbys[0]]
+        return self.restart_node(crashed_id)
 
     def restart_node(self, crashed_id: int) -> Node:
         """Reboot a crashed node's logical id without consuming a spare.

@@ -79,8 +79,6 @@ class ClusterConfig:
     num_standby: int = 1
     #: CPU cores per node (bounds intra-node compute parallelism).
     cores_per_node: int = 4
-    #: RAM per node in bytes (10 GB in the paper); memory accounting only.
-    ram_bytes: int = 10 * 1024 ** 3
     #: Heartbeat interval for failure detection, in seconds (Section 3.2).
     heartbeat_interval_s: float = 0.5
     #: Heartbeats missed before a node is declared dead.  The default
@@ -190,8 +188,6 @@ class EngineConfig:
     max_iterations: int = 20
     #: Stop early once no vertex is active.
     halt_on_inactive: bool = True
-    #: Collect per-iteration metrics (message/byte counters).
-    collect_metrics: bool = True
     #: Elide sync records for masters whose committed update is a
     #: non-activating no-op (value and flags unchanged).  Never changes
     #: results; collapses traffic in the convergence tail.

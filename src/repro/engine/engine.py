@@ -32,11 +32,7 @@ from typing import Any
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import Message, MessageKind
-from repro.config import (
-    FTMode,
-    JobConfig,
-    RecoveryStrategy,
-)
+from repro.config import FTMode, JobConfig
 from repro.costmodel import (
     CostModel,
     compute_time,
@@ -47,18 +43,15 @@ from repro.engine.messages import ActivateBatch, RawGatherBatch, SyncBatch
 from repro.engine.state import VertexSlot
 from repro.engine.vectorized import NO_COLUMN, VectorizedExecutor
 from repro.engine.vertex_program import ApplyContext, VertexProgram
-from repro.errors import (
-    EngineError,
-    NoStandbyNodeError,
-    UnrecoverableFailureError,
-)
+from repro.errors import EngineError
 from repro.exec.protocol import NodeProtocol
+from repro.ft import _recovery_common as common
+from repro.ft import ladder
 from repro.ft.checkpoint import CheckpointManager
 from repro.ft.edge_ckpt import EdgeCkptStore, EdgeRecord
-from repro.ft.recovery import RecoveryOutcome, RecoveryStats
+from repro.ft.recovery import RecoveryStats
 from repro.ft.replication import plan_replication
 from repro.graph.graph import Graph
-from repro.membership.election import elect_leader
 from repro.membership.policy import FtPolicy
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.partition.base import make_partitioner
@@ -160,8 +153,8 @@ class Engine:
         #: recovery to whatever superstep the restored state reflects.
         #: The read-serving layer tags every response with this.
         self.committed_iteration = -1
-        #: True while :meth:`_recover` is running — the explicit
-        #: degraded window the read router tags responses with.
+        #: True while :func:`repro.ft.ladder.recover` is running — the
+        #: explicit degraded window the read router tags responses with.
         self.in_recovery = False
         #: Selfish masters recomputed by the *last* recovery: their
         #: slot holds the value the upcoming retry will commit (one
@@ -198,10 +191,6 @@ class Engine:
         #: recoveries between snapshots (unlike the positional CKPT-mode
         #: journal, which assumes masters never move).
         self._safety_edge_log: dict[tuple[int, int], float] = {}
-        #: Degraded-mode state (DESIGN.md §9), kept current by
-        #: :meth:`_update_ft_gauges`.
-        self._ft_level_current = 0
-        self._ft_degraded = False
         # -- elastic membership + adaptive FT (DESIGN.md §14) ---------
         #: Created lazily on the first join/drain request; ``None`` for
         #: static clusters.
@@ -278,18 +267,13 @@ class Engine:
                 and self.job.ft.safety_checkpoint_interval > 0)
             with self.tracer.span("load.ft_init", cat="load",
                                   ft_mode=self.job.ft.mode.value):
-                if self.job.ft.mode is FTMode.CHECKPOINT:
+                if (self.job.ft.mode is FTMode.CHECKPOINT
+                        or self._safety_ckpt):
                     self.ckpt = CheckpointManager(
                         self.cluster.store, self.model,
-                        interval=self.job.ft.checkpoint_interval,
-                        in_memory=self.job.ft.checkpoint_in_memory,
-                        num_nodes=self.cluster.num_workers,
-                        tracer=self.tracer)
-                    self.ckpt.write_metadata(self.local_graphs)
-                elif self._safety_ckpt:
-                    self.ckpt = CheckpointManager(
-                        self.cluster.store, self.model,
-                        interval=self.job.ft.safety_checkpoint_interval,
+                        interval=(self.job.ft.safety_checkpoint_interval
+                                  if self._safety_ckpt
+                                  else self.job.ft.checkpoint_interval),
                         in_memory=self.job.ft.checkpoint_in_memory,
                         num_nodes=self.cluster.num_workers,
                         tracer=self.tracer)
@@ -300,7 +284,7 @@ class Engine:
                                                    self.cluster.num_workers)
                     self._write_edge_ckpt_files()
             self._init_values()
-            self._update_ft_gauges()
+            ladder.update_ft_gauges(self)
 
     # ------------------------------------------------------------------
     # public API
@@ -455,7 +439,7 @@ class Engine:
                                       iteration=self.iteration,
                                       failed_nodes=list(failed)):
                     self._rollback()
-                    self._recover(failed)
+                    ladder.recover(self, failed)
                 continue
             self._chaos_point("post_commit")
             self._membership_pump()
@@ -472,7 +456,7 @@ class Engine:
                                       iteration=self.iteration,
                                       failed_nodes=list(failed),
                                       after_commit=True):
-                    self._recover(failed)
+                    ladder.recover(self, failed)
         return self._result()
 
     def values(self) -> dict[int, Any]:
@@ -1093,34 +1077,19 @@ class Engine:
         if not alive:
             return
         target = policy.floor_target
-        deficit: list[int] = []
-        for node in alive:
-            for slot in self.local_graphs[node].iter_masters():
-                meta = slot.meta
-                if min(len(meta.mirror_nodes),
-                       len(meta.replica_positions)) < target:
-                    deficit.append(slot.gid)
+        deficit, _ = common.masters_below(self, alive, target)
         if deficit:
             allowance = policy.repair_allowance()
             if allowance > 0:
-                self._policy_repair(policy, sorted(deficit)[:allowance],
+                self._policy_repair(policy, deficit[:allowance],
                                     target, alive)
         # Re-derive the achieved floor from what masters actually have.
-        achieved = target
-        for node in alive:
-            for slot in self.local_graphs[node].iter_masters():
-                meta = slot.meta
-                achieved = min(achieved, len(meta.mirror_nodes),
-                               len(meta.replica_positions))
-            if achieved <= 0:
-                break
-        policy.floor_achieved = achieved
-        self._update_ft_gauges()
+        policy.floor_achieved = common.min_ft_level(self, target)
+        ladder.update_ft_gauges(self)
 
     def _policy_repair(self, policy, batch: list[int], target: int,
                        alive: list[int]) -> None:
         """One throttled background-repair round toward ``target``."""
-        from repro.ft import _recovery_common as common
         if self._vec is not None:
             # Write deferred column commits back and drop the caches:
             # repair snapshots master slots and adds new copies
@@ -1134,15 +1103,11 @@ class Engine:
         for gid in batch:
             meta = self.local_graphs[
                 self.master_node_of[gid]].slot_of(gid).meta
-            if min(len(meta.mirror_nodes),
-                   len(meta.replica_positions)) < target:
+            if meta.ft_level < target:
                 still += 1
         policy.repair_result(len(batch), len(batch) - still)
         if created:
-            scale = self.model.data_scale
-            repair_s = (created * self.model.per_vertex_reconstruct_s
-                        * scale / max(1, len(alive))
-                        + self.model.recovery_round_s)
+            repair_s = common.repair_transfer_s(self, created, len(alive))
             for node in alive:
                 self.cluster.clocks.advance(node, pairwise_comm_time(
                     self.model, net.step_bytes, net.step_msgs, node))
@@ -1158,37 +1123,8 @@ class Engine:
                             batch=len(batch), created=created,
                             unrepaired=still, target=target)
 
-    def _elect_recovery_leader(self) -> None:
-        """Elect the coordinator for this recovery term (DESIGN.md §14).
-
-        Deterministic and seeded, so every backend elects the same
-        node from the same live set without exchanging votes; one
-        coordination round is charged to every participant.  The leader
-        is pure coordination — recovery's data flow stays decentralised
-        per the paper — but restart ordering is leader-first, and a
-        chaos schedule can target ``"leader"`` to kill it mid-recovery
-        (which simply forces a re-election with a bumped term).
-        """
-        alive = self._alive()
-        if not alive:
-            return
-        self.leader_term += 1
-        self.recovery_leader = elect_leader(alive, self.seed,
-                                            self.leader_term)
-        for node in alive:
-            self.cluster.clocks.advance(node, self.model.recovery_round_s)
-        self.metrics.set_gauge("ft.leader", self.recovery_leader)
-        self.metrics.set_gauge("ft.leader_term", self.leader_term)
-        self.tracer.instant("recovery.leader", cat="recovery",
-                            leader=self.recovery_leader,
-                            term=self.leader_term)
-
-    def _leader_alive(self) -> bool:
-        node = self.cluster.nodes.get(self.recovery_leader)
-        return node is not None and node.is_alive
-
     # ------------------------------------------------------------------
-    # failures and recovery
+    # failure injection and rollback (recovery itself: repro.ft.ladder)
     # ------------------------------------------------------------------
 
     def _inject(self, phase: str) -> None:
@@ -1212,485 +1148,6 @@ class Engine:
         self._dirty = {}
         if self._vec is not None:
             self._vec.rollback()
-
-    def _recover(self, failed: tuple[int, ...]) -> None:
-        # The explicit degraded window: reads served between here and
-        # the end of recovery fall back to surviving replicas and are
-        # tagged ``degraded=True`` by the router (DESIGN.md §13).
-        self.in_recovery = True
-        # Recovery reads survivor slots throughout, and every protocol
-        # may rewrite slot arrays / edge lists / replica metadata in
-        # place — flush the vectorized executor's deferred commits and
-        # drop its cached columns up front (recovery only runs at
-        # barrier boundaries, where no pending staging exists).
-        if self._vec is not None:
-            self._vec.rollback()
-        # Elect the coordinator for this recovery term before the
-        # chaos hook, so a schedule targeting "leader" can kill it
-        # mid-recovery (DESIGN.md §14).
-        self._elect_recovery_leader()
-        # A crash while recovery is in progress is detected before the
-        # protocol commits and handled as one larger simultaneous
-        # failure (Section 5.3.2: failures during recovery restart
-        # recovery).
-        self._chaos_point("recovery")
-        extra = self.cluster.detector.newly_failed()
-        if extra:
-            failed = tuple(sorted(set(failed) | set(extra)))
-            if not self._leader_alive():
-                self._elect_recovery_leader()
-        self.cluster.detector.record_failure_event(self.iteration,
-                                                   len(failed))
-        if self._ft_policy is not None:
-            self._ft_policy.on_failure(self.iteration, len(failed))
-        mode = self.job.ft.mode
-        detection = self.cluster.detector.detection_delay_s
-        alive = self._alive()
-        for node in alive:
-            self.cluster.clocks.advance(node, detection)
-        self.cluster.clocks.barrier(self.model, alive)
-        self.tracer.record("recovery.detection", detection,
-                           cat="recovery", failed_nodes=list(failed))
-
-        if mode is FTMode.NONE:
-            raise UnrecoverableFailureError(
-                f"nodes {list(failed)} crashed and fault tolerance is "
-                f"disabled (BASE configuration)",
-                surviving_nodes=tuple(alive))
-        # A crash landing *mid-protocol* must not be deferred to the
-        # next barrier: re-poll the detector after each protocol pass
-        # and restart recovery for the enlarged failure set
-        # (Section 5.3.2).  The loop terminates because the detector is
-        # edge-triggered — each restart needs a *fresh* crash, and only
-        # finitely many machines can crash between two barriers.
-        first = True
-        while True:
-            self._recover_once(failed, detection if first else 0.0)
-            first = False
-            self._chaos_point("recovery_protocol")
-            extra = self.cluster.detector.newly_failed()
-            if not extra:
-                break
-            # Each ladder pass commits atomically, so nodes already
-            # recovered are healthy again; the restarted protocol must
-            # target only the nodes that are *still* down (a recovery
-            # pass aimed at a live node would wrongly evict its state).
-            failed = tuple(sorted(
-                set(extra) | {n for n in failed
-                              if self.cluster.node(n).is_crashed}))
-            # A dead leader cannot coordinate the restarted protocol:
-            # re-elect under a fresh term before the next ladder pass.
-            if not self._leader_alive():
-                self._elect_recovery_leader()
-            self.metrics.inc("recovery.restarts")
-            self.tracer.instant("recovery.restart", cat="recovery",
-                                failed_nodes=list(failed))
-        # Post-recovery FT repair and degraded-mode assessment run
-        # before the ``post_recovery`` hook, so chaos invariants observe
-        # the repaired replication level (DESIGN.md §9).
-        self._repair_ft_level()
-        self._refresh_broadcast_state()
-        # Recovery protocols rewrite slot arrays, edge lists and replica
-        # metadata in place — including on survivors that saw no local
-        # add/remove — so every SoA topology cache is stale now (the
-        # executor's dynamic columns were already dropped on entry).
-        for lg in self.local_graphs.values():
-            lg.invalidate_soa()
-        post = self.cluster.clocks.barrier(self.model, self._alive())
-        self._last_barrier_clock = post
-        # Whatever rung recovered — in-memory replicas (state of the
-        # last commit before ``self.iteration``) or a checkpoint rewind
-        # (which lowered ``self.iteration`` to the resume point) — the
-        # restored state is the commit of the superstep before the one
-        # about to (re)run.
-        self.committed_iteration = self.iteration - 1
-        self.in_recovery = False
-        self._chaos_point("post_recovery")
-
-    def _recover_once(self, failed: tuple[int, ...],
-                      detection: float) -> None:
-        """Run one pass of the fallback ladder and commit its result."""
-        at_iteration = self.iteration
-        with self.tracer.span("recovery.protocol", cat="recovery",
-                              failed_nodes=list(failed)) as sp:
-            outcome, rung = self._recovery_ladder(failed)
-            # Protocol phase times are cost-model aggregates, not lived
-            # through the clock; clocks advance below, after the span.
-            sp.set_sim(outcome.stats.total_s)
-            sp.annotate(strategy=outcome.stats.strategy, rung=rung,
-                        vertices=outcome.stats.vertices_recovered,
-                        recovery_bytes=outcome.stats.recovery_bytes)
-        outcome.stats.detection_s = detection
-        outcome.stats.at_iteration = at_iteration
-        for gid, node in outcome.master_of_updates.items():
-            self.master_node_of[gid] = node
-        self.recoveries.append(outcome.stats)
-        self.metrics.inc("recovery.count")
-        self.metrics.inc(f"recovery.by_strategy.{outcome.stats.strategy}")
-        self.metrics.inc("recovery.failed_nodes", len(failed))
-        self.metrics.inc("recovery.sim_s", outcome.stats.total_s)
-        self.metrics.inc("recovery.bytes", outcome.stats.recovery_bytes)
-        first_choice = ("checkpoint"
-                        if self.job.ft.mode is FTMode.CHECKPOINT
-                        else self.job.ft.recovery.value)
-        if rung != first_choice:
-            self.metrics.inc(f"recovery.fallback.by_rung.{rung}")
-            self.tracer.instant("recovery.fallback", cat="recovery",
-                                rung=rung, first_choice=first_choice)
-        # Recovery time advances every participant's clock.
-        for node in self._alive():
-            self.cluster.clocks.advance(node, outcome.stats.total_s)
-
-    def _recovery_ladder(self, failed: tuple[int, ...]
-                         ) -> tuple[RecoveryOutcome, str]:
-        """Try the recovery rungs in order; return (outcome, rung used).
-
-        REPLICATION-mode ladder (DESIGN.md §9):
-
-        1. the configured strategy — Rebirth only when enough *live*
-           standbys exist (the pre-check keeps a doomed Rebirth from
-           consuming spares and emptying local graphs);
-        2. Migration across the survivors when standbys are exhausted;
-        3. the opt-in safety-net checkpoint when replication itself is
-           exhausted (some vertex lost every copy) or the in-memory
-           rungs failed.
-
-        Only when every applicable rung fails does
-        :class:`UnrecoverableFailureError` propagate, carrying the
-        rungs attempted, the lost-vertex count and the survivors.
-        """
-        from repro.ft import _recovery_common as common
-        from repro.ft.migration import MigrationRecovery
-        from repro.ft.rebirth import RebirthRecovery
-        if self.job.ft.mode is FTMode.CHECKPOINT:
-            return self._checkpoint_recover(failed), "checkpoint"
-        failed_set = set(failed)
-        survivors = [n for n in self._alive() if n not in failed_set]
-        attempted: list[str] = []
-        first_error: UnrecoverableFailureError | None = None
-        lost = common.find_lost_vertices(self, failed_set)
-        if not lost:
-            if self.job.ft.recovery is RecoveryStrategy.REBIRTH:
-                still_crashed = [n for n in failed
-                                 if self.cluster.node(n).is_crashed]
-                spares = self.cluster.live_standby_nodes()
-                if len(spares) >= len(still_crashed):
-                    attempted.append("rebirth")
-                    try:
-                        return (RebirthRecovery(self).recover(failed),
-                                "rebirth")
-                    except NoStandbyNodeError:  # raced the pre-check
-                        attempted[-1] = "rebirth:standby-exhausted"
-                    except UnrecoverableFailureError as err:
-                        first_error = err
-                else:
-                    attempted.append("rebirth:standby-exhausted")
-                    self.tracer.instant(
-                        "recovery.standby_exhausted", cat="recovery",
-                        spares=len(spares), needed=len(still_crashed))
-            if survivors:
-                attempted.append("migration")
-                try:
-                    return (MigrationRecovery(self).recover(failed),
-                            "migration")
-                except UnrecoverableFailureError as err:
-                    first_error = first_error or err
-            else:
-                attempted.append("migration:no-survivors")
-        else:
-            attempted.append("replication:exhausted")
-        if self._safety_ckpt:
-            attempted.append("checkpoint")
-            return self._safety_checkpoint_recover(failed), "checkpoint"
-        lost_count = len(lost) or (first_error.lost_vertices
-                                   if first_error else 0)
-        raise UnrecoverableFailureError(
-            f"no recovery rung could handle the failure of nodes "
-            f"{sorted(failed_set)} (attempted: "
-            f"{', '.join(attempted) or 'none'}; {lost_count} vertices "
-            f"lost every copy)",
-            lost_vertices=lost_count,
-            rungs_attempted=tuple(attempted),
-            surviving_nodes=tuple(survivors))
-
-    def _repair_ft_level(self) -> None:
-        """Post-recovery FT repair (DESIGN.md §9).
-
-        After any successful recovery — whatever the rung — scan the
-        survivors' masters for vertices whose replication level dropped
-        below K+1 and re-create FT replicas/mirrors with the loading-
-        time placement heuristics (Section 4.1), so a second failure a
-        few supersteps later finds full coverage again.  Charged to the
-        cost model and traced as ``recovery.repair``; what repair
-        *cannot* restore (too few survivors) becomes explicit degraded
-        state instead of silent under-protection.
-        """
-        from repro.ft import _recovery_common as common
-        k = self.effective_ft_floor
-        if self.job.ft.mode is not FTMode.REPLICATION or k <= 0:
-            self._update_ft_gauges()
-            return
-        alive = self._alive()
-        with self.tracer.span("recovery.repair", cat="recovery") as sp:
-            deficit: list[int] = []
-            scan_cost: dict[int, int] = defaultdict(int)
-            for node in alive:
-                lg = self.local_graphs[node]
-                for slot in lg.iter_masters():
-                    scan_cost[node] += 1
-                    meta = slot.meta
-                    if (len(meta.mirror_nodes) < k
-                            or len(meta.replica_positions) < k):
-                        deficit.append(slot.gid)
-            created, bytes_sent = 0, 0
-            if deficit:
-                created, bytes_sent = common.restore_ft_level(
-                    self, sorted(deficit), "recovery-repair", k=k)
-            # Cost: parallel per-node master scan, plus replica state
-            # transfer and one coordination round when work was done.
-            scale = self.model.data_scale
-            repair_s = (max(scan_cost.values(), default=0)
-                        * self.model.per_vertex_scan_s * scale)
-            if created:
-                repair_s += (created * self.model.per_vertex_reconstruct_s
-                             * scale / max(1, len(alive))
-                             + self.model.recovery_round_s)
-            sp.set_sim(repair_s)
-            sp.annotate(vertices=len(deficit), replicas_created=created,
-                        repair_bytes=bytes_sent)
-            for node in alive:
-                self.cluster.clocks.advance(node, repair_s)
-        if self.recoveries:
-            stats = self.recoveries[-1]
-            stats.repair_s += repair_s
-            stats.repaired_vertices += len(deficit)
-            stats.repair_replicas_created += created
-            stats.repair_bytes += bytes_sent
-        self.metrics.inc("recovery.repair.sim_s", repair_s)
-        self.metrics.inc("recovery.repair.replicas", created)
-        self.metrics.inc("recovery.repair.bytes", bytes_sent)
-        self._update_ft_gauges()
-
-    def _update_ft_gauges(self) -> None:
-        """Publish the degraded-mode surface (DESIGN.md §9).
-
-        With an adaptive policy the yardstick is the *enforced* floor
-        (``min(target, achieved)``) — degradation is measured against
-        what the control plane currently promises, not the static K.
-        """
-        if self._ft_policy is not None:
-            self.metrics.set_gauge("ft.policy.floor_target",
-                                   self._ft_policy.floor_target)
-            self.metrics.set_gauge("ft.policy.floor_enforced",
-                                   self._ft_policy.floor_enforced)
-            self.metrics.set_gauge("ft.policy.breaker_open",
-                                   self._ft_policy.breaker_open)
-        k = self.enforced_ft_floor
-        if self.job.ft.mode is not FTMode.REPLICATION or k <= 0:
-            self._ft_level_current = 0
-            self._ft_degraded = False
-            # The gauges must track the fields even on this early
-            # return: a metrics snapshot taken after an FT-mode/level
-            # transition (or in a non-replication run) would otherwise
-            # carry whatever was published last — stale exactly when
-            # the degraded-mode surface changes.
-            self.metrics.set_gauge("ft.level_current", 0)
-            self.metrics.set_gauge("ft.degraded", False)
-            return
-        level = k
-        for node in self._alive():
-            for slot in self.local_graphs[node].iter_masters():
-                level = min(level, len(slot.meta.mirror_nodes))
-            if level == 0:
-                break
-        self._ft_level_current = level
-        self._ft_degraded = level < k
-        self.metrics.set_gauge("ft.level_current", level)
-        self.metrics.set_gauge("ft.degraded", self._ft_degraded)
-        if self._ft_degraded:
-            self.tracer.instant("ft.degraded", cat="recovery",
-                                level=level, configured=k)
-
-    def _refresh_broadcast_state(self) -> None:
-        """Re-derive the vertex-cut activity-broadcast queue.
-
-        Recovery may leave masters whose replicas hold stale activity
-        flags; a single post-recovery scan re-queues them (rare path).
-        """
-        if self.is_edge_cut:
-            return
-        self._broadcast_pending = defaultdict(set)
-        for node in self._alive():
-            lg = self.local_graphs[node]
-            for slot in lg.iter_masters():
-                if slot.active != slot.replicas_known_active:
-                    self._broadcast_pending[node].add(slot.gid)
-
-    def _checkpoint_recover(self, failed: tuple[int, ...]
-                            ) -> RecoveryOutcome:
-        """Reload-everything recovery of the CKPT baseline (Section 2.3.2).
-
-        Every node rolls back to the last snapshot; standby nodes take
-        over the crashed logical ids and rebuild their local graph from
-        the (deterministic) metadata snapshot; the engine then replays
-        the lost iterations.
-        """
-        assert self.ckpt is not None
-        # A checkpoint rewind restores committed snapshots everywhere,
-        # including selfish masters a prior ladder pass recomputed.
-        self.selfish_read_fence.clear()
-        for node in failed:
-            self.cluster.replace_node(node)
-        alive = self._alive()
-        if self.program.mutates_edges:
-            # Edge state diverged from the loading-time topology on
-            # every node; rebuild all local graphs to pristine weights
-            # and let the snapshot journal re-apply the updates.
-            rebuild = set(alive)
-        else:
-            rebuild = set(failed)
-        rebuilt_all, _ = build_local_graphs(self.graph, self.partitioning,
-                                            self.plan) \
-            if rebuild else ({}, None)
-        ctx = self._ctx()
-        for node in sorted(rebuild):
-            fresh = rebuilt_all[node]
-            for slot in fresh.iter_slots():
-                slot.value = self.program.initial_value(slot.gid, ctx)
-                fresh.set_active(
-                    slot, self.program.is_initially_active(slot.gid))
-            self.local_graphs[node] = fresh
-            self.cluster.node(node).local = fresh
-        self._edge_journal = defaultdict(list)
-        stats = self.ckpt.recover(self.local_graphs, self.program, alive,
-                                  self.initial_value_of)
-        reconstruct_s = self._full_resync(alive)
-        self.tracer.record("checkpoint.reconstruct", reconstruct_s,
-                           cat="recovery")
-        lost = self.iteration - stats.resume_iteration
-        self.iteration = stats.resume_iteration
-        recovery = RecoveryStats(
-            strategy="checkpoint",
-            failed_nodes=failed,
-            newbie_nodes=failed,
-            reload_s=stats.reload_s,
-            reconstruct_s=reconstruct_s,
-            replay_s=0.0,  # replay happens as re-executed iterations
-            vertices_recovered=stats.vertices_restored,
-            recovery_bytes=stats.bytes_read,
-            replayed_iterations=max(0, lost),
-        )
-        return RecoveryOutcome(stats=recovery, joined_nodes=failed)
-
-    def _safety_checkpoint_recover(self, failed: tuple[int, ...]
-                                   ) -> RecoveryOutcome:
-        """Checkpoint rung of the fallback ladder (DESIGN.md §9).
-
-        Reached when replication is exhausted (some vertex lost every
-        copy) or the in-memory rungs failed; rebuilds the *whole*
-        cluster state from the latest safety snapshot.  Earlier
-        recoveries may have migrated masters anywhere, so every local
-        graph is rebuilt pristine from the deterministic loading inputs
-        and the globally-merged snapshot is applied on top.  With no
-        snapshot written yet the run restarts from iteration 0.
-        """
-        assert self.ckpt is not None
-        # The rewind restores committed snapshots everywhere, including
-        # selfish masters a prior ladder pass recomputed.
-        self.selfish_read_fence.clear()
-        # Re-provision each still-crashed id: a live spare if one
-        # exists, else a rebooted machine — snapshot recovery needs no
-        # surviving memory, so a fresh node can always take the slot.
-        for node in failed:
-            if not self.cluster.node(node).is_crashed:
-                continue  # replaced by a partially-run earlier rung
-            if self.cluster.live_standby_nodes():
-                self.cluster.replace_node(node)
-            else:
-                self.cluster.restart_node(node)
-        alive = self._alive()
-        rebuilt_all, _ = build_local_graphs(self.graph, self.partitioning,
-                                            self.plan)
-        for node in sorted(rebuilt_all):
-            self.local_graphs[node] = rebuilt_all[node]
-            self.cluster.node(node).local = rebuilt_all[node]
-        self.master_node_of = [int(n) for n in self.plan.master_of]
-        self._init_values()
-        self._edge_journal = defaultdict(list)
-        stats = self.ckpt.recover_safety(self.local_graphs, self.program,
-                                         alive, self.initial_value_of)
-        reconstruct_s = self._full_resync(alive)
-        self.tracer.record("checkpoint.reconstruct", reconstruct_s,
-                           cat="recovery")
-        if self.edge_ckpt is not None:
-            self._rewrite_edge_ckpt_files()
-        lost = self.iteration - stats.resume_iteration
-        self.iteration = stats.resume_iteration
-        recovery = RecoveryStats(
-            strategy="safety-checkpoint",
-            failed_nodes=failed,
-            newbie_nodes=failed,
-            reload_s=stats.reload_s,
-            reconstruct_s=reconstruct_s,
-            replay_s=0.0,  # replay happens as re-executed iterations
-            vertices_recovered=stats.vertices_restored,
-            recovery_bytes=stats.bytes_read,
-            replayed_iterations=max(0, lost),
-        )
-        return RecoveryOutcome(stats=recovery, joined_nodes=failed)
-
-    def _rewrite_edge_ckpt_files(self) -> None:
-        """Re-derive the vertex-cut edge files after a global restore.
-
-        The pristine rebuild invalidated every existing file: stray
-        receivers and update records appended by recoveries after the
-        snapshot would otherwise duplicate edges in a later Migration.
-        """
-        assert self.edge_ckpt is not None
-        for node in range(self.cluster.num_workers):
-            self.edge_ckpt.clear_node(node)
-        self._write_edge_ckpt_files()
-
-    def _full_resync(self, alive: list[int]) -> float:
-        """Masters re-push full state to every replica (reconstruction).
-
-        Returns the simulated communication time (max over nodes).
-        """
-        net = self.cluster.network
-        net.begin_step()
-        for node in alive:
-            lg = self.local_graphs[node]
-            outbox: dict = {}
-            for slot in lg.iter_masters():
-                value_nbytes = self.program.value_nbytes(slot.value)
-                for replica_node, _is_mirror in slot.meta.sync_targets():
-                    if not self.cluster.node(replica_node).is_alive:
-                        continue
-                    key = (replica_node, MessageKind.RECOVERY)
-                    batch = outbox.get(key)
-                    if batch is None:
-                        batch = outbox[key] = SyncBatch(full_state=True)
-                    batch.append(slot.gid, slot.value, value_nbytes,
-                                 slot.last_activates, slot.active)
-            self._flush_batches(node, outbox)
-        slowest = 0.0
-        for node in alive:
-            slowest = max(slowest, pairwise_comm_time(
-                self.model, net.step_bytes, net.step_msgs, node))
-            lg = self.local_graphs[node]
-            for msg in net.deliver(node):
-                batch = msg.payload
-                for i, gid in enumerate(batch.gids):
-                    slot = lg.slot_of(gid)
-                    slot.value = batch.values[i]
-                    slot.last_activates = batch.activates(i)
-                    lg.set_active(slot, batch.self_active(i))
-                    if slot.is_mirror:
-                        slot.mirror_self_active = batch.self_active(i)
-        for node in alive:
-            for slot in self.local_graphs[node].iter_masters():
-                slot.replicas_known_active = slot.active
-        return slowest
 
     # ------------------------------------------------------------------
     # results
@@ -1732,8 +1189,8 @@ class Engine:
             combine_ratio=(net.combine_pre / net.combine_phys
                            if net.combine_phys else 1.0),
             halted_early=self._halted,
-            ft_level_current=self._ft_level_current,
-            ft_degraded=self._ft_degraded,
+            ft_level_current=self.metrics.gauge("ft.level_current"),
+            ft_degraded=self.metrics.gauge("ft.degraded"),
             fallbacks={
                 key[len("recovery.fallback.by_rung."):]: int(value)
                 for key, value in self.metrics.counters(

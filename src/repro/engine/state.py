@@ -58,6 +58,12 @@ class MasterMeta:
         default=None, init=False, repr=False, compare=False)
 
     @property
+    def ft_level(self) -> int:
+        """Failures this vertex survives: full-state mirrors, bounded
+        by the copies that exist at all (the K of DESIGN.md §9)."""
+        return min(len(self.mirror_nodes), len(self.replica_positions))
+
+    @property
     def mirror_set(self) -> frozenset[int]:
         """Cached ``frozenset(mirror_nodes)`` for O(1) membership."""
         if self._mirror_set is None:

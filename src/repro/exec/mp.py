@@ -38,11 +38,11 @@ anywhere up to the finalize round leaves every survivor's *committed*
 state at the last barrier.  Recovery is not re-implemented here: the
 coordinator pulls that committed state (``fullstate``: one list per
 field) into the parent image, marks the dead ranks crashed on the
-parent's ``Cluster`` and calls the engine's own ``Engine._recover`` —
-election, the Rebirth -> Migration ladder, FT repair, broadcast
-refresh, selfish read fence — then re-forks one worker per live rank
-from the recovered image and redoes the interrupted iteration (at most
-``max_iteration_retries`` redos each).
+parent's ``Cluster`` and calls :func:`repro.ft.ladder.recover`, as
+``Engine.run`` does — election, the Rebirth -> Migration ladder, FT
+repair, broadcast refresh, selfish read fence — then re-forks one
+worker per live rank from the recovered image and redoes the
+interrupted iteration (at most ``max_iteration_retries`` redos each).
 Survivors' staged state dies with their processes.  Only a death
 inside the finalize round itself is a hard error (some workers may
 already have committed).
@@ -89,6 +89,7 @@ from repro.exec.serialize import (TAG_GATHER, TAG_RAW_GATHER, decode_batch,
                                   encoded_logical_records,
                                   encoded_precombine_records,
                                   encoded_records)
+from repro.ft import ladder
 from repro.serve.router import MISS, ReplicaRouter
 from repro.serve.server import ReadResponse, ServeStats, WorkloadCursor
 from repro.serve.view import CommittedView
@@ -753,8 +754,8 @@ class MultiprocessingBackend(ExecutionBackend):
             except _WorkerDeath as more:
                 dead = more.ranks
         engine.iteration = resume_iteration
-        engine._recover(
-            tuple(sorted(engine.cluster.detector.newly_failed())))
+        ladder.recover(
+            engine, tuple(sorted(engine.cluster.detector.newly_failed())))
         self._restart_workers()
 
     # -- the run loop ----------------------------------------------------

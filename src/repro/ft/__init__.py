@@ -7,7 +7,7 @@ from repro.ft.checkpoint import CheckpointManager, CheckpointRecoveryStats
 from repro.ft.edge_ckpt import EdgeCkptStore
 from repro.ft.rebirth import RebirthRecovery
 from repro.ft.migration import MigrationRecovery
-from repro.ft.recovery import RecoveryStats, RecoveryOutcome
+from repro.ft.recovery import RecoveryStats
 from repro.ft.young import optimal_interval, efficiency
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "RebirthRecovery",
     "MigrationRecovery",
     "RecoveryStats",
-    "RecoveryOutcome",
     "optimal_interval",
     "efficiency",
 ]

@@ -320,25 +320,123 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
     return edges
 
 
-def find_lost_vertices(engine: "Engine", failed: set[int]) -> list[int]:
+def find_lost_vertices(engine: "Engine", failed: set[int],
+                       covered: set[int] | None = None) -> list[int]:
     """Gids of dead masters no surviving mirror can recover.
 
     A cheap survivor-side scan (no mutation), run *before* any rung of
     the fallback ladder mutates cluster state: only mirrors hold the
     master's full state (plain FT replicas carry neither metadata nor
-    edge backups), so a master is in-memory recoverable iff at least
-    one of its mirrors survives.  Anything else needs the checkpoint
-    rung — or is genuinely unrecoverable.
+    edge backups), so a master is in-memory recoverable iff one of its
+    mirrors survives to lead its recovery (:func:`surviving_recoverer`,
+    the test Rebirth's and Migration's reload scans apply — a rung
+    passes what its scan found as ``covered``).  Anything else needs
+    the checkpoint rung — or is genuinely unrecoverable.
     """
-    covered: set[int] = set()
-    for node in engine._alive():
-        if node in failed:
-            continue
-        for slot in engine.local_graphs[node].iter_slots():
-            if slot.is_mirror and slot.master_node in failed:
-                covered.add(slot.gid)
+    if covered is None:
+        covered = set()
+        for node in engine._alive():
+            if node in failed:
+                continue
+            for slot in engine.local_graphs[node].iter_mirrors():
+                if (slot.master_node in failed and
+                        surviving_recoverer(slot.meta, failed) == node):
+                    covered.add(slot.gid)
     return [gid for gid, node in enumerate(engine.master_node_of)
             if node in failed and gid not in covered]
+
+
+def check_recoverable(engine: "Engine", failed: set[int], rung: str,
+                      covered: set[int]) -> None:
+    """Raise unless ``covered`` — the dead masters a rung's reload scan
+    found a leading mirror for — is all of them: the in-memory rungs'
+    own guard, so one called directly reports what the ladder would."""
+    lost = find_lost_vertices(engine, failed, covered)
+    if lost:
+        raise UnrecoverableFailureError(
+            f"{len(lost)} vertices lost every copy "
+            f"(e.g. vertex {lost[0]}); ft_level "
+            f"{engine.job.ft.ft_level} cannot cover nodes "
+            f"{sorted(failed)}", lost_vertices=len(lost),
+            rungs_attempted=(rung,),
+            surviving_nodes=tuple(
+                n for n in engine._alive() if n not in failed))
+
+
+def create_replica(engine: "Engine", gid: int,
+                   node: int) -> tuple[int, int]:
+    """Create a plain replica of ``gid`` on ``node`` from its master.
+
+    Used when migrated edges, or a moved master's in-edges, land on a
+    node with no local copy of an endpoint ("some new replicas are
+    necessary to retain local access semantics", Section 5.2.1): state
+    fetched from the master, registered in the master's (and every
+    mirror's) metadata, counted as recovery traffic.  Returns
+    ``(position, bytes)``.
+    """
+    master_node = engine.master_node_of[gid]
+    master_lg = engine.local_graphs[master_node]
+    master_slot = master_lg.slot_of(gid)
+    lg = engine.local_graphs[node]
+    position = len(lg.slots)
+    # ``node`` holds no copy, so it is not among the mirrors and the
+    # master's snapshot for it is already a plain replica's.
+    rv = snapshot_replica_state(master_lg, master_slot, node,
+                                position, edge_cut=False)
+    place_recovered_vertex(lg, rv, last_committed_iteration(engine))
+    master_slot.meta.replica_positions[node] = position
+    master_slot.meta.invalidate_replica_cache()
+    nbytes = rv.nbytes(engine.program.value_nbytes(rv.value))
+    engine.cluster.network.send(
+        Message(MessageKind.RECOVERY, master_node, node,
+                ("replica-state", gid), nbytes))
+    # Keep mirrors' metadata copies fresh.
+    for mirror_node in master_slot.meta.mirror_nodes:
+        mirror = engine.local_graphs[mirror_node].slot_of(gid)
+        if mirror.meta is not None:
+            mirror.meta.replica_positions[node] = position
+            mirror.meta.invalidate_replica_cache()
+    return position, nbytes
+
+
+def masters_below(engine: "Engine", alive: list[int],
+                  k: int) -> tuple[list[int], int]:
+    """Scan the live nodes' masters for FT levels below ``k``.
+
+    Returns the sorted gids in deficit and the largest per-node master
+    count (the nodes scan in parallel, so that bounds the scan's cost).
+    """
+    deficit: list[int] = []
+    widest = 0
+    for node in alive:
+        scanned = 0
+        for slot in engine.local_graphs[node].iter_masters():
+            scanned += 1
+            if slot.meta.ft_level < k:
+                deficit.append(slot.gid)
+        widest = max(widest, scanned)
+    return sorted(deficit), widest
+
+
+def min_ft_level(engine: "Engine", cap: int) -> int:
+    """The lowest FT level any live master has, capped at ``cap``."""
+    level = cap
+    for node in engine._alive():
+        for slot in engine.local_graphs[node].iter_masters():
+            level = min(level, slot.meta.ft_level)
+        if level <= 0:
+            break
+    return level
+
+
+def repair_transfer_s(engine: "Engine", created: int,
+                      num_alive: int) -> float:
+    """Simulated cost of a repair round that created ``created`` copies:
+    replica state transfer spread over the live nodes, plus one
+    coordination round."""
+    model = engine.model
+    return (created * model.per_vertex_reconstruct_s * model.data_scale
+            / max(1, num_alive) + model.recovery_round_s)
 
 
 def restore_ft_level(engine: "Engine", gids: list[int],
@@ -426,15 +524,7 @@ def restore_ft_level(engine: "Engine", gids: list[int],
             node = pool.pop(0)
             meta.mirror_nodes.append(node)
             mirror_slot = engine.local_graphs[node].slot_of(gid)
-            mirror_slot.role = Role.MIRROR
-            mirror_slot.mirror_id = meta.mirror_nodes.index(node)
             mirror_slot.mirror_self_active = master_slot.mirror_self_active
-            mirror_slot.meta = MasterMeta(
-                replica_positions=dict(meta.replica_positions),
-                mirror_nodes=list(meta.mirror_nodes),
-                master_node=meta.master_node,
-                master_position=meta.master_position,
-            )
             if engine.is_edge_cut:
                 mirror_slot.full_edges = [
                     (master_lg.slots[pos].gid, pos, weight)
@@ -442,7 +532,8 @@ def restore_ft_level(engine: "Engine", gids: list[int],
                 bytes_sent += len(mirror_slot.full_edges) * 24
             bytes_sent += 64
         meta.invalidate_replica_cache()
-        # Mirrors hold stale metadata copies after changes: refresh.
+        # Every mirror, new or surviving, gets its seat and the final
+        # metadata copy (survivors hold stale ones after the changes).
         for node in meta.mirror_nodes:
             mslot = engine.local_graphs[node].slot_of(gid)
             mslot.role = Role.MIRROR

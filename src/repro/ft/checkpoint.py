@@ -15,21 +15,32 @@ A synchronous distributed checkpoint executed inside the global barrier:
 Recovery follows the paper's three steps: every node (the replacement
 included) **reloads** snapshots from the DFS, **reconstructs** replica
 state by a full master-to-replica resynchronisation, and the engine
-then **replays** the lost iterations.
+then **replays** the lost iterations (:class:`CheckpointRecovery`, the
+rung of CKPT mode and of the REPLICATION-mode safety net alike).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.cluster.network import MessageKind
 from repro.cluster.storage import PersistentStore
-from repro.costmodel import CostModel, storage_read_time, storage_write_time
+from repro.costmodel import (CostModel, pairwise_comm_time,
+                             storage_read_time, storage_write_time)
+# The module, not the name: this file is first imported while
+# ``construction`` itself is still importing (via ``repro.ft``).
+from repro.engine import construction
 from repro.engine.local_graph import LocalGraph
+from repro.engine.messages import SyncBatch
 from repro.engine.vertex_program import VertexProgram
 from repro.errors import CheckpointError
+from repro.ft.recovery import RecoveryStats
 from repro.obs import NULL_TRACER, Tracer
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.engine import Engine
 
 
 @dataclass
@@ -45,10 +56,9 @@ class CheckpointStats:
 
 @dataclass
 class CheckpointRecoveryStats:
-    """Reload/reconstruct accounting for one checkpoint recovery."""
+    """Reload accounting for one checkpoint recovery."""
 
     reload_s: float = 0.0
-    reconstruct_s: float = 0.0
     bytes_read: int = 0
     vertices_restored: int = 0
     #: Iteration the engine must resume from (last snapshot).
@@ -369,3 +379,147 @@ class CheckpointManager:
                            vertices=stats.vertices_restored,
                            resume_iteration=stats.resume_iteration)
         return stats
+
+
+class CheckpointRecovery:
+    """The checkpoint rung: rewind every node to the last snapshot, of
+    either kind a job can keep.
+
+    * **CKPT mode** — reload-everything recovery of the CKPT baseline
+      (Section 2.3.2).  Every node rolls back to the last snapshot;
+      standby nodes take over the crashed logical ids and rebuild
+      their local graph from the (deterministic) metadata snapshot;
+      the engine then replays the lost iterations.
+    * **Safety net** — the checkpoint rung of the fallback ladder
+      (DESIGN.md §9).  Reached when replication is exhausted (some
+      vertex lost every copy) or the in-memory rungs failed; rebuilds
+      the *whole* cluster state from the latest safety snapshot.
+      Earlier recoveries may have migrated masters anywhere, so every
+      local graph is rebuilt pristine from the deterministic loading
+      inputs and the globally-merged snapshot is applied on top.  With
+      no snapshot written yet the run restarts from iteration 0.
+    """
+
+    #: This rung's label in ``rungs_attempted`` and the trace.
+    rung = "checkpoint"
+
+    def __init__(self, engine: "Engine"):
+        self.engine = engine
+
+    def recover(self, failed: tuple[int, ...]) -> RecoveryStats:
+        engine = self.engine
+        # Precondition: the job keeps snapshots; all else is in storage.
+        assert engine.ckpt is not None
+        safety = engine._safety_ckpt
+        cluster = engine.cluster
+        # A checkpoint rewind restores committed snapshots everywhere,
+        # including selfish masters a prior ladder pass recomputed.
+        engine.selfish_read_fence.clear()
+        for node in failed:
+            if not safety:
+                cluster.replace_node(node)
+            elif cluster.node(node).is_crashed:
+                # Re-provision each still-crashed id (a partially-run
+                # earlier rung may have replaced some): a live spare if
+                # one exists, else a rebooted machine — snapshot
+                # recovery needs no surviving memory, so a fresh node
+                # can always take the slot.
+                if cluster.live_standby_nodes():
+                    cluster.replace_node(node)
+                else:
+                    cluster.restart_node(node)
+        alive = engine._alive()
+        rebuilt_all, _ = construction.build_local_graphs(
+            engine.graph, engine.partitioning, engine.plan)
+        if safety:
+            rebuild = sorted(rebuilt_all)
+        elif engine.program.mutates_edges:
+            # Edge state diverged from the loading-time topology on
+            # every node; rebuild all local graphs to pristine weights
+            # and let the snapshot journal re-apply the updates.
+            rebuild = sorted(alive)
+        else:
+            rebuild = sorted(failed)
+        for node in rebuild:
+            engine.local_graphs[node] = rebuilt_all[node]
+            cluster.node(node).local = rebuilt_all[node]
+        # Masters are back at their loading-time homes (in CKPT mode
+        # they never left).  The safety net, having rebuilt every graph,
+        # also restarts from the loading-time values and flags; in CKPT
+        # mode the reader and the resync below overwrite everything a
+        # rebuilt slot holds.
+        engine.master_node_of = [int(n) for n in engine.plan.master_of]
+        if safety:
+            engine._init_values()
+        engine._edge_journal.clear()
+        reload = (engine.ckpt.recover_safety if safety
+                  else engine.ckpt.recover)
+        stats = reload(engine.local_graphs, engine.program, alive,
+                       engine.initial_value_of)
+        reconstruct_s = _full_resync(engine, alive)
+        engine.tracer.record("checkpoint.reconstruct", reconstruct_s,
+                             cat="recovery")
+        if engine.edge_ckpt is not None:
+            # Re-derive the vertex-cut edge files (REPLICATION mode
+            # only, i.e. under the safety net).  The pristine rebuild
+            # invalidated every existing file: stray receivers and
+            # update records appended by recoveries after the snapshot
+            # would otherwise duplicate edges in a later Migration.
+            for node in range(cluster.num_workers):
+                engine.edge_ckpt.clear_node(node)
+            engine._write_edge_ckpt_files()
+        lost = engine.iteration - stats.resume_iteration
+        engine.iteration = stats.resume_iteration
+        return RecoveryStats(
+            strategy="safety-checkpoint" if safety else "checkpoint",
+            failed_nodes=failed,
+            newbie_nodes=failed,
+            reload_s=stats.reload_s,
+            reconstruct_s=reconstruct_s,
+            replay_s=0.0,  # replay happens as re-executed iterations
+            vertices_recovered=stats.vertices_restored,
+            recovery_bytes=stats.bytes_read,
+            replayed_iterations=max(0, lost),
+        )
+
+
+def _full_resync(engine: "Engine", alive: list[int]) -> float:
+    """Masters re-push full state to every replica (reconstruction).
+
+    Returns the simulated communication time (max over nodes).
+    """
+    net = engine.cluster.network
+    net.begin_step()
+    for node in alive:
+        lg = engine.local_graphs[node]
+        outbox: dict = {}
+        for slot in lg.iter_masters():
+            value_nbytes = engine.program.value_nbytes(slot.value)
+            for replica_node, _is_mirror in slot.meta.sync_targets():
+                if not engine.cluster.node(replica_node).is_alive:
+                    continue
+                key = (replica_node, MessageKind.RECOVERY)
+                batch = outbox.get(key)
+                if batch is None:
+                    batch = outbox[key] = SyncBatch(full_state=True)
+                batch.append(slot.gid, slot.value, value_nbytes,
+                             slot.last_activates, slot.active)
+        engine._flush_batches(node, outbox)
+    slowest = 0.0
+    for node in alive:
+        slowest = max(slowest, pairwise_comm_time(
+            engine.model, net.step_bytes, net.step_msgs, node))
+        lg = engine.local_graphs[node]
+        for msg in net.deliver(node):
+            batch = msg.payload
+            for i, gid in enumerate(batch.gids):
+                slot = lg.slot_of(gid)
+                slot.value = batch.values[i]
+                slot.last_activates = batch.activates(i)
+                lg.set_active(slot, batch.self_active(i))
+                if slot.is_mirror:
+                    slot.mirror_self_active = batch.self_active(i)
+    for node in alive:
+        for slot in engine.local_graphs[node].iter_masters():
+            slot.replicas_known_active = slot.active
+    return slowest

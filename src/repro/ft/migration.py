@@ -31,7 +31,7 @@ from repro.engine.state import Role
 from repro.errors import UnrecoverableFailureError
 from repro.ft import _recovery_common as common
 from repro.ft.edge_ckpt import EdgeRecord
-from repro.ft.recovery import RecoveryOutcome, RecoveryStats
+from repro.ft.recovery import RecoveryStats
 from repro.utils.sizing import BYTES_PER_VID
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,20 +41,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MigrationRecovery:
     """Scatter a crashed node's work across the survivors."""
 
+    #: This rung's label in ``rungs_attempted`` and the trace.
+    rung = "migration"
+
     def __init__(self, engine: "Engine"):
         self.engine = engine
 
-    def recover(self, failed: tuple[int, ...]) -> RecoveryOutcome:
+    def recover(self, failed: tuple[int, ...]) -> RecoveryStats:
         engine = self.engine
         model = engine.model
         failed_set = set(failed)
         stats = RecoveryStats(strategy="migration", failed_nodes=failed)
         survivors = [n for n in engine._alive() if n not in failed_set]
+        # Precondition: a survivor to scatter the crashed nodes' work onto.
         if not survivors:
             raise UnrecoverableFailureError(
                 "every worker node crashed",
                 lost_vertices=len(engine.master_node_of),
-                rungs_attempted=("migration",))
+                rungs_attempted=(self.rung,))
 
         # ---------------- Reloading: promotion ----------------
         promotions: list[tuple[int, int]] = []  # (gid, new master node)
@@ -72,9 +76,9 @@ class MigrationRecovery:
                 promotions.append((slot.gid, node))
                 if slot.selfish and selfish_opt:
                     selfish_promoted.append(slot.gid)
-        self._check_recoverable(failed_set, promotions)
+        promoted = {gid for gid, _ in promotions}
+        common.check_recoverable(engine, failed_set, self.rung, promoted)
 
-        promoted_by_gid = dict(promotions)
         for gid, node in promotions:
             self._promote(gid, node, failed_set)
             engine.master_node_of[gid] = node
@@ -106,11 +110,10 @@ class MigrationRecovery:
         dfs_time = 0.0
         edges_relinked = 0
         if engine.is_edge_cut:
-            edges_relinked = self._relink_promoted_edge_cut(
-                promotions, failed_set)
+            edges_relinked = self._relink_promoted_edge_cut(promotions)
         else:
             dfs_time, edges_relinked = self._reload_vertex_cut_edges(
-                failed, survivors, promoted_by_gid)
+                failed, survivors)
         stats.edges_recovered = edges_relinked
 
         # Location updates: every promoted master informs its surviving
@@ -154,9 +157,8 @@ class MigrationRecovery:
         ) * scale / max(1, len(survivors))
 
         # ---------------- Replay ----------------
-        target_gids = set(promoted_by_gid)
         replay_ops = common.replay_activations(engine, survivors,
-                                               target_gids)
+                                               promoted)
         replay_edges = common.recompute_selfish_masters(
             engine, sorted(selfish_promoted))
         stats.replay_s = ((replay_ops * model.per_vertex_reconstruct_s
@@ -170,31 +172,11 @@ class MigrationRecovery:
                       cat="recovery", edges=edges_relinked)
         tracer.record("migration.replay", stats.replay_s, cat="recovery",
                       replay_ops=replay_ops)
-        return RecoveryOutcome(
-            stats=stats,
-            master_of_updates={gid: node for gid, node in promotions})
+        return stats
 
     # ------------------------------------------------------------------
     # promotion
     # ------------------------------------------------------------------
-
-    def _check_recoverable(self, failed_set: set[int],
-                           promotions: list[tuple[int, int]]) -> None:
-        engine = self.engine
-        promoted = {gid for gid, _ in promotions}
-        lost = []
-        for gid, node in enumerate(engine.master_node_of):
-            if node in failed_set and gid not in promoted:
-                lost.append(gid)
-        if lost:
-            raise UnrecoverableFailureError(
-                f"{len(lost)} vertices lost every copy "
-                f"(e.g. vertex {lost[0]}); ft_level "
-                f"{engine.job.ft.ft_level} cannot cover nodes "
-                f"{sorted(failed_set)}", lost_vertices=len(lost),
-                rungs_attempted=("migration",),
-                surviving_nodes=tuple(
-                    n for n in engine._alive() if n not in failed_set))
 
     def _promote(self, gid: int, node: int, failed_set: set[int]) -> None:
         """Turn a surviving mirror into the vertex's master."""
@@ -216,7 +198,6 @@ class MigrationRecovery:
         # Rewrite the metadata for the new location.
         new_positions = {n: p for n, p in meta.replica_positions.items()
                          if n not in failed_set and n != node}
-        old_master = meta.master_node
         meta.replica_positions = new_positions
         meta.mirror_nodes = [n for n in meta.mirror_nodes
                              if n not in failed_set and n != node]
@@ -224,15 +205,13 @@ class MigrationRecovery:
         meta.master_node = node
         meta.master_position = position
         slot.master_node = node
-        if old_master in failed_set:
-            pass  # the old master's slot died with its node
 
     # ------------------------------------------------------------------
     # edge recovery
     # ------------------------------------------------------------------
 
-    def _relink_promoted_edge_cut(self, promotions: list[tuple[int, int]],
-                                  failed_set: set[int]) -> int:
+    def _relink_promoted_edge_cut(self, promotions: list[tuple[int, int]]
+                                  ) -> int:
         """Rebuild promoted masters' local in-edges from full state.
 
         Sources without a local copy get new replicas whose state is
@@ -252,7 +231,7 @@ class MigrationRecovery:
                 if src_gid in lg.index_of:
                     src_pos = lg.index_of[src_gid]
                 else:
-                    src_pos = self._create_replica(src_gid, node)
+                    src_pos, _ = common.create_replica(engine, src_gid, node)
                 lg.slots[src_pos].out_edges.append(position)
                 slot.in_edges.append((src_pos, weight))
                 linked += 1
@@ -261,45 +240,8 @@ class MigrationRecovery:
                                for p, w in slot.in_edges]
         return linked
 
-    def _create_replica(self, gid: int, node: int) -> int:
-        """Create a replica of ``gid`` on ``node``, fetched from its master.
-
-        Used when migrated edges land on a node with no local copy of
-        an endpoint ("some new replicas are necessary to retain local
-        access semantics", Section 5.2.1).
-        """
-        engine = self.engine
-        master_node = engine.master_node_of[gid]
-        master_lg = engine.local_graphs[master_node]
-        master_slot = master_lg.slot_of(gid)
-        lg = engine.local_graphs[node]
-        position = len(lg.slots)
-        rv = common.snapshot_replica_state(master_lg, master_slot, node,
-                                           position, edge_cut=False)
-        rv.full_edges = None
-        rv.role = Role.REPLICA.value
-        rv.mirror_id = -1
-        rv.replica_positions = None
-        rv.mirror_nodes = None
-        common.place_recovered_vertex(
-            lg, rv, common.last_committed_iteration(engine))
-        master_slot.meta.replica_positions[node] = position
-        master_slot.meta.invalidate_replica_cache()
-        net = engine.cluster.network
-        nbytes = rv.nbytes(engine.program.value_nbytes(rv.value))
-        net.send(Message(MessageKind.RECOVERY, master_node, node,
-                         ("replica-state", gid), nbytes))
-        # Keep mirrors' metadata copies fresh.
-        for mirror_node in master_slot.meta.mirror_nodes:
-            mirror = engine.local_graphs[mirror_node].slot_of(gid)
-            if mirror.meta is not None:
-                mirror.meta.replica_positions[node] = position
-                mirror.meta.invalidate_replica_cache()
-        return position
-
     def _reload_vertex_cut_edges(self, failed: tuple[int, ...],
-                                 survivors: list[int],
-                                 promoted_by_gid: dict[int, int]
+                                 survivors: list[int]
                                  ) -> tuple[float, int]:
         """Each survivor reloads its pre-assigned edge-ckpt files.
 
@@ -339,15 +281,14 @@ class MigrationRecovery:
                        if (r.src, r.dst) not in applied]
             applied.update((r.src, r.dst) for r in records)
             if records:
-                linked += self._apply_edge_records(absorber, records,
-                                                   allow_fetch=True)
+                linked += self._apply_edge_records(absorber, records)
             nbytes, reads = io_cost[absorber]
             dfs_time = max(dfs_time, storage_read_time(
                 model, nbytes, max(1, reads), in_memory=False))
         return dfs_time, linked
 
-    def _apply_edge_records(self, node: int, records: list[EdgeRecord],
-                            allow_fetch: bool = True) -> int:
+    def _apply_edge_records(self, node: int,
+                            records: list[EdgeRecord]) -> int:
         """Attach reloaded edges to local slots, creating missing copies."""
         engine = self.engine
         lg = engine.local_graphs[node]
@@ -355,15 +296,12 @@ class MigrationRecovery:
         for record in records:
             if record.dst in lg.index_of:
                 dst_pos = lg.index_of[record.dst]
-            elif allow_fetch:
-                dst_pos = self._create_replica(record.dst, node)
             else:
-                raise UnrecoverableFailureError(
-                    f"edge target {record.dst} missing on node {node}")
+                dst_pos, _ = common.create_replica(engine, record.dst, node)
             if record.src in lg.index_of:
                 src_pos = lg.index_of[record.src]
             else:
-                src_pos = self._create_replica(record.src, node)
+                src_pos, _ = common.create_replica(engine, record.src, node)
             lg.slots[dst_pos].in_edges.append((src_pos, record.weight))
             lg.slots[src_pos].out_edges.append(dst_pos)
             linked += 1

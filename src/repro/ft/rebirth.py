@@ -29,9 +29,9 @@ from repro.cluster.network import Message, MessageKind
 from repro.costmodel import storage_read_time
 from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import RecoveryBatch
-from repro.errors import UnrecoverableFailureError
+from repro.errors import NoStandbyNodeError, UnrecoverableFailureError
 from repro.ft import _recovery_common as common
-from repro.ft.recovery import RecoveryOutcome, RecoveryStats
+from repro.ft.recovery import RecoveryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
@@ -40,13 +40,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class RebirthRecovery:
     """Recover crashed nodes onto standby machines."""
 
+    #: This rung's label in ``rungs_attempted`` and the trace.
+    rung = "rebirth"
+
     def __init__(self, engine: "Engine"):
         self.engine = engine
 
-    def recover(self, failed: tuple[int, ...]) -> RecoveryOutcome:
+    def recover(self, failed: tuple[int, ...]) -> RecoveryStats:
         engine = self.engine
         model = engine.model
         failed_set = set(failed)
+        # Precondition: a *live* standby per crashed node, checked up
+        # front — a doomed Rebirth must not consume spares and empty
+        # local graphs on its way to failing.
+        spares = engine.cluster.live_standby_nodes()
+        if len(spares) < len(failed):
+            engine.tracer.instant(
+                "recovery.standby_exhausted", cat="recovery",
+                spares=len(spares), needed=len(failed))
+            raise NoStandbyNodeError(
+                f"Rebirth of nodes {list(failed)} needs as many live "
+                f"standbys, {len(spares)} available")
         stats = RecoveryStats(strategy="rebirth", failed_nodes=failed,
                               newbie_nodes=failed)
 
@@ -109,7 +123,8 @@ class RebirthRecovery:
 
         # Detect unrecoverable vertices: masters on crashed nodes whose
         # mirrors all crashed too.
-        self._check_recoverable(failed_set, recovered_masters)
+        common.check_recoverable(engine, failed_set, self.rung,
+                                 set(recovered_masters))
 
         # Ship the batches (counted as RECOVERY traffic).
         net = engine.cluster.network
@@ -175,7 +190,6 @@ class RebirthRecovery:
         if engine.is_edge_cut:
             # Reconstruction happens while messages arrive: fold its
             # cost into reload and report no explicit phase (Fig. 9a).
-            stats.reload_s += 0.0
             stats.reconstruct_s = 0.0
         else:
             stats.reconstruct_s = max(reconstruct_times, default=0.0)
@@ -203,27 +217,9 @@ class RebirthRecovery:
                       cat="recovery", edges=stats.edges_recovered)
         tracer.record("rebirth.replay", stats.replay_s, cat="recovery",
                       replay_ops=replay_ops)
-        return RecoveryOutcome(stats=stats, joined_nodes=failed)
+        return stats
 
     # -- helpers --------------------------------------------------------
-
-    def _check_recoverable(self, failed_set: set[int],
-                           recovered_masters: list[int]) -> None:
-        engine = self.engine
-        recovered = set(recovered_masters)
-        lost = []
-        for gid, node in enumerate(engine.master_node_of):
-            if node in failed_set and gid not in recovered:
-                lost.append(gid)
-        if lost:
-            raise UnrecoverableFailureError(
-                f"{len(lost)} vertices lost every copy "
-                f"(e.g. vertex {lost[0]}); ft_level "
-                f"{engine.job.ft.ft_level} cannot cover nodes "
-                f"{sorted(failed_set)}", lost_vertices=len(lost),
-                rungs_attempted=("rebirth",),
-                surviving_nodes=tuple(
-                    n for n in engine._alive() if n not in failed_set))
 
     def _link_vertex_cut(self, lg: LocalGraph, records) -> int:
         """Rebuild a vertex-cut newbie's topology from edge-ckpt files."""

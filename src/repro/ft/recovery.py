@@ -8,7 +8,7 @@ Figs. 2c and 9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -53,14 +53,3 @@ class RecoveryStats:
     @property
     def total_with_detection_s(self) -> float:
         return self.detection_s + self.total_s
-
-
-@dataclass
-class RecoveryOutcome:
-    """What a recovery handed back to the engine."""
-
-    stats: RecoveryStats
-    #: Updated vertex -> master-node map (Migration moves masters).
-    master_of_updates: dict[int, int] = field(default_factory=dict)
-    #: Node ids that joined the computation (Rebirth newbies).
-    joined_nodes: tuple[int, ...] = ()

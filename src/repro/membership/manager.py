@@ -278,14 +278,11 @@ class MembershipManager:
         alive = engine._alive()
         for node in alive:
             net.deliver(node)
-        scale = model.data_scale
-        reconstruct = (moved * model.per_vertex_reconstruct_s * scale
-                       / max(1, len(alive)))
+        transfer_s = common.repair_transfer_s(engine, moved, len(alive))
         for node in alive:
             engine.cluster.clocks.advance(node, pairwise_comm_time(
                 model, net.step_bytes, net.step_msgs, node))
-            engine.cluster.clocks.advance(
-                node, reconstruct + model.recovery_round_s)
+            engine.cluster.clocks.advance(node, transfer_s)
         engine.cluster.clocks.barrier(model, alive)
 
 

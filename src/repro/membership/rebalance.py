@@ -96,7 +96,7 @@ def move_master(engine: "Engine", gid: int, dst: int) -> int:
         if source_gid in dst_lg.index_of:
             p = dst_lg.index_of[source_gid]
         else:
-            p, nbytes = _create_source_replica(engine, source_gid, dst)
+            p, nbytes = common.create_replica(engine, source_gid, dst)
             bytes_sent += nbytes
         dst_lg.slots[p].out_edges.append(dst_pos)
         new_in.append((p, weight))
@@ -155,42 +155,6 @@ def move_master(engine: "Engine", gid: int, dst: int) -> int:
                          ("new-master", gid, dst), BYTES_PER_VID + 4))
         bytes_sent += BYTES_PER_VID + 4
     return bytes_sent
-
-
-def _create_source_replica(engine: "Engine", gid: int,
-                           node: int) -> tuple[int, int]:
-    """Create a plain replica of ``gid`` on ``node`` from its master.
-
-    Mirrors Migration's replica creation: state fetched from the
-    master, registered in the master's (and every mirror's) metadata,
-    counted as recovery traffic.  Returns ``(position, bytes)``.
-    """
-    master_node = engine.master_node_of[gid]
-    master_lg = engine.local_graphs[master_node]
-    master_slot = master_lg.slot_of(gid)
-    lg = engine.local_graphs[node]
-    position = len(lg.slots)
-    rv = common.snapshot_replica_state(master_lg, master_slot, node,
-                                       position, edge_cut=False)
-    rv.full_edges = None
-    rv.role = Role.REPLICA.value
-    rv.mirror_id = -1
-    rv.replica_positions = None
-    rv.mirror_nodes = None
-    common.place_recovered_vertex(lg, rv,
-                                  common.last_committed_iteration(engine))
-    master_slot.meta.replica_positions[node] = position
-    master_slot.meta.invalidate_replica_cache()
-    nbytes = rv.nbytes(engine.program.value_nbytes(rv.value))
-    engine.cluster.network.send(
-        Message(MessageKind.RECOVERY, master_node, node,
-                ("replica-state", gid), nbytes))
-    for mirror_node in master_slot.meta.mirror_nodes:
-        mirror = engine.local_graphs[mirror_node].slot_of(gid)
-        if mirror.meta is not None:
-            mirror.meta.replica_positions[node] = position
-            mirror.meta.invalidate_replica_cache()
-    return position, nbytes
 
 
 def prune_node_copies(engine: "Engine", node: int) -> list[int]:

@@ -141,3 +141,48 @@ class TestCheckpointRecovery:
         assert stats.reconstruct_s > 0
         assert stats.recovery_bytes > 0
         assert stats.vertices_recovered == graph.num_vertices
+
+
+class TestOneCheckpointRung:
+    """CKPT mode and the REPLICATION-mode safety net rewind through the
+    same :class:`CheckpointRecovery`; only the label, the snapshot
+    reader and what gets rebuilt differ."""
+
+    @pytest.mark.parametrize("kwargs,strategy,replayed", [
+        # Snapshots after iterations 1 and 3; the crash in iteration 3
+        # rewinds to 2 and replays one iteration.
+        (dict(ft_mode="checkpoint", checkpoint_interval=2,
+              failures=[(3, [2])]), "checkpoint", 1),
+        # No snapshot yet: restart from the initial values.
+        (dict(ft_mode="checkpoint", checkpoint_interval=4,
+              failures=[(2, [0])]), "checkpoint", 2),
+        # Three simultaneous failures at ft_level=1 exhaust replication;
+        # safety snapshots after iterations 2 and 5, crash in 4.
+        (dict(ft_level=1, num_standby=0, safety_checkpoint_interval=3,
+              failures=[(4, [0, 1, 2])]), "safety-checkpoint", 1),
+        (dict(ft_level=1, num_standby=3, safety_checkpoint_interval=3,
+              failures=[(1, [0, 1, 2])]), "safety-checkpoint", 1),
+    ])
+    def test_both_modes_rewind_through_it(self, graph, baseline,
+                                          monkeypatch, kwargs, strategy,
+                                          replayed):
+        from repro.ft.checkpoint import CheckpointRecovery
+        entered = []
+        real = CheckpointRecovery.recover
+
+        def spy(self, failed):
+            entered.append(tuple(failed))
+            return real(self, failed)
+
+        monkeypatch.setattr(CheckpointRecovery, "recover", spy)
+        result = run_job(graph, "pagerank", num_nodes=5, max_iterations=6,
+                         **kwargs)
+        assert entered == [tuple(kwargs["failures"][0][1])]
+        (stats,) = result.recoveries
+        assert stats.strategy == strategy
+        assert stats.replayed_iterations == replayed
+        assert stats.newbie_nodes == stats.failed_nodes == entered[0]
+        assert stats.vertices_recovered == graph.num_vertices
+        assert result.num_iterations == 6
+        # Bit-equal to the failure-free run, not merely close.
+        assert result.values == baseline

@@ -21,7 +21,6 @@ class TestClusterConfig:
         cfg = ClusterConfig()
         assert cfg.num_nodes == 50
         assert cfg.cores_per_node == 4
-        assert cfg.ram_bytes == 10 * 1024**3
         assert cfg.heartbeat_interval_s == 0.5
 
     def test_rejects_zero_nodes(self):

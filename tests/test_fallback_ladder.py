@@ -20,6 +20,7 @@ from repro.chaos.schedule import FailureSchedule
 from repro.config import FaultToleranceConfig, FTMode
 from repro.errors import (ConfigError, NoStandbyNodeError,
                           UnrecoverableFailureError)
+from repro.ft import ladder
 from repro.graph import generators
 
 PARTS = ["hash_edge_cut", "random_vertex_cut"]
@@ -109,6 +110,134 @@ class TestFallbackRungs:
         assert err.value.surviving_nodes == (3, 4, 5)
 
 
+def crashed_engine(graph, failed, **kwargs):
+    """An engine at iteration 0 whose ``failed`` nodes just crashed."""
+    engine = make_engine(graph, "pagerank", num_nodes=6, max_iterations=8,
+                         **kwargs)
+    for node in failed:
+        engine.cluster.crash(node)
+    return engine
+
+
+class TestLadderOutcomes:
+    """One case per way :func:`repro.ft.ladder.recover` can end."""
+
+    @pytest.mark.parametrize("failed,kwargs,strategy,rung,instants", [
+        # Enough live standbys: the configured strategy handles it.
+        ((0,), dict(ft_level=1, num_standby=1, recovery="rebirth"),
+         "rebirth", "rebirth", []),
+        # Dry pool: Rebirth raises before consuming anything and
+        # Migration takes over.
+        ((0,), dict(ft_level=1, num_standby=0, recovery="rebirth"),
+         "migration", "migration",
+         ["recovery.standby_exhausted", "recovery.fallback"]),
+        # >K failures: replication is exhausted, both in-memory rungs
+        # are skipped and the safety snapshot recovers.
+        ((0, 1, 2), dict(ft_level=1, num_standby=3, recovery="rebirth",
+                         safety_checkpoint_interval=1),
+         "safety-checkpoint", "checkpoint", ["recovery.fallback"]),
+    ])
+    def test_recovers_on_the_expected_rung(self, graph, failed, kwargs,
+                                           strategy, rung, instants):
+        from repro.obs import Tracer
+        tracer = Tracer()
+        engine = crashed_engine(graph, failed, tracer=tracer, **kwargs)
+        ladder.recover(engine, failed)
+        assert [r.strategy for r in engine.recoveries] == [strategy]
+        (protocol,) = tracer.spans("recovery.protocol")
+        assert protocol["rung"] == rung
+        assert protocol["strategy"] == strategy
+        names = [ev["name"] for ev in tracer.events]
+        assert [n for n in names if n in ("recovery.standby_exhausted",
+                                          "recovery.fallback")] == instants
+        assert not engine.in_recovery
+        assert engine.cluster.detector.newly_failed() == set()
+
+    @pytest.mark.parametrize("failed,kwargs,survivors", [
+        # Nothing left to fall back to: >K failures, no safety net.
+        ((0, 1, 2), dict(ft_level=1, num_standby=3, recovery="rebirth"),
+         (3, 4, 5)),
+        # No survivors at all: every master died with every mirror.
+        ((0, 1, 2, 3, 4, 5), dict(ft_level=2, num_standby=0,
+                                  recovery="migration"), ()),
+    ])
+    def test_exhausted_replication_is_reported_exactly(
+            self, graph, failed, kwargs, survivors):
+        from repro.ft import _recovery_common as common
+        engine = crashed_engine(graph, failed, **kwargs)
+        lost = common.find_lost_vertices(engine, set(failed))
+        with pytest.raises(UnrecoverableFailureError) as err:
+            ladder.recover(engine, failed)
+        assert err.value.rungs_attempted == ("replication:exhausted",)
+        assert err.value.lost_vertices == len(lost) > 0
+        assert err.value.surviving_nodes == survivors
+        if not survivors:
+            assert err.value.lost_vertices == graph.num_vertices
+
+    def test_failing_rungs_are_listed_in_ladder_order(self, graph,
+                                                      monkeypatch):
+        # Rebirth finds the pool dry and Migration fails mid-protocol:
+        # the error names both, in order, and carries the first rung
+        # error's lost-vertex count.
+        from repro.ft.migration import MigrationRecovery
+
+        def doomed(self, failed):
+            raise UnrecoverableFailureError("injected", lost_vertices=7,
+                                            rungs_attempted=("migration",))
+
+        monkeypatch.setattr(MigrationRecovery, "recover", doomed)
+        engine = crashed_engine(graph, (0,), ft_level=1, num_standby=0,
+                                recovery="rebirth")
+        with pytest.raises(UnrecoverableFailureError) as err:
+            ladder.recover(engine, (0,))
+        assert err.value.rungs_attempted == ("rebirth:standby-exhausted",
+                                             "migration")
+        assert err.value.lost_vertices == 7
+        assert err.value.surviving_nodes == (1, 2, 3, 4, 5)
+
+    def test_each_rung_checks_its_own_precondition_first(self, graph):
+        # One spare cannot cover two crashed nodes: Rebirth says so
+        # before it has consumed the spare or emptied a local graph, so
+        # the next rung finds the cluster as the failure left it.
+        from repro.ft.checkpoint import CheckpointRecovery
+        from repro.ft.migration import MigrationRecovery
+        from repro.ft.rebirth import RebirthRecovery
+        assert [r.rung for r in (RebirthRecovery, MigrationRecovery,
+                                 CheckpointRecovery)] == [
+            "rebirth", "migration", "checkpoint"]
+        engine = crashed_engine(graph, (0, 1), ft_level=2, num_standby=1)
+        sizes = {n: len(lg.slots) for n, lg in engine.local_graphs.items()}
+        with pytest.raises(NoStandbyNodeError):
+            RebirthRecovery(engine).recover((0, 1))
+        assert len(engine.cluster.live_standby_nodes()) == 1
+        assert engine.cluster.node(0).is_crashed
+        assert sizes == {n: len(lg.slots)
+                         for n, lg in engine.local_graphs.items()}
+        assert MigrationRecovery(engine).recover((0, 1)).strategy \
+            == "migration"
+
+    @pytest.mark.parametrize("partition", PARTS)
+    def test_direct_calls_report_what_the_ladder_reports(self, graph,
+                                                         partition):
+        # The same double failure at ft_level=1, three ways: one scan
+        # decides what is lost, so the three counts cannot disagree.
+        from repro.ft.migration import MigrationRecovery
+        from repro.ft.rebirth import RebirthRecovery
+        failed = (1, 4)
+        kwargs = dict(ft_level=1, num_standby=2, partition=partition)
+        with pytest.raises(UnrecoverableFailureError) as via_ladder:
+            ladder.recover(crashed_engine(graph, failed, **kwargs), failed)
+        assert via_ladder.value.lost_vertices > 0
+        for recovery in (RebirthRecovery, MigrationRecovery):
+            engine = crashed_engine(graph, failed, **kwargs)
+            with pytest.raises(UnrecoverableFailureError) as direct:
+                recovery(engine).recover(failed)
+            assert direct.value.rungs_attempted == (recovery.rung,)
+            assert direct.value.lost_vertices \
+                == via_ladder.value.lost_vertices
+            assert direct.value.surviving_nodes == (0, 2, 3, 5)
+
+
 class TestPostRecoveryRepair:
     """Recovery restores the data; repair restores the *safety margin*."""
 
@@ -191,7 +320,7 @@ class TestDegradedMode:
         assert result.fallbacks == {}
 
     def test_gauges_published_on_non_replication_early_return(self, graph):
-        # Regression: ``_update_ft_gauges`` used to return before
+        # Regression: ``update_ft_gauges`` used to return before
         # publishing on the non-replication path, so a metrics snapshot
         # of such a run carried no (or stale) ``ft.*`` gauges.
         engine = make_engine(graph, "pagerank", num_nodes=4,
@@ -203,7 +332,7 @@ class TestDegradedMode:
         # early-return path must overwrite, not skip, them.
         engine.metrics.set_gauge("ft.level_current", 2)
         engine.metrics.set_gauge("ft.degraded", True)
-        engine._update_ft_gauges()
+        ladder.update_ft_gauges(engine)
         assert engine.metrics.gauge("ft.level_current") == 0
         assert engine.metrics.gauge("ft.degraded") is False
         engine.run()

@@ -268,6 +268,31 @@ class TestRealKillRecovery:
         else:
             assert mp.values == reference.values
 
+    def test_both_backends_enter_recovery_through_the_ladder(
+            self, graph, monkeypatch):
+        """One public entry: ``Engine.run`` and the mp coordinator both
+        call :func:`repro.ft.ladder.recover`, with no private engine
+        method in between."""
+        from repro.ft import ladder
+        entered = []
+        real = ladder.recover
+
+        def spy(engine, failed):
+            entered.append(tuple(failed))
+            return real(engine, failed)
+
+        monkeypatch.setattr(ladder, "recover", spy)
+        kill = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
+                           max_iterations=6,
+                           failures=((2, (1,), "compute"),))
+        sim = SimulatorBackend().run(graph, kill)
+        assert entered == [(1,)]
+        with MultiprocessingBackend() as backend:
+            mp = backend.run(graph, kill)
+        assert entered == [(1,), (1,)]
+        assert _strategies(mp) == _strategies(sim) == [("rebirth", (1,))]
+        assert mp.values == sim.values
+
     def test_double_kill_with_ft2(self, graph):
         """Two ranks SIGKILLed in one iteration; ft_level=2 still holds
         a copy of everything on the survivors — one recovery event

@@ -95,21 +95,23 @@ class TestTimelineContract:
         gauge publication happen while ``load`` is still open, so a
         trace's top-level spans account for engine construction."""
         from repro.engine.engine import Engine
+        from repro.ft import ladder
 
         tracer = Tracer()
         open_spans = {}
-        for name in ("_init_values", "_update_ft_gauges"):
-            original = getattr(Engine, name)
+        for owner, name in ((Engine, "_init_values"),
+                            (ladder, "update_ft_gauges")):
+            original = getattr(owner, name)
 
-            def spy(self, _name=name, _original=original):
+            def spy(engine, _name=name, _original=original):
                 open_spans.setdefault(
                     _name, [sp.name for sp in tracer._stack])
-                return _original(self)
+                return _original(engine)
 
-            monkeypatch.setattr(Engine, name, spy)
+            monkeypatch.setattr(owner, name, spy)
         make_engine(graph, "pagerank", num_nodes=4, tracer=tracer)
         assert open_spans == {"_init_values": ["load"],
-                              "_update_ft_gauges": ["load"]}
+                              "update_ft_gauges": ["load"]}
         assert tracer.open_depth == 0
 
     def test_spans_never_leak(self, graph):

@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import make_engine, run_job
+from repro.cluster.network import MessageKind
 from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import RecoveredVertex
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import UnrecoverableFailureError
+from repro.ft import _recovery_common as common
 from repro.ft._recovery_common import (
     place_recovered_vertex,
     relink_edge_cut_topology,
     surviving_recoverer,
 )
 from repro.ft.edge_ckpt import EdgeRecord, dedupe_edge_records
+from repro.graph import generators
+from repro.membership.rebalance import move_master
+from repro.utils.sizing import BYTES_PER_MSG_HEADER
 
 
 class TestSurvivingRecoverer:
@@ -101,3 +107,76 @@ class TestRelinkEdgeCut:
         lg.add_slot(VertexSlot(gid=8, role=Role.REPLICA), position=1)
         with pytest.raises(UnrecoverableFailureError):
             relink_edge_cut_topology(lg)
+
+
+class TestCreateReplica:
+    """One plain-replica helper behind Migration's edge reload and
+    ``move_master`` (it used to exist verbatim in both)."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generators.power_law(120, alpha=2.0, seed=5, avg_degree=5.0)
+
+    @staticmethod
+    def recovery_bytes(engine):
+        return engine.cluster.network.totals.bytes_by_kind[
+            MessageKind.RECOVERY]
+
+    def test_registers_in_master_and_every_mirror_copy(self, graph):
+        engine = make_engine(graph, "pagerank", num_nodes=5, ft_level=2,
+                             num_standby=0, max_iterations=4)
+        gid, node = next(
+            (gid, node) for gid in range(graph.num_vertices)
+            for node in range(5)
+            if gid not in engine.local_graphs[node].index_of)
+        master = engine.local_graphs[
+            engine.master_node_of[gid]].slot_of(gid)
+        mirrors = list(master.meta.mirror_nodes)
+        assert len(mirrors) == 2
+        master.meta.sync_targets()  # warm the cache the helper must drop
+        before = self.recovery_bytes(engine)
+        position, nbytes = common.create_replica(engine, gid, node)
+        slot = engine.local_graphs[node].slot_of(gid)
+        assert engine.local_graphs[node].position_of(gid) == position
+        assert slot.role is Role.REPLICA and slot.meta is None
+        assert slot.value == master.value
+        assert slot.master_node == engine.master_node_of[gid]
+        assert master.meta.replica_positions[node] == position
+        assert (node, False) in master.meta.sync_targets()
+        for mirror_node in mirrors:
+            copy = engine.local_graphs[mirror_node].slot_of(gid).meta
+            assert copy.replica_positions[node] == position
+        assert self.recovery_bytes(engine) - before \
+            == nbytes + BYTES_PER_MSG_HEADER
+
+    def test_both_callers_book_their_bytes_through_it(self, graph,
+                                                      monkeypatch):
+        booked = []
+        real = common.create_replica
+
+        def spy(engine, gid, node):
+            before = self.recovery_bytes(engine)
+            position, nbytes = real(engine, gid, node)
+            booked.append((nbytes, self.recovery_bytes(engine) - before))
+            return position, nbytes
+
+        monkeypatch.setattr(common, "create_replica", spy)
+        # Caller 1: Migration reloads a crashed node's vertex-cut edges
+        # onto survivors that lack some endpoints.
+        run_job(graph, "pagerank", num_nodes=5, max_iterations=5,
+                partition="random_vertex_cut", ft_level=1, num_standby=0,
+                recovery="migration", failures=[(2, (0,))])
+        from_migration = len(booked)
+        assert from_migration > 0
+        # Caller 2: a moved master's in-edge sources are missing on the
+        # destination.
+        engine = make_engine(graph, "pagerank", num_nodes=5, ft_level=1,
+                             num_standby=0, max_iterations=4)
+        for gid in range(graph.num_vertices):
+            dst = (engine.master_node_of[gid] + 1) % 5
+            move_master(engine, gid, dst)
+            if len(booked) > from_migration:
+                break
+        assert len(booked) > from_migration
+        assert all(delta == nbytes + BYTES_PER_MSG_HEADER
+                   for nbytes, delta in booked)

@@ -16,3 +16,16 @@ def test_every_bench_artifact_named_in_readme_is_committed():
     assert named, "README.md names no benchmark artifact"
     missing = sorted(name for name in named if not (ROOT / name).is_file())
     assert not missing, f"named in README.md but absent: {missing}"
+
+
+def test_every_python_path_named_in_the_docs_exists():
+    """README, DESIGN and EXPERIMENTS name source, test, benchmark and
+    example files as the place to look; a file that moved or was never
+    written turns the pointer into a dead end."""
+    pattern = re.compile(r"\b(?:src/repro|tests|benchmarks|examples)/[\w/.-]*\.py\b")
+    missing = sorted(
+        f"{doc}: {path}"
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+        for path in set(pattern.findall((ROOT / doc).read_text()))
+        if not (ROOT / path).is_file())
+    assert not missing, f"named in the docs but absent: {missing}"
