@@ -16,7 +16,10 @@ committed superstep (``post_commit``) and after every completed recovery
 * **Active-set consistency** — each node's ``active_masters`` /
   ``active_others`` indexes match the slots' flags, the gid index maps
   to the right slots, and vertex-cut masters whose activity diverged
-  from what replicas believe are queued for re-broadcast.
+  from what replicas believe are queued for re-broadcast;
+* **SoA coherence** — every cached ``NodeTopology`` and every retained
+  executor state's committed columns equal ones built fresh from the
+  slots: a write that skipped its invalidation shows here (DESIGN.md §11).
 
 Violations raise :class:`InvariantViolation` carrying an optional
 context string (the chaos harness puts the reproduction command there).
@@ -26,7 +29,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.config import FTMode
+from repro.engine.soa import NodeTopology
 from repro.errors import FaultToleranceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,6 +74,8 @@ class InvariantChecker:
             self._check_value_agreement(engine, alive, phase)
         if not engine.is_edge_cut and phase == "post_commit":
             self._check_broadcast_queue(engine, alive, phase)
+        # Last: a corrupted slot is reported as what it is above.
+        self._check_soa_coherence(engine, alive, phase)
 
     def _fail(self, phase: str, message: str) -> None:
         suffix = f" [{self.context}]" if self.context else ""
@@ -207,6 +215,36 @@ class InvariantChecker:
                     self._fail(phase, f"vertex {slot.gid}: activity "
                                       f"changed but no re-broadcast is "
                                       f"queued on node {node}")
+
+    def _check_soa_coherence(self, engine: "Engine", alive: list[int],
+                             phase: str) -> None:
+        vec = engine._vec
+        for node in alive:
+            lg = engine.local_graphs[node]
+            cached = lg.cached_topology
+            if cached is None:
+                continue
+            fresh = NodeTopology.build(lg)
+            pairs = [(f"topology field {name!r}", getattr(cached, name),
+                      getattr(fresh, name))
+                     for name in NodeTopology.__slots__]
+            st = vec.valid_state(node) if vec is not None else None
+            if st is not None:
+                vec.flush()
+                slots = vec.proto.new_state(lg)
+                pairs += [(f"committed column {name!r}", getattr(st, name),
+                           getattr(slots, name)) for name in (
+                    "values", "active", "last_activates", "last_update",
+                    "mirror_self_active", "replicas_known_active")]
+            for what, have, want in pairs:
+                # ``sync_plan``: a dict whose key order is send order.
+                same = (list(have) == list(want) and all(
+                    np.array_equal(have[k], want[k]) for k in want)
+                    if isinstance(want, dict)
+                    else np.array_equal(have, want))
+                if not same:
+                    self._fail(phase, f"node {node}: cached {what} "
+                                      f"diverged from the slots")
 
 
 class MembershipInvariant:

@@ -1045,6 +1045,9 @@ class Engine:
             self._flush_batches(node, outbox)
         for target in flapped:
             lg = self.local_graphs[target]
+            # Value-neutral but for selfish masters, whose normal sync
+            # is skipped: the rewrite is a slot write like any other.
+            lg.invalidate_soa()
             for msg in net.deliver(target):
                 batch = msg.payload
                 for i, gid in enumerate(batch.gids):
@@ -1091,9 +1094,9 @@ class Engine:
                        alive: list[int]) -> None:
         """One throttled background-repair round toward ``target``."""
         if self._vec is not None:
-            # Write deferred column commits back and drop the caches:
-            # repair snapshots master slots and adds new copies
-            # underneath them (same contract as MembershipManager.pump).
+            # Write deferred column commits back: repair snapshots
+            # master slots (and invalidates the images of the nodes it
+            # then writes on, mirror-only rounds included).
             self._vec.rollback()
         net = self.cluster.network
         net.begin_step()
@@ -1114,8 +1117,6 @@ class Engine:
                 self.cluster.clocks.advance(node, repair_s)
             post = self.cluster.clocks.barrier(self.model, alive)
             self._last_barrier_clock = post
-            for lg in self.local_graphs.values():
-                lg.invalidate_soa()
         self.metrics.inc("ft.policy.repair_rounds")
         self.metrics.inc("ft.policy.repair_replicas", created)
         self.metrics.inc("ft.policy.repair_bytes", bytes_sent)

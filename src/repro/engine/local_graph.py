@@ -36,10 +36,11 @@ class LocalGraph:
         # the set per node per superstep.
         self._masters_snapshot: tuple[int, ...] | None = None
         self._others_snapshot: tuple[int, ...] | None = None
-        #: Cached structure-of-arrays topology (DESIGN.md §11); built
-        #: lazily by :meth:`topology`, dropped by :meth:`invalidate_soa`
-        #: whenever the slot array or edge lists change shape.
+        #: Cached structure-of-arrays topology (DESIGN.md §11) and FT
+        #: census; built lazily by :meth:`topology` / :meth:`ft_census`,
+        #: dropped together by :meth:`invalidate_soa`.
         self._topology = None
+        self._ft_census = None
 
     # -- construction -----------------------------------------------------
 
@@ -59,7 +60,7 @@ class LocalGraph:
                     f"position {position} on node {self.node_id} occupied")
             self.slots[position] = slot
         self.index_of[slot.gid] = position
-        self._topology = None
+        self.invalidate_soa()
         if slot.active:
             self.set_active(slot, True)
         return position
@@ -93,7 +94,7 @@ class LocalGraph:
         self.active_others.discard(gid)
         self._masters_snapshot = None
         self._others_snapshot = None
-        self._topology = None
+        self.invalidate_soa()
         return slot
 
     def set_active_bulk(self, positions, flags) -> None:
@@ -129,15 +130,31 @@ class LocalGraph:
             self._topology = NodeTopology.build(self)
         return self._topology
 
-    def invalidate_soa(self) -> None:
-        """Drop the SoA topology cache after in-place topology edits.
+    @property
+    def cached_topology(self):
+        """:meth:`topology` without the build, ``None`` when absent:
+        validity checks peek, they never build."""
+        return self._topology
 
-        ``add_slot``/``remove_slot`` invalidate automatically; recovery
-        code that rewrites ``in_edges``/``out_edges``/``meta`` in place
-        (Rebirth relink, Migration re-resolution, FT repair) is covered
-        by the engine's blanket invalidation after every recovery.
+    def ft_census(self) -> tuple[int, dict[int, list[int]]]:
+        """``(masters, ft_level -> master gids)``, cached like the topology:
+        FT repair and the gauges re-scan only the nodes written on."""
+        if self._ft_census is None:
+            by_level: dict[int, list[int]] = {}
+            for slot in self.iter_masters():
+                by_level.setdefault(slot.meta.ft_level, []).append(slot.gid)
+            self._ft_census = (sum(map(len, by_level.values())), by_level)
+        return self._ft_census
+
+    def invalidate_soa(self) -> None:
+        """Drop this node's SoA topology (hence the executor's columns)
+        and FT census.  The write-site rule (DESIGN.md §11): whoever
+        writes a slot, an edge list or a ``MasterMeta`` of this node
+        outside the barrier commit calls this — ``add_slot`` and
+        ``remove_slot`` do themselves — and nobody does it for them.
         """
         self._topology = None
+        self._ft_census = None
 
     def active_masters_snapshot(self) -> tuple[int, ...]:
         """Stable iteration snapshot of ``active_masters``.

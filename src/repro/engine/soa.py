@@ -7,10 +7,10 @@ node's graph as flat numpy arrays: role masks, degrees, the local
 in-/out-edge lists in CSR-style per-edge arrays, and the master->replica
 sync fan-out grouped by destination.  :class:`NodeTopology` is that
 snapshot, built lazily from the slot array and cached on the
-:class:`~repro.engine.local_graph.LocalGraph` until the topology
-mutates (``add_slot``/``remove_slot``, or the blanket invalidation the
-engine issues after any recovery, which may rewrite edge lists and
-replica metadata in place on nodes that saw no local slot churn).
+:class:`~repro.engine.local_graph.LocalGraph` until something writes
+that node outside the barrier commit: ``add_slot``/``remove_slot``, or
+the ``invalidate_soa`` every such writer (a recovery rung, FT repair, a
+membership move) issues for exactly the nodes it wrote on.
 
 Dynamic state (values, activity flags) deliberately does NOT live
 here — the executor caches those columns separately, dual-writes them

@@ -25,14 +25,14 @@ Lifecycle
   first touch of a node and then *carried across supersteps*; only the
   barrier commit writes them, so at each barrier they hold the
   committed state exactly.
-* The executor's cache is keyed by topology identity — any code path
-  that rewrites slots outside the commit also invalidates the SoA
-  topology (recovery's blanket :meth:`LocalGraph.invalidate_soa`,
-  ``add_slot``/``remove_slot``), which makes :meth:`_state` rebuild the
-  columns from the slots.  The one slot mutation *without* a topology
-  change is the vertex-cut phase-0 activity broadcast; its driver
-  re-reads the two affected columns afterwards
-  (:meth:`_NodeState.refresh_activity`).
+* The executor's cache is keyed by topology identity — whoever writes
+  a node's slots, edge lists or metadata outside the commit invalidates
+  *that node's* topology at the write (:meth:`LocalGraph.invalidate_soa`),
+  which makes :meth:`_state` rebuild that node's columns from the
+  slots; every other node keeps its image, through recovery too.  The
+  one slot mutation *without* a topology change is the vertex-cut
+  phase-0 activity broadcast; its driver re-reads the two affected
+  columns afterwards (:meth:`_NodeState.refresh_activity`).
 * Compute and received sync batches stage into pending *arrays*.
 * The barrier commit is split where the multiprocessing backend splits
   it: an abortable stage 1 (activation scatter), the activation intake,
@@ -40,8 +40,8 @@ Lifecycle
   activity via :meth:`~repro.engine.local_graph.LocalGraph.
   set_active_bulk`.  The slot writeback of values and flags is deferred
   (:meth:`VectorizedExecutor.flush`).
-* A rollback drops the cached states entirely; the next superstep
-  re-reads the (last-committed) slots.
+* A rollback flushes and clears the uncommitted staging; the committed
+  columns stay, since only the commit writes them.
 
 Ordering notes: records within one batch are emitted in *position*
 order here versus active-set iteration order in the scalar path.  That
@@ -399,10 +399,12 @@ class ArrayNodeProtocol:
             st.next_active[tgt[m]] = True
             rem = tgt[~m]
             if rem.size:
-                pairs = np.unique(np.stack(
-                    [topo.master_node[rem], topo.gids[rem]], axis=1),
-                    axis=0)
-                dcol, gcol = pairs[:, 0], pairs[:, 1]
+                # Unique sorted (master node, gid) pairs on one int64
+                # key; np.unique(axis=0) on the row pairs is 10x slower.
+                stride = int(topo.gids.max()) + 1
+                dcol, gcol = np.divmod(np.unique(
+                    topo.master_node[rem] * stride + topo.gids[rem]),
+                    stride)
                 for b, e in _runs(dcol):
                     outbox[(int(dcol[b]), MessageKind.ACTIVATE)] = \
                         ActivateBatch(gcol[b:e].tolist())
@@ -478,9 +480,12 @@ class VectorizedExecutor:
             combining=engine._combining)
         #: node -> _NodeState, cached across supersteps; a state is
         #: valid while its topology object is still the graph's cached
-        #: one (recovery / slot churn invalidates the topology, which
-        #: makes :meth:`_state` rebuild the columns from the slots).
+        #: one (a write outside the commit invalidates the written
+        #: node's topology, which makes :meth:`_state` rebuild that
+        #: node's columns from the slots).
         self._states: dict[int, _NodeState] = {}
+        #: States built from the slots; the ``soa.state_builds`` counter.
+        self.state_builds = 0
         #: Whole-column slot writebacks performed (:meth:`flush` calls
         #: that found deferred commits).  The read-path contract is that
         #: point reads never advance this counter.
@@ -489,15 +494,18 @@ class VectorizedExecutor:
     # -- state cache ---------------------------------------------------
 
     def rollback(self) -> None:
-        """Flush committed columns, then discard all cached state.
+        """Flush committed columns, then clear the uncommitted staging.
 
-        Pending (uncommitted) staging lives only in the ``pend_*``
-        arrays and is dropped with the states; the flush writes the
-        *last-committed* values, which is exactly what recovery must
-        see on survivors.
+        The flush writes the *last-committed* values, which is exactly
+        what recovery, repair and membership moves must see in the
+        slots; the committed columns stay — whoever then writes a
+        node's slots invalidates that node's image itself.
         """
         self.flush()
-        self._states = {}
+        for st in self._states.values():
+            st.pend_mask[:] = False
+            st.next_active[:] = False
+            st.partials = []
 
     def flush(self) -> None:
         """Write deferred column commits back into the slots.
@@ -545,17 +553,33 @@ class VectorizedExecutor:
         Returns ``(topo, values)`` for bulk committed reads (top-K) or
         :data:`NO_COLUMN` when no valid cached state exists.
         """
+        st = self.valid_state(node)
+        return NO_COLUMN if st is None else (st.topo, st.values)
+
+    def valid_state(self, node: int) -> _NodeState | None:
+        """The node's cached state if its image is still the graph's,
+        else ``None``.  Peeks: only :meth:`_state` builds."""
         st = self._states.get(node)
-        if st is None or st.topo is not self.engine.local_graphs[node].topology():
-            return NO_COLUMN
-        return st.topo, st.values
+        image = self.engine.local_graphs[node].cached_topology
+        return st if st is not None and st.topo is image else None
 
     def _state(self, node: int) -> _NodeState:
-        lg = self.engine.local_graphs[node]
-        st = self._states.get(node)
-        if st is None or st.topo is not lg.topology():
-            st = self._states[node] = self.proto.new_state(lg)
+        st = self.valid_state(node)
+        if st is None:
+            st = self._states[node] = self.proto.new_state(
+                self.engine.local_graphs[node])
+            self.state_builds += 1
+            self.engine.metrics.inc("soa.state_builds")
         return st
+
+    def rebuild_stale(self) -> list[int]:
+        """Rebuild every live node's invalidated state now; returns the
+        nodes.  Never-touched ones (the mp parent's, all) stay lazy."""
+        stale = [n for n in self.engine._alive()
+                 if n in self._states and self.valid_state(n) is None]
+        for node in stale:
+            self._state(node)
+        return stale
 
     # -- compute -------------------------------------------------------
 
@@ -597,13 +621,12 @@ class VectorizedExecutor:
         engine._vertex_cut_broadcast(alive, net)
         if had_pending:
             for node in alive:
-                st = self._states.get(node)
-                lg = engine.local_graphs[node]
                 # A topology-stale state is rebuilt from the slots on
                 # its next _state() touch, which reads the
                 # post-broadcast flags anyway.
-                if st is not None and st.topo is lg.topology():
-                    st.refresh_activity(lg)
+                st = self.valid_state(node)
+                if st is not None:
+                    st.refresh_activity(engine.local_graphs[node])
 
         # Phase 1: partial gathers over local in-edges flow to masters.
         for node in alive:

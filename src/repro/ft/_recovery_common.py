@@ -191,6 +191,7 @@ def relink_edge_cut_topology(lg: LocalGraph) -> int:
     Returns the number of edges linked.
     """
     linked = 0
+    lg.invalidate_soa()  # edge lists are rewritten past the last add_slot
     for slot in lg.iter_slots():
         slot.in_edges = []
         slot.out_edges = []
@@ -237,6 +238,8 @@ def replay_activations(engine: "Engine", nodes: list[int],
                     continue
                 ops += 1
                 if target.is_master:
+                    if not target.active:  # a flip is a slot write
+                        lg.invalidate_soa()
                     lg.set_active(target, True)
                 else:
                     remote.add((node, target.master_node, target.gid))
@@ -253,6 +256,8 @@ def replay_activations(engine: "Engine", nodes: list[int],
             if kind == "replay-activate" and gid in lg.index_of:
                 slot = lg.slot_of(gid)
                 if slot.is_master:
+                    if not slot.active:
+                        lg.invalidate_soa()
                     lg.set_active(slot, True)
     return ops
 
@@ -290,6 +295,7 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
             slot.value = program.apply(gid, slot.value, acc, ctx)
             lg.set_active(slot, program.stays_active(
                 gid, slot.value, slot.value, ctx))
+            lg.invalidate_soa()
     else:
         want = set(gids)
         partials: dict[int, list[tuple[int, Any]]] = defaultdict(list)
@@ -317,6 +323,7 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
             slot.value = program.apply(gid, slot.value, acc, ctx)
             master_lg.set_active(slot, program.stays_active(
                 gid, slot.value, slot.value, ctx))
+            master_lg.invalidate_soa()
     return edges
 
 
@@ -386,6 +393,7 @@ def create_replica(engine: "Engine", gid: int,
     place_recovered_vertex(lg, rv, last_committed_iteration(engine))
     master_slot.meta.replica_positions[node] = position
     master_slot.meta.invalidate_replica_cache()
+    master_lg.invalidate_soa()  # its sync plan grew; add_slot covered ``node``
     nbytes = rv.nbytes(engine.program.value_nbytes(rv.value))
     engine.cluster.network.send(
         Message(MessageKind.RECOVERY, master_node, node,
@@ -409,24 +417,18 @@ def masters_below(engine: "Engine", alive: list[int],
     deficit: list[int] = []
     widest = 0
     for node in alive:
-        scanned = 0
-        for slot in engine.local_graphs[node].iter_masters():
-            scanned += 1
-            if slot.meta.ft_level < k:
-                deficit.append(slot.gid)
-        widest = max(widest, scanned)
+        masters, by_level = engine.local_graphs[node].ft_census()
+        widest = max(widest, masters)
+        for level, gids in by_level.items():
+            if level < k:
+                deficit.extend(gids)
     return sorted(deficit), widest
 
 
 def min_ft_level(engine: "Engine", cap: int) -> int:
     """The lowest FT level any live master has, capped at ``cap``."""
-    level = cap
-    for node in engine._alive():
-        for slot in engine.local_graphs[node].iter_masters():
-            level = min(level, slot.meta.ft_level)
-        if level <= 0:
-            break
-    return level
+    return min([cap, *(level for node in engine._alive()
+                       for level in engine.local_graphs[node].ft_census()[1])])
 
 
 def repair_transfer_s(engine: "Engine", created: int,
@@ -490,6 +492,7 @@ def restore_ft_level(engine: "Engine", gids: list[int],
                 orphan.last_activates = master_slot.last_activates
                 orphan.last_update_iter = master_slot.last_update_iter
                 orphan.master_node = master_node
+                engine.local_graphs[node].invalidate_soa()
                 meta.replica_positions[node] = \
                     engine.local_graphs[node].position_of(gid)
                 created += 1
@@ -532,9 +535,11 @@ def restore_ft_level(engine: "Engine", gids: list[int],
                 bytes_sent += len(mirror_slot.full_edges) * 24
             bytes_sent += 64
         meta.invalidate_replica_cache()
+        master_lg.invalidate_soa()  # its sync plan and FT level changed
         # Every mirror, new or surviving, gets its seat and the final
         # metadata copy (survivors hold stale ones after the changes).
         for node in meta.mirror_nodes:
+            engine.local_graphs[node].invalidate_soa()
             mslot = engine.local_graphs[node].slot_of(gid)
             mslot.role = Role.MIRROR
             mslot.mirror_id = meta.mirror_nodes.index(node)

@@ -459,6 +459,9 @@ class CheckpointRecovery:
         reconstruct_s = _full_resync(engine, alive)
         engine.tracer.record("checkpoint.reconstruct", reconstruct_s,
                              cat="recovery")
+        # Write set (DESIGN.md §11): every live node's values and flags.
+        for node in alive:
+            engine.local_graphs[node].invalidate_soa()
         if engine.edge_ckpt is not None:
             # Re-derive the vertex-cut edge files (REPLICATION mode
             # only, i.e. under the safety net).  The pristine rebuild

@@ -38,11 +38,10 @@ def recover(engine: "Engine", failed: tuple[int, ...]) -> None:
     # the end of recovery fall back to surviving replicas and are
     # tagged ``degraded=True`` by the router (DESIGN.md §13).
     engine.in_recovery = True
-    # Recovery reads survivor slots throughout, and every protocol
-    # may rewrite slot arrays / edge lists / replica metadata in
-    # place — flush the vectorized executor's deferred commits and
-    # drop its cached columns up front (recovery only runs at
-    # barrier boundaries, where no pending staging exists).
+    # Recovery reads survivor slots throughout: flush the vectorized
+    # executor's deferred commits up front.  Its cached images stay —
+    # each rung, and repair, invalidates exactly the nodes it writes
+    # (DESIGN.md §11).
     if engine._vec is not None:
         engine._vec.rollback()
     cluster = engine.cluster
@@ -109,12 +108,10 @@ def recover(engine: "Engine", failed: tuple[int, ...]) -> None:
     _repair_ft_level(engine)
     update_ft_gauges(engine)
     _refresh_broadcast_state(engine)
-    # Recovery protocols rewrite slot arrays, edge lists and replica
-    # metadata in place — including on survivors that saw no local
-    # add/remove — so every SoA topology cache is stale now (the
-    # executor's dynamic columns were already dropped on entry).
-    for lg in engine.local_graphs.values():
-        lg.invalidate_soa()
+    if engine._vec is not None:
+        # Here, not inside the next compute span: recovery's cost.
+        with engine.tracer.span("recovery.rebuild", cat="recovery") as sp:
+            sp.annotate(nodes=engine._vec.rebuild_stale())
     post = cluster.clocks.barrier(engine.model, engine._alive())
     engine._last_barrier_clock = post
     # Whatever rung recovered — in-memory replicas (state of the

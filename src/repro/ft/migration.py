@@ -161,6 +161,9 @@ class MigrationRecovery:
                                                promoted)
         replay_edges = common.recompute_selfish_masters(
             engine, sorted(selfish_promoted))
+        # Write set (DESIGN.md §11): every survivor's roles and metadata.
+        for node in survivors:
+            engine.local_graphs[node].invalidate_soa()
         stats.replay_s = ((replay_ops * model.per_vertex_reconstruct_s
                            + replay_edges * model.per_edge_compute_s)
                           * scale / max(1, len(survivors)))

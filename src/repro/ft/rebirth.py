@@ -18,6 +18,9 @@ Reconstruction is positional and lock-free; under edge-cut it happens
 while messages arrive, so the phase reports zero explicit time
 (Fig. 9a shows no reconstruction bar for Rebirth).  Replay re-executes
 activation operations on the new node only.
+
+Write set (DESIGN.md §11): the reborn nodes' fresh ``LocalGraph``s only —
+survivors read and send, so their SoA images and FT census stay valid.
 """
 
 from __future__ import annotations
@@ -223,6 +226,7 @@ class RebirthRecovery:
 
     def _link_vertex_cut(self, lg: LocalGraph, records) -> int:
         """Rebuild a vertex-cut newbie's topology from edge-ckpt files."""
+        lg.invalidate_soa()  # edge lists are rewritten past the last add_slot
         for slot in lg.iter_slots():
             slot.in_edges = []
             slot.out_edges = []

@@ -156,8 +156,7 @@ class MembershipManager:
         if not self._queue:
             return
         if engine._vec is not None:
-            # Write deferred column commits back and drop the caches:
-            # moves mutate slots and topology underneath them.
+            # Write deferred column commits back: moves read the slots.
             engine._vec.rollback()
         net = engine.cluster.network
         net.begin_step()
@@ -200,6 +199,9 @@ class MembershipManager:
             bytes_sent += rbytes
         if moved or finalized:
             self._charge(net, len(moved))
+            # A move's write set is wide (source, destination, every
+            # copy's view of the master, new replicas' masters): this one
+            # caller invalidates every image, not each write site its own.
             for lg in engine.local_graphs.values():
                 lg.invalidate_soa()
             post = engine.cluster.clocks.global_max()

@@ -186,3 +186,38 @@ class TestOneCheckpointRung:
         assert result.num_iterations == 6
         # Bit-equal to the failure-free run, not merely close.
         assert result.values == baseline
+
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_rewind_invalidates_survivors_with_unchanged_topology(
+            self, graph, partition):
+        """CKPT mode rebuilds only the failed node's graph; survivors
+        keep their ``LocalGraph`` and topology but their values rewind,
+        so the rung must drop their SoA images all the same."""
+        import numpy as np
+
+        from repro.api import make_engine
+        from repro.chaos.invariants import InvariantChecker
+        from repro.engine.soa import NodeTopology
+        kw = dict(num_nodes=5, max_iterations=6, partition=partition,
+                  ft_mode="checkpoint", checkpoint_interval=2)
+        clean = run_job(graph, "pagerank", **kw)
+        engine = make_engine(graph, "pagerank", **kw)
+        engine.run(max_iterations=3)
+        graphs = dict(engine.local_graphs)
+        images = {n: lg.cached_topology for n, lg in graphs.items()}
+        engine.schedule_failure(3, [2])
+        checker = InvariantChecker()
+        engine.attach_chaos(checker)
+        result = engine.run()
+        (stats,) = result.recoveries
+        assert stats.replayed_iterations == 1
+        for node, lg in engine.local_graphs.items():
+            assert (lg is graphs[node]) == (node != 2)
+            assert lg.cached_topology is not images[node]
+            if node != 2:  # same topology, field for field
+                for name in NodeTopology.__slots__[:-1]:
+                    assert np.array_equal(
+                        getattr(lg.cached_topology, name),
+                        getattr(images[node], name))
+        assert checker.checks >= 5  # the recovery + 4 (re)run commits
+        assert result.values == clean.values

@@ -475,3 +475,71 @@ class TestTerminalPaths:
         with pytest.raises(ConfigError):
             FaultToleranceConfig(mode=FTMode.REPLICATION, ft_level=1,
                                  safety_checkpoint_interval=-1)
+
+
+class TestRungWriteSets:
+    """Each rung invalidates the SoA images of the nodes it writes on
+    (DESIGN.md §11); the coherence check rides every commit point."""
+
+    @pytest.mark.parametrize("partition", PARTS)
+    def test_restart_that_mixes_rungs_in_one_recover(self, graph,
+                                                     baselines, partition):
+        """Pass one is a Rebirth (survivors keep their image), the
+        crash it provokes finds the pool dry and pass two migrates
+        (every survivor rewritten) — inside one ``recover``."""
+        from repro.chaos.invariants import InvariantChecker
+
+        def drive(vectorized):
+            schedule = (FailureSchedule(seed=5)
+                        .crash(2, phase="gather", target=0)
+                        .crash(2, phase="recovery_protocol", target=3))
+            engine = make_engine(graph, "pagerank", num_nodes=6,
+                                 max_iterations=8, partition=partition,
+                                 ft_level=2, num_standby=1,
+                                 recovery="rebirth", vectorized=vectorized)
+            ChaosController(schedule).attach(engine)
+            checker = InvariantChecker()
+            engine.attach_chaos(checker)
+            result = engine.run()
+            assert [r.strategy for r in result.recoveries] == \
+                ["rebirth", "migration"]
+            assert engine.metrics.value("recovery.restarts") == 1
+            assert checker.checks > 8
+            return result
+
+        result = drive(vectorized=True)
+        # Bit-equal to the scalar path under the same schedule (which
+        # has no image to go stale), and to the failure-free run up to
+        # Migration's vertex-cut fold order.
+        assert result.values == drive(vectorized=False).values
+        assert_matches(result, baselines[partition])
+        if partition == "hash_edge_cut":
+            assert result.values == baselines[partition]
+
+    @pytest.mark.parametrize("partition", PARTS)
+    def test_migration_promoting_a_survivors_mirror(self, graph,
+                                                    baselines, partition):
+        from repro.chaos.invariants import InvariantChecker
+        engine = make_engine(graph, "pagerank", num_nodes=6,
+                             max_iterations=8, partition=partition,
+                             ft_level=1, num_standby=0,
+                             recovery="migration")
+        engine.run(max_iterations=3)
+        promoted = {s.gid: n for n, lg in engine.local_graphs.items()
+                    if n != 4 for s in lg.iter_mirrors()
+                    if s.master_node == 4}
+        assert promoted
+        engine.schedule_failure(4, [4], "after_commit")
+        checker = InvariantChecker()
+        engine.attach_chaos(checker)
+        result = engine.run()
+        assert [r.strategy for r in result.recoveries] == ["migration"]
+        # The images the retry computed on know the promoted masters.
+        for gid, node in promoted.items():
+            topo = engine.local_graphs[node].cached_topology
+            assert topo.is_master[engine.local_graphs[node]
+                                  .position_of(gid)]
+        assert checker.checks > 5
+        assert_matches(result, baselines[partition])
+        if partition == "hash_edge_cut":
+            assert result.values == baselines[partition]

@@ -152,3 +152,44 @@ class TestStats:
             for mnode in slot.meta.mirror_nodes:
                 mirror = engine.local_graphs[mnode].slot_of(slot.gid)
                 assert mirror.role is Role.MIRROR
+
+
+class TestWriteSet:
+    """Rebirth writes the reborn node only: survivors keep their SoA
+    image through it (DESIGN.md §11), and whatever repair then writes
+    on a survivor invalidates at the write."""
+
+    @pytest.mark.parametrize("partition", PARTS)
+    def test_repair_after_rebirth_that_creates_replicas(self, graph,
+                                                        partition):
+        """The membership acceptance schedule, shrunk.  The failure
+        raises the adaptive floor, so post-Rebirth repair creates
+        replicas: ``add_slot`` invalidates their hosts, but the new
+        sync targets belong to *surviving* masters' plans."""
+        from repro.chaos.invariants import InvariantChecker
+        kw = dict(num_nodes=5, max_iterations=8, partition=partition,
+                  ft_level=1, ft_level_max=2, num_standby=1)
+        clean = run_job(graph, "pagerank", **kw)
+        engine = make_engine(graph, "pagerank", recovery="rebirth", **kw)
+        engine.schedule_failure(3, [2])
+        checker = InvariantChecker()
+        engine.attach_chaos(checker)
+        result = engine.run()
+        (stats,) = result.recoveries
+        assert stats.strategy == "rebirth"
+        assert stats.repair_replicas_created > 0
+        assert checker.checks > 8  # SoA coherence at every commit point
+        assert result.values == clean.values
+
+    @pytest.mark.parametrize("partition", PARTS)
+    def test_survivor_images_are_the_same_objects(self, graph, partition):
+        engine = make_engine(graph, "pagerank", num_nodes=5,
+                             max_iterations=6, partition=partition)
+        engine.run(max_iterations=3)
+        before = {n: lg.cached_topology
+                  for n, lg in engine.local_graphs.items()}
+        assert None not in before.values()
+        engine.schedule_failure(3, [2])
+        engine.run(max_iterations=4)
+        for node, lg in engine.local_graphs.items():
+            assert (lg.cached_topology is before[node]) == (node != 2)

@@ -394,3 +394,43 @@ def test_commit_stage1_leaves_the_committed_columns_alone(chaos_graph):
     assert seen["staged"] == seen["computed"]
     assert all(step["committed"] != before
                for step, before in zip(log, seen["staged"]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_commit_stage1_remote_dedup_equals_row_unique(seed):
+    """Remote activations are de-duplicated on one int64 key; the
+    batches must be what ``np.unique(axis=0)`` over (master node, gid)
+    rows produced — same pairs, same (dst, gid) order."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from repro.cluster.network import MessageKind
+    from repro.engine.vectorized import ArrayNodeProtocol
+
+    rng = np.random.default_rng(seed)
+    n = 300
+    gids = rng.permutation(50 * n)[:n].astype(np.int64)
+    gids[rng.random(n) < 0.05] = -1  # tombstones, never edge targets
+    live = np.flatnonzero(gids >= 0)
+    topo = SimpleNamespace(
+        gids=gids, is_master=rng.random(n) < 0.3,
+        master_node=rng.integers(0, 8, n),
+        out_src=rng.choice(live, 5 * n), out_dst=rng.choice(live, 5 * n))
+    st = SimpleNamespace(topo=topo, pend_mask=np.ones(n, dtype=bool),
+                         pend_activates=rng.random(n) < 0.7,
+                         next_active=np.zeros(n, dtype=bool))
+    outbox = ArrayNodeProtocol(None, is_edge_cut=False).commit_stage1(st)
+
+    tgt = topo.out_dst[st.pend_activates[topo.out_src]]
+    rem = tgt[~topo.is_master[tgt]]
+    rows = np.unique(np.stack([topo.master_node[rem], topo.gids[rem]],
+                              axis=1), axis=0)
+    assert rem.size > 2 * len(rows)  # repeats were there to drop
+    want: dict = {}
+    for dst, gid in rows.tolist():
+        want.setdefault((dst, MessageKind.ACTIVATE), []).append(gid)
+    assert [(key, batch.gids) for key, batch in outbox.items()] \
+        == list(want.items())
+    assert (st.next_active == np.isin(
+        np.arange(n), tgt[topo.is_master[tgt]])).all()
