@@ -229,7 +229,7 @@ class Engine:
                                              seed=self.seed)
             with self.tracer.span("load.construct", cat="load"):
                 self.local_graphs, self.construction = build_local_graphs(
-                    graph, partitioning, self.plan)
+                    graph, partitioning, self.plan, self.tracer)
             for node_id, lg in self.local_graphs.items():
                 self.cluster.node(node_id).local = lg
             self.master_node_of: list[int] = [int(n)
@@ -850,6 +850,7 @@ class Engine:
         if self._edge_updates:
             for node, items in self._edge_updates.items():
                 lg = self.local_graphs[node]
+                lg.invalidate_soa()  # born at load; its weights go stale
                 for slot, updates in items:
                     for idx, weight in updates:
                         src_pos, _old = slot.in_edges[idx]

@@ -37,12 +37,24 @@ class LocalGraph:
         self._masters_snapshot: tuple[int, ...] | None = None
         self._others_snapshot: tuple[int, ...] | None = None
         #: Cached structure-of-arrays topology (DESIGN.md §11) and FT
-        #: census; built lazily by :meth:`topology` / :meth:`ft_census`,
-        #: dropped together by :meth:`invalidate_soa`.
+        #: census: handed over at load (:meth:`adopt`) or built lazily by
+        #: :meth:`topology` / :meth:`ft_census`; :meth:`invalidate_soa`
+        #: drops both.
         self._topology = None
         self._ft_census = None
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def adopt(cls, node_id: int, slots: list, index_of: dict[int, int],
+              topology, ft_census) -> "LocalGraph":
+        """A node's graph born whole at load: slots (none active yet)
+        and gid index stamped from the very columns the SoA image and
+        the FT census were cut from."""
+        lg = cls(node_id)
+        lg.slots, lg.index_of = slots, index_of
+        lg._topology, lg._ft_census = topology, ft_census
+        return lg
 
     def add_slot(self, slot: VertexSlot, position: int | None = None) -> int:
         """Append (or place at a fixed position) one vertex slot."""

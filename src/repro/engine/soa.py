@@ -1,4 +1,4 @@
-"""Structure-of-arrays topology cache for one node's local graph.
+"""Structure-of-arrays topology image of one node's local graph.
 
 The per-vertex :class:`~repro.engine.state.VertexSlot` array stays the
 authoritative store (recovery writes it positionally, checkpoints read
@@ -6,11 +6,14 @@ it), but the vectorized compute path needs the *static* shape of a
 node's graph as flat numpy arrays: role masks, degrees, the local
 in-/out-edge lists in CSR-style per-edge arrays, and the master->replica
 sync fan-out grouped by destination.  :class:`NodeTopology` is that
-snapshot, built lazily from the slot array and cached on the
-:class:`~repro.engine.local_graph.LocalGraph` until something writes
-that node outside the barrier commit: ``add_slot``/``remove_slot``, or
-the ``invalidate_soa`` every such writer (a recovery rung, FT repair, a
-membership move) issues for exactly the nodes it wrote on.
+image, with two constructors the SoA-coherence chaos invariant holds
+equal: the loader cuts it from the columns it stamps the slots from
+(:meth:`~NodeTopology.from_columns`), so a
+:class:`~repro.engine.local_graph.LocalGraph` is born with it; once
+something writes that node outside the barrier commit — ``add_slot``/
+``remove_slot``, or the ``invalidate_soa`` every such writer (a recovery
+rung, FT repair, a membership move) issues for exactly the nodes it
+wrote on — :meth:`~NodeTopology.build` reads it back out of the slots.
 
 Dynamic state (values, activity flags) deliberately does NOT live
 here — the executor caches those columns separately, dual-writes them
@@ -38,10 +41,9 @@ class NodeTopology:
 
     @classmethod
     def build(cls, lg) -> "NodeTopology":
+        """Read the image back out of ``lg``'s slots (after a write)."""
         slots = lg.slots
         n = len(slots)
-        topo = cls()
-        topo.n = n
         gids = np.full(n, -1, dtype=np.int64)
         occupied = np.zeros(n, dtype=bool)
         is_master = np.zeros(n, dtype=bool)
@@ -49,7 +51,6 @@ class NodeTopology:
         selfish = np.zeros(n, dtype=bool)
         master_node = np.full(n, -1, dtype=np.int64)
         out_deg = np.zeros(n, dtype=np.float64)
-        in_counts = np.zeros(n, dtype=np.int64)
         in_src: list[int] = []
         in_w: list[float] = []
         in_dst: list[int] = []
@@ -76,7 +77,6 @@ class NodeTopology:
                 master_node[pos] = slot.master_node
             edges = slot.in_edges
             if edges:
-                in_counts[pos] = len(edges)
                 srcs, ws = zip(*edges)
                 in_src.extend(srcs)
                 in_w.extend(ws)
@@ -87,6 +87,20 @@ class NodeTopology:
             if outs:
                 out_src.extend([pos] * len(outs))
                 out_dst.extend(outs)
+        return cls.from_columns(
+            gids, occupied, is_master, is_mirror, selfish, master_node,
+            out_deg, in_src, in_w, in_dst, out_src, out_dst, sync_plan)
+
+    @classmethod
+    def from_columns(cls, gids, occupied, is_master, is_mirror, selfish,
+                     master_node, out_deg, in_src, in_w, in_dst, out_src,
+                     out_dst, sync_plan) -> "NodeTopology":
+        """Adopt per-position columns, per-edge columns in (position,
+        edge) order and a ``sync_plan`` in send order — the loader cuts
+        them from its global columns (``engine/construction.py``),
+        :meth:`build` reads them off the slots — and derive the rest."""
+        topo = cls()
+        topo.n = len(gids)
         topo.gids = gids
         topo.occupied = occupied
         topo.is_master = is_master
@@ -94,13 +108,13 @@ class NodeTopology:
         topo.selfish = selfish
         topo.master_node = master_node
         topo.out_deg_f = out_deg
-        topo.in_counts = in_counts
-        topo.has_in = in_counts > 0
         topo.in_src = np.asarray(in_src, dtype=np.int64)
         topo.in_w = np.asarray(in_w, dtype=np.float64)
         topo.in_dst = np.asarray(in_dst, dtype=np.int64)
         topo.out_src = np.asarray(out_src, dtype=np.int64)
         topo.out_dst = np.asarray(out_dst, dtype=np.int64)
+        topo.in_counts = np.bincount(topo.in_dst, minlength=topo.n)
+        topo.has_in = topo.in_counts > 0
         occ = np.flatnonzero(occupied)
         order = np.argsort(gids[occ], kind="stable")
         topo.pos_sorted = occ[order]

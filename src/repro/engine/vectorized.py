@@ -21,15 +21,17 @@ and simulated time.
 
 Lifecycle
 ---------
-* Dynamic columns (values, activity flags) are read from the slots on
-  first touch of a node and then *carried across supersteps*; only the
-  barrier commit writes them, so at each barrier they hold the
-  committed state exactly.
+* The topology every column is indexed by is born with the node's
+  slots at load (``engine/construction.py``); dynamic columns (values,
+  activity flags) are read from the slots on first touch of a node and
+  then *carried across supersteps*; only the barrier commit writes
+  them, so at each barrier they hold the committed state exactly.
 * The executor's cache is keyed by topology identity — whoever writes
   a node's slots, edge lists or metadata outside the commit invalidates
   *that node's* topology at the write (:meth:`LocalGraph.invalidate_soa`),
-  which makes :meth:`_state` rebuild that node's columns from the
-  slots; every other node keeps its image, through recovery too.  The
+  which makes :meth:`_state` read that node's topology and columns back
+  out of the slots; every other node keeps its image, through recovery
+  too.  The
   one slot mutation *without* a topology change is the vertex-cut
   phase-0 activity broadcast; its driver re-reads the two affected
   columns afterwards (:meth:`_NodeState.refresh_activity`).
@@ -189,7 +191,7 @@ class ArrayNodeProtocol:
         self.combining = combining
 
     def new_state(self, lg) -> _NodeState:
-        """Build ``lg``'s topology (if not cached) and columns."""
+        """``lg``'s columns over its (cached, else rebuilt) topology."""
         return _NodeState(lg, self.kernel.dtype)
 
     # -- compute -------------------------------------------------------

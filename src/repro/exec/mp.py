@@ -234,10 +234,12 @@ class _ScalarWorker:
 
 
 class _ArrayWorker(_ScalarWorker):
-    """The same rounds over ``ArrayNodeProtocol``: topology and columns
-    are built here, after the fork, and values never flush back to
-    slots.  Slots stay authoritative for *activity* only, which the
-    shared scalar phase-0 broadcast (``vc0``) reads and writes."""
+    """The same rounds over ``ArrayNodeProtocol``: the topology comes
+    through the fork with the parent image (born at load; only a reborn
+    rank reads its own back from the slots), the columns are built here,
+    and values never flush back to slots.  Slots stay authoritative for
+    *activity* only, which the shared scalar phase-0 broadcast (``vc0``)
+    reads and writes."""
 
     def __init__(self, rank: int, engine):
         super().__init__(rank, engine)
@@ -801,9 +803,9 @@ class MultiprocessingBackend(ExecutionBackend):
         # The parent engine is the state template: partitioned,
         # replicated and value-initialised in __init__, never run.
         # Workers fork from it, so every rank starts bit-identical to
-        # the simulator's.  It never touches its array executor, so no
-        # topology or column is built parent-side: vectorized workers
-        # build their own after the fork.
+        # the simulator's — SoA topology included, born at load.  It
+        # never touches its array executor, so no column is built
+        # parent-side: vectorized workers build theirs after the fork.
         kwargs = spec.engine_kwargs()
         # Membership replays through the parent engine's own manager at
         # reshape points — never via the engine's scheduled events (the

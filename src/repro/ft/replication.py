@@ -95,27 +95,25 @@ class ReplicationPlan:
 
 def computation_replicas(graph: Graph, partitioning) -> list[set[int]]:
     """Per-vertex computation replica node sets (master excluded)."""
-    n = graph.num_vertices
-    replicas: list[set[int]] = [set() for _ in range(n)]
-    if isinstance(partitioning, EdgeCutPartitioning):
-        master_of = np.asarray(partitioning.master_of)
-        src, dst = graph.sources, graph.targets
-        src_nodes = master_of[src]
-        dst_nodes = master_of[dst]
-        for eid in np.flatnonzero(src_nodes != dst_nodes):
-            replicas[int(src[eid])].add(int(dst_nodes[eid]))
-    elif isinstance(partitioning, VertexCutPartitioning):
-        master_of = np.asarray(partitioning.master_of)
-        edge_node = np.asarray(partitioning.edge_node)
-        src, dst = graph.sources, graph.targets
-        for eid in range(graph.num_edges):
-            node = int(edge_node[eid])
-            for v in (int(src[eid]), int(dst[eid])):
-                if node != int(master_of[v]):
-                    replicas[v].add(node)
-    else:
+    if not isinstance(partitioning,
+                      (EdgeCutPartitioning, VertexCutPartitioning)):
         raise ConfigError(
             f"unsupported partitioning: {type(partitioning).__name__}")
+    master_of = np.asarray(partitioning.master_of)
+    if isinstance(partitioning, EdgeCutPartitioning):
+        # A source is copied to every node mastering one of its targets.
+        vertex, node = graph.sources, master_of[graph.targets]
+    else:
+        # Both endpoints are copied to the node their edge lives on.
+        vertex = np.concatenate([graph.sources, graph.targets])
+        node = np.tile(np.asarray(partitioning.edge_node), 2)
+    num_nodes = partitioning.num_nodes
+    off_master = node != master_of[vertex]
+    pairs = np.unique(vertex[off_master] * num_nodes + node[off_master])
+    replicas: list[set[int]] = [set() for _ in range(graph.num_vertices)]
+    for v, replica_node in zip(*map(np.ndarray.tolist,
+                                    divmod(pairs, num_nodes))):
+        replicas[v].add(replica_node)
     return replicas
 
 

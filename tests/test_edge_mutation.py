@@ -91,6 +91,23 @@ class TestSemantics:
                         assert pos == mpos
                         assert w == pytest.approx(mw)
 
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_mutated_weights_drop_the_load_built_image(self, partition):
+        """The SoA image is born at load, scalar runs included: a
+        committed weight change is an edge-list write like any other
+        and takes the node's image with it (DESIGN.md §11)."""
+        from repro.chaos.invariants import InvariantChecker
+        engine = make_engine(graph(), DecayingDegree(), num_nodes=4,
+                             max_iterations=4, partition=partition)
+        assert all(lg.cached_topology is not None
+                   for lg in engine.local_graphs.values())
+        checker = InvariantChecker(check_values=False)
+        engine.attach_chaos(checker)
+        engine.run()
+        assert checker.checks == 4
+        assert all(lg.cached_topology is None
+                   for lg in engine.local_graphs.values())
+
     def test_edge_ckpt_log_grows(self):
         engine, _ = run(partition="hybrid_cut")
         total = sum(len(engine.edge_ckpt.read_all(n)) for n in range(4))

@@ -114,6 +114,26 @@ class TestTimelineContract:
                               "update_ft_gauges": ["load"]}
         assert tracer.open_depth == 0
 
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_construct_children_tile_their_parent(self, partition):
+        """``load.construct`` = array work + slot stamping, nothing in
+        between: what lazy slots would save is in every trace."""
+        big = generators.power_law(1500, alpha=2.0, seed=31, avg_degree=8.0)
+        tracer = Tracer()
+        engine = make_engine(big, "pagerank", num_nodes=8,
+                             partition=partition, tracer=tracer)
+        (parent,) = tracer.spans("load.construct")
+        (columns,) = tracer.spans("load.construct.columns")
+        (slots,) = tracer.spans("load.construct.slots")
+        assert columns["parent"] == slots["parent"] == "load.construct"
+        assert (columns["vertices"], columns["edges"]) == (
+            big.num_vertices, big.num_edges)
+        assert slots["slots"] == sum(
+            len(lg.slots) for lg in engine.local_graphs.values())
+        assert columns["dur_wall_s"] + slots["dur_wall_s"] == pytest.approx(
+            parent["dur_wall_s"], rel=0.05)
+        assert columns["dur_sim_s"] == slots["dur_sim_s"] == 0.0
+
     def test_spans_never_leak(self, graph):
         _, _, tracer = traced_run(graph, failures=[(2, [1])],
                                   max_iterations=5)

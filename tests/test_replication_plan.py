@@ -10,6 +10,10 @@ from repro.errors import ConfigError
 from repro.ft.replication import computation_replicas, plan_replication
 from repro.graph import generators
 from repro.partition import hash_edge_cut, hybrid_cut
+from repro.partition.base import EdgeCutPartitioning
+from repro.partition.fennel import fennel_edge_cut
+from repro.partition.grid_vertex_cut import grid_vertex_cut
+from repro.partition.random_vertex_cut import random_vertex_cut
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,32 @@ class TestComputationReplicas:
         replicas = computation_replicas(graph, part)
         for v in range(graph.num_vertices):
             assert int(part.master_of[v]) not in replicas[v]
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("partitioner", [
+        hash_edge_cut, fennel_edge_cut, hybrid_cut, random_vertex_cut,
+        grid_vertex_cut])
+    def test_equal_to_the_edge_walk(self, partitioner, seed):
+        """The ``np.unique`` over off-master (vertex, node) pairs finds
+        what walking every edge found."""
+        graph = generators.power_law(300, alpha=2.0, seed=seed,
+                                     avg_degree=5.0, selfish_frac=0.1)
+        part = partitioner(graph, 6, seed=seed)
+        walked: list[set[int]] = [set() for _ in range(graph.num_vertices)]
+        for eid in range(graph.num_edges):
+            u, v = int(graph.sources[eid]), int(graph.targets[eid])
+            if isinstance(part, EdgeCutPartitioning):
+                copies = [(u, int(part.master_of[v]))]
+            else:
+                copies = [(u, int(part.edge_node[eid])),
+                          (v, int(part.edge_node[eid]))]
+            for vertex, node in copies:
+                if node != int(part.master_of[vertex]):
+                    walked[vertex].add(node)
+        found = computation_replicas(graph, part)
+        assert found == walked
+        assert all(type(node) is int for nodes in found for node in nodes)
 
 
 class TestPlanInvariants:

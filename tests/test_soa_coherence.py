@@ -1,12 +1,14 @@
 """Lifetime of the SoA images (DESIGN.md §11): the write-site rule.
 
-Whoever writes a node's slots, edge lists or metadata outside the
-barrier commit invalidates *that node's* image; everyone else keeps
-theirs — through rollback, recovery and repair.  The tests here pin the
-rule from both sides: images that must survive do (exact build counts,
-no FT-census rescan), and images that must go do (the SoA-coherence
-check of :class:`InvariantChecker`, which the chaos matrix, the
-membership acceptance schedules and the ladder tests also run).
+The image is born at load, with the slots.  Whoever writes a node's
+slots, edge lists or metadata outside the barrier commit invalidates
+*that node's* image, which is then read back out of the slots; everyone
+else keeps theirs — through rollback, recovery and repair.  The tests
+here pin the rule from both sides: images that must survive do (exact
+build counts, no FT-census rescan), and images that must go do (the
+SoA-coherence check of :class:`InvariantChecker`, which the chaos
+matrix, the membership acceptance schedules and the ladder tests also
+run).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.api import make_engine, run_job
 from repro.chaos import ChaosController, FailureSchedule
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
 from repro.engine.local_graph import LocalGraph
+from repro.engine.soa import NodeTopology
 from repro.engine.vectorized import NO_COLUMN
 from repro.ft import _recovery_common as common
 from repro.ft import ladder
@@ -174,6 +177,105 @@ class TestWriteSites:
         assert checker.checks == 8
         assert engine._vec.state_builds == 6  # first touches + node 1
         assert result.values == run_job(g, "pagerank", **kw).values
+
+
+class TestImageBornAtLoad:
+    """The loader hands every node its topology and FT census; only a
+    node something wrote on ever reads them back out of its slots."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Node ids ``NodeTopology.build`` was called for."""
+        calls: list[int] = []
+        real = NodeTopology.build.__func__
+
+        def spy(cls, lg):
+            calls.append(lg.node_id)
+            return real(cls, lg)
+
+        monkeypatch.setattr(NodeTopology, "build", classmethod(spy))
+        return calls
+
+    def test_topology_builds_none_on_a_failure_free_run(self, graph,
+                                                        builds):
+        """8 read-backs at first touch before the image was born at
+        load; the columns are still built on first touch."""
+        engine = make_engine(graph, "pagerank", num_nodes=8, ft_level=1,
+                             max_iterations=8)
+        engine.run()
+        assert builds == []
+        assert engine._vec.state_builds == 8
+
+    def test_topology_builds_two_on_the_kill_workload_spec(self, graph,
+                                                           builds):
+        """The shrunk ``pr_kill_sim`` spec: the two reborn nodes (10
+        read-backs before)."""
+        engine = _with_kills(graph, [(6, [1], "compute"),
+                                     (13, [2], "after_commit")],
+                             num_nodes=8, num_standby=2, max_iterations=20)
+        result = engine.run()
+        assert len(result.recoveries) == 2
+        assert builds == [1, 2]
+        assert engine._vec.state_builds == 10
+
+    @pytest.mark.parametrize("partition", PARTS)
+    def test_topology_builds_none_in_a_fresh_array_worker(
+            self, graph, builds, partition):
+        """A forked mp worker inherits the parent's image: building its
+        state (what ``_ArrayWorker.__init__`` does after the fork) reads
+        no topology back, for any rank."""
+        from repro.exec.mp import _ArrayWorker
+        engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                             partition=partition)
+        for rank in range(4):
+            worker = _ArrayWorker(rank, engine)
+            assert worker.st.topo is engine.local_graphs[rank].cached_topology
+        assert builds == []
+
+    def test_topology_builds_one_after_a_rebirth_on_the_parent_image(
+            self, graph, builds):
+        """mp recovers on the parent image and re-forks every worker:
+        the survivors Rebirth and repair did not write on still hold the
+        image they were born with, so only the reborn rank reads one
+        back."""
+        from repro.exec.mp import _ArrayWorker
+        engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                             num_standby=1)
+        born = {n: lg.cached_topology
+                for n, lg in engine.local_graphs.items()}
+        assert None not in born.values()
+        engine.cluster.crash(2)
+        ladder.recover(engine, (2,))
+        assert engine.recoveries[-1].strategy == "rebirth"
+        for node, lg in engine.local_graphs.items():
+            # The parent holds no column state, so ``recovery.rebuild``
+            # leaves the reborn node to its worker.
+            assert lg.cached_topology is (None if node == 2
+                                          else born[node])
+        assert builds == []
+        for rank in range(4):
+            _ArrayWorker(rank, engine)
+        assert builds == [2]
+
+    def test_gauges_at_load_scan_no_slot(self, graph, monkeypatch):
+        scans: list[int] = []
+        real = LocalGraph.ft_census
+
+        def spy(self):
+            if self._ft_census is None:
+                scans.append(self.node_id)
+            return real(self)
+
+        monkeypatch.setattr(LocalGraph, "ft_census", spy)
+        engine = make_engine(graph, "pagerank", num_nodes=6, ft_level=2)
+        assert engine.metrics.gauge("ft.level_current") == 2
+        assert scans == []
+        for lg in engine.local_graphs.values():
+            born = lg.ft_census()
+            lg.invalidate_soa()
+            assert lg.ft_census() == born
+            assert list(lg.ft_census()[1]) == list(born[1])
+        assert sorted(scans) == sorted(engine.local_graphs)
 
 
 class TestSurvivorsKeepTheirImage:
