@@ -39,8 +39,7 @@ from repro.costmodel import (
     pairwise_comm_time,
 )
 from repro.engine.construction import ConstructionReport, build_local_graphs
-from repro.engine.messages import ActivateBatch, RawGatherBatch, SyncBatch
-from repro.engine.state import VertexSlot
+from repro.engine.messages import SyncBatch
 from repro.engine.vectorized import NO_COLUMN, VectorizedExecutor
 from repro.engine.vertex_program import ApplyContext, VertexProgram
 from repro.errors import EngineError
@@ -180,9 +179,10 @@ class Engine:
         self._last_barrier_clock = 0.0
         #: CKPT mode: edge mutations since the last snapshot, per node.
         self._edge_journal: dict[int, list] = defaultdict(list)
-        #: Slots touched this superstep, per node (committed or rolled
-        #: back at the barrier).
-        self._dirty: dict[int, dict[int, VertexSlot]] = {}
+        #: The scalar path's per-node round objects of this superstep
+        #: (staged slots are committed or rolled back at the barrier);
+        #: the array path's live on in the executor's cache instead.
+        self._round: dict[int, Any] = {}
         #: Masters whose activity flag must be re-broadcast to replicas
         #: (vertex-cut scheduling).
         self._broadcast_pending: dict[int, set[int]] = defaultdict(set)
@@ -238,24 +238,31 @@ class Engine:
             #: Transport policy (DESIGN.md §10): no-op sync elision.
             self._sync_elision = self.job.engine.sync_elision
             self._combining = self.job.engine.combining
-            #: Backend-agnostic per-node protocol (DESIGN.md §12): the
-            #: scalar compute/sync/commit paths below delegate here, and
-            #: the multiprocessing backend runs the same object inside
-            #: worker processes.  ``selfish_opt`` is refreshed at every
-            #: superstep from :attr:`selfish_opt_active`.
-            self._protocol = NodeProtocol(
-                program, self.is_edge_cut,
-                sync_elision=self._sync_elision,
-                selfish_opt=False,
-                combining=self._combining)
             #: Vectorized SoA fast path (DESIGN.md §11): engaged when
             #: the config allows it AND the program declares an array
             #: kernel; edge-mutating programs always run scalar.
             kernel = (program.kernel()
                       if (self.job.engine.vectorized
                           and not program.mutates_edges) else None)
-            self._vec = (VectorizedExecutor(self, kernel)
-                         if kernel is not None else None)
+            #: Backend-agnostic per-node protocol (DESIGN.md §12) and
+            #: ``_state(node)``, the per-node round object binding it
+            #: to one partition: the superstep drivers below call only
+            #: that object's round interface, and the multiprocessing
+            #: backend runs the same objects inside worker processes.
+            #: ``selfish_opt`` is refreshed at every superstep from
+            #: :attr:`selfish_opt_active`.
+            if kernel is not None:
+                self._vec = VectorizedExecutor(self, kernel)
+                self._protocol = self._vec.proto
+                self._state = self._vec.state
+            else:
+                self._vec = None
+                self._protocol = NodeProtocol(
+                    program, self.is_edge_cut,
+                    sync_elision=self._sync_elision,
+                    selfish_opt=False,
+                    combining=self._combining)
+                self._state = self._scalar_state
 
             # -- fault-tolerance wiring --------------------------------
             self.ckpt: CheckpointManager | None = None
@@ -420,7 +427,8 @@ class Engine:
         spans emitted here tile the simulated timeline — their
         ``dur_sim_s`` sum to :attr:`RunResult.total_sim_time_s`.
         """
-        limit = max_iterations or self.job.engine.max_iterations
+        limit = (self.job.engine.max_iterations if max_iterations is None
+                 else max_iterations)
         while self.iteration < limit:
             self._fire_membership_events("superstep_start")
             self._inject("compute")
@@ -614,11 +622,9 @@ class Engine:
         net = self.cluster.network
         net.begin_step()
         alive = self._alive()
-        self._dirty = {node: {} for node in alive}
+        self._round = {}
         self._step_edges: dict[int, int] = defaultdict(int)
         self._step_vertices: dict[int, int] = defaultdict(int)
-        #: Staged edge mutations: node -> [(slot, [(idx, new_w)])].
-        self._edge_updates: dict[int, list] = defaultdict(list)
         #: Traffic totals at superstep start; the barrier commit closes
         #: the window so IterationStats covers the whole superstep,
         #: activation/control traffic of the commit included.
@@ -629,15 +635,7 @@ class Engine:
         with self.tracer.span("compute", iteration=self.iteration,
                               mode=("edge-cut" if self.is_edge_cut
                                     else "vertex-cut")) as sp:
-            if self.is_edge_cut:
-                if self._vec is not None:
-                    self._vec.edge_cut_compute(alive)
-                else:
-                    self._edge_cut_compute(alive)
-            elif self._vec is not None:
-                self._vec.vertex_cut_compute(alive)
-            else:
-                self._vertex_cut_compute(alive)
+            self._compute(alive)
             # Advance per-node clocks: framework overhead + compute.
             for node in alive:
                 cores = self.cluster.node(node).cores
@@ -670,31 +668,78 @@ class Engine:
                 sp.annotate(failed_nodes=list(failed))
         return failed if failed else None
 
-    # -- edge-cut ---------------------------------------------------------
+    def _scalar_state(self, node: int):
+        """The scalar path's ``_state``: one round object per node per
+        superstep."""
+        st = self._round.get(node)
+        if st is None:
+            st = self._round[node] = self._protocol.new_state(
+                self.local_graphs[node])
+        return st
 
-    def _edge_cut_compute(self, alive: list[int]) -> None:
+    def _compute(self, alive: list[int]) -> None:
+        """The compute driver (Algorithm 1, lines 3-6) over the
+        per-node round interface — scalar or array, whichever
+        ``_state`` hands out."""
         ctx = self._ctx()
-        proto = self._protocol
-        proto.selfish_opt = self.selfish_opt_active
-        mutation_log = (self._edge_updates
-                        if self.program.mutates_edges else None)
-        # Chaos hook fires mid-loop so a crash lands after a prefix of
-        # the nodes computed and sent their syncs (partial-batch loss).
-        mid = (len(alive) + 1) // 2 if len(alive) > 1 else 0
-        for i, node in enumerate(alive):
-            if i == mid:
-                self._chaos_point("gather")
-            if not self.cluster.node(node).is_alive:
+        self._protocol.selfish_opt = self.selfish_opt_active
+        if self.is_edge_cut:
+            # Chaos hook fires mid-loop so a crash lands after a prefix
+            # of the nodes computed and sent their syncs (partial-batch
+            # loss).
+            mid = (len(alive) + 1) // 2 if len(alive) > 1 else 0
+            for i, node in enumerate(alive):
+                if i == mid:
+                    self._chaos_point("gather")
+                if not self.cluster.node(node).is_alive:
+                    continue
+                outbox: dict = {}
+                edges, vertices, elided = self._state(node).compute(
+                    ctx, outbox)
+                self.syncs_elided += elided
+                # Flushed per node, so a mid-compute crash still loses
+                # the not-yet-computed nodes' syncs (partial-batch
+                # semantics).
+                self._flush_batches(node, outbox)
+                self._step_edges[node] += edges
+                self._step_vertices[node] += vertices
+            return
+        net = self.cluster.network
+
+        # Phase 0: masters whose activity changed since replicas last
+        # heard broadcast the flag (cheap; zero for always-active runs).
+        for node in alive:
+            pending = self._broadcast_pending.get(node)
+            if not pending:
                 continue
-            lg = self.local_graphs[node]
-            outbox: dict = {}
-            edges, vertices, elided = proto.edge_cut_compute_node(
-                lg, ctx, outbox, self._dirty[node], mutation_log)
-            self.syncs_elided += elided
-            # Flushed per node, so a mid-compute crash still loses the
-            # not-yet-computed nodes' syncs (partial-batch semantics).
+            outbox = self._state(node).broadcast_build(pending)
+            pending.clear()
             self._flush_batches(node, outbox)
-            self._step_edges[node] += edges
+        for node in alive:
+            for msg in net.deliver(node):
+                self._state(node).broadcast_apply(msg.payload)
+
+        # Phase 1: local partial gathers flow to masters.
+        for node in alive:
+            outbox = {}
+            self._step_edges[node] += self._state(node).gather(ctx, outbox)
+            self._flush_batches(node, outbox)
+        # Partial gathers are in flight toward the masters: a crash here
+        # loses both the crashed node's partials and its inbox.
+        self._chaos_point("gather")
+        alive = self._filter_alive(alive)
+        for node in alive:
+            st = self._state(node)
+            for msg in net.deliver(node):
+                st.intake(msg.src, msg.payload)
+
+        # Phase 2: masters fold partials (node-id order for
+        # determinism), apply, and scatter.
+        for node in alive:
+            outbox = {}
+            vertices, elided = self._state(node).fold_apply(ctx, outbox)
+            self.syncs_elided += elided
+            self._flush_batches(node, outbox)
             self._step_vertices[node] += vertices
 
     def _flush_batches(self, node: int, outbox: dict) -> None:
@@ -703,79 +748,6 @@ class Engine:
         for (dst, kind), batch in outbox.items():
             net.send(Message(kind, node, dst, batch, batch.nbytes()))
         outbox.clear()
-
-    # -- vertex-cut -----------------------------------------------------------
-
-    def _vertex_cut_broadcast(self, alive: list[int], net) -> None:
-        """Phase 0: masters whose activity changed since replicas last
-        heard broadcast the flag (cheap; zero for always-active runs).
-        Shared by the scalar and vectorized paths."""
-        proto = self._protocol
-        for node in alive:
-            lg = self.local_graphs[node]
-            pending = self._broadcast_pending.get(node)
-            if not pending:
-                continue
-            outbox = proto.broadcast_build(lg, pending)
-            pending.clear()
-            self._flush_batches(node, outbox)
-        for node in alive:
-            lg = self.local_graphs[node]
-            for msg in net.deliver(node):
-                proto.broadcast_apply(lg, msg.payload)
-
-    def _vertex_cut_compute(self, alive: list[int]) -> None:
-        ctx = self._ctx()
-        proto = self._protocol
-        proto.selfish_opt = self.selfish_opt_active
-        net = self.cluster.network
-        mutation_log = (self._edge_updates
-                        if self.program.mutates_edges else None)
-
-        self._vertex_cut_broadcast(alive, net)
-
-        # Phase 1: local partial gathers flow to masters.
-        partials: dict[int, dict[int, list[tuple[int, Any]]]] = {
-            node: defaultdict(list) for node in alive}
-        for node in alive:
-            lg = self.local_graphs[node]
-            outbox: dict = {}
-            local: list[tuple[int, Any]] = []
-            edges = proto.vertex_gather(lg, ctx, outbox, local,
-                                        mutation_log)
-            bucket = partials[node]
-            for gid, acc in local:
-                bucket[gid].append((node, acc))
-            self._flush_batches(node, outbox)
-            self._step_edges[node] += edges
-        # Partial gathers are in flight toward the masters: a crash here
-        # loses both the crashed node's partials and its inbox.
-        self._chaos_point("gather")
-        alive = self._filter_alive(alive)
-        for node in alive:
-            for msg in net.deliver(node):
-                batch = msg.payload
-                bucket = partials[node]
-                if isinstance(batch, RawGatherBatch):
-                    # Combining off: fold each record's raw contribution
-                    # group on receipt (DESIGN.md §15) — the partial the
-                    # sender would have shipped combined.
-                    accs = proto.fold_raw_gather(batch)
-                else:
-                    accs = batch.accs
-                for gid, acc in zip(batch.gids, accs):
-                    bucket[gid].append((msg.src, acc))
-
-        # Phase 2: masters fold partials (node-id order for
-        # determinism), apply, and scatter.
-        for node in alive:
-            lg = self.local_graphs[node]
-            outbox = {}
-            vertices, elided = proto.master_fold_apply(
-                lg, partials[node], ctx, outbox, self._dirty[node])
-            self.syncs_elided += elided
-            self._flush_batches(node, outbox)
-            self._step_vertices[node] += vertices
 
     # ------------------------------------------------------------------
     # barrier commit
@@ -836,19 +808,16 @@ class Engine:
         return ckpt_time
 
     def _apply_received_syncs(self, alive: list[int], net) -> None:
-        proto = self._protocol
         for node in alive:
-            lg = self.local_graphs[node]
             for msg in net.deliver(node):
-                if self._vec is not None:
-                    self._vec.stage_sync_batch(node, msg.payload)
-                else:
-                    proto.apply_sync_batch(lg, msg.payload,
-                                           self._dirty[node])
+                self._state(node).stage(msg.payload)
 
     def _commit_edge_mutations(self) -> None:
-        if self._edge_updates:
-            for node, items in self._edge_updates.items():
+        # Only the scalar path stages any (its finalize clears them);
+        # node order, as the gathers that staged them ran.
+        for node in sorted(self._round):
+            items = self._round[node].edge_updates
+            if items:
                 lg = self.local_graphs[node]
                 lg.invalidate_soa()  # born at load; its weights go stale
                 for slot, updates in items:
@@ -869,35 +838,22 @@ class Engine:
                             else:
                                 self._edge_journal[node].append(
                                     (slot.gid, idx, weight))
-            self._edge_updates = defaultdict(list)
 
     def _commit_values(self, alive: list[int], net) -> int:
         """Commit pending values, resolve activations; returns the
         number of active masters after the superstep."""
-        if self._vec is not None:
-            return self._vec.commit_values(alive, net)
-        proto = self._protocol
-        activation_signals: set[tuple[int, int, int]] = set()
-        for node in alive:
-            lg = self.local_graphs[node]
-            for dst_node, gid in proto.commit_stage1(
-                    lg, self._dirty[node], self.iteration):
-                activation_signals.add((node, dst_node, gid))
+        iteration = self.iteration
+        # Stage 1: activation scatter along local out-edges.
+        outboxes = {node: self._state(node).stage1(iteration)
+                    for node in alive}
 
-        # Vertex-cut: remote activation signals travel to masters.
-        if activation_signals:
-            outboxes: dict[int, dict] = defaultdict(dict)
-            for src_node, dst_node, gid in sorted(activation_signals):
-                outbox = outboxes[src_node]
-                key = (dst_node, MessageKind.ACTIVATE)
-                batch = outbox.get(key)
-                if batch is None:
-                    batch = outbox[key] = ActivateBatch()
-                batch.append(gid)
+        # Stage 2 (vertex-cut): remote activation signals travel to
+        # the masters.
+        if any(outboxes.values()):
             for src_node in sorted(outboxes):
                 self._flush_batches(src_node, outboxes[src_node])
             for node in alive:
-                lg = self.local_graphs[node]
+                st = self._state(node)
                 for msg in net.deliver(node):
                     # The activation exchange must only ever see the
                     # ACTIVATE batch just sent above; blindly treating
@@ -908,19 +864,18 @@ class Engine:
                         raise EngineError(
                             f"unexpected {msg.kind.value} message from "
                             f"node {msg.src} in the activation exchange "
-                            f"of iteration {self.iteration}")
-                    proto.apply_activations(lg, msg.payload.gids,
-                                            self._dirty[node])
+                            f"of iteration {iteration}")
+                    st.activate(msg.payload.gids)
 
-        # Finalise active flags for the touched slots.
+        # Stage 3: commit values, finalise active flags, mirror
+        # shadows, broadcast queue.
+        total = 0
         for node in alive:
-            lg = self.local_graphs[node]
-            stale = proto.finalize_commit(lg, self._dirty[node],
-                                          self.iteration)
+            stale = self._state(node).finalize(iteration)
             if stale:
                 self._broadcast_pending[node].update(stale)
-        return sum(len(self.local_graphs[n].active_masters)
-                   for n in alive)
+            total += len(self.local_graphs[node].active_masters)
+        return total
 
     def _finish_iteration_stats(self, alive: list[int], net,
                                 ckpt_time: float) -> None:
@@ -1145,9 +1100,9 @@ class Engine:
         net = self.cluster.network
         for node in self._alive():
             net.deliver(node)  # drain and drop
-            for slot in self._dirty.get(node, {}).values():
-                slot.clear_pending()
-        self._dirty = {}
+            if node in self._round:
+                self._round[node].abort()
+        self._round = {}
         if self._vec is not None:
             self._vec.rollback()
 

@@ -1,18 +1,21 @@
 """Vectorized superstep execution: the structure-of-arrays fast path.
 
 Runs one superstep array-at-a-time when the vertex program declares an
-:class:`~repro.algorithms.kernels.ArrayKernel`, in two layers
-(DESIGN.md §11):
+:class:`~repro.algorithms.kernels.ArrayKernel`, in the three layers of
+DESIGN.md §12:
 
 * :class:`ArrayNodeProtocol` — the array image of
   :class:`~repro.exec.protocol.NodeProtocol`: every compute, staging
-  and commit step of *one* partition over its :class:`_NodeState`
-  columns and plain outbox dicts.  It knows no engine, cluster,
-  network, tracer or chaos hook, so the multiprocessing backend's
-  forked workers run this same object.
-* :class:`VectorizedExecutor` — the simulator's *driver* of it: which
-  nodes run, where chaos hooks fire, when batches flush and deliver,
-  the step counters, and the state cache with its deferred slot
+  and commit step of *one* partition over :class:`_NodeState` columns
+  and plain outbox dicts.
+* :class:`_NodeState` — the per-node object: one partition's columns
+  bound to the protocol behind the round interface of
+  :mod:`repro.exec.protocol`.  Like the protocol it knows no engine,
+  cluster, network, tracer or chaos hook, so the multiprocessing
+  backend's forked workers run the same objects.
+* the drivers — ``Engine`` and the mp worker — are shared with the
+  scalar path; :class:`VectorizedExecutor` is what only the simulator's
+  array path needs beside them: the state cache with its deferred slot
   writeback.
 
 The contract is *bit-for-bit* equality with the scalar loop: identical
@@ -33,8 +36,8 @@ Lifecycle
   out of the slots; every other node keeps its image, through recovery
   too.  The
   one slot mutation *without* a topology change is the vertex-cut
-  phase-0 activity broadcast; its driver re-reads the two affected
-  columns afterwards (:meth:`_NodeState.refresh_activity`).
+  phase-0 activity broadcast; the state re-reads the two affected
+  columns before its next gather (:meth:`_NodeState.refresh_activity`).
 * Compute and received sync batches stage into pending *arrays*.
 * The barrier commit is split where the multiprocessing backend splits
   it: an abortable stage 1 (activation scatter), the activation intake,
@@ -55,6 +58,8 @@ sorts by sender per vertex.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.cluster.network import MessageKind
@@ -64,7 +69,7 @@ from repro.engine.messages import (
     RawGatherBatch,
     SyncBatch,
 )
-from repro.errors import EngineError
+from repro.exec.protocol import NodeProtocol
 from repro.utils.sizing import BYTES_PER_VID
 
 #: Sentinel returned by :meth:`VectorizedExecutor.committed_value` when
@@ -75,41 +80,46 @@ NO_COLUMN = object()
 
 
 class _NodeState:
-    """Per-node dynamic columns + pending staging.
+    """Per-node dynamic columns + pending staging, bound to the
+    :class:`ArrayNodeProtocol` that computes on them: the array per-node
+    object behind the round interface (:mod:`repro.exec.protocol`).
 
     The committed columns (``values`` … ``last_update``) change only in
     :meth:`ArrayNodeProtocol.finalize_commit`; everything a superstep
     stages lives in ``pend_*``, ``next_active`` and ``partials``.
     """
 
-    __slots__ = ("node", "topo", "values", "active", "last_activates",
-                 "mirror_self_active", "replicas_known_active",
-                 "last_update", "unflushed",
+    __slots__ = ("proto", "_lg", "node", "topo", "values", "active",
+                 "last_activates", "mirror_self_active",
+                 "replicas_known_active", "last_update", "unflushed",
                  "pend_mask", "pend_values", "pend_activates",
-                 "pend_self_active", "next_active", "partials")
+                 "pend_self_active", "next_active", "partials",
+                 "activity_stale")
 
-    def __init__(self, lg, dtype):
+    def __init__(self, proto, lg):
         topo = lg.topology()
         slots = lg.slots
         n = topo.n
+        dtype = proto.kernel.dtype
+        self.proto = proto
+        # Weak: the simulator's cache keeps a stale state until its node
+        # is next touched, and that must not keep the graph a recovery
+        # replaced (every slot of it) alive beside the new one.
+        self._lg = weakref.ref(lg)
         self.node = lg.node_id
         self.topo = topo
         self.values = np.array(
             [(0 if s is None else s.value) for s in slots], dtype=dtype)
-        self.active = np.fromiter(
-            (s is not None and s.active for s in slots), bool, count=n)
         self.last_activates = np.fromiter(
             (s is not None and s.last_activates for s in slots),
             bool, count=n)
         self.mirror_self_active = np.fromiter(
             (s is not None and s.mirror_self_active for s in slots),
             bool, count=n)
-        self.replicas_known_active = np.fromiter(
-            (s is not None and s.replicas_known_active for s in slots),
-            bool, count=n)
         self.last_update = np.fromiter(
             (-1 if s is None else s.last_update_iter for s in slots),
             np.int64, count=n)
+        self.refresh_activity()
         #: Positions whose committed value/flag columns are newer than
         #: the slots (writeback is deferred to the executor's flush).
         self.unflushed = np.zeros(n, dtype=bool)
@@ -122,26 +132,86 @@ class _NodeState:
         #: superstep for the local masters.
         self.partials: list = []
 
-    def refresh_activity(self, lg) -> None:
-        """Re-read the two columns the phase-0 broadcast can change.
+    @property
+    def lg(self):
+        return self._lg()
+
+    def refresh_activity(self) -> None:
+        """(Re-)read the two columns the phase-0 broadcast can change.
 
         The broadcast flips ``active`` on receiver replicas and
         ``replicas_known_active`` on sender masters via plain slot
-        writes (no topology change), so a cached state must re-read
-        them afterwards.
+        writes (no topology change), so a state that sent or received
+        one re-reads them before its next gather.
         """
-        slots = lg.slots
+        slots = self.lg.slots
         n = self.topo.n
         self.active = np.fromiter(
             (s is not None and s.active for s in slots), bool, count=n)
         self.replicas_known_active = np.fromiter(
             (s is not None and s.replicas_known_active for s in slots),
             bool, count=n)
+        self.activity_stale = False
 
-    def read(self, gids: list) -> list:
-        """Committed values of local copies, by gid."""
-        return self.values[self.topo.translate(
-            np.asarray(gids, dtype=np.int64))].tolist()
+    # -- the round interface: the protocol bound to these columns ------
+
+    def broadcast_build(self, pending) -> dict:
+        """Phase 0 is the scalar code on both paths: slots stay
+        authoritative for *activity*."""
+        if pending:
+            self.activity_stale = True
+        return NodeProtocol.broadcast_build(self.lg, pending)
+
+    def broadcast_apply(self, batch) -> None:
+        self.activity_stale = True
+        NodeProtocol.broadcast_apply(self.lg, batch)
+
+    def compute(self, ctx, outbox: dict) -> tuple[int, int, int]:
+        return self.proto.edge_cut_compute_node(self, ctx, outbox)
+
+    def gather(self, ctx, outbox: dict) -> int:
+        if self.activity_stale:
+            self.refresh_activity()
+        return self.proto.vertex_gather(self, outbox)
+
+    def intake(self, src: int, batch) -> None:
+        self.proto.intake_partials(self, src, batch)
+
+    def fold_apply(self, ctx, outbox: dict) -> tuple[int, int]:
+        return self.proto.master_fold_apply(self, ctx, outbox)
+
+    def stage(self, batch) -> None:
+        self.proto.stage_sync_batch(self, batch)
+
+    def stage1(self, iteration: int) -> dict:
+        return self.proto.commit_stage1(self)
+
+    def activate(self, gids) -> None:
+        self.proto.apply_activations(self, gids)
+
+    def finalize(self, iteration: int) -> list:
+        return self.proto.finalize_commit(self, self.lg, iteration)
+
+    def abort(self) -> None:
+        """Clear the uncommitted staging; the committed columns stay,
+        since only the commit writes them."""
+        self.pend_mask[:] = False
+        self.next_active[:] = False
+        self.partials = []
+
+    # -- committed reads -------------------------------------------------
+
+    def read(self, gids) -> dict:
+        """Committed values by gid (``None`` for a gid not held here)."""
+        local = [gid for gid in gids if gid in self.lg.index_of]
+        values = dict.fromkeys(gids)
+        values.update(zip(local, self.values[self.topo.translate(
+            np.asarray(local, dtype=np.int64))].tolist()))
+        return values
+
+    def topk(self, k: int) -> list[tuple]:
+        return [(gid, value) for value, gid in
+                top_masters(self.topo, self.values, k)]
 
     def committed_state(self) -> list[list]:
         """Every local copy's committed state, one list per column:
@@ -192,7 +262,7 @@ class ArrayNodeProtocol:
 
     def new_state(self, lg) -> _NodeState:
         """``lg``'s columns over its (cached, else rebuilt) topology."""
-        return _NodeState(lg, self.kernel.dtype)
+        return _NodeState(self, lg)
 
     # -- compute -------------------------------------------------------
 
@@ -470,9 +540,9 @@ class ArrayNodeProtocol:
 
 
 class VectorizedExecutor:
-    """The simulator's driver of :class:`ArrayNodeProtocol` for one
-    engine: node loops, chaos points, batch flush/delivery, counters and
-    the state cache."""
+    """The simulator's cache of :class:`_NodeState` objects for one
+    engine, with their deferred slot writeback (the engine's own
+    superstep drivers run the states)."""
 
     def __init__(self, engine, kernel):
         self.engine = engine
@@ -483,7 +553,7 @@ class VectorizedExecutor:
         #: node -> _NodeState, cached across supersteps; a state is
         #: valid while its topology object is still the graph's cached
         #: one (a write outside the commit invalidates the written
-        #: node's topology, which makes :meth:`_state` rebuild that
+        #: node's topology, which makes :meth:`state` rebuild that
         #: node's columns from the slots).
         self._states: dict[int, _NodeState] = {}
         #: States built from the slots; the ``soa.state_builds`` counter.
@@ -505,9 +575,7 @@ class VectorizedExecutor:
         """
         self.flush()
         for st in self._states.values():
-            st.pend_mask[:] = False
-            st.next_active[:] = False
-            st.partials = []
+            st.abort()
 
     def flush(self) -> None:
         """Write deferred column commits back into the slots.
@@ -560,12 +628,14 @@ class VectorizedExecutor:
 
     def valid_state(self, node: int) -> _NodeState | None:
         """The node's cached state if its image is still the graph's,
-        else ``None``.  Peeks: only :meth:`_state` builds."""
+        else ``None``.  Peeks: only :meth:`state` builds."""
         st = self._states.get(node)
         image = self.engine.local_graphs[node].cached_topology
         return st if st is not None and st.topo is image else None
 
-    def _state(self, node: int) -> _NodeState:
+    def state(self, node: int) -> _NodeState:
+        """The node's round object, (re)built from the slots when its
+        image was invalidated since the last touch."""
         st = self.valid_state(node)
         if st is None:
             st = self._states[node] = self.proto.new_state(
@@ -580,115 +650,5 @@ class VectorizedExecutor:
         stale = [n for n in self.engine._alive()
                  if n in self._states and self.valid_state(n) is None]
         for node in stale:
-            self._state(node)
+            self.state(node)
         return stale
-
-    # -- compute -------------------------------------------------------
-
-    def edge_cut_compute(self, alive: list[int]) -> None:
-        engine = self.engine
-        proto = self.proto
-        proto.selfish_opt = engine.selfish_opt_active
-        ctx = engine._ctx()
-        # Same mid-loop chaos placement as the scalar path: a crash
-        # lands after a prefix of the nodes computed and flushed.
-        mid = (len(alive) + 1) // 2 if len(alive) > 1 else 0
-        for i, node in enumerate(alive):
-            if i == mid:
-                engine._chaos_point("gather")
-            if not engine.cluster.node(node).is_alive:
-                continue
-            outbox: dict = {}
-            edges, vertices, elided = proto.edge_cut_compute_node(
-                self._state(node), ctx, outbox)
-            engine.syncs_elided += elided
-            engine._flush_batches(node, outbox)
-            engine._step_edges[node] += edges
-            engine._step_vertices[node] += vertices
-
-    def vertex_cut_compute(self, alive: list[int]) -> None:
-        engine = self.engine
-        proto = self.proto
-        proto.selfish_opt = engine.selfish_opt_active
-        ctx = engine._ctx()
-        net = engine.cluster.network
-
-        # Phase 0: activity broadcast — shared with the scalar path.
-        # States cached from earlier supersteps must re-read the two
-        # columns it mutates (fresh states read post-broadcast slots
-        # anyway); skip when nothing was pending — the common case for
-        # always-active programs.
-        had_pending = any(engine._broadcast_pending.get(n)
-                          for n in alive)
-        engine._vertex_cut_broadcast(alive, net)
-        if had_pending:
-            for node in alive:
-                # A topology-stale state is rebuilt from the slots on
-                # its next _state() touch, which reads the
-                # post-broadcast flags anyway.
-                st = self.valid_state(node)
-                if st is not None:
-                    st.refresh_activity(engine.local_graphs[node])
-
-        # Phase 1: partial gathers over local in-edges flow to masters.
-        for node in alive:
-            outbox: dict = {}
-            engine._step_edges[node] += proto.vertex_gather(
-                self._state(node), outbox)
-            engine._flush_batches(node, outbox)
-        engine._chaos_point("gather")
-        alive = engine._filter_alive(alive)
-        for node in alive:
-            st = self._state(node)
-            for msg in net.deliver(node):
-                proto.intake_partials(st, msg.src, msg.payload)
-
-        # Phase 2: masters fold partials, apply, and build syncs.
-        for node in alive:
-            outbox = {}
-            vertices, elided = proto.master_fold_apply(
-                self._state(node), ctx, outbox)
-            engine.syncs_elided += elided
-            engine._flush_batches(node, outbox)
-            engine._step_vertices[node] += vertices
-
-    # -- receive staging ----------------------------------------------
-
-    def stage_sync_batch(self, node: int, batch: SyncBatch) -> None:
-        self.proto.stage_sync_batch(self._state(node), batch)
-
-    # -- barrier commit ------------------------------------------------
-
-    def commit_values(self, alive: list[int], net) -> int:
-        """Array image of Engine._commit_values; same three stages."""
-        engine = self.engine
-        proto = self.proto
-        iteration = engine.iteration
-        # Stage 1: activation scatter along local out-edges.
-        outboxes = {node: proto.commit_stage1(self._state(node))
-                    for node in alive}
-
-        # Stage 2: remote activation signals travel to the masters.
-        if any(outboxes.values()):
-            for src_node in sorted(outboxes):
-                engine._flush_batches(src_node, outboxes[src_node])
-            for node in alive:
-                st = self._state(node)
-                for msg in net.deliver(node):
-                    if msg.kind is not MessageKind.ACTIVATE:
-                        raise EngineError(
-                            f"unexpected {msg.kind.value} message from "
-                            f"node {msg.src} in the activation exchange "
-                            f"of iteration {iteration}")
-                    proto.apply_activations(st, msg.payload.gids)
-
-        # Stage 3: commit values, finalise activity, mirror shadows,
-        # broadcast queue.
-        total = 0
-        for node in alive:
-            lg = engine.local_graphs[node]
-            stale = proto.finalize_commit(self._state(node), lg, iteration)
-            if stale:
-                engine._broadcast_pending[node].update(stale)
-            total += len(lg.active_masters)
-        return total

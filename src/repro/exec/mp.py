@@ -3,17 +3,18 @@
 Each cluster node runs as a real ``multiprocessing.Process`` (fork
 start method) owning one partition's :class:`LocalGraph`, forked from
 a parent-side ``Engine`` — the *parent image* — that itself never runs
-a superstep.  A worker is the second driver of the per-node protocols
-the simulator runs.  With a ``vectorized`` spec (the default) and a
-program that declares an array kernel it builds its ``NodeTopology``
-and columns *after* the fork and runs every round on
-:class:`~repro.engine.vectorized.ArrayNodeProtocol`: batch columns go
-from the arrays straight into ``encode_batch``, received batches stage
-by column scatter, values never flush back to slots.  Otherwise
-(``cd``, ``als``, ``vectorized=False``) it runs the scalar
-:class:`~repro.exec.protocol.NodeProtocol`.  The coordinator drives the
-rounds over per-worker duplex pipes (star topology) and routes the
-encoded columnar batches; it cannot tell the two worker paths apart.
+a superstep.  A worker is the second driver of the per-node round
+interface the simulator drives (DESIGN.md §12): every frame handler is
+decode -> one call on its rank's per-node object -> encode.  With a
+``vectorized`` spec (the default) and a program that declares an array
+kernel that object is an :class:`~repro.engine.vectorized.
+ArrayNodeProtocol` state whose columns are built *after* the fork:
+batch columns go from the arrays straight into ``encode_batch``,
+received batches stage by column scatter, values never flush back to
+slots.  Otherwise (``cd``, ``als``, ``vectorized=False``) it is a
+:class:`~repro.exec.protocol.ScalarNodeState`.  The coordinator drives
+the rounds over per-worker duplex pipes (star topology) and routes the
+encoded columnar batches; it cannot tell the two apart.
 
 Determinism / parity
 --------------------
@@ -66,7 +67,6 @@ partitioning (the simulator's ``check_supported`` contract).
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
 import signal
@@ -78,12 +78,9 @@ from typing import Any
 
 from repro.api import make_engine
 from repro.config import MP_HEARTBEAT_INTERVAL_S, MP_HEARTBEAT_MISSES
-from repro.engine.messages import ActivateBatch, RawGatherBatch
-from repro.engine.vectorized import top_masters
 from repro.engine.vertex_program import ApplyContext
 from repro.exec.base import (BackendError, BackendRunResult, BackendSpec,
                              ExecutionBackend, recoveries_report)
-from repro.exec.protocol import NodeProtocol
 from repro.exec.serialize import (TAG_GATHER, TAG_RAW_GATHER, decode_batch,
                                   encode_batch, encoded_logical_nbytes,
                                   encoded_logical_records,
@@ -115,22 +112,17 @@ def _encode_outbox(outbox: dict) -> list:
             for (dst, kind), batch in outbox.items()]
 
 
-class _ScalarWorker:
-    """One rank's round handlers over the scalar :class:`NodeProtocol`
-    — the path of programs without an array kernel and of
-    ``vectorized=False``.  A handler is named after its frame tag,
-    takes the frame's fields and returns the reply frame."""
+class _NodeWorker:
+    """One rank's round handlers over the per-node object the parent
+    image's own protocol hands out (array exactly when the image
+    installed the array executor).  A handler is named after its frame
+    tag, takes the frame's fields and returns the reply frame."""
 
     def __init__(self, rank: int, engine):
-        self.rank = rank
-        self.lg = engine.local_graphs[rank]
-        self.proto = NodeProtocol(engine.program, engine.is_edge_cut,
-                                  sync_elision=engine._sync_elision,
-                                  selfish_opt=engine.selfish_opt_active,
-                                  combining=engine._combining)
+        proto = engine._protocol
+        proto.selfish_opt = engine.selfish_opt_active
+        self.st = proto.new_state(engine.local_graphs[rank])
         self.graph = engine.graph
-        self.dirty: dict[int, Any] = {}
-        self.partials: dict[int, list] = {}
         # Masters whose activity flag the replicas have not heard yet:
         # empty on a fresh image, re-derived by the engine's recovery
         # otherwise.
@@ -143,165 +135,54 @@ class _ScalarWorker:
                             num_edges=self.graph.num_edges)
 
     def compute(self, it: int) -> tuple:
-        self.dirty = {}
         outbox: dict = {}
-        counts = self.proto.edge_cut_compute_node(
-            self.lg, self.ctx(it), outbox, self.dirty)
+        counts = self.st.compute(self.ctx(it), outbox)
         return ("computed", it, _encode_outbox(outbox), *counts)
 
     def vc0(self, it: int) -> tuple:
-        self.dirty = {}
-        self.partials = {}
-        outbox = self.proto.broadcast_build(self.lg, self.pending_broadcast)
+        outbox = self.st.broadcast_build(self.pending_broadcast)
         self.pending_broadcast = set()
         return ("vc0_done", it, _encode_outbox(outbox))
 
     def vc1(self, it: int, frames: list) -> tuple:
         for _src, enc in frames:
-            self.proto.broadcast_apply(self.lg, decode_batch(enc))
+            self.st.broadcast_apply(decode_batch(enc))
         outbox: dict = {}
-        local: list = []
-        edges = self.proto.vertex_gather(self.lg, self.ctx(it), outbox,
-                                         local)
-        for gid, acc in local:
-            self.partials.setdefault(gid, []).append((self.rank, acc))
+        edges = self.st.gather(self.ctx(it), outbox)
         return ("vc1_done", it, _encode_outbox(outbox), edges)
 
     def vc2(self, it: int, frames: list) -> tuple:
         for src, enc in frames:
-            batch = decode_batch(enc)
-            if isinstance(batch, RawGatherBatch):
-                accs = self.proto.fold_raw_gather(batch)
-            else:
-                accs = batch.accs
-            for gid, acc in zip(batch.gids, accs):
-                self.partials.setdefault(gid, []).append((src, acc))
+            self.st.intake(src, decode_batch(enc))
         outbox: dict = {}
-        counts = self.proto.master_fold_apply(
-            self.lg, self.partials, self.ctx(it), outbox, self.dirty)
+        counts = self.st.fold_apply(self.ctx(it), outbox)
         return ("vc2_done", it, _encode_outbox(outbox), *counts)
 
     def commit(self, it: int, frames: list) -> tuple:
         for _src, enc in frames:
-            self.proto.apply_sync_batch(self.lg, decode_batch(enc),
-                                        self.dirty)
-        signals = self.proto.commit_stage1(self.lg, self.dirty, it)
-        by_dst: dict[int, ActivateBatch] = {}
-        for dst, gid in sorted(set(signals)):
-            by_dst.setdefault(dst, ActivateBatch()).append(gid)
-        return ("staged", it,
-                [(dst, encode_batch(b)) for dst, b in by_dst.items()])
+            self.st.stage(decode_batch(enc))
+        return ("staged", it, _encode_outbox(self.st.stage1(it)))
 
     def commit2(self, it: int, frames: list) -> tuple:
         for _src, enc in frames:
-            self.proto.apply_activations(self.lg, decode_batch(enc).gids,
-                                         self.dirty)
-        self.pending_broadcast.update(
-            self.proto.finalize_commit(self.lg, self.dirty, it))
-        self.dirty = {}
-        return ("committed", it, len(self.lg.active_masters))
+            self.st.activate(decode_batch(enc).gids)
+        self.pending_broadcast.update(self.st.finalize(it))
+        return ("committed", it, len(self.st.lg.active_masters))
 
     # Reads of committed state: the coordinator only sends these at
     # protocol-safe points (workers idle between rounds, never inside
     # the commit exchange), so every value is the last committed one.
 
     def read(self, req_id: int, gids: list) -> tuple:
-        """Point reads; any local copy — master, replica or mirror —
-        answers (``None`` for a gid this rank does not hold)."""
-        return ("read_done", req_id,
-                {gid: (self.lg.slot_of(gid).value
-                       if gid in self.lg.index_of else None)
-                 for gid in gids})
+        return ("read_done", req_id, self.st.read(gids))
 
     def topk(self, req_id: int, k: int) -> tuple:
-        """Local-masters top-K by (value desc, gid asc); the
-        coordinator merges the per-rank lists."""
-        top = heapq.nlargest(k, ((slot.value, -slot.gid)
-                                 for slot in self.lg.iter_masters()))
-        return ("topk_done", req_id,
-                [(-neg_gid, value) for value, neg_gid in top])
+        return ("topk_done", req_id, self.st.topk(k))
 
     def fullstate(self) -> tuple:
-        """Committed state of every local copy, one column per field
-        (``_sync_parent_from_workers`` reads it: before a reshape or a
-        recovery, and for the job's result).  Whatever an interrupted
+        """``_sync_parent_from_workers`` reads it: before a reshape or
+        a recovery, and for the job's result.  Whatever an interrupted
         round staged is pending state and dies with this process."""
-        return ("fullstate_done", list(zip(*[
-            (slot.gid, slot.value, slot.last_activates,
-             slot.last_update_iter, slot.mirror_self_active,
-             slot.active, slot.replicas_known_active)
-            for slot in self.lg.iter_slots()])))
-
-
-class _ArrayWorker(_ScalarWorker):
-    """The same rounds over ``ArrayNodeProtocol``: the topology comes
-    through the fork with the parent image (born at load; only a reborn
-    rank reads its own back from the slots), the columns are built here,
-    and values never flush back to slots.  Slots stay authoritative for
-    *activity* only, which the shared scalar phase-0 broadcast (``vc0``)
-    reads and writes."""
-
-    def __init__(self, rank: int, engine):
-        super().__init__(rank, engine)
-        # The very protocol object the simulator's executor drives.
-        self.arrays = engine._vec.proto
-        self.arrays.selfish_opt = engine.selfish_opt_active
-        self.st = self.arrays.new_state(self.lg)
-        self.broadcast_sent = False
-
-    def compute(self, it: int) -> tuple:
-        outbox: dict = {}
-        counts = self.arrays.edge_cut_compute_node(self.st, self.ctx(it),
-                                                   outbox)
-        return ("computed", it, _encode_outbox(outbox), *counts)
-
-    def vc0(self, it: int) -> tuple:
-        self.broadcast_sent = bool(self.pending_broadcast)
-        return super().vc0(it)
-
-    def vc1(self, it: int, frames: list) -> tuple:
-        for _src, enc in frames:
-            self.proto.broadcast_apply(self.lg, decode_batch(enc))
-        if frames or self.broadcast_sent:
-            self.st.refresh_activity(self.lg)
-        outbox: dict = {}
-        edges = self.arrays.vertex_gather(self.st, outbox)
-        return ("vc1_done", it, _encode_outbox(outbox), edges)
-
-    def vc2(self, it: int, frames: list) -> tuple:
-        for src, enc in frames:
-            self.arrays.intake_partials(self.st, src, decode_batch(enc))
-        outbox: dict = {}
-        counts = self.arrays.master_fold_apply(self.st, self.ctx(it),
-                                               outbox)
-        return ("vc2_done", it, _encode_outbox(outbox), *counts)
-
-    def commit(self, it: int, frames: list) -> tuple:
-        for _src, enc in frames:
-            self.arrays.stage_sync_batch(self.st, decode_batch(enc))
-        outbox = self.arrays.commit_stage1(self.st)
-        return ("staged", it, [(dst, encode_batch(batch))
-                               for (dst, _kind), batch in outbox.items()])
-
-    def commit2(self, it: int, frames: list) -> tuple:
-        for _src, enc in frames:
-            self.arrays.apply_activations(self.st, decode_batch(enc).gids)
-        self.pending_broadcast.update(
-            self.arrays.finalize_commit(self.st, self.lg, it))
-        return ("committed", it, len(self.lg.active_masters))
-
-    def read(self, req_id: int, gids: list) -> tuple:
-        local = [gid for gid in gids if gid in self.lg.index_of]
-        values = dict.fromkeys(gids)
-        values.update(zip(local, self.st.read(local)))
-        return ("read_done", req_id, values)
-
-    def topk(self, req_id: int, k: int) -> tuple:
-        return ("topk_done", req_id, [
-            (gid, value) for value, gid in
-            top_masters(self.st.topo, self.st.values, k)])
-
-    def fullstate(self) -> tuple:
         return ("fullstate_done", self.st.committed_state())
 
 
@@ -315,10 +196,7 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
     # A worker must never outlive an abruptly-gone coordinator; pipes
     # raise EOFError on recv once the parent closes, which exits below.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # The parent image installs the array executor exactly when the
-    # spec asks for it and the program declares a kernel.
-    worker = (_ArrayWorker if engine._vec is not None
-              else _ScalarWorker)(rank, engine)
+    worker = _NodeWorker(rank, engine)
     while True:
         try:
             frame = conn.recv()
@@ -774,7 +652,11 @@ class MultiprocessingBackend(ExecutionBackend):
             raise BackendError(
                 f"ft_mode {spec.ft_mode!r} is not supported on the "
                 f"multiprocessing backend")
-        for iteration, _ranks, phase in spec.failures:
+        # The simulator's rule for a kill or flap target: a rank the
+        # image hosts a local graph for (``_kill`` / ``_flap`` skip a
+        # rank without a worker, which is right only for a dead one).
+        ranks = engine.local_graphs
+        for iteration, targets, phase in spec.failures:
             if phase not in ("compute", "commit", "after_commit"):
                 raise BackendError(
                     f"unsupported failure phase {phase!r}")
@@ -782,6 +664,14 @@ class MultiprocessingBackend(ExecutionBackend):
                 raise BackendError(
                     f"failure scheduled at iteration {iteration} beyond "
                     f"max_iterations {spec.max_iterations}")
+            for rank in targets:
+                if rank not in ranks:
+                    raise BackendError(
+                        f"cannot schedule failure of rank {rank}: the "
+                        f"job has no such rank")
+        first_join = min((event[0] for event in spec.membership
+                          if event[1] == "join"),
+                         default=spec.max_iterations)
         for event in spec.membership:
             kind = event[1]
             if kind not in ("join", "drain", "flap"):
@@ -793,6 +683,12 @@ class MultiprocessingBackend(ExecutionBackend):
                     f"max_iterations {spec.max_iterations}")
             if kind in ("drain", "flap") and event[2] is None:
                 raise BackendError(f"{kind} events need a target rank")
+            # A rank admitted by an earlier join is a legitimate target.
+            if (kind == "flap" and event[2] not in ranks
+                    and event[0] <= first_join):
+                raise BackendError(
+                    f"cannot flap rank {event[2]}: the job has no such "
+                    f"rank")
             if kind != "flap" and not (spec.ft_mode == "replication"
                                        and engine.is_edge_cut):
                 raise BackendError(
@@ -971,11 +867,7 @@ class MultiprocessingBackend(ExecutionBackend):
         # the iteration is redone (bounded by ``max_iteration_retries``).
         staged = self._round(it, alive, "commit", "staged", sync_frames,
                              kill=kill_commit)
-        act_frames: dict[int, list] = {r: [] for r in alive}
-        for src in sorted(staged):
-            for dst, enc in staged[src][2]:
-                book.count("activate", enc)
-                act_frames[dst].append((src, enc))
+        act_frames = self._route(staged, book)
         # The finalize round is the point of no return: once any worker
         # processes ``commit2`` its state flips, so a death here leaves a
         # half-committed superstep — a hard error, not a recovery case.

@@ -1,39 +1,43 @@
 """Backend-agnostic per-node superstep protocol (DESIGN.md §12).
 
-Extracted from ``Engine`` so the same scalar compute/sync/commit code
-drives both execution backends:
+Three layers, the same on both execution backends:
 
-* the deterministic in-process simulator — ``Engine``'s scalar paths
-  delegate here, and
-* the multiprocessing backend (:mod:`repro.exec.mp`), where each
-  scalar worker process owns one partition's :class:`LocalGraph` and
-  runs exactly this code between pipe exchanges.
+* :class:`NodeProtocol` — the scalar compute/sync/commit code of one
+  partition, written against plain data structures: a
+  :class:`LocalGraph`, an ``outbox`` dict keyed ``(dst_node, kind)``
+  accumulating columnar batches, and a ``dirty`` map of staged slots.
+* :class:`ScalarNodeState` — the per-node object binding the protocol
+  to one partition's state behind the *round interface* every backend
+  drives: ``broadcast_build`` / ``broadcast_apply``, ``compute``,
+  ``gather``, ``intake``, ``fold_apply``, ``stage``, ``stage1``,
+  ``activate``, ``finalize``, ``abort``, and the committed reads
+  ``read``, ``topk``, ``committed_state``.
+* one driver per backend — ``Engine`` (the deterministic in-process
+  simulator) and the forked workers of :mod:`repro.exec.mp` — calling
+  that interface and nothing else.
 
-Programs with an array kernel run its array image on both backends
-(:class:`~repro.engine.vectorized.ArrayNodeProtocol`), held bit-equal
-to this code by the differential suites.
+Programs with an array kernel run the array image of the first two
+layers (:class:`~repro.engine.vectorized.ArrayNodeProtocol` and its
+``_NodeState``) under the same drivers, held bit-equal to this code by
+the differential suites.  Equality of committed values and
+logical-message counts across backends is therefore structural: both
+run the same per-node code over the same per-node state in the same
+deterministic order; only the transport underneath differs.
 
-Equality of committed values and logical-message counts across
-backends is therefore structural: both run the same per-node code over
-the same per-node state in the same deterministic order; only the
-transport underneath differs.
-
-The protocol is written against plain data structures — a
-:class:`LocalGraph`, an ``outbox`` dict keyed ``(dst_node, kind)``
-accumulating columnar batches, and a ``dirty`` map of staged slots —
-and never touches a network, cluster, tracer, or clock.  Everything
-scheduling-related (which nodes run, when batches flush, where chaos
-hooks fire, how time is charged) stays with the backend.
+Neither layer here touches a network, cluster, tracer, or clock:
+everything scheduling-related (which nodes run, when batches flush,
+where chaos hooks fire, how time is charged) stays with the backend.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any
 
 from repro.cluster.network import MessageKind
 from repro.engine.combine import combiner_of, fold_raw_batch
-from repro.engine.messages import (ActiveBroadcastBatch, GatherBatch,
-                                   RawGatherBatch, SyncBatch)
+from repro.engine.messages import (ActivateBatch, ActiveBroadcastBatch,
+                                   GatherBatch, RawGatherBatch, SyncBatch)
 from repro.utils.sizing import BYTES_PER_VID
 
 
@@ -72,6 +76,10 @@ class NodeProtocol:
                          else combiner_of(program))
         from repro.engine.combine import scalar_op
         self._op = scalar_op(self.combiner) if self.combiner else None
+
+    def new_state(self, lg) -> "ScalarNodeState":
+        """``lg``'s per-node round object under this protocol."""
+        return ScalarNodeState(self, lg)
 
     # -- gather + apply -------------------------------------------------
 
@@ -286,7 +294,12 @@ class NodeProtocol:
 
     # -- vertex-cut activity broadcast (phase 0) ------------------------
 
-    def broadcast_build(self, lg, pending) -> dict:
+    # Phase 0 needs no knob and runs on the slots whichever protocol
+    # computes (activity lives in the slots), so the array per-node
+    # object calls these two as plain functions.
+
+    @staticmethod
+    def broadcast_build(lg, pending) -> dict:
         """Masters whose activity changed since replicas last heard
         build the flag-broadcast outbox; clears ``replicas_known_active``
         drift for the gids shipped."""
@@ -307,7 +320,8 @@ class NodeProtocol:
             slot.replicas_known_active = slot.active
         return outbox
 
-    def broadcast_apply(self, lg, batch) -> None:
+    @staticmethod
+    def broadcast_apply(lg, batch) -> None:
         for gid, active in zip(batch.gids, batch.actives):
             lg.set_active(lg.slot_of(gid), active)
 
@@ -402,3 +416,127 @@ class NodeProtocol:
                 slot.mirror_self_active = slot.pending_active
             slot.clear_pending()
         return stale
+
+
+class ScalarNodeState:
+    """One partition's superstep state bound to its :class:`NodeProtocol`
+    — the scalar per-node object behind the round interface (module
+    docstring).  Engine-free, so forked workers run it as is."""
+
+    def __init__(self, proto: NodeProtocol, lg):
+        self.proto = proto
+        self.lg = lg
+        #: gid -> slot touched this superstep (committed by
+        #: :meth:`finalize` or rolled back by :meth:`abort`).
+        self.dirty: dict[int, Any] = {}
+        #: Vertex-cut: gid -> [(sender_node, acc)] gathered this
+        #: superstep for the local masters.
+        self.partials: dict[int, list[tuple[int, Any]]] = {}
+        #: Staged edge mutations, [(slot, [(idx, new_w)])]: the backend
+        #: commits them at its barrier, before :meth:`finalize`.
+        self.edge_updates: list = []
+        self._mutation_log = ({lg.node_id: self.edge_updates}
+                              if proto.program.mutates_edges else None)
+
+    # -- compute (vertex-cut: phase 0 broadcast, gather, fold + apply) --
+
+    def broadcast_build(self, pending) -> dict:
+        return self.proto.broadcast_build(self.lg, pending)
+
+    def broadcast_apply(self, batch) -> None:
+        self.proto.broadcast_apply(self.lg, batch)
+
+    def compute(self, ctx, outbox: dict) -> tuple[int, int, int]:
+        """Edge-cut superstep; ``(edges, vertices, syncs_elided)``."""
+        return self.proto.edge_cut_compute_node(
+            self.lg, ctx, outbox, self.dirty, self._mutation_log)
+
+    def gather(self, ctx, outbox: dict) -> int:
+        """Vertex-cut phase 1; returns the edges folded."""
+        local: list[tuple[int, Any]] = []
+        edges = self.proto.vertex_gather(self.lg, ctx, outbox, local,
+                                         self._mutation_log)
+        for gid, acc in local:
+            self.partials.setdefault(gid, []).append(
+                (self.lg.node_id, acc))
+        return edges
+
+    def intake(self, src: int, batch) -> None:
+        """Stage one received gather batch for the master fold."""
+        if isinstance(batch, RawGatherBatch):
+            # Combining off: fold each record's raw contribution group
+            # on receipt (DESIGN.md §15) — the partial the sender would
+            # have shipped combined.
+            accs = self.proto.fold_raw_gather(batch)
+        else:
+            accs = batch.accs
+        for gid, acc in zip(batch.gids, accs):
+            self.partials.setdefault(gid, []).append((src, acc))
+
+    def fold_apply(self, ctx, outbox: dict) -> tuple[int, int]:
+        """Vertex-cut phase 2; ``(vertices, syncs_elided)``."""
+        return self.proto.master_fold_apply(self.lg, self.partials, ctx,
+                                            outbox, self.dirty)
+
+    # -- barrier commit --------------------------------------------------
+
+    def stage(self, batch) -> None:
+        """Stage one received sync batch."""
+        self.proto.apply_sync_batch(self.lg, batch, self.dirty)
+
+    def stage1(self, iteration: int) -> dict:
+        """Abortable commit stage 1: local activation scatter; returns
+        the remote signals as one :class:`ActivateBatch` per master
+        node, gids unique and sorted."""
+        outbox: dict = {}
+        for dst, gid in sorted(set(self.proto.commit_stage1(
+                self.lg, self.dirty, iteration))):
+            outbox.setdefault((dst, MessageKind.ACTIVATE),
+                              ActivateBatch()).append(gid)
+        return outbox
+
+    def activate(self, gids) -> None:
+        self.proto.apply_activations(self.lg, gids, self.dirty)
+
+    def finalize(self, iteration: int) -> list[int]:
+        """The point of no return; returns the stale-broadcast gids."""
+        stale = self.proto.finalize_commit(self.lg, self.dirty, iteration)
+        self._reset()
+        return stale
+
+    def abort(self) -> None:
+        """Discard everything the superstep staged."""
+        for slot in self.dirty.values():
+            slot.clear_pending()
+        self._reset()
+
+    def _reset(self) -> None:
+        self.dirty = {}
+        self.partials = {}
+        self.edge_updates.clear()
+
+    # -- committed reads (between rounds only) ---------------------------
+
+    def read(self, gids) -> dict:
+        """Point reads; any local copy — master, replica or mirror —
+        answers (``None`` for a gid this node does not hold)."""
+        lg = self.lg
+        return {gid: (lg.slot_of(gid).value if gid in lg.index_of
+                      else None) for gid in gids}
+
+    def topk(self, k: int) -> list[tuple]:
+        """Local masters' top-K ``(gid, value)`` by (value desc, gid
+        asc); the caller merges the per-node lists."""
+        top = heapq.nlargest(k, ((slot.value, -slot.gid)
+                                 for slot in self.lg.iter_masters()))
+        return [(-neg_gid, value) for value, neg_gid in top]
+
+    def committed_state(self) -> list[list]:
+        """Every local copy's committed state, one list per column:
+        gids, value, ``last_activates``, ``last_update_iter``,
+        ``mirror_self_active``, ``active``, ``replicas_known_active``."""
+        return [list(col) for col in zip(*[
+            (slot.gid, slot.value, slot.last_activates,
+             slot.last_update_iter, slot.mirror_self_active,
+             slot.active, slot.replicas_known_active)
+            for slot in self.lg.iter_slots()])]

@@ -108,6 +108,21 @@ class TestActivationAndHalting:
         assert result.num_iterations == 3
 
 
+    def test_run_zero_iterations_runs_nothing(self):
+        """``run(0)`` means zero supersteps, not "use the configured
+        limit": only ``None`` defers to the config."""
+        engine = make_engine(generators.ring(64), "pagerank", num_nodes=4,
+                             max_iterations=5)
+        initial = engine.values()
+        result = engine.run(0)
+        assert result.num_iterations == 0
+        assert result.iteration_stats == []
+        assert engine.committed_iteration == -1
+        assert result.values == initial
+        assert engine.run(2).num_iterations == 2
+        assert engine.run().num_iterations == 5
+
+
 class TestStatsAndReports:
     def test_iteration_stats_shape(self, graph):
         result = run_job(graph, "pagerank", num_nodes=4, max_iterations=3)

@@ -113,8 +113,8 @@ class TestDifferentialOracle:
     ])
     def test_worker_paths_agree(self, graph, monkeypatch, algorithm,
                                 kwargs, partition):
-        """``BackendSpec.vectorized`` picks the worker path: array
-        workers (the default) ≡ scalar workers ≡ the simulator.  Forked
+        """``BackendSpec.vectorized`` picks the per-node class: array
+        states (the default) ≡ scalar states ≡ the simulator.  Forked
         workers inherit the patches, so each run also proves it never
         entered the other path's compute."""
         spec = BackendSpec(algorithm=algorithm, num_nodes=4,
@@ -135,7 +135,7 @@ class TestDifferentialOracle:
     def test_kernel_less_program_falls_back_to_scalar_workers(
             self, graph, monkeypatch):
         """``cd`` declares no array kernel: the default spec runs it on
-        the scalar handlers, still bit-equal to the simulator."""
+        the scalar per-node class, still bit-equal to the simulator."""
         spec = BackendSpec(algorithm="cd", num_nodes=4, max_iterations=6)
         sim = SimulatorBackend().run(graph, spec)
         _forbid(monkeypatch, ArrayNodeProtocol, "new_state")
@@ -143,6 +143,32 @@ class TestDifferentialOracle:
             mp = backend.run(graph, spec)
         _assert_equivalent(sim, mp)
         assert mp.total_msgs > 0
+
+    @pytest.mark.parametrize("algorithm,per_node", [
+        ("pagerank", "_NodeState"), ("cd", "ScalarNodeState")])
+    def test_worker_paths_construct_the_simulators_per_node_class(
+            self, graph, monkeypatch, tmp_path, algorithm, per_node):
+        """One driver per backend over one per-node class: for a
+        kernel-backed program both backends build ``_NodeState``s, for
+        ``cd`` ``ScalarNodeState``s — and never the other class.  The
+        spy appends to a file, which forked workers inherit."""
+        from repro.engine.vectorized import _NodeState
+        from repro.exec.protocol import ScalarNodeState
+        built = tmp_path / "built"
+        for cls in (_NodeState, ScalarNodeState):
+            def spy(self, *args, _real=cls.__init__, _name=cls.__name__):
+                with open(built, "a") as fh:
+                    fh.write(_name + "\n")
+                _real(self, *args)
+            monkeypatch.setattr(cls, "__init__", spy)
+        spec = BackendSpec(algorithm=algorithm, num_nodes=3,
+                           max_iterations=3)
+        SimulatorBackend().run(graph, spec)
+        assert set(built.read_text().split()) == {per_node}
+        built.unlink()
+        with MultiprocessingBackend() as backend:
+            backend.run(graph, spec)
+        assert built.read_text().split() == [per_node] * 3
 
     @pytest.mark.parametrize("combining", [True, False])
     def test_combining_parity(self, graph, combining):
@@ -408,6 +434,8 @@ REFUSED_SPECS = [
      "replication over an edge-cut"),
     (dict(membership=((1, "drain", 1),), partition="random_vertex_cut"),
      "replication over an edge-cut"),
+    (dict(failures=((1, (7,), "compute"),)), "failure of rank 7"),
+    (dict(membership=((1, "flap", 9),)), "cannot flap rank 9"),
 ]
 
 

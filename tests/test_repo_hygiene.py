@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +32,17 @@ def test_every_python_path_named_in_the_docs_exists():
         for path in set(pattern.findall((ROOT / doc).read_text()))
         if not (ROOT / path).is_file())
     assert not missing, f"named in the docs but absent: {missing}"
+
+
+def test_behaviour_dump_is_deterministic(tmp_path):
+    """``tests/tools/behaviour_dump.py`` is the instrument every
+    refactor PR ``cmp``s against its parent: two runs of the same tree
+    must be byte-equal, or a difference means nothing."""
+    tool = ROOT / "tests" / "tools" / "behaviour_dump.py"
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for out in outs:
+        subprocess.run([sys.executable, str(tool), "--quick", "--out",
+                        str(out)], check=True, timeout=120, env=env)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].stat().st_size > 10_000

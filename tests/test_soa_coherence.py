@@ -222,13 +222,13 @@ class TestImageBornAtLoad:
     def test_topology_builds_none_in_a_fresh_array_worker(
             self, graph, builds, partition):
         """A forked mp worker inherits the parent's image: building its
-        state (what ``_ArrayWorker.__init__`` does after the fork) reads
+        state (what ``_NodeWorker.__init__`` does after the fork) reads
         no topology back, for any rank."""
-        from repro.exec.mp import _ArrayWorker
+        from repro.exec.mp import _NodeWorker
         engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
                              partition=partition)
         for rank in range(4):
-            worker = _ArrayWorker(rank, engine)
+            worker = _NodeWorker(rank, engine)
             assert worker.st.topo is engine.local_graphs[rank].cached_topology
         assert builds == []
 
@@ -238,7 +238,7 @@ class TestImageBornAtLoad:
         the survivors Rebirth and repair did not write on still hold the
         image they were born with, so only the reborn rank reads one
         back."""
-        from repro.exec.mp import _ArrayWorker
+        from repro.exec.mp import _NodeWorker
         engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
                              num_standby=1)
         born = {n: lg.cached_topology
@@ -254,7 +254,7 @@ class TestImageBornAtLoad:
                                           else born[node])
         assert builds == []
         for rank in range(4):
-            _ArrayWorker(rank, engine)
+            _NodeWorker(rank, engine)
         assert builds == [2]
 
     def test_gauges_at_load_scan_no_slot(self, graph, monkeypatch):

@@ -152,115 +152,25 @@ def test_custom_program_falls_back_to_scalar(chaos_graph):
 #
 # No ``Engine.run`` and no ``Network``: the engine below is only the
 # loader of the per-rank local graphs.  Both protocols run the same three
-# supersteps over two partitions through one hand-written driver, and
-# everything either of them hands to a backend is diffed: compute counts,
-# every batch, the activation signals and the committed state.
+# supersteps over two partitions through one hand-written driver of the
+# per-node round interface (DESIGN.md §12) — the ``src/`` objects both
+# backends drive — and everything either of them hands to a backend is
+# diffed: compute counts, every batch, the activation signals and the
+# committed state.
 
 
-class _ScalarHand:
-    """``NodeProtocol`` behind the driver's eight calls."""
-
-    def __init__(self, engine):
-        from repro.exec.protocol import NodeProtocol
-        self.lgs = engine.local_graphs
-        self.proto = NodeProtocol(engine.program, engine.is_edge_cut)
-        self.dirty = self.partials = None
-
-    def begin(self):
-        self.dirty = {rank: {} for rank in self.lgs}
-        self.partials = {rank: {} for rank in self.lgs}
-
-    def after_broadcast(self, rank):
-        pass
-
-    def compute(self, rank, ctx, outbox):
-        return self.proto.edge_cut_compute_node(
-            self.lgs[rank], ctx, outbox, self.dirty[rank])
-
-    def gather(self, rank, ctx, outbox):
-        local = []
-        edges = self.proto.vertex_gather(self.lgs[rank], ctx, outbox, local)
-        for gid, acc in local:
-            self.partials[rank].setdefault(gid, []).append((rank, acc))
-        return edges
-
-    def intake(self, rank, src, batch):
-        for gid, acc in zip(batch.gids, batch.accs):
-            self.partials[rank].setdefault(gid, []).append((src, acc))
-
-    def fold_apply(self, rank, ctx, outbox):
-        return self.proto.master_fold_apply(
-            self.lgs[rank], self.partials[rank], ctx, outbox,
-            self.dirty[rank])
-
-    def stage(self, rank, batch):
-        self.proto.apply_sync_batch(self.lgs[rank], batch, self.dirty[rank])
-
-    def stage1(self, rank, it):
-        return sorted(set(self.proto.commit_stage1(
-            self.lgs[rank], self.dirty[rank], it)))
-
-    def activate(self, rank, gids):
-        self.proto.apply_activations(self.lgs[rank], gids, self.dirty[rank])
-
-    def finalize(self, rank, it):
-        return self.proto.finalize_commit(self.lgs[rank], self.dirty[rank],
-                                          it)
-
-    def committed(self, rank):
-        return [list(col) for col in zip(*[
-            (s.gid, s.value, s.last_activates, s.last_update_iter,
-             s.mirror_self_active, s.active, s.replicas_known_active)
-            for s in self.lgs[rank].iter_slots()])]
+def _scalar_states(engine):
+    from repro.exec.protocol import NodeProtocol
+    proto = NodeProtocol(engine.program, engine.is_edge_cut)
+    return {rank: proto.new_state(lg)
+            for rank, lg in engine.local_graphs.items()}
 
 
-class _ArrayHand:
-    """``ArrayNodeProtocol`` behind the same eight calls."""
-
-    def __init__(self, engine):
-        from repro.engine.vectorized import ArrayNodeProtocol
-        self.lgs = engine.local_graphs
-        self.proto = ArrayNodeProtocol(engine.program.kernel(),
-                                       engine.is_edge_cut)
-        self.states = {rank: self.proto.new_state(lg)
-                       for rank, lg in self.lgs.items()}
-
-    def begin(self):
-        pass
-
-    def after_broadcast(self, rank):
-        self.states[rank].refresh_activity(self.lgs[rank])
-
-    def compute(self, rank, ctx, outbox):
-        return self.proto.edge_cut_compute_node(self.states[rank], ctx,
-                                                outbox)
-
-    def gather(self, rank, ctx, outbox):
-        return self.proto.vertex_gather(self.states[rank], outbox)
-
-    def intake(self, rank, src, batch):
-        self.proto.intake_partials(self.states[rank], src, batch)
-
-    def fold_apply(self, rank, ctx, outbox):
-        return self.proto.master_fold_apply(self.states[rank], ctx, outbox)
-
-    def stage(self, rank, batch):
-        self.proto.stage_sync_batch(self.states[rank], batch)
-
-    def stage1(self, rank, it):
-        return [(dst, gid) for (dst, _kind), batch in
-                self.proto.commit_stage1(self.states[rank]).items()
-                for gid in batch.gids]
-
-    def activate(self, rank, gids):
-        self.proto.apply_activations(self.states[rank], gids)
-
-    def finalize(self, rank, it):
-        return self.proto.finalize_commit(self.states[rank], self.lgs[rank],
-                                          it)
-
-    def committed(self, rank):
-        return self.states[rank].committed_state()
+def _array_states(engine):
+    from repro.engine.vectorized import ArrayNodeProtocol
+    proto = ArrayNodeProtocol(engine.program.kernel(), engine.is_edge_cut)
+    return {rank: proto.new_state(lg)
+            for rank, lg in engine.local_graphs.items()}
 
 
 def _records(batch):
@@ -275,24 +185,21 @@ def _records(batch):
         + (sorted(zip(*columns)),)
 
 
-def _drive_by_hand(engine, hand, supersteps, probe=lambda when: None):
-    """One backend-less driver for either protocol; returns what each
-    superstep produced.  ``probe`` is called around commit stage 1:
-    with ``"computed"`` before it, with ``"staged"`` once it and the
-    activation intake are done."""
+def _drive_by_hand(engine, states, supersteps, probe=lambda when: None):
+    """One backend-less driver for either protocol's per-node objects;
+    returns what each superstep produced.  ``probe`` is called around
+    commit stage 1: with ``"computed"`` before it, with ``"staged"``
+    once it and the activation intake are done."""
     from repro.cluster.network import MessageKind
     from repro.engine.vertex_program import ApplyContext
-    from repro.exec.protocol import NodeProtocol
 
-    ranks = sorted(engine.local_graphs)
-    scalar = NodeProtocol(engine.program, engine.is_edge_cut)
+    ranks = sorted(states)
     pending = {rank: set() for rank in ranks}
     log = []
     for it in range(supersteps):
         ctx = ApplyContext(iteration=it,
                            num_vertices=engine.graph.num_vertices,
                            num_edges=engine.graph.num_edges)
-        hand.begin()
         sent, counts = {}, {}
 
         def ship(src, outbox):
@@ -303,48 +210,49 @@ def _drive_by_hand(engine, hand, supersteps, probe=lambda when: None):
         if engine.is_edge_cut:
             for rank in ranks:
                 outbox = {}
-                counts[rank] = hand.compute(rank, ctx, outbox)
+                counts[rank] = states[rank].compute(ctx, outbox)
                 ship(rank, outbox)
         else:
-            # Phase 0 is the shared scalar code on both paths.
             for rank in ranks:
-                outbox = ship(rank, scalar.broadcast_build(
-                    engine.local_graphs[rank], pending[rank]))
+                outbox = ship(rank,
+                              states[rank].broadcast_build(pending[rank]))
                 pending[rank] = set()
                 for (dst, _kind), batch in outbox.items():
-                    scalar.broadcast_apply(engine.local_graphs[dst], batch)
-            for rank in ranks:
-                hand.after_broadcast(rank)
+                    states[dst].broadcast_apply(batch)
             edges, gathers = {}, {}
             for rank in ranks:
                 gathers[rank] = {}
-                edges[rank] = hand.gather(rank, ctx, gathers[rank])
+                edges[rank] = states[rank].gather(ctx, gathers[rank])
             for rank in ranks:
                 for (dst, _kind), batch in ship(rank,
                                                 gathers[rank]).items():
-                    hand.intake(dst, rank, batch)
+                    states[dst].intake(rank, batch)
             for rank in ranks:
                 outbox = {}
                 counts[rank] = (edges[rank],
-                                *hand.fold_apply(rank, ctx, outbox))
+                                *states[rank].fold_apply(ctx, outbox))
                 ship(rank, outbox)
         for (_src, dst, kind), batch in sent.items():
             if kind in (MessageKind.SYNC.value,
                         MessageKind.MIRROR_SYNC.value):
-                hand.stage(dst, batch)
+                states[dst].stage(batch)
         probe("computed")
-        signals = {rank: hand.stage1(rank, it) for rank in ranks}
+        signals = {rank: [(dst, gid) for (dst, _kind), batch in
+                          states[rank].stage1(it).items()
+                          for gid in batch.gids]
+                   for rank in ranks}
         for pairs in signals.values():
             for dst, gid in pairs:
-                hand.activate(dst, [gid])
+                states[dst].activate([gid])
         probe("staged")
         for rank in ranks:
-            pending[rank].update(hand.finalize(rank, it))
+            pending[rank].update(states[rank].finalize(it))
         log.append({
             "counts": counts, "signals": signals,
             "sent": {key: _records(b) for key, b in sorted(sent.items())},
             "stale": {rank: sorted(pending[rank]) for rank in ranks},
-            "committed": {rank: hand.committed(rank) for rank in ranks}})
+            "committed": {rank: states[rank].committed_state()
+                          for rank in ranks}})
     return log
 
 
@@ -364,8 +272,8 @@ def test_node_protocols_agree_when_driven_by_hand(chaos_graph, algorithm,
                                                   partition):
     scalar_engine = _hand_engine(chaos_graph, algorithm, partition)
     array_engine = _hand_engine(chaos_graph, algorithm, partition)
-    scalar = _drive_by_hand(scalar_engine, _ScalarHand(scalar_engine), 3)
-    arrays = _drive_by_hand(array_engine, _ArrayHand(array_engine), 3)
+    scalar = _drive_by_hand(scalar_engine, _scalar_states(scalar_engine), 3)
+    arrays = _drive_by_hand(array_engine, _array_states(array_engine), 3)
     for it, (want, got) in enumerate(zip(scalar, arrays)):
         for field in want:
             assert got[field] == want[field], \
@@ -383,14 +291,15 @@ def test_commit_stage1_leaves_the_committed_columns_alone(chaos_graph):
     activation intake, what ``fullstate`` would export is still the
     previous commit; the finalize step alone moves it."""
     engine = _hand_engine(chaos_graph, "sssp", "random_vertex_cut")
-    hand = _ArrayHand(engine)
+    states = _array_states(engine)
     seen = {"computed": [], "staged": []}
 
     def probe(when):
-        assert any(st.pend_mask.any() for st in hand.states.values())
-        seen[when].append({rank: hand.committed(rank) for rank in hand.lgs})
+        assert any(st.pend_mask.any() for st in states.values())
+        seen[when].append({rank: st.committed_state()
+                           for rank, st in states.items()})
 
-    log = _drive_by_hand(engine, hand, 3, probe)
+    log = _drive_by_hand(engine, states, 3, probe)
     assert seen["staged"] == seen["computed"]
     assert all(step["committed"] != before
                for step, before in zip(log, seen["staged"]))
