@@ -21,7 +21,7 @@ allocation inflates the vectorized path several-fold); peak traced
 memory comes from a separate instrumented run.  Fixed seeds throughout;
 results land in ``BENCH_perf_hotpath.json`` at the repo root.
 
-Three gates:
+Two gates:
 
 * ``test_message_object_reduction`` — batching must pack at least 3
   logical records per physical ``Message`` allocation (a hard floor;
@@ -29,18 +29,16 @@ Three gates:
 * ``test_vectorized_speedup`` — the vectorized path must ship
   byte-identical traffic accounting on the larger workload; its
   per-superstep speedup over the scalar batched path is printed and
-  recorded, not gated (wall-clock claims go through
-  ``benchmarks/ledger``).
-* ``test_no_wallclock_regression`` — only with ``PERF_BASELINE_CHECK=1``
-  (the CI perf-smoke job): per-superstep wall-clock must stay within 2x
-  of the committed baseline.  Skipped by default so laptop noise never
-  fails a local run.
+  recorded, not gated.
+
+Wall-clock is never gated here: ``benchmarks/ledger`` is the perf
+instrument, and the root ``BENCH_*.json`` are no evidence for a
+performance claim.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -62,12 +60,6 @@ WORKLOADS = {
     "batch": (800, 6, 1),
     "vectorized": (4000, 12, 2),
 }
-
-#: Baseline as committed, captured before this run overwrites the file.
-try:
-    _COMMITTED = json.loads(BENCH_PATH.read_text())
-except (OSError, ValueError):
-    _COMMITTED = None
 
 #: (workload, partition, vectorized) -> measurement record.
 _RESULTS: dict[tuple[str, str, bool], dict] = {}
@@ -193,26 +185,3 @@ def test_vectorized_speedup(partition):
           f"{vec['wall_per_superstep_s'] * 1e3:.1f}ms "
           f"({speedup:.1f}x vectorized speedup)")
 
-
-@pytest.mark.skipif(os.environ.get("PERF_BASELINE_CHECK") != "1",
-                    reason="set PERF_BASELINE_CHECK=1 to gate against "
-                           "the committed baseline")
-@pytest.mark.parametrize(
-    "workload,partition,vectorized",
-    [("batch", p, False) for p in PARTITIONS]
-    + [("vectorized", p, True) for p in PARTITIONS])
-def test_no_wallclock_regression(workload, partition, vectorized):
-    assert _COMMITTED is not None, \
-        "no committed BENCH_perf_hotpath.json to gate against"
-    baseline = {(r["workload"], r["partition"], r["vectorized"]): r
-                for r in _COMMITTED["runs"]}
-    old = baseline.get((workload, partition, vectorized))
-    assert old is not None, \
-        f"baseline missing ({workload}, {partition}, vectorized=" \
-        f"{vectorized}) run"
-    new = _measure(workload, partition, vectorized=vectorized)
-    ratio = new["wall_per_superstep_s"] / \
-        max(old["wall_per_superstep_s"], 1e-9)
-    print(f"\n{workload}/{partition}: per-superstep wall "
-          f"{ratio:.2f}x of baseline")
-    assert ratio < 2.0

@@ -18,17 +18,15 @@ Gates:
 * ``test_simulator_serves_bit_equal`` / ``test_multiprocessing_serves_
   bit_equal`` — zero mismatches against the committed-history replay,
   zero uncommitted reads, degraded reads present and flagged.
-* ``test_no_p99_regression`` — only with ``PERF_BASELINE_CHECK=1`` (the
-  CI serve-smoke job): simulator p99 must stay within 3x of the
-  committed baseline.  Skipped by default so laptop noise never fails a
-  local run.
+
+Latency is recorded, not gated: ``benchmarks/ledger`` is the perf
+instrument (its ``serve_kill_sim`` workload times reads beside writes).
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 from pathlib import Path
 
 import pytest
@@ -55,12 +53,6 @@ SPEC = BackendSpec(
     serve=(("num_queries", NUM_QUERIES), ("qps", float(NUM_QUERIES)),
            ("seed", 11), ("zipf_s", 1.1),
            ("neighborhood_frac", 0.05), ("topk_frac", 0.02)))
-
-#: Baseline as committed, captured before this run overwrites the file.
-try:
-    _COMMITTED = json.loads(BENCH_PATH.read_text())
-except (OSError, ValueError):
-    _COMMITTED = None
 
 _STATE: dict[str, object] = {}
 
@@ -162,18 +154,3 @@ def test_load_is_spread_across_replicas():
     total = sum(load.values())
     assert max(load.values()) < 0.5 * total
 
-
-@pytest.mark.skipif(os.environ.get("PERF_BASELINE_CHECK") != "1",
-                    reason="set PERF_BASELINE_CHECK=1 to gate against "
-                           "the committed baseline")
-def test_no_p99_regression():
-    assert _COMMITTED is not None, \
-        "no committed BENCH_serve_readpath.json to gate against"
-    baseline = {r["backend"]: r for r in _COMMITTED["runs"]}
-    old = baseline.get("simulator")
-    assert old is not None, "baseline missing the simulator run"
-    new = _measure("simulator")
-    ratio = new["p99_us"] / max(old["p99_us"], 1e-9)
-    print(f"\nsimulator serve p99 {ratio:.2f}x of baseline "
-          f"({old['p99_us']:.1f}us -> {new['p99_us']:.1f}us)")
-    assert ratio < 3.0

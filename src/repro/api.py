@@ -96,7 +96,8 @@ def make_engine(graph: Graph, algorithm: str | VertexProgram,
     failure detector's tuning, and ``membership`` schedules elastic
     events as ``(iteration, kind, target)`` or
     ``(iteration, kind, target, count)`` tuples with kind one of
-    ``join`` / ``drain`` / ``flap``.
+    ``join`` / ``drain`` / ``flap`` (an impossible one raises
+    :class:`ConfigError` here).
     """
     if isinstance(ft_mode, str):
         ft_mode = FTMode(ft_mode)
@@ -139,11 +140,7 @@ def make_engine(graph: Graph, algorithm: str | VertexProgram,
                           store_in_memory=job.ft.checkpoint_in_memory)
     program = make_program(algorithm, graph, **(algorithm_kwargs or {}))
     engine = Engine(graph, program, job=job, cluster=cluster, tracer=tracer)
-    for event in membership:
-        iteration, kind, target = event[0], event[1], event[2]
-        count = event[3] if len(event) > 3 else 1
-        engine.schedule_membership(iteration, kind, target=target,
-                                   count=count)
+    engine.membership.schedule(membership)
     return engine
 
 

@@ -99,17 +99,17 @@ class ChaosController:
     def _fire(self, engine: "Engine", idx: int, event: ChaosEvent) -> None:
         self._fired.add(idx)
         if event.kind == "join":
-            targets = engine.request_join(event.count)
+            targets = engine.membership.request_join(event.count)
         else:
             targets = self.resolve_targets(engine, event)
             for node in targets:
                 if event.kind == "crash":
                     engine.cluster.crash(node)
                 elif event.kind == "flap":
-                    engine.flap_node(node)
+                    engine.membership.flap(node)
                 else:  # drain
                     try:
-                        engine.request_drain(node)
+                        engine.membership.request_drain(node)
                     except ConfigError as err:
                         # A random schedule can ask for an impossible
                         # drain (target already transitioning, or the

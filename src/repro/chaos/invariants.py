@@ -135,7 +135,7 @@ class InvariantChecker:
         # Under an adaptive floor policy the yardstick is the floor the
         # control plane currently *enforces* (risen repair has actually
         # completed), not the static configured K (DESIGN.md §14).
-        k = engine.enforced_ft_floor
+        k = engine.membership.enforced_floor
         alive_set = set(alive)
         for gid in range(engine.graph.num_vertices):
             node = engine.master_node_of[gid]
@@ -312,7 +312,7 @@ class MembershipInvariant:
                                   f"{engine.master_node_of[gid]}")
         if engine.job.ft.mode is not FTMode.REPLICATION:
             return
-        floor = engine.enforced_ft_floor
+        floor = engine.membership.enforced_floor
         eligible = sum(1 for n in engine.local_graphs
                        if cluster.placement_eligible(n))
         need = min(floor + 1, max(1, eligible))

@@ -17,10 +17,9 @@ verdict the detector keeps a per-node *suspicion level* — consecutive
 missed heartbeats over the miss budget.  A node that misses beats but
 returns below the budget was *flapping*, not dead: its suspicion is
 cleared, its flap counter advances, and the membership layer
-re-integrates it with a delta sync instead of a full rebirth.  The
-statistics (miss rates, flap counts, inter-failure gaps) feed the
-adaptive replication-floor policy and are surfaced by the engine as
-``ft.suspicion.node.N`` gauges.
+re-integrates it with a delta sync instead of a full rebirth (and
+reports the flap count).  Suspicion levels are surfaced by the engine
+as ``ft.suspicion.node.N`` gauges.
 """
 
 from __future__ import annotations
@@ -55,11 +54,6 @@ class FailureDetector:
         self._missed: dict[int, int] = defaultdict(int)
         #: node -> completed flap episodes (missed beats, then returned).
         self._flaps: dict[int, int] = defaultdict(int)
-        #: node -> total heartbeats missed over the job (miss rate input).
-        self._missed_total: dict[int, int] = defaultdict(int)
-        #: Failure-event timeline (engine iterations) for inter-failure
-        #: statistics; appended by :meth:`record_failure_event`.
-        self.failure_iterations: list[int] = []
 
     @property
     def detection_delay_s(self) -> float:
@@ -73,15 +67,14 @@ class FailureDetector:
         by a return *below* the death budget.
 
         Suspicion rises to the missed-beat count and immediately clears
-        (the node answered again); the flap counter and cumulative miss
-        totals advance.  Returns the number of beats charged, clamped so
-        a flap can never cross the declared-dead threshold.
+        (the node answered again); the flap counter advances.  Returns
+        the number of beats charged, clamped so a flap can never cross
+        the declared-dead threshold.
         """
         if beats is None:
             beats = max(1, self.misses // 2)
         beats = max(1, min(beats, self.misses - 1))
         self._missed[node_id] = 0  # returned: consecutive run broken
-        self._missed_total[node_id] += beats
         self._flaps[node_id] += 1
         return beats
 
@@ -93,22 +86,10 @@ class FailureDetector:
             return 1.0
         return min(1.0, self._missed[node_id] / self.misses)
 
-    def flap_count(self, node_id: int) -> int:
-        return self._flaps[node_id]
-
-    def record_failure_event(self, iteration: int, count: int = 1) -> None:
-        """Log a confirmed failure event (inter-failure-time input)."""
-        self.failure_iterations.extend([iteration] * count)
-
-    def stats(self) -> dict[str, dict[int, float] | list[int]]:
-        """Detector statistics consumed by the adaptive-floor policy."""
-        return {
-            "suspicion": {nid: self.suspicion_level(nid)
-                          for nid in self._nodes},
-            "flaps": dict(self._flaps),
-            "missed_total": dict(self._missed_total),
-            "failure_iterations": list(self.failure_iterations),
-        }
+    @property
+    def flaps(self) -> int:
+        """Flap episodes recorded over the job, all nodes."""
+        return sum(self._flaps.values())
 
     def poll(self) -> set[int]:
         """Return the set of members currently observed as crashed.

@@ -68,10 +68,6 @@ class Node:
     def is_standby(self) -> bool:
         return self.state is NodeState.STANDBY
 
-    @property
-    def is_retired(self) -> bool:
-        return self.state is NodeState.RETIRED
-
     def retire(self) -> None:
         """Planned removal after a drain (no state left to lose)."""
         if self.state is not NodeState.ALIVE:

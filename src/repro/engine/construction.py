@@ -47,13 +47,6 @@ class ConstructionReport:
     ft_replicas: int
 
     @property
-    def replica_less_fraction(self) -> float:
-        if self.num_vertices == 0:
-            return 0.0
-        return ((self.replica_less_selfish + self.replica_less_normal)
-                / self.num_vertices)
-
-    @property
     def extra_replica_fraction(self) -> float:
         """FT replicas over all replicas (Fig. 8a)."""
         total = self.computation_replicas + self.ft_replicas

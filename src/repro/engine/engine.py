@@ -4,7 +4,11 @@ One :class:`Engine` drives a whole job: loading (partitioning,
 replication planning, local-graph construction, FT extensions),
 iterative computation with per-iteration failure detection at the
 global barrier, and recovery through the configured fault-tolerance
-mechanism.
+mechanism.  It is a superstep driver calling collaborators at named
+barrier points: :func:`repro.ft.ladder.recover` on a failure and
+``engine.membership`` (:class:`repro.membership.manager.
+MembershipManager` — elastic membership and the adaptive FT floor) at
+superstep start and after each commit.
 
 Execution modes
 ---------------
@@ -39,19 +43,17 @@ from repro.costmodel import (
     pairwise_comm_time,
 )
 from repro.engine.construction import ConstructionReport, build_local_graphs
-from repro.engine.messages import SyncBatch
 from repro.engine.vectorized import NO_COLUMN, VectorizedExecutor
 from repro.engine.vertex_program import ApplyContext, VertexProgram
 from repro.errors import EngineError
 from repro.exec.protocol import NodeProtocol
-from repro.ft import _recovery_common as common
 from repro.ft import ladder
 from repro.ft.checkpoint import CheckpointManager
 from repro.ft.edge_ckpt import EdgeCkptStore, EdgeRecord
 from repro.ft.recovery import RecoveryStats
 from repro.ft.replication import plan_replication
 from repro.graph.graph import Graph
-from repro.membership.policy import FtPolicy
+from repro.membership.manager import MembershipManager
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.partition.base import make_partitioner
 
@@ -102,8 +104,8 @@ class RunResult:
     #: the first-choice mechanism could not.
     fallbacks: dict[str, int] = field(default_factory=dict)
     #: Elastic-membership surface (DESIGN.md §14): joins/drains
-    #: completed, masters moved, transfer bytes, adaptive-floor event
-    #: log; empty for static runs.
+    #: completed, masters moved, transfer bytes, flaps, adaptive-floor
+    #: event log; empty for static runs (``MembershipManager.report``).
     membership: dict[str, Any] = field(default_factory=dict)
 
     def avg_iteration_time_s(self) -> float:
@@ -191,20 +193,9 @@ class Engine:
         #: recoveries between snapshots (unlike the positional CKPT-mode
         #: journal, which assumes masters never move).
         self._safety_edge_log: dict[tuple[int, int], float] = {}
-        # -- elastic membership + adaptive FT (DESIGN.md §14) ---------
-        #: Created lazily on the first join/drain request; ``None`` for
-        #: static clusters.
-        self._membership = None
-        #: Scheduled membership events: (iteration, kind, target, count).
-        self._membership_schedule: list[tuple[int, str, Any, int]] = []
-        #: Nodes that flapped since the last commit barrier; delta
-        #: re-synced at the next ``post_commit`` (inboxes are empty
-        #: there, so the resync cannot race in-flight superstep syncs).
-        self._flapped_pending: list[int] = []
-        #: Adaptive replication-floor controller, active only when the
-        #: config declares a [ft_level_min, ft_level_max] band.
-        self._ft_policy = (FtPolicy(self.job.ft)
-                           if self.job.ft.adaptive_ft else None)
+        #: Elastic membership + adaptive FT (DESIGN.md §14): the
+        #: schedule, join/drain/flap, the floors and their pumps.
+        self.membership = MembershipManager(self)
         #: Leader-elected recovery coordination: the current recovery
         #: leader and its term (bumped per election).
         self.recovery_leader = -1
@@ -338,88 +329,6 @@ class Engine:
                 raise EngineError(f"cannot schedule failure of node {n}")
         self._failures.append(_ScheduledFailure(iteration, nodes, phase))
 
-    # -- elastic membership + adaptive FT (DESIGN.md §14) -------------
-
-    @property
-    def membership(self):
-        """The :class:`MembershipManager`, or None for static runs."""
-        return self._membership
-
-    @property
-    def effective_ft_floor(self) -> int:
-        """The replication floor repair currently *targets*."""
-        if self._ft_policy is not None:
-            return self._ft_policy.floor_target
-        return self.job.ft.ft_level
-
-    @property
-    def enforced_ft_floor(self) -> int:
-        """The floor invariants and gauges hold the cluster to.
-
-        With an adaptive policy this rises only as background repair
-        actually completes (``min(target, achieved)``); otherwise it is
-        the static configured K.
-        """
-        if self._ft_policy is not None:
-            return self._ft_policy.floor_enforced
-        return self.job.ft.ft_level
-
-    def _require_membership(self):
-        if self._membership is None:
-            from repro.membership.manager import MembershipManager
-            self._membership = MembershipManager(self)
-        return self._membership
-
-    def request_join(self, count: int = 1) -> list[int]:
-        """Admit ``count`` fresh worker nodes (elastic scale-out).
-
-        Must be called at a commit-barrier boundary (use
-        :meth:`schedule_membership` from inside a run).  State transfer
-        is throttled over the following barriers.
-        """
-        return self._require_membership().request_join(count)
-
-    def request_drain(self, node: int) -> None:
-        """Begin draining ``node``; it retires once emptied."""
-        self._require_membership().request_drain(node)
-
-    def schedule_membership(self, iteration: int, kind: str,
-                            target: int | None = None,
-                            count: int = 1) -> None:
-        """Schedule an elastic-membership event for a running job.
-
-        ``kind`` is ``"join"``, ``"drain"`` or ``"flap"``.  Joins and
-        drains apply at the commit barrier *of* ``iteration``; a flap
-        stalls its target for that iteration's superstep.
-        """
-        if kind not in ("join", "drain", "flap"):
-            raise EngineError(f"unknown membership event kind: {kind}")
-        if kind in ("drain", "flap") and target is None:
-            raise EngineError(f"membership event {kind!r} needs a target")
-        self._membership_schedule.append(
-            (int(iteration), kind, target, int(count)))
-
-    def flap_node(self, node: int) -> None:
-        """Transient stall: the node misses heartbeats but returns
-        below the death budget, so it is never declared failed.
-
-        The stall is charged to the node's clock; the detector's flap
-        statistics feed the adaptive floor policy; re-integration is a
-        *delta sync* at the next commit barrier (no rebirth, no
-        recovery protocol).
-        """
-        detector = self.cluster.detector
-        beats = detector.record_flap(node)
-        self.cluster.clocks.advance(node, beats * detector.interval_s)
-        self._flapped_pending.append(node)
-        if self._ft_policy is not None:
-            self._ft_policy.on_flap(self.iteration)
-        self.metrics.inc("membership.flaps")
-        self.metrics.set_gauge(f"ft.suspicion.node.{node}",
-                               detector.suspicion_level(node))
-        self.tracer.instant("membership.flap", cat="membership",
-                            node=node, stalled_beats=beats)
-
     def run(self, max_iterations: int | None = None) -> RunResult:
         """Execute the job to completion (Algorithm 1).
 
@@ -430,7 +339,7 @@ class Engine:
         limit = (self.job.engine.max_iterations if max_iterations is None
                  else max_iterations)
         while self.iteration < limit:
-            self._fire_membership_events("superstep_start")
+            self.membership.superstep_start()
             self._inject("compute")
             with self.tracer.span("superstep", cat="superstep",
                                   iteration=self.iteration) as sp:
@@ -450,7 +359,7 @@ class Engine:
                     ladder.recover(self, failed)
                 continue
             self._chaos_point("post_commit")
-            self._membership_pump()
+            self.membership.post_commit()
             self.iteration += 1
             if self._halted and self.job.engine.halt_on_inactive:
                 self.tracer.instant("halt", cat="engine",
@@ -912,175 +821,6 @@ class Engine:
         return tuple(sorted(self.cluster.detector.newly_failed()))
 
     # ------------------------------------------------------------------
-    # elastic membership + adaptive FT pumps (DESIGN.md §14)
-    # ------------------------------------------------------------------
-
-    def _fire_membership_events(self, phase: str) -> None:
-        """Fire scheduled membership events due at this phase."""
-        if not self._membership_schedule:
-            return
-        due_phase = {"flap": "superstep_start", "join": "post_commit",
-                     "drain": "post_commit"}
-        rest: list[tuple[int, str, Any, int]] = []
-        for item in self._membership_schedule:
-            it, kind, target, count = item
-            if it != self.iteration or due_phase[kind] != phase:
-                rest.append(item)
-                continue
-            if kind == "join":
-                self.request_join(count)
-            elif target is not None \
-                    and self.cluster.node(target).is_alive:
-                if kind == "flap":
-                    self.flap_node(target)
-                else:
-                    self.request_drain(target)
-        self._membership_schedule = rest
-
-    def _membership_pump(self) -> None:
-        """Post-commit membership work, in dependency order: scheduled
-        joins/drains fire, flapped nodes delta-resync, the transfer
-        pump advances, then the adaptive-floor policy runs its
-        throttled repair against the settled layout."""
-        self._fire_membership_events("post_commit")
-        if self._flapped_pending:
-            self._flap_resync()
-        if self._membership is not None and self._membership.active:
-            with self.tracer.span("membership.pump", cat="membership",
-                                  iteration=self.iteration):
-                self._membership.pump()
-        if self._ft_policy is not None:
-            self._policy_pump()
-
-    def _flap_resync(self) -> None:
-        """Delta re-integration of flapped nodes (DESIGN.md §14).
-
-        Runs at the commit barrier after the flap, when inboxes are
-        empty: every master elsewhere whose value committed this
-        superstep re-pushes it to the copies the flapped node hosts.
-        The sync also travelled the normal path — the flap never lost
-        it — so the rewrite is value-neutral and results stay
-        bit-identical to a flap-free run; only traffic and simulated
-        time move.  Active *flags* are deliberately left alone: a
-        replica holds the flag its master last broadcast, which the
-        master may have elided, and overwriting it would diverge from
-        the flap-free run.
-        """
-        flapped = sorted({n for n in self._flapped_pending
-                          if self.cluster.node(n).is_alive})
-        self._flapped_pending = []
-        if not flapped:
-            return
-        if self._vec is not None:
-            self._vec.flush()
-        net = self.cluster.network
-        net.begin_step()
-        alive = self._alive()
-        flap_set = set(flapped)
-        records = 0
-        for node in alive:
-            if node in flap_set:
-                continue
-            lg = self.local_graphs[node]
-            outbox: dict = {}
-            for slot in lg.iter_masters():
-                if slot.last_update_iter < self.committed_iteration:
-                    continue
-                for target in flap_set:
-                    if target not in slot.meta.replica_positions:
-                        continue
-                    key = (target, MessageKind.RECOVERY)
-                    batch = outbox.get(key)
-                    if batch is None:
-                        batch = outbox[key] = SyncBatch(full_state=True)
-                    batch.append(slot.gid, slot.value,
-                                 self.program.value_nbytes(slot.value),
-                                 slot.last_activates,
-                                 slot.mirror_self_active)
-                    records += 1
-            self._flush_batches(node, outbox)
-        for target in flapped:
-            lg = self.local_graphs[target]
-            # Value-neutral but for selfish masters, whose normal sync
-            # is skipped: the rewrite is a slot write like any other.
-            lg.invalidate_soa()
-            for msg in net.deliver(target):
-                batch = msg.payload
-                for i, gid in enumerate(batch.gids):
-                    slot = lg.slot_of(gid)
-                    slot.value = batch.values[i]
-                    slot.last_activates = batch.activates(i)
-                    if slot.is_mirror:
-                        slot.mirror_self_active = batch.self_active(i)
-        for node in alive:
-            self.cluster.clocks.advance(node, pairwise_comm_time(
-                self.model, net.step_bytes, net.step_msgs, node))
-        post = self.cluster.clocks.barrier(self.model, alive)
-        self._last_barrier_clock = post
-        self.metrics.inc("membership.flap_resync_records", records)
-        self.tracer.instant("membership.flap_resync", cat="membership",
-                            nodes=flapped, records=records)
-
-    def _policy_pump(self) -> None:
-        """Adaptive-floor control loop, once per commit barrier.
-
-        Ticks the policy's quiet clock, scans for masters below the
-        target floor, repairs up to the policy's throttled allowance
-        and reports progress back (which drives the backoff ladder and
-        circuit breaker).
-        """
-        policy = self._ft_policy
-        assert policy is not None
-        policy.on_barrier(self.iteration)
-        alive = self._alive()
-        if not alive:
-            return
-        target = policy.floor_target
-        deficit, _ = common.masters_below(self, alive, target)
-        if deficit:
-            allowance = policy.repair_allowance()
-            if allowance > 0:
-                self._policy_repair(policy, deficit[:allowance],
-                                    target, alive)
-        # Re-derive the achieved floor from what masters actually have.
-        policy.floor_achieved = common.min_ft_level(self, target)
-        ladder.update_ft_gauges(self)
-
-    def _policy_repair(self, policy, batch: list[int], target: int,
-                       alive: list[int]) -> None:
-        """One throttled background-repair round toward ``target``."""
-        if self._vec is not None:
-            # Write deferred column commits back: repair snapshots
-            # master slots (and invalidates the images of the nodes it
-            # then writes on, mirror-only rounds included).
-            self._vec.rollback()
-        net = self.cluster.network
-        net.begin_step()
-        created, bytes_sent = common.restore_ft_level(
-            self, batch, "adaptive-repair", k=target)
-        still = 0
-        for gid in batch:
-            meta = self.local_graphs[
-                self.master_node_of[gid]].slot_of(gid).meta
-            if meta.ft_level < target:
-                still += 1
-        policy.repair_result(len(batch), len(batch) - still)
-        if created:
-            repair_s = common.repair_transfer_s(self, created, len(alive))
-            for node in alive:
-                self.cluster.clocks.advance(node, pairwise_comm_time(
-                    self.model, net.step_bytes, net.step_msgs, node))
-                self.cluster.clocks.advance(node, repair_s)
-            post = self.cluster.clocks.barrier(self.model, alive)
-            self._last_barrier_clock = post
-        self.metrics.inc("ft.policy.repair_rounds")
-        self.metrics.inc("ft.policy.repair_replicas", created)
-        self.metrics.inc("ft.policy.repair_bytes", bytes_sent)
-        self.tracer.instant("ft.policy.repair", cat="recovery",
-                            batch=len(batch), created=created,
-                            unrepaired=still, target=target)
-
-    # ------------------------------------------------------------------
     # failure injection and rollback (recovery itself: repro.ft.ladder)
     # ------------------------------------------------------------------
 
@@ -1112,27 +852,9 @@ class Engine:
 
     def _result(self) -> RunResult:
         totals = self.cluster.network.totals
-        membership: dict[str, Any] = {}
-        if self._membership is not None or self._ft_policy is not None:
-            mm = self._membership
-            detector = self.cluster.detector
-            membership = {
-                "epoch": self.cluster.membership_epoch,
-                "moves": mm.moves_total if mm else 0,
-                "bytes": mm.bytes_total if mm else 0,
-                "transfer_sim_s": mm.transfer_sim_s if mm else 0.0,
-                "joins": (sum(1 for op in mm.completed
-                              if op.kind == "join") if mm else 0),
-                "drains": (sum(1 for op in mm.completed
-                               if op.kind == "drain") if mm else 0),
-                "flaps": sum(detector.stats()["flaps"].values()),
-                "leader_term": self.leader_term,
-                "floor_events": (list(self._ft_policy.events)
-                                 if self._ft_policy else []),
-            }
         net = self.cluster.network
         return RunResult(
-            membership=membership,
+            membership=self.membership.report(),
             algorithm=self.program.name,
             num_iterations=self.iteration,
             values=self.values(),

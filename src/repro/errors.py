@@ -42,15 +42,6 @@ class StorageError(ClusterError):
     """Persistent-store (simulated HDFS) failure, e.g. a missing snapshot."""
 
 
-class BarrierBrokenError(ClusterError):
-    """A global barrier was abandoned because membership changed."""
-
-    def __init__(self, failed_nodes: tuple[int, ...]):
-        self.failed_nodes = failed_nodes
-        names = ", ".join(str(n) for n in failed_nodes)
-        super().__init__(f"barrier broken; failed nodes: {names}")
-
-
 class GraphError(ReproError):
     """Base class for graph construction and I/O errors."""
 
@@ -65,10 +56,6 @@ class PartitionError(ReproError):
 
 class EngineError(ReproError):
     """Base class for graph-engine execution errors."""
-
-
-class VertexProgramError(EngineError):
-    """A user vertex program raised or returned an invalid value."""
 
 
 class FaultToleranceError(ReproError):

@@ -50,19 +50,21 @@ already have committed).
 
 Elastic membership
 ------------------
-``BackendSpec.membership`` events run at the simulator's logical
-points — flaps at superstep start, joins and drains after the commit
-barrier of their iteration.  A flap is a real ``SIGSTOP``/``SIGCONT``
-stall, absorbed by the heartbeat loop's consecutive-miss counting (a
-slow worker is not a dead worker).  Joins and drains take the same
-pull -> mutate the parent image -> re-fork route as recovery, replaying
-the change through the simulator's own :class:`~repro.membership.
-manager.MembershipManager` (same Fennel plan seed, same placement).
+The parent image's ``engine.membership`` holds ``BackendSpec.membership``
+(validated by the simulator's own parser) and hands out its events at
+the simulator's logical points: a flap at superstep start is a real
+``SIGSTOP``/``SIGCONT`` stall, absorbed by the heartbeat loop's
+consecutive-miss counting and booked on the parent's failure detector;
+joins and drains after their commit barrier take recovery's pull ->
+mutate the parent image -> re-fork route, replaying the change through
+that same manager (same Fennel plan seed, same placement).
+``extra["membership"]`` is the simulator's report plus ``reshapes``;
+the parent runs no barrier, so its adaptive floor never pumps.
 
-Scope limits (rejected specs raise :class:`BackendError`): fork start
-method required, no edge-mutating programs, no ``checkpoint``
-``ft_mode``, and joins/drains need replication over an edge-cut
-partitioning (the simulator's ``check_supported`` contract).
+Scope limits (rejected specs raise :class:`BackendError` before any
+fork): fork start method required, no edge-mutating programs, no
+``checkpoint`` ``ft_mode``, every refusal of the membership parser,
+and no event at or past ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ from typing import Any
 from repro.api import make_engine
 from repro.config import MP_HEARTBEAT_INTERVAL_S, MP_HEARTBEAT_MISSES
 from repro.engine.vertex_program import ApplyContext
+from repro.errors import ConfigError
 from repro.exec.base import (BackendError, BackendRunResult, BackendSpec,
                              ExecutionBackend, recoveries_report)
 from repro.exec.serialize import (TAG_GATHER, TAG_RAW_GATHER, decode_batch,
@@ -541,7 +544,8 @@ class MultiprocessingBackend(ExecutionBackend):
             time.sleep(min(2 * self.heartbeat_s, 0.5))
         finally:
             os.kill(worker.proc.pid, signal.SIGCONT)
-        self._flaps += 1
+        # Booked where the membership report reads it.
+        self._engine.cluster.detector.record_flap(rank)
 
     # -- elastic membership ----------------------------------------------
 
@@ -587,21 +591,16 @@ class MultiprocessingBackend(ExecutionBackend):
     def _reshape(self, events: list[tuple[str, Any, int]]) -> None:
         """Stop-the-world join/drain at a commit barrier.
 
-        State flows workers -> parent, the membership change replays
-        through the simulator's own :class:`MembershipManager` (same
-        plan seed, so placement matches the simulator's), and every
-        worker re-forks from the reshaped parent.
+        State flows workers -> parent, the events fire on the parent's
+        membership manager exactly as on the simulator (same plan seed,
+        same placement), it pumps to completion at this one barrier, and
+        every worker re-forks from the reshaped parent.
         """
-        engine = self._engine
         self._sync_parent_from_workers()
-        for kind, target, count in events:
-            if kind == "join":
-                engine.request_join(count)
-            else:
-                engine.request_drain(int(target))
-        manager = engine._require_membership()
-        while manager.active:
-            manager.pump()
+        membership = self._engine.membership
+        membership.fire(events)
+        while membership.active:
+            membership.pump()
         self._restart_workers()
         self._reshapes += 1
 
@@ -641,6 +640,9 @@ class MultiprocessingBackend(ExecutionBackend):
     # -- the run loop ----------------------------------------------------
 
     def _validate(self, spec: BackendSpec, engine) -> None:
+        """Refuse what this backend cannot run, before any fork, and
+        hand the membership schedule to the parent image's manager (the
+        coordinator takes due events from it)."""
         if "fork" not in multiprocessing.get_all_start_methods():
             raise BackendError(
                 "multiprocessing backend needs the fork start method")
@@ -652,10 +654,9 @@ class MultiprocessingBackend(ExecutionBackend):
             raise BackendError(
                 f"ft_mode {spec.ft_mode!r} is not supported on the "
                 f"multiprocessing backend")
-        # The simulator's rule for a kill or flap target: a rank the
-        # image hosts a local graph for (``_kill`` / ``_flap`` skip a
-        # rank without a worker, which is right only for a dead one).
-        ranks = engine.local_graphs
+        # The simulator's rule for a kill target: a rank the image
+        # hosts a local graph for (``_kill`` skips a rank without a
+        # worker, which is right only for a dead one).
         for iteration, targets, phase in spec.failures:
             if phase not in ("compute", "commit", "after_commit"):
                 raise BackendError(
@@ -665,35 +666,21 @@ class MultiprocessingBackend(ExecutionBackend):
                     f"failure scheduled at iteration {iteration} beyond "
                     f"max_iterations {spec.max_iterations}")
             for rank in targets:
-                if rank not in ranks:
+                if rank not in engine.local_graphs:
                     raise BackendError(
                         f"cannot schedule failure of rank {rank}: the "
                         f"job has no such rank")
-        first_join = min((event[0] for event in spec.membership
-                          if event[1] == "join"),
-                         default=spec.max_iterations)
-        for event in spec.membership:
-            kind = event[1]
-            if kind not in ("join", "drain", "flap"):
+        try:
+            events = engine.membership.schedule(spec.membership)
+        except ConfigError as err:
+            raise BackendError(str(err)) from err
+        # The schedule's one mp-only rule: ``Engine.run(n)`` may run
+        # past the configured limit, a worker pool may not.
+        for iteration, *_ in events:
+            if iteration >= spec.max_iterations:
                 raise BackendError(
-                    f"unknown membership event kind {kind!r}")
-            if event[0] >= spec.max_iterations:
-                raise BackendError(
-                    f"membership event at iteration {event[0]} beyond "
+                    f"membership event at iteration {iteration} beyond "
                     f"max_iterations {spec.max_iterations}")
-            if kind in ("drain", "flap") and event[2] is None:
-                raise BackendError(f"{kind} events need a target rank")
-            # A rank admitted by an earlier join is a legitimate target.
-            if (kind == "flap" and event[2] not in ranks
-                    and event[0] <= first_join):
-                raise BackendError(
-                    f"cannot flap rank {event[2]}: the job has no such "
-                    f"rank")
-            if kind != "flap" and not (spec.ft_mode == "replication"
-                                       and engine.is_edge_cut):
-                raise BackendError(
-                    "joins and drains need replication over an "
-                    "edge-cut partitioning")
 
     def run(self, graph, spec: BackendSpec) -> BackendRunResult:
         # The parent engine is the state template: partitioned,
@@ -702,12 +689,10 @@ class MultiprocessingBackend(ExecutionBackend):
         # the simulator's — SoA topology included, born at load.  It
         # never touches its array executor, so no column is built
         # parent-side: vectorized workers build theirs after the fork.
-        kwargs = spec.engine_kwargs()
-        # Membership replays through the parent engine's own manager at
-        # reshape points — never via the engine's scheduled events (the
-        # parent runs no supersteps to pump them).
-        kwargs["membership"] = ()
-        engine = make_engine(graph, **kwargs)
+        # ``_validate`` schedules the membership events instead, so a
+        # refusal is a ``BackendError``; the parent runs no barrier.
+        engine = make_engine(graph,
+                             **{**spec.engine_kwargs(), "membership": ()})
         self._validate(spec, engine)
         if spec.heartbeat_interval_s is not None:
             self.heartbeat_s = spec.heartbeat_interval_s
@@ -716,7 +701,6 @@ class MultiprocessingBackend(ExecutionBackend):
         self._ctx = multiprocessing.get_context("fork")
         self._engine = engine
         self._reshapes = 0
-        self._flaps = 0
         serve_cfg = spec.serve_config()
         self._serve = None
         if serve_cfg is not None:
@@ -725,15 +709,6 @@ class MultiprocessingBackend(ExecutionBackend):
         kills: dict[tuple[str, int], set[int]] = defaultdict(set)
         for iteration, ranks, phase in spec.failures:
             kills[phase, iteration].update(ranks)
-        flaps_pending: dict[int, list[int]] = defaultdict(list)
-        reshape_pending: dict[int, list] = defaultdict(list)
-        for event in spec.membership:
-            iteration, kind, target = event[0], event[1], event[2]
-            count = event[3] if len(event) > 3 else 1
-            if kind == "flap":
-                flaps_pending[iteration].append(int(target))
-            else:
-                reshape_pending[iteration].append((kind, target, count))
 
         book = _TrafficBook()
         elided_total = 0
@@ -745,7 +720,8 @@ class MultiprocessingBackend(ExecutionBackend):
             self._restart_workers()
             while completed < spec.max_iterations:
                 it = completed
-                for rank in flaps_pending.pop(it, []):
+                for _kind, rank, _count in engine.membership.due(
+                        it, "superstep_start"):
                     self._flap(rank)
                 try:
                     if self._serve is not None:
@@ -769,7 +745,7 @@ class MultiprocessingBackend(ExecutionBackend):
                 # selfish values the committed ones: the read fence
                 # closes (mirrors Engine._commit_barrier).
                 engine.selfish_read_fence.clear()
-                reshape_events = reshape_pending.pop(it, [])
+                reshape_events = engine.membership.due(it, "post_commit")
                 if reshape_events:
                     self._reshape(reshape_events)
                 if active_total == 0:
@@ -791,20 +767,9 @@ class MultiprocessingBackend(ExecutionBackend):
         extra = {"workers": len(engine._alive())}
         if engine.recoveries:
             extra["recoveries"] = recoveries_report(engine.recoveries)
-        if spec.membership or engine.recoveries:
-            manager = engine._membership
-            done = [op.kind for op in manager.completed] if manager else []
-            extra["membership"] = {
-                "epoch": engine.cluster.membership_epoch,
-                "moves": manager.moves_total if manager else 0,
-                "bytes": manager.bytes_total if manager else 0,
-                "joins": done.count("join"),
-                "drains": done.count("drain"),
-                "flaps": self._flaps,
-                "reshapes": self._reshapes,
-                "leader": engine.recovery_leader,
-                "leader_term": engine.leader_term,
-            }
+        membership = engine.membership.report()
+        if membership:
+            extra["membership"] = {**membership, "reshapes": self._reshapes}
         if self._serve is not None:
             extra["serve"] = self._serve.report()
             extra["serve_responses"] = self._serve.stats.responses

@@ -455,7 +455,7 @@ def restore_ft_level(engine: "Engine", gids: list[int],
     floor.  Returns ``(replicas_created, mirror_bytes_sent)``.
     """
     if k is None:
-        k = engine.effective_ft_floor
+        k = engine.membership.effective_floor
     if k <= 0:
         return (0, 0)
     rng = SeededRng(engine.seed, seed_label, engine.iteration)

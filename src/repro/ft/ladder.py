@@ -59,9 +59,8 @@ def recover(engine: "Engine", failed: tuple[int, ...]) -> None:
         failed = tuple(sorted(set(failed) | set(extra)))
         if not _leader_alive(engine):
             _elect_leader(engine)
-    cluster.detector.record_failure_event(engine.iteration, len(failed))
-    if engine._ft_policy is not None:
-        engine._ft_policy.on_failure(engine.iteration, len(failed))
+    if engine.membership.policy is not None:
+        engine.membership.policy.on_failure(engine.iteration, len(failed))
     detection = cluster.detector.detection_delay_s
     alive = engine._alive()
     for node in alive:
@@ -258,7 +257,7 @@ def _repair_ft_level(engine: "Engine") -> None:
     *cannot* restore (too few survivors) becomes explicit degraded
     state instead of silent under-protection.
     """
-    k = engine.effective_ft_floor
+    k = engine.membership.effective_floor
     if engine.job.ft.mode is not FTMode.REPLICATION or k <= 0:
         return
     alive = engine._alive()
@@ -299,7 +298,7 @@ def update_ft_gauges(engine: "Engine") -> None:
     ``ft_degraded`` report.
     """
     metrics = engine.metrics
-    policy = engine._ft_policy
+    policy = engine.membership.policy
     if policy is not None:
         metrics.set_gauge("ft.policy.floor_target", policy.floor_target)
         metrics.set_gauge("ft.policy.floor_enforced",
@@ -308,7 +307,7 @@ def update_ft_gauges(engine: "Engine") -> None:
     # Outside REPLICATION mode the floor is 0: level 0, never degraded —
     # published all the same, so that a metrics snapshot taken after an
     # FT-mode/level transition never carries what was published last.
-    k = (engine.enforced_ft_floor
+    k = (engine.membership.enforced_floor
          if engine.job.ft.mode is FTMode.REPLICATION else 0)
     level = common.min_ft_level(engine, k) if k > 0 else 0
     metrics.set_gauge("ft.level_current", level)

@@ -57,10 +57,6 @@ class GraphBuilder:
             else:
                 self.add_edge(edge[0], edge[1], edge[2])
 
-    @property
-    def num_pending_edges(self) -> int:
-        return len(self._src)
-
     def build(self) -> Graph:
         """Assemble the immutable graph (keeps the builder reusable)."""
         src = np.asarray(self._src, dtype=np.int64)

@@ -6,21 +6,22 @@ clusters:
 * :func:`elect_leader` — deterministic seeded leader election among the
   live nodes, used to coordinate recovery (term numbers, leader-first
   restart);
-* :class:`FtPolicy` — the adaptive replication floor: consumes
-  :class:`repro.cluster.heartbeat.FailureDetector` statistics and
-  raises/lowers the effective K inside ``[ft_level_min, ft_level_max]``,
-  driving a throttled background repair with exponential backoff and a
-  circuit breaker;
+* :class:`FtPolicy` — the adaptive replication floor: fed confirmed
+  failures and flaps, it raises/lowers the effective K inside
+  ``[ft_level_min, ft_level_max]``, driving a throttled background
+  repair with exponential backoff and a circuit breaker;
 * :func:`move_master` / :func:`prune_node_copies` — incremental master
   movement between nodes (the state-transfer primitive of joins and
   drains);
-* :class:`MembershipManager` — the per-barrier pump that admits and
-  retires nodes at commit barriers, throttling transfer so a membership
-  change never stalls more than a configured fraction of a superstep.
+* :class:`MembershipManager` — ``engine.membership``, the one
+  collaborator ``Engine.run`` calls for all of it: the schedule (one
+  parser, :func:`parse_membership`, for both backends), join/drain/flap,
+  the floors, the throttled per-barrier pumps and the run's report.
 """
 
 from repro.membership.election import elect_leader
-from repro.membership.manager import MembershipManager, MembershipOp
+from repro.membership.manager import (MembershipManager, MembershipOp,
+                                     parse_membership)
 from repro.membership.policy import FtPolicy, FtPolicyConfig
 from repro.membership.rebalance import move_master, prune_node_copies
 
@@ -31,5 +32,6 @@ __all__ = [
     "MembershipOp",
     "elect_leader",
     "move_master",
+    "parse_membership",
     "prune_node_copies",
 ]

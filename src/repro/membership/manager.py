@@ -1,7 +1,14 @@
-"""Elastic membership: joins and drains pumped at commit barriers.
+"""Elastic membership and the adaptive FT control plane (DESIGN.md §14).
 
-The :class:`MembershipManager` owns the lifecycle of every membership
-change (DESIGN.md §14):
+:class:`MembershipManager` is ``engine.membership``, the job-side half
+of the paper's ZooKeeper-like coordination service: ``Engine.run``
+calls it at two barrier points (``superstep_start``, ``post_commit``),
+and the chaos controller, the recovery ladder, the invariant checkers
+and the multiprocessing backend call it directly.  It owns the event
+schedule (one parser for both backends, :func:`parse_membership`),
+flaps (stalls below the death budget, delta re-synced at the next
+commit), the adaptive replication floor (:class:`FtPolicy` and its
+throttled repair), the run's report, and every membership change:
 
 * a **join** admits a fresh node, plans an incremental Fennel
   rebalance pulling a balanced share of masters onto it, and marks the
@@ -11,7 +18,7 @@ change (DESIGN.md §14):
   retires the node.
 
 State transfer is *throttled*: each commit barrier moves at most
-``max_move_fraction`` of one node's share of the masters, so a
+``MAX_MOVE_FRACTION`` of one node's share of the masters, so a
 membership change never stalls the job for more than that fraction of
 a superstep — it just stretches over more barriers.  All movement runs
 at commit boundaries where every copy holds the committed value, which
@@ -26,18 +33,80 @@ ever handles planned change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
+from repro.cluster.network import MessageKind
 from repro.config import FTMode
 from repro.costmodel import pairwise_comm_time
 from repro.engine.local_graph import LocalGraph
+from repro.engine.messages import SyncBatch
 from repro.errors import ConfigError
 from repro.ft import _recovery_common as common
+from repro.ft import ladder
+from repro.membership.policy import FtPolicy
 from repro.membership.rebalance import move_master, prune_node_copies
 from repro.partition.fennel import fennel_rebalance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
+
+#: Event kind -> the barrier hook it fires at: a flap stalls its target
+#: for the superstep, joins and drains apply at the commit barrier.
+DUE_PHASE = {"flap": "superstep_start", "join": "post_commit",
+             "drain": "post_commit"}
+
+
+def parse_membership(events, engine: "Engine"
+                     ) -> list[tuple[int, str, Any, int]]:
+    """Normalise ``(iteration, kind, target[, count])`` events to
+    4-tuples, or raise :class:`ConfigError`: unknown kind, missing
+    target, join ``count < 1``, a join/drain the job cannot support, or
+    a drain/flap target with no local graph and no join before it."""
+    parsed: list[tuple[int, str, Any, int]] = []
+    first_join = min((int(event[0]) for event in events
+                      if event[1] == "join"), default=None)
+    for event in events:
+        iteration, kind, target = int(event[0]), event[1], event[2]
+        count = int(event[3]) if len(event) > 3 else 1
+        if kind not in DUE_PHASE:
+            raise ConfigError(f"unknown membership event kind {kind!r}")
+        if kind == "join":
+            _check_join(engine, count)
+            target = None
+        else:
+            if target is None:
+                raise ConfigError(f"{kind} events need a target rank")
+            target = int(target)
+            if kind == "drain":
+                check_supported(engine)
+            if target not in engine.local_graphs and (
+                    first_join is None or iteration <= first_join):
+                raise ConfigError(f"cannot {kind} rank {target}: the job "
+                                  f"has no such rank")
+        parsed.append((iteration, kind, target, count))
+    return parsed
+
+
+def _check_join(engine: "Engine", count: int) -> None:
+    if count < 1:
+        raise ConfigError(f"join events need count >= 1, got {count}")
+    check_supported(engine)
+
+
+def check_supported(engine: "Engine") -> None:
+    """Validate that the job shape supports joins and drains."""
+    job = engine.job
+    if not (engine.is_edge_cut and job.ft.mode is FTMode.REPLICATION):
+        raise ConfigError(
+            "joins and drains need replication over an edge-cut "
+            "partitioning (moves piggyback on the replica machinery, "
+            "and vertex-cut partial gathers cannot follow a moving "
+            "master)")
+    if job.ft.safety_checkpoint_interval:
+        raise ConfigError(
+            "elastic membership is incompatible with safety "
+            "checkpoints: snapshot recovery rebuilds the loading-time "
+            "layout and would resurrect retired nodes")
 
 
 @dataclass
@@ -48,55 +117,95 @@ class MembershipOp:
     node: int
     #: Masters still to move: (gid, destination node).
     pending: list[tuple[int, int]] = field(default_factory=list)
-    requested_iteration: int = -1
-    #: Filled when the op completes.
-    completed_iteration: int = -1
     moves_done: int = 0
-
-    def describe(self) -> str:
-        return (f"{self.kind}(node={self.node}, "
-                f"pending={len(self.pending)})")
 
 
 class MembershipManager:
-    """Per-engine queue and pump for elastic membership operations."""
+    """Membership schedule, join/drain/flap, the replication floors and
+    their barrier-time pumps, for one engine."""
 
-    def __init__(self, engine: "Engine", max_move_fraction: float = 0.25):
-        if not 0.0 < max_move_fraction <= 1.0:
-            raise ConfigError(
-                f"max_move_fraction must be in (0, 1], got "
-                f"{max_move_fraction}")
-        check_supported(engine)
+    #: Share of one node's masters movable per commit barrier.
+    MAX_MOVE_FRACTION = 0.25
+
+    def __init__(self, engine: "Engine"):
         self.engine = engine
-        self.max_move_fraction = max_move_fraction
         self._queue: list[MembershipOp] = []
         self.completed: list[MembershipOp] = []
         # Lifetime accounting (the elastic benchmark reads these).
         self.moves_total = 0
         self.bytes_total = 0
         self.transfer_sim_s = 0.0
+        #: Adaptive replication-floor controller, active only when the
+        #: config declares a [ft_level_min, ft_level_max] band.
+        self.policy = (FtPolicy(engine.job.ft)
+                       if engine.job.ft.adaptive_ft else None)
+        #: Scheduled events: (iteration, kind, target, count).
+        self._schedule: list[tuple[int, str, Any, int]] = []
+        #: Nodes that flapped since the last commit barrier; delta
+        #: re-synced at the next ``post_commit`` (inboxes are empty
+        #: there, so the resync cannot race in-flight superstep syncs).
+        self._flapped: list[int] = []
 
     @property
     def active(self) -> bool:
         return bool(self._queue)
 
-    # -- requests --------------------------------------------------------
+    # -- floors ---------------------------------------------------------
+
+    @property
+    def effective_floor(self) -> int:
+        """The replication floor repair currently *targets*."""
+        if self.policy is not None:
+            return self.policy.floor_target
+        return self.engine.job.ft.ft_level
+
+    @property
+    def enforced_floor(self) -> int:
+        """The floor invariants and gauges hold the cluster to.
+
+        With an adaptive policy this rises only as background repair
+        actually completes (``min(target, achieved)``); otherwise it is
+        the static configured K.
+        """
+        if self.policy is not None:
+            return self.policy.floor_enforced
+        return self.engine.job.ft.ft_level
+
+    # -- requests -------------------------------------------------------
+
+    def schedule(self, events) -> list[tuple[int, str, Any, int]]:
+        """Validate and queue events (returned parsed): joins and drains
+        apply at the commit barrier *of* their iteration, a flap stalls
+        its target for that iteration's superstep."""
+        parsed = parse_membership(events, self.engine)
+        self._schedule.extend(parsed)
+        return parsed
+
+    def due(self, iteration: int, phase: str) -> list[tuple[str, Any, int]]:
+        """Take the scheduled ``(kind, target, count)`` events due at
+        ``phase`` of ``iteration``, in schedule order; each fires once,
+        even when a rolled-back iteration is retried."""
+        taken = [item for item in self._schedule
+                 if item[0] == iteration and DUE_PHASE[item[1]] == phase]
+        self._schedule = [item for item in self._schedule
+                          if item not in taken]
+        return [item[1:] for item in taken]
 
     def request_join(self, count: int = 1) -> list[int]:
-        """Admit ``count`` fresh nodes; state transfer is pumped over
-        the following commit barriers.  Returns the new node ids."""
+        """Admit ``count`` fresh nodes at a commit-barrier boundary
+        (:meth:`schedule` from inside a run); state transfer is pumped
+        over the following barriers.  Returns the new node ids."""
         engine = self.engine
+        _check_join(engine, count)
         joined: list[int] = []
-        for _ in range(max(1, count)):
+        for _ in range(count):
             nid = engine.cluster.join_node()
             lg = LocalGraph(nid)
             engine.local_graphs[nid] = lg
             engine.cluster.node(nid).local = lg
             joined.append(nid)
             _, moves = self._plan()
-            self._queue.append(MembershipOp(
-                kind="join", node=nid, pending=moves,
-                requested_iteration=engine.iteration))
+            self._queue.append(MembershipOp("join", nid, moves))
             engine.metrics.inc("membership.joins_requested")
             engine.tracer.instant("membership.join", cat="membership",
                                   node=nid, planned_moves=len(moves))
@@ -106,6 +215,7 @@ class MembershipManager:
         """Begin draining ``node``: its masters move off over the next
         barriers, then its replicas are re-homed and it retires."""
         engine = self.engine
+        check_supported(engine)
         if node not in engine.local_graphs:
             raise ConfigError(f"node {node} hosts no local graph")
         for op in self._queue:
@@ -114,14 +224,196 @@ class MembershipManager:
                     f"node {node} already has a pending membership op")
         engine.cluster.begin_drain(node)
         _, moves = self._plan()
-        self._queue.append(MembershipOp(
-            kind="drain", node=node, pending=moves,
-            requested_iteration=engine.iteration))
+        self._queue.append(MembershipOp("drain", node, moves))
         engine.metrics.inc("membership.drains_requested")
         engine.tracer.instant("membership.drain", cat="membership",
                               node=node, planned_moves=len(moves))
 
-    # -- planning --------------------------------------------------------
+    def flap(self, node: int) -> None:
+        """Transient stall: the node misses heartbeats but returns
+        below the death budget, so it is never declared failed.
+
+        The stall is charged to the node's clock and recorded on the
+        detector; the flap feeds the adaptive floor policy;
+        re-integration is a *delta sync* at the next commit barrier (no
+        rebirth, no recovery protocol).
+        """
+        engine = self.engine
+        detector = engine.cluster.detector
+        beats = detector.record_flap(node)
+        engine.cluster.clocks.advance(node, beats * detector.interval_s)
+        self._flapped.append(node)
+        if self.policy is not None:
+            self.policy.on_flap(engine.iteration)
+        engine.metrics.inc("membership.flaps")
+        engine.metrics.set_gauge(f"ft.suspicion.node.{node}",
+                                 detector.suspicion_level(node))
+        engine.tracer.instant("membership.flap", cat="membership",
+                              node=node, stalled_beats=beats)
+
+    # -- the two barrier hooks ------------------------------------------
+
+    def superstep_start(self) -> None:
+        """Fire the flaps scheduled for this superstep."""
+        if self._schedule:
+            self.fire(self.due(self.engine.iteration, "superstep_start"))
+
+    def post_commit(self) -> None:
+        """Post-commit membership work, in dependency order: scheduled
+        joins/drains fire, flapped nodes delta-resync, the transfer
+        pump advances, then the adaptive-floor policy runs its
+        throttled repair against the settled layout."""
+        if self._schedule:
+            self.fire(self.due(self.engine.iteration, "post_commit"))
+        if self._flapped:
+            self._flap_resync()
+        if self._queue:
+            with self.engine.tracer.span("membership.pump",
+                                         cat="membership",
+                                         iteration=self.engine.iteration):
+                self.pump()
+        if self.policy is not None:
+            self._policy_pump()
+
+    def fire(self, events) -> None:
+        """Run ``(kind, target, count)`` events from :meth:`due`; a
+        drain or flap whose target is no longer alive is skipped."""
+        cluster = self.engine.cluster
+        for kind, target, count in events:
+            if kind == "join":
+                self.request_join(count)
+            elif cluster.node(target).is_alive:
+                if kind == "flap":
+                    self.flap(target)
+                else:
+                    self.request_drain(target)
+
+    def _flap_resync(self) -> None:
+        """Delta re-integration of flapped nodes (DESIGN.md §14).
+
+        Runs at the commit barrier after the flap, when inboxes are
+        empty: every master elsewhere whose value committed this
+        superstep re-pushes it to the copies the flapped node hosts.
+        The sync also travelled the normal path — the flap never lost
+        it — so the rewrite is value-neutral and results stay
+        bit-identical to a flap-free run; only traffic and simulated
+        time move.  Active *flags* are deliberately left alone: a
+        replica holds the flag its master last broadcast, which the
+        master may have elided, and overwriting it would diverge from
+        the flap-free run.
+        """
+        engine = self.engine
+        flapped = sorted({n for n in self._flapped
+                          if engine.cluster.node(n).is_alive})
+        self._flapped = []
+        if not flapped:
+            return
+        if engine._vec is not None:
+            engine._vec.flush()
+        net = engine.cluster.network
+        net.begin_step()
+        alive = engine._alive()
+        flap_set = set(flapped)
+        records = 0
+        for node in alive:
+            if node in flap_set:
+                continue
+            lg = engine.local_graphs[node]
+            outbox: dict = {}
+            for slot in lg.iter_masters():
+                if slot.last_update_iter < engine.committed_iteration:
+                    continue
+                for target in flap_set:
+                    if target not in slot.meta.replica_positions:
+                        continue
+                    key = (target, MessageKind.RECOVERY)
+                    batch = outbox.get(key)
+                    if batch is None:
+                        batch = outbox[key] = SyncBatch(full_state=True)
+                    batch.append(slot.gid, slot.value,
+                                 engine.program.value_nbytes(slot.value),
+                                 slot.last_activates,
+                                 slot.mirror_self_active)
+                    records += 1
+            engine._flush_batches(node, outbox)
+        for target in flapped:
+            lg = engine.local_graphs[target]
+            # Value-neutral but for selfish masters, whose normal sync
+            # is skipped: the rewrite is a slot write like any other.
+            lg.invalidate_soa()
+            for msg in net.deliver(target):
+                batch = msg.payload
+                for i, gid in enumerate(batch.gids):
+                    slot = lg.slot_of(gid)
+                    slot.value = batch.values[i]
+                    slot.last_activates = batch.activates(i)
+                    if slot.is_mirror:
+                        slot.mirror_self_active = batch.self_active(i)
+        for node in alive:
+            engine.cluster.clocks.advance(node, pairwise_comm_time(
+                engine.model, net.step_bytes, net.step_msgs, node))
+        engine._last_barrier_clock = engine.cluster.clocks.barrier(
+            engine.model, alive)
+        engine.metrics.inc("membership.flap_resync_records", records)
+        engine.tracer.instant("membership.flap_resync", cat="membership",
+                              nodes=flapped, records=records)
+
+    def _policy_pump(self) -> None:
+        """Adaptive-floor control loop, once per commit barrier.
+
+        Ticks the policy's quiet clock, scans for masters below the
+        target floor, repairs up to the policy's throttled allowance
+        and reports progress back (which drives the backoff ladder and
+        circuit breaker).
+        """
+        engine = self.engine
+        policy = self.policy
+        policy.on_barrier(engine.iteration)
+        alive = engine._alive()
+        if not alive:
+            return
+        target = policy.floor_target
+        deficit, _ = common.masters_below(engine, alive, target)
+        if deficit:
+            allowance = policy.repair_allowance()
+            if allowance > 0:
+                self._policy_repair(deficit[:allowance], target, alive)
+        # Re-derive the achieved floor from what masters actually have.
+        policy.floor_achieved = common.min_ft_level(engine, target)
+        ladder.update_ft_gauges(engine)
+
+    def _policy_repair(self, batch: list[int], target: int,
+                       alive: list[int]) -> None:
+        """One throttled background-repair round toward ``target``."""
+        engine = self.engine
+        if engine._vec is not None:
+            # Write deferred column commits back: repair snapshots
+            # master slots (and invalidates the images of the nodes it
+            # then writes on, mirror-only rounds included).
+            engine._vec.rollback()
+        net = engine.cluster.network
+        net.begin_step()
+        created, bytes_sent = common.restore_ft_level(
+            engine, batch, "adaptive-repair", k=target)
+        still = sum(1 for gid in batch if engine.local_graphs[
+            engine.master_node_of[gid]].slot_of(gid).meta.ft_level < target)
+        self.policy.repair_result(len(batch), len(batch) - still)
+        if created:
+            repair_s = common.repair_transfer_s(engine, created, len(alive))
+            for node in alive:
+                engine.cluster.clocks.advance(node, pairwise_comm_time(
+                    engine.model, net.step_bytes, net.step_msgs, node))
+                engine.cluster.clocks.advance(node, repair_s)
+            engine._last_barrier_clock = engine.cluster.clocks.barrier(
+                engine.model, alive)
+        engine.metrics.inc("ft.policy.repair_rounds")
+        engine.metrics.inc("ft.policy.repair_replicas", created)
+        engine.metrics.inc("ft.policy.repair_bytes", bytes_sent)
+        engine.tracer.instant("ft.policy.repair", cat="recovery",
+                              batch=len(batch), created=created,
+                              unrepaired=still, target=target)
+
+    # -- join/drain planning and transfer --------------------------------------------------------
 
     def _eligible_nodes(self) -> list[int]:
         engine = self.engine
@@ -145,7 +437,7 @@ class MembershipManager:
         engine = self.engine
         workers = max(1, len(self._eligible_nodes()))
         share = engine.graph.num_vertices / workers
-        return max(1, int(self.max_move_fraction * share))
+        return max(1, int(self.MAX_MOVE_FRACTION * share))
 
     # -- the per-barrier pump -------------------------------------------
 
@@ -266,7 +558,6 @@ class MembershipManager:
         else:
             engine.cluster.finish_join(op.node)
             engine.metrics.inc("membership.joins_completed")
-        op.completed_iteration = engine.iteration
         self.completed.append(op)
         engine.tracer.instant("membership.completed", cat="membership",
                               node=op.node, kind=op.kind,
@@ -288,19 +579,33 @@ class MembershipManager:
         engine.cluster.clocks.barrier(model, alive)
 
 
-def check_supported(engine: "Engine") -> None:
-    """Validate that the job shape supports elastic membership."""
-    job = engine.job
-    if not engine.is_edge_cut:
-        raise ConfigError(
-            "elastic membership requires an edge-cut partitioning "
-            "(vertex-cut partial gathers cannot follow a moving master)")
-    if job.ft.mode is not FTMode.REPLICATION:
-        raise ConfigError(
-            "elastic membership requires REPLICATION fault tolerance "
-            "(moves piggyback on the replica machinery)")
-    if job.ft.safety_checkpoint_interval:
-        raise ConfigError(
-            "elastic membership is incompatible with safety "
-            "checkpoints: snapshot recovery rebuilds the loading-time "
-            "layout and would resurrect retired nodes")
+    # -- the run's report -----------------------------------------------
+
+    def report(self) -> dict[str, Any]:
+        """The run's membership report: ``RunResult.membership`` and
+        ``extra["membership"]`` on both backends (the multiprocessing
+        backend adds only ``reshapes``).
+
+        Presence rule: a run reports when a join or drain was requested
+        (the membership epoch moved), a flap was recorded on the failure
+        detector, or an adaptive floor band is configured; a static run
+        reports ``{}``.
+        """
+        engine = self.engine
+        epoch, policy = engine.cluster.membership_epoch, self.policy
+        flaps = engine.cluster.detector.flaps
+        if not (epoch or flaps or policy):
+            return {}
+        done = [op.kind for op in self.completed]
+        return {
+            "epoch": epoch,
+            "moves": self.moves_total,
+            "bytes": self.bytes_total,
+            "transfer_sim_s": self.transfer_sim_s,
+            "joins": done.count("join"),
+            "drains": done.count("drain"),
+            "flaps": flaps,
+            "leader": engine.recovery_leader,
+            "leader_term": engine.leader_term,
+            "floor_events": list(policy.events) if policy else [],
+        }

@@ -4,7 +4,7 @@ A static K is either wasteful (quiet clusters carry K+1 copies of
 everything forever) or fragile (bursty failure periods exhaust the
 budget).  :class:`FtPolicy` adapts the *effective* replication floor
 inside the configured ``[ft_level_min, ft_level_max]`` band from the
-failure statistics the heartbeat detector already collects:
+failures and flaps the engine observes:
 
 * every confirmed failure raises the target floor (more protection
   while the cluster is visibly unhealthy);

@@ -40,16 +40,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def move_master(engine: "Engine", gid: int, dst: int) -> int:
     """Move one vertex's master copy to node ``dst``.
 
-    Must run at a commit-barrier boundary; edge-cut only.  Returns the
+    Must run at a commit-barrier boundary; edge-cut only
+    (:func:`~repro.membership.manager.check_supported`).  Returns the
     number of bytes shipped (state, edge backups, control traffic),
     already accounted on the network.
     """
     src = engine.master_node_of[gid]
     if src == dst:
         return 0
-    if not engine.is_edge_cut:
-        raise EngineError(
-            "membership rebalancing requires an edge-cut partitioning")
     src_lg = engine.local_graphs[src]
     dst_lg = engine.local_graphs[dst]
     src_slot = src_lg.slot_of(gid)

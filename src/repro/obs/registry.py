@@ -89,7 +89,3 @@ class MetricsRegistry:
             self._counters[name] = self._counters.get(name, 0) + value
         for name, value in other._gauges.items():
             self._gauges.setdefault(name, value)
-
-    def as_dict(self) -> dict[str, Any]:
-        """Full queryable view (counters + gauges), for reports."""
-        return {"counters": self.counters(), "gauges": self.gauges()}

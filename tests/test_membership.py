@@ -270,7 +270,41 @@ class TestElasticRuns:
         engine = make_engine(graph, "pagerank", num_nodes=4,
                              ft_mode="none", max_iterations=4, seed=1)
         with pytest.raises(ConfigError):
-            engine.request_join()
+            engine.membership.request_join()
+
+    @pytest.mark.parametrize("overrides,reason", [
+        (dict(partition="random_vertex_cut",
+              membership=((3, "join", None),)), "edge-cut"),
+        (dict(membership=((1, "drain", 9),)), "cannot drain rank 9"),
+        (dict(membership=((2, "join", None, 0),)), "count >= 1"),
+    ])
+    def test_impossible_schedule_refused_before_any_superstep(
+            self, graph, overrides, reason):
+        """Refused inside ``make_engine``, not when the event fires."""
+        with pytest.raises(ConfigError, match=reason):
+            make_engine(graph, "pagerank", **{
+                "num_nodes": 4, "ft_level": 1, "max_iterations": 6,
+                **overrides})
+
+    def test_join_count_below_one_refused(self, graph):
+        engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                             max_iterations=4, seed=1)
+        with pytest.raises(ConfigError, match="count >= 1"):
+            engine.membership.request_join(0)
+        assert engine.cluster.membership_epoch == 0
+        assert sorted(engine.local_graphs) == [0, 1, 2, 3]
+
+    def test_flap_only_run_reports_membership(self, graph):
+        """One presence rule: a recorded flap is control-plane work, so
+        a flap-only run reports (and the backend forwards) it."""
+        spec = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,
+                           max_iterations=6, membership=((2, "flap", 1),))
+        memb = SimulatorBackend().run(graph, spec).extra["membership"]
+        assert memb["flaps"] == 1
+        assert (memb["joins"], memb["drains"], memb["moves"]) == (0, 0, 0)
+        static = run_job(graph, "pagerank", num_nodes=4, ft_level=1,
+                         max_iterations=6)
+        assert static.membership == {}
 
     def test_adaptive_floor_rises_and_relaxes(self, graph):
         engine = make_engine(graph, "pagerank", num_nodes=6, ft_level=1,
@@ -421,3 +455,9 @@ class TestAcceptanceSchedule:
         assert mp.extra["membership"]["drains"] == 1
         assert mp.extra["membership"]["leader_term"] >= 1
         assert sim.extra["membership"]["leader_term"] >= 1
+        # One report function: the same keys (mp adds ``reshapes``)
+        # and the same membership counts on both backends.
+        sim_memb, mp_memb = sim.extra["membership"], mp.extra["membership"]
+        assert set(mp_memb) == set(sim_memb) | {"reshapes"}
+        for key in ("joins", "drains", "flaps"):
+            assert mp_memb[key] == sim_memb[key], key

@@ -436,6 +436,8 @@ REFUSED_SPECS = [
      "replication over an edge-cut"),
     (dict(failures=((1, (7,), "compute"),)), "failure of rank 7"),
     (dict(membership=((1, "flap", 9),)), "cannot flap rank 9"),
+    (dict(membership=((1, "drain", 9),)), "cannot drain rank 9"),
+    (dict(membership=((1, "join", None, 0),)), "count >= 1"),
 ]
 
 
@@ -533,6 +535,13 @@ class TestElasticMembership:
         assert flapped.values == reference.values
         assert flapped.failures_recovered == 0
         assert flapped.extra["membership"]["flaps"] == 1
+        # Both backends report a flap-only run, with the same keys
+        # (mp adds ``reshapes``) and the same counts.
+        sim_memb = SimulatorBackend().run(graph, flap).extra["membership"]
+        mp_memb = flapped.extra["membership"]
+        assert set(mp_memb) == set(sim_memb) | {"reshapes"}
+        for key in ("joins", "drains", "flaps"):
+            assert mp_memb[key] == sim_memb[key], key
 
     def test_join_and_drain_bit_identical_across_backends(self, graph):
         spec = BackendSpec(algorithm="pagerank", num_nodes=4, ft_level=1,

@@ -367,8 +367,7 @@ class TestMirrorOnlyRepair:
             if len(s.meta.replica_positions) >= 2
             and len(s.meta.mirror_nodes) == 1)[:20]
         assert len(batch) == 20
-        engine._policy_repair(engine._ft_policy, batch, 2,
-                              engine._alive())
+        engine.membership._policy_repair(batch, 2, engine._alive())
         # The round elected mirrors among existing replicas only.
         assert engine.metrics.value("ft.policy.repair_replicas") == 0
         assert all(len(engine.local_graphs[engine.master_node_of[g]]

@@ -10,11 +10,15 @@ A fixed, seeded matrix of simulator runs — {pagerank, sssp, cc, cd, als}
 x {hash edge-cut, random vertex-cut, hybrid-cut} x {clean, Rebirth,
 Migration, safety net, CKPT, a mid-compute chaos crash in a later and
 in the first superstep, ``vectorized=False``, ``combining=False``} plus
-one edge-mutating
-program — each dumped as: committed values, traffic by kind,
-``syncs_elided``, iteration stats, every ``RecoveryStats``, counters,
-gauges and every non-wall field of every trace event.  Floats are
-written by ``repr`` (JSON's default), so ``cmp`` is a bit comparison.
+one edge-mutating program and four elastic PageRank runs (the
+membership acceptance schedule — join x2, flap, drain, leader killed
+mid-recovery — under an adaptive floor of 1-3; a flap-only run on
+edge-cut and on vertex-cut; an adaptive-floor run with one kill) —
+each dumped as: committed values, traffic by kind, ``syncs_elided``,
+iteration stats, every ``RecoveryStats``, the membership report,
+counters, gauges and every non-wall field of every trace event.
+Floats are written by ``repr`` (JSON's default), so ``cmp`` is a bit
+comparison.
 Only the public API and documented engine attributes are touched, so
 the same file runs under an older tree's ``PYTHONPATH``.
 
@@ -54,7 +58,8 @@ WORKLOADS = {
 }
 PARTITIONS = ("hash_edge_cut", "random_vertex_cut", "hybrid_cut")
 
-#: scenario -> (engine kwargs, scheduled failures, chaos crash or None)
+#: scenario -> (engine kwargs, scheduled failures, chaos schedule
+#: factory or None)
 SCENARIOS = {
     "clean": ({}, (), None),
     "rebirth": (dict(num_standby=2),
@@ -65,13 +70,31 @@ SCENARIOS = {
                    ((3, (0, 1), "compute"),), None),
     "ckpt": (dict(ft_mode="checkpoint", checkpoint_interval=2,
                   num_standby=1), ((3, (1,), "compute"),), None),
-    "chaos_gather": (dict(num_standby=1), (), (2, "gather", 3)),
+    "chaos_gather": (dict(num_standby=1), (), lambda: FailureSchedule(
+        seed=5).crash(2, phase="gather", target=3)),
     # Before node 3's first turn: it is lost without ever being touched.
-    "chaos_first_touch": (dict(num_standby=1), (), (0, "gather", 3)),
+    "chaos_first_touch": (dict(num_standby=1), (), lambda: FailureSchedule(
+        seed=5).crash(0, phase="gather", target=3)),
     "scalar": (dict(vectorized=False, num_standby=1),
                ((2, (1,), "compute"),), None),
     "raw_gather": (dict(combining=False, num_standby=1),
                    ((2, (1,), "compute"),), None),
+}
+
+ADAPTIVE = dict(ft_level_min=1, ft_level_max=3)
+#: Elastic PageRank rows, same shape: scenario -> (..., partitions).
+ELASTIC = {
+    "acceptance": (dict(num_nodes=6, num_standby=3, max_iterations=14,
+                        **ADAPTIVE), (), lambda: (
+        FailureSchedule(seed=23).join(2, count=2).flap(4, target=2)
+        .drain(6, target="most-loaded")
+        .crash(8, phase="gather", target="random")
+        .crash(8, phase="recovery", target="leader")),
+        ("hash_edge_cut",)),
+    "flap_only": (dict(membership=((2, "flap", 1),)), (), None,
+                  ("hash_edge_cut", "random_vertex_cut")),
+    "adaptive_kill": (dict(num_standby=2, max_iterations=12, **ADAPTIVE),
+                      ((3, (2,), "compute"),), None, ("hash_edge_cut",)),
 }
 
 
@@ -125,7 +148,7 @@ def _plain(obj):
 def dump_run(graph, algorithm, partition, iterations, algorithm_kwargs,
              scenario):
     """Run one configuration; returns its observable behaviour."""
-    kwargs, failures, chaos = SCENARIOS[scenario]
+    kwargs, failures, chaos = ({**SCENARIOS, **ELASTIC}[scenario])[:3]
     tracer = Tracer()
     engine = make_engine(
         graph, algorithm,
@@ -135,9 +158,7 @@ def dump_run(graph, algorithm, partition, iterations, algorithm_kwargs,
     for failure in failures:
         engine.schedule_failure(*failure)
     if chaos is not None:
-        iteration, phase, target = chaos
-        ChaosController(FailureSchedule(seed=5).crash(
-            iteration, phase=phase, target=target)).attach(engine)
+        ChaosController(chaos()).attach(engine)
     result = engine.run()
     totals = engine.cluster.network.totals
     return _plain({
@@ -153,6 +174,7 @@ def dump_run(graph, algorithm, partition, iterations, algorithm_kwargs,
         "iteration_stats": result.iteration_stats,
         "recoveries": result.recoveries,
         "fallbacks": result.fallbacks,
+        "membership": result.membership,
         "counters": engine.metrics.counters(),
         "gauges": engine.metrics.gauges(),
         "trace": [{k: v for k, v in event.items() if "wall" not in k}
@@ -176,6 +198,12 @@ def matrix(quick: bool):
                 yield (f"{algorithm}/{partition}/{scenario}",
                        (graph, algorithm, partition, iterations,
                         algo_kwargs, scenario))
+    make_graph, _kwargs, iterations = WORKLOADS["pagerank"]
+    graph = make_graph()
+    for scenario, (*_, partitions) in ELASTIC.items():
+        for partition in partitions:
+            yield (f"pagerank/{partition}/{scenario}",
+                   (graph, "pagerank", partition, iterations, {}, scenario))
     graph = generators.power_law(60, alpha=2.0, seed=23, avg_degree=4.0)
     for partition in PARTITIONS[:1] if quick else PARTITIONS:
         for scenario in ("clean", "rebirth", "ckpt"):
