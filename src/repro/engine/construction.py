@@ -10,7 +10,8 @@ master's sync fan-out.  Each node's SoA image
 are cut from those columns, and its ``VertexSlot`` array — every copy's
 position recorded in the master metadata so recovery messages apply
 positionally (Section 5.1.2), and under edge-cut the master's edge list
-duplicated onto its mirrors — is stamped from the same columns.
+duplicated onto its mirrors — is stamped from the same columns by
+:func:`stamp_slots`, which also builds Rebirth's reborn node.
 
 Layout and edge order are exactly those of the slot-at-a-time reference
 (``tests/reference/construction.py``); recovery equivalence relies on it.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,10 +29,12 @@ from repro.engine.local_graph import LocalGraph
 from repro.engine.soa import NodeTopology
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError
-from repro.ft.replication import ReplicationPlan
 from repro.graph.graph import Graph
 from repro.obs import NULL_TRACER
 from repro.partition.base import EdgeCutPartitioning, VertexCutPartitioning
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.ft.replication import ReplicationPlan
 
 
 @dataclass(frozen=True)
@@ -149,9 +153,7 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
 
         # Each node's image, its edges linked one node at a time (the
         # edge-sized sorts are the phase's memory peak): local CSR in
-        # (position, edge id) order.  ``sync_plan`` keys and the FT
-        # census' levels appear in the order a walk over the node's
-        # masters first meets them (send order; ``LocalGraph.ft_census``).
+        # (position, edge id) order.
         by_node = np.argsort(edge_node, kind="stable")
         edge_cut = np.concatenate(
             [[0], np.cumsum(np.bincount(edge_node, minlength=num_nodes))])
@@ -164,8 +166,6 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
             by_dst = np.argsort(dst_pos, kind="stable")
             by_src = np.argsort(src_pos, kind="stable")
             rows = np.flatnonzero(sync_from == node)
-            sync_to = rep_node[rows] * 2 + is_mirror[rep_index[rows]]
-            sync_pos = position[master_index[rep_gid[rows]]]
             topology = NodeTopology.from_columns(
                 gids[lo:hi].copy(), np.ones(hi - lo, dtype=bool),
                 is_master[lo:hi].copy(), is_mirror[lo:hi].copy(),
@@ -173,13 +173,12 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
                 out_deg[lo:hi].astype(np.float64),
                 src_pos[by_dst], graph.weights[edges[by_dst]],
                 dst_pos[by_dst], src_pos[by_src], dst_pos[by_src],
-                {(to >> 1, bool(to & 1)): sync_pos[sync_to == to]
-                 for to in dict.fromkeys(sync_to.tolist())})
+                *sync_columns(
+                    rep_node[rows] * 2 + is_mirror[rep_index[rows]],
+                    position[master_index[rep_gid[rows]]],
+                    position[rep_index[rows]]))
             masters = gids[lo:hi][is_master[lo:hi]]
-            levels = ft_level[masters]
-            images.append((topology, (masters.size, {
-                level: masters[levels == level].tolist()
-                for level in dict.fromkeys(levels.tolist())})))
+            images.append((topology, ft_census(masters, ft_level[masters])))
 
         # One int object per position and per gid, shared by everything
         # that names it (the gid index, edge lists, master metadata), as
@@ -210,37 +209,27 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
             src_pos = positions[topo.in_src].tolist()
             weights = topo.in_w.tolist()
             in_edges = list(zip(src_pos, weights))
-            out_edges = positions[topo.out_dst].tolist()
             if has_full_edges:
                 full_of[node] = (
                     list(zip(gid_obj[lo:hi][topo.in_src].tolist(),
                              src_pos, weights)),
                     np.concatenate([[0], np.cumsum(topo.in_counts)]))
-            slots = []
-            in_at = out_at = 0
-            out_counts = np.bincount(topo.out_src, minlength=topo.n)
-            for gid, kind, mnode, mid, outd, ind, sf, fo, ins, outs in zip(
-                    gid_list, role[lo:hi].tolist(),
-                    master_node[lo:hi].tolist(), mirror_id[lo:hi].tolist(),
-                    out_deg[lo:hi].tolist(), in_deg[lo:hi].tolist(),
-                    selfish[lo:hi].tolist(), ft_only[lo:hi].tolist(),
-                    topo.in_counts.tolist(), out_counts.tolist()):
-                meta = None
-                if kind is not Role.REPLICA:
-                    # Static full state, replicated to the mirrors
-                    # during graph loading (Section 4.2).
-                    meta = MasterMeta(
-                        dict(zip(plan.replica_nodes[gid],
-                                 rep_pos[rep_ptr[gid]:rep_ptr[gid + 1]])),
-                        list(plan.mirror_nodes[gid]), mnode, master_pos[gid])
-                slots.append(VertexSlot(
-                    gid=gid, role=kind, out_degree=outd, in_degree=ind,
-                    in_edges=in_edges[in_at:in_at + ins],
-                    out_edges=out_edges[out_at:out_at + outs],
-                    meta=meta, master_node=mnode, ft_only=fo, selfish=sf,
-                    mirror_id=mid))
-                in_at += ins
-                out_at += outs
+            kinds = role[lo:hi].tolist()
+            mnodes = master_node[lo:hi].tolist()
+            # Static full state, replicated to the mirrors during graph
+            # loading (Section 4.2).
+            metas = (None if kind is Role.REPLICA else MasterMeta(
+                dict(zip(plan.replica_nodes[gid],
+                         rep_pos[rep_ptr[gid]:rep_ptr[gid + 1]])),
+                list(plan.mirror_nodes[gid]), mnode, master_pos[gid])
+                for gid, kind, mnode in zip(gid_list, kinds, mnodes))
+            slots = stamp_slots(
+                gid_list, kinds, mnodes, mirror_id[lo:hi].tolist(),
+                out_deg[lo:hi].tolist(), in_deg[lo:hi].tolist(),
+                selfish[lo:hi].tolist(), ft_only[lo:hi].tolist(), metas,
+                in_edges, topo.in_counts.tolist(),
+                positions[topo.out_dst].tolist(),
+                np.bincount(topo.out_src, minlength=topo.n).tolist())
             locals_[node] = LocalGraph.adopt(
                 node, slots, dict(zip(gid_list, positions.tolist())),
                 topo, census)
@@ -253,6 +242,55 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
                     at = slot.meta.master_position
                     slot.full_edges = triples[ptr[at]:ptr[at + 1]]
     return locals_, report
+
+
+def stamp_slots(gids, roles, master_node, mirror_id, out_deg, in_deg,
+                selfish, ft_only, metas, in_edges: list, in_counts,
+                out_edges: list, out_counts) -> list[VertexSlot]:
+    """Vertex slots stamped from per-copy columns — iterables over the
+    same copies, in order; ``metas`` holds ``None`` for plain replicas —
+    and their local edges: ``in_edges`` the ``(src position, weight)``
+    pairs and ``out_edges`` the target positions, each in CSR order and
+    cut per copy by ``in_counts`` / ``out_counts``.  The loader's
+    per-node pass, Rebirth's reborn node and the single copies recovery
+    appends (``ft/_recovery_common.py``) all stamp their slots here."""
+    slots = []
+    in_at = out_at = 0
+    for gid, kind, mnode, mid, outd, ind, sf, fo, meta, ins, outs in zip(
+            gids, roles, master_node, mirror_id, out_deg, in_deg, selfish,
+            ft_only, metas, in_counts, out_counts):
+        slots.append(VertexSlot(
+            gid=gid, role=kind, out_degree=outd, in_degree=ind,
+            in_edges=in_edges[in_at:in_at + ins],
+            out_edges=out_edges[out_at:out_at + outs],
+            meta=meta, master_node=mnode, ft_only=fo, selfish=sf,
+            mirror_id=mid))
+        in_at += ins
+        out_at += outs
+    return slots
+
+
+def sync_columns(to: np.ndarray, master_pos: np.ndarray,
+                 peer_pos: np.ndarray) -> tuple[dict, np.ndarray]:
+    """A node's ``sync_plan`` and ``sync_peer`` from one row per
+    (master, copy) pair in the order a walk over the masters meets them
+    (send order): ``to`` is the copy's node * 2 + is-mirror,
+    ``master_pos`` the master's position, ``peer_pos`` the copy's."""
+    keys = dict.fromkeys(to.tolist())
+    masks = [to == key for key in keys]
+    return ({(key >> 1, bool(key & 1)): master_pos[mask]
+             for key, mask in zip(keys, masks)},
+            np.concatenate([np.zeros(0, dtype=np.int64),
+                            *(peer_pos[mask] for mask in masks)]))
+
+
+def ft_census(masters: np.ndarray,
+              levels: np.ndarray) -> tuple[int, dict[int, list[int]]]:
+    """``LocalGraph.ft_census`` of a node from its master gids and their
+    FT levels, both in position order: levels in the order a walk first
+    meets them."""
+    return masters.size, {level: masters[levels == level].tolist()
+                          for level in dict.fromkeys(levels.tolist())}
 
 
 def _flatten(node_lists: list[list[int]]) -> tuple[np.ndarray, ...]:

@@ -48,9 +48,10 @@ class LocalGraph:
     @classmethod
     def adopt(cls, node_id: int, slots: list, index_of: dict[int, int],
               topology, ft_census) -> "LocalGraph":
-        """A node's graph born whole at load: slots (none active yet)
-        and gid index stamped from the very columns the SoA image and
-        the FT census were cut from."""
+        """A node's graph born whole — at load, or reborn at Rebirth:
+        slots and gid index stamped from the very columns the SoA image
+        and the FT census were cut from.  The caller registers any
+        active slot in ``active_masters`` / ``active_others``."""
         lg = cls(node_id)
         lg.slots, lg.index_of = slots, index_of
         lg._topology, lg._ft_census = topology, ft_census

@@ -3,7 +3,8 @@
 Sizes mirror the compact encodings of the real systems: a plain sync is
 an id + value + flag byte; a mirror (full-state) sync adds the dynamic
 full-state extras (Section 4.2); recovery messages carry whole vertices
-and are batched per destination (Section 5.1.1).
+and are batched per destination (Section 5.1.1), as columns too
+(:class:`RecoveryBatch`).
 
 Steady-state traffic is batched the same way (DESIGN.md §10): the
 engine accumulates one *columnar* batch per ``(src, dst, kind)`` pair
@@ -18,9 +19,12 @@ transport charges one header per batch instead of one per record.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
+from repro.engine.state import Role
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
 
@@ -394,69 +398,137 @@ class ActiveBroadcastBatch:
         return self.select(range(len(self.gids)))
 
 
-@dataclass
-class RecoveredVertex:
-    """One vertex shipped in a recovery message (Section 5.1).
-
-    ``position`` is the array slot the vertex must occupy at the
-    destination, enabling the lock-free positional reconstruction.
-    ``full_edges`` travels only for masters under edge-cut.
-    """
-
-    gid: int
-    role: str
-    position: int
-    value: Any
-    active: bool
-    last_activates: bool
-    out_degree: int
-    in_degree: int
-    master_node: int
-    ft_only: bool = False
-    selfish: bool = False
-    mirror_id: int = -1
-    #: The master's committed self-sustained activity (what a live
-    #: mirror's ``mirror_self_active`` holds) — distinct from ``active``,
-    #: which includes remote activations / broadcast state.
-    self_active: bool = False
-    #: The activity flag the replicas collectively believe (vertex-cut
-    #: broadcast state); restored into ``replicas_known_active``.
-    known_active: bool = False
-    #: Iteration of the vertex's last committed update, preserved so a
-    #: later recovery replays exactly the activations that were lost.
-    last_update_iter: int = -1
-    #: (src_gid, src_position, weight) triples; None unless an
-    #: edge-cut master/mirror is being recovered.
-    full_edges: list[tuple[int, int, float]] | None = None
-    #: Copy of the master metadata (masters and mirrors only).
-    replica_positions: dict[int, int] | None = None
-    mirror_nodes: list[int] | None = None
-    master_position: int = -1
-
-    def nbytes(self, value_nbytes: int) -> int:
-        size = BYTES_PER_VID + 8 + value_nbytes + 4
-        if self.full_edges is not None:
-            size += len(self.full_edges) * BYTES_PER_EDGE
-        if self.replica_positions is not None:
-            size += len(self.replica_positions) * (BYTES_PER_VID + 4)
-        if self.mirror_nodes is not None:
-            size += len(self.mirror_nodes) * 4
-        return size
+def csr_rows(ptr: np.ndarray, rows: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of CSR rows ``rows`` (row by row, in the given
+    order) and each row's length."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    return (np.arange(int(counts.sum()))
+            - np.repeat(np.cumsum(counts) - counts - starts, counts)), counts
 
 
-@dataclass
+def csr_ptr(counts) -> np.ndarray:
+    """CSR row pointer over per-row lengths."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+@dataclass(eq=False)
 class RecoveryBatch:
-    """A batch of recovered vertices plus shared global state.
+    """Recovered vertex copies plus shared global state, as parallel
+    columns (Section 5.1).
 
-    All recovery messages are sent in a batched way to cut message
-    overhead (Section 5.1.1); the batch also carries global state such
-    as the iteration count the destination must resume from.
+    Row *i* is one copy, written at ``positions[i]`` of the destination's
+    vertex array — the lock-free positional reconstruction of
+    Section 5.1.2.  ``roles[i]`` indexes :attr:`ROLES`; ``flags[i]``
+    packs the ``FLAG_*`` bits; ``last_update[i]`` is the iteration of
+    the copy's last committed update, so a later recovery replays
+    exactly the activations that were lost.  Master and mirror rows
+    carry a copy of the master metadata as CSR slices
+    (``replica_nodes`` / ``replica_positions`` over ``replica_ptr``,
+    ``mirror_nodes`` over ``mirror_ptr``, ``master_position``); under
+    edge-cut they also carry the master's in-edges as
+    ``(src gid, src position on the master's node, weight)`` slices
+    over ``edge_ptr`` (empty under vertex-cut).
+
+    All recovery messages are batched to cut message overhead
+    (Section 5.1.1): one batch is one message, and it carries the
+    iteration the destination resumes from.
     """
+
+    ROLES = (Role.REPLICA, Role.MIRROR, Role.MASTER)
+    REPLICA, MIRROR, MASTER = range(3)
+
+    #: The copy's activity flag.
+    FLAG_ACTIVE = 0x1
+    #: Its last committed update requested activation (Section 5.1.3).
+    FLAG_LAST_ACTIVATES = 0x2
+    #: The master's committed self-sustained activity (what a live
+    #: mirror's ``mirror_self_active`` holds).
+    FLAG_SELF_ACTIVE = 0x4
+    #: The activity flag the replicas believe (vertex-cut broadcast
+    #: state), restored into a master's ``replicas_known_active``.
+    FLAG_KNOWN_ACTIVE = 0x8
 
     src_node: int
-    vertices: list[RecoveredVertex] = field(default_factory=list)
-    iteration: int = 0
+    iteration: int
+    gids: np.ndarray
+    positions: np.ndarray
+    roles: np.ndarray
+    values: list
+    flags: np.ndarray
+    last_update: np.ndarray
+    out_degree: np.ndarray
+    in_degree: np.ndarray
+    selfish: np.ndarray
+    mirror_id: np.ndarray
+    master_node: np.ndarray
+    master_position: np.ndarray
+    replica_ptr: np.ndarray
+    replica_nodes: np.ndarray
+    replica_positions: np.ndarray
+    mirror_ptr: np.ndarray
+    mirror_nodes: np.ndarray
+    edge_ptr: np.ndarray
+    edge_gids: np.ndarray
+    edge_positions: np.ndarray
+    edge_weights: np.ndarray
+
+    #: Per-row columns and CSR groups (pointer, flat columns).
+    _ROW = ("gids", "positions", "roles", "flags", "last_update",
+            "out_degree", "in_degree", "selfish", "mirror_id",
+            "master_node", "master_position")
+    _CSR = (("replica_ptr", ("replica_nodes", "replica_positions")),
+            ("mirror_ptr", ("mirror_nodes",)),
+            ("edge_ptr", ("edge_gids", "edge_positions", "edge_weights")))
+
+    def __len__(self) -> int:
+        return len(self.gids)
+
+    @classmethod
+    def empty(cls, src_node: int = -1, iteration: int = 0
+              ) -> "RecoveryBatch":
+        """A batch of no rows."""
+        ints = np.zeros(0, dtype=np.int64)
+        cols = dict.fromkeys(cls._ROW, ints)
+        for ptr, flat in cls._CSR:
+            cols[ptr] = np.zeros(1, dtype=np.int64)
+            cols.update(dict.fromkeys(flat, ints))
+        cols.update(selfish=np.zeros(0, dtype=bool), edge_weights=np.zeros(0))
+        return cls(src_node, iteration, values=[], **cols)
+
+    @classmethod
+    def merge(cls, batches: Sequence["RecoveryBatch"]) -> "RecoveryBatch":
+        """Every row of ``batches`` in destination-position order — the
+        order the destination's array is built in — as one batch."""
+        batches = [cls.empty(), *batches]
+        order = np.argsort(np.concatenate([b.positions for b in batches]),
+                           kind="stable")
+        cols = {name: np.concatenate([getattr(b, name)
+                                      for b in batches])[order]
+                for name in cls._ROW}
+        values = [v for b in batches for v in b.values]
+        cols["values"] = [values[i] for i in order.tolist()]
+        for ptr, flat in cls._CSR:
+            idx, counts = csr_rows(csr_ptr(np.concatenate(
+                [np.diff(getattr(b, ptr)) for b in batches])), order)
+            cols[ptr] = csr_ptr(counts)
+            for name in flat:
+                cols[name] = np.concatenate([getattr(b, name)
+                                             for b in batches])[idx]
+        return cls(-1, batches[-1].iteration, **cols)
+
+    def rows_nbytes(self, value_nbytes_of) -> int:
+        """Wire size of the rows: per row an id, 8 bytes of flags and
+        degrees, the value and a 4-byte position, plus its edges and
+        metadata entries."""
+        return (len(self) * (BYTES_PER_VID + 12)
+                + sum(map(value_nbytes_of, self.values))
+                + len(self.edge_gids) * BYTES_PER_EDGE
+                + len(self.replica_nodes) * (BYTES_PER_VID + 4)
+                + len(self.mirror_nodes) * 4)
 
     def nbytes(self, value_nbytes_of) -> int:
-        return 16 + sum(v.nbytes(value_nbytes_of(v.value))
-                        for v in self.vertices)
+        """Wire size of the batch: the rows plus 16 bytes of shared
+        global state."""
+        return 16 + self.rows_nbytes(value_nbytes_of)

@@ -1,15 +1,16 @@
 """Structure-of-arrays topology image of one node's local graph.
 
 The per-vertex :class:`~repro.engine.state.VertexSlot` array stays the
-authoritative store (recovery writes it positionally, checkpoints read
-it), but the vectorized compute path needs the *static* shape of a
-node's graph as flat numpy arrays: role masks, degrees, the local
-in-/out-edge lists in CSR-style per-edge arrays, and the master->replica
-sync fan-out grouped by destination.  :class:`NodeTopology` is that
-image, with two constructors the SoA-coherence chaos invariant holds
-equal: the loader cuts it from the columns it stamps the slots from
-(:meth:`~NodeTopology.from_columns`), so a
-:class:`~repro.engine.local_graph.LocalGraph` is born with it; once
+authoritative store (recovery, checkpoints and membership moves read
+and write it), but the vectorized compute path and recovery's selection need the
+*static* shape of a node's graph as flat numpy arrays: role masks,
+degrees, the local in-/out-edge lists in CSR-style per-edge arrays, the
+master->replica sync fan-out grouped by destination and, beside it,
+each planned copy's position on its own node.  :class:`NodeTopology` is
+that image, with two constructors the SoA-coherence chaos invariant
+holds equal: the loader — and Rebirth, for a reborn node — cuts it from
+the columns it stamps the slots from (:meth:`~NodeTopology.from_columns`),
+so a :class:`~repro.engine.local_graph.LocalGraph` is born with it; once
 something writes that node outside the barrier commit — ``add_slot``/
 ``remove_slot``, or the ``invalidate_soa`` every such writer (a recovery
 rung, FT repair, a membership move) issues for exactly the nodes it
@@ -36,7 +37,7 @@ class NodeTopology:
         "n", "gids", "occupied", "is_master", "is_mirror", "selfish",
         "master_node", "out_deg_f", "in_counts", "has_in",
         "in_src", "in_w", "in_dst", "out_src", "out_dst",
-        "gid_sorted", "pos_sorted", "sync_plan",
+        "gid_sorted", "pos_sorted", "sync_plan", "sync_peer",
     )
 
     @classmethod
@@ -57,6 +58,7 @@ class NodeTopology:
         out_src: list[int] = []
         out_dst: list[int] = []
         sync_plan: dict[tuple[int, bool], list[int]] = {}
+        peers: dict[tuple[int, bool], list[int]] = {}
         node_id = lg.node_id
         for pos, slot in enumerate(slots):
             if slot is None:
@@ -68,9 +70,10 @@ class NodeTopology:
             if slot.role is Role.MASTER:
                 is_master[pos] = True
                 master_node[pos] = node_id
-                for replica_node, is_mir in slot.meta.sync_targets():
-                    sync_plan.setdefault((replica_node, is_mir),
-                                         []).append(pos)
+                where = slot.meta.replica_positions
+                for key in slot.meta.sync_targets():
+                    sync_plan.setdefault(key, []).append(pos)
+                    peers.setdefault(key, []).append(where[key[0]])
             else:
                 if slot.role is Role.MIRROR:
                     is_mirror[pos] = True
@@ -89,16 +92,21 @@ class NodeTopology:
                 out_dst.extend(outs)
         return cls.from_columns(
             gids, occupied, is_master, is_mirror, selfish, master_node,
-            out_deg, in_src, in_w, in_dst, out_src, out_dst, sync_plan)
+            out_deg, in_src, in_w, in_dst, out_src, out_dst, sync_plan,
+            [p for key in sync_plan for p in peers[key]])
 
     @classmethod
     def from_columns(cls, gids, occupied, is_master, is_mirror, selfish,
                      master_node, out_deg, in_src, in_w, in_dst, out_src,
-                     out_dst, sync_plan) -> "NodeTopology":
+                     out_dst, sync_plan, sync_peer) -> "NodeTopology":
         """Adopt per-position columns, per-edge columns in (position,
-        edge) order and a ``sync_plan`` in send order — the loader cuts
-        them from its global columns (``engine/construction.py``),
-        :meth:`build` reads them off the slots — and derive the rest."""
+        edge) order, a ``sync_plan`` in send order and ``sync_peer`` —
+        each planned copy's position on its own node, flattened in
+        ``sync_plan`` order — and derive the rest.  The loader cuts them
+        from its global columns (``engine/construction.py``), Rebirth
+        from the columns its reborn node received
+        (``ft/_recovery_common.py``), and :meth:`build` reads them off
+        the slots."""
         topo = cls()
         topo.n = len(gids)
         topo.gids = gids
@@ -121,7 +129,22 @@ class NodeTopology:
         topo.gid_sorted = gids[topo.pos_sorted]
         topo.sync_plan = {key: np.asarray(positions, dtype=np.int64)
                           for key, positions in sync_plan.items()}
+        topo.sync_peer = np.asarray(sync_peer, dtype=np.int64)
         return topo
+
+    def copies_on(self, node: int) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+        """The masters here with a copy on ``node``: their positions,
+        the copy's position there and whether it is a mirror."""
+        none = np.zeros(0, dtype=np.int64)
+        parts, at = [(none, none, none.astype(bool))], 0
+        for (dst, mirror), positions in self.sync_plan.items():
+            if dst == node:
+                parts.append((positions,
+                              self.sync_peer[at:at + positions.size],
+                              np.full(positions.size, mirror)))
+            at += positions.size
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
     def translate(self, gid_array: np.ndarray) -> np.ndarray:
         """Map an array of gids to local positions (all must be local)."""

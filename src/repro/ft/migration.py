@@ -63,19 +63,18 @@ class MigrationRecovery:
         # ---------------- Reloading: promotion ----------------
         promotions: list[tuple[int, int]] = []  # (gid, new master node)
         selfish_promoted: list[int] = []
-        scan_cost: dict[int, int] = defaultdict(int)
+        scan_cost: dict[int, int] = {}
         selfish_opt = engine.selfish_opt_active
         for node in survivors:
             lg = engine.local_graphs[node]
-            for slot in lg.iter_slots():
-                scan_cost[node] += 1
-                if not slot.is_mirror or slot.master_node not in failed_set:
-                    continue
-                if common.surviving_recoverer(slot.meta, failed_set) != node:
-                    continue
-                promotions.append((slot.gid, node))
-                if slot.selfish and selfish_opt:
-                    selfish_promoted.append(slot.gid)
+            scan_cost[node] = len(lg.index_of)
+            lead, _ = common.leading_mirrors(engine, node, failed_set)
+            topo = lg.topology()
+            for gid, selfish in zip(topo.gids[lead].tolist(),
+                                    topo.selfish[lead].tolist()):
+                promotions.append((gid, node))
+                if selfish and selfish_opt:
+                    selfish_promoted.append(gid)
         promoted = {gid for gid, _ in promotions}
         common.check_recoverable(engine, failed_set, self.rung, promoted)
 
@@ -103,6 +102,9 @@ class MigrationRecovery:
                 meta.mirror_nodes = [n for n in meta.mirror_nodes
                                      if n not in failed_set]
                 meta.invalidate_replica_cache()
+            # Write set (DESIGN.md §11): every survivor's roles and
+            # metadata.
+            lg.invalidate_soa()
 
         # ---------------- Reloading: edges ----------------
         net = engine.cluster.network
@@ -161,9 +163,6 @@ class MigrationRecovery:
                                                promoted)
         replay_edges = common.recompute_selfish_masters(
             engine, sorted(selfish_promoted))
-        # Write set (DESIGN.md §11): every survivor's roles and metadata.
-        for node in survivors:
-            engine.local_graphs[node].invalidate_soa()
         stats.replay_s = ((replay_ops * model.per_vertex_reconstruct_s
                            + replay_edges * model.per_edge_compute_s)
                           * scale / max(1, len(survivors)))

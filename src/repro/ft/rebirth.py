@@ -14,25 +14,32 @@ its graph state is reconstructed from the surviving replicas:
   files from persistent storage, overlapped with the vertex transfer
   (Section 5.2.1 discusses the same overlap for Migration).
 
-Reconstruction is positional and lock-free; under edge-cut it happens
-while messages arrive, so the phase reports zero explicit time
-(Fig. 9a shows no reconstruction bar for Rebirth).  Replay re-executes
-activation operations on the new node only.
+Reloading is a selection by array masks over each survivor's SoA image
+(the ``sync_plan`` / ``sync_peer`` of its masters, the leading mirrors
+among its mirrors of dead masters), packed into one columnar
+:class:`~repro.engine.messages.RecoveryBatch` per (survivor, newbie).
+Reconstruction is positional and lock-free: each newbie is built whole
+from the columns it received — slots, edges, SoA image and FT census in
+one pass (:func:`~repro.ft._recovery_common.reborn_graph`).  Under
+edge-cut it happens while messages arrive, so the phase reports zero
+explicit time (Fig. 9a shows no reconstruction bar for Rebirth).  Replay
+re-executes activation operations on the new node only.
 
-Write set (DESIGN.md §11): the reborn nodes' fresh ``LocalGraph``s only —
+Write set (DESIGN.md §11): the reborn nodes' new ``LocalGraph``s only —
 survivors read and send, so their SoA images and FT census stay valid.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.cluster.network import Message, MessageKind
 from repro.costmodel import storage_read_time
 from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import RecoveryBatch
-from repro.errors import NoStandbyNodeError, UnrecoverableFailureError
+from repro.errors import NoStandbyNodeError
 from repro.ft import _recovery_common as common
 from repro.ft.recovery import RecoveryStats
 
@@ -77,57 +84,34 @@ class RebirthRecovery:
         survivors = [n for n in engine._alive() if n not in failed_set]
 
         # ---------------- Reloading ----------------
+        # Each survivor selects by mask over its image (DESIGN.md §11):
+        # its masters' copies on a crashed node come straight out of
+        # ``sync_plan`` / ``sync_peer``; the dead masters it leads are
+        # the ones it holds the lowest surviving mirror of (Section
+        # 5.3.1), and it also re-sends their copies lost on *other*
+        # crashed nodes on their behalf.
         batches: dict[tuple[int, int], RecoveryBatch] = {}
-
-        def batch(src: int, dst: int) -> RecoveryBatch:
-            key = (src, dst)
-            if key not in batches:
-                batches[key] = RecoveryBatch(
-                    src_node=src, iteration=engine.iteration)
-            return batches[key]
-
-        scan_cost: dict[int, int] = defaultdict(int)
-        recovered_masters: list[int] = []
-        selfish_recovered: list[int] = []
-        selfish_opt = engine.selfish_opt_active
+        scan_cost: dict[int, int] = {}
+        recovered_masters = [np.zeros(0, dtype=np.int64)]
+        selfish_recovered = [np.zeros(0, dtype=np.int64)]
         for node in survivors:
             lg = engine.local_graphs[node]
-            for slot in lg.iter_slots():
-                scan_cost[node] += 1
-                if slot.is_master:
-                    meta = slot.meta
-                    for replica_node, position in sorted(
-                            meta.replica_positions.items()):
-                        if replica_node in failed_set:
-                            rv = common.snapshot_replica_state(
-                                lg, slot, replica_node, position,
-                                engine.is_edge_cut)
-                            batch(node, replica_node).vertices.append(rv)
-                elif slot.is_mirror and slot.master_node in failed_set:
-                    meta = slot.meta
-                    if common.surviving_recoverer(meta, failed_set) != node:
-                        continue  # a lower-id mirror leads this vertex
-                    rv = common.snapshot_master_full_state(
-                        lg, slot, meta.master_position, engine.is_edge_cut)
-                    batch(node, slot.master_node).vertices.append(rv)
-                    recovered_masters.append(slot.gid)
-                    if slot.selfish and selfish_opt:
-                        selfish_recovered.append(slot.gid)
-                    # Recover replicas lost on *other* crashed nodes on
-                    # the dead master's behalf.
-                    for replica_node, position in sorted(
-                            meta.replica_positions.items()):
-                        if replica_node in failed_set \
-                                and replica_node != node:
-                            rv = common.snapshot_replica_state(
-                                lg, slot, replica_node, position,
-                                engine.is_edge_cut, from_mirror=True)
-                            batch(node, replica_node).vertices.append(rv)
+            topo = lg.topology()
+            scan_cost[node] = len(lg.index_of)
+            lead, metas = common.leading_mirrors(engine, node, failed_set)
+            recovered_masters.append(topo.gids[lead])
+            if engine.selfish_opt_active:
+                selfish_recovered.append(topo.gids[lead[topo.selfish[lead]]])
+            for dst in failed:
+                pos, peer, roles = _rows_for(topo, lead, metas, dst)
+                if pos.size:
+                    batches[(node, dst)] = common.pack_rows(
+                        engine, node, pos, roles, dst, peer)
+        recovered = np.concatenate(recovered_masters)
 
         # Detect unrecoverable vertices: masters on crashed nodes whose
         # mirrors all crashed too.
-        common.check_recoverable(engine, failed_set, self.rung,
-                                 set(recovered_masters))
+        common.check_recoverable(engine, failed_set, self.rung, recovered)
 
         # Ship the batches (counted as RECOVERY traffic).
         net = engine.cluster.network
@@ -139,6 +123,7 @@ class RebirthRecovery:
                              nbytes))
             stats.recovery_messages += 1
             stats.recovery_bytes += nbytes
+        del batches  # in flight: the network holds them until delivery
 
         # Per-survivor reload time: scan + serialisation/send; the
         # newbies receive concurrently.  Vertex-cut newbies also stream
@@ -172,20 +157,19 @@ class RebirthRecovery:
                           + model.recovery_round_s)
 
         # ---------------- Reconstruction ----------------
+        # Each newbie is built whole from the rows it received: slots,
+        # edges, SoA image and FT census in one pass (DESIGN.md §11).
         last_commit = common.last_committed_iteration(engine)
-        for node in failed:
-            lg = engine.local_graphs[node]
-            for msg in net.deliver(node):
-                for rv in msg.payload.vertices:
-                    common.place_recovered_vertex(lg, rv, last_commit)
-                    stats.vertices_recovered += 1
         reconstruct_times = []
         for node in failed:
-            lg = engine.local_graphs[node]
-            if engine.is_edge_cut:
-                linked = common.relink_edge_cut_topology(lg)
-            else:
-                linked = self._link_vertex_cut(lg, edge_records[node])
+            rows = RecoveryBatch.merge(
+                [msg.payload for msg in net.deliver(node)])
+            lg, linked = common.reborn_graph(
+                node, rows, last_commit, engine.is_edge_cut,
+                edge_records.get(node, ()))
+            engine.local_graphs[node] = lg
+            engine.cluster.node(node).local = lg
+            stats.vertices_recovered += len(lg.index_of)
             stats.edges_recovered += linked
             cost = (len(lg.index_of) * model.per_vertex_reconstruct_s
                     + linked * model.per_edge_compute_s) * model.data_scale
@@ -204,9 +188,9 @@ class RebirthRecovery:
             # scattered along the survivors' edges reached the dead
             # master as remote signals, which only they can re-send.
             replay_ops += common.replay_activations(
-                engine, survivors, set(recovered_masters))
+                engine, survivors, recovered)
         replay_edges = common.recompute_selfish_masters(
-            engine, sorted(selfish_recovered))
+            engine, np.sort(np.concatenate(selfish_recovered)).tolist())
         # Each newbie replays its own node's operations concurrently
         # (Fig. 15b: Rebirth stays nearly flat as crashed nodes grow).
         stats.replay_s = ((replay_ops * model.per_vertex_reconstruct_s
@@ -222,26 +206,31 @@ class RebirthRecovery:
                       replay_ops=replay_ops)
         return stats
 
-    # -- helpers --------------------------------------------------------
 
-    def _link_vertex_cut(self, lg: LocalGraph, records) -> int:
-        """Rebuild a vertex-cut newbie's topology from edge-ckpt files."""
-        lg.invalidate_soa()  # edge lists are rewritten past the last add_slot
-        for slot in lg.iter_slots():
-            slot.in_edges = []
-            slot.out_edges = []
-        linked = 0
-        for record in records:
-            src_pos = lg.index_of.get(record.src)
-            dst_pos = lg.index_of.get(record.dst)
-            if src_pos is None or dst_pos is None:
-                raise UnrecoverableFailureError(
-                    f"edge ({record.src}, {record.dst}) endpoints missing "
-                    f"after reconstruction on node {lg.node_id}")
-            lg.slots[dst_pos].in_edges.append((src_pos, record.weight))
-            lg.slots[src_pos].out_edges.append(dst_pos)
-            linked += 1
-        return linked
+def _rows_for(topo, lead: np.ndarray, metas: list, dst: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a survivor with image ``topo``, leading the dead masters'
+    mirrors at ``lead`` (with metadata ``metas``), ships to the newbie
+    ``dst``: positions here, positions there and roles of its masters'
+    copies on ``dst``, of the dead masters ``dst`` held, and of the copies
+    on ``dst`` of dead masters held elsewhere."""
+    pos, peer, mirror = topo.copies_on(dst)
+    rows = [(pos, peer, np.where(mirror, RecoveryBatch.MIRROR,
+                                 RecoveryBatch.REPLICA))]
+    held = topo.master_node[lead] == dst
+    rows.append((lead[held], np.array(
+        [meta.master_position for meta, here in zip(metas, held.tolist())
+         if here], dtype=np.int64),
+        np.full(int(held.sum()), RecoveryBatch.MASTER)))
+    copies = [(p, meta.replica_positions[dst],
+               RecoveryBatch.MIRROR if dst in meta.mirror_set
+               else RecoveryBatch.REPLICA)
+              for p, meta in zip(lead.tolist(), metas)
+              if dst in meta.replica_positions]
+    if copies:
+        rows.append(tuple(np.array(column, dtype=np.int64)
+                          for column in zip(*copies)))
+    return tuple(np.concatenate(column) for column in zip(*rows))
 
 
 def _comm_time(engine: "Engine", net, node: int) -> float:

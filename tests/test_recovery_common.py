@@ -7,19 +7,22 @@ import pytest
 from repro.api import make_engine, run_job
 from repro.cluster.network import MessageKind
 from repro.engine.local_graph import LocalGraph
-from repro.engine.messages import RecoveredVertex
-from repro.engine.state import MasterMeta, Role, VertexSlot
+from repro.engine.messages import RecoveryBatch
+from repro.engine.soa import NodeTopology
+from repro.engine.state import MasterMeta, Role
 from repro.errors import UnrecoverableFailureError
 from repro.ft import _recovery_common as common
 from repro.ft._recovery_common import (
-    place_recovered_vertex,
-    relink_edge_cut_topology,
+    place_rows,
+    reborn_graph,
     surviving_recoverer,
 )
 from repro.ft.edge_ckpt import EdgeRecord, dedupe_edge_records
 from repro.graph import generators
 from repro.membership.rebalance import move_master
 from repro.utils.sizing import BYTES_PER_MSG_HEADER
+from tests.test_construction_equivalence import assert_same_image
+from tests.test_messages import make_batch
 
 
 class TestSurvivingRecoverer:
@@ -43,70 +46,102 @@ class TestDedupeEdgeRecords:
 
 
 class TestPlaceRecoveredVertex:
-    def make_rv(self, **kw):
-        defaults = dict(gid=3, role="master", position=2, value=1.5,
-                        active=True, last_activates=True, out_degree=1,
-                        in_degree=2, master_node=0,
-                        replica_positions={1: 0}, mirror_nodes=[1],
-                        master_position=2, self_active=True,
-                        known_active=True, last_update_iter=4)
-        defaults.update(kw)
-        return RecoveredVertex(**defaults)
+    """A received row becomes a slot at its position (``place_rows``)."""
+
+    FLAGS = (RecoveryBatch.FLAG_ACTIVE | RecoveryBatch.FLAG_LAST_ACTIVATES
+             | RecoveryBatch.FLAG_SELF_ACTIVE
+             | RecoveryBatch.FLAG_KNOWN_ACTIVE)
+
+    def place(self, node=0, last_commit=4, **kw):
+        row = dict(gid=3, role="master", position=2, value=1.5,
+                   flags=self.FLAGS, out_degree=1, in_degree=2,
+                   master_node=0, replicas={1: 0}, mirrors=[1],
+                   master_position=2, last_update=4)
+        row.update(kw)
+        lg = LocalGraph(node)
+        (slot,) = place_rows(lg, make_batch(row), last_commit,
+                             ft_only=False, edge_cut=True)
+        return lg, slot
 
     def test_positional_placement(self):
-        lg = LocalGraph(0)
-        slot = place_recovered_vertex(lg, self.make_rv(), last_commit=4)
+        lg, slot = self.place()
         assert lg.position_of(3) == 2
         assert slot.role is Role.MASTER
         assert slot.value == 1.5
         assert slot.active
         assert slot.last_update_iter == 4  # shipped verbatim
         assert slot.meta.replica_positions == {1: 0}
+        assert slot.full_edges is None  # a master keeps its in-edges only
         assert lg.active_masters == {3}
 
     def test_unstamped_when_never_updated(self):
-        lg = LocalGraph(0)
-        slot = place_recovered_vertex(
-            lg, self.make_rv(last_activates=False, last_update_iter=-1),
-            last_commit=4)
+        _, slot = self.place(flags=0, last_update=-1)
         assert slot.last_update_iter == -1
 
     def test_stamp_clamped_to_last_commit(self):
-        # A snapshot can never legitimately claim an update from an
+        # A copy can never legitimately claim an update from an
         # uncommitted iteration; the clamp keeps replay sound.
-        lg = LocalGraph(0)
-        slot = place_recovered_vertex(
-            lg, self.make_rv(last_update_iter=9), last_commit=4)
+        _, slot = self.place(last_update=9)
         assert slot.last_update_iter == 4
 
     def test_mirror_fields(self):
-        lg = LocalGraph(1)
-        rv = self.make_rv(role="mirror", position=0, mirror_id=0)
-        slot = place_recovered_vertex(lg, rv, last_commit=1)
+        _, slot = self.place(node=1, last_commit=1, role="mirror",
+                             position=0, mirror_id=0,
+                             edges=[(9, 1, 2.0)])
         assert slot.is_mirror
         assert slot.mirror_self_active
+        assert slot.mirror_id == 0
+        assert slot.full_edges == [(9, 1, 2.0)]
 
 
 class TestRelinkEdgeCut:
+    """A reborn edge-cut node links its masters' shipped in-edges by
+    position (``reborn_graph``)."""
+
+    def reborn(self, replica_gid):
+        batch = make_batch(
+            dict(gid=0, role="master", position=0, master_position=0,
+                 edges=[(9, 1, 2.0)]),  # expects gid 9 at position 1
+            dict(gid=replica_gid, position=1, master_node=1))
+        return reborn_graph(0, batch, 4, edge_cut=True)
+
     def test_positions_must_match(self):
-        lg = LocalGraph(0)
-        master = VertexSlot(gid=0, role=Role.MASTER, meta=MasterMeta())
-        master.full_edges = [(9, 1, 2.0)]  # expects gid 9 at position 1
-        lg.add_slot(master, position=0)
-        lg.add_slot(VertexSlot(gid=9, role=Role.REPLICA), position=1)
-        linked = relink_edge_cut_topology(lg)
+        lg, linked = self.reborn(9)
         assert linked == 1
         assert lg.slot_of(0).in_edges == [(1, 2.0)]
         assert lg.slot_of(9).out_edges == [0]
+        assert not lg.slot_of(9).ft_only  # it feeds a local master
+        assert_same_image(lg.cached_topology, NodeTopology.build(lg))
 
     def test_mismatched_position_raises(self):
-        lg = LocalGraph(0)
-        master = VertexSlot(gid=0, role=Role.MASTER, meta=MasterMeta())
-        master.full_edges = [(9, 1, 2.0)]
-        lg.add_slot(master, position=0)
-        lg.add_slot(VertexSlot(gid=8, role=Role.REPLICA), position=1)
-        with pytest.raises(UnrecoverableFailureError):
-            relink_edge_cut_topology(lg)
+        with pytest.raises(UnrecoverableFailureError,
+                           match="position 1 expected vertex 9"):
+            self.reborn(8)
+
+
+class TestRelinkVertexCut:
+    """A reborn vertex-cut node links its edge-ckpt records by gid."""
+
+    rows = RecoveryBatch.merge([make_batch(
+        dict(gid=5, role="master", position=1, master_position=1),
+        dict(gid=2, position=0, master_node=1))])
+
+    def test_records_become_both_csrs(self):
+        lg, linked = reborn_graph(0, self.rows, 4, edge_cut=False,
+                                  edge_records=[EdgeRecord(2, 5, 0.5),
+                                                EdgeRecord(5, 5, 1.5)])
+        assert linked == 2
+        assert lg.slot_of(5).in_edges == [(0, 0.5), (1, 1.5)]
+        assert lg.slot_of(2).out_edges == [1]
+        assert lg.slot_of(5).out_edges == [1]
+        assert_same_image(lg.cached_topology, NodeTopology.build(lg))
+
+    def test_missing_endpoint_raises(self):
+        with pytest.raises(UnrecoverableFailureError,
+                           match=r"edge \(2, 7\) endpoints missing"):
+            reborn_graph(0, self.rows, 4, edge_cut=False,
+                         edge_records=[EdgeRecord(2, 5, 0.5),
+                                       EdgeRecord(2, 7, 1.0)])
 
 
 class TestCreateReplica:

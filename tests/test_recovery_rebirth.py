@@ -6,8 +6,12 @@ from __future__ import annotations
 import pytest
 
 from repro.api import make_engine, run_job
+from repro.chaos.invariants import InvariantChecker
+from repro.engine.soa import NodeTopology
 from repro.engine.state import Role
+from repro.ft import ladder
 from repro.graph import generators
+from tests.test_construction_equivalence import assert_same_image
 
 PARTS = ["hash_edge_cut", "hybrid_cut"]
 
@@ -83,21 +87,97 @@ class TestEquivalence:
             assert result.values[v] == baseline[v]
 
 
+KILL_PARTS = ["hash_edge_cut", "random_vertex_cut", "hybrid_cut"]
+#: Slot fields a Rebirth restores as they were (``out_edges`` aside: its
+#: order is not semantic — activation targets are a set).
+STATIC = ("gid", "role", "out_degree", "in_degree", "in_edges", "meta",
+          "master_node", "ft_only", "selfish", "mirror_id", "full_edges")
+#: The committed dynamic state.  Under the selfish optimisation a
+#: selfish vertex's first three are never synced (Section 4.4): its
+#: copies hold stale ones, the reborn copies take the master's, and a
+#: reborn selfish master recomputes them from its neighbours.
+DYNAMIC = ("value", "last_activates", "last_update_iter", "active",
+           "mirror_self_active", "replicas_known_active")
+
+
+@pytest.fixture(scope="module")
+def kill_graph():
+    return generators.power_law(2000, alpha=2.0, seed=3, selfish_frac=0.1)
+
+
+def _rebirth_of(engine, node, supersteps):
+    """Run to ``supersteps``, crash ``node`` and recover it by hand:
+    ``(graph before the crash, reborn graph)``."""
+    engine.run(max_iterations=supersteps)
+    engine._vec.flush()
+    before = engine.local_graphs[node]
+    engine.cluster.crash(node)
+    ladder.recover(engine, (node,))
+    assert engine.recoveries[-1].strategy == "rebirth"
+    return before, engine.local_graphs[node]
+
+
+def _assert_reborn_as_before(engine, before, after):
+    """Invariant P7: the reborn array matches the crashed one slot by
+    slot, its image and FT census are what its slots say, and the whole
+    engine is coherent."""
+    selfish_opt = engine.selfish_opt_active
+    assert len(after.slots) == len(before.slots)
+    assert list(after.index_of.items()) == list(before.index_of.items())
+    for old, new in zip(before.slots, after.slots):
+        if old is None:
+            assert new is None
+            continue
+        for name in STATIC:
+            assert getattr(new, name) == getattr(old, name), (old.gid, name)
+        if old.meta is not None:
+            assert (list(new.meta.replica_positions.items())
+                    == list(old.meta.replica_positions.items()))
+        assert sorted(new.out_edges) == sorted(old.out_edges), old.gid
+        for name in DYNAMIC[3:] if selfish_opt and old.selfish else DYNAMIC:
+            assert getattr(new, name) == getattr(old, name), (old.gid, name)
+    assert_same_image(after.cached_topology, NodeTopology.build(after))
+    InvariantChecker().check_all(engine)
+    born = after.ft_census()
+    assert born == before.ft_census()
+    after.invalidate_soa()
+    assert after.ft_census() == born
+    assert list(after.ft_census()[1]) == list(born[1])
+
+
 class TestPositionStability:
-    def test_rebuilt_array_identical(self, graph):
-        """Invariant P7: the reborn node's vertex array matches the
-        crashed node's layout slot by slot."""
-        engine_a = make_engine(graph, "pagerank", num_nodes=5,
-                               max_iterations=6)
-        layout_before = [
-            (s.gid, s.role, len(s.in_edges), len(s.out_edges))
-            for s in engine_a.local_graphs[2].slots if s is not None]
-        engine_a.schedule_failure(3, [2])
-        engine_a.run()
-        layout_after = [
-            (s.gid, s.role, len(s.in_edges), len(s.out_edges))
-            for s in engine_a.local_graphs[2].slots if s is not None]
-        assert layout_before == layout_after
+    def test_rebuilt_array_identical(self, kill_graph):
+        for partition in KILL_PARTS:
+            for ft_level in (1, 2):
+                engine = make_engine(kill_graph, "pagerank", num_nodes=6,
+                                     ft_level=ft_level, partition=partition,
+                                     max_iterations=8)
+                before, after = _rebirth_of(engine, 2, 3)
+                _assert_reborn_as_before(engine, before, after)
+
+    @pytest.mark.parametrize("partition", KILL_PARTS)
+    def test_rebuilt_array_identical_when_killed_twice(self, kill_graph,
+                                                       partition):
+        """The second Rebirth rebuilds from a node that was itself
+        reborn."""
+        engine = make_engine(kill_graph, "pagerank", num_nodes=6,
+                             partition=partition, num_standby=2,
+                             max_iterations=8)
+        _rebirth_of(engine, 2, 3)
+        before, after = _rebirth_of(engine, 2, 5)
+        _assert_reborn_as_before(engine, before, after)
+
+    @pytest.mark.parametrize("ft_level", [1, 2])
+    @pytest.mark.parametrize("partition", KILL_PARTS)
+    def test_ft_replica_counts_survive_rebirth(self, kill_graph, partition,
+                                               ft_level):
+        """FT-only copies are the non-masters with no local edge, at load
+        and on the reborn node alike."""
+        engine = make_engine(kill_graph, "pagerank", num_nodes=6,
+                             ft_level=ft_level, partition=partition,
+                             max_iterations=8)
+        before, after = _rebirth_of(engine, 2, 3)
+        assert after.counts() == before.counts()
 
     def test_meta_positions_still_valid(self, graph):
         engine = make_engine(graph, "pagerank", num_nodes=5,

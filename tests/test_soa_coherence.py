@@ -128,9 +128,14 @@ class TestWriteSites:
             for node, lg in engine.local_graphs.items()
             for slot in lg.iter_slots() for pos in slot.out_edges
             if lg.slots[pos].is_master and not lg.slots[pos].active)
-        # Stage a lost activation the way a recovered copy carries it.
+        # Stage a lost activation the way a recovered copy carries it,
+        # in the slot and in the committed columns the replay reads.
         source.last_activates = True
         source.last_update_iter = engine.iteration - 1
+        st = engine._vec.valid_state(node)
+        at = engine.local_graphs[node].position_of(source.gid)
+        st.last_activates[at] = True
+        st.last_update[at] = engine.iteration - 1
         assert common.replay_activations(engine, [node], None) >= 1
         assert target.active
         self._check(engine, {node})
@@ -206,16 +211,16 @@ class TestImageBornAtLoad:
         assert builds == []
         assert engine._vec.state_builds == 8
 
-    def test_topology_builds_two_on_the_kill_workload_spec(self, graph,
-                                                           builds):
-        """The shrunk ``pr_kill_sim`` spec: the two reborn nodes (10
-        read-backs before)."""
+    def test_topology_builds_none_on_the_kill_workload_spec(self, graph,
+                                                            builds):
+        """The shrunk ``pr_kill_sim`` spec: the two reborn nodes are born
+        with their image too, built from the columns they received."""
         engine = _with_kills(graph, [(6, [1], "compute"),
                                      (13, [2], "after_commit")],
                              num_nodes=8, num_standby=2, max_iterations=20)
         result = engine.run()
         assert len(result.recoveries) == 2
-        assert builds == [1, 2]
+        assert builds == []
         assert engine._vec.state_builds == 10
 
     @pytest.mark.parametrize("partition", PARTS)
@@ -232,12 +237,12 @@ class TestImageBornAtLoad:
             assert worker.st.topo is engine.local_graphs[rank].cached_topology
         assert builds == []
 
-    def test_topology_builds_one_after_a_rebirth_on_the_parent_image(
+    def test_topology_builds_none_after_a_parent_image_rebirth(
             self, graph, builds):
         """mp recovers on the parent image and re-forks every worker:
         the survivors Rebirth and repair did not write on still hold the
-        image they were born with, so only the reborn rank reads one
-        back."""
+        image they were born with, and the reborn rank is born with its
+        own, so no rank reads one back."""
         from repro.exec.mp import _NodeWorker
         engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
                              num_standby=1)
@@ -248,14 +253,16 @@ class TestImageBornAtLoad:
         ladder.recover(engine, (2,))
         assert engine.recoveries[-1].strategy == "rebirth"
         for node, lg in engine.local_graphs.items():
-            # The parent holds no column state, so ``recovery.rebuild``
-            # leaves the reborn node to its worker.
-            assert lg.cached_topology is (None if node == 2
-                                          else born[node])
-        assert builds == []
+            if node != 2:
+                assert lg.cached_topology is born[node]
+        reborn = engine.local_graphs[2].cached_topology
+        assert reborn is not None
         for rank in range(4):
-            _NodeWorker(rank, engine)
-        assert builds == [2]
+            assert _NodeWorker(rank, engine).st.topo is (
+                reborn if rank == 2 else born[rank])
+        assert builds == []
+        InvariantChecker()._check_soa_coherence(engine, engine._alive(),
+                                                "manual")
 
     def test_gauges_at_load_scan_no_slot(self, graph, monkeypatch):
         scans: list[int] = []
@@ -320,9 +327,9 @@ class TestSurvivorsKeepTheirImage:
         engine.cluster.crash(2)
         ladder.recover(engine, (2,))
         assert engine.recoveries[-1].strategy == "rebirth"
-        # Repair and the gauges both consulted the census; only the
-        # reborn node's was scanned, once.
-        assert rescans == [2]
+        # Repair and the gauges both consulted the census; the reborn
+        # node's was born with it, from the received columns.
+        assert rescans == []
 
     def test_census_is_what_a_full_scan_finds(self, graph):
         engine = _ran(graph, num_nodes=6, ft_level=2, num_standby=0)

@@ -9,7 +9,9 @@ Usage (ROADMAP item 6: every refactor PR runs this against its parent)::
 A fixed, seeded matrix of simulator runs — {pagerank, sssp, cc, cd, als}
 x {hash edge-cut, random vertex-cut, hybrid-cut} x {clean, Rebirth,
 Migration, safety net, CKPT, a mid-compute chaos crash in a later and
-in the first superstep, ``vectorized=False``, ``combining=False``} plus
+in the first superstep, ``vectorized=False``, ``combining=False``, the
+same node reborn twice, two nodes reborn together at ``ft_level=2``, a
+second crash during recovery} plus
 one edge-mutating program and four elastic PageRank runs (the
 membership acceptance schedule — join x2, flap, drain, leader killed
 mid-recovery — under an adaptive floor of 1-3; a flap-only run on
@@ -79,6 +81,20 @@ SCENARIOS = {
                ((2, (1,), "compute"),), None),
     "raw_gather": (dict(combining=False, num_standby=1),
                    ((2, (1,), "compute"),), None),
+    # Rebirth of a node that was itself reborn.
+    "rebirth_twice": (dict(num_standby=2),
+                      ((2, (1,), "compute"), (4, (1,), "after_commit")),
+                      None),
+    # Two newbies at once: survivors re-send the copies a dead master
+    # lost on the *other* crashed node.
+    "rebirth_k2_pair": (dict(ft_level=2, num_standby=2),
+                        ((3, (1, 2), "compute"),), None),
+    # A second crash while recovery is in progress, on a non-leader (the
+    # leader is node 1 here), joins the failed set.
+    "recovery_crash": (dict(ft_level=2, num_standby=2), (),
+                       lambda: FailureSchedule(seed=5)
+                       .crash(2, phase="gather", target=3)
+                       .crash(2, phase="recovery", target=2)),
 }
 
 ADAPTIVE = dict(ft_level_min=1, ft_level_max=3)
