@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import FTMode
+from repro.engine.local_graph import DYNAMIC, VACANT
 from repro.engine.soa import NodeTopology
 from repro.errors import FaultToleranceError
 
@@ -231,11 +232,12 @@ class InvariantChecker:
             st = vec.valid_state(node) if vec is not None else None
             if st is not None:
                 vec.flush()
-                slots = vec.proto.new_state(lg)
                 pairs += [(f"committed column {name!r}", getattr(st, name),
-                           getattr(slots, name)) for name in (
-                    "values", "active", "last_activates", "last_update",
-                    "mirror_self_active", "replicas_known_active")]
+                           np.array([VACANT[name] if slot is None
+                                     else getattr(slot, field)
+                                     for slot in lg.slots],
+                                    dtype=getattr(st, name).dtype))
+                          for name, field in DYNAMIC.items()]
             for what, have, want in pairs:
                 # ``sync_plan``: a dict whose key order is send order.
                 same = (list(have) == list(want) and all(

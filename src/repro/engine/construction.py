@@ -7,11 +7,13 @@ numpy group-bys lay out, for all nodes at once, the position tables
 order), the role / degree / mirror columns, the edge CSR and each
 master's sync fan-out.  Each node's SoA image
 (:class:`~repro.engine.soa.NodeTopology`, DESIGN.md §11) and FT census
-are cut from those columns, and its ``VertexSlot`` array — every copy's
-position recorded in the master metadata so recovery messages apply
-positionally (Section 5.1.2), and under edge-cut the master's edge list
-duplicated onto its mirrors — is stamped from the same columns by
-:func:`stamp_slots`, which also builds Rebirth's reborn node.
+are cut from those columns, and so is its birth record
+(:func:`_birth_record`): every copy's position recorded in the master
+metadata so recovery messages apply positionally (Section 5.1.2), and
+under edge-cut the master's edge list duplicated onto its mirrors.  A
+node is born from the three (:meth:`LocalGraph.born`, which Rebirth's
+reborn node goes through too); no ``VertexSlot`` exists until a consumer
+indexes one.
 
 Layout and edge order are exactly those of the slot-at-a-time reference
 (``tests/reference/construction.py``); recovery equivalence relies on it.
@@ -26,8 +28,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.engine.local_graph import LocalGraph
+from repro.engine.messages import RecoveryBatch, csr_ptr, csr_rows
 from repro.engine.soa import NodeTopology
-from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError
 from repro.graph.graph import Graph
 from repro.obs import NULL_TRACER
@@ -64,9 +66,10 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
                        ) -> tuple[dict[int, LocalGraph], ConstructionReport]:
     """Materialise each node's local graph: ``(local_graphs, report)``,
     ``local_graphs`` mapping node id to its :class:`LocalGraph`, each
-    holding its SoA image and FT census from birth.  ``tracer`` gets
-    the array work and the slot stamping as two spans."""
-    if isinstance(partitioning, EdgeCutPartitioning):
+    born from its SoA image, FT census and birth record.  ``tracer``
+    gets the array work and the birth of the graphs as two spans."""
+    edge_cut = isinstance(partitioning, EdgeCutPartitioning)
+    if edge_cut:
         # The target's master owns the edge; the source's local copy
         # there supplies the value (Fig. 1's edge-cut half).
         edge_node = np.asarray(plan.master_of)[graph.targets]
@@ -139,11 +142,8 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
             np.arange(mir_gid.size)
             - np.repeat(np.cumsum(mir_len) - mir_len, mir_len))
         is_mirror = mirror_id >= 0
-        role = np.array([Role.REPLICA, Role.MIRROR, Role.MASTER],
-                        dtype=object)[is_mirror + 2 * is_master]
         ft_only = ~is_master & np.isin(key, ft_gid * num_nodes + ft_node)
         out_deg = graph.out_degrees()[gids]
-        in_deg = graph.in_degrees()[gids]
         selfish = vertex_selfish[gids]
         master_node = master_of[gids]
         ft_level = np.minimum(mir_len, rep_len)
@@ -155,12 +155,12 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
         # edge-sized sorts are the phase's memory peak): local CSR in
         # (position, edge id) order.
         by_node = np.argsort(edge_node, kind="stable")
-        edge_cut = np.concatenate(
+        edge_ptr = np.concatenate(
             [[0], np.cumsum(np.bincount(edge_node, minlength=num_nodes))])
         images = []
         for node in range(num_nodes):
             lo, hi = offset[node], offset[node + 1]
-            edges = by_node[edge_cut[node]:edge_cut[node + 1]]
+            edges = by_node[edge_ptr[node]:edge_ptr[node + 1]]
             src_pos = copy_index(graph.sources[edges], node) - lo
             dst_pos = copy_index(graph.targets[edges], node) - lo
             by_dst = np.argsort(dst_pos, kind="stable")
@@ -180,94 +180,88 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
             masters = gids[lo:hi][is_master[lo:hi]]
             images.append((topology, ft_census(masters, ft_level[masters])))
 
-        # One int object per position and per gid, shared by everything
-        # that names it (the gid index, edge lists, master metadata), as
-        # slot-at-a-time construction shared ``index_of``'s values — a
-        # fresh ``int`` per edge endpoint costs ~15 MB at V = 12 500.
-        pos_obj = position.astype(object)
-        gid_obj = gids.astype(object)
-        rep_pos = pos_obj[rep_index].tolist()
-        rep_ptr = np.concatenate([[0], np.cumsum(rep_len)]).tolist()
-        master_pos = pos_obj[master_index].tolist()
-        # The slots are stamped from each node's own image and eight
-        # per-copy columns; the other copy- and edge-sized arrays die
-        # before 2 * |V| objects are born on top of them (freed heap
-        # under live objects still counts toward peak RSS).
-        del (copy_node, order, node_of, master_index, rep_index, key, by_key,
-             key_sorted, gids, position, is_master, is_mirror, by_node,
-             edge_node, rep_gid, rep_node, sync_from)
+        # What the birth records cut from, per copy and per plan entry.
+        records = {
+            "roles": (is_mirror + 2 * is_master).astype(np.int8),
+            "ft_only": ft_only, "out_deg": out_deg,
+            "in_deg": graph.in_degrees()[gids], "mirror_id": mirror_id,
+            "master_position": np.where(is_master | is_mirror,
+                                        position[master_index][gids], -1),
+            "master_index": master_index,
+            "replica_len": rep_len, "replica_ptr": csr_ptr(rep_len),
+            "replica_node": rep_node,
+            "replica_position": position[rep_index],
+            "mirror_len": mir_len, "mirror_ptr": csr_ptr(mir_len),
+            "mirror_node": mir_node}
+        if edge_cut and mir_len.any():
+            # Every copy's local in-edges as (src gid, src position,
+            # weight), by copy index: a mirror's backup is its master's.
+            topos = [topo for topo, _ in images]
+            records["full"] = (
+                csr_ptr(np.concatenate([t.in_counts for t in topos])),
+                np.concatenate([t.gids[t.in_src] for t in topos]),
+                np.concatenate([t.in_src for t in topos]),
+                np.concatenate([t.in_w for t in topos]))
+        # The edge- and copy-sized scratch dies before the records are
+        # cut (freed heap under live arrays still counts toward peak
+        # RSS).
+        del (copy_node, order, node_of, rep_index, key, by_key, key_sorted,
+             gids, position, is_master, is_mirror, by_node, edge_node,
+             rep_gid, sync_from)
 
-    has_full_edges = partitioning.kind == "edge-cut" and mir_len.any()
     with tracer.span("load.construct.slots", cat="load", slots=total):
         locals_: dict[int, LocalGraph] = {}
-        #: Edge-cut: node -> its in-edges as ``full_edges`` triples and
-        #: the CSR pointer into them.
-        full_of: dict[int, tuple[list, np.ndarray]] = {}
         for node, (topo, census) in enumerate(images):
             lo, hi = int(offset[node]), int(offset[node + 1])
-            positions, gid_list = pos_obj[lo:hi], gid_obj[lo:hi].tolist()
-            src_pos = positions[topo.in_src].tolist()
-            weights = topo.in_w.tolist()
-            in_edges = list(zip(src_pos, weights))
-            if has_full_edges:
-                full_of[node] = (
-                    list(zip(gid_obj[lo:hi][topo.in_src].tolist(),
-                             src_pos, weights)),
-                    np.concatenate([[0], np.cumsum(topo.in_counts)]))
-            kinds = role[lo:hi].tolist()
-            mnodes = master_node[lo:hi].tolist()
-            # Static full state, replicated to the mirrors during graph
-            # loading (Section 4.2).
-            metas = (None if kind is Role.REPLICA else MasterMeta(
-                dict(zip(plan.replica_nodes[gid],
-                         rep_pos[rep_ptr[gid]:rep_ptr[gid + 1]])),
-                list(plan.mirror_nodes[gid]), mnode, master_pos[gid])
-                for gid, kind, mnode in zip(gid_list, kinds, mnodes))
-            slots = stamp_slots(
-                gid_list, kinds, mnodes, mirror_id[lo:hi].tolist(),
-                out_deg[lo:hi].tolist(), in_deg[lo:hi].tolist(),
-                selfish[lo:hi].tolist(), ft_only[lo:hi].tolist(), metas,
-                in_edges, topo.in_counts.tolist(),
-                positions[topo.out_dst].tolist(),
-                np.bincount(topo.out_src, minlength=topo.n).tolist())
-            locals_[node] = LocalGraph.adopt(
-                node, slots, dict(zip(gid_list, positions.tolist())),
-                topo, census)
-        if has_full_edges:
-            # Edges ride with the masters' full state, so every mirror
-            # duplicates its master's in-edge list (Section 4.3).
-            for lg in locals_.values():
-                for slot in lg.iter_mirrors():
-                    triples, ptr = full_of[slot.master_node]
-                    at = slot.meta.master_position
-                    slot.full_edges = triples[ptr[at]:ptr[at + 1]]
+            locals_[node] = LocalGraph.born(
+                node, _birth_record(node, topo, lo, hi, records),
+                topo, census, records["ft_only"][lo:hi], edge_cut)
     return locals_, report
 
 
-def stamp_slots(gids, roles, master_node, mirror_id, out_deg, in_deg,
-                selfish, ft_only, metas, in_edges: list, in_counts,
-                out_edges: list, out_counts) -> list[VertexSlot]:
-    """Vertex slots stamped from per-copy columns — iterables over the
-    same copies, in order; ``metas`` holds ``None`` for plain replicas —
-    and their local edges: ``in_edges`` the ``(src position, weight)``
-    pairs and ``out_edges`` the target positions, each in CSR order and
-    cut per copy by ``in_counts`` / ``out_counts``.  The loader's
-    per-node pass, Rebirth's reborn node and the single copies recovery
-    appends (``ft/_recovery_common.py``) all stamp their slots here."""
-    slots = []
-    in_at = out_at = 0
-    for gid, kind, mnode, mid, outd, ind, sf, fo, meta, ins, outs in zip(
-            gids, roles, master_node, mirror_id, out_deg, in_deg, selfish,
-            ft_only, metas, in_counts, out_counts):
-        slots.append(VertexSlot(
-            gid=gid, role=kind, out_degree=outd, in_degree=ind,
-            in_edges=in_edges[in_at:in_at + ins],
-            out_edges=out_edges[out_at:out_at + outs],
-            meta=meta, master_node=mnode, ft_only=fo, selfish=sf,
-            mirror_id=mid))
-        in_at += ins
-        out_at += outs
-    return slots
+def _birth_record(node: int, topo: NodeTopology, lo: int, hi: int,
+                  records: dict) -> RecoveryBatch:
+    """Node ``node``'s birth record: its copies (global copy indices
+    ``lo:hi``) as rows in position order, with the columns the image
+    does not hold, the master metadata of masters and mirrors as CSR
+    slices and, under edge-cut, each mirror's copy of its master's
+    in-edges.  A birth record carries no dynamic state: the graph's
+    columns do."""
+    roles = records["roles"][lo:hi]
+    gids = topo.gids
+    with_meta = roles != RecoveryBatch.REPLICA
+    meta_gids = gids[with_meta]
+    replica_count = np.zeros(topo.n, dtype=np.int64)
+    replica_count[with_meta] = records["replica_len"][meta_gids]
+    replicas, _ = csr_rows(records["replica_ptr"], meta_gids)
+    mirror_count = np.zeros(topo.n, dtype=np.int64)
+    mirror_count[with_meta] = records["mirror_len"][meta_gids]
+    mirrors, _ = csr_rows(records["mirror_ptr"], meta_gids)
+    edge_count = np.zeros(topo.n, dtype=np.int64)
+    none = edges = np.zeros(0, dtype=np.int64)
+    ptr, edge_gids, edge_positions, edge_weights = records.get(
+        "full", (None, none, none, np.zeros(0)))
+    if ptr is not None:
+        # Edges ride with the masters' full state, so every mirror
+        # duplicates its master's in-edge list (Section 4.3).
+        mirror = roles == RecoveryBatch.MIRROR
+        edges, edge_count[mirror] = csr_rows(
+            ptr, records["master_index"][gids[mirror]])
+    return RecoveryBatch(
+        src_node=node, iteration=0, gids=gids,
+        positions=np.arange(topo.n), roles=roles, values=[], flags=none,
+        last_update=none, out_degree=records["out_deg"][lo:hi],
+        in_degree=records["in_deg"][lo:hi], selfish=topo.selfish,
+        mirror_id=records["mirror_id"][lo:hi], master_node=topo.master_node,
+        master_position=records["master_position"][lo:hi],
+        replica_ptr=csr_ptr(replica_count),
+        replica_nodes=records["replica_node"][replicas],
+        replica_positions=records["replica_position"][replicas],
+        mirror_ptr=csr_ptr(mirror_count),
+        mirror_nodes=records["mirror_node"][mirrors],
+        edge_ptr=csr_ptr(edge_count), edge_gids=edge_gids[edges],
+        edge_positions=edge_positions[edges],
+        edge_weights=edge_weights[edges])
 
 
 def sync_columns(to: np.ndarray, master_pos: np.ndarray,

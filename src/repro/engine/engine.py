@@ -34,6 +34,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import Message, MessageKind
 from repro.config import FTMode, JobConfig
@@ -377,14 +379,21 @@ class Engine:
         return self._result()
 
     def values(self) -> dict[int, Any]:
-        """Current committed value of every vertex (from its master)."""
+        """Current committed value of every vertex (from its master):
+        after the flush, a stamped slot's, else its column's."""
         if self._vec is not None:
             self._vec.flush()
-        out: dict[int, Any] = {}
-        for v in range(self.graph.num_vertices):
-            node = self.master_node_of[v]
-            out[v] = self.local_graphs[node].slot_of(v).value
-        return out
+        out: list[Any] = [None] * self.graph.num_vertices
+        master_of = np.asarray(self.master_node_of)
+        for node in np.unique(master_of).tolist():
+            lg = self.local_graphs[node]
+            gids = np.flatnonzero(master_of == node).tolist()
+            positions = np.fromiter(map(lg.index_of.__getitem__, gids),
+                                    np.int64, len(gids))
+            for gid, value in zip(gids, lg.committed(
+                    positions, ("values",))["values"]):
+                out[gid] = value
+        return dict(enumerate(out))
 
     def value_of(self, gid: int) -> Any:
         """Committed value of one vertex, read from its master.
@@ -410,7 +419,7 @@ class Engine:
             value = self._vec.committed_value(node, pos)
             if value is not NO_COLUMN:
                 return value
-        return lg.slots[pos].value
+        return lg.committed_value(pos)
 
     def memory_report(self) -> dict[int, int]:
         """Per-node resident bytes of graph state (Tables 3 and 7)."""
@@ -429,45 +438,53 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _init_values(self) -> None:
+        """Every copy's initial state: one column fill per graph from
+        the program's per-vertex initial values and activity."""
         ctx = self._ctx()
-        init_cache: dict[int, Any] = {}
+        program = self.program
+        num_vertices = self.graph.num_vertices
+        values = np.empty(num_vertices, dtype=object)
+        for gid in range(num_vertices):
+            values[gid] = program.initial_value(gid, ctx)
+        active = np.fromiter(map(program.is_initially_active,
+                                 range(num_vertices)), bool, num_vertices)
         for lg in self.local_graphs.values():
-            for slot in lg.iter_slots():
-                if slot.gid not in init_cache:
-                    init_cache[slot.gid] = self.program.initial_value(
-                        slot.gid, ctx)
-                slot.value = init_cache[slot.gid]
-                lg.set_active(slot,
-                              self.program.is_initially_active(slot.gid))
-                slot.last_activates = False
-                slot.last_update_iter = -1
-                if slot.is_master:
-                    slot.replicas_known_active = slot.active
-                    # Masters mirror their own committed self-activity so
-                    # recovery snapshots of mirror state stay truthful.
-                    slot.mirror_self_active = slot.active
-                if slot.is_mirror:
-                    slot.mirror_self_active = slot.active
+            lg.reset(values, active)
 
     def _write_edge_ckpt_files(self) -> None:
         """Persist per-node edge files for vertex-cut FT (Section 4.3).
 
         An edge's receiver file is keyed by a node hosting the master
         or a mirror of its *target* vertex (excluding the owner), so
-        Migration reloads land edges next to a surviving copy.
+        Migration reloads land edges next to a surviving copy — the
+        :meth:`_edge_receiver` rule, taken as a column over each node's
+        current image (the safety net writes after restoring snapshot
+        weights) and birth record: the target's master node, else (a
+        master here) its first mirror, which never sits here.  Both
+        callers write right after every graph was born, so the record's
+        mirror placement is current.
         """
         assert self.edge_ckpt is not None
         for node, lg in self.local_graphs.items():
-            by_receiver: dict[int, list[EdgeRecord]] = defaultdict(list)
-            for slot in lg.iter_slots():
-                if not slot.in_edges:
-                    continue
-                receiver = self._edge_receiver(slot.gid, node)
-                for src_pos, weight in slot.in_edges:
-                    src_slot = lg.slots[src_pos]
-                    by_receiver[receiver].append(
-                        EdgeRecord(src_slot.gid, slot.gid, weight))
-            self.edge_ckpt.write_node_edges(node, dict(by_receiver))
+            topo = lg.topology()
+            rows, _ = lg.slots.birth
+            seats = np.diff(rows.mirror_ptr) > 0
+            # No mirror at all: the next node round-robin, as there.
+            mirror = np.full(topo.n, (node + 1) % self.cluster.num_workers)
+            mirror[rows.positions[seats]] = rows.mirror_nodes[
+                rows.mirror_ptr[:-1][seats]]
+            receiver = np.where(topo.master_node != node, topo.master_node,
+                                mirror)[topo.in_dst]
+            order = np.argsort(receiver, kind="stable")
+            records = list(map(EdgeRecord,
+                               topo.gids[topo.in_src[order]].tolist(),
+                               topo.gids[topo.in_dst[order]].tolist(),
+                               topo.in_w[order].tolist()))
+            keys, starts = np.unique(receiver[order], return_index=True)
+            bounds = [*starts.tolist(), len(records)]
+            self.edge_ckpt.write_node_edges(node, {
+                key: records[lo:hi]
+                for key, lo, hi in zip(keys.tolist(), bounds, bounds[1:])})
 
     def _edge_receiver(self, target_gid: int, owner_node: int) -> int:
         """Pick the surviving node that would reload this edge."""
@@ -729,6 +746,7 @@ class Engine:
             if items:
                 lg = self.local_graphs[node]
                 lg.invalidate_soa()  # born at load; its weights go stale
+                slots = lg.slots.materialize()
                 for slot, updates in items:
                     for idx, weight in updates:
                         src_pos, _old = slot.in_edges[idx]
@@ -737,12 +755,12 @@ class Engine:
                             receiver = self._edge_receiver(slot.gid, node)
                             self.edge_ckpt.log_edge_update(
                                 node, receiver,
-                                EdgeRecord(lg.slots[src_pos].gid, slot.gid,
+                                EdgeRecord(slots[src_pos].gid, slot.gid,
                                            weight))
                         if self.ckpt is not None:
                             if self._safety_ckpt:
                                 self._safety_edge_log[
-                                    (lg.slots[src_pos].gid, slot.gid)] = \
+                                    (slots[src_pos].gid, slot.gid)] = \
                                     weight
                             else:
                                 self._edge_journal[node].append(
@@ -807,6 +825,7 @@ class Engine:
         self.metrics.set_gauge("engine.syncs_elided", self.syncs_elided)
         self.metrics.set_gauge("engine.active_masters", total_active)
         self.metrics.set_gauge("engine.iteration", self.iteration)
+        self.publish_slots_materialized()
         # Per-node suspicion levels (flap-tolerant detection surface):
         # 0.0 for a healthy node, rising with consecutive missed beats,
         # 1.0 for a confirmed crash.
@@ -850,14 +869,23 @@ class Engine:
     # results
     # ------------------------------------------------------------------
 
+    def publish_slots_materialized(self) -> None:
+        """The ``soa.slots_materialized`` gauge: slots stamped from the
+        birth records so far, over every graph of the image — zero
+        while no consumer indexed one (DESIGN.md §3)."""
+        self.metrics.set_gauge("soa.slots_materialized", sum(
+            lg.materialized for lg in self.local_graphs.values()))
+
     def _result(self) -> RunResult:
         totals = self.cluster.network.totals
         net = self.cluster.network
+        values = self.values()
+        self.publish_slots_materialized()
         return RunResult(
             membership=self.membership.report(),
             algorithm=self.program.name,
             num_iterations=self.iteration,
-            values=self.values(),
+            values=values,
             iteration_stats=self.iteration_stats,
             recoveries=self.recoveries,
             construction=self.construction,

@@ -5,15 +5,317 @@ recovering a crashed node is a matter of writing each received vertex
 back into its recorded position — no name resolution, no locks
 (Section 5.1.2).  Positions are never reused while a job runs; slots
 vacated by Migration keep a tombstone ``None``.
+
+A node is born as columns (:meth:`LocalGraph.born`), at load and at
+Rebirth alike: a *birth record* of per-copy static columns in the
+:class:`~repro.engine.messages.RecoveryBatch` shape (role, degrees, the
+master metadata as CSR slices and, under edge-cut, each mirror's copy of
+its master's in-edges), the node's SoA image, whose CSR holds the local
+edges, and six committed dynamic columns the graph owns (:data:`DYNAMIC`).
+``slots`` is a lazy position-indexed sequence over them
+(:class:`SlotArray`): a :class:`~repro.engine.state.VertexSlot` is
+stamped only where a consumer indexes one (a whole node in one batched
+pass when one iterates).  The authority rule (DESIGN.md §3): a position
+never stamped lives in the columns alone; a stamped one lives in its
+slot, which is filled from the columns when stamped and from then on is
+what the slot writers outside the barrier commit write —
+:meth:`LocalGraph.committed` reads through it and
+:meth:`LocalGraph.pull` catches the columns up with it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
 from typing import Iterator
 
-from repro.engine.state import Role, VertexSlot
+import numpy as np
+
+from repro.engine.messages import RecoveryBatch, csr_ptr, csr_rows
+from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.engine.vertex_program import VertexProgram, VertexView
 from repro.errors import EngineError
+
+_B = RecoveryBatch
+
+#: The committed dynamic columns a graph owns -> the slot field each one
+#: holds for a stamped position.
+DYNAMIC = {"values": "value", "active": "active",
+           "last_activates": "last_activates",
+           "mirror_self_active": "mirror_self_active",
+           "replicas_known_active": "replicas_known_active",
+           "last_update": "last_update_iter"}
+#: What the columns hold where no copy lives (a tombstone, a gap in a
+#: reborn array): what a column state has always read there.
+VACANT = {"values": 0, "active": False, "last_activates": False,
+          "mirror_self_active": False, "replicas_known_active": False,
+          "last_update": -1}
+#: An entry of a :class:`SlotArray` no consumer has indexed yet.
+_UNSTAMPED = object()
+
+
+def stamp_slots(rows: RecoveryBatch, at: np.ndarray, ft_only, state,
+                in_edges: list | None = None, in_counts=None,
+                out_edges: list | None = None, out_counts=None,
+                full_edges: bool = False,
+                gids: list | None = None) -> list[VertexSlot]:
+    """The one slot stamper: slots for the rows ``at`` of ``rows`` (a
+    birth record or a received batch), with ``ft_only`` and the six
+    :data:`DYNAMIC` values in ``state`` aligned with ``at``, their local
+    edges — ``in_edges`` the ``(src position, weight)`` pairs and
+    ``out_edges`` the target positions, in CSR order, cut per row by
+    ``in_counts`` / ``out_counts`` — and, with ``full_edges`` (edge-cut),
+    each mirror's ``(src gid, src position, weight)`` copy of its
+    master's in-edges; ``gids``, the rows' gid objects, default to fresh
+    ones."""
+    count = at.size
+    roles = rows.roles[at]
+    with_meta = at[roles != _B.REPLICA]
+    rp, replicas = csr_rows(rows.replica_ptr, with_meta)
+    mp, mirrors = csr_rows(rows.mirror_ptr, with_meta)
+    metas = _metas(rows.replica_nodes[rp].tolist(),
+                   rows.replica_positions[rp].tolist(), replicas.tolist(),
+                   rows.mirror_nodes[mp].tolist(), mirrors.tolist(),
+                   rows.master_node[with_meta].tolist(),
+                   rows.master_position[with_meta].tolist())
+    backups = iter(())
+    if full_edges:
+        ep, edges = csr_rows(rows.edge_ptr, at[roles == _B.MIRROR])
+        backups = _cut(list(zip(rows.edge_gids[ep].tolist(),
+                                rows.edge_positions[ep].tolist(),
+                                rows.edge_weights[ep].tolist())),
+                       edges.tolist())
+    ins = _cut(in_edges or [], in_counts or [0] * count)
+    outs = _cut(out_edges or [], out_counts or [0] * count)
+    slots = []
+    for (gid, role, master_node, mirror_id, out_degree, in_degree, selfish,
+         fo, value, active, last_activates, self_active, known,
+         last_update) in zip(
+            rows.gids[at].tolist() if gids is None else gids, roles.tolist(),
+            rows.master_node[at].tolist(), rows.mirror_id[at].tolist(),
+            rows.out_degree[at].tolist(), rows.in_degree[at].tolist(),
+            rows.selfish[at].tolist(), ft_only, *state):
+        slots.append(VertexSlot(
+            gid=gid, role=_B.ROLES[role], value=value, active=active,
+            last_activates=last_activates, last_update_iter=last_update,
+            out_degree=out_degree, in_degree=in_degree,
+            in_edges=next(ins), out_edges=next(outs),
+            meta=None if role == _B.REPLICA else next(metas),
+            master_node=master_node, ft_only=fo, selfish=selfish,
+            mirror_id=mirror_id,
+            full_edges=(next(backups) if full_edges and role == _B.MIRROR
+                        else None),
+            replicas_known_active=known, mirror_self_active=self_active))
+    return slots
+
+
+def _cut(flat: list, counts: list) -> Iterator[list]:
+    """Consecutive slices of ``flat``, ``counts[i]`` long each."""
+    at = 0
+    for count in counts:
+        yield flat[at:at + count]
+        at += count
+
+
+def _metas(nodes, positions, replicas, mirror_nodes, mirrors, master_node,
+           master_position) -> Iterator[MasterMeta]:
+    """One ``MasterMeta`` per metadata row, from its flattened CSR
+    slices: static full state, replicated to the mirrors at load
+    (Section 4.2)."""
+    at = seat = 0
+    for count, seats, node, position in zip(replicas, mirrors, master_node,
+                                            master_position):
+        yield MasterMeta(dict(zip(nodes[at:at + count],
+                                  positions[at:at + count])),
+                         mirror_nodes[seat:seat + seats], node, position)
+        at += count
+        seat += seats
+
+
+class SlotArray:
+    """``LocalGraph.slots``: the vertex array as a lazy sequence.
+
+    Indexing a position stamps its slot from the birth record and the
+    graph's columns (:func:`stamp_slots`); iterating stamps every
+    position left in one pass, :meth:`take` a selection in one pass.
+    ``append`` and assigning ``None`` (a tombstone) keep the graph's
+    columns the array's length.  ``made[pos]`` says whether a slot
+    (stamped, or placed by ``LocalGraph.add_slot``) holds ``pos``;
+    :attr:`materialized` counts the ones stamped from the record.
+    ``gids[pos]`` is the gid born at ``pos`` as one ``int`` object, which
+    the gid index, the active sets and the slot stamped there share: a
+    dict probe with the key's own object skips the value compare (the
+    scalar loop's ``slot_of``).
+    """
+
+    __slots__ = ("_graph", "_items", "made", "materialized", "_lazy", "gids",
+                 "_rows", "_row_of", "_ft_only", "_topo", "_full_edges",
+                 "_in_ptr", "_out_ptr", "_placement")
+
+    def __init__(self, graph: "LocalGraph", rows: RecoveryBatch | None = None,
+                 topology=None, ft_only: np.ndarray | None = None,
+                 full_edges: bool = False):
+        # Weak: the graph owns its slots, not the other way round.
+        self._graph = weakref.ref(graph)
+        n = 0 if topology is None else topology.n
+        self.materialized = 0
+        self._lazy = 0 if rows is None else len(rows)
+        if rows is None or rows.positions.size == n:
+            self._items = [_UNSTAMPED] * self._lazy
+            self._row_of = None
+        else:
+            items = np.full(n, None, dtype=object)
+            items[rows.positions] = _UNSTAMPED
+            self._items = items.tolist()
+            self._row_of = np.full(n, -1, dtype=np.int64)
+            self._row_of[rows.positions] = np.arange(len(rows))
+        self.made = np.zeros(n, dtype=bool)
+        self.gids = np.full(n, None, dtype=object)
+        if rows is not None:
+            self.gids[rows.positions] = np.array(rows.gids.tolist(),
+                                                 dtype=object)
+        self._rows, self._topo = rows, topology
+        self._ft_only, self._full_edges = ft_only, full_edges
+        self._in_ptr = self._out_ptr = None
+        self._placement = None
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, pos: int):
+        item = self._items[pos]
+        if item is _UNSTAMPED:
+            (item,) = self._stamp([pos % len(self._items)])
+        return item
+
+    def __iter__(self):
+        return iter(self.materialize())
+
+    def materialize(self) -> list:
+        """Stamp every position not stamped yet, in one pass; returns the
+        plain list of entries, which stays this array's (the scalar
+        loops index it directly)."""
+        if self._lazy:
+            self._stamp([pos for pos, item in enumerate(self._items)
+                         if item is _UNSTAMPED])
+        return self._items
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+    def __setitem__(self, pos: int, item: VertexSlot | None) -> None:
+        if self._items[pos] is _UNSTAMPED:
+            self._lazy -= 1
+        self._items[pos] = item
+        self.made[pos] = item is not None
+        if item is None:
+            graph = self._graph()
+            for name, fill in VACANT.items():
+                getattr(graph, name)[pos] = fill
+
+    def append(self, item: VertexSlot | None) -> None:
+        """Add a position at the end (``None``: a vacant one)."""
+        graph = self._graph()
+        self._items.append(item)
+        self.made = np.append(self.made, item is not None)
+        for name, fill in VACANT.items():
+            column = getattr(graph, name)
+            setattr(graph, name,
+                    np.append(column, np.array([fill], dtype=column.dtype)))
+
+    def holds(self, pos: int) -> bool:
+        """Whether a copy lives at ``pos``, stamped or not."""
+        return self._items[pos] is not None
+
+    def take(self, positions) -> list:
+        """The entries at ``positions``, every unstamped one stamped in
+        one pass."""
+        positions = np.asarray(positions, dtype=np.int64).tolist()
+        items = self._items
+        todo = [pos for pos in dict.fromkeys(positions)
+                if items[pos] is _UNSTAMPED]
+        if todo:
+            self._stamp(todo)
+        return [items[pos] for pos in positions]
+
+    def peek(self, pos: int) -> VertexSlot | None:
+        """The slot at ``pos`` if one is there already, else ``None``;
+        never stamps."""
+        item = self._items[pos]
+        return None if item is _UNSTAMPED else item
+
+    def record(self, pos: int, name: str):
+        """Column ``name`` of the birth record at unstamped ``pos``."""
+        row = pos if self._row_of is None else self._row_of[pos]
+        return getattr(self._rows, name)[row].item()
+
+    def placement(self, pos: int) -> tuple[bool, object]:
+        """The selfish flag and replica nodes (metadata order) of the
+        master at ``pos``, from its slot if stamped, else from the birth
+        record; stamps nothing.  A read's routing: once per query."""
+        slot = self._items[pos]
+        if slot is not _UNSTAMPED:
+            return slot.selfish, slot.meta.replica_positions
+        row = pos if self._row_of is None else self._row_of[pos]
+        if self._placement is None:
+            # Lists, made on first use: a read indexes them once.
+            rows = self._rows
+            self._placement = (rows.selfish.tolist(),
+                               rows.replica_ptr.tolist(),
+                               rows.replica_nodes.tolist())
+        selfish, ptr, nodes = self._placement
+        return selfish[row], nodes[ptr[row]:ptr[row + 1]]
+
+    def masters(self) -> tuple[np.ndarray, list[int]]:
+        """The masters' positions and gids, from each slot if stamped,
+        else from the birth record; stamps nothing.  A read's walk where
+        no image is cached."""
+        rows, row_of = self._rows, self._row_of
+        if rows is not None:
+            roles, gids = rows.roles.tolist(), rows.gids.tolist()
+            if row_of is not None:
+                row_of = row_of.tolist()
+        positions, out = [], []
+        for pos, item in enumerate(self._items):
+            if item is _UNSTAMPED:
+                row = pos if row_of is None else row_of[pos]
+                if roles[row] == _B.MASTER:
+                    positions.append(pos)
+                    out.append(gids[row])
+            elif item is not None and item.role is Role.MASTER:
+                positions.append(pos)
+                out.append(item.gid)
+        return np.array(positions, dtype=np.int64), out
+
+    @property
+    def birth(self) -> tuple[RecoveryBatch, object]:
+        """The birth record and the image born with it."""
+        return self._rows, self._topo
+
+    def _stamp(self, positions: list[int]) -> list[VertexSlot]:
+        graph = self._graph()
+        pos = np.asarray(positions, dtype=np.int64)
+        rows = pos if self._row_of is None else self._row_of[pos]
+        topo = self._topo
+        if self._in_ptr is None:
+            self._in_ptr = csr_ptr(topo.in_counts)
+            self._out_ptr = csr_ptr(np.bincount(topo.out_src,
+                                                minlength=topo.n))
+        at, in_counts = csr_rows(self._in_ptr, pos)
+        out_at, out_counts = csr_rows(self._out_ptr, pos)
+        slots = stamp_slots(
+            self._rows, rows, self._ft_only[rows].tolist(),
+            [getattr(graph, name)[pos].tolist() for name in DYNAMIC],
+            list(zip(topo.in_src[at].tolist(), topo.in_w[at].tolist())),
+            in_counts.tolist(), topo.out_dst[out_at].tolist(),
+            out_counts.tolist(), self._full_edges, self.gids[pos].tolist())
+        items = self._items
+        for p, slot in zip(positions, slots):
+            items[p] = slot
+        self.made[pos] = True
+        self._lazy -= len(slots)
+        self.materialized += len(slots)
+        return slots
 
 
 class LocalGraph:
@@ -21,7 +323,7 @@ class LocalGraph:
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self.slots: list[VertexSlot | None] = []
+        self.slots = SlotArray(self)
         self.index_of: dict[int, int] = {}
         #: gids of *master* slots whose ``active`` flag is set — the
         #: engine's compute loops iterate these instead of scanning the
@@ -37,41 +339,100 @@ class LocalGraph:
         self._masters_snapshot: tuple[int, ...] | None = None
         self._others_snapshot: tuple[int, ...] | None = None
         #: Cached structure-of-arrays topology (DESIGN.md §11) and FT
-        #: census: handed over at load (:meth:`adopt`) or built lazily by
+        #: census: born with the graph (:meth:`born`) or built lazily by
         #: :meth:`topology` / :meth:`ft_census`; :meth:`invalidate_soa`
         #: drops both.
         self._topology = None
         self._ft_census = None
+        #: The committed dynamic columns (:data:`DYNAMIC`), one entry per
+        #: position: a column state adopts them, and they alone hold the
+        #: state of a position never stamped.  Values start as Python
+        #: objects; the first column state casts them to its dtype.
+        self.values = np.zeros(0, dtype=object)
+        self.active = np.zeros(0, dtype=bool)
+        self.last_activates = np.zeros(0, dtype=bool)
+        self.mirror_self_active = np.zeros(0, dtype=bool)
+        self.replicas_known_active = np.zeros(0, dtype=bool)
+        self.last_update = np.zeros(0, dtype=np.int64)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def adopt(cls, node_id: int, slots: list, index_of: dict[int, int],
-              topology, ft_census) -> "LocalGraph":
-        """A node's graph born whole — at load, or reborn at Rebirth:
-        slots and gid index stamped from the very columns the SoA image
-        and the FT census were cut from.  The caller registers any
-        active slot in ``active_masters`` / ``active_others``."""
+    def born(cls, node_id: int, rows: RecoveryBatch, topology, ft_census,
+             ft_only: np.ndarray, full_edges: bool,
+             state=None) -> "LocalGraph":
+        """A node's graph born whole — at load, or reborn at Rebirth —
+        from its birth record ``rows`` (one row per copy, in position
+        order), the SoA image and FT census cut from the same columns,
+        each row's ``ft_only`` and, with ``full_edges``, the mirrors'
+        in-edge copies in the record's edge CSR.  ``state`` holds the
+        rows' :data:`DYNAMIC` columns (default: a fresh slot's, until
+        ``Engine`` sets the initial state); the active sets follow
+        ``active``.  No slot is stamped."""
         lg = cls(node_id)
-        lg.slots, lg.index_of = slots, index_of
+        # The record keeps the static columns only: the state lives in
+        # the graph's columns from here on.
+        rows = dataclasses.replace(rows, values=[])
+        lg.slots = SlotArray(lg, rows, topology, ft_only, full_edges)
+        lg.index_of = dict(zip(lg.slots.gids[rows.positions].tolist(),
+                               rows.positions.tolist()))
         lg._topology, lg._ft_census = topology, ft_census
+        count = len(rows)
+        if state is None:
+            state = ([None] * count, np.zeros(count, dtype=bool),
+                     np.zeros(count, dtype=bool), np.zeros(count, dtype=bool),
+                     np.ones(count, dtype=bool),
+                     np.full(count, -1, dtype=np.int64))
+        for (name, fill), column in zip(VACANT.items(), state):
+            full = np.full(topology.n, fill,
+                           dtype=object if name == "values" else type(fill))
+            _put(full, rows.positions, column)
+            setattr(lg, name, full)
+        lg._index_activity(topology)
         return lg
+
+    def reset(self, values: np.ndarray, active: np.ndarray) -> None:
+        """Every copy's state before the first superstep, from the
+        job's per-gid initial ``values`` and ``active`` flags: one
+        column fill.  Masters and mirrors mirror the master's
+        self-activity, masters record what their replicas believe."""
+        topo = self.topology()
+        gids = np.where(topo.occupied, topo.gids, 0)
+        self.values = values[gids]
+        self.active = active[gids] & topo.occupied
+        self.last_activates = np.zeros(topo.n, dtype=bool)
+        self.last_update = np.full(topo.n, -1, dtype=np.int64)
+        self.replicas_known_active = np.where(topo.is_master, self.active,
+                                              topo.occupied)
+        self.mirror_self_active = self.active & (topo.is_master
+                                                 | topo.is_mirror)
+        self.push(np.flatnonzero(self.slots.made), DYNAMIC)
+        self._index_activity(topo)
+
+    def _index_activity(self, topo) -> None:
+        """Rebuild both active sets from the ``active`` column of a graph
+        as born."""
+        live = self.active & topo.occupied
+        gids = self.slots.gids
+        self.active_masters = set(gids[live & topo.is_master].tolist())
+        self.active_others = set(gids[live & ~topo.is_master].tolist())
+        self._masters_snapshot = None
+        self._others_snapshot = None
 
     def add_slot(self, slot: VertexSlot, position: int | None = None) -> int:
         """Append (or place at a fixed position) one vertex slot."""
         if slot.gid in self.index_of:
             raise EngineError(
                 f"vertex {slot.gid} already present on node {self.node_id}")
+        slots = self.slots
         if position is None:
-            position = len(self.slots)
-            self.slots.append(slot)
-        else:
-            while len(self.slots) <= position:
-                self.slots.append(None)
-            if self.slots[position] is not None:
-                raise EngineError(
-                    f"position {position} on node {self.node_id} occupied")
-            self.slots[position] = slot
+            position = len(slots)
+        elif position < len(slots) and slots.holds(position):
+            raise EngineError(
+                f"position {position} on node {self.node_id} occupied")
+        while len(slots) <= position:
+            slots.append(None)
+        slots[position] = slot
         self.index_of[slot.gid] = position
         self.invalidate_soa()
         if slot.active:
@@ -111,30 +472,109 @@ class LocalGraph:
         return slot
 
     def set_active_bulk(self, positions, flags) -> None:
-        """Vectorized bulk form of :meth:`set_active`, by position.
+        """Vectorized bulk form of :meth:`set_active`, by position, over
+        the cached image's roles (without one, the slots' own): the
+        ``active`` column, the slot of each stamped position, and the
+        active sets.
 
-        Used by the barrier commit of the vectorized path; must keep
+        Used by the barrier commit of the vectorized path, by recovery
+        replay and by the multiprocessing parent's state pull; must keep
         the same contract as per-slot writes — the active sets stay in
         sync and the iteration snapshots are invalidated (a stale
         snapshot here would feed the next superstep's compute loop the
         previous superstep's active set).
         """
+        topo = self._topology
+        if topo is None:
+            slots = self.slots.take(positions)
+            gids = [slot.gid for slot in slots]
+            roles = [slot.role is Role.MASTER for slot in slots]
+        else:
+            gids = topo.gids[positions].tolist()
+            roles = topo.is_master[positions].tolist()
+        self.active[positions] = flags
         masters, others = self.active_masters, self.active_others
-        slots = self.slots
-        for pos, flag in zip(positions, flags):
-            slot = slots[pos]
-            slot.active = flag
-            gid = slot.gid
+        items = self.slots._items
+        for pos, gid, master, flag in zip(positions, gids, roles, flags):
+            slot = items[pos]
+            if slot is not _UNSTAMPED:
+                slot.active = flag
             if flag:
-                if slot.role is Role.MASTER:
-                    masters.add(gid)
-                else:
-                    others.add(gid)
+                (masters if master else others).add(gid)
             else:
                 masters.discard(gid)
                 others.discard(gid)
         self._masters_snapshot = None
         self._others_snapshot = None
+
+    # -- the committed columns ---------------------------------------------
+
+    def committed(self, positions: np.ndarray, names=DYNAMIC) -> dict:
+        """The committed ``names`` columns at ``positions`` (copies;
+        ``values`` as a list), read through the slots stamped there —
+        the authority rule of the module docstring."""
+        out = {name: getattr(self, name)[positions] for name in names}
+        if "values" in out:
+            out["values"] = out["values"].tolist()
+        stamped = np.flatnonzero(self.slots.made[positions])
+        items = self.slots._items
+        for i, pos in zip(stamped.tolist(), positions[stamped].tolist()):
+            slot = items[pos]
+            for name in names:
+                out[name][i] = getattr(slot, DYNAMIC[name])
+        return out
+
+    def committed_value(self, position: int):
+        """A position's committed value: its slot's if stamped, else the
+        column's."""
+        slot = self.slots.peek(position)
+        return (self.values[position:position + 1].tolist()[0]
+                if slot is None else slot.value)
+
+    def pull(self) -> None:
+        """Bring the columns up to every stamped slot.  Whoever writes a
+        stamped slot's committed fields outside the barrier commit
+        flushed the column state first, so nothing newer lives in the
+        columns there."""
+        pos = np.flatnonzero(self.slots.made)
+        if not pos.size:
+            return
+        items = self.slots._items
+        slots = [items[p] for p in pos.tolist()]
+        for name in DYNAMIC:
+            attr = DYNAMIC[name]
+            _put(getattr(self, name), pos,
+                 [getattr(slot, attr) for slot in slots])
+
+    def push(self, positions: np.ndarray, fields) -> int:
+        """Write the ``fields`` columns at ``positions`` into the slots
+        stamped there; returns how many slots were written."""
+        pos = positions[self.slots.made[positions]]
+        if pos.size:
+            items = self.slots._items
+            slots = [items[p] for p in pos.tolist()]
+            for name in fields:
+                attr = DYNAMIC[name]
+                for slot, value in zip(slots, getattr(self, name)[pos]
+                                       .tolist()):
+                    setattr(slot, attr, value)
+        return int(pos.size)
+
+    def store(self, positions: np.ndarray, **columns) -> None:
+        """Write committed ``columns`` (by :data:`DYNAMIC` name, one
+        value per position; activity goes through
+        :meth:`set_active_bulk`) at ``positions``: columns and stamped
+        slots alike."""
+        for name, values in columns.items():
+            _put(getattr(self, name), positions, values)
+        self.push(positions, columns)
+
+    @property
+    def materialized(self) -> int:
+        """Slots stamped from the birth record so far."""
+        return self.slots.materialized
+
+    # -- the SoA image -------------------------------------------------------
 
     def topology(self):
         """The cached SoA topology view (DESIGN.md §11)."""
@@ -193,10 +633,14 @@ class LocalGraph:
 
     def slot_of(self, gid: int) -> VertexSlot:
         try:
-            slot = self.slots[self.index_of[gid]]
+            pos = self.index_of[gid]
         except KeyError:
             raise EngineError(
                 f"vertex {gid} not on node {self.node_id}") from None
+        # The scalar loop's per-vertex read: the plain list first.
+        slot = self.slots._items[pos]
+        if slot is _UNSTAMPED:
+            slot = self.slots[pos]
         assert slot is not None
         return slot
 
@@ -224,9 +668,14 @@ class LocalGraph:
                 yield slot
 
     def view(self, position: int) -> VertexView:
-        """Neighbor view for gather, by local position."""
-        slot = self.slots[position]
-        assert slot is not None
+        """Neighbor view for gather, by local position; stamps nothing."""
+        slot = self.slots._items[position]  # the scalar loop's per-edge read
+        if slot is _UNSTAMPED:
+            record = self.slots.record
+            return VertexView(vid=record(position, "gids"),
+                              value=self.committed_value(position),
+                              out_degree=record(position, "out_degree"),
+                              in_degree=record(position, "in_degree"))
         return VertexView(vid=slot.gid, value=slot.value,
                           out_degree=slot.out_degree,
                           in_degree=slot.in_degree)
@@ -259,3 +708,13 @@ class LocalGraph:
         # The array itself and the gid index.
         total += len(self.slots) * 8 + len(self.index_of) * 24
         return total
+
+
+def _put(column: np.ndarray, positions: np.ndarray, values) -> None:
+    """``column[positions] = values``, element by element into an object
+    column (so a tuple value stays one value)."""
+    if column.dtype != object:
+        column[positions] = values
+        return
+    for pos, value in zip(np.asarray(positions).tolist(), values):
+        column[pos] = value

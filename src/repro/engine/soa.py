@@ -1,26 +1,29 @@
 """Structure-of-arrays topology image of one node's local graph.
 
-The per-vertex :class:`~repro.engine.state.VertexSlot` array stays the
-authoritative store (recovery, checkpoints and membership moves read
-and write it), but the vectorized compute path and recovery's selection need the
-*static* shape of a node's graph as flat numpy arrays: role masks,
+A node is born as columns and its slots
+(:class:`~repro.engine.state.VertexSlot`) are stamped lazily
+(``engine/local_graph.py``; recovery, checkpoints and membership moves
+read and write the slots they stamp), and the vectorized compute path
+and recovery's selection need the *static* shape of a node's graph as flat numpy arrays: role masks,
 degrees, the local in-/out-edge lists in CSR-style per-edge arrays, the
 master->replica sync fan-out grouped by destination and, beside it,
 each planned copy's position on its own node.  :class:`NodeTopology` is
 that image, with two constructors the SoA-coherence chaos invariant
 holds equal: the loader — and Rebirth, for a reborn node — cuts it from
-the columns it stamps the slots from (:meth:`~NodeTopology.from_columns`),
-so a :class:`~repro.engine.local_graph.LocalGraph` is born with it; once
+the columns the node's birth record comes from
+(:meth:`~NodeTopology.from_columns`), so a
+:class:`~repro.engine.local_graph.LocalGraph` is born with it; once
 something writes that node outside the barrier commit — ``add_slot``/
 ``remove_slot``, or the ``invalidate_soa`` every such writer (a recovery
 rung, FT repair, a membership move) issues for exactly the nodes it
-wrote on — :meth:`~NodeTopology.build` reads it back out of the slots.
+wrote on — :meth:`~NodeTopology.build` reads it back out of the slots,
+stamping every one.
 
 Dynamic state (values, activity flags) deliberately does NOT live
-here — the executor caches those columns separately, dual-writes them
-at every barrier commit, and rebuilds them whenever this topology
-object is replaced, so recovery, checkpointing and chaos plugins keep
-seeing exact state at every barrier.
+here: the ``LocalGraph`` owns those columns, a column state adopts them
+whenever this topology object is replaced, and the barrier commit
+writes them, so recovery, checkpointing and chaos plugins keep seeing
+exact state at every barrier.
 """
 
 from __future__ import annotations

@@ -24,27 +24,30 @@ and simulated time.
 
 Lifecycle
 ---------
-* The topology every column is indexed by is born with the node's
-  slots at load (``engine/construction.py``); dynamic columns (values,
-  activity flags) are read from the slots on first touch of a node and
-  then *carried across supersteps*; only the barrier commit writes
-  them, so at each barrier they hold the committed state exactly.
+* The topology every column is indexed by is born with the node
+  (``engine/construction.py``), and so are the committed dynamic
+  columns (values, activity flags): the graph owns them, and a state
+  *adopts* them on first touch of a node — after catching them up with
+  any stamped slot (:meth:`LocalGraph.pull`) — and then carries them
+  across supersteps; only the barrier commit writes them, so at each
+  barrier they hold the committed state exactly.
 * The executor's cache is keyed by topology identity — whoever writes
   a node's slots, edge lists or metadata outside the commit invalidates
   *that node's* topology at the write (:meth:`LocalGraph.invalidate_soa`),
-  which makes :meth:`_state` read that node's topology and columns back
-  out of the slots; every other node keeps its image, through recovery
-  too.  The
-  one slot mutation *without* a topology change is the vertex-cut
-  phase-0 activity broadcast; the state re-reads the two affected
-  columns before its next gather (:meth:`_NodeState.refresh_activity`).
+  which makes :meth:`_state` read that node's topology back out of the
+  slots and re-adopt its columns; every other node keeps its image,
+  through recovery too.  The vertex-cut phase-0 activity broadcast
+  writes the columns too (``active`` on receiver replicas,
+  ``replicas_known_active`` on sender masters), and the slots stamped
+  there at once.
 * Compute and received sync batches stage into pending *arrays*.
 * The barrier commit is split where the multiprocessing backend splits
   it: an abortable stage 1 (activation scatter), the activation intake,
   and a finalize that *alone* writes the committed columns and applies
   activity via :meth:`~repro.engine.local_graph.LocalGraph.
-  set_active_bulk`.  The slot writeback of values and flags is deferred
-  (:meth:`VectorizedExecutor.flush`).
+  set_active_bulk`.  The writeback of values and flags into the slots
+  stamped so far is deferred (:meth:`VectorizedExecutor.flush`); a
+  position never stamped has nothing to write back.
 * A rollback flushes and clears the uncommitted staging; the committed
   columns stay, since only the commit writes them.
 
@@ -65,12 +68,15 @@ import numpy as np
 from repro.cluster.network import MessageKind
 from repro.engine.messages import (
     ActivateBatch,
+    ActiveBroadcastBatch,
     GatherBatch,
     RawGatherBatch,
     SyncBatch,
 )
-from repro.exec.protocol import NodeProtocol
 from repro.utils.sizing import BYTES_PER_VID
+
+#: The committed columns whose slot writeback the commit defers.
+_DEFERRED = ("values", "last_activates", "mirror_self_active", "last_update")
 
 #: Sentinel returned by :meth:`VectorizedExecutor.committed_value` when
 #: no valid cached column exists for the node — the caller falls back
@@ -93,14 +99,15 @@ class _NodeState:
                  "last_activates", "mirror_self_active",
                  "replicas_known_active", "last_update", "unflushed",
                  "pend_mask", "pend_values", "pend_activates",
-                 "pend_self_active", "next_active", "partials",
-                 "activity_stale")
+                 "pend_self_active", "next_active", "partials")
 
     def __init__(self, proto, lg):
         topo = lg.topology()
-        slots = lg.slots
         n = topo.n
         dtype = proto.kernel.dtype
+        lg.pull()
+        if lg.values.dtype != dtype:
+            lg.values = lg.values.astype(dtype)
         self.proto = proto
         # Weak: the simulator's cache keeps a stale state until its node
         # is next touched, and that must not keep the graph a recovery
@@ -108,20 +115,17 @@ class _NodeState:
         self._lg = weakref.ref(lg)
         self.node = lg.node_id
         self.topo = topo
-        self.values = np.array(
-            [(0 if s is None else s.value) for s in slots], dtype=dtype)
-        self.last_activates = np.fromiter(
-            (s is not None and s.last_activates for s in slots),
-            bool, count=n)
-        self.mirror_self_active = np.fromiter(
-            (s is not None and s.mirror_self_active for s in slots),
-            bool, count=n)
-        self.last_update = np.fromiter(
-            (-1 if s is None else s.last_update_iter for s in slots),
-            np.int64, count=n)
-        self.refresh_activity()
+        # Adopted, not copied: the graph's committed columns, which the
+        # commit writes in place.
+        self.values = lg.values
+        self.active = lg.active
+        self.last_activates = lg.last_activates
+        self.mirror_self_active = lg.mirror_self_active
+        self.replicas_known_active = lg.replicas_known_active
+        self.last_update = lg.last_update
         #: Positions whose committed value/flag columns are newer than
-        #: the slots (writeback is deferred to the executor's flush).
+        #: their stamped slots (writeback is deferred to the executor's
+        #: flush).
         self.unflushed = np.zeros(n, dtype=bool)
         self.pend_mask = np.zeros(n, dtype=bool)
         self.pend_values = np.zeros(n, dtype=dtype)
@@ -136,42 +140,45 @@ class _NodeState:
     def lg(self):
         return self._lg()
 
-    def refresh_activity(self) -> None:
-        """(Re-)read the two columns the phase-0 broadcast can change.
-
-        The broadcast flips ``active`` on receiver replicas and
-        ``replicas_known_active`` on sender masters via plain slot
-        writes (no topology change), so a state that sent or received
-        one re-reads them before its next gather.
-        """
-        slots = self.lg.slots
-        n = self.topo.n
-        self.active = np.fromiter(
-            (s is not None and s.active for s in slots), bool, count=n)
-        self.replicas_known_active = np.fromiter(
-            (s is not None and s.replicas_known_active for s in slots),
-            bool, count=n)
-        self.activity_stale = False
-
     # -- the round interface: the protocol bound to these columns ------
 
     def broadcast_build(self, pending) -> dict:
-        """Phase 0 is the scalar code on both paths: slots stay
-        authoritative for *activity*."""
-        if pending:
-            self.activity_stale = True
-        return NodeProtocol.broadcast_build(self.lg, pending)
+        """Phase 0 on the columns: the masters in ``pending`` whose
+        activity differs from what their replicas believe, in gid order,
+        each flag sent to its copies in metadata order — the walk (and
+        send order) of the scalar
+        :meth:`~repro.exec.protocol.NodeProtocol.broadcast_build`.
+        Stamps nothing: a copy's placement is its slot's if stamped,
+        else its birth record's."""
+        lg = self.lg
+        index_of = lg.index_of
+        pos = np.fromiter((index_of[gid] for gid in sorted(pending)
+                           if gid in index_of), np.int64)
+        pos = pos[self.topo.is_master[pos]
+                  & (self.active[pos] != self.replicas_known_active[pos])]
+        flags = self.active[pos]
+        outbox: dict = {}
+        placement = lg.slots.placement
+        for p, gid, flag in zip(pos.tolist(), self.topo.gids[pos].tolist(),
+                                flags.tolist()):
+            for replica_node in placement(p)[1]:
+                key = (replica_node, MessageKind.CONTROL)
+                batch = outbox.get(key)
+                if batch is None:
+                    batch = outbox[key] = ActiveBroadcastBatch()
+                batch.append(gid, flag)
+        lg.store(pos, replicas_known_active=flags)
+        return outbox
 
     def broadcast_apply(self, batch) -> None:
-        self.activity_stale = True
-        NodeProtocol.broadcast_apply(self.lg, batch)
+        self.lg.set_active_bulk(
+            self.topo.translate(np.asarray(batch.gids, dtype=np.int64))
+            .tolist(), batch.actives)
 
     def compute(self, ctx, outbox: dict) -> tuple[int, int, int]:
         return self.proto.edge_cut_compute_node(self, ctx, outbox)
 
     def gather(self, ctx, outbox: dict) -> int:
-        if self.activity_stale:
-            self.refresh_activity()
         return self.proto.vertex_gather(self, outbox)
 
     def intake(self, src: int, batch) -> None:
@@ -490,9 +497,10 @@ class ArrayNodeProtocol:
     def finalize_commit(self, st: _NodeState, lg, iteration: int) -> list:
         """Commit pending values and finalise activity — the point of
         no return of the superstep, and the only writer of the
-        committed columns.  The slot writeback of values and flags is
-        deferred (marked ``unflushed``); activity goes to the slots at
-        once, for the positions whose flag changed.
+        committed columns.  The writeback of values and flags into
+        stamped slots is deferred (marked ``unflushed``); activity goes
+        to the stamped slots at once, for the positions whose flag
+        changed.
 
         Returns the master gids whose activity now differs from what
         their replicas believe (vertex-cut broadcast backlog; always
@@ -541,8 +549,8 @@ class ArrayNodeProtocol:
 
 class VectorizedExecutor:
     """The simulator's cache of :class:`_NodeState` objects for one
-    engine, with their deferred slot writeback (the engine's own
-    superstep drivers run the states)."""
+    engine, with their deferred writeback into stamped slots (the
+    engine's own superstep drivers run the states)."""
 
     def __init__(self, engine, kernel):
         self.engine = engine
@@ -554,13 +562,13 @@ class VectorizedExecutor:
         #: valid while its topology object is still the graph's cached
         #: one (a write outside the commit invalidates the written
         #: node's topology, which makes :meth:`state` rebuild that
-        #: node's columns from the slots).
+        #: node's state over its caught-up columns).
         self._states: dict[int, _NodeState] = {}
-        #: States built from the slots; the ``soa.state_builds`` counter.
+        #: States built; the ``soa.state_builds`` counter.
         self.state_builds = 0
-        #: Whole-column slot writebacks performed (:meth:`flush` calls
-        #: that found deferred commits).  The read-path contract is that
-        #: point reads never advance this counter.
+        #: Slot writebacks performed (per node, :meth:`flush` calls that
+        #: found deferred commits at stamped positions).  The read-path
+        #: contract is that point reads never advance this counter.
         self.flush_count = 0
 
     # -- state cache ---------------------------------------------------
@@ -570,38 +578,31 @@ class VectorizedExecutor:
 
         The flush writes the *last-committed* values, which is exactly
         what recovery, repair and membership moves must see in the
-        slots; the committed columns stay — whoever then writes a
-        node's slots invalidates that node's image itself.
+        stamped slots (a slot stamped later reads the columns); the
+        committed columns stay — whoever then writes a node's slots
+        invalidates that node's image itself.
         """
         self.flush()
         for st in self._states.values():
             st.abort()
 
     def flush(self) -> None:
-        """Write deferred column commits back into the slots.
+        """Write deferred column commits back into the stamped slots.
 
         Called before any code path that reads slot values directly:
         recovery entry, checkpoint saves, chaos-plugin hooks, and
-        :meth:`Engine.values`.  A no-op (per node) when nothing is
-        pending, so it is safe to call eagerly.
+        :meth:`Engine.values`.  Writes only the positions a consumer
+        stamped (the columns already hold the rest); a no-op (per node)
+        when nothing is pending, so it is safe to call eagerly.
         """
-        for node, st in self._states.items():
+        for st in self._states.values():
             pos = np.flatnonzero(st.unflushed)
             if not pos.size:
                 continue
-            self.flush_count += 1
-            slots = self.engine.local_graphs[node].slots
-            for p, v, a, sa, it in zip(
-                    pos.tolist(), st.values[pos].tolist(),
-                    st.last_activates[pos].tolist(),
-                    st.mirror_self_active[pos].tolist(),
-                    st.last_update[pos].tolist()):
-                slot = slots[p]
-                slot.value = v
-                slot.last_activates = a
-                slot.mirror_self_active = sa
-                slot.last_update_iter = it
             st.unflushed[:] = False
+            lg = st.lg
+            if lg is not None and lg.push(pos, _DEFERRED):
+                self.flush_count += 1
 
     def committed_value(self, node: int, pos: int):
         """Flush-free committed read of one position's column value.
@@ -611,8 +612,8 @@ class VectorizedExecutor:
         point read can take the value straight from the array without
         forcing :meth:`flush`.  Returns :data:`NO_COLUMN` when the node
         has no valid cached state (fresh engine, post-recovery
-        invalidation): the slots are then authoritative and the caller
-        reads them directly.
+        invalidation): the caller then reads the graph itself
+        (:meth:`LocalGraph.committed_value`).
         """
         cols = self.committed_columns(node)
         return cols if cols is NO_COLUMN else cols[1][pos].item()
@@ -634,8 +635,8 @@ class VectorizedExecutor:
         return st if st is not None and st.topo is image else None
 
     def state(self, node: int) -> _NodeState:
-        """The node's round object, (re)built from the slots when its
-        image was invalidated since the last touch."""
+        """The node's round object, (re)built over the graph's columns
+        when its image was invalidated since the last touch."""
         st = self.valid_state(node)
         if st is None:
             st = self._states[node] = self.proto.new_state(

@@ -1,11 +1,12 @@
 """Execution-backend and transport contracts (DESIGN.md §12).
 
 A :class:`Transport` is one endpoint of a lossless, per-sender-FIFO
-frame channel between ranks.  The in-process implementation
-(:class:`repro.exec.transport.LocalTransport`) backs the transport
-contract tests and mirrors what the simulator's ``Network`` queues do;
-the pipe implementation (:class:`repro.exec.transport.PipeTransport`)
-carries the multiprocessing backend's coordinator/worker frames.
+frame channel between ranks.  Its implementations in
+:mod:`repro.exec.transport` back the transport contract tests only: no
+backend runs on them.  The multiprocessing backend talks to its workers
+over raw ``multiprocessing.Pipe`` connections (:mod:`repro.exec.mp`),
+and the simulator's ``Network`` uses just that module's ``LocalHub``
+queues.
 
 An :class:`ExecutionBackend` turns ``(graph, BackendSpec)`` into a
 :class:`BackendRunResult` whose fields are directly comparable across

@@ -78,6 +78,8 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as mpc_wait
 from typing import Any
 
+import numpy as np
+
 from repro.api import make_engine
 from repro.config import MP_HEARTBEAT_INTERVAL_S, MP_HEARTBEAT_MISSES
 from repro.engine.vertex_program import ApplyContext
@@ -262,7 +264,7 @@ class _MpReadServer:
     its cluster marks exactly the ranks whose worker died as crashed.
     Reads execute as batched ``read``/``topk`` frames against the
     workers holding the routed copies, only at protocol-safe points
-    (workers idle between rounds), so every answer is a committed slot
+    (workers idle between rounds), so every answer is a committed
     value.  Queries due at one drain point share the drain's round-trip
     latency — they are served concurrently by one frame exchange.
     """
@@ -550,10 +552,11 @@ class MultiprocessingBackend(ExecutionBackend):
     # -- elastic membership ----------------------------------------------
 
     def _sync_parent_from_workers(self) -> None:
-        """Pull every live rank's committed slot state into the parent.
+        """Pull every live rank's committed state into the parent's
+        columns (and the slots stamped there).
 
         Workers never change the structure of their partition, so the
-        parent image already has every slot; only the committed dynamic
+        parent image already has every copy; only the committed dynamic
         fields flow back.
         """
         alive = sorted(self._workers)
@@ -562,15 +565,12 @@ class MultiprocessingBackend(ExecutionBackend):
         engine = self._engine
         for rank in alive:
             lg = engine.local_graphs[rank]
-            for gid, value, la, lui, msa, active, rka in zip(
-                    *frames[rank][1]):
-                slot = lg.slot_of(gid)
-                slot.value = value
-                slot.last_activates = la
-                slot.last_update_iter = lui
-                slot.mirror_self_active = msa
-                slot.replicas_known_active = rka
-                lg.set_active(slot, active)
+            gids, value, la, lui, msa, active, rka = frames[rank][1]
+            pos = np.fromiter(map(lg.index_of.__getitem__, gids), np.int64,
+                              len(gids))
+            lg.store(pos, values=value, last_activates=la, last_update=lui,
+                     mirror_self_active=msa, replicas_known_active=rka)
+            lg.set_active_bulk(pos, active)
         if engine.is_edge_cut:
             return
         # ``broadcast_build`` marks replicas as knowing a master's
@@ -579,14 +579,19 @@ class MultiprocessingBackend(ExecutionBackend):
         # home the flag is re-derived exactly: the replicas know iff
         # every live copy holds the master's flag.
         for rank in alive:
-            for slot in engine.local_graphs[rank].iter_masters():
-                known = all(
-                    engine.local_graphs[node].slot_of(slot.gid).active
-                    == slot.active
-                    for node, _mirror in slot.meta.sync_targets()
-                    if node in self._workers)
-                slot.replicas_known_active = (slot.active if known
-                                              else not slot.active)
+            lg = engine.local_graphs[rank]
+            topo = lg.topology()
+            known = np.ones(topo.n, dtype=bool)
+            at = 0
+            for (node, _mirror), masters in topo.sync_plan.items():
+                peers = topo.sync_peer[at:at + masters.size]
+                at += masters.size
+                if node in self._workers:
+                    known[masters] &= (engine.local_graphs[node].active[peers]
+                                       == lg.active[masters])
+            masters = np.flatnonzero(topo.is_master)
+            lg.store(masters, replicas_known_active=(
+                lg.active[masters] == known[masters]))
 
     def _reshape(self, events: list[tuple[str, Any, int]]) -> None:
         """Stop-the-world join/drain at a commit barrier.
@@ -761,6 +766,7 @@ class MultiprocessingBackend(ExecutionBackend):
                 self._serve.drain(float("inf"), committed=completed - 1)
             self._sync_parent_from_workers()
             values = engine.values()
+            engine.publish_slots_materialized()
         finally:
             self.close()
             self._engine = None

@@ -294,9 +294,8 @@ class NodeProtocol:
 
     # -- vertex-cut activity broadcast (phase 0) ------------------------
 
-    # Phase 0 needs no knob and runs on the slots whichever protocol
-    # computes (activity lives in the slots), so the array per-node
-    # object calls these two as plain functions.
+    # Phase 0 needs no knob; the array per-node object runs the same walk
+    # on its columns (``_NodeState.broadcast_build``).
 
     @staticmethod
     def broadcast_build(lg, pending) -> dict:
@@ -362,13 +361,14 @@ class NodeProtocol:
         survivors and redo the iteration bit-identically.
         """
         signals: list[tuple[int, int]] = []
+        slots = lg.slots.materialize()
         # Snapshot: activation marking adds targets to the dirty map.
         for slot in list(dirty.values()):
             if not slot.has_pending:
                 continue
             if slot.pending_activates:
                 for dst_pos in slot.out_edges:
-                    target = lg.slots[dst_pos]
+                    target = slots[dst_pos]
                     if target is None:
                         continue
                     if target.is_master:
@@ -426,6 +426,9 @@ class ScalarNodeState:
     def __init__(self, proto: NodeProtocol, lg):
         self.proto = proto
         self.lg = lg
+        # The scalar loop works on slots throughout: stamp them all in
+        # one batched pass, not one at a time as it first indexes each.
+        lg.slots.materialize()
         #: gid -> slot touched this superstep (committed by
         #: :meth:`finalize` or rolled back by :meth:`abort`).
         self.dirty: dict[int, Any] = {}

@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.cluster.network import Message, MessageKind
-from repro.engine.construction import ft_census, stamp_slots, sync_columns
-from repro.engine.local_graph import LocalGraph
+from repro.engine.construction import ft_census, sync_columns
+from repro.engine.local_graph import LocalGraph, stamp_slots
 from repro.engine.messages import RecoveryBatch, csr_ptr, csr_rows
 from repro.engine.soa import NodeTopology
 from repro.engine.state import MasterMeta, Role, VertexSlot
@@ -78,7 +78,7 @@ def leading_mirrors(engine: "Engine", node: int, failed: set[int]
     read."""
     lg = engine.local_graphs[node]
     candidates = _orphaned_mirrors(lg.topology(), failed)
-    metas = [lg.slots[p].meta for p in candidates.tolist()]
+    metas = [slot.meta for slot in lg.slots.take(candidates)]
     lead = [surviving_recoverer(meta, failed) == node for meta in metas]
     return (candidates[np.array(lead, dtype=bool)],
             [meta for meta, keep in zip(metas, lead) if keep])
@@ -89,30 +89,37 @@ def _committed_rows(engine: "Engine", lg: LocalGraph, pos: np.ndarray):
     replicas_known_active, last_update_iter, is_master, selfish,
     master_node`` of the copies at positions ``pos`` of ``lg``, one
     column each: from the node's committed columns when it holds a valid
-    column state, else from those slots alone (the multiprocessing
-    backend's parent image holds no column state)."""
+    column state, else read through the slots stamped there
+    (:meth:`LocalGraph.committed`; the multiprocessing backend's parent
+    image holds no column state), with the static half from the image —
+    or, with none cached, from those slots alone."""
     vec = engine._vec
     st = vec.valid_state(lg.node_id) if vec is not None else None
-    if st is not None and not st.activity_stale:
+    if st is not None:
         topo = st.topo
         return (topo.gids[pos], st.values[pos].tolist(), st.active[pos],
                 st.last_activates[pos], st.mirror_self_active[pos],
                 st.replicas_known_active[pos], st.last_update[pos],
                 topo.is_master[pos], topo.selfish[pos],
                 topo.master_node[pos])
-    slots = [lg.slots[p] for p in pos.tolist()]
-
-    def column(attr: str, dtype=bool) -> np.ndarray:
-        return np.fromiter((getattr(s, attr) for s in slots), dtype,
-                           len(slots))
-
-    return (column("gid", np.int64), [s.value for s in slots],
-            column("active"), column("last_activates"),
-            column("mirror_self_active"), column("replicas_known_active"),
-            column("last_update_iter", np.int64),
+    topo = lg.cached_topology
+    if topo is None:
+        slots = lg.slots.take(pos)
+        static = (
+            np.fromiter((s.gid for s in slots), np.int64, len(slots)),
             np.fromiter((s.role is Role.MASTER for s in slots), bool,
                         len(slots)),
-            column("selfish"), column("master_node", np.int64))
+            np.fromiter((s.selfish for s in slots), bool, len(slots)),
+            np.fromiter((s.master_node for s in slots), np.int64,
+                        len(slots)))
+    else:
+        static = (topo.gids[pos], topo.is_master[pos], topo.selfish[pos],
+                  topo.master_node[pos])
+    dynamic = lg.committed(pos)
+    return (static[0], dynamic["values"], dynamic["active"],
+            dynamic["last_activates"], dynamic["mirror_self_active"],
+            dynamic["replicas_known_active"], dynamic["last_update"],
+            *static[1:])
 
 
 def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
@@ -144,7 +151,7 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
 
     # Master and mirror rows carry the metadata (Section 4.2).
     with_meta = np.flatnonzero(roles != _B.REPLICA)
-    slots = [lg.slots[p] for p in pos[with_meta].tolist()]
+    slots = lg.slots.take(pos[with_meta])
     metas = [slot.meta for slot in slots]
     replicas = [meta.replica_positions for meta in metas]
     mirror_id = np.full(rows, -1, dtype=np.int64)
@@ -210,76 +217,18 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
         edge_positions=edges[1], edge_weights=edges[2])
 
 
-def _row_slots(batch: RecoveryBatch, last_commit: int, ft_only: list,
-               edge_cut: bool, in_edges: list | None = None, in_counts=None,
-               out_edges: list | None = None,
-               out_counts=None) -> list[VertexSlot]:
-    """One slot per row of ``batch``, in row order (:func:`~repro.engine.
-    construction.stamp_slots`), with the row's committed state: a master
-    keeps the flag its replicas believe, masters and mirrors the
-    self-sustained activity, edge-cut mirrors their master's in-edges;
-    the update stamp is clamped to ``last_commit`` — a copy can never
-    legitimately claim an update from an uncommitted iteration."""
-    rows = len(batch)
-    roles = batch.roles
-    metas = _metas(batch)
-    slots = stamp_slots(
-        batch.gids.tolist(), [_B.ROLES[r] for r in roles.tolist()],
-        batch.master_node.tolist(), batch.mirror_id.tolist(),
-        batch.out_degree.tolist(), batch.in_degree.tolist(),
-        batch.selfish.tolist(), ft_only, metas, in_edges or [],
-        in_counts or [0] * rows, out_edges or [], out_counts or [0] * rows)
-    flags = batch.flags
-    known = (roles != _B.MASTER) | ((flags & _B.FLAG_KNOWN_ACTIVE) != 0)
-    self_active = ((roles != _B.REPLICA)
-                   & ((flags & _B.FLAG_SELF_ACTIVE) != 0))
-    for slot, value, active, last, stamp, knows, sustains in zip(
-            slots, batch.values, ((flags & _B.FLAG_ACTIVE) != 0).tolist(),
-            ((flags & _B.FLAG_LAST_ACTIVATES) != 0).tolist(),
-            np.minimum(batch.last_update, last_commit).tolist(),
-            known.tolist(), self_active.tolist()):
-        slot.value = value
-        slot.active = active
-        slot.last_activates = last
-        slot.last_update_iter = stamp
-        slot.replicas_known_active = knows
-        slot.mirror_self_active = sustains
-    if edge_cut:
-        mirrors = np.flatnonzero(roles == _B.MIRROR)
-        idx, counts = csr_rows(batch.edge_ptr, mirrors)
-        triples = list(zip(_interned(batch.edge_gids[idx]),
-                           _interned(batch.edge_positions[idx]),
-                           _interned(batch.edge_weights[idx])))
-        at = 0
-        for row, count in zip(mirrors.tolist(), counts.tolist()):
-            slots[row].full_edges = triples[at:at + count]
-            at += count
-    return slots
-
-
-def _interned(column: np.ndarray) -> list:
-    """``column.tolist()`` with one Python object per distinct value (bit
-    pattern, so ``-0.0`` stays itself): a fresh ``int`` or ``float`` per
-    edge endpoint is most of an edge list's memory
-    (``build_local_graphs`` interns the same way)."""
-    bits = column.view(np.int64) if column.dtype.kind == "f" else column
-    _, first, inverse = np.unique(bits, return_index=True,
-                                  return_inverse=True)
-    return column[first].astype(object)[inverse].tolist()
-
-
-def _metas(batch: RecoveryBatch) -> list[MasterMeta | None]:
-    """Each row's copy of the master metadata (``None`` for replicas)."""
-    nodes, positions = (batch.replica_nodes.tolist(),
-                        batch.replica_positions.tolist())
-    mirrors = batch.mirror_nodes.tolist()
-    rp, mp = batch.replica_ptr.tolist(), batch.mirror_ptr.tolist()
-    return [None if role == _B.REPLICA else MasterMeta(
-        dict(zip(nodes[rp[i]:rp[i + 1]], positions[rp[i]:rp[i + 1]])),
-        mirrors[mp[i]:mp[i + 1]], master_node, master_position)
-        for i, (role, master_node, master_position) in enumerate(zip(
-            batch.roles.tolist(), batch.master_node.tolist(),
-            batch.master_position.tolist()))]
+def _row_state(batch: RecoveryBatch, last_commit: int) -> tuple:
+    """The rows' committed state, one column each in
+    :data:`~repro.engine.local_graph.DYNAMIC` order: a master keeps the
+    flag its replicas believe, masters and mirrors the self-sustained
+    activity; the update stamp is clamped to ``last_commit`` — a copy can
+    never legitimately claim an update from an uncommitted iteration."""
+    roles, flags = batch.roles, batch.flags
+    return (batch.values, (flags & _B.FLAG_ACTIVE) != 0,
+            (flags & _B.FLAG_LAST_ACTIVATES) != 0,
+            (roles != _B.REPLICA) & ((flags & _B.FLAG_SELF_ACTIVE) != 0),
+            (roles != _B.MASTER) | ((flags & _B.FLAG_KNOWN_ACTIVE) != 0),
+            np.minimum(batch.last_update, last_commit))
 
 
 def place_rows(lg: LocalGraph, batch: RecoveryBatch, last_commit: int,
@@ -289,7 +238,10 @@ def place_rows(lg: LocalGraph, batch: RecoveryBatch, last_commit: int,
     placement is contention-free (Section 5.1.2): exactly one row exists
     per position.  ``ft_only`` marks copies made for fault tolerance
     alone, as opposed to ones a local edge is about to need."""
-    slots = _row_slots(batch, last_commit, [ft_only] * len(batch), edge_cut)
+    values, *flags = _row_state(batch, last_commit)
+    slots = stamp_slots(batch, np.arange(len(batch)), [ft_only] * len(batch),
+                        [values, *(column.tolist() for column in flags)],
+                        full_edges=edge_cut)
     for slot, position in zip(slots, batch.positions.tolist()):
         lg.add_slot(slot, position=position)
     return slots
@@ -298,9 +250,10 @@ def place_rows(lg: LocalGraph, batch: RecoveryBatch, last_commit: int,
 def reborn_graph(node: int, rows: RecoveryBatch, last_commit: int,
                  edge_cut: bool, edge_records: list = ()
                  ) -> tuple[LocalGraph, int]:
-    """Rebirth's reconstruction: ``node``'s graph built in one pass from
-    the rows it received (:meth:`RecoveryBatch.merge`, so in position
-    order), born with its SoA image and FT census like a loaded node's.
+    """Rebirth's reconstruction: ``node``'s graph born from the rows it
+    received (:meth:`RecoveryBatch.merge`, so in position order) as a
+    loaded node is — the rows are its birth record, beside its SoA image,
+    FT census and committed columns — so no slot is stamped.
 
     Under edge-cut the edges are the masters' shipped in-edges, under
     vertex-cut the crashed node's deduplicated edge-ckpt
@@ -319,28 +272,10 @@ def reborn_graph(node: int, rows: RecoveryBatch, last_commit: int,
              else _reloaded_edges(node, rows, edge_records))
     linked = edges[0].size
     topo, census = _reborn_image(rows, gids, *edges)
-    del edges  # the stamping below is the memory peak
-    positions = np.arange(n).astype(object)
-    out_counts = np.bincount(topo.out_src, minlength=n)
-    slots = _row_slots(
-        rows, last_commit,
-        (~topo.is_master & ~topo.has_in & (out_counts == 0))[pos].tolist(),
-        edge_cut,
-        list(zip(positions[topo.in_src].tolist(), _interned(topo.in_w))),
-        topo.in_counts[pos].tolist(), positions[topo.out_dst].tolist(),
-        out_counts[pos].tolist())
-    array: list[VertexSlot | None] = slots
-    if pos.size < n:
-        array = [None] * n
-        for position, slot in zip(pos.tolist(), slots):
-            array[position] = slot
-    lg = LocalGraph.adopt(node, array, dict(zip(
-        [s.gid for s in slots], positions[pos].tolist())), topo, census)
-    active = (rows.flags & _B.FLAG_ACTIVE) != 0
-    master = rows.roles == _B.MASTER
-    lg.active_masters.update(rows.gids[active & master].tolist())
-    lg.active_others.update(rows.gids[active & ~master].tolist())
-    return lg, linked
+    ft_only = (~topo.is_master & ~topo.has_in
+               & (np.bincount(topo.out_src, minlength=n) == 0))[pos]
+    return LocalGraph.born(node, rows, topo, census, ft_only, edge_cut,
+                           _row_state(rows, last_commit)), linked
 
 
 def _shipped_edges(rows: RecoveryBatch, gids: np.ndarray):
@@ -441,17 +376,18 @@ def _replay_sources(engine: "Engine", lg: LocalGraph,
     st = vec.valid_state(lg.node_id) if vec is not None else None
     if st is not None:
         return st.last_activates & (st.last_update == commit)
-    return np.fromiter((s is not None and s.last_activates
-                        and s.last_update_iter == commit for s in lg.slots),
-                       bool, len(lg.slots))
+    state = lg.committed(np.arange(len(lg.slots)),
+                         ("last_activates", "last_update"))
+    return state["last_activates"] & (state["last_update"] == commit)
 
 
 def _activate(engine: "Engine", lg: LocalGraph, positions) -> None:
-    for position in positions:
-        slot = lg.slots[position]
-        if not slot.active:  # a flip is a slot write
-            _columns_written(engine, lg)
-        lg.set_active(slot, True)
+    """Set the activity of the masters at ``positions`` (unique)."""
+    positions = np.asarray(positions, dtype=np.int64)
+    flip = positions[~lg.committed(positions, ("active",))["active"]]
+    if flip.size:  # a flip is a column write
+        _columns_written(engine, lg)
+        lg.set_active_bulk(flip.tolist(), [True] * flip.size)
 
 
 def replay_activations(engine: "Engine", nodes: list[int],
@@ -495,7 +431,7 @@ def replay_activations(engine: "Engine", nodes: list[int],
             kind, gid = msg.payload
             if kind == "replay-activate" and gid in lg.index_of:
                 position = lg.index_of[gid]
-                if lg.slots[position].is_master:
+                if lg.topology().is_master[position]:
                     _activate(engine, lg, (position,))
     return ops
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.config import FTMode, RecoveryStrategy
 from repro.errors import NoStandbyNodeError, UnrecoverableFailureError
 from repro.ft import _recovery_common as common
@@ -328,6 +330,10 @@ def _refresh_broadcast_state(engine: "Engine") -> None:
     engine._broadcast_pending = defaultdict(set)
     for node in engine._alive():
         lg = engine.local_graphs[node]
-        for slot in lg.iter_masters():
-            if slot.active != slot.replicas_known_active:
-                engine._broadcast_pending[node].add(slot.gid)
+        topo = lg.topology()
+        masters = np.flatnonzero(topo.is_master)
+        flags = lg.committed(masters, ("active", "replicas_known_active"))
+        stale = topo.gids[masters[flags["active"]
+                                  != flags["replicas_known_active"]]]
+        if stale.size:
+            engine._broadcast_pending[node].update(stale.tolist())

@@ -65,14 +65,16 @@ class ReplicaRouter:
         """Nodes hosting a committed copy of ``gid``, master first.
 
         Selfish vertices under the active selfish optimisation are
-        fenced to their master (see module docstring).
+        fenced to their master (see module docstring).  Nothing is
+        stamped (``SlotArray.placement``).
         """
         engine = self.engine
         master = engine.master_node_of[gid]
-        slot = engine.local_graphs[master].slot_of(gid)
-        if engine.selfish_opt_active and slot.selfish:
+        lg = engine.local_graphs[master]
+        selfish, replicas = lg.slots.placement(lg.index_of[gid])
+        if engine.selfish_opt_active and selfish:
             return [master]
-        return [master] + sorted(slot.meta.replica_positions)
+        return [master] + sorted(replicas)
 
     def membership_ineligible(self) -> frozenset[int]:
         """Nodes no read may be routed to: joining, draining, retired.

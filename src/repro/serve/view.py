@@ -27,6 +27,8 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.engine.vectorized import NO_COLUMN, top_masters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,7 +72,8 @@ class CommittedView:
         """The K masters with the extreme committed values.
 
         Masters only (each vertex counted once), alive nodes only;
-        vectorized column fast path per node, slot fallback otherwise.
+        vectorized column fast path per node, the graph's committed
+        columns (read through any stamped slot) otherwise.
         Ties break toward the lower gid, matching the per-node heaps.
         Returns ``[(gid, value), ...]`` best-first.
         """
@@ -87,8 +90,15 @@ class CommittedView:
                 # under value ties.
                 per_node.append(top_masters(*cols, k, largest))
             else:
-                items = [(slot.value, slot.gid)
-                         for slot in lg.iter_masters()]
+                # A read never builds an image nor stamps a slot.
+                topo = lg.cached_topology
+                if topo is None:
+                    pos, gids = lg.slots.masters()
+                else:
+                    pos = np.flatnonzero(topo.is_master)
+                    gids = topo.gids[pos].tolist()
+                items = list(zip(lg.committed(pos, ("values",))["values"],
+                                 gids))
                 pick = heapq.nlargest if largest else heapq.nsmallest
                 per_node.append(pick(k, items, key=lambda t: (t[0], -t[1])))
         merged: list[tuple[Any, int]] = [t for part in per_node

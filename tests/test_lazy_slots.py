@@ -1,0 +1,273 @@
+"""Lazy slots (DESIGN.md §3): a node is born as columns, and a
+``VertexSlot`` exists only where a consumer indexes one.
+
+* Stamping order is not observable: positions materialised in any
+  order, some before the supersteps that write them and the rest after,
+  equal an eager stamp of the whole node field for field.
+* A failure-free load or run creates no ``VertexSlot`` / ``MasterMeta``
+  at all, and ``soa.slots_materialized`` reads 0 at every barrier, on
+  both cuts and on the multiprocessing parent image.
+* A recovery stamps only what its masks select: on the ``pr_kill_sim``
+  spec, fewer slots than the rows its two Rebirths ship.
+* The vertex-cut edge-ckpt files, built from columns, equal the ones the
+  slot walk of ``tests/reference/edge_ckpt.py`` writes, at load and when
+  the safety net rewrites them over the snapshot's mutated weights.
+"""
+
+from __future__ import annotations
+
+import gc
+import multiprocessing
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.exec.mp as mp
+from repro.api import make_engine
+from repro.engine.state import MasterMeta, VertexSlot
+from repro.exec.base import BackendSpec
+from repro.exec.mp import MultiprocessingBackend
+from repro.graph import generators
+from repro.serve.view import CommittedView
+from repro.utils.sizing import BYTES_PER_EDGE
+from tests.reference import edge_ckpt as reference
+from tests.test_edge_mutation import DecayingDegree
+from tests.test_edge_mutation import graph as mutation_graph
+
+CUTS = ["hash_edge_cut", "random_vertex_cut", "hybrid_cut"]
+GAUGE = "soa.slots_materialized"
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return generators.power_law(300, alpha=2.0, seed=5, avg_degree=5.0,
+                                selfish_frac=0.1)
+
+
+def _slot_objects() -> set[int]:
+    return {id(obj) for obj in gc.get_objects()
+            if isinstance(obj, (VertexSlot, MasterMeta))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(partition=st.sampled_from(CUTS), level=st.sampled_from([1, 2]),
+       seed=st.integers(0, 20), data=st.data())
+def test_any_stamping_order_equals_an_eager_stamp(partition, level, seed,
+                                                  data):
+    """Some positions stamped at load, in a drawn order, ride three
+    supersteps (deferred writeback, activity flips); the rest are
+    stamped after, in another drawn order.  An identical engine stamped
+    whole at the end is the eager stamp."""
+    graph = generators.power_law(80, alpha=2.0, seed=seed, avg_degree=4.0,
+                                 selfish_frac=0.1)
+    lazy, eager = (make_engine(graph, "sssp", num_nodes=4,
+                               partition=partition, ft_level=level, seed=seed,
+                               algorithm_kwargs={"source": seed % 80})
+                   for _ in range(2))
+    early = {}
+    for node, lg in lazy.local_graphs.items():
+        order = data.draw(st.permutations(range(len(lg.slots))))
+        cut = data.draw(st.integers(0, len(order)))
+        early[node] = order[cut:]
+        for pos in order[:cut]:
+            assert lg.slots[pos].gid == lg.cached_topology.gids[pos]
+    lazy.run(max_iterations=3)
+    eager.run(max_iterations=3)
+    assert lazy.values() == eager.values()
+    for engine in (lazy, eager):
+        engine._vec.flush()
+    for node, lg in lazy.local_graphs.items():
+        for pos in early[node]:
+            lg.slots[pos]
+        want = eager.local_graphs[node]
+        assert list(lg.slots) == list(want.slots)
+        for have, slot in zip(lg.slots, want.slots):
+            if slot.meta is not None:
+                assert (list(have.meta.replica_positions.items())
+                        == list(slot.meta.replica_positions.items()))
+        assert lg.materialized == len(lg.slots)
+        assert lg.active_masters == want.active_masters
+        assert lg.active_others == want.active_others
+
+
+class TestNothingStampedWithoutAConsumer:
+    @pytest.mark.parametrize("partition", CUTS)
+    def test_no_slot_objects_after_a_failure_free_load_and_run(
+            self, graph, partition):
+        gc.collect()
+        before = _slot_objects()
+        engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                             partition=partition, max_iterations=4)
+        gc.collect()
+        assert _slot_objects() - before == set()
+        engine.run()
+        gc.collect()
+        assert _slot_objects() - before == set()
+
+    @pytest.mark.parametrize("partition", CUTS)
+    def test_gauge_reads_zero_at_every_barrier(self, graph, partition):
+        engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                             partition=partition, max_iterations=5)
+        engine.run()
+        assert [snap["gauges"][GAUGE] for snap in engine.metrics.snapshots
+                ] == [0] * 5
+        assert engine.metrics.gauge(GAUGE) == 0
+
+    @pytest.mark.parametrize("partition", CUTS[1:])
+    def test_the_activity_broadcast_stamps_nothing(self, graph, partition):
+        """SSSP flips activity every superstep: vertex-cut phase 0 sends
+        and applies the flags on the columns."""
+        engine = make_engine(graph, "sssp", num_nodes=4, ft_level=1,
+                             partition=partition, max_iterations=8,
+                             algorithm_kwargs={"source": 0})
+        engine.run()
+        assert engine.metrics.value("net.msgs.control") > 0
+        assert engine.metrics.gauge(GAUGE) == 0
+
+    def test_a_top_k_read_without_an_image_stamps_nothing(self, graph):
+        engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                             max_iterations=3)
+        engine.run()
+        view = CommittedView(engine)
+        want = view.top_k(10)
+        for lg in engine.local_graphs.values():
+            lg.invalidate_soa()
+        assert view.top_k(10) == want
+        assert all(lg.cached_topology is None and lg.materialized == 0
+                   for lg in engine.local_graphs.values())
+
+    def test_gauge_counts_what_a_consumer_stamps(self, graph):
+        engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                             max_iterations=2)
+        lg = engine.local_graphs[0]
+        lg.slots.take([0, 1, 1, 2])
+        assert [lg.materialized, lg.slots[2].gid] == [3, lg.slots[2].gid]
+        assert sum(1 for _ in lg.slots) == len(lg.slots)
+        engine.run()
+        assert engine.metrics.gauge(GAUGE) == len(lg.slots)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="multiprocessing backend requires the fork start method")
+    def test_mp_parent_image_stamps_nothing(self, monkeypatch):
+        """The ``pr_edgecut_mp`` ledger spec at ``--quick`` scale: the
+        parent pulls every worker's committed state back, into columns."""
+        parents = []
+
+        def spy(*args, **kwargs):
+            parents.append(make_engine(*args, **kwargs))
+            return parents[-1]
+
+        monkeypatch.setattr(mp, "make_engine", spy)
+        graph = generators.power_law(800, alpha=2.0, seed=7, avg_degree=8.0)
+        spec = BackendSpec(algorithm="pagerank", max_iterations=20,
+                           num_nodes=2, partition="hash_edge_cut",
+                           ft_mode="replication", ft_level=1, num_standby=2)
+        backend = MultiprocessingBackend()
+        try:
+            result = backend.run(graph, spec)
+        finally:
+            backend.close()
+        assert multiprocessing.active_children() == []
+        (parent,) = parents
+        assert result.values == parent.values()
+        assert parent.metrics.gauge(GAUGE) == 0
+        assert sum(lg.materialized
+                   for lg in parent.local_graphs.values()) == 0
+
+
+def test_recovery_stamps_no_more_than_it_ships():
+    """The ``pr_kill_sim`` ledger spec at ``--quick`` scale: survivors
+    stamp only the leading mirrors and the masters whose copies they
+    re-send; the reborn nodes are born from the rows."""
+    graph = generators.power_law(2000, alpha=2.0, seed=7, avg_degree=8.0)
+    engine = make_engine(graph, "pagerank", num_nodes=8, ft_level=1,
+                         num_standby=2, max_iterations=20,
+                         partition="hash_edge_cut")
+    engine.schedule_failure(6, (1,), "compute")
+    engine.schedule_failure(13, (2,), "after_commit")
+    result = engine.run()
+    assert [r.strategy for r in result.recoveries] == ["rebirth"] * 2
+    shipped = sum(r.vertices_recovered for r in result.recoveries)
+    stamped = engine.metrics.gauge(GAUGE)
+    assert 0 < stamped <= shipped
+
+
+class TestEdgeCkptFilesFromColumns:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("partition",
+                             ["random_vertex_cut", "hybrid_cut",
+                              "grid_vertex_cut"])
+    def test_equal_to_the_slot_walk(self, graph, partition, level):
+        engine = make_engine(graph, "pagerank", num_nodes=5,
+                             partition=partition, ft_level=level)
+        store = engine.edge_ckpt
+        assert sum(lg.materialized
+                   for lg in engine.local_graphs.values()) == 0
+        want = reference.edge_files(engine)
+        for owner, files in want.items():
+            assert store.receivers(owner) == sorted(files)
+            for receiver, records in files.items():
+                have = store.read_file(owner, receiver)
+                assert have == records
+                assert pickle.dumps(have) == pickle.dumps(records)
+                assert (store.file_nbytes(owner, receiver)
+                        == len(records) * BYTES_PER_EDGE)
+            assert store.loading_bytes[owner] == (
+                sum(map(len, files.values())) * BYTES_PER_EDGE)
+
+    @staticmethod
+    def _mutating(**kwargs):
+        return make_engine(mutation_graph(), DecayingDegree(), num_nodes=4,
+                           partition="random_vertex_cut", ft_level=1,
+                           max_iterations=6, safety_checkpoint_interval=2,
+                           **kwargs)
+
+    def test_safety_net_rewrite_carries_the_snapshot_weights(self):
+        """The safety net rewrites every file after restoring the
+        snapshot's mutated weights: the files hold those, not the
+        weights the graphs were born with."""
+        seen = []
+
+        class AfterRecovery:
+            def on_phase(self, engine, phase):
+                if phase != "post_recovery":
+                    return
+                store = engine.edge_ckpt
+                seen.append((reference.edge_files(engine), {
+                    owner: {receiver: store.read_file(owner, receiver)
+                            for receiver in store.receivers(owner)}
+                    for owner in engine.local_graphs}))
+
+        loaded = reference.edge_files(self._mutating(num_standby=2))
+        engine = self._mutating(num_standby=2)
+        engine.schedule_failure(3, (0, 1), "compute")
+        engine.attach_chaos(AfterRecovery())
+        assert engine.run().fallbacks == {"checkpoint": 1}
+        ((want, have),) = seen
+        assert want != loaded
+        assert have == want
+        for owner, files in want.items():
+            for receiver, records in files.items():
+                assert (pickle.dumps(have[owner][receiver])
+                        == pickle.dumps(records))
+
+    def test_a_migration_right_after_the_safety_net_is_exact(self):
+        """Before any update record lands on the rewritten files, a
+        Migration reloads their weights as they stand."""
+        class CrashAfterSafetyNet:
+            def on_phase(self, engine, phase):
+                if (phase == "post_recovery" and engine.recoveries[-1]
+                        .strategy == "safety-checkpoint"):
+                    engine.cluster.crash(2)
+
+        base = self._mutating(num_standby=0).run()
+        engine = self._mutating(recovery="migration", num_standby=0)
+        engine.schedule_failure(3, (0, 1), "compute")
+        engine.attach_chaos(CrashAfterSafetyNet())
+        result = engine.run()
+        assert [r.strategy for r in result.recoveries] == [
+            "safety-checkpoint", "migration"]
+        assert result.values == base.values

@@ -46,3 +46,15 @@ def test_behaviour_dump_is_deterministic(tmp_path):
                         str(out)], check=True, timeout=120, env=env)
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert outs[0].stat().st_size > 10_000
+
+
+def test_no_collector_switches_in_src():
+    """Set-up cost is cut by creating fewer objects, never by switching
+    the cyclic collector off or freezing the heap (ROADMAP item 2)."""
+    pattern = re.compile(r"\bgc\s*\.\s*(?:disable|freeze)\b")
+    hits = sorted(
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in (ROOT / "src").rglob("*.py")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line))
+    assert not hits, f"gc.disable / gc.freeze under src/: {hits}"

@@ -18,7 +18,8 @@ mid-recovery — under an adaptive floor of 1-3; a flap-only run on
 edge-cut and on vertex-cut; an adaptive-floor run with one kill) —
 each dumped as: committed values, traffic by kind, ``syncs_elided``,
 iteration stats, every ``RecoveryStats``, the membership report,
-counters, gauges and every non-wall field of every trace event.
+counters, gauges (but ``soa.slots_materialized``, a memory-layout
+gauge) and every non-wall field of every trace event.
 Floats are written by ``repr`` (JSON's default), so ``cmp`` is a bit
 comparison.
 Only the public API and documented engine attributes are touched, so
@@ -192,7 +193,10 @@ def dump_run(graph, algorithm, partition, iterations, algorithm_kwargs,
         "fallbacks": result.fallbacks,
         "membership": result.membership,
         "counters": engine.metrics.counters(),
-        "gauges": engine.metrics.gauges(),
+        # Not behaviour: how much of the vertex array is stamped.
+        "gauges": {name: value
+                   for name, value in engine.metrics.gauges().items()
+                   if name != "soa.slots_materialized"},
         "trace": [{k: v for k, v in event.items() if "wall" not in k}
                   for event in tracer.events],
     })
@@ -222,7 +226,8 @@ def matrix(quick: bool):
                    (graph, "pagerank", partition, iterations, {}, scenario))
     graph = generators.power_law(60, alpha=2.0, seed=23, avg_degree=4.0)
     for partition in PARTITIONS[:1] if quick else PARTITIONS:
-        for scenario in ("clean", "rebirth", "ckpt"):
+        for scenario in ("clean", "rebirth", "migration", "safety_net",
+                         "ckpt"):
             yield (f"decaying-degree/{partition}/{scenario}",
                    (graph, DecayingDegree(), partition, 4, None, scenario))
 
