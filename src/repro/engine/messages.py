@@ -1,17 +1,18 @@
 """Message payloads exchanged by the engine and recovery paths.
 
 Sizes mirror the compact encodings of the real systems: a plain sync is
-an id + value + flag byte; a mirror (full-state) sync adds the dynamic
-full-state extras (Section 4.2); recovery messages carry whole vertices
-and are batched per destination (Section 5.1.1), as columns too
-(:class:`RecoveryBatch`).
+an id (the receiver position) + value + flag byte; a mirror
+(full-state) sync adds the dynamic full-state extras (Section 4.2);
+recovery messages carry whole vertices and are batched per destination
+(Section 5.1.1), as columns too (:class:`RecoveryBatch`).
 
 Steady-state traffic is batched the same way (DESIGN.md §10): the
 engine accumulates one *columnar* batch per ``(src, dst, kind)`` pair
 per superstep and ships it as a single :class:`~repro.cluster.network.
-Message`.  A batch holds parallel arrays (gids, values, packed flag
-bits, per-record wire sizes), so the per-superstep object count is
-O(node pairs), not O(vertices x replicas).  Each batch's ``append``
+Message`.  A batch holds parallel columns (gids, receiver positions,
+values, packed flag bits, per-record wire sizes) — numpy arrays on the
+array path, lists on the scalar one — so the per-superstep object count
+is O(node pairs), not O(vertices x replicas).  Each batch's ``append``
 is the canonical definition of its record's wire size, and the
 transport charges one header per batch instead of one per record.
 """
@@ -28,6 +29,19 @@ from repro.engine.state import Role
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
 
+def _take(col, indices) -> Any:
+    """A batch column's entries at ``indices``, as a new column of the
+    same kind (an ndarray column is fancy-indexed, a list is rebuilt)."""
+    if isinstance(col, np.ndarray):
+        return col[np.asarray(indices, dtype=np.intp)]
+    return [col[i] for i in indices]
+
+
+def _total(col) -> int:
+    """Sum of an int column (list or ndarray) as a Python int."""
+    return int(col.sum()) if isinstance(col, np.ndarray) else sum(col)
+
+
 class SyncBatch:
     """Columnar master -> replica sync batch (one per (src, dst, kind)).
 
@@ -39,9 +53,18 @@ class SyncBatch:
     edge-cut — the superstep's ``(in-edge index, new weight)`` updates,
     so the mirror's duplicated edge list stays fresh (Section 4.3).
 
-    ``sizes[i]`` is record *i*'s wire size, so a batch's payload bytes
-    are the sum of its records and chaos sub-batch splits stay
-    byte-exact.
+    ``positions[i]`` is record *i*'s slot on the receiving node, read
+    off the master's pre-replicated placement (Section 5.1.2), so an
+    array receiver writes every record with one scatter; ``gids[i]``
+    rides along to check it.  ``sizes[i]`` is record *i*'s wire size —
+    the position takes the place of the id ``BYTES_PER_VID`` charges —
+    so a batch's payload bytes are the sum of its records and chaos
+    sub-batch splits stay byte-exact.
+
+    Columns are lists when the batch is built record by record
+    (:meth:`append`, the scalar path) and numpy arrays when adopted
+    whole (:meth:`from_columns`, the array path); the codec ships either
+    as it is.
     """
 
     is_columnar = True
@@ -49,41 +72,50 @@ class SyncBatch:
     FLAG_ACTIVATES = 0x1
     FLAG_SELF_ACTIVE = 0x2
 
-    __slots__ = ("full_state", "gids", "values", "flags", "sizes",
-                 "edge_updates")
+    __slots__ = ("full_state", "gids", "positions", "values", "flags",
+                 "sizes", "edge_updates")
 
     def __init__(self, full_state: bool = False):
         self.full_state = full_state
-        self.gids: list[int] = []
-        self.values: list[Any] = []
+        self.gids: Any = []
+        self.positions: Any = []
+        self.values: Any = []
         #: Packed per-record bits: FLAG_ACTIVATES | FLAG_SELF_ACTIVE.
-        self.flags: list[int] = []
-        self.sizes: list[int] = []
-        #: Per-record ``((edge index, new weight), ...)`` tuples;
-        #: ``None`` for plain (non-full-state) batches.
-        self.edge_updates: list[tuple] | None = [] if full_state else None
+        self.flags: Any = []
+        self.sizes: Any = []
+        #: Per-record ``((edge index, new weight), ...)`` tuples of a
+        #: full-state batch; ``None`` while no record carries any (and
+        #: always for plain batches).
+        self.edge_updates: list[tuple] | None = None
 
-    def append(self, gid: int, value: Any, value_nbytes: int,
-               activates: bool, self_active: bool = False,
-               edge_updates: tuple = ()) -> None:
+    def append(self, gid: int, position: int, value: Any,
+               value_nbytes: int, activates: bool,
+               self_active: bool = False, edge_updates: tuple = ()) -> None:
         self.gids.append(gid)
+        self.positions.append(position)
         self.values.append(value)
         flags = self.FLAG_ACTIVATES if activates else 0
         if self_active:
             flags |= self.FLAG_SELF_ACTIVE
         self.flags.append(flags)
         if self.full_state:
-            self.edge_updates.append(tuple(edge_updates))
+            if edge_updates:
+                if self.edge_updates is None:
+                    self.edge_updates = [()] * (len(self.gids) - 1)
+                self.edge_updates.append(tuple(edge_updates))
+            elif self.edge_updates is not None:
+                self.edge_updates.append(())
             self.sizes.append(BYTES_PER_VID + value_nbytes + 2
                               + 12 * len(edge_updates))
         else:
             self.sizes.append(BYTES_PER_VID + value_nbytes + 1)
 
     @classmethod
-    def from_columns(cls, gids: list, values: list, flags: list,
-                     sizes: list, full_state: bool = False,
+    def from_columns(cls, gids, positions, values, flags, sizes,
+                     full_state: bool = False,
                      edge_updates: list | None = None) -> "SyncBatch":
-        """Adopt pre-built columns (vectorized path; no per-record calls).
+        """Adopt pre-built columns (array path, codec; no per-record
+        calls).
 
         The columns are adopted as-is — callers hand over ownership.
         ``sizes`` must match what :meth:`append` would have computed so
@@ -92,12 +124,11 @@ class SyncBatch:
         """
         batch = cls(full_state)
         batch.gids = gids
+        batch.positions = positions
         batch.values = values
         batch.flags = flags
         batch.sizes = sizes
-        if full_state:
-            batch.edge_updates = (edge_updates if edge_updates is not None
-                                  else [()] * len(gids))
+        batch.edge_updates = edge_updates
         return batch
 
     @property
@@ -105,10 +136,10 @@ class SyncBatch:
         return len(self.gids)
 
     def nbytes(self) -> int:
-        return sum(self.sizes)
+        return _total(self.sizes)
 
     def record_nbytes(self, index: int) -> int:
-        return self.sizes[index]
+        return int(self.sizes[index])
 
     def activates(self, index: int) -> bool:
         return bool(self.flags[index] & self.FLAG_ACTIVATES)
@@ -116,21 +147,23 @@ class SyncBatch:
     def self_active(self, index: int) -> bool:
         return bool(self.flags[index] & self.FLAG_SELF_ACTIVE)
 
+    def edge_updates_of(self, index: int) -> tuple:
+        """Record *index*'s edge updates (``()`` when none)."""
+        return () if self.edge_updates is None else self.edge_updates[index]
+
     def select(self, indices: Iterable[int]) -> "SyncBatch":
         """New batch holding the given records (columnar slice)."""
-        out = SyncBatch(self.full_state)
-        for i in indices:
-            out.gids.append(self.gids[i])
-            out.values.append(self.values[i])
-            out.flags.append(self.flags[i])
-            out.sizes.append(self.sizes[i])
-            if self.full_state:
-                out.edge_updates.append(self.edge_updates[i])
-        return out
+        indices = list(indices)
+        return SyncBatch.from_columns(
+            _take(self.gids, indices), _take(self.positions, indices),
+            _take(self.values, indices), _take(self.flags, indices),
+            _take(self.sizes, indices), self.full_state,
+            None if self.edge_updates is None
+            else _take(self.edge_updates, indices))
 
     def clone(self) -> "SyncBatch":
         """Independent copy (payload-aware duplicate, no deepcopy)."""
-        return self.select(range(len(self.gids)))
+        return self.select(range(self.record_count))
 
 
 class GatherBatch:
@@ -143,7 +176,8 @@ class GatherBatch:
     (``max(1, contributions)`` — a record with no live contribution
     still ships the init accumulator).  It feeds the ``net.combine.*``
     accounting only: it costs no wire bytes and defaults to one per
-    record for programs without a declared combiner.
+    record for programs without a declared combiner.  Columns are lists
+    or numpy arrays, as in :class:`SyncBatch`.
     """
 
     is_columnar = True
@@ -151,11 +185,11 @@ class GatherBatch:
     __slots__ = ("gids", "accs", "sizes", "folded")
 
     def __init__(self):
-        self.gids: list[int] = []
-        self.accs: list[Any] = []
-        self.sizes: list[int] = []
+        self.gids: Any = []
+        self.accs: Any = []
+        self.sizes: Any = []
         #: Pre-combine contribution count per record; None => all 1.
-        self.folded: list[int] | None = None
+        self.folded: Any = None
 
     def append(self, gid: int, acc: Any, acc_nbytes: int,
                folded: int | None = None) -> None:
@@ -170,9 +204,8 @@ class GatherBatch:
             self.folded.append(1)
 
     @classmethod
-    def from_columns(cls, gids: list, accs: list, sizes: list,
-                     folded: list | None = None) -> "GatherBatch":
-        """Adopt pre-built columns (vectorized path)."""
+    def from_columns(cls, gids, accs, sizes, folded=None) -> "GatherBatch":
+        """Adopt pre-built columns (array path, codec)."""
         batch = cls()
         batch.gids = gids
         batch.accs = accs
@@ -194,34 +227,29 @@ class GatherBatch:
         """Contributions that would have shipped uncombined."""
         if self.folded is None:
             return len(self.gids)
-        return sum(self.folded)
+        return _total(self.folded)
 
     def nbytes(self) -> int:
-        return sum(self.sizes)
+        return _total(self.sizes)
 
     def physical_nbytes(self) -> int:
-        return sum(self.sizes)
+        return _total(self.sizes)
 
     def record_nbytes(self, index: int) -> int:
-        return self.sizes[index]
+        return int(self.sizes[index])
 
     def record_folded(self, index: int) -> int:
-        return 1 if self.folded is None else self.folded[index]
+        return 1 if self.folded is None else int(self.folded[index])
 
     def select(self, indices: Iterable[int]) -> "GatherBatch":
-        out = GatherBatch()
-        if self.folded is not None:
-            out.folded = []
-        for i in indices:
-            out.gids.append(self.gids[i])
-            out.accs.append(self.accs[i])
-            out.sizes.append(self.sizes[i])
-            if self.folded is not None:
-                out.folded.append(self.folded[i])
-        return out
+        indices = list(indices)
+        return GatherBatch.from_columns(
+            _take(self.gids, indices), _take(self.accs, indices),
+            _take(self.sizes, indices),
+            None if self.folded is None else _take(self.folded, indices))
 
     def clone(self) -> "GatherBatch":
-        return self.select(range(len(self.gids)))
+        return self.select(range(self.record_count))
 
 
 class RawGatherBatch:
@@ -333,14 +361,16 @@ class RawGatherBatch:
 
 
 class ActivateBatch:
-    """Columnar activation-signal batch (vertex-cut scatter)."""
+    """Columnar activation-signal batch (vertex-cut scatter): a list of
+    gids, or the array path's ndarray slice adopted as is."""
 
     is_columnar = True
 
     __slots__ = ("gids",)
 
     def __init__(self, gids: Sequence[int] = ()):
-        self.gids: list[int] = list(gids)
+        self.gids: Any = (gids if isinstance(gids, np.ndarray)
+                          else list(gids))
 
     def append(self, gid: int) -> None:
         self.gids.append(gid)
@@ -356,10 +386,10 @@ class ActivateBatch:
         return BYTES_PER_VID
 
     def select(self, indices: Iterable[int]) -> "ActivateBatch":
-        return ActivateBatch([self.gids[i] for i in indices])
+        return ActivateBatch(_take(self.gids, list(indices)))
 
     def clone(self) -> "ActivateBatch":
-        return ActivateBatch(self.gids)
+        return self.select(range(self.record_count))
 
 
 class ActiveBroadcastBatch:

@@ -40,7 +40,9 @@ Lifecycle
   writes the columns too (``active`` on receiver replicas,
   ``replicas_known_active`` on sender masters), and the slots stamped
   there at once.
-* Compute and received sync batches stage into pending *arrays*.
+* Compute and received sync batches stage into pending *arrays*; a
+  sync batch carries each record's position here, so it stages with one
+  scatter.
 * The barrier commit is split where the multiprocessing backend splits
   it: an abortable stage 1 (activation scatter), the activation intake,
   and a finalize that *alone* writes the committed columns and applies
@@ -73,6 +75,7 @@ from repro.engine.messages import (
     RawGatherBatch,
     SyncBatch,
 )
+from repro.errors import EngineError
 from repro.utils.sizing import BYTES_PER_VID
 
 #: The committed columns whose slot writeback the commit defers.
@@ -344,9 +347,8 @@ class ArrayNodeProtocol:
                 key = (int(dsts[b]), MessageKind.GATHER)
                 if self.combining:
                     outbox[key] = GatherBatch.from_columns(
-                        topo.gids[grp].tolist(), acc[grp].tolist(),
-                        [rec_size] * grp.size,
-                        folded_all[b:e].tolist())
+                        topo.gids[grp], acc[grp],
+                        np.full(grp.size, rec_size), folded_all[b:e])
                 else:
                     outbox[key] = RawGatherBatch.from_columns(
                         topo.gids[grp].tolist(),
@@ -363,8 +365,9 @@ class ArrayNodeProtocol:
             accs = kernel.fold_groups(
                 np.asarray(batch.counts, dtype=np.int64), batch.contribs)
         else:
-            accs = np.asarray(batch.accs, dtype=kernel.dtype)
-        pos = st.topo.translate(np.asarray(batch.gids, dtype=np.int64))
+            accs = batch.accs
+        # A replica does not know its master's position: look it up.
+        pos = st.topo.translate(batch.gids)
         st.partials.append(
             (pos, np.full(pos.size, src, dtype=np.int64), accs))
 
@@ -414,44 +417,57 @@ class ArrayNodeProtocol:
         elided = 0
         plain_size = BYTES_PER_VID + kernel.value_nbytes + 1
         mirror_size = BYTES_PER_VID + kernel.value_nbytes + 2
+        at = 0
         for (dst, is_mirror), positions in topo.sync_plan.items():
-            cand = positions[sel[positions]]
-            if self.selfish_opt and cand.size:
-                cand = cand[~topo.selfish[cand]]
-            if noop is not None and cand.size:
+            # ``pick`` indexes the key's slice of both the plan and
+            # ``sync_peer`` (each copy's position on ``dst``).
+            peers = topo.sync_peer[at:at + positions.size]
+            at += positions.size
+            pick = np.flatnonzero(sel[positions])
+            if self.selfish_opt and pick.size:
+                pick = pick[~topo.selfish[positions[pick]]]
+            if noop is not None and pick.size:
                 elide = mirror_elide if is_mirror else noop
-                keep = cand[~elide[cand]]
-                elided += int(cand.size - keep.size)
-            else:
-                keep = cand
-            if not keep.size:
+                kept = pick[~elide[positions[pick]]]
+                elided += int(pick.size - kept.size)
+                pick = kept
+            if not pick.size:
                 continue
+            keep = positions[pick]
             # Flag bits mirror the scalar append calls exactly: plain
             # syncs carry only the activates bit.
             if is_mirror:
-                flags = (act[keep] + 2 * stay[keep]).tolist()
-                batch = SyncBatch.from_columns(
-                    topo.gids[keep].tolist(), new[keep].tolist(), flags,
-                    [mirror_size] * keep.size, full_state=True)
-                outbox[(dst, MessageKind.MIRROR_SYNC)] = batch
+                outbox[(dst, MessageKind.MIRROR_SYNC)] = \
+                    SyncBatch.from_columns(
+                        topo.gids[keep], peers[pick], new[keep],
+                        act[keep] + 2 * stay[keep],
+                        np.full(keep.size, mirror_size), full_state=True)
             else:
-                flags = act[keep].astype(np.int64).tolist()
-                batch = SyncBatch.from_columns(
-                    topo.gids[keep].tolist(), new[keep].tolist(), flags,
-                    [plain_size] * keep.size)
-                outbox[(dst, MessageKind.SYNC)] = batch
+                outbox[(dst, MessageKind.SYNC)] = SyncBatch.from_columns(
+                    topo.gids[keep], peers[pick], new[keep],
+                    act[keep].astype(np.int64),
+                    np.full(keep.size, plain_size))
         return elided
 
     # -- receive staging ----------------------------------------------
 
     def stage_sync_batch(self, st: _NodeState, batch: SyncBatch) -> None:
-        """Stage every record of one received sync batch (kernel-backed
-        programs never mutate edges, so there are no edge updates)."""
-        pos = st.topo.translate(np.asarray(batch.gids, dtype=np.int64))
+        """Stage every record of one received sync batch at the
+        positions it carries (kernel-backed programs never mutate edges,
+        so there are no edge updates).  A position holding another gid
+        raises before anything is staged."""
+        pos = batch.positions
+        try:
+            stale = not np.array_equal(st.topo.gids[pos], batch.gids)
+        except IndexError:
+            stale = True
+        if stale:
+            raise EngineError(
+                f"node {st.node}: a sync batch's positions do not hold "
+                f"its gids")
         st.pend_mask[pos] = True
-        st.pend_values[pos] = np.asarray(batch.values,
-                                         dtype=self.kernel.dtype)
-        flags = np.asarray(batch.flags, dtype=np.int64)
+        st.pend_values[pos] = batch.values
+        flags = batch.flags
         st.pend_activates[pos] = (flags & SyncBatch.FLAG_ACTIVATES) != 0
         if batch.full_state:
             st.pend_self_active[pos] = \
@@ -486,13 +502,12 @@ class ArrayNodeProtocol:
                     stride)
                 for b, e in _runs(dcol):
                     outbox[(int(dcol[b]), MessageKind.ACTIVATE)] = \
-                        ActivateBatch(gcol[b:e].tolist())
+                        ActivateBatch(gcol[b:e])
         return outbox
 
     def apply_activations(self, st: _NodeState, gids) -> None:
         """Mark remote activation signals received for local masters."""
-        st.next_active[st.topo.translate(
-            np.asarray(gids, dtype=np.int64))] = True
+        st.next_active[st.topo.translate(gids)] = True
 
     def finalize_commit(self, st: _NodeState, lg, iteration: int) -> list:
         """Commit pending values and finalise activity — the point of

@@ -156,6 +156,7 @@ class NodeProtocol:
         else:
             plain_elide = mirror_elide = False
         value_nbytes = self.program.value_nbytes(new_value)
+        where = slot.meta.replica_positions
         for replica_node, is_mirror in slot.meta.sync_targets():
             if is_mirror:
                 if mirror_elide:
@@ -165,8 +166,9 @@ class NodeProtocol:
                 batch = outbox.get(key)
                 if batch is None:
                     batch = outbox[key] = SyncBatch(full_state=True)
-                batch.append(slot.gid, new_value, value_nbytes, activates,
-                             self_active, mirror_updates)
+                batch.append(slot.gid, where[replica_node], new_value,
+                             value_nbytes, activates, self_active,
+                             mirror_updates)
             else:
                 if plain_elide:
                     elided += 1
@@ -175,7 +177,8 @@ class NodeProtocol:
                 batch = outbox.get(key)
                 if batch is None:
                     batch = outbox[key] = SyncBatch()
-                batch.append(slot.gid, new_value, value_nbytes, activates)
+                batch.append(slot.gid, where[replica_node], new_value,
+                             value_nbytes, activates)
         return elided
 
     # -- per-node compute phases ----------------------------------------
@@ -336,7 +339,7 @@ class NodeProtocol:
             slot.pending_activates = batch.activates(i)
             if full:
                 slot.pending_active = batch.self_active(i)
-                updates = batch.edge_updates[i]
+                updates = batch.edge_updates_of(i)
                 if updates and slot.full_edges is not None:
                     for idx, weight in updates:
                         gid0, pos, _old = slot.full_edges[idx]

@@ -1,10 +1,12 @@
 """Wire codec for the five columnar batch types (DESIGN.md §12, §15).
 
-Batches cross process boundaries as plain tuples of primitive columns
-— no class identity on the wire — so the multiprocessing transport
-never depends on pickle reconstructing engine classes, and a decoded
-batch is rebuilt through the same ``from_columns`` adoption path the
-vectorized executor uses (byte accounting stays identical).
+Batches cross process boundaries as plain tuples of columns — no
+class identity on the wire — so the multiprocessing transport never
+depends on pickle reconstructing engine classes, and a decoded batch
+is rebuilt through the same ``from_columns`` adoption path the
+vectorized executor uses (byte accounting stays identical).  Columns
+ship as they are: the array path's numpy columns as arrays (one pickle
+each, no per-record objects), the scalar path's lists as lists.
 
 The encoded header exposes both accounting tiers without
 materialising the batch object (DESIGN.md §15): the *physical* numbers
@@ -58,68 +60,44 @@ def _header(tag: str, batch: Any) -> tuple:
 
 
 def encode_batch(batch: Any) -> tuple:
-    """Flatten one columnar batch into a primitive tuple."""
+    """Flatten one columnar batch into a tuple of its columns, each
+    shipped as it is: numpy columns travel as arrays (pickled whole),
+    list columns as lists."""
     if isinstance(batch, SyncBatch):
         return _header(TAG_SYNC, batch) + (
-            batch.full_state,
-            list(batch.gids),
-            list(batch.values),
-            list(batch.flags),
-            list(batch.sizes),
-            list(batch.edge_updates) if batch.full_state else None,
-        )
+            batch.full_state, batch.gids, batch.positions, batch.values,
+            batch.flags, batch.sizes, batch.edge_updates)
     if isinstance(batch, GatherBatch):
         return _header(TAG_GATHER, batch) + (
-            list(batch.gids),
-            list(batch.accs),
-            list(batch.sizes),
-            list(batch.folded) if batch.folded is not None else None,
-        )
+            batch.gids, batch.accs, batch.sizes, batch.folded)
     if isinstance(batch, RawGatherBatch):
         return _header(TAG_RAW_GATHER, batch) + (
-            list(batch.gids),
-            list(batch.counts),
-            list(batch.contribs),
-            list(batch.sizes),
-            list(batch.phys_sizes),
-        )
+            batch.gids, batch.counts, batch.contribs, batch.sizes,
+            batch.phys_sizes)
     if isinstance(batch, ActivateBatch):
-        return _header(TAG_ACTIVATE, batch) + (list(batch.gids),)
+        return _header(TAG_ACTIVATE, batch) + (batch.gids,)
     if isinstance(batch, ActiveBroadcastBatch):
-        return _header(TAG_BROADCAST, batch) + (
-            list(batch.gids),
-            list(batch.actives),
-        )
+        return _header(TAG_BROADCAST, batch) + (batch.gids, batch.actives)
     raise TypeError(f"not a columnar batch: {type(batch).__name__}")
 
 
 def decode_batch(enc: tuple) -> Any:
-    """Rebuild the batch a tuple from :func:`encode_batch` describes."""
+    """Rebuild the batch a tuple from :func:`encode_batch` describes,
+    adopting its columns."""
     tag, cols = enc[_TAG], enc[_PRECOMBINE_RECORDS + 1:]
     if tag == TAG_SYNC:
-        full_state, gids, values, flags, sizes, edge_updates = cols
-        return SyncBatch.from_columns(
-            gids,
-            values,
-            flags,
-            sizes,
-            full_state=full_state,
-            edge_updates=edge_updates,
-        )
+        full_state, *columns, edge_updates = cols
+        return SyncBatch.from_columns(*columns, full_state=full_state,
+                                      edge_updates=edge_updates)
     if tag == TAG_GATHER:
-        gids, accs, sizes, folded = cols
-        return GatherBatch.from_columns(gids, accs, sizes, folded)
+        return GatherBatch.from_columns(*cols)
     if tag == TAG_RAW_GATHER:
-        gids, counts, contribs, sizes, phys_sizes = cols
-        return RawGatherBatch.from_columns(gids, counts, contribs,
-                                           sizes, phys_sizes)
+        return RawGatherBatch.from_columns(*cols)
     if tag == TAG_ACTIVATE:
         return ActivateBatch(cols[0])
     if tag == TAG_BROADCAST:
-        gids, actives = cols
         batch = ActiveBroadcastBatch()
-        batch.gids = list(gids)
-        batch.actives = list(actives)
+        batch.gids, batch.actives = cols
         return batch
     raise ValueError(f"unknown batch tag: {tag!r}")
 

@@ -498,6 +498,7 @@ def _full_resync(engine: "Engine", alive: list[int]) -> float:
         outbox: dict = {}
         for slot in lg.iter_masters():
             value_nbytes = engine.program.value_nbytes(slot.value)
+            where = slot.meta.replica_positions
             for replica_node, _is_mirror in slot.meta.sync_targets():
                 if not engine.cluster.node(replica_node).is_alive:
                     continue
@@ -505,8 +506,8 @@ def _full_resync(engine: "Engine", alive: list[int]) -> float:
                 batch = outbox.get(key)
                 if batch is None:
                     batch = outbox[key] = SyncBatch(full_state=True)
-                batch.append(slot.gid, slot.value, value_nbytes,
-                             slot.last_activates, slot.active)
+                batch.append(slot.gid, where[replica_node], slot.value,
+                             value_nbytes, slot.last_activates, slot.active)
         engine._flush_batches(node, outbox)
     slowest = 0.0
     for node in alive:

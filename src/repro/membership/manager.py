@@ -330,7 +330,9 @@ class MembershipManager:
                     batch = outbox.get(key)
                     if batch is None:
                         batch = outbox[key] = SyncBatch(full_state=True)
-                    batch.append(slot.gid, slot.value,
+                    batch.append(slot.gid,
+                                 slot.meta.replica_positions[target],
+                                 slot.value,
                                  engine.program.value_nbytes(slot.value),
                                  slot.last_activates,
                                  slot.mirror_self_active)

@@ -92,8 +92,8 @@ class TestDuplicateIndependence:
         net = make_net()
         net.fault_injector = lambda msg: "duplicate"
         batch = SyncBatch()
-        batch.append(7, 0.25, 8, activates=True)
-        batch.append(9, 0.5, 8, activates=False)
+        batch.append(7, 0, 0.25, 8, activates=True)
+        batch.append(9, 1, 0.5, 8, activates=False)
         net.send(Message(MessageKind.SYNC, 0, 1, batch, batch.nbytes()))
         inbox = net.deliver(1)
         assert len(inbox) == 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.api import make_engine
@@ -37,7 +38,7 @@ def make_net(alive=None):
 def sync_batch(n: int, full_state: bool = False) -> SyncBatch:
     batch = SyncBatch(full_state)
     for i in range(n):
-        batch.append(gid=i, value=float(i), value_nbytes=8,
+        batch.append(gid=i, position=i, value=float(i), value_nbytes=8,
                      activates=bool(i % 2), self_active=full_state)
     return batch
 
@@ -580,3 +581,186 @@ class TestCombiningDifferential:
         assert net_on.chaos_delayed_msgs == net_off.chaos_delayed_msgs
         assert net_on.chaos_dropped_msgs > 0  # non-vacuous
 
+
+
+# ---------------------------------------------------------------------------
+# positional sync and array columns (DESIGN.md §10, §12)
+# ---------------------------------------------------------------------------
+
+
+def _array_sync_batch(full_state: bool = False) -> SyncBatch:
+    """Four records with uneven wire sizes, as the array path builds."""
+    return SyncBatch.from_columns(
+        np.array([10, 11, 12, 13]), np.array([3, 0, 7, 5]),
+        np.array([0.5, 1.5, 2.5, 3.5]), np.array([1, 0, 3, 2]),
+        np.array([17, 25, 17, 33]), full_state=full_state)
+
+
+def _computed_syncs(engine, node):
+    """The sync batches ``node``'s per-node object emits in superstep 0."""
+    from repro.engine.vertex_program import ApplyContext
+
+    ctx = ApplyContext(iteration=0, num_vertices=engine.graph.num_vertices,
+                       num_edges=engine.graph.num_edges)
+    outbox: dict = {}
+    engine._protocol.new_state(engine.local_graphs[node]).compute(ctx,
+                                                                  outbox)
+    return {key: batch for key, batch in outbox.items()
+            if key[1] in (MessageKind.SYNC, MessageKind.MIRROR_SYNC)}
+
+
+class TestPositionalSync:
+    def engine(self, **kw):
+        graph = generators.power_law(80, alpha=2.0, seed=3, name="pl80p")
+        kw.setdefault("partition", "hash_edge_cut")
+        return make_engine(graph, "pagerank", num_nodes=4,
+                           max_iterations=4, **kw)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_batches_carry_receiver_positions(self, vectorized):
+        engine = self.engine(vectorized=vectorized)
+        syncs = _computed_syncs(engine, 0)
+        assert {kind for _dst, kind in syncs} == {MessageKind.SYNC,
+                                                  MessageKind.MIRROR_SYNC}
+        for (dst, kind), batch in syncs.items():
+            topo = engine.local_graphs[dst].topology()
+            assert isinstance(batch.positions, np.ndarray) == vectorized
+            assert np.array_equal(batch.positions, topo.translate(batch.gids))
+            # PageRank never mutates edges: no per-record tuples.
+            assert batch.edge_updates is None
+
+    def test_stale_position_raises_and_stages_nothing(self):
+        from repro.errors import EngineError
+
+        engine = self.engine()
+        (dst, _kind), batch = next(iter(_computed_syncs(engine, 0).items()))
+        assert batch.record_count > 1
+        st = engine._protocol.new_state(engine.local_graphs[dst])
+        for positions in (np.roll(batch.positions, 1),
+                          np.r_[batch.positions[:-1], st.topo.n + 4]):
+            stale = SyncBatch.from_columns(
+                batch.gids, positions, batch.values, batch.flags,
+                batch.sizes, batch.full_state)
+            with pytest.raises(EngineError, match="positions"):
+                st.stage(stale)
+            assert not st.pend_mask.any()
+        st.stage(batch)
+        assert st.pend_mask.sum() == batch.record_count
+
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_every_staged_sync_passes_the_position_check(self, partition,
+                                                         monkeypatch):
+        """A Rebirth moves no surviving copy, so positions stay right
+        through recovery too; the check in ``stage`` would raise."""
+        from repro.engine.vectorized import ArrayNodeProtocol
+
+        staged = []
+        stage = ArrayNodeProtocol.stage_sync_batch
+
+        def spy(self, st, batch):
+            staged.append(batch.record_count)
+            return stage(self, st, batch)
+
+        monkeypatch.setattr(ArrayNodeProtocol, "stage_sync_batch", spy)
+        engine = self.engine(partition=partition, ft_level=2, num_standby=1)
+        engine.schedule_failure(2, nodes=1)
+        result = engine.run()
+        assert len(result.recoveries) == 1
+        assert sum(staged) > 0
+
+
+class TestArrayColumns:
+    def test_select_and_clone_keep_positions(self):
+        batch = _array_sync_batch(full_state=True)
+        sub = batch.select([1, 3])
+        assert sub.positions.tolist() == [0, 5]
+        assert sub.gids.tolist() == [11, 13]
+        assert sub.edge_updates is None
+        assert [sub.self_active(0), sub.self_active(1)] == [False, True]
+        assert sub.nbytes() == 25 + 33
+        clone = batch.clone()
+        clone.positions[0] = -1
+        clone.values[0] = -1.0
+        assert batch.positions[0] == 3 and batch.values[0] == 0.5
+
+    @pytest.mark.parametrize("make", [
+        _array_sync_batch,
+        lambda: GatherBatch.from_columns(
+            np.array([4, 5, 6, 7]), np.array([0.5, 1.0, 2.0, 4.0]),
+            np.array([16, 24, 16, 40]), np.array([3, 1, 2, 1])),
+        lambda: ActivateBatch(np.array([9, 8, 7, 6])),
+    ], ids=["sync", "gather", "activate"])
+    def test_record_faults_split_byte_exact(self, make):
+        batch = make()
+        net = make_net()
+        net.begin_step()
+        inj = ScriptedInjector(["deliver", "drop", "duplicate", "delay"])
+        net.fault_injector = inj.message
+        net.record_fault_injector = inj.record
+        net.send(Message(MessageKind.SYNC, 0, 1, batch, batch.nbytes()))
+        inbox = net.deliver(1)
+        assert [m.payload.gids.tolist() for m in inbox] == [
+            batch.gids[[0, 2]].tolist(), [batch.gids[2]], [batch.gids[3]]]
+        if isinstance(batch, SyncBatch):
+            assert [m.payload.positions.tolist() for m in inbox] == [
+                [3, 7], [7], [5]]
+        for msg in inbox:
+            assert isinstance(msg.payload.gids, np.ndarray)
+            assert type(msg.payload.nbytes()) is int
+            assert msg.nbytes == msg.payload.nbytes()
+        assert net.chaos_dropped_bytes == batch.record_nbytes(1)
+        assert net.totals.total_bytes == sum(
+            batch.record_nbytes(i) for i in (0, 2, 2, 3)) \
+            + 3 * BYTES_PER_MSG_HEADER
+
+    def test_full_state_without_updates_sizes_as_before(self):
+        """No edge updates: ``edge_updates`` stays ``None`` and every
+        record is sized as with an empty update tuple."""
+        batch = SyncBatch(full_state=True)
+        batch.append(1, 0, 0.5, 8, True, True)
+        batch.append(2, 1, 0.5, 8, False, False, ())
+        assert batch.edge_updates is None
+        assert batch.edge_updates_of(1) == ()
+        assert batch.nbytes() == 2 * (BYTES_PER_VID + 8 + 2)
+        batch.append(3, 2, 0.5, 8, False, False, ((0, 1.0),))
+        assert batch.edge_updates == [(), (), ((0, 1.0),)]
+        assert batch.record_nbytes(2) == BYTES_PER_VID + 8 + 2 + 12
+
+
+def _round_trip_specimens():
+    raw = raw_gather_batch()
+    broadcast = ActiveBroadcastBatch()
+    broadcast.append(1, True)
+    broadcast.append(8, False)
+    return [
+        _array_sync_batch(),
+        _array_sync_batch(full_state=True),
+        GatherBatch.from_columns(np.array([4, 5]), np.array([0.5, 1.0]),
+                                 np.array([16, 16]), np.array([3, 1])),
+        raw,
+        ActivateBatch(np.array([2, 4, 6])),
+        broadcast,
+    ]
+
+
+@pytest.mark.parametrize("batch", _round_trip_specimens(),
+                         ids=["sync", "mirror_sync", "gather", "raw_gather",
+                              "activate", "broadcast"])
+def test_codec_round_trip_keeps_columns(batch):
+    """encode -> pickle -> decode returns every column as it went in:
+    numpy columns as arrays of the same dtype, list columns as lists."""
+    import pickle
+
+    from repro.exec.serialize import decode_batch, encode_batch
+
+    decoded = decode_batch(pickle.loads(pickle.dumps(encode_batch(batch))))
+    assert type(decoded) is type(batch)
+    assert decoded.nbytes() == batch.nbytes()
+    assert decoded.record_count == batch.record_count
+    for name in type(batch).__slots__:
+        want, got = getattr(batch, name), getattr(decoded, name)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name

@@ -79,11 +79,11 @@ class TestClose:
 
 def _batch_specimens():
     plain = SyncBatch()
-    plain.append(7, 0.25, 8, True)
-    plain.append(9, -1.5, 8, False)
+    plain.append(7, 0, 0.25, 8, True)
+    plain.append(9, 4, -1.5, 8, False)
     full = SyncBatch(full_state=True)
-    full.append(3, 2.0, 8, True, True, ((0, 0.5), (2, 1.25)))
-    full.append(5, 0.0, 8, False, False, ())
+    full.append(3, 1, 2.0, 8, True, True, ((0, 0.5), (2, 1.25)))
+    full.append(5, 2, 0.0, 8, False, False, ())
     gather = GatherBatch()
     gather.append(11, 0.125, 8)
     gather.append(13, 4.75, 8)
@@ -113,6 +113,7 @@ def test_batch_round_trip(endpoints, batch):
     assert decoded.nbytes() == batch.nbytes()
     assert list(decoded.gids) == list(batch.gids)
     if isinstance(batch, SyncBatch):
+        assert list(decoded.positions) == list(batch.positions)
         assert list(decoded.values) == list(batch.values)
         assert list(decoded.flags) == list(batch.flags)
         assert list(decoded.sizes) == list(batch.sizes)

@@ -176,9 +176,13 @@ def _array_states(engine):
 def _records(batch):
     """A batch as an order-free record set (the scalar path emits in
     active-set order, the array path in position order)."""
+    import numpy as np
+
     from repro.exec.serialize import encode_batch
     enc = encode_batch(batch)
-    header, rest = enc[:6], enc[6:]
+    header = enc[:6]
+    rest = [col.tolist() if isinstance(col, np.ndarray) else col
+            for col in enc[6:]]
     columns = [col for col in rest if isinstance(col, list)]
     assert len({len(col) for col in columns}) == 1  # one entry per record
     return header + tuple(c for c in rest if not isinstance(c, list)) \
@@ -339,7 +343,7 @@ def test_commit_stage1_remote_dedup_equals_row_unique(seed):
     want: dict = {}
     for dst, gid in rows.tolist():
         want.setdefault((dst, MessageKind.ACTIVATE), []).append(gid)
-    assert [(key, batch.gids) for key, batch in outbox.items()] \
+    assert [(key, batch.gids.tolist()) for key, batch in outbox.items()] \
         == list(want.items())
     assert (st.next_active == np.isin(
         np.arange(n), tgt[topo.is_master[tgt]])).all()
