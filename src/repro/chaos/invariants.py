@@ -17,9 +17,12 @@ committed superstep (``post_commit``) and after every completed recovery
   ``active_others`` indexes match the slots' flags, the gid index maps
   to the right slots, and vertex-cut masters whose activity diverged
   from what replicas believe are queued for re-broadcast;
-* **SoA coherence** — every cached ``NodeTopology`` and every retained
-  executor state's committed columns equal ones built fresh from the
-  slots: a write that skipped its invalidation shows here (DESIGN.md §11).
+* **One copy** — every stamped slot is a view of its own position's
+  committed columns (bound to its graph at its position), and every
+  tombstone holds the vacant fill (DESIGN.md §3);
+* **SoA coherence** — every cached ``NodeTopology`` equals one built
+  fresh from the slots: a structural write that skipped its
+  invalidation shows here (DESIGN.md §11).
 
 Violations raise :class:`InvariantViolation` carrying an optional
 context string (the chaos harness puts the reproduction command there).
@@ -32,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import FTMode
-from repro.engine.local_graph import DYNAMIC, VACANT
+from repro.engine.local_graph import VACANT
 from repro.engine.soa import NodeTopology
 from repro.errors import FaultToleranceError
 
@@ -67,6 +70,9 @@ class InvariantChecker:
     def check_all(self, engine: "Engine", phase: str = "manual") -> None:
         self.checks += 1
         alive = engine._alive()
+        # First: every check below reads slots, each of which must be a
+        # view of its own position, not a second copy.
+        self._check_binding(engine, alive, phase)
         self._check_local_indexes(engine, alive, phase)
         self._check_masters(engine, alive, phase)
         if engine.job.ft.mode is FTMode.REPLICATION:
@@ -219,34 +225,44 @@ class InvariantChecker:
 
     def _check_soa_coherence(self, engine: "Engine", alive: list[int],
                              phase: str) -> None:
-        vec = engine._vec
         for node in alive:
             lg = engine.local_graphs[node]
             cached = lg.cached_topology
             if cached is None:
                 continue
             fresh = NodeTopology.build(lg)
-            pairs = [(f"topology field {name!r}", getattr(cached, name),
-                      getattr(fresh, name))
-                     for name in NodeTopology.__slots__]
-            st = vec.valid_state(node) if vec is not None else None
-            if st is not None:
-                vec.flush()
-                pairs += [(f"committed column {name!r}", getattr(st, name),
-                           np.array([VACANT[name] if slot is None
-                                     else getattr(slot, field)
-                                     for slot in lg.slots],
-                                    dtype=getattr(st, name).dtype))
-                          for name, field in DYNAMIC.items()]
-            for what, have, want in pairs:
+            for name in NodeTopology.__slots__:
+                have, want = getattr(cached, name), getattr(fresh, name)
                 # ``sync_plan``: a dict whose key order is send order.
                 same = (list(have) == list(want) and all(
                     np.array_equal(have[k], want[k]) for k in want)
                     if isinstance(want, dict)
                     else np.array_equal(have, want))
                 if not same:
-                    self._fail(phase, f"node {node}: cached {what} "
-                                      f"diverged from the slots")
+                    self._fail(phase, f"node {node}: cached topology "
+                                      f"field {name!r} diverged from the "
+                                      f"slots")
+
+    def _check_binding(self, engine: "Engine", alive: list[int],
+                       phase: str) -> None:
+        """One copy: a slot at ``pos`` of ``lg`` reads and writes
+        ``lg``'s columns at ``pos`` and nowhere else, and a tombstone
+        holds the vacant fill (no slot still bound there writes it)."""
+        for node in alive:
+            lg = engine.local_graphs[node]
+            slots = lg.slots
+            for pos in range(len(slots)):
+                slot = slots.peek(pos)
+                if slot is not None:
+                    if slot.binding != (lg, pos):
+                        self._fail(phase, f"node {node}: the slot at "
+                                          f"position {pos} is not bound "
+                                          f"there")
+                elif not slots.holds(pos) and any(
+                        getattr(lg, name)[pos] != fill
+                        for name, fill in VACANT.items()):
+                    self._fail(phase, f"node {node}: tombstone {pos} "
+                                      f"holds committed state")
 
 
 class MembershipInvariant:
@@ -339,8 +355,8 @@ class ReadConsistencyChecker:
     """Serve-hook twin of the value-agreement invariant (DESIGN.md §13).
 
     Attached via :meth:`Engine.attach_serve` (NOT as a chaos plugin):
-    serve hooks run *before* any chaos-driven column flush, so every
-    comparison goes through the flush-free committed read path
+    serve hooks run *before* the chaos plugins, and every comparison
+    goes through the committed read path
     (:meth:`Engine.committed_value_at`) — exactly what the read router
     serves.  At every commit point (``post_commit``/``post_recovery``)
     it asserts that each master's committed read equals the committed

@@ -45,7 +45,7 @@ from repro.costmodel import (
     pairwise_comm_time,
 )
 from repro.engine.construction import ConstructionReport, build_local_graphs
-from repro.engine.vectorized import NO_COLUMN, VectorizedExecutor
+from repro.engine.vectorized import VectorizedExecutor
 from repro.engine.vertex_program import ApplyContext, VertexProgram
 from repro.errors import EngineError
 from repro.exec.protocol import NodeProtocol
@@ -172,8 +172,8 @@ class Engine:
         #: ``on_phase(engine, phase)`` at every hook point.
         self._chaos_plugins: list[Any] = []
         #: Serve hooks (read pumps, read-consistency checkers): called
-        #: at every phase hook *before* any chaos-driven column flush,
-        #: so point reads exercise the flush-free committed path.
+        #: at every phase hook *before* the chaos plugins, so reads see
+        #: the committed columns before any plugin crashes a node.
         self._serve_hooks: list[Any] = []
         self.iteration_stats: list[IterationStats] = []
         self.recoveries: list[RecoveryStats] = []
@@ -310,9 +310,8 @@ class Engine:
 
         Like a chaos plugin, a serve hook exposes
         ``on_phase(engine, phase)`` and runs at every phase hook — but
-        *before* the chaos plugins and before any vectorized-column
-        flush, so the hook's point reads go through the flush-free
-        committed-value path (DESIGN.md §13).
+        *before* the chaos plugins; its reads go to the committed
+        columns (DESIGN.md §13).
         """
         self._serve_hooks.append(hook)
 
@@ -379,10 +378,8 @@ class Engine:
         return self._result()
 
     def values(self) -> dict[int, Any]:
-        """Current committed value of every vertex (from its master):
-        after the flush, a stamped slot's, else its column's."""
-        if self._vec is not None:
-            self._vec.flush()
+        """Current committed value of every vertex, from its master's
+        column."""
         out: list[Any] = [None] * self.graph.num_vertices
         master_of = np.asarray(self.master_node_of)
         for node in np.unique(master_of).tolist():
@@ -390,23 +387,20 @@ class Engine:
             gids = np.flatnonzero(master_of == node).tolist()
             positions = np.fromiter(map(lg.index_of.__getitem__, gids),
                                     np.int64, len(gids))
-            for gid, value in zip(gids, lg.committed(
-                    positions, ("values",))["values"]):
+            for gid, value in zip(gids, lg.values[positions].tolist()):
                 out[gid] = value
         return dict(enumerate(out))
 
     def value_of(self, gid: int) -> Any:
         """Committed value of one vertex, read from its master.
 
-        A point read (DESIGN.md §13): neither materializes the full
-        :meth:`values` dict nor triggers a whole-column vectorized
-        writeback — when a committed SoA column is cached the value is
-        read straight from it, otherwise from the slot.
+        A point read (DESIGN.md §13): one column element, without
+        materializing the full :meth:`values` dict.
         """
         return self.committed_value_at(self.master_node_of[gid], gid)
 
     def committed_value_at(self, node: int, gid: int) -> Any:
-        """Flush-free committed read of one vertex copy on one node.
+        """Committed read of one vertex copy on one node.
 
         Valid for any copy — master, mirror or plain replica; between
         barriers every copy holds the value committed at
@@ -414,17 +408,10 @@ class Engine:
         invariant), which is exactly what this returns.
         """
         lg = self.local_graphs[node]
-        pos = lg.index_of[gid]
-        if self._vec is not None:
-            value = self._vec.committed_value(node, pos)
-            if value is not NO_COLUMN:
-                return value
-        return lg.committed_value(pos)
+        return lg.values.item(lg.index_of[gid])
 
     def memory_report(self) -> dict[int, int]:
         """Per-node resident bytes of graph state (Tables 3 and 7)."""
-        if self._vec is not None:
-            self._vec.flush()
         return {node: lg.memory_nbytes(self.program)
                 for node, lg in self.local_graphs.items()
                 if self.cluster.node(node).is_alive}
@@ -526,16 +513,8 @@ class Engine:
 
     def _chaos_point(self, phase: str) -> None:
         """Invoke serve hooks, then every chaos plugin, at a phase hook."""
-        # Serve hooks first, before any flush: their reads must take
-        # the flush-free committed-column path (DESIGN.md §13).
         for hook in self._serve_hooks:
             hook.on_phase(self, phase)
-        if not self._chaos_plugins:
-            return
-        # Plugins inspect slot state directly; surface any deferred
-        # vectorized column commits first.
-        if self._vec is not None:
-            self._vec.flush()
         for plugin in self._chaos_plugins:
             plugin.on_phase(self, phase)
 
@@ -687,10 +666,9 @@ class Engine:
             ckpt_time = self._commit_barrier_inner(alive, net, sp)
         self._finish_iteration_stats(alive, net, ckpt_time)
         # The barrier committed: reads served from here on reflect this
-        # superstep (the vectorized columns already hold it, flushed or
-        # not — the read path never needs the slot writeback).  Any
-        # recovery-recomputed selfish values are now the committed
-        # values, so the read fence closes.
+        # superstep (the columns hold it).  Any recovery-recomputed
+        # selfish values are now the committed values, so the read
+        # fence closes.
         self.committed_iteration = self.iteration
         if self.selfish_read_fence:
             self.selfish_read_fence.clear()
@@ -716,9 +694,6 @@ class Engine:
         # mode this is the opt-in low-frequency safety net instead.
         ckpt_time = 0.0
         if self.ckpt is not None and self.ckpt.due(self.iteration):
-            # Checkpoints read the slots; surface deferred commits.
-            if self._vec is not None:
-                self._vec.flush()
             if self._safety_ckpt:
                 ckpt_time = self.ckpt.safety_checkpoint(
                     self.iteration, self.local_graphs, self.program,

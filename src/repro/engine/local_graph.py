@@ -15,12 +15,10 @@ edges, and six committed dynamic columns the graph owns (:data:`DYNAMIC`).
 ``slots`` is a lazy position-indexed sequence over them
 (:class:`SlotArray`): a :class:`~repro.engine.state.VertexSlot` is
 stamped only where a consumer indexes one (a whole node in one batched
-pass when one iterates).  The authority rule (DESIGN.md §3): a position
-never stamped lives in the columns alone; a stamped one lives in its
-slot, which is filled from the columns when stamped and from then on is
-what the slot writers outside the barrier commit write —
-:meth:`LocalGraph.committed` reads through it and
-:meth:`LocalGraph.pull` catches the columns up with it.
+pass when one iterates).  The authority rule (DESIGN.md §3): the columns
+are the state; a slot is a view — stamped or placed here, it is bound to
+its position and its six committed fields read and write the columns
+there.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from repro.errors import EngineError
 
 _B = RecoveryBatch
 
-#: The committed dynamic columns a graph owns -> the slot field each one
-#: holds for a stamped position.
+#: The committed dynamic columns a graph owns -> the slot field that
+#: reads and writes each one.
 DYNAMIC = {"values": "value", "active": "active",
            "last_activates": "last_activates",
            "mirror_self_active": "mirror_self_active",
@@ -54,20 +52,20 @@ VACANT = {"values": 0, "active": False, "last_activates": False,
 _UNSTAMPED = object()
 
 
-def stamp_slots(rows: RecoveryBatch, at: np.ndarray, ft_only, state,
+def stamp_slots(rows: RecoveryBatch, at: np.ndarray, ft_only,
                 in_edges: list | None = None, in_counts=None,
                 out_edges: list | None = None, out_counts=None,
                 full_edges: bool = False,
                 gids: list | None = None) -> list[VertexSlot]:
-    """The one slot stamper: slots for the rows ``at`` of ``rows`` (a
-    birth record or a received batch), with ``ft_only`` and the six
-    :data:`DYNAMIC` values in ``state`` aligned with ``at``, their local
-    edges — ``in_edges`` the ``(src position, weight)`` pairs and
-    ``out_edges`` the target positions, in CSR order, cut per row by
-    ``in_counts`` / ``out_counts`` — and, with ``full_edges`` (edge-cut),
-    each mirror's ``(src gid, src position, weight)`` copy of its
-    master's in-edges; ``gids``, the rows' gid objects, default to fresh
-    ones."""
+    """The one slot stamper: detached slots for the rows ``at`` of
+    ``rows`` (a birth record or a received batch), with ``ft_only``
+    aligned with ``at``, their local edges — ``in_edges`` the
+    ``(src position, weight)`` pairs and ``out_edges`` the target
+    positions, in CSR order, cut per row by ``in_counts`` /
+    ``out_counts`` — and, with ``full_edges`` (edge-cut), each mirror's
+    ``(src gid, src position, weight)`` copy of its master's in-edges;
+    ``gids``, the rows' gid objects, default to fresh ones.  The
+    committed fields are a fresh slot's until the slot is bound."""
     count = at.size
     roles = rows.roles[at]
     with_meta = at[roles != _B.REPLICA]
@@ -89,23 +87,19 @@ def stamp_slots(rows: RecoveryBatch, at: np.ndarray, ft_only, state,
     outs = _cut(out_edges or [], out_counts or [0] * count)
     slots = []
     for (gid, role, master_node, mirror_id, out_degree, in_degree, selfish,
-         fo, value, active, last_activates, self_active, known,
-         last_update) in zip(
+         fo) in zip(
             rows.gids[at].tolist() if gids is None else gids, roles.tolist(),
             rows.master_node[at].tolist(), rows.mirror_id[at].tolist(),
             rows.out_degree[at].tolist(), rows.in_degree[at].tolist(),
-            rows.selfish[at].tolist(), ft_only, *state):
+            rows.selfish[at].tolist(), ft_only):
         slots.append(VertexSlot(
-            gid=gid, role=_B.ROLES[role], value=value, active=active,
-            last_activates=last_activates, last_update_iter=last_update,
-            out_degree=out_degree, in_degree=in_degree,
-            in_edges=next(ins), out_edges=next(outs),
+            gid=gid, role=_B.ROLES[role], out_degree=out_degree,
+            in_degree=in_degree, in_edges=next(ins), out_edges=next(outs),
             meta=None if role == _B.REPLICA else next(metas),
             master_node=master_node, ft_only=fo, selfish=selfish,
             mirror_id=mirror_id,
             full_edges=(next(backups) if full_edges and role == _B.MIRROR
-                        else None),
-            replicas_known_active=known, mirror_self_active=self_active))
+                        else None)))
     return slots
 
 
@@ -135,20 +129,20 @@ def _metas(nodes, positions, replicas, mirror_nodes, mirrors, master_node,
 class SlotArray:
     """``LocalGraph.slots``: the vertex array as a lazy sequence.
 
-    Indexing a position stamps its slot from the birth record and the
-    graph's columns (:func:`stamp_slots`); iterating stamps every
-    position left in one pass, :meth:`take` a selection in one pass.
-    ``append`` and assigning ``None`` (a tombstone) keep the graph's
-    columns the array's length.  ``made[pos]`` says whether a slot
-    (stamped, or placed by ``LocalGraph.add_slot``) holds ``pos``;
-    :attr:`materialized` counts the ones stamped from the record.
+    Indexing a position stamps its slot from the birth record
+    (:func:`stamp_slots`), bound to the graph's columns there; iterating
+    stamps every position left in one pass, :meth:`take` a selection in
+    one pass.  Assigning a slot binds it and writes its committed fields
+    into the columns; assigning ``None`` (a tombstone) detaches the slot
+    there first.  :meth:`append` keeps the columns the array's length.
+    :attr:`materialized` counts the slots stamped from the record.
     ``gids[pos]`` is the gid born at ``pos`` as one ``int`` object, which
     the gid index, the active sets and the slot stamped there share: a
     dict probe with the key's own object skips the value compare (the
     scalar loop's ``slot_of``).
     """
 
-    __slots__ = ("_graph", "_items", "made", "materialized", "_lazy", "gids",
+    __slots__ = ("_graph", "_items", "materialized", "_lazy", "gids",
                  "_rows", "_row_of", "_ft_only", "_topo", "_full_edges",
                  "_in_ptr", "_out_ptr", "_placement")
 
@@ -169,7 +163,6 @@ class SlotArray:
             self._items = items.tolist()
             self._row_of = np.full(n, -1, dtype=np.int64)
             self._row_of[rows.positions] = np.arange(len(rows))
-        self.made = np.zeros(n, dtype=bool)
         self.gids = np.full(n, None, dtype=object)
         if rows is not None:
             self.gids[rows.positions] = np.array(rows.gids.tolist(),
@@ -204,20 +197,26 @@ class SlotArray:
         return list(self) == list(other)
 
     def __setitem__(self, pos: int, item: VertexSlot | None) -> None:
-        if self._items[pos] is _UNSTAMPED:
+        old = self._items[pos]
+        if old is _UNSTAMPED:
             self._lazy -= 1
+        elif old is not None:
+            old.detach()  # a removed slot keeps its state
         self._items[pos] = item
-        self.made[pos] = item is not None
         if item is None:
             graph = self._graph()
             for name, fill in VACANT.items():
                 getattr(graph, name)[pos] = fill
+        else:
+            fields = [getattr(item, name) for name in DYNAMIC.values()]
+            item.bind(self._graph, pos)
+            for name, value in zip(DYNAMIC.values(), fields):
+                setattr(item, name, value)
 
-    def append(self, item: VertexSlot | None) -> None:
-        """Add a position at the end (``None``: a vacant one)."""
+    def append(self) -> None:
+        """Add a vacant position at the end."""
         graph = self._graph()
-        self._items.append(item)
-        self.made = np.append(self.made, item is not None)
+        self._items.append(None)
         for name, fill in VACANT.items():
             column = getattr(graph, name)
             setattr(graph, name,
@@ -293,7 +292,6 @@ class SlotArray:
         return self._rows, self._topo
 
     def _stamp(self, positions: list[int]) -> list[VertexSlot]:
-        graph = self._graph()
         pos = np.asarray(positions, dtype=np.int64)
         rows = pos if self._row_of is None else self._row_of[pos]
         topo = self._topo
@@ -305,14 +303,13 @@ class SlotArray:
         out_at, out_counts = csr_rows(self._out_ptr, pos)
         slots = stamp_slots(
             self._rows, rows, self._ft_only[rows].tolist(),
-            [getattr(graph, name)[pos].tolist() for name in DYNAMIC],
             list(zip(topo.in_src[at].tolist(), topo.in_w[at].tolist())),
             in_counts.tolist(), topo.out_dst[out_at].tolist(),
             out_counts.tolist(), self._full_edges, self.gids[pos].tolist())
-        items = self._items
+        items, graph = self._items, self._graph
         for p, slot in zip(positions, slots):
+            slot.bind(graph, p)
             items[p] = slot
-        self.made[pos] = True
         self._lazy -= len(slots)
         self.materialized += len(slots)
         return slots
@@ -345,9 +342,9 @@ class LocalGraph:
         self._topology = None
         self._ft_census = None
         #: The committed dynamic columns (:data:`DYNAMIC`), one entry per
-        #: position: a column state adopts them, and they alone hold the
-        #: state of a position never stamped.  Values start as Python
-        #: objects; the first column state casts them to its dtype.
+        #: position: the one store of that state — a column state adopts
+        #: them, a bound slot reads and writes them.  Values start as
+        #: Python objects; the first column state casts them to its dtype.
         self.values = np.zeros(0, dtype=object)
         self.active = np.zeros(0, dtype=bool)
         self.last_activates = np.zeros(0, dtype=bool)
@@ -394,19 +391,19 @@ class LocalGraph:
     def reset(self, values: np.ndarray, active: np.ndarray) -> None:
         """Every copy's state before the first superstep, from the
         job's per-gid initial ``values`` and ``active`` flags: one
-        column fill.  Masters and mirrors mirror the master's
-        self-activity, masters record what their replicas believe."""
+        column fill, in place (a column state keeps what it adopted).
+        Masters and mirrors mirror the master's self-activity, masters
+        record what their replicas believe."""
         topo = self.topology()
         gids = np.where(topo.occupied, topo.gids, 0)
-        self.values = values[gids]
-        self.active = active[gids] & topo.occupied
-        self.last_activates = np.zeros(topo.n, dtype=bool)
-        self.last_update = np.full(topo.n, -1, dtype=np.int64)
-        self.replicas_known_active = np.where(topo.is_master, self.active,
-                                              topo.occupied)
-        self.mirror_self_active = self.active & (topo.is_master
-                                                 | topo.is_mirror)
-        self.push(np.flatnonzero(self.slots.made), DYNAMIC)
+        self.values[:] = values[gids]
+        self.active[:] = active[gids] & topo.occupied
+        self.last_activates[:] = False
+        self.last_update[:] = -1
+        self.replicas_known_active[:] = np.where(topo.is_master, self.active,
+                                                 topo.occupied)
+        self.mirror_self_active[:] = self.active & (topo.is_master
+                                                    | topo.is_mirror)
         self._index_activity(topo)
 
     def _index_activity(self, topo) -> None:
@@ -420,7 +417,9 @@ class LocalGraph:
         self._others_snapshot = None
 
     def add_slot(self, slot: VertexSlot, position: int | None = None) -> int:
-        """Append (or place at a fixed position) one vertex slot."""
+        """Append (or place at a fixed position) one vertex slot, bound
+        to its position: its committed fields are written into the
+        columns there."""
         if slot.gid in self.index_of:
             raise EngineError(
                 f"vertex {slot.gid} already present on node {self.node_id}")
@@ -431,7 +430,7 @@ class LocalGraph:
             raise EngineError(
                 f"position {position} on node {self.node_id} occupied")
         while len(slots) <= position:
-            slots.append(None)
+            slots.append()
         slots[position] = slot
         self.index_of[slot.gid] = position
         self.invalidate_soa()
@@ -457,7 +456,8 @@ class LocalGraph:
         self._others_snapshot = None
 
     def remove_slot(self, gid: int) -> VertexSlot:
-        """Tombstone a slot (Migration moves vertices between nodes)."""
+        """Tombstone a slot (a drain removes copies); the slot comes back
+        detached, with the committed fields it had."""
         position = self.index_of.pop(gid, None)
         if position is None:
             raise EngineError(
@@ -473,9 +473,7 @@ class LocalGraph:
 
     def set_active_bulk(self, positions, flags) -> None:
         """Vectorized bulk form of :meth:`set_active`, by position, over
-        the cached image's roles (without one, the slots' own): the
-        ``active`` column, the slot of each stamped position, and the
-        active sets.
+        the image's roles: the ``active`` column and the active sets.
 
         Used by the barrier commit of the vectorized path, by recovery
         replay and by the multiprocessing parent's state pull; must keep
@@ -484,21 +482,12 @@ class LocalGraph:
         snapshot here would feed the next superstep's compute loop the
         previous superstep's active set).
         """
-        topo = self._topology
-        if topo is None:
-            slots = self.slots.take(positions)
-            gids = [slot.gid for slot in slots]
-            roles = [slot.role is Role.MASTER for slot in slots]
-        else:
-            gids = topo.gids[positions].tolist()
-            roles = topo.is_master[positions].tolist()
+        topo = self.topology()
         self.active[positions] = flags
         masters, others = self.active_masters, self.active_others
-        items = self.slots._items
-        for pos, gid, master, flag in zip(positions, gids, roles, flags):
-            slot = items[pos]
-            if slot is not _UNSTAMPED:
-                slot.active = flag
+        for gid, master, flag in zip(topo.gids[positions].tolist(),
+                                     topo.is_master[positions].tolist(),
+                                     flags):
             if flag:
                 (masters if master else others).add(gid)
             else:
@@ -509,65 +498,12 @@ class LocalGraph:
 
     # -- the committed columns ---------------------------------------------
 
-    def committed(self, positions: np.ndarray, names=DYNAMIC) -> dict:
-        """The committed ``names`` columns at ``positions`` (copies;
-        ``values`` as a list), read through the slots stamped there —
-        the authority rule of the module docstring."""
-        out = {name: getattr(self, name)[positions] for name in names}
-        if "values" in out:
-            out["values"] = out["values"].tolist()
-        stamped = np.flatnonzero(self.slots.made[positions])
-        items = self.slots._items
-        for i, pos in zip(stamped.tolist(), positions[stamped].tolist()):
-            slot = items[pos]
-            for name in names:
-                out[name][i] = getattr(slot, DYNAMIC[name])
-        return out
-
-    def committed_value(self, position: int):
-        """A position's committed value: its slot's if stamped, else the
-        column's."""
-        slot = self.slots.peek(position)
-        return (self.values[position:position + 1].tolist()[0]
-                if slot is None else slot.value)
-
-    def pull(self) -> None:
-        """Bring the columns up to every stamped slot.  Whoever writes a
-        stamped slot's committed fields outside the barrier commit
-        flushed the column state first, so nothing newer lives in the
-        columns there."""
-        pos = np.flatnonzero(self.slots.made)
-        if not pos.size:
-            return
-        items = self.slots._items
-        slots = [items[p] for p in pos.tolist()]
-        for name in DYNAMIC:
-            attr = DYNAMIC[name]
-            _put(getattr(self, name), pos,
-                 [getattr(slot, attr) for slot in slots])
-
-    def push(self, positions: np.ndarray, fields) -> int:
-        """Write the ``fields`` columns at ``positions`` into the slots
-        stamped there; returns how many slots were written."""
-        pos = positions[self.slots.made[positions]]
-        if pos.size:
-            items = self.slots._items
-            slots = [items[p] for p in pos.tolist()]
-            for name in fields:
-                attr = DYNAMIC[name]
-                for slot, value in zip(slots, getattr(self, name)[pos]
-                                       .tolist()):
-                    setattr(slot, attr, value)
-        return int(pos.size)
-
     def store(self, positions: np.ndarray, **columns) -> None:
         """Write committed ``columns`` (by :data:`DYNAMIC` name, one
         value per position; activity goes through
-        :meth:`set_active_bulk`) at ``positions``: columns and stamped
-        slots alike."""
+        :meth:`set_active_bulk`) at ``positions``."""
         for name, values in columns.items():
             _put(getattr(self, name), positions, values)
-        self.push(positions, columns)
 
     @property
     def materialized(self) -> int:
@@ -600,11 +536,13 @@ class LocalGraph:
         return self._ft_census
 
     def invalidate_soa(self) -> None:
-        """Drop this node's SoA topology (hence the executor's columns)
-        and FT census.  The write-site rule (DESIGN.md §11): whoever
-        writes a slot, an edge list or a ``MasterMeta`` of this node
-        outside the barrier commit calls this — ``add_slot`` and
-        ``remove_slot`` do themselves — and nobody does it for them.
+        """Drop this node's SoA topology (hence the executor's state) and
+        FT census.  The write-site rule (DESIGN.md §11), structural
+        writes only: whoever writes a slot's role, placement or edge
+        list, or a ``MasterMeta``, of this node outside the barrier
+        commit calls this — ``add_slot`` and ``remove_slot`` do
+        themselves — and nobody does it for them.  Values and flags are
+        column writes and drop nothing.
         """
         self._topology = None
         self._ft_census = None
@@ -670,13 +608,13 @@ class LocalGraph:
     def view(self, position: int) -> VertexView:
         """Neighbor view for gather, by local position; stamps nothing."""
         slot = self.slots._items[position]  # the scalar loop's per-edge read
+        value = self.values.item(position)
         if slot is _UNSTAMPED:
             record = self.slots.record
-            return VertexView(vid=record(position, "gids"),
-                              value=self.committed_value(position),
+            return VertexView(vid=record(position, "gids"), value=value,
                               out_degree=record(position, "out_degree"),
                               in_degree=record(position, "in_degree"))
-        return VertexView(vid=slot.gid, value=slot.value,
+        return VertexView(vid=slot.gid, value=value,
                           out_degree=slot.out_degree,
                           in_degree=slot.in_degree)
 

@@ -13,17 +13,17 @@ holds equal: the loader — and Rebirth, for a reborn node — cuts it from
 the columns the node's birth record comes from
 (:meth:`~NodeTopology.from_columns`), so a
 :class:`~repro.engine.local_graph.LocalGraph` is born with it; once
-something writes that node outside the barrier commit — ``add_slot``/
-``remove_slot``, or the ``invalidate_soa`` every such writer (a recovery
-rung, FT repair, a membership move) issues for exactly the nodes it
-wrote on — :meth:`~NodeTopology.build` reads it back out of the slots,
-stamping every one.
+something writes that node's structure outside the barrier commit —
+``add_slot``/``remove_slot``, or the ``invalidate_soa`` every such
+writer (a recovery rung, FT repair, a membership move) issues for
+exactly the nodes it wrote on — :meth:`~NodeTopology.build` reads it
+back out of the slots, stamping every one.
 
 Dynamic state (values, activity flags) deliberately does NOT live
-here: the ``LocalGraph`` owns those columns, a column state adopts them
-whenever this topology object is replaced, and the barrier commit
-writes them, so recovery, checkpointing and chaos plugins keep seeing
-exact state at every barrier.
+here: the ``LocalGraph`` owns those columns — the one copy, which a
+column state adopts whenever this topology object is replaced and a
+bound slot reads and writes — so writing a value or a flag never stales
+an image.
 """
 
 from __future__ import annotations

@@ -4,6 +4,10 @@ Each node stores its local vertices in a *position-stable array*
 (Section 5.1.2): topology is expressed as array indices, and because a
 recovered vertex is placed back at its original position, rebuilding a
 crashed node's graph is lock-free and embarrassingly parallel.
+
+A slot's six committed dynamic fields live once, in its graph's columns
+(DESIGN.md §3): a slot bound to a position reads and writes them there,
+and only a detached slot — built by hand, or removed — keeps its own.
 """
 
 from __future__ import annotations
@@ -99,6 +103,40 @@ class MasterMeta:
                 + len(self.mirror_nodes) + BYTES_PER_VID + 4)
 
 
+class _Committed:
+    """A committed dynamic slot field: on a slot bound to a graph
+    position, the graph's ``column`` there (read back as a Python
+    scalar, or the stored object); on a detached slot, its own."""
+
+    def __init__(self, column: str, default):
+        self.column = column
+        self.default = default
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, slot, owner=None):
+        if slot is None:
+            return self.default  # the dataclass field default
+        if slot._at is None:
+            return slot.__dict__.get(self.name, self.default)
+        graph, pos = slot._at
+        return getattr(graph(), self.column).item(pos)
+
+    def __set__(self, slot, value) -> None:
+        if slot._at is None:
+            slot.__dict__[self.name] = value
+        else:
+            graph, pos = slot._at
+            getattr(graph(), self.column)[pos] = value
+
+
+def _committed(column: str, default):
+    """A committed field: not a constructor argument — it is the
+    graph's, and a detached slot starts from ``default``."""
+    return field(default=_Committed(column, default), init=False)
+
+
 @dataclass
 class VertexSlot:
     """One entry of a node's vertex array."""
@@ -106,22 +144,22 @@ class VertexSlot:
     gid: int
     role: Role
     #: Current committed value (as of the last global barrier).
-    value: Any = None
+    value: Any = _committed("values", None)
     #: Whether the vertex computes in the current superstep (masters
     #: authoritative; mirrors receive it with full-state sync).
-    active: bool = False
+    active: bool = _committed("active", False)
     #: Activation accumulated during the current superstep, committed
     #: into ``active`` at the barrier.
     next_active: bool = False
     #: Whether this vertex's last committed update requested activation
     #: of its out-neighbors — the "activation information" masters
     #: replicate to mirrors so recovery can replay it (Section 5.1.3).
-    last_activates: bool = False
+    last_activates: bool = _committed("last_activates", False)
     #: Iteration of the last committed update (-1 = never updated).
     #: Recovery replay only re-executes activations stamped with the
     #: last committed iteration; checkpointing uses it for incremental
     #: snapshots.
-    last_update_iter: int = -1
+    last_update_iter: int = _committed("last_update", -1)
     #: Static degrees of the vertex in the *global* graph (replicas
     #: need them for gather, e.g. PageRank's value/out_degree).
     out_degree: int = 0
@@ -155,10 +193,10 @@ class VertexSlot:
     #: Masters only: the activity flag replicas currently believe
     #: (vertex-cut gather scheduling); a change triggers a broadcast at
     #: the next superstep start.
-    replicas_known_active: bool = True
+    replicas_known_active: bool = _committed("replicas_known_active", True)
     #: Mirrors only: the master's last synced *self-sustained* activity
     #: (remote activations are replayed at recovery, Section 5.1.3).
-    mirror_self_active: bool = False
+    mirror_self_active: bool = _committed("mirror_self_active", False)
     #: Staged value for the barrier commit (masters: apply result;
     #: replicas: received sync).
     pending_value: Any = None
@@ -167,6 +205,33 @@ class VertexSlot:
     pending_activates: bool = False
     #: Vertex-cut: staged "active next superstep" flag from the master.
     pending_active: bool = False
+
+    #: ``(weak reference to the graph, position)`` once bound, else
+    #: ``None``: where the committed fields live.  Not a field.
+    _at = None
+
+    # -- binding ------------------------------------------------------------
+
+    def bind(self, graph_ref, position: int) -> None:
+        """Read and write the committed fields in the graph behind
+        ``graph_ref`` at ``position`` from now on (the slot's own go
+        unread until :meth:`detach` replaces them).  The caller writes
+        them there first if they matter."""
+        self._at = (graph_ref, position)
+
+    def detach(self) -> None:
+        """Take the committed fields out of the bound position into the
+        slot itself (a no-op on a detached slot)."""
+        if self._at is not None:
+            fields = {name: getattr(self, name) for name in COMMITTED}
+            self._at = None
+            self.__dict__.update(fields)
+
+    @property
+    def binding(self) -> tuple[Any, int] | None:
+        """``(graph, position)`` the committed fields live at, or
+        ``None`` for a detached slot."""
+        return None if self._at is None else (self._at[0](), self._at[1])
 
     # -- memory accounting ------------------------------------------------
 
@@ -193,3 +258,8 @@ class VertexSlot:
         self.pending_activates = False
         self.pending_active = False
         self.next_active = False
+
+
+#: The names of a slot's committed dynamic fields.
+COMMITTED = tuple(name for name, attr in vars(VertexSlot).items()
+                  if isinstance(attr, _Committed))

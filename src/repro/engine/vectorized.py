@@ -15,8 +15,7 @@ DESIGN.md §12:
   backend's forked workers run the same objects.
 * the drivers — ``Engine`` and the mp worker — are shared with the
   scalar path; :class:`VectorizedExecutor` is what only the simulator's
-  array path needs beside them: the state cache with its deferred slot
-  writeback.
+  array path needs beside them: the state cache.
 
 The contract is *bit-for-bit* equality with the scalar loop: identical
 committed values, activity sets, message/byte counters, elision counts
@@ -26,20 +25,20 @@ Lifecycle
 ---------
 * The topology every column is indexed by is born with the node
   (``engine/construction.py``), and so are the committed dynamic
-  columns (values, activity flags): the graph owns them, and a state
-  *adopts* them on first touch of a node — after catching them up with
-  any stamped slot (:meth:`LocalGraph.pull`) — and then carries them
-  across supersteps; only the barrier commit writes them, so at each
-  barrier they hold the committed state exactly.
+  columns (values, activity flags): the graph owns them — they are the
+  only copy of that state, which a slot stamped there reads and writes
+  — and a state *adopts* them on first touch of a node and then carries
+  them across supersteps.  Within a superstep only the barrier commit
+  writes them, so at each barrier they hold the committed state exactly.
 * The executor's cache is keyed by topology identity — whoever writes
-  a node's slots, edge lists or metadata outside the commit invalidates
-  *that node's* topology at the write (:meth:`LocalGraph.invalidate_soa`),
-  which makes :meth:`_state` read that node's topology back out of the
-  slots and re-adopt its columns; every other node keeps its image,
-  through recovery too.  The vertex-cut phase-0 activity broadcast
-  writes the columns too (``active`` on receiver replicas,
-  ``replicas_known_active`` on sender masters), and the slots stamped
-  there at once.
+  a node's structure (slots, edge lists, metadata) outside the commit
+  invalidates *that node's* topology at the write
+  (:meth:`LocalGraph.invalidate_soa`), which makes :meth:`_state` read
+  that node's topology back out of the slots and re-adopt its columns;
+  every other node keeps its image, through recovery too.  The
+  vertex-cut phase-0 activity broadcast writes the columns too
+  (``active`` on receiver replicas, ``replicas_known_active`` on sender
+  masters).
 * Compute and received sync batches stage into pending *arrays*; a
   sync batch carries each record's position here, so it stages with one
   scatter.
@@ -47,11 +46,9 @@ Lifecycle
   it: an abortable stage 1 (activation scatter), the activation intake,
   and a finalize that *alone* writes the committed columns and applies
   activity via :meth:`~repro.engine.local_graph.LocalGraph.
-  set_active_bulk`.  The writeback of values and flags into the slots
-  stamped so far is deferred (:meth:`VectorizedExecutor.flush`); a
-  position never stamped has nothing to write back.
-* A rollback flushes and clears the uncommitted staging; the committed
-  columns stay, since only the commit writes them.
+  set_active_bulk`.
+* A rollback clears the uncommitted staging; the committed columns
+  stay, since only the commit writes them.
 
 Ordering notes: records within one batch are emitted in *position*
 order here versus active-set iteration order in the scalar path.  That
@@ -78,15 +75,6 @@ from repro.engine.messages import (
 from repro.errors import EngineError
 from repro.utils.sizing import BYTES_PER_VID
 
-#: The committed columns whose slot writeback the commit defers.
-_DEFERRED = ("values", "last_activates", "mirror_self_active", "last_update")
-
-#: Sentinel returned by :meth:`VectorizedExecutor.committed_value` when
-#: no valid cached column exists for the node — the caller falls back
-#: to the (then-authoritative) slot value.  A sentinel rather than
-#: ``None`` because ``None`` could be a legitimate vertex value.
-NO_COLUMN = object()
-
 
 class _NodeState:
     """Per-node dynamic columns + pending staging, bound to the
@@ -100,7 +88,7 @@ class _NodeState:
 
     __slots__ = ("proto", "_lg", "node", "topo", "values", "active",
                  "last_activates", "mirror_self_active",
-                 "replicas_known_active", "last_update", "unflushed",
+                 "replicas_known_active", "last_update",
                  "pend_mask", "pend_values", "pend_activates",
                  "pend_self_active", "next_active", "partials")
 
@@ -108,7 +96,6 @@ class _NodeState:
         topo = lg.topology()
         n = topo.n
         dtype = proto.kernel.dtype
-        lg.pull()
         if lg.values.dtype != dtype:
             lg.values = lg.values.astype(dtype)
         self.proto = proto
@@ -119,17 +106,13 @@ class _NodeState:
         self.node = lg.node_id
         self.topo = topo
         # Adopted, not copied: the graph's committed columns, which the
-        # commit writes in place.
+        # commit writes in place and a bound slot reads and writes.
         self.values = lg.values
         self.active = lg.active
         self.last_activates = lg.last_activates
         self.mirror_self_active = lg.mirror_self_active
         self.replicas_known_active = lg.replicas_known_active
         self.last_update = lg.last_update
-        #: Positions whose committed value/flag columns are newer than
-        #: their stamped slots (writeback is deferred to the executor's
-        #: flush).
-        self.unflushed = np.zeros(n, dtype=bool)
         self.pend_mask = np.zeros(n, dtype=bool)
         self.pend_values = np.zeros(n, dtype=dtype)
         self.pend_activates = np.zeros(n, dtype=bool)
@@ -170,7 +153,7 @@ class _NodeState:
                 if batch is None:
                     batch = outbox[key] = ActiveBroadcastBatch()
                 batch.append(gid, flag)
-        lg.store(pos, replicas_known_active=flags)
+        self.replicas_known_active[pos] = flags
         return outbox
 
     def broadcast_apply(self, batch) -> None:
@@ -220,8 +203,9 @@ class _NodeState:
         return values
 
     def topk(self, k: int) -> list[tuple]:
+        pos = np.flatnonzero(self.topo.is_master)
         return [(gid, value) for value, gid in
-                top_masters(self.topo, self.values, k)]
+                top_masters(self.topo.gids[pos], self.values[pos], k)]
 
     def committed_state(self) -> list[list]:
         """Every local copy's committed state, one list per column:
@@ -240,14 +224,13 @@ def _runs(keys: np.ndarray):
     return zip(bounds, np.r_[bounds[1:], keys.size])
 
 
-def top_masters(topo, values: np.ndarray, k: int,
+def top_masters(gids: np.ndarray, values: np.ndarray, k: int,
                 largest: bool = True) -> list[tuple]:
-    """The K extreme ``(value, gid)`` pairs among one node's masters,
-    best-first, ties toward the lower gid."""
-    pos = np.flatnonzero(topo.is_master)
-    vals, gids = values[pos], topo.gids[pos]
-    order = np.lexsort((gids, -vals if largest else vals))[:k]
-    return list(zip(vals[order].tolist(), gids[order].tolist()))
+    """The K extreme ``(value, gid)`` pairs among one node's masters
+    (their ``gids`` and committed ``values``), best-first, ties toward
+    the lower gid."""
+    order = np.lexsort((gids, -values if largest else values))[:k]
+    return list(zip(values[order].tolist(), gids[order].tolist()))
 
 
 class ArrayNodeProtocol:
@@ -512,10 +495,7 @@ class ArrayNodeProtocol:
     def finalize_commit(self, st: _NodeState, lg, iteration: int) -> list:
         """Commit pending values and finalise activity — the point of
         no return of the superstep, and the only writer of the
-        committed columns.  The writeback of values and flags into
-        stamped slots is deferred (marked ``unflushed``); activity goes
-        to the stamped slots at once, for the positions whose flag
-        changed.
+        committed columns within it.
 
         Returns the master gids whose activity now differs from what
         their replicas believe (vertex-cut broadcast backlog; always
@@ -528,22 +508,18 @@ class ArrayNodeProtocol:
             st.values[pos] = st.pend_values[pos]
             st.last_activates[pos] = st.pend_activates[pos]
             st.last_update[pos] = iteration
-            st.unflushed[pos] = True
         stale: list = []
         touched = np.flatnonzero((pm | st.next_active) & topo.is_master)
         if touched.size:
             new_active = ((pm[touched] & st.pend_self_active[touched])
                           | st.next_active[touched])
-            # Master/mirror self-activity shadows commit into the
-            # columns; the slot write rides the deferred flush (withp
-            # and mirrors are pend-masked, hence marked unflushed).
+            # Master/mirror self-activity shadows.
             withp = touched[pm[touched]]
             st.mirror_self_active[withp] = st.pend_self_active[withp]
-            # Only flip slots whose activity actually changed — the
-            # column mirrors the slot flags, so the delta filter
-            # leaves slot state and active sets exactly as the
-            # full-write would (always-active programs skip the
-            # whole per-slot loop).
+            # Only flip positions whose activity actually changed — the
+            # delta filter leaves the active sets exactly as the
+            # full-write would (always-active programs skip the whole
+            # per-position loop).
             cmask = new_active != st.active[touched]
             if cmask.any():
                 lg.set_active_bulk(touched[cmask].tolist(),
@@ -564,8 +540,7 @@ class ArrayNodeProtocol:
 
 class VectorizedExecutor:
     """The simulator's cache of :class:`_NodeState` objects for one
-    engine, with their deferred writeback into stamped slots (the
-    engine's own superstep drivers run the states)."""
+    engine (the engine's own superstep drivers run the states)."""
 
     def __init__(self, engine, kernel):
         self.engine = engine
@@ -575,72 +550,20 @@ class VectorizedExecutor:
             combining=engine._combining)
         #: node -> _NodeState, cached across supersteps; a state is
         #: valid while its topology object is still the graph's cached
-        #: one (a write outside the commit invalidates the written
-        #: node's topology, which makes :meth:`state` rebuild that
-        #: node's state over its caught-up columns).
+        #: one (a structural write outside the commit invalidates the
+        #: written node's topology, which makes :meth:`state` rebuild
+        #: that node's state over its columns).
         self._states: dict[int, _NodeState] = {}
         #: States built; the ``soa.state_builds`` counter.
         self.state_builds = 0
-        #: Slot writebacks performed (per node, :meth:`flush` calls that
-        #: found deferred commits at stamped positions).  The read-path
-        #: contract is that point reads never advance this counter.
-        self.flush_count = 0
 
     # -- state cache ---------------------------------------------------
 
     def rollback(self) -> None:
-        """Flush committed columns, then clear the uncommitted staging.
-
-        The flush writes the *last-committed* values, which is exactly
-        what recovery, repair and membership moves must see in the
-        stamped slots (a slot stamped later reads the columns); the
-        committed columns stay — whoever then writes a node's slots
-        invalidates that node's image itself.
-        """
-        self.flush()
+        """Clear every state's uncommitted staging; the committed
+        columns stay."""
         for st in self._states.values():
             st.abort()
-
-    def flush(self) -> None:
-        """Write deferred column commits back into the stamped slots.
-
-        Called before any code path that reads slot values directly:
-        recovery entry, checkpoint saves, chaos-plugin hooks, and
-        :meth:`Engine.values`.  Writes only the positions a consumer
-        stamped (the columns already hold the rest); a no-op (per node)
-        when nothing is pending, so it is safe to call eagerly.
-        """
-        for st in self._states.values():
-            pos = np.flatnonzero(st.unflushed)
-            if not pos.size:
-                continue
-            st.unflushed[:] = False
-            lg = st.lg
-            if lg is not None and lg.push(pos, _DEFERRED):
-                self.flush_count += 1
-
-    def committed_value(self, node: int, pos: int):
-        """Flush-free committed read of one position's column value.
-
-        The committed columns are authoritative between barriers — the
-        barrier commit writes them and defers the slot writeback — so a
-        point read can take the value straight from the array without
-        forcing :meth:`flush`.  Returns :data:`NO_COLUMN` when the node
-        has no valid cached state (fresh engine, post-recovery
-        invalidation): the caller then reads the graph itself
-        (:meth:`LocalGraph.committed_value`).
-        """
-        cols = self.committed_columns(node)
-        return cols if cols is NO_COLUMN else cols[1][pos].item()
-
-    def committed_columns(self, node: int):
-        """The node's committed value column + topology, flush-free.
-
-        Returns ``(topo, values)`` for bulk committed reads (top-K) or
-        :data:`NO_COLUMN` when no valid cached state exists.
-        """
-        st = self.valid_state(node)
-        return NO_COLUMN if st is None else (st.topo, st.values)
 
     def valid_state(self, node: int) -> _NodeState | None:
         """The node's cached state if its image is still the graph's,

@@ -10,8 +10,8 @@ decode -> one call on its rank's per-node object -> encode.  With a
 kernel that object is an :class:`~repro.engine.vectorized.
 ArrayNodeProtocol` state whose columns are built *after* the fork:
 batch columns go from the arrays straight into ``encode_batch``,
-received batches stage by column scatter, values never flush back to
-slots.  Otherwise (``cd``, ``als``, ``vectorized=False``) it is a
+received batches stage by column scatter.  Otherwise (``cd``, ``als``,
+``vectorized=False``) it is a
 :class:`~repro.exec.protocol.ScalarNodeState`.  The coordinator drives
 the rounds over per-worker duplex pipes (star topology) and routes the
 encoded columnar batches; it cannot tell the two apart.
@@ -553,7 +553,7 @@ class MultiprocessingBackend(ExecutionBackend):
 
     def _sync_parent_from_workers(self) -> None:
         """Pull every live rank's committed state into the parent's
-        columns (and the slots stamped there).
+        columns.
 
         Workers never change the structure of their partition, so the
         parent image already has every copy; only the committed dynamic

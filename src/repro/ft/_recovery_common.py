@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.cluster.network import Message, MessageKind
 from repro.engine.construction import ft_census, sync_columns
-from repro.engine.local_graph import LocalGraph, stamp_slots
+from repro.engine.local_graph import DYNAMIC, LocalGraph, stamp_slots
 from repro.engine.messages import RecoveryBatch, csr_ptr, csr_rows
 from repro.engine.soa import NodeTopology
 from repro.engine.state import MasterMeta, Role, VertexSlot
@@ -84,24 +84,12 @@ def leading_mirrors(engine: "Engine", node: int, failed: set[int]
             [meta for meta, keep in zip(metas, lead) if keep])
 
 
-def _committed_rows(engine: "Engine", lg: LocalGraph, pos: np.ndarray):
+def _committed_rows(lg: LocalGraph, pos: np.ndarray):
     """``gid, value, active, last_activates, mirror_self_active,
     replicas_known_active, last_update_iter, is_master, selfish,
     master_node`` of the copies at positions ``pos`` of ``lg``, one
-    column each: from the node's committed columns when it holds a valid
-    column state, else read through the slots stamped there
-    (:meth:`LocalGraph.committed`; the multiprocessing backend's parent
-    image holds no column state), with the static half from the image —
-    or, with none cached, from those slots alone."""
-    vec = engine._vec
-    st = vec.valid_state(lg.node_id) if vec is not None else None
-    if st is not None:
-        topo = st.topo
-        return (topo.gids[pos], st.values[pos].tolist(), st.active[pos],
-                st.last_activates[pos], st.mirror_self_active[pos],
-                st.replicas_known_active[pos], st.last_update[pos],
-                topo.is_master[pos], topo.selfish[pos],
-                topo.master_node[pos])
+    column each: the committed half from the node's columns, the static
+    half from its image — or, with none cached, from the slots there."""
     topo = lg.cached_topology
     if topo is None:
         slots = lg.slots.take(pos)
@@ -115,11 +103,9 @@ def _committed_rows(engine: "Engine", lg: LocalGraph, pos: np.ndarray):
     else:
         static = (topo.gids[pos], topo.is_master[pos], topo.selfish[pos],
                   topo.master_node[pos])
-    dynamic = lg.committed(pos)
-    return (static[0], dynamic["values"], dynamic["active"],
-            dynamic["last_activates"], dynamic["mirror_self_active"],
-            dynamic["replicas_known_active"], dynamic["last_update"],
-            *static[1:])
+    return (static[0], lg.values[pos].tolist(), lg.active[pos],
+            lg.last_activates[pos], lg.mirror_self_active[pos],
+            lg.replicas_known_active[pos], lg.last_update[pos], *static[1:])
 
 
 def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
@@ -139,8 +125,7 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
     lg = engine.local_graphs[node]
     rows = pos.size
     (gids, values, active, last_activates, self_active, replicas_known,
-     last_update, is_master, selfish, master_node) = _committed_rows(
-        engine, lg, pos)
+     last_update, is_master, selfish, master_node) = _committed_rows(lg, pos)
     # A copy believes what the master last broadcast: the master's
     # ``replicas_known_active``; on a mirror, its own flag.
     known = np.where(is_master, replicas_known, active)
@@ -234,15 +219,19 @@ def _row_state(batch: RecoveryBatch, last_commit: int) -> tuple:
 def place_rows(lg: LocalGraph, batch: RecoveryBatch, last_commit: int,
                ft_only: bool, edge_cut: bool) -> list[VertexSlot]:
     """Append a batch's copies to a live node's graph, each at its
-    position (``add_slot`` invalidates the node's image).  Positional
-    placement is contention-free (Section 5.1.2): exactly one row exists
-    per position.  ``ft_only`` marks copies made for fault tolerance
-    alone, as opposed to ones a local edge is about to need."""
+    position (``add_slot`` writes the row's state into the columns and
+    invalidates the node's image).  Positional placement is
+    contention-free (Section 5.1.2): exactly one row exists per
+    position.  ``ft_only`` marks copies made for fault tolerance alone,
+    as opposed to ones a local edge is about to need."""
     values, *flags = _row_state(batch, last_commit)
     slots = stamp_slots(batch, np.arange(len(batch)), [ft_only] * len(batch),
-                        [values, *(column.tolist() for column in flags)],
                         full_edges=edge_cut)
-    for slot, position in zip(slots, batch.positions.tolist()):
+    for slot, position, *state in zip(
+            slots, batch.positions.tolist(), values,
+            *(column.tolist() for column in flags)):
+        for name, value in zip(DYNAMIC.values(), state):
+            setattr(slot, name, value)
         lg.add_slot(slot, position=position)
     return slots
 
@@ -359,34 +348,11 @@ def _positions_of(rows: RecoveryBatch, by_gid: np.ndarray,
     return rows.positions[by_gid][at], have[at] == want
 
 
-def _columns_written(engine: "Engine", lg: LocalGraph) -> None:
-    """A value or activity write on ``lg`` outside the barrier commit:
-    only a column state built over its image holds those (the image and
-    the FT census do not), so the image goes only when such a state is
-    live (DESIGN.md §11) — a reborn node's, say, has none yet."""
-    vec = engine._vec
-    if vec is not None and vec.valid_state(lg.node_id) is not None:
-        lg.invalidate_soa()
-
-
-def _replay_sources(engine: "Engine", lg: LocalGraph,
-                    commit: int) -> np.ndarray:
-    """Positions whose last committed update requested activation."""
-    vec = engine._vec
-    st = vec.valid_state(lg.node_id) if vec is not None else None
-    if st is not None:
-        return st.last_activates & (st.last_update == commit)
-    state = lg.committed(np.arange(len(lg.slots)),
-                         ("last_activates", "last_update"))
-    return state["last_activates"] & (state["last_update"] == commit)
-
-
-def _activate(engine: "Engine", lg: LocalGraph, positions) -> None:
+def _activate(lg: LocalGraph, positions) -> None:
     """Set the activity of the masters at ``positions`` (unique)."""
     positions = np.asarray(positions, dtype=np.int64)
-    flip = positions[~lg.committed(positions, ("active",))["active"]]
-    if flip.size:  # a flip is a column write
-        _columns_written(engine, lg)
+    flip = positions[~lg.active[positions]]
+    if flip.size:
         lg.set_active_bulk(flip.tolist(), [True] * flip.size)
 
 
@@ -410,12 +376,14 @@ def replay_activations(engine: "Engine", nodes: list[int],
     for node in nodes:
         lg = engine.local_graphs[node]
         topo = lg.topology()
-        hit = topo.out_dst[_replay_sources(engine, lg, commit)[topo.out_src]]
+        # Positions whose last committed update requested activation.
+        sources = lg.last_activates & (lg.last_update == commit)
+        hit = topo.out_dst[sources[topo.out_src]]
         if targets is not None:
             hit = hit[np.isin(topo.gids[hit], targets)]
         ops += hit.size
         local = topo.is_master[hit]
-        _activate(engine, lg, np.unique(hit[local]).tolist())
+        _activate(lg, np.unique(hit[local]).tolist())
         far = np.unique(hit[~local])
         remote.extend(zip([node] * far.size, topo.master_node[far].tolist(),
                           topo.gids[far].tolist()))
@@ -432,7 +400,7 @@ def replay_activations(engine: "Engine", nodes: list[int],
             if kind == "replay-activate" and gid in lg.index_of:
                 position = lg.index_of[gid]
                 if lg.topology().is_master[position]:
-                    _activate(engine, lg, (position,))
+                    _activate(lg, (position,))
     return ops
 
 
@@ -494,7 +462,6 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
             slot.value = program.apply(gid, slot.value, acc, ctx)
             lg.set_active(slot, program.stays_active(
                 gid, slot.value, slot.value, ctx))
-        _columns_written(engine, lg)
     return edges
 
 

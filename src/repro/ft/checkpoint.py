@@ -294,6 +294,7 @@ class CheckpointManager:
     def _apply_edge_log(lg: LocalGraph,
                         edges: dict[tuple[int, int], float]) -> None:
         """Re-apply mutated edge weights to every local copy by gid pair."""
+        lg.invalidate_soa()  # the image holds the weights
         for slot in lg.iter_slots():
             for i, (src_pos, weight) in enumerate(slot.in_edges):
                 src = lg.slots[src_pos]
@@ -363,6 +364,8 @@ class CheckpointManager:
                 slot.clear_pending()
                 stats.vertices_restored += 1
             # Re-apply mutated edge state in journal order.
+            if edge_updates:
+                lg.invalidate_soa()  # the image holds the weights
             for gid, idx, weight in edge_updates:
                 slot = lg.slot_of(gid)
                 src_pos, _old = slot.in_edges[idx]
@@ -447,7 +450,7 @@ class CheckpointRecovery:
         # they never left).  The safety net, having rebuilt every graph,
         # also restarts from the loading-time values and flags; in CKPT
         # mode the reader and the resync below overwrite everything a
-        # rebuilt slot holds.
+        # rebuilt copy holds.
         engine.master_node_of = [int(n) for n in engine.plan.master_of]
         if safety:
             engine._init_values()
@@ -459,9 +462,9 @@ class CheckpointRecovery:
         reconstruct_s = _full_resync(engine, alive)
         engine.tracer.record("checkpoint.reconstruct", reconstruct_s,
                              cat="recovery")
-        # Write set (DESIGN.md §11): every live node's values and flags.
-        for node in alive:
-            engine.local_graphs[node].invalidate_soa()
+        # Write set (DESIGN.md §11): values and flags are column writes,
+        # a rebuilt graph is born with its own image, and the readers
+        # invalidate the graphs whose edge weights they re-apply.
         if engine.edge_ckpt is not None:
             # Re-derive the vertex-cut edge files (REPLICATION mode
             # only, i.e. under the safety net).  The pristine rebuild

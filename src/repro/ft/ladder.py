@@ -40,12 +40,8 @@ def recover(engine: "Engine", failed: tuple[int, ...]) -> None:
     # the end of recovery fall back to surviving replicas and are
     # tagged ``degraded=True`` by the router (DESIGN.md §13).
     engine.in_recovery = True
-    # Recovery reads survivor slots throughout: flush the vectorized
-    # executor's deferred commits up front.  Its cached images stay —
-    # each rung, and repair, invalidates exactly the nodes it writes
-    # (DESIGN.md §11).
-    if engine._vec is not None:
-        engine._vec.rollback()
+    # Cached images stay: each rung, and repair, invalidates exactly the
+    # nodes whose structure it writes (DESIGN.md §11).
     cluster = engine.cluster
     # Elect the coordinator for this recovery term before the
     # chaos hook, so a schedule targeting "leader" can kill it
@@ -332,8 +328,7 @@ def _refresh_broadcast_state(engine: "Engine") -> None:
         lg = engine.local_graphs[node]
         topo = lg.topology()
         masters = np.flatnonzero(topo.is_master)
-        flags = lg.committed(masters, ("active", "replicas_known_active"))
-        stale = topo.gids[masters[flags["active"]
-                                  != flags["replicas_known_active"]]]
+        stale = topo.gids[masters[lg.active[masters]
+                                  != lg.replicas_known_active[masters]]]
         if stale.size:
             engine._broadcast_pending[node].update(stale.tolist())

@@ -308,8 +308,6 @@ class MembershipManager:
         self._flapped = []
         if not flapped:
             return
-        if engine._vec is not None:
-            engine._vec.flush()
         net = engine.cluster.network
         net.begin_step()
         alive = engine._alive()
@@ -341,8 +339,7 @@ class MembershipManager:
         for target in flapped:
             lg = engine.local_graphs[target]
             # Value-neutral but for selfish masters, whose normal sync
-            # is skipped: the rewrite is a slot write like any other.
-            lg.invalidate_soa()
+            # is skipped: a column write, so the image stays.
             for msg in net.deliver(target):
                 batch = msg.payload
                 for i, gid in enumerate(batch.gids):
@@ -388,11 +385,6 @@ class MembershipManager:
                        alive: list[int]) -> None:
         """One throttled background-repair round toward ``target``."""
         engine = self.engine
-        if engine._vec is not None:
-            # Write deferred column commits back: repair snapshots
-            # master slots (and invalidates the images of the nodes it
-            # then writes on, mirror-only rounds included).
-            engine._vec.rollback()
         net = engine.cluster.network
         net.begin_step()
         created, bytes_sent = common.restore_ft_level(
@@ -449,9 +441,6 @@ class MembershipManager:
         self._drop_dead_targets()
         if not self._queue:
             return
-        if engine._vec is not None:
-            # Write deferred column commits back: moves read the slots.
-            engine._vec.rollback()
         net = engine.cluster.network
         net.begin_step()
         pre_clock = engine.cluster.clocks.global_max()

@@ -68,11 +68,11 @@ def move_master(engine: "Engine", gid: int, dst: int) -> int:
     else:
         dst_pos = len(dst_lg.slots)
         dst_slot = VertexSlot(gid=gid, role=Role.REPLICA,
-                              value=src_slot.value,
                               out_degree=src_slot.out_degree,
                               in_degree=src_slot.in_degree,
                               master_node=src,
                               selfish=src_slot.selfish)
+        dst_slot.value = src_slot.value
         dst_lg.add_slot(dst_slot, position=dst_pos)
     dst_slot.clear_pending()
     dst_slot.role = Role.MASTER

@@ -28,9 +28,9 @@ class HistoryRecorder:
     """Serve hook recording ``{superstep: {gid: value}}`` at commits.
 
     ``-1`` (initial values) is captured at the first phase hook; each
-    later superstep at its commit.  Recording flushes the columns
-    (``values()``), which is fine — the recorder runs on the replay
-    engine, never on the serving one.
+    later superstep at its commit.  Recording materialises the whole
+    value dict (``values()``), which is fine — the recorder runs on the
+    replay engine, never on the serving one.
     """
 
     def __init__(self):

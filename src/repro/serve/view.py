@@ -8,15 +8,13 @@ mid-superstep or uncommitted state.  Two properties make this cheap
 
 * **Staging separation** — uncommitted superstep results live only in
   the vectorized executor's ``pend_*`` arrays (or the slots' pending
-  fields on the scalar path); the committed columns / slot values are
-  untouched until the barrier commit, so any read *between* the
-  engine's phase hooks observes exactly the last commit.
-* **Flush-free column reads** — the barrier commit dual-writes the
-  committed columns and defers the slot writeback, so a point read
-  takes the value straight from the array
-  (:meth:`~repro.engine.vectorized.VectorizedExecutor.committed_value`)
-  without forcing a whole-column
-  :meth:`~repro.engine.vectorized.VectorizedExecutor.flush`.
+  fields on the scalar path); the committed columns are untouched until
+  the barrier commit, so any read *between* the engine's phase hooks
+  observes exactly the last commit.
+* **One copy** — each node's committed columns are the only store of
+  its values (a slot is a view of them), so a point read is one column
+  element and a top-K one selection over the masters' column slice; a
+  read builds no image and stamps no slot.
 
 The view reads *state*; replica selection (which copy answers) is the
 router's job (:mod:`repro.serve.router`).
@@ -24,12 +22,11 @@ router's job (:mod:`repro.serve.router`).
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engine.vectorized import NO_COLUMN, top_masters
+from repro.engine.vectorized import top_masters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
@@ -71,36 +68,24 @@ class CommittedView:
     def top_k(self, k: int, largest: bool = True) -> list[tuple[int, Any]]:
         """The K masters with the extreme committed values.
 
-        Masters only (each vertex counted once), alive nodes only;
-        vectorized column fast path per node, the graph's committed
-        columns (read through any stamped slot) otherwise.
-        Ties break toward the lower gid, matching the per-node heaps.
-        Returns ``[(gid, value), ...]`` best-first.
+        Masters only (each vertex counted once), alive nodes only; each
+        node's masters are found in its cached image, else by
+        ``SlotArray.masters`` (a read never builds an image nor stamps a
+        slot).  Ties break toward the lower gid.  Returns
+        ``[(gid, value), ...]`` best-first.
         """
         engine = self.engine
-        vec = engine._vec
         per_node: list[list[tuple[Any, int]]] = []
         for node in engine.cluster.alive_workers():
             lg = engine.local_graphs[node]
-            cols = vec.committed_columns(node) if vec is not None \
-                else NO_COLUMN
-            if cols is not NO_COLUMN:
-                # Deterministic (value, gid) selection so the column
-                # path and the slot fallback pick identical K sets
-                # under value ties.
-                per_node.append(top_masters(*cols, k, largest))
+            topo = lg.cached_topology
+            if topo is None:
+                pos, gids = lg.slots.masters()
+                gids = np.asarray(gids, dtype=np.int64)
             else:
-                # A read never builds an image nor stamps a slot.
-                topo = lg.cached_topology
-                if topo is None:
-                    pos, gids = lg.slots.masters()
-                else:
-                    pos = np.flatnonzero(topo.is_master)
-                    gids = topo.gids[pos].tolist()
-                items = list(zip(lg.committed(pos, ("values",))["values"],
-                                 gids))
-                pick = heapq.nlargest if largest else heapq.nsmallest
-                per_node.append(pick(k, items, key=lambda t: (t[0], -t[1])))
+                pos = np.flatnonzero(topo.is_master)
+                gids = topo.gids[pos]
+            per_node.append(top_masters(gids, lg.values[pos], k, largest))
         merged: list[tuple[Any, int]] = [t for part in per_node
                                          for t in part]
         merged.sort(key=(lambda t: (-t[0], t[1])) if largest

@@ -306,7 +306,10 @@ class TestSyncTargetCache:
 
 class TestActiveSnapshots:
     def make_slot(self, gid, role=Role.MASTER):
-        return VertexSlot(gid=gid, role=role, active=False)
+        # ``set_active_bulk`` reads roles from the image, which a
+        # master's metadata is part of.
+        return VertexSlot(gid=gid, role=role,
+                          meta=MasterMeta() if role is Role.MASTER else None)
 
     def test_snapshot_cached_until_mutation(self):
         lg = LocalGraph(0)

@@ -188,16 +188,13 @@ class TestOneCheckpointRung:
         assert result.values == baseline
 
     @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
-    def test_rewind_invalidates_survivors_with_unchanged_topology(
-            self, graph, partition):
+    def test_rewind_keeps_the_survivors_images(self, graph, partition):
         """CKPT mode rebuilds only the failed node's graph; survivors
-        keep their ``LocalGraph`` and topology but their values rewind,
-        so the rung must drop their SoA images all the same."""
-        import numpy as np
-
+        keep their ``LocalGraph``, image and column state — their values
+        rewind in the columns that state adopted, a write that stales
+        nothing."""
         from repro.api import make_engine
         from repro.chaos.invariants import InvariantChecker
-        from repro.engine.soa import NodeTopology
         kw = dict(num_nodes=5, max_iterations=6, partition=partition,
                   ft_mode="checkpoint", checkpoint_interval=2)
         clean = run_job(graph, "pagerank", **kw)
@@ -205,6 +202,7 @@ class TestOneCheckpointRung:
         engine.run(max_iterations=3)
         graphs = dict(engine.local_graphs)
         images = {n: lg.cached_topology for n, lg in graphs.items()}
+        states = {n: engine._vec.valid_state(n) for n in graphs}
         engine.schedule_failure(3, [2])
         checker = InvariantChecker()
         engine.attach_chaos(checker)
@@ -212,19 +210,12 @@ class TestOneCheckpointRung:
         (stats,) = result.recoveries
         assert stats.replayed_iterations == 1
         for node, lg in engine.local_graphs.items():
-            assert (lg is graphs[node]) == (node != 2)
-            assert lg.cached_topology is not images[node]
-            if node != 2:  # same topology, field for field
-                for name in NodeTopology.__slots__:
-                    if name == "sync_plan":  # a dict: compared below
-                        continue
-                    assert np.array_equal(
-                        getattr(lg.cached_topology, name),
-                        getattr(images[node], name))
-                plan = lg.cached_topology.sync_plan
-                assert list(plan) == list(images[node].sync_plan)
-                assert all(np.array_equal(plan[key],
-                                          images[node].sync_plan[key])
-                           for key in plan)
+            survivor = node != 2
+            assert (lg is graphs[node]) == survivor
+            assert (lg.cached_topology is images[node]) == survivor
+            assert (engine._vec.valid_state(node) is states[node]) \
+                == survivor
+        # 5 first touches + the rebuilt node.
+        assert engine._vec.state_builds == 6
         assert checker.checks >= 5  # the recovery + 4 (re)run commits
         assert result.values == clean.values

@@ -4,6 +4,11 @@
 * Stamping order is not observable: positions materialised in any
   order, some before the supersteps that write them and the rest after,
   equal an eager stamp of the whole node field for field.
+* One copy: a stamped slot is a view of its graph's columns.  A column
+  write (the commit, ``set_active_bulk``, ``store``) shows through a
+  slot stamped before it, and a slot write shows in the live column
+  state without a rebuild; a slot keeps its fields when it leaves its
+  position and writes them into the columns when it takes one.
 * A failure-free load or run creates no ``VertexSlot`` / ``MasterMeta``
   at all, and ``soa.slots_materialized`` reads 0 at every barrier, on
   both cuts and on the multiprocessing parent image.
@@ -20,13 +25,15 @@ import gc
 import multiprocessing
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.exec.mp as mp
 from repro.api import make_engine
-from repro.engine.state import MasterMeta, VertexSlot
+from repro.engine.local_graph import DYNAMIC, VACANT, LocalGraph
+from repro.engine.state import COMMITTED, MasterMeta, Role, VertexSlot
 from repro.exec.base import BackendSpec
 from repro.exec.mp import MultiprocessingBackend
 from repro.graph import generators
@@ -51,33 +58,65 @@ def _slot_objects() -> set[int]:
             if isinstance(obj, (VertexSlot, MasterMeta))}
 
 
+def _assert_a_view(lg, slot, pos):
+    """``slot`` reads ``lg``'s committed columns at ``pos``."""
+    assert slot.binding == (lg, pos)
+    for column, field in DYNAMIC.items():
+        assert getattr(slot, field) == getattr(lg, column)[pos], field
+
+
 @settings(max_examples=40, deadline=None)
 @given(partition=st.sampled_from(CUTS), level=st.sampled_from([1, 2]),
        seed=st.integers(0, 20), data=st.data())
 def test_any_stamping_order_equals_an_eager_stamp(partition, level, seed,
                                                   data):
     """Some positions stamped at load, in a drawn order, ride three
-    supersteps (deferred writeback, activity flips); the rest are
-    stamped after, in another drawn order.  An identical engine stamped
-    whole at the end is the eager stamp."""
+    supersteps (commits, activity flips) and read each commit with no
+    flush; then drawn writes land on both sides — through those slots,
+    seen at once by the live column state, which is not rebuilt, and
+    through the columns, seen at once by the slots.  The rest are
+    stamped after, in another drawn order.  An identical engine given
+    the same writes and stamped whole at the end is the eager stamp."""
     graph = generators.power_law(80, alpha=2.0, seed=seed, avg_degree=4.0,
                                  selfish_frac=0.1)
     lazy, eager = (make_engine(graph, "sssp", num_nodes=4,
                                partition=partition, ft_level=level, seed=seed,
                                algorithm_kwargs={"source": seed % 80})
                    for _ in range(2))
-    early = {}
+    early, stamped = {}, {}
     for node, lg in lazy.local_graphs.items():
         order = data.draw(st.permutations(range(len(lg.slots))))
         cut = data.draw(st.integers(0, len(order)))
         early[node] = order[cut:]
-        for pos in order[:cut]:
-            assert lg.slots[pos].gid == lg.cached_topology.gids[pos]
+        stamped[node] = {pos: lg.slots[pos] for pos in order[:cut]}
+        for pos, slot in stamped[node].items():
+            assert slot.gid == lg.cached_topology.gids[pos]
     lazy.run(max_iterations=3)
     eager.run(max_iterations=3)
     assert lazy.values() == eager.values()
-    for engine in (lazy, eager):
-        engine._vec.flush()
+    builds = lazy._vec.state_builds
+    for node, lg in lazy.local_graphs.items():
+        for pos, slot in stamped[node].items():
+            _assert_a_view(lg, slot, pos)  # the commits, no flush
+        if not stamped[node]:
+            continue
+        pos = data.draw(st.sampled_from(sorted(stamped[node])))
+        slot, state = stamped[node][pos], lazy._vec.valid_state(node)
+        twin = eager.local_graphs[node]
+        flag = not slot.active
+        # A slot write, then column writes, the same on both engines.
+        for g, s in ((lg, slot), (twin, twin.slots[pos])):
+            s.value = pos + 0.5
+            g.set_active(s, flag)
+        assert (state.values[pos], state.active[pos]) == (pos + 0.5, flag)
+        for g in (lg, twin):
+            g.store(np.array([pos]), last_update=[7], values=[pos + 0.25])
+            g.set_active_bulk([pos], [not flag])
+        assert (slot.value, slot.last_update_iter, slot.active) == (
+            pos + 0.25, 7, not flag)
+        _assert_a_view(lg, slot, pos)
+        assert lazy._vec.valid_state(node) is state
+    assert lazy._vec.state_builds == builds
     for node, lg in lazy.local_graphs.items():
         for pos in early[node]:
             lg.slots[pos]
@@ -90,6 +129,65 @@ def test_any_stamping_order_equals_an_eager_stamp(partition, level, seed,
         assert lg.materialized == len(lg.slots)
         assert lg.active_masters == want.active_masters
         assert lg.active_others == want.active_others
+
+
+class TestOneCopy:
+    """A slot's six committed fields live in its graph's columns while
+    it holds a position, and in the slot itself otherwise."""
+
+    def test_remove_slot_keeps_the_moved_slot_fields(self, graph):
+        engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                             max_iterations=3)
+        engine.run()
+        lg = engine.local_graphs[1]
+        slot = next(lg.iter_mirrors())
+        pos = lg.position_of(slot.gid)
+        fields = {name: getattr(slot, name) for name in COMMITTED}
+        assert lg.remove_slot(slot.gid) is slot
+        assert slot.binding is None
+        assert {name: getattr(slot, name) for name in COMMITTED} == fields
+        assert all(getattr(lg, column)[pos] == fill
+                   for column, fill in VACANT.items())
+        slot.value = -1.0  # detached: the tombstone is not written
+        assert lg.values[pos] == VACANT["values"]
+        other = LocalGraph(9)
+        at = other.add_slot(slot, position=2)
+        assert other.values[at] == -1.0
+        assert other.last_update[at] == fields["last_update_iter"]
+
+    def test_add_slot_writes_a_detached_slots_fields(self):
+        slot = VertexSlot(gid=5, role=Role.MASTER)
+        for name, value in zip(DYNAMIC.values(),
+                               (2.5, True, True, True, False, 4)):
+            setattr(slot, name, value)
+        assert slot.binding is None
+        lg = LocalGraph(0)
+        assert lg.add_slot(slot, position=1) == 1
+        assert slot.binding == (lg, 1)
+        assert [getattr(lg, column)[1] for column in DYNAMIC] == [
+            2.5, True, True, True, False, 4]
+        assert [getattr(lg, column)[0] for column in DYNAMIC] == list(
+            VACANT.values())
+        assert lg.active_masters == {5}
+        lg.values[1] = 3.5
+        assert slot.value == 3.5
+
+    @pytest.mark.parametrize("algorithm,dtype,kind", [
+        ("pagerank", np.float64, float), ("cc", np.int64, int)])
+    def test_fields_read_back_as_python_scalars(self, graph, algorithm,
+                                                dtype, kind):
+        engine = make_engine(graph, algorithm, num_nodes=4, ft_level=1,
+                             max_iterations=3)
+        engine.run()
+        lg = engine.local_graphs[0]
+        assert lg.values.dtype == dtype
+        slot = lg.slots[0]
+        assert type(slot.value) is kind
+        assert type(slot.last_update_iter) is int
+        for name in ("active", "last_activates", "replicas_known_active",
+                     "mirror_self_active"):
+            assert type(getattr(slot, name)) is bool
+        assert type(engine.committed_value_at(0, slot.gid)) is kind
 
 
 class TestNothingStampedWithoutAConsumer:

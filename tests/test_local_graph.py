@@ -10,7 +10,9 @@ from repro.errors import EngineError
 
 
 def slot(gid, role=Role.MASTER, active=False):
-    return VertexSlot(gid=gid, role=role, active=active)
+    made = VertexSlot(gid=gid, role=role)
+    made.active = active  # a detached slot's own, until add_slot
+    return made
 
 
 class TestSlotArray:

@@ -109,7 +109,6 @@ def _rebirth_of(engine, node, supersteps):
     """Run to ``supersteps``, crash ``node`` and recover it by hand:
     ``(graph before the crash, reborn graph)``."""
     engine.run(max_iterations=supersteps)
-    engine._vec.flush()
     before = engine.local_graphs[node]
     engine.cluster.crash(node)
     ladder.recover(engine, (node,))

@@ -8,10 +8,10 @@ with, verified against a serving-free replay of the identical job
 (:func:`repro.serve.replay.replay_committed_history`).
 
 Covers the satellite checklist: snapshot isolation across superstep
-boundaries, flush-free point reads, read-during-recovery degradation
-tagging, replica-routing determinism, the selfish read fence closed by
-the recovery audit, the replica-read-consistency chaos invariant, and
-chaos slices with reads on both execution backends.
+boundaries, reads that build and stamp nothing, read-during-recovery
+degradation tagging, replica-routing determinism, the selfish read
+fence closed by the recovery audit, the replica-read-consistency chaos
+invariant, and chaos slices with reads on both execution backends.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.serve import (
     NEIGHBORHOOD,
     POINT,
     TOPK,
+    CommittedView,
     OpenLoopWorkload,
     ReplicaRouter,
     check_responses,
@@ -124,28 +125,38 @@ class TestWorkload:
         assert len(w) == 7
 
 
+def _footprint(engine) -> tuple[int, int]:
+    """Column states built and slots stamped so far."""
+    return (engine.metrics.value("soa.state_builds"),
+            sum(lg.materialized for lg in engine.local_graphs.values()))
+
+
 class _MidSuperstepProbe:
     """Serve hook reading values *inside* a superstep via ``value_of``.
 
-    Captures a full point-read sweep at the ``sync`` phase (progress
-    .5, after compute wrote new values but before the commit barrier)
-    and asserts the flush-free contract by watching ``flush_count``.
+    Captures a full point-read sweep and a top-K at the ``sync`` phase
+    (progress .5, after compute wrote new values but before the commit
+    barrier), and what the reads built and stamped: column states
+    (``soa.state_builds``) and slots (``soa.slots_materialized``).
     """
 
     def __init__(self, at_iteration: int):
         self.at_iteration = at_iteration
         self.snapshot: dict[int, float] | None = None
+        self.top = None
         self.tag = None
-        self.flushes_during_reads = None
+        self.built_by_reads = None
 
     def on_phase(self, engine, phase):
         if phase != "sync" or engine.iteration != self.at_iteration:
             return
-        before = engine._vec.flush_count
+        before = _footprint(engine)
         self.snapshot = {gid: engine.value_of(gid)
                          for gid in range(engine.graph.num_vertices)}
+        self.top = CommittedView(engine).top_k(10)
         self.tag = engine.committed_iteration
-        self.flushes_during_reads = engine._vec.flush_count - before
+        self.built_by_reads = tuple(
+            after - was for after, was in zip(_footprint(engine), before))
 
 
 class TestSnapshotIsolation:
@@ -173,14 +184,20 @@ class TestSnapshotIsolation:
         assert probe.snapshot == history[2]
         assert probe.snapshot != history[3]
 
-    def test_point_reads_do_not_flush_columns(self, graph):
+    def test_point_reads_build_and_stamp_nothing(self, graph):
+        """A whole-graph sweep of point reads and a top-K, mid-superstep,
+        read the committed columns: no column state is built, no slot
+        stamped, and both return the last commit."""
+        spec = make_spec(serve=())
         probe = _MidSuperstepProbe(at_iteration=3)
-        engine = make_engine(graph, **make_spec(serve=()).engine_kwargs())
+        engine = make_engine(graph, **spec.engine_kwargs())
         engine.attach_serve(probe)
         engine.run()
-        # A whole-graph sweep of point reads mid-superstep triggered
-        # zero column writebacks (satellite: no full-flush per read).
-        assert probe.flushes_during_reads == 0
+        assert probe.built_by_reads == (0, 0)
+        committed = replay_committed_history(graph, spec)[2]
+        assert probe.snapshot == committed
+        assert probe.top == sorted(committed.items(),
+                                   key=lambda t: (-t[1], t[0]))[:10]
 
     def test_responses_tagged_with_monotonic_supersteps(self, graph):
         result = run_checked(graph, make_spec())

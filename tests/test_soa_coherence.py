@@ -1,17 +1,20 @@
 """Lifetime of the SoA images (DESIGN.md §11): the write-site rule.
 
 The image is born at load, with the slots.  Whoever writes a node's
-slots, edge lists or metadata outside the barrier commit invalidates
-*that node's* image, which is then read back out of the slots; everyone
-else keeps theirs — through rollback, recovery and repair.  The tests
-here pin the rule from both sides: images that must survive do (exact
-build counts, no FT-census rescan), and images that must go do (the
-SoA-coherence check of :class:`InvariantChecker`, which the chaos
-matrix, the membership acceptance schedules and the ladder tests also
-run).
+structure — slots, edge lists or metadata — outside the barrier commit
+invalidates *that node's* image, which is then read back out of the
+slots; everyone else keeps theirs — through rollback, recovery and
+repair — and values and flags, which live once in the graph's columns,
+invalidate nothing.  The tests here pin the rule from both sides:
+images that must survive do (exact build counts, no FT-census rescan,
+value and flag writes), and images that must go do (the SoA-coherence
+check of :class:`InvariantChecker`, which the chaos matrix, the
+membership acceptance schedules and the ladder tests also run).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import pytest
 
@@ -20,7 +23,6 @@ from repro.chaos import ChaosController, FailureSchedule
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
 from repro.engine.local_graph import LocalGraph
 from repro.engine.soa import NodeTopology
-from repro.engine.vectorized import NO_COLUMN
 from repro.ft import _recovery_common as common
 from repro.ft import ladder
 from repro.graph import generators
@@ -54,7 +56,8 @@ def _with_kills(graph, failures, **kwargs):
 
 class TestSoaCoherenceCheck:
     """The invariant itself: silent on a healthy engine, loud on a
-    write that skipped its invalidation."""
+    structural write that skipped its invalidation and on a slot that
+    is not a view of its own position."""
 
     @pytest.mark.parametrize("partition", PARTS)
     def test_soa_coherence_holds_on_a_healthy_engine(self, graph,
@@ -81,15 +84,35 @@ class TestSoaCoherenceCheck:
         InvariantChecker(check_values=False)._check_soa_coherence(
             engine, engine._alive(), "manual")
 
-    def test_soa_coherence_catches_a_stale_column(self, graph):
+    def test_soa_coherence_catches_an_unbound_slot(self, graph):
+        """A stamped slot holding its own fields, or another position's,
+        is a second copy: the binding check names it."""
         engine = _ran(graph)
         lg = engine.local_graphs[1]
-        engine._vec.flush()
-        slot = next(lg.iter_masters())
-        lg.set_active(slot, not slot.active)  # no invalidation
-        with pytest.raises(InvariantViolation, match="'active'"):
-            InvariantChecker()._check_soa_coherence(
-                engine, engine._alive(), "manual")
+        check = InvariantChecker().check_all
+        slot = lg.slots[3]
+        slot.detach()
+        with pytest.raises(InvariantViolation, match="position 3 is not"):
+            check(engine)
+        slot.bind(weakref.ref(lg), 4)
+        with pytest.raises(InvariantViolation, match="position 3 is not"):
+            check(engine)
+        slot.bind(weakref.ref(lg), 3)
+        check(engine)
+
+    def test_soa_coherence_catches_a_written_tombstone(self, graph):
+        engine = _ran(graph, num_nodes=5)
+        lg = engine.local_graphs[1]
+        gid = next(lg.iter_mirrors()).gid
+        pos = lg.position_of(gid)
+        removed = lg.remove_slot(gid)
+        check = InvariantChecker()._check_binding
+        check(engine, engine._alive(), "manual")
+        # A removed slot left bound writes through the tombstone.
+        removed.bind(weakref.ref(lg), pos)
+        removed.value = 2.5
+        with pytest.raises(InvariantViolation, match=f"tombstone {pos}"):
+            check(engine, engine._alive(), "manual")
 
     def test_sync_plan_key_order_is_part_of_the_image(self, graph):
         """``sync_plan`` key order is message send order."""
@@ -109,12 +132,14 @@ def _imaged(engine) -> set[int]:
 
 class TestWriteSites:
     """Each shared recovery helper drops the image of exactly the nodes
-    it writes on, and what is left is coherent."""
+    whose structure it writes on, and what is left is coherent; a value
+    or flag write drops nothing and rebuilds no column state."""
 
     def _check(self, engine, dropped):
         assert _imaged(engine) == set(engine.local_graphs) - dropped
-        InvariantChecker()._check_soa_coherence(engine, engine._alive(),
-                                                "manual")
+        checker = InvariantChecker()
+        checker._check_binding(engine, engine._alive(), "manual")
+        checker._check_soa_coherence(engine, engine._alive(), "manual")
 
     def test_replayed_activation_that_flips_a_flag(self):
         g = generators.power_law(120, alpha=2.0, seed=7, avg_degree=5.0)
@@ -122,25 +147,27 @@ class TestWriteSites:
                              max_iterations=30,
                              algorithm_kwargs={"source": 0})
         engine.run(max_iterations=2)
-        engine._vec.flush()
         node, source, target = next(
             (node, slot, lg.slots[pos])
             for node, lg in engine.local_graphs.items()
             for slot in lg.iter_slots() for pos in slot.out_edges
             if lg.slots[pos].is_master and not lg.slots[pos].active)
-        # Stage a lost activation the way a recovered copy carries it,
-        # in the slot and in the committed columns the replay reads.
+        # Stage a lost activation the way a recovered copy carries it:
+        # the slot writes the committed columns the replay reads.
+        st = engine._vec.valid_state(node)
+        builds = engine._vec.state_builds
         source.last_activates = True
         source.last_update_iter = engine.iteration - 1
-        st = engine._vec.valid_state(node)
         at = engine.local_graphs[node].position_of(source.gid)
-        st.last_activates[at] = True
-        st.last_update[at] = engine.iteration - 1
+        assert st.last_activates[at] and st.last_update[at] == \
+            engine.iteration - 1
         assert common.replay_activations(engine, [node], None) >= 1
         assert target.active
-        self._check(engine, {node})
+        assert st.active[engine.local_graphs[node].position_of(target.gid)]
+        self._check(engine, set())
+        assert engine._vec.valid_state(node) is st
+        assert engine._vec.state_builds == builds
         # Replaying it again flips nothing, so writes nothing.
-        engine.local_graphs[node].topology()
         common.replay_activations(engine, [node], None)
         self._check(engine, set())
 
@@ -158,17 +185,22 @@ class TestWriteSites:
                                  selfish_frac=0.2)
         engine = _ran(g)
         assert engine.selfish_opt_active
-        engine._vec.flush()
         slot = next(s for lg in engine.local_graphs.values()
                     for s in lg.iter_masters() if s.selfish and s.in_edges)
+        node = engine.master_node_of[slot.gid]
+        st = engine._vec.valid_state(node)
+        builds = engine._vec.state_builds
         common.recompute_selfish_masters(engine, [slot.gid])
-        self._check(engine, {engine.master_node_of[slot.gid]})
-
+        self._check(engine, set())
+        assert engine._vec.valid_state(node) is st
+        assert engine._vec.state_builds == builds
+        assert st.values is engine.local_graphs[node].values
 
     def test_flap_resync_rewrites_selfish_replicas(self):
         """The delta resync after a flap is value-neutral except for
         selfish masters, whose normal sync is skipped: their replicas on
-        the flapped node take a new value, so its image must go."""
+        the flapped node take a new value — a column write, so every
+        image stays and no column state is rebuilt."""
         g = generators.power_law(300, alpha=2.0, seed=7, avg_degree=4.0,
                                  selfish_frac=0.2)
         kw = dict(num_nodes=5, ft_level=1, max_iterations=8)
@@ -180,7 +212,7 @@ class TestWriteSites:
         result = engine.run()
         assert engine.metrics.value("membership.flap_resync_records") > 0
         assert checker.checks == 8
-        assert engine._vec.state_builds == 6  # first touches + node 1
+        assert engine._vec.state_builds == 5  # first touches only
         assert result.values == run_job(g, "pagerank", **kw).values
 
 
@@ -428,11 +460,11 @@ class TestReadsNeverBuild:
         engine = _ran(graph)
         lg = engine.local_graphs[2]
         gid = next(lg.iter_masters()).gid
-        assert engine._vec.committed_columns(2) is not NO_COLUMN
-        engine._vec.flush()
+        want = engine.committed_value_at(2, gid)
         builds = engine._vec.state_builds
         lg.invalidate_soa()
-        assert engine._vec.committed_columns(2) is NO_COLUMN
-        assert engine.committed_value_at(2, gid) == lg.slot_of(gid).value
+        assert engine._vec.valid_state(2) is None
+        assert engine.committed_value_at(2, gid) == want \
+            == lg.slot_of(gid).value
         assert lg.cached_topology is None
         assert engine._vec.state_builds == builds
