@@ -5,10 +5,13 @@ replication planning, local-graph construction, FT extensions),
 iterative computation with per-iteration failure detection at the
 global barrier, and recovery through the configured fault-tolerance
 mechanism.  It is a superstep driver calling collaborators at named
-barrier points: :func:`repro.ft.ladder.recover` on a failure and
+barrier points: :func:`repro.ft.ladder.recover` on a failure,
 ``engine.membership`` (:class:`repro.membership.manager.
 MembershipManager` — elastic membership and the adaptive FT floor) at
-superstep start and after each commit.
+superstep start and after each commit, and ``engine.ckpt``
+(:class:`repro.ft.checkpoint.CheckpointManager` — snapshots, edge-ckpt
+files and their edge-weight logs) at load, after each commit and per
+committed edge-weight change.
 
 Execution modes
 ---------------
@@ -51,7 +54,6 @@ from repro.errors import EngineError
 from repro.exec.protocol import NodeProtocol
 from repro.ft import ladder
 from repro.ft.checkpoint import CheckpointManager
-from repro.ft.edge_ckpt import EdgeCkptStore, EdgeRecord
 from repro.ft.recovery import RecoveryStats
 from repro.ft.replication import plan_replication
 from repro.graph.graph import Graph
@@ -181,8 +183,6 @@ class Engine:
         self.syncs_elided = 0
         self._halted = False
         self._last_barrier_clock = 0.0
-        #: CKPT mode: edge mutations since the last snapshot, per node.
-        self._edge_journal: dict[int, list] = defaultdict(list)
         #: The scalar path's per-node round objects of this superstep
         #: (staged slots are committed or rolled back at the barrier);
         #: the array path's live on in the executor's cache instead.
@@ -190,11 +190,6 @@ class Engine:
         #: Masters whose activity flag must be re-broadcast to replicas
         #: (vertex-cut scheduling).
         self._broadcast_pending: dict[int, set[int]] = defaultdict(set)
-        #: Safety-net mode: cumulative position-independent edge-weight
-        #: log, (src_gid, dst_gid) -> latest weight.  Survives arbitrary
-        #: recoveries between snapshots (unlike the positional CKPT-mode
-        #: journal, which assumes masters never move).
-        self._safety_edge_log: dict[tuple[int, int], float] = {}
         #: Elastic membership + adaptive FT (DESIGN.md §14): the
         #: schedule, join/drain/flap, the floors and their pumps.
         self.membership = MembershipManager(self)
@@ -258,31 +253,12 @@ class Engine:
                 self._state = self._scalar_state
 
             # -- fault-tolerance wiring --------------------------------
-            self.ckpt: CheckpointManager | None = None
-            self.edge_ckpt: EdgeCkptStore | None = None
-            #: REPLICATION composed with low-frequency full snapshots —
-            #: the checkpoint rung of the fallback ladder (DESIGN.md §9).
-            self._safety_ckpt = (
-                self.job.ft.mode is FTMode.REPLICATION
-                and self.job.ft.safety_checkpoint_interval > 0)
+            #: Snapshots, edge-ckpt files and their edge-weight logs
+            #: (:class:`repro.ft.checkpoint.CheckpointManager`).
             with self.tracer.span("load.ft_init", cat="load",
                                   ft_mode=self.job.ft.mode.value):
-                if (self.job.ft.mode is FTMode.CHECKPOINT
-                        or self._safety_ckpt):
-                    self.ckpt = CheckpointManager(
-                        self.cluster.store, self.model,
-                        interval=(self.job.ft.safety_checkpoint_interval
-                                  if self._safety_ckpt
-                                  else self.job.ft.checkpoint_interval),
-                        in_memory=self.job.ft.checkpoint_in_memory,
-                        num_nodes=self.cluster.num_workers,
-                        tracer=self.tracer)
-                    self.ckpt.write_metadata(self.local_graphs)
-                if (self.job.ft.mode is FTMode.REPLICATION
-                        and not self.is_edge_cut):
-                    self.edge_ckpt = EdgeCkptStore(self.cluster.store,
-                                                   self.cluster.num_workers)
-                    self._write_edge_ckpt_files()
+                self.ckpt = CheckpointManager(self)
+                self.ckpt.at_load()
             self._init_values()
             ladder.update_ft_gauges(self)
 
@@ -437,55 +413,6 @@ class Engine:
                                  range(num_vertices)), bool, num_vertices)
         for lg in self.local_graphs.values():
             lg.reset(values, active)
-
-    def _write_edge_ckpt_files(self) -> None:
-        """Persist per-node edge files for vertex-cut FT (Section 4.3).
-
-        An edge's receiver file is keyed by a node hosting the master
-        or a mirror of its *target* vertex (excluding the owner), so
-        Migration reloads land edges next to a surviving copy — the
-        :meth:`_edge_receiver` rule, taken as a column over each node's
-        current image (the safety net writes after restoring snapshot
-        weights) and birth record: the target's master node, else (a
-        master here) its first mirror, which never sits here.  Both
-        callers write right after every graph was born, so the record's
-        mirror placement is current.
-        """
-        assert self.edge_ckpt is not None
-        for node, lg in self.local_graphs.items():
-            topo = lg.topology()
-            rows, _ = lg.slots.birth
-            seats = np.diff(rows.mirror_ptr) > 0
-            # No mirror at all: the next node round-robin, as there.
-            mirror = np.full(topo.n, (node + 1) % self.cluster.num_workers)
-            mirror[rows.positions[seats]] = rows.mirror_nodes[
-                rows.mirror_ptr[:-1][seats]]
-            receiver = np.where(topo.master_node != node, topo.master_node,
-                                mirror)[topo.in_dst]
-            order = np.argsort(receiver, kind="stable")
-            records = list(map(EdgeRecord,
-                               topo.gids[topo.in_src[order]].tolist(),
-                               topo.gids[topo.in_dst[order]].tolist(),
-                               topo.in_w[order].tolist()))
-            keys, starts = np.unique(receiver[order], return_index=True)
-            bounds = [*starts.tolist(), len(records)]
-            self.edge_ckpt.write_node_edges(node, {
-                key: records[lo:hi]
-                for key, lo, hi in zip(keys.tolist(), bounds, bounds[1:])})
-
-    def _edge_receiver(self, target_gid: int, owner_node: int) -> int:
-        """Pick the surviving node that would reload this edge."""
-        master = self.master_node_of[target_gid]
-        if master != owner_node:
-            return master
-        master_slot = self.local_graphs[master].slot_of(target_gid)
-        for node in master_slot.meta.mirror_nodes:
-            if node != owner_node:
-                return node
-        # No mirror off the owner (ft_level 0): fall back to the next
-        # node round-robin; recovery of this edge then needs the
-        # checkpoint path anyway.
-        return (owner_node + 1) % self.cluster.num_workers
 
     # ------------------------------------------------------------------
     # superstep phases
@@ -679,9 +606,8 @@ class Engine:
                               iteration=self.iteration):
             self._apply_received_syncs(alive, net)
 
-        # Commit staged edge mutations (Section 4.3).  Under vertex-cut
-        # every update is incrementally logged to the owner's edge-ckpt
-        # file, overlapped with execution (bytes counted, no time).
+        # Commit staged edge mutations (Section 4.3); ``engine.ckpt``
+        # logs each one for the recovery mechanism that needs it.
         self._commit_edge_mutations()
 
         # Commit values and resolve activations.
@@ -692,20 +618,9 @@ class Engine:
 
         # Checkpoint inside the barrier (Section 2.2); in REPLICATION
         # mode this is the opt-in low-frequency safety net instead.
-        ckpt_time = 0.0
-        if self.ckpt is not None and self.ckpt.due(self.iteration):
-            if self._safety_ckpt:
-                ckpt_time = self.ckpt.safety_checkpoint(
-                    self.iteration, self.local_graphs, self.program,
-                    alive, self._safety_edge_log)
-            else:
-                ckpt_time = self.ckpt.checkpoint(self.iteration,
-                                                 self.local_graphs,
-                                                 self.program, alive,
-                                                 self._edge_journal)
-                self._edge_journal = defaultdict(list)
-            for node in alive:
-                self.cluster.clocks.advance(node, ckpt_time)
+        ckpt_time = self.ckpt.post_commit(alive)
+        for node in alive:
+            self.cluster.clocks.advance(node, ckpt_time)
         return ckpt_time
 
     def _apply_received_syncs(self, alive: list[int], net) -> None:
@@ -726,20 +641,8 @@ class Engine:
                     for idx, weight in updates:
                         src_pos, _old = slot.in_edges[idx]
                         slot.in_edges[idx] = (src_pos, weight)
-                        if self.edge_ckpt is not None:
-                            receiver = self._edge_receiver(slot.gid, node)
-                            self.edge_ckpt.log_edge_update(
-                                node, receiver,
-                                EdgeRecord(slots[src_pos].gid, slot.gid,
-                                           weight))
-                        if self.ckpt is not None:
-                            if self._safety_ckpt:
-                                self._safety_edge_log[
-                                    (slots[src_pos].gid, slot.gid)] = \
-                                    weight
-                            else:
-                                self._edge_journal[node].append(
-                                    (slot.gid, idx, weight))
+                        self.ckpt.log_edge(node, slots[src_pos].gid,
+                                           slot.gid, idx, weight)
 
     def _commit_values(self, alive: list[int], net) -> int:
         """Commit pending values, resolve activations; returns the

@@ -2,9 +2,10 @@
 
 A node is born as columns and its slots
 (:class:`~repro.engine.state.VertexSlot`) are stamped lazily
-(``engine/local_graph.py``; recovery, checkpoints and membership moves
-read and write the slots they stamp), and the vectorized compute path
-and recovery's selection need the *static* shape of a node's graph as flat numpy arrays: role masks,
+(``engine/local_graph.py``; recovery rungs and membership moves read
+and write the slots they stamp), and the vectorized compute path,
+recovery's selection and checkpointing need the *static* shape of a
+node's graph as flat numpy arrays: role masks,
 degrees, the local in-/out-edge lists in CSR-style per-edge arrays, the
 master->replica sync fan-out grouped by destination and, beside it,
 each planned copy's position on its own node.  :class:`NodeTopology` is

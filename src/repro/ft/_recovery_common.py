@@ -36,6 +36,7 @@ from repro.engine.messages import RecoveryBatch, csr_ptr, csr_rows
 from repro.engine.soa import NodeTopology
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError, UnrecoverableFailureError
+from repro.ft.edge_ckpt import NO_EDGES, Edges
 from repro.utils.rng import SeededRng
 from repro.utils.sizing import BYTES_PER_VID
 
@@ -237,7 +238,7 @@ def place_rows(lg: LocalGraph, batch: RecoveryBatch, last_commit: int,
 
 
 def reborn_graph(node: int, rows: RecoveryBatch, last_commit: int,
-                 edge_cut: bool, edge_records: list = ()
+                 edge_cut: bool, edges: Edges = NO_EDGES
                  ) -> tuple[LocalGraph, int]:
     """Rebirth's reconstruction: ``node``'s graph born from the rows it
     received (:meth:`RecoveryBatch.merge`, so in position order) as a
@@ -245,9 +246,9 @@ def reborn_graph(node: int, rows: RecoveryBatch, last_commit: int,
     FT census and committed columns — so no slot is stamped.
 
     Under edge-cut the edges are the masters' shipped in-edges, under
-    vertex-cut the crashed node's deduplicated edge-ckpt
-    ``edge_records``.  FT-only copies are the non-masters with no local
-    edge, the rule loading follows.  Returns ``(graph, edges linked)``.
+    vertex-cut the crashed node's deduplicated edge-ckpt ``edges``.
+    FT-only copies are the non-masters with no local edge, the rule
+    loading follows.  Returns ``(graph, edges linked)``.
     """
     pos = rows.positions
     n = int(pos[-1]) + 1 if pos.size else 0
@@ -258,7 +259,7 @@ def reborn_graph(node: int, rows: RecoveryBatch, last_commit: int,
     gids = np.full(n, -1, dtype=np.int64)
     gids[pos] = rows.gids
     edges = (_shipped_edges(rows, gids) if edge_cut
-             else _reloaded_edges(node, rows, edge_records))
+             else _reloaded_edges(node, rows, edges))
     linked = edges[0].size
     topo, census = _reborn_image(rows, gids, *edges)
     ft_only = (~topo.is_master & ~topo.has_in
@@ -283,20 +284,19 @@ def _shipped_edges(rows: RecoveryBatch, gids: np.ndarray):
             rows.edge_weights[idx])
 
 
-def _reloaded_edges(node: int, rows: RecoveryBatch, records: list):
-    """``(src, dst, weight)`` of the crashed node's edge-ckpt records,
-    translated to positions, in record order."""
+def _reloaded_edges(node: int, rows: RecoveryBatch, edges: Edges):
+    """``(src, dst, weight)`` of the crashed node's edge-ckpt ``edges``,
+    translated to positions, in their order."""
+    src_gid, dst_gid, weight = edges
     by_gid = np.argsort(rows.gids, kind="stable")
-    src, src_ok = _positions_of(rows, by_gid, [r.src for r in records])
-    dst, dst_ok = _positions_of(rows, by_gid, [r.dst for r in records])
+    src, src_ok = _positions_of(rows, by_gid, src_gid)
+    dst, dst_ok = _positions_of(rows, by_gid, dst_gid)
     bad = np.flatnonzero(~(src_ok & dst_ok))
     if bad.size:
-        record = records[bad[0]]
         raise UnrecoverableFailureError(
-            f"edge ({record.src}, {record.dst}) endpoints missing "
+            f"edge ({src_gid[bad[0]]}, {dst_gid[bad[0]]}) endpoints missing "
             f"after reconstruction on node {node}")
-    return src, dst, np.fromiter((r.weight for r in records), np.float64,
-                                 len(records))
+    return src, dst, weight
 
 
 def _reborn_image(rows: RecoveryBatch, gids: np.ndarray, src: np.ndarray,
@@ -337,7 +337,7 @@ def _reborn_image(rows: RecoveryBatch, gids: np.ndarray, src: np.ndarray,
 
 
 def _positions_of(rows: RecoveryBatch, by_gid: np.ndarray,
-                  gids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+                  gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of ``gids`` among ``rows`` (sorted by gid through
     ``by_gid``) and which of them are there at all."""
     want = np.asarray(gids, dtype=np.int64)

@@ -17,26 +17,34 @@ included) **reloads** snapshots from the DFS, **reconstructs** replica
 state by a full master-to-replica resynchronisation, and the engine
 then **replays** the lost iterations (:class:`CheckpointRecovery`, the
 rung of CKPT mode and of the REPLICATION-mode safety net alike).
+
+``engine.ckpt`` (:class:`CheckpointManager`) also owns the safety net's
+snapshots, the vertex-cut edge-ckpt files and the edge-weight logs, at
+three hooks: ``at_load``, ``post_commit`` and ``log_edge``.  Snapshots
+are selections of the committed columns and recovery scatters them
+back, so no slot is stamped but to re-apply mutated edge weights.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.cluster.network import MessageKind
-from repro.cluster.storage import PersistentStore
-from repro.costmodel import (CostModel, pairwise_comm_time,
-                             storage_read_time, storage_write_time)
+from repro.config import FTMode
+from repro.costmodel import (pairwise_comm_time, storage_read_time,
+                             storage_write_time)
 # The module, not the name: this file is first imported while
 # ``construction`` itself is still importing (via ``repro.ft``).
 from repro.engine import construction
 from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import SyncBatch
-from repro.engine.vertex_program import VertexProgram
-from repro.errors import CheckpointError
+from repro.ft.edge_ckpt import (EdgeCkptStore, birth_receivers,
+                                by_receiver, receiver_of)
 from repro.ft.recovery import RecoveryStats
-from repro.obs import NULL_TRACER, Tracer
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,6 +73,12 @@ class CheckpointRecoveryStats:
     resume_iteration: int = 0
 
 
+#: The committed columns a CKPT-mode delta takes.
+_DELTA = ("values", "active", "last_activates", "last_update")
+#: The committed columns a safety snapshot takes.
+_FULL = _DELTA + ("mirror_self_active",)
+
+
 def _data_path(node: int, iteration: int) -> str:
     return f"ckpt/data/node{node}/iter{iteration:06d}"
 
@@ -82,156 +96,148 @@ def _safety_edges_path(iteration: int) -> str:
 
 
 class CheckpointManager:
-    """Writes and restores Imitator-CKPT snapshots for one job."""
+    """Snapshots, edge-ckpt files and edge-weight logs for one job."""
 
-    def __init__(self, store: PersistentStore, model: CostModel,
-                 interval: int, in_memory: bool, num_nodes: int,
-                 tracer: Tracer | None = None):
-        if interval < 1:
-            raise CheckpointError("checkpoint interval must be >= 1")
-        self.store = store
-        self.model = model
-        self.interval = interval
-        self.in_memory = in_memory
-        self.num_nodes = num_nodes
+    def __init__(self, engine: "Engine"):
+        ft = engine.job.ft
+        self.engine = engine
+        self.store = engine.cluster.store
+        self.model = engine.model
+        self.in_memory = ft.checkpoint_in_memory
+        self.num_nodes = engine.cluster.num_workers
+        replication = ft.mode is FTMode.REPLICATION
+        #: REPLICATION composed with low-frequency full snapshots — the
+        #: checkpoint rung of the fallback ladder (DESIGN.md §9).
+        self.safety = replication and ft.safety_checkpoint_interval > 0
+        #: Barriers per snapshot; 0 when the job keeps none.
+        self.interval = (ft.safety_checkpoint_interval if self.safety
+                         else ft.checkpoint_interval
+                         if ft.mode is FTMode.CHECKPOINT else 0)
         self.stats = CheckpointStats()
-        self.tracer = tracer or NULL_TRACER
+        #: The vertex-cut edge-ckpt files (Section 4.3).
+        self.edges = (EdgeCkptStore(self.store)
+                      if replication and not engine.is_edge_cut else None)
+        #: CKPT mode: edge mutations since the last snapshot, per node,
+        #: as ``(gid, in-edge index, weight)`` (masters never move).
+        self.journal: dict[int, list] = defaultdict(list)
+        #: Safety net: cumulative position-independent edge-weight log,
+        #: ``(src gid, dst gid) -> latest weight``; survives arbitrary
+        #: recoveries between snapshots.
+        self.safety_log: dict[tuple[int, int], float] = {}
 
-    # -- loading phase ------------------------------------------------------
+    # -- the engine's hooks -------------------------------------------------
 
-    def write_metadata(self, local_graphs: dict[int, LocalGraph]) -> float:
-        """Persist the immutable per-node topology snapshot.
+    def at_load(self) -> None:
+        """The loading phase: the metadata snapshot of a job that keeps
+        snapshots — the immutable per-node topology, sized by each
+        image's copy and local in-edge counts — and the edge-ckpt files."""
+        for node, lg in (self.engine.local_graphs.items()
+                         if self.interval else ()):
+            topo = lg.topology()
+            copies, edges = int(topo.occupied.sum()), topo.in_src.size
+            self.store.write(_meta_path(node), {
+                "copies": copies, "local_in_edges": edges},
+                copies * (BYTES_PER_VID + 16) + edges * BYTES_PER_EDGE)
+        if self.edges is not None:
+            self.write_edge_files()
 
-        Returns the simulated time (max across nodes, all writing in
-        parallel).
-        """
-        slowest = 0.0
-        for node, lg in local_graphs.items():
-            counts = lg.counts()
-            nbytes = (counts["total"] * (BYTES_PER_VID + 16)
-                      + counts["local_in_edges"] * BYTES_PER_EDGE)
-            self.store.write(_meta_path(node), {"counts": counts}, nbytes)
-            slowest = max(slowest, storage_write_time(
-                self.model, nbytes, 1, self.in_memory))
-        return slowest
-
-    # -- per-barrier checkpointing --------------------------------------------
-
-    def due(self, iteration: int) -> bool:
-        """Is a checkpoint scheduled at this iteration's barrier?"""
-        return (iteration + 1) % self.interval == 0
-
-    def checkpoint(self, iteration: int,
-                   local_graphs: dict[int, LocalGraph],
-                   program: VertexProgram,
-                   alive_nodes: list[int],
-                   edge_journal: dict[int, list] | None = None) -> float:
-        """Write one incremental snapshot inside the global barrier.
-
-        Returns the simulated time it adds to the barrier (the max over
+    def post_commit(self, alive_nodes: list[int]) -> float:
+        """Write the snapshot due at this barrier, if any (Section 2.2);
+        returns the simulated time it adds to the barrier (the max over
         nodes: the checkpoint is a collective operation).
-        """
+
+        A CKPT-mode snapshot is incremental: per node, the masters
+        updated since the last one, every master's activity bitmap
+        (activation can change without a value update) and the edge
+        journal.  A safety snapshot holds *every* master: Migration
+        moves masters, so recovery merges every node's latest file by
+        gid (and edge mutations by gid pair, :attr:`safety_log`)."""
+        iteration = self.engine.iteration
+        if not self.interval or (iteration + 1) % self.interval:
+            return 0.0
         since = self.stats.last_checkpoint_iteration
         slowest = 0.0
         for node in alive_nodes:
-            lg = local_graphs[node]
-            delta: dict[int, tuple[Any, bool, bool, int]] = {}
-            nbytes = 0
-            num_masters = 0
-            for slot in lg.iter_masters():
-                num_masters += 1
-                if slot.last_update_iter > since:
-                    delta[slot.gid] = (slot.value, slot.active,
-                                       slot.last_activates,
-                                       slot.last_update_iter)
-                    nbytes += (BYTES_PER_VID
-                               + program.value_nbytes(slot.value) + 2)
-            # Activity bitmap for every master (activation can change
-            # without a value update).
-            actives = {slot.gid: slot.active for slot in lg.iter_masters()}
-            nbytes += (num_masters + 7) // 8
-            # Mutated edge state since the last snapshot (rare; the
-            # near-optimal baseline "skips edge data" for algorithms
-            # that never touch it, Section 2.3).
-            edges = list(edge_journal.get(node, ())) \
-                if edge_journal else []
-            nbytes += 12 * len(edges)
-            payload = {"delta": delta, "actives": actives,
-                       "edges": edges, "iteration": iteration}
-            self.store.write(_data_path(node, iteration), payload, nbytes)
-            serialise = (len(delta) * self.model.ckpt_per_record_s
+            lg = self.engine.local_graphs[node]
+            masters = lg.topology().is_master
+            if self.safety:
+                table = _select(lg, masters, _FULL)
+                path, payload = _safety_path(node, iteration), {
+                    "masters": table}
+                nbytes = 3 * table["gids"].size
+            else:
+                table = _select(lg, masters & (lg.last_update > since),
+                                _DELTA)
+                # Mutated edge state since the last snapshot (rare; the
+                # near-optimal baseline "skips edge data" for algorithms
+                # that never touch it, Section 2.3).
+                edges = self.journal.pop(node, [])
+                path, payload = _data_path(node, iteration), {
+                    "delta": table, "edges": edges,
+                    "actives": _select(lg, masters, ("active",))}
+                nbytes = (2 * table["gids"].size + 12 * len(edges)
+                          + (int(masters.sum()) + 7) // 8)
+            nbytes += table["gids"].size * BYTES_PER_VID + sum(map(
+                self.engine.program.value_nbytes, table["values"].tolist()))
+            payload["iteration"] = iteration
+            self.store.write(path, payload, nbytes)
+            serialise = (table["gids"].size * self.model.ckpt_per_record_s
                          * self.model.data_scale)
             slowest = max(slowest, serialise + storage_write_time(
                 self.model, nbytes, 1, self.in_memory))
             self.stats.bytes_written += nbytes
-        self.stats.checkpoints_written += 1
-        self.stats.time_spent_s += slowest
-        self.stats.last_checkpoint_iteration = iteration
-        self.tracer.record("barrier.checkpoint", slowest, cat="checkpoint",
-                           iteration=iteration,
-                           ckpt_bytes=self.stats.bytes_written)
-        return slowest
-
-    # -- safety-net snapshots (REPLICATION fallback ladder) ----------------
-
-    def safety_checkpoint(self, iteration: int,
-                          local_graphs: dict[int, LocalGraph],
-                          program: VertexProgram,
-                          alive_nodes: list[int],
-                          edge_log: dict[tuple[int, int], float] | None = None
-                          ) -> float:
-        """Write one *full* master snapshot for the fallback ladder.
-
-        Unlike the incremental CKPT-mode snapshots, safety snapshots
-        must survive arbitrary recoveries in between: Migration moves
-        masters across nodes, so a per-node delta chain cannot be
-        replayed after the fact.  Each node therefore writes all of its
-        current masters, and recovery merges the latest iteration's
-        files from every node into one global gid-keyed map.  Edge
-        mutations are stored as a cumulative position-independent
-        ``(src_gid, dst_gid) -> weight`` log for the same reason.
-        """
-        slowest = 0.0
-        for node in alive_nodes:
-            lg = local_graphs[node]
-            masters: dict[int, tuple[Any, bool, bool, int, bool]] = {}
-            nbytes = 0
-            for slot in lg.iter_masters():
-                masters[slot.gid] = (slot.value, slot.active,
-                                     slot.last_activates,
-                                     slot.last_update_iter,
-                                     slot.mirror_self_active)
-                nbytes += (BYTES_PER_VID
-                           + program.value_nbytes(slot.value) + 3)
-            payload = {"masters": masters, "iteration": iteration}
-            self.store.write(_safety_path(node, iteration), payload, nbytes)
-            serialise = (len(masters) * self.model.ckpt_per_record_s
-                         * self.model.data_scale)
-            slowest = max(slowest, serialise + storage_write_time(
-                self.model, nbytes, 1, self.in_memory))
-            self.stats.bytes_written += nbytes
-        if edge_log:
-            nbytes = 12 * len(edge_log)
+        self.journal.clear()
+        if self.safety_log:
+            nbytes = 12 * len(self.safety_log)
             self.store.write(_safety_edges_path(iteration),
-                             dict(edge_log), nbytes)
+                             dict(self.safety_log), nbytes)
             self.stats.bytes_written += nbytes
             slowest = max(slowest, storage_write_time(
                 self.model, nbytes, 1, self.in_memory))
         self.stats.checkpoints_written += 1
         self.stats.time_spent_s += slowest
         self.stats.last_checkpoint_iteration = iteration
-        self.tracer.record("barrier.safety_checkpoint", slowest,
-                           cat="checkpoint", iteration=iteration,
-                           ckpt_bytes=self.stats.bytes_written)
+        self.engine.tracer.record(
+            "barrier.safety_checkpoint" if self.safety
+            else "barrier.checkpoint", slowest, cat="checkpoint",
+            iteration=iteration, ckpt_bytes=self.stats.bytes_written)
         return slowest
 
-    def recover_safety(self, local_graphs: dict[int, LocalGraph],
-                       program: VertexProgram,
-                       alive_nodes: list[int],
-                       initial_value_of) -> CheckpointRecoveryStats:
+    def log_edge(self, node: int, src: int, dst: int, index: int,
+                 weight: float) -> None:
+        """File one committed weight change of in-edge ``index`` of
+        ``dst`` on ``node``: in the edge-ckpt log (bytes counted, time
+        overlapped with execution), the safety log or the CKPT journal."""
+        if self.edges is not None:
+            self.edges.log(node, receiver_of(self.engine, dst, node), (
+                np.array([src]), np.array([dst]), np.array([weight])))
+        if self.safety:
+            self.safety_log[(src, dst)] = weight
+        elif self.interval:
+            self.journal[node].append((dst, index, weight))
+
+    # -- edge-ckpt files ------------------------------------------------------
+
+    def write_edge_files(self) -> None:
+        """(Re)write every node's edge-ckpt files from its image, one
+        file per receiver (Section 4.3), every existing file dropped
+        first."""
+        for node in range(self.num_nodes):
+            self.edges.clear_node(node)
+        for node, lg in self.engine.local_graphs.items():
+            topo = lg.topology()
+            edges = (topo.gids[topo.in_src], topo.gids[topo.in_dst],
+                     topo.in_w)
+            self.edges.write_node_edges(node, by_receiver(
+                birth_receivers(node, lg, self.num_nodes), edges))
+
+    # -- recovery ---------------------------------------------------------------
+
+    def recover_safety(self, alive_nodes: list[int]
+                       ) -> CheckpointRecoveryStats:
         """Restore freshly-rebuilt masters from the latest safety snapshot.
 
-        Expects ``local_graphs`` rebuilt pristine from the loading
+        Expects the local graphs rebuilt pristine from the loading
         inputs (masters back at their original homes), so the globally
         merged snapshot can be applied wherever each master now lives.
         With no snapshot written yet the run restarts from iteration 0;
@@ -240,54 +246,28 @@ class CheckpointManager:
         stats = CheckpointRecoveryStats()
         last = self.stats.last_checkpoint_iteration
         stats.resume_iteration = last + 1
-        merged: dict[int, tuple[Any, bool, bool, int, bool]] = {}
-        edges: dict[tuple[int, int], float] = {}
-        nbytes = 0
-        num_reads = 1  # the metadata snapshot
-        if last >= 0:
-            for node in range(self.num_nodes):
-                path = _safety_path(node, last)
-                if not self.store.exists(path):
-                    continue
-                payload = self.store.read(path)
-                nbytes += self.store.stat(path).nbytes
-                num_reads += 1
-                merged.update(payload["masters"])
-            epath = _safety_edges_path(last)
-            if self.store.exists(epath):
-                edges = dict(self.store.read(epath))
-                nbytes += self.store.stat(epath).nbytes
-                num_reads += 1
+        snapshots = range(self.num_nodes) if last >= 0 else ()
+        payloads, nbytes = self._read(
+            [_safety_path(node, last) for node in snapshots])
+        logs, log_bytes = self._read(
+            [_safety_edges_path(last)] if last >= 0 else [])
+        merged = _merge([payload["masters"] for payload in payloads])
         for node in alive_nodes:
-            lg = local_graphs[node]
-            for slot in lg.iter_masters():
-                if slot.gid in merged:
-                    (value, active, activates,
-                     update_iter, self_active) = merged[slot.gid]
-                    slot.value = value
-                    slot.last_activates = activates
-                    slot.last_update_iter = update_iter
-                    slot.mirror_self_active = self_active
-                    lg.set_active(slot, active)
-                else:
-                    slot.value = initial_value_of(slot.gid)
-                    slot.last_activates = False
-                    slot.last_update_iter = -1
-                    lg.set_active(slot,
-                                  program.is_initially_active(slot.gid))
-                slot.clear_pending()
-                stats.vertices_restored += 1
-            if edges:
-                self._apply_edge_log(lg, edges)
-        stats.bytes_read = nbytes
-        deserialise = (len(merged) * self.model.ckpt_per_record_s
+            lg = self.engine.local_graphs[node]
+            stats.vertices_restored += self._restore(lg, merged, merged)
+            if logs:
+                self._apply_edge_log(lg, logs[0])
+        stats.bytes_read = nbytes + log_bytes
+        deserialise = (merged["gids"].size * self.model.ckpt_per_record_s
                        * self.model.data_scale)
+        # One read per file, plus the metadata snapshot.
         stats.reload_s = deserialise + storage_read_time(
-            self.model, nbytes, num_reads, self.in_memory)
-        self.tracer.record("safety_checkpoint.reload", stats.reload_s,
-                           cat="recovery", bytes_read=stats.bytes_read,
-                           vertices=stats.vertices_restored,
-                           resume_iteration=stats.resume_iteration)
+            self.model, stats.bytes_read, 1 + len(payloads) + len(logs),
+            self.in_memory)
+        self.engine.tracer.record(
+            "safety_checkpoint.reload", stats.reload_s, cat="recovery",
+            bytes_read=stats.bytes_read, vertices=stats.vertices_restored,
+            resume_iteration=stats.resume_iteration)
         return stats
 
     @staticmethod
@@ -308,80 +288,118 @@ class CheckpointManager:
                 if key in edges and edges[key] != weight:
                     slot.full_edges[i] = (src_gid, pos, edges[key])
 
-    # -- recovery ---------------------------------------------------------------
-
-    def recover(self, local_graphs: dict[int, LocalGraph],
-                program: VertexProgram,
-                alive_nodes: list[int],
-                initial_value_of) -> CheckpointRecoveryStats:
+    def recover(self, alive_nodes: list[int]) -> CheckpointRecoveryStats:
         """Restore every node's masters to the last snapshot state.
 
-        ``initial_value_of(gid)`` supplies the deterministic pre-first-
-        iteration value for vertices never updated since loading.
-        Replica values are *not* stored in snapshots; the reconstruct
-        phase resynchronises them from the restored masters (charged as
-        communication below, in the engine's recovery bookkeeping).
+        Each node merges its own incremental snapshots in order; masters
+        never updated since loading take their deterministic
+        pre-first-iteration state.  Replica values are *not* stored in
+        snapshots; the reconstruct phase resynchronises them from the
+        restored masters (charged as communication, in
+        :class:`CheckpointRecovery`).
         """
         stats = CheckpointRecoveryStats()
         last = self.stats.last_checkpoint_iteration
         stats.resume_iteration = last + 1
         for node in alive_nodes:
-            lg = local_graphs[node]
-            # Merge every incremental snapshot in order.
-            merged: dict[int, tuple[Any, bool, bool, int]] = {}
-            actives: dict[int, bool] = {}
-            edge_updates: list = []
-            nbytes = 0
-            num_reads = 1  # the metadata snapshot
-            if self.store.exists(_meta_path(node)):
-                nbytes += self.store.stat(_meta_path(node)).nbytes
-                self.store.read(_meta_path(node))
-            for iteration in range(0, last + 1):
-                path = _data_path(node, iteration)
-                if not self.store.exists(path):
-                    continue
-                payload = self.store.read(path)
-                nbytes += self.store.stat(path).nbytes
-                num_reads += 1
-                merged.update(payload["delta"])
-                actives = payload["actives"]
-                edge_updates.extend(payload.get("edges", ()))
-            for slot in lg.iter_masters():
-                if slot.gid in merged:
-                    value, active, activates, update_iter = merged[slot.gid]
-                    slot.value = value
-                    slot.last_activates = activates
-                    slot.last_update_iter = update_iter
-                else:
-                    slot.value = initial_value_of(slot.gid)
-                    slot.last_activates = False
-                    slot.last_update_iter = -1
-                if slot.gid in actives:
-                    lg.set_active(slot, actives[slot.gid])
-                else:
-                    lg.set_active(slot,
-                                  program.is_initially_active(slot.gid))
-                slot.clear_pending()
-                stats.vertices_restored += 1
+            lg = self.engine.local_graphs[node]
+            _, meta_bytes = self._read([_meta_path(node)])
+            payloads, nbytes = self._read(
+                [_data_path(node, iteration) for iteration in range(last + 1)])
+            merged = _merge([payload["delta"] for payload in payloads])
+            stats.vertices_restored += self._restore(lg, merged, _merge(
+                [payload["actives"] for payload in payloads]))
             # Re-apply mutated edge state in journal order.
-            if edge_updates:
+            journal = [edge for payload in payloads
+                       for edge in payload["edges"]]
+            if journal:
                 lg.invalidate_soa()  # the image holds the weights
-            for gid, idx, weight in edge_updates:
+            for gid, idx, weight in journal:
                 slot = lg.slot_of(gid)
                 src_pos, _old = slot.in_edges[idx]
                 slot.in_edges[idx] = (src_pos, weight)
+            nbytes += meta_bytes
             stats.bytes_read += nbytes
-            deserialise = (len(merged) * self.model.ckpt_per_record_s
+            deserialise = (merged["gids"].size * self.model.ckpt_per_record_s
                            * self.model.data_scale)
             stats.reload_s = max(
                 stats.reload_s,
                 deserialise + storage_read_time(
-                    self.model, nbytes, num_reads, self.in_memory))
-        self.tracer.record("checkpoint.reload", stats.reload_s,
-                           cat="recovery", bytes_read=stats.bytes_read,
-                           vertices=stats.vertices_restored,
-                           resume_iteration=stats.resume_iteration)
+                    self.model, nbytes, 1 + len(payloads), self.in_memory))
+        self.engine.tracer.record(
+            "checkpoint.reload", stats.reload_s, cat="recovery",
+            bytes_read=stats.bytes_read, vertices=stats.vertices_restored,
+            resume_iteration=stats.resume_iteration)
         return stats
+
+    def _read(self, paths: list[str]) -> tuple[list, int]:
+        """The payloads of those of ``paths`` that exist, and their bytes."""
+        payloads, nbytes = [], 0
+        for path in paths:
+            if self.store.exists(path):
+                payloads.append(self.store.read(path))
+                nbytes += self.store.stat(path).nbytes
+        return payloads, nbytes
+
+    def _restore(self, lg: LocalGraph, state: dict, flags: dict) -> int:
+        """Scatter merged snapshot tables at ``lg``'s masters: values,
+        update stamps (and, from a safety snapshot, mirror self-activity)
+        from ``state``, activity from ``flags``; a master neither holds
+        takes its initial state.  Returns the masters restored."""
+        engine = self.engine
+        topo = lg.topology()
+        pos = np.flatnonzero(topo.is_master)
+        gids = topo.gids[pos]
+        hit = np.isin(gids, state["gids"])
+        at = np.searchsorted(state["gids"], gids)
+        # Python objects, as a slot would read them back.
+        values = _take(state, "values", hit, at, None).tolist()
+        missed = np.flatnonzero(~hit)
+        for i, gid in zip(missed.tolist(), gids[missed].tolist()):
+            values[i] = engine.initial_value_of(gid)
+        lg.store(pos, values=values,
+                 last_activates=_take(state, "last_activates", hit, at,
+                                      False),
+                 last_update=_take(state, "last_update", hit, at, -1))
+        if "mirror_self_active" in state:
+            lg.store(pos[hit], mirror_self_active=state[
+                "mirror_self_active"][at[hit]])
+        known = np.isin(gids, flags["gids"])
+        where = np.searchsorted(flags["gids"], gids)
+        active = _take(flags, "active", known, where, False).tolist()
+        missed = np.flatnonzero(~known)
+        for i, gid in zip(missed.tolist(), gids[missed].tolist()):
+            active[i] = engine.program.is_initially_active(gid)
+        lg.set_active_bulk(pos, active)
+        return pos.size
+
+
+def _select(lg: LocalGraph, mask: np.ndarray, columns) -> dict:
+    """A snapshot table: the gids of ``lg``'s copies under ``mask`` and
+    the takes of its committed ``columns`` there."""
+    pos = np.flatnonzero(mask)
+    return {"gids": lg.topology().gids[pos],
+            **{name: getattr(lg, name)[pos] for name in columns}}
+
+
+def _merge(tables: list[dict]) -> dict:
+    """One table from snapshot tables in write order, sorted by gid:
+    each gid's row from the last table holding it."""
+    if not tables:
+        return {"gids": np.zeros(0, dtype=np.int64)}
+    gids = np.concatenate([table["gids"] for table in tables])
+    _, from_end = np.unique(gids[::-1], return_index=True)
+    last = gids.size - 1 - from_end
+    return {name: np.concatenate([table[name] for table in tables])[last]
+            for name in tables[0]}
+
+
+def _take(table: dict, name: str, hit: np.ndarray, at: np.ndarray, fill):
+    """Column ``name`` of ``table`` at ``at`` where ``hit``, else ``fill``."""
+    column = np.full(hit.size, fill)
+    if hit.any():
+        column[hit] = table[name][at[hit]]
+    return column
 
 
 class CheckpointRecovery:
@@ -411,9 +429,10 @@ class CheckpointRecovery:
 
     def recover(self, failed: tuple[int, ...]) -> RecoveryStats:
         engine = self.engine
+        ckpt = engine.ckpt
         # Precondition: the job keeps snapshots; all else is in storage.
-        assert engine.ckpt is not None
-        safety = engine._safety_ckpt
+        assert ckpt.interval
+        safety = ckpt.safety
         cluster = engine.cluster
         # A checkpoint rewind restores committed snapshots everywhere,
         # including selfish masters a prior ladder pass recomputed.
@@ -454,26 +473,21 @@ class CheckpointRecovery:
         engine.master_node_of = [int(n) for n in engine.plan.master_of]
         if safety:
             engine._init_values()
-        engine._edge_journal.clear()
-        reload = (engine.ckpt.recover_safety if safety
-                  else engine.ckpt.recover)
-        stats = reload(engine.local_graphs, engine.program, alive,
-                       engine.initial_value_of)
+        ckpt.journal.clear()
+        stats = (ckpt.recover_safety if safety else ckpt.recover)(alive)
         reconstruct_s = _full_resync(engine, alive)
         engine.tracer.record("checkpoint.reconstruct", reconstruct_s,
                              cat="recovery")
         # Write set (DESIGN.md §11): values and flags are column writes,
         # a rebuilt graph is born with its own image, and the readers
         # invalidate the graphs whose edge weights they re-apply.
-        if engine.edge_ckpt is not None:
+        if ckpt.edges is not None:
             # Re-derive the vertex-cut edge files (REPLICATION mode
             # only, i.e. under the safety net).  The pristine rebuild
             # invalidated every existing file: stray receivers and
             # update records appended by recoveries after the snapshot
             # would otherwise duplicate edges in a later Migration.
-            for node in range(cluster.num_workers):
-                engine.edge_ckpt.clear_node(node)
-            engine._write_edge_ckpt_files()
+            ckpt.write_edge_files()
         lost = engine.iteration - stats.resume_iteration
         engine.iteration = stats.resume_iteration
         return RecoveryStats(
@@ -490,43 +504,47 @@ class CheckpointRecovery:
 
 
 def _full_resync(engine: "Engine", alive: list[int]) -> float:
-    """Masters re-push full state to every replica (reconstruction).
-
-    Returns the simulated communication time (max over nodes).
-    """
+    """Masters re-push full state to every replica (reconstruction):
+    per node one ``RECOVERY`` batch per live copy node, in the order a
+    walk over the masters meets them, records in position order, each
+    applied with one positional scatter.  Returns the simulated
+    communication time (max over nodes)."""
     net = engine.cluster.network
     net.begin_step()
+    value_nbytes = engine.program.value_nbytes
     for node in alive:
         lg = engine.local_graphs[node]
+        topo = lg.topology()
         outbox: dict = {}
-        for slot in lg.iter_masters():
-            value_nbytes = engine.program.value_nbytes(slot.value)
-            where = slot.meta.replica_positions
-            for replica_node, _is_mirror in slot.meta.sync_targets():
-                if not engine.cluster.node(replica_node).is_alive:
-                    continue
-                key = (replica_node, MessageKind.RECOVERY)
-                batch = outbox.get(key)
-                if batch is None:
-                    batch = outbox[key] = SyncBatch(full_state=True)
-                batch.append(slot.gid, where[replica_node], slot.value,
-                             value_nbytes, slot.last_activates, slot.active)
+        for dst in dict.fromkeys(dst for dst, _mirror in topo.sync_plan):
+            if not engine.cluster.node(dst).is_alive:
+                continue
+            pos, peer, _mirror = topo.copies_on(dst)
+            order = np.argsort(pos, kind="stable")
+            pos, peer = pos[order], peer[order]
+            values = lg.values[pos]
+            sizes = np.fromiter(map(value_nbytes, values.tolist()), np.int64,
+                                pos.size) + (BYTES_PER_VID + 2)
+            flags = lg.last_activates[pos] + 2 * lg.active[pos]
+            outbox[(dst, MessageKind.RECOVERY)] = SyncBatch.from_columns(
+                topo.gids[pos], peer, values, flags, sizes, full_state=True)
         engine._flush_batches(node, outbox)
     slowest = 0.0
     for node in alive:
         slowest = max(slowest, pairwise_comm_time(
             engine.model, net.step_bytes, net.step_msgs, node))
         lg = engine.local_graphs[node]
+        is_mirror = lg.topology().is_mirror
         for msg in net.deliver(node):
-            batch = msg.payload
-            for i, gid in enumerate(batch.gids):
-                slot = lg.slot_of(gid)
-                slot.value = batch.values[i]
-                slot.last_activates = batch.activates(i)
-                lg.set_active(slot, batch.self_active(i))
-                if slot.is_mirror:
-                    slot.mirror_self_active = batch.self_active(i)
+            pos, flags = msg.payload.positions, msg.payload.flags
+            self_active = (flags & SyncBatch.FLAG_SELF_ACTIVE) != 0
+            lg.store(pos, values=msg.payload.values.tolist(),
+                     last_activates=(flags & SyncBatch.FLAG_ACTIVATES) != 0)
+            lg.set_active_bulk(pos, self_active.tolist())
+            mirrors = is_mirror[pos]
+            lg.store(pos[mirrors], mirror_self_active=self_active[mirrors])
     for node in alive:
-        for slot in engine.local_graphs[node].iter_masters():
-            slot.replicas_known_active = slot.active
+        lg = engine.local_graphs[node]
+        masters = lg.topology().is_master
+        lg.replicas_known_active[masters] = lg.active[masters]
     return slowest

@@ -220,7 +220,7 @@ def _run_ladder(engine: "Engine", failed: tuple[int, ...]
         if ft.recovery is RecoveryStrategy.REBIRTH:
             rungs.append(RebirthRecovery(engine))
         rungs.append(MigrationRecovery(engine))
-    if engine._safety_ckpt:
+    if engine.ckpt.safety:
         rungs.append(CheckpointRecovery(engine))
     first_error: UnrecoverableFailureError | None = None
     for recovery in rungs:

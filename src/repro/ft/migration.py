@@ -25,12 +25,15 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.cluster.network import Message, MessageKind
 from repro.costmodel import pairwise_comm_time, storage_read_time
 from repro.engine.state import Role
 from repro.errors import UnrecoverableFailureError
 from repro.ft import _recovery_common as common
-from repro.ft.edge_ckpt import EdgeRecord
+from repro.ft.edge_ckpt import (Edges, by_receiver, concat_edges, dedupe,
+                                receiver_of)
 from repro.ft.recovery import RecoveryStats
 from repro.utils.sizing import BYTES_PER_VID
 
@@ -250,73 +253,70 @@ class MigrationRecovery:
         Returns ``(max parallel DFS read time, edges relinked)``.
         """
         engine = self.engine
-        assert engine.edge_ckpt is not None
+        store = engine.ckpt.edges
+        assert store is not None
         model = engine.model
         dfs_time = 0.0
         linked = 0
-        from repro.ft.edge_ckpt import dedupe_edge_records
         survivor_set = set(survivors)
         # Route every existing file of a crashed owner to a surviving
         # absorber.  Receivers were fixed when the file was written, so
         # after earlier migrations a file's designated receiver may be
         # long dead — the lowest survivor absorbs those (and files whose
         # receiver crashed in this very failure).
-        buckets: dict[int, list[EdgeRecord]] = defaultdict(list)
+        buckets: dict[int, list[Edges]] = defaultdict(list)
         io_cost: dict[int, tuple[int, int]] = defaultdict(lambda: (0, 0))
         for crashed in failed:
-            for receiver in engine.edge_ckpt.receivers(crashed):
-                part = engine.edge_ckpt.read_file(crashed, receiver)
-                if not part:
+            for receiver in store.receivers(crashed):
+                part = store.read_file(crashed, receiver)
+                if not part[0].size:
                     continue
                 absorber = (receiver if receiver in survivor_set
                             else survivors[0])
-                buckets[absorber].extend(part)
+                buckets[absorber].append(part)
                 nbytes, reads = io_cost[absorber]
                 io_cost[absorber] = (
-                    nbytes + engine.edge_ckpt.file_nbytes(crashed, receiver),
-                    reads + 1)
+                    nbytes + store.file_nbytes(crashed, receiver), reads + 1)
         # An edge may sit in several files (its receiver changed across
         # recoveries); reconstruct each exactly once, cluster-wide.
-        applied: set[tuple[int, int]] = set()
+        applied = np.zeros(0, dtype=np.int64)
+        stride = engine.graph.num_vertices
         for absorber in survivors:
-            records = [r for r in dedupe_edge_records(buckets[absorber])
-                       if (r.src, r.dst) not in applied]
-            applied.update((r.src, r.dst) for r in records)
-            if records:
-                linked += self._apply_edge_records(absorber, records)
+            src, dst, weight = dedupe(concat_edges(buckets[absorber]))
+            key = src * stride + dst
+            fresh = ~np.isin(key, applied)
+            applied = np.concatenate([applied, key[fresh]])
+            if fresh.any():
+                linked += self._apply_edges(
+                    absorber, (src[fresh], dst[fresh], weight[fresh]))
             nbytes, reads = io_cost[absorber]
             dfs_time = max(dfs_time, storage_read_time(
                 model, nbytes, max(1, reads), in_memory=False))
         return dfs_time, linked
 
-    def _apply_edge_records(self, node: int,
-                            records: list[EdgeRecord]) -> int:
+    def _apply_edges(self, node: int, edges: Edges) -> int:
         """Attach reloaded edges to local slots, creating missing copies."""
         engine = self.engine
         lg = engine.local_graphs[node]
-        linked = 0
-        for record in records:
-            if record.dst in lg.index_of:
-                dst_pos = lg.index_of[record.dst]
+        src, dst, weight = edges
+        for src_gid, dst_gid, w in zip(src.tolist(), dst.tolist(),
+                                       weight.tolist()):
+            if dst_gid in lg.index_of:
+                dst_pos = lg.index_of[dst_gid]
             else:
-                dst_pos, _ = common.create_replica(engine, record.dst, node)
-            if record.src in lg.index_of:
-                src_pos = lg.index_of[record.src]
+                dst_pos, _ = common.create_replica(engine, dst_gid, node)
+            if src_gid in lg.index_of:
+                src_pos = lg.index_of[src_gid]
             else:
-                src_pos, _ = common.create_replica(engine, record.src, node)
-            lg.slots[dst_pos].in_edges.append((src_pos, record.weight))
+                src_pos, _ = common.create_replica(engine, src_gid, node)
+            lg.slots[dst_pos].in_edges.append((src_pos, w))
             lg.slots[src_pos].out_edges.append(dst_pos)
-            linked += 1
-        if records and engine.edge_ckpt is not None:
-            # Future failures of this node must also recover the edges
-            # it just absorbed: append them to its own edge-ckpt files,
-            # overlapped with resumed execution (bytes counted, no
-            # normal-execution time charged).
-            by_receiver: dict[int, list[EdgeRecord]] = defaultdict(list)
-            for record in records:
-                receiver = engine._edge_receiver(record.dst, node)
-                by_receiver[receiver].append(record)
-            for receiver, recs in sorted(by_receiver.items()):
-                for record in recs:
-                    engine.edge_ckpt.log_edge_update(node, receiver, record)
-        return linked
+        # Future failures of this node must also recover the edges it
+        # just absorbed: append them to its own edge-ckpt files, one
+        # chunk per receiver, overlapped with resumed execution (bytes
+        # counted, no normal-execution time charged).
+        receivers = np.array([receiver_of(engine, gid, node)
+                              for gid in dst.tolist()], dtype=np.int64)
+        for to, chunk in by_receiver(receivers, edges).items():
+            engine.ckpt.edges.log(node, to, chunk)
+        return src.size

@@ -41,6 +41,7 @@ from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import RecoveryBatch
 from repro.errors import NoStandbyNodeError
 from repro.ft import _recovery_common as common
+from repro.ft.edge_ckpt import NO_EDGES, Edges, dedupe
 from repro.ft.recovery import RecoveryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -135,15 +136,11 @@ class RebirthRecovery:
             comm = _comm_time(engine, net, node)
             reload_times.append(scan + comm)
         dfs_time = 0.0
-        edge_records: dict[int, list] = {}
-        if not engine.is_edge_cut and engine.edge_ckpt is not None:
-            from repro.ft.edge_ckpt import dedupe_edge_records
+        reloaded: dict[int, Edges] = {}
+        if engine.ckpt.edges is not None:  # vertex-cut only
             for node in failed:
-                records = dedupe_edge_records(
-                    engine.edge_ckpt.read_all(node))
-                edge_records[node] = records
-                nbytes = sum(engine.edge_ckpt.file_nbytes(node, r)
-                             for r in range(engine.cluster.num_workers))
+                edges, nbytes = engine.ckpt.edges.read_all(node)
+                reloaded[node] = dedupe(edges)
                 # The newbie streams all files as one pipelined
                 # sequential scan, overlapped with the vertex transfer
                 # (Section 6.10: Rebirth "can overlap the reloading of
@@ -166,7 +163,7 @@ class RebirthRecovery:
                 [msg.payload for msg in net.deliver(node)])
             lg, linked = common.reborn_graph(
                 node, rows, last_commit, engine.is_edge_cut,
-                edge_records.get(node, ()))
+                reloaded.get(node, NO_EDGES))
             engine.local_graphs[node] = lg
             engine.cluster.node(node).local = lg
             stats.vertices_recovered += len(lg.index_of)

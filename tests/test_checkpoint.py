@@ -3,6 +3,8 @@ snapshots, reload-everything recovery with replay."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.api import run_job
@@ -219,3 +221,84 @@ class TestOneCheckpointRung:
         assert engine._vec.state_builds == 6
         assert checker.checks >= 5  # the recovery + 4 (re)run commits
         assert result.values == clean.values
+
+
+class TestCheckpointingStampsNothing:
+    """Snapshots are column selections and recovery scatters them back:
+    no ``VertexSlot`` is stamped at load, at a due barrier or by a
+    checkpoint rewind (DESIGN.md §3)."""
+
+    GAUGE = "soa.slots_materialized"
+
+    def check(self, graph, failures=(), **kw):
+        from repro.api import make_engine
+        engine = make_engine(graph, "pagerank", num_nodes=4,
+                             max_iterations=6, **kw)
+        engine.publish_slots_materialized()
+        assert engine.metrics.gauge(self.GAUGE) == 0
+        for failure in failures:
+            engine.schedule_failure(*failure)
+        result = engine.run()
+        assert engine.metrics.gauge(self.GAUGE) == 0
+        return result
+
+    @pytest.mark.parametrize("failures", [(), ((3, (1,), "compute"),)])
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_ckpt_mode(self, graph, partition, failures):
+        result = self.check(graph, failures, partition=partition,
+                            ft_mode="checkpoint", checkpoint_interval=2,
+                            num_standby=1)
+        assert len(result.recoveries) == len(failures)
+
+    def test_safety_net(self, graph):
+        self.check(graph, ft_level=1, safety_checkpoint_interval=2)
+
+
+KILL_SCAN_WORKLOADS = {
+    "pagerank": (lambda: generators.power_law(
+        60, alpha=2.0, seed=7, avg_degree=4.0, selfish_frac=0.1), {}),
+    "sssp": (lambda: generators.road_network(6, 6, seed=7), {"source": 0}),
+    # A grid: the smallest label needs a dozen supersteps to spread.
+    "cc": (lambda: generators.road_network(7, 7, seed=3), {}),
+}
+KILL_SCAN_ITERATIONS = 9
+
+
+@functools.lru_cache(maxsize=None)
+def _kill_scan_baseline(algorithm: str, partition: str):
+    make_graph, kwargs = KILL_SCAN_WORKLOADS[algorithm]
+    graph = make_graph()
+    result = run_job(graph, algorithm, num_nodes=4, partition=partition,
+                     max_iterations=KILL_SCAN_ITERATIONS, ft_mode="none",
+                     algorithm_kwargs=kwargs)
+    return graph, result.values
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("phase", ["compute", "after_commit"])
+@pytest.mark.parametrize("kill_at", [1, 4, 7])
+@pytest.mark.parametrize("interval", [1, 3])
+@pytest.mark.parametrize("mode", ["ckpt", "safety_net"])
+@pytest.mark.parametrize("partition",
+                         ["hash_edge_cut", "random_vertex_cut", "hybrid_cut"])
+@pytest.mark.parametrize("algorithm", sorted(KILL_SCAN_WORKLOADS))
+def test_kill_point_scan(algorithm, partition, mode, interval, kill_at,
+                         phase):
+    """Every kill point of a CKPT-mode or safety-net rewind ends on the
+    ``ft_mode="none"`` run's values, bit for bit."""
+    graph, want = _kill_scan_baseline(algorithm, partition)
+    if mode == "ckpt":
+        kw = dict(ft_mode="checkpoint", checkpoint_interval=interval,
+                  num_standby=1)
+        failed, strategy = (1,), "checkpoint"
+    else:
+        kw = dict(ft_level=1, safety_checkpoint_interval=interval,
+                  num_standby=2)
+        # Some vertex keeps no copy: replication is exhausted.
+        failed, strategy = (0, 1), "safety-checkpoint"
+    result = run_job(graph, algorithm, num_nodes=4, partition=partition,
+                     max_iterations=KILL_SCAN_ITERATIONS,
+                     algorithm_kwargs=KILL_SCAN_WORKLOADS[algorithm][1],
+                     failures=[(kill_at, failed, phase)], **kw)
+    assert [r.strategy for r in result.recoveries] == [strategy]
+    assert result.values == want

@@ -110,7 +110,8 @@ class TestSemantics:
 
     def test_edge_ckpt_log_grows(self):
         engine, _ = run(partition="hybrid_cut")
-        total = sum(len(engine.edge_ckpt.read_all(n)) for n in range(4))
+        total = sum(engine.ckpt.edges.read_all(n)[0][0].size
+                    for n in range(4))
         # Loading records + one update per gathered edge per iteration.
         assert total > engine.graph.num_edges
 

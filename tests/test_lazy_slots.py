@@ -301,14 +301,14 @@ class TestEdgeCkptFilesFromColumns:
     def test_equal_to_the_slot_walk(self, graph, partition, level):
         engine = make_engine(graph, "pagerank", num_nodes=5,
                              partition=partition, ft_level=level)
-        store = engine.edge_ckpt
+        store = engine.ckpt.edges
         assert sum(lg.materialized
                    for lg in engine.local_graphs.values()) == 0
         want = reference.edge_files(engine)
         for owner, files in want.items():
             assert store.receivers(owner) == sorted(files)
             for receiver, records in files.items():
-                have = store.read_file(owner, receiver)
+                have = reference.rows(store.read_file(owner, receiver))
                 assert have == records
                 assert pickle.dumps(have) == pickle.dumps(records)
                 assert (store.file_nbytes(owner, receiver)
@@ -333,9 +333,10 @@ class TestEdgeCkptFilesFromColumns:
             def on_phase(self, engine, phase):
                 if phase != "post_recovery":
                     return
-                store = engine.edge_ckpt
+                store = engine.ckpt.edges
                 seen.append((reference.edge_files(engine), {
-                    owner: {receiver: store.read_file(owner, receiver)
+                    owner: {receiver: reference.rows(
+                                store.read_file(owner, receiver))
                             for receiver in store.receivers(owner)}
                     for owner in engine.local_graphs}))
 

@@ -17,11 +17,13 @@ from repro.ft._recovery_common import (
     reborn_graph,
     surviving_recoverer,
 )
-from repro.ft.edge_ckpt import EdgeRecord, dedupe_edge_records
+from repro.ft.edge_ckpt import dedupe
 from repro.graph import generators
 from repro.membership.rebalance import move_master
 from repro.utils.sizing import BYTES_PER_MSG_HEADER
+from tests.reference.edge_ckpt import rows
 from tests.test_construction_equivalence import assert_same_image
+from tests.test_edge_ckpt import edges
 from tests.test_messages import make_batch
 
 
@@ -36,13 +38,13 @@ class TestSurvivingRecoverer:
 
 class TestDedupeEdgeRecords:
     def test_last_wins_first_order(self):
-        records = [EdgeRecord(0, 1, 1.0), EdgeRecord(2, 3, 1.0),
-                   EdgeRecord(0, 1, 0.5), EdgeRecord(0, 1, 0.25)]
-        deduped = dedupe_edge_records(records)
-        assert deduped == [EdgeRecord(0, 1, 0.25), EdgeRecord(2, 3, 1.0)]
+        records = edges((0, 1, 1.0), (2, 3, 1.0), (0, 1, 0.5),
+                        (0, 1, 0.25))
+        deduped = rows(dedupe(records))
+        assert deduped == [(0, 1, 0.25), (2, 3, 1.0)]
 
     def test_empty(self):
-        assert dedupe_edge_records([]) == []
+        assert rows(dedupe(edges())) == []
 
 
 class TestPlaceRecoveredVertex:
@@ -128,8 +130,7 @@ class TestRelinkVertexCut:
 
     def test_records_become_both_csrs(self):
         lg, linked = reborn_graph(0, self.rows, 4, edge_cut=False,
-                                  edge_records=[EdgeRecord(2, 5, 0.5),
-                                                EdgeRecord(5, 5, 1.5)])
+                                  edges=edges((2, 5, 0.5), (5, 5, 1.5)))
         assert linked == 2
         assert lg.slot_of(5).in_edges == [(0, 0.5), (1, 1.5)]
         assert lg.slot_of(2).out_edges == [1]
@@ -140,8 +141,7 @@ class TestRelinkVertexCut:
         with pytest.raises(UnrecoverableFailureError,
                            match=r"edge \(2, 7\) endpoints missing"):
             reborn_graph(0, self.rows, 4, edge_cut=False,
-                         edge_records=[EdgeRecord(2, 5, 0.5),
-                                       EdgeRecord(2, 7, 1.0)])
+                         edges=edges((2, 5, 0.5), (2, 7, 1.0)))
 
 
 class TestCreateReplica:

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import run_job
-from repro.ft.edge_ckpt import EdgeRecord, dedupe_edge_records
+from repro.ft.edge_ckpt import dedupe
 from repro.graph import generators
+from tests.reference.edge_ckpt import rows
+from tests.test_edge_ckpt import edges
 
 
 @pytest.fixture(scope="module")
@@ -63,19 +65,18 @@ class TestDedupeProperties:
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
                               st.floats(0.1, 10.0)), max_size=40))
     def test_dedupe_invariants(self, raw):
-        records = [EdgeRecord(s, d, w) for s, d, w in raw]
-        deduped = dedupe_edge_records(records)
-        keys = [(r.src, r.dst) for r in deduped]
+        records = rows(edges(*raw))
+        deduped = rows(dedupe(edges(*raw)))
+        keys = [(src, dst) for src, dst, _ in deduped]
         # No duplicates survive.
         assert len(keys) == len(set(keys))
         # Every surviving record carries the LAST weight seen.
-        for record in deduped:
-            last = [r for r in records
-                    if (r.src, r.dst) == (record.src, record.dst)][-1]
-            assert record.weight == last.weight
+        for src, dst, weight in deduped:
+            last = [r for r in records if r[:2] == (src, dst)][-1]
+            assert weight == last[2]
         # First-occurrence order is preserved.
         seen = []
         for r in records:
-            if (r.src, r.dst) not in seen:
-                seen.append((r.src, r.dst))
+            if r[:2] not in seen:
+                seen.append(r[:2])
         assert keys == seen
