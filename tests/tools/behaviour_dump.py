@@ -19,7 +19,12 @@ edge-cut and on vertex-cut; an adaptive-floor run with one kill) —
 each dumped as: committed values, traffic by kind, ``syncs_elided``,
 iteration stats, every ``RecoveryStats``, the membership report,
 counters, gauges (but ``soa.slots_materialized``, a memory-layout
-gauge) and every non-wall field of every trace event.
+gauge) and every non-wall field of every trace event.  Serving rows
+run PageRank with an open-loop read workload on edge-cut and
+vertex-cut (clean, a compute kill plus an after-commit kill, Migration,
+``least_loaded`` routing, and on edge-cut a membership join + drain),
+each dumped as every response's fields, the per-replica load and the
+degraded / miss / query counts — no latencies.
 Floats are written by ``repr`` (JSON's default), so ``cmp`` is a bit
 comparison.
 Only the public API and documented engine attributes are touched, so
@@ -41,6 +46,8 @@ import numpy as np
 from repro.api import make_engine
 from repro.chaos import ChaosController, FailureSchedule
 from repro.engine.vertex_program import VertexProgram
+from repro.exec.base import BackendSpec
+from repro.exec.simulator import SimulatorBackend
 from repro.graph import generators
 from repro.obs import Tracer
 
@@ -112,6 +119,25 @@ ELASTIC = {
                   ("hash_edge_cut", "random_vertex_cut")),
     "adaptive_kill": (dict(num_standby=2, max_iterations=12, **ADAPTIVE),
                       ((3, (2,), "compute"),), None, ("hash_edge_cut",)),
+}
+
+
+#: The read workload of every serving row.
+SERVE = (("neighborhood_frac", 0.1), ("num_queries", 1500), ("qps", 1500.0),
+         ("seed", 5), ("topk_frac", 0.05))
+SERVE_KILLS = ((2, (1,), "compute"), (3, (2,), "after_commit"))
+#: Serving rows: scenario -> (BackendSpec kwargs, partitions).
+SERVING = {
+    "clean": ({}, PARTITIONS[:2]),
+    "rebirth": (dict(num_standby=2, failures=SERVE_KILLS), PARTITIONS[:2]),
+    "migration": (dict(recovery="migration", num_standby=0,
+                       failures=((2, (1,), "compute"),)), PARTITIONS[:2]),
+    "least_loaded": (dict(num_standby=2, failures=SERVE_KILLS,
+                          serve=SERVE + (("policy", "least_loaded"),)),
+                     PARTITIONS[:2]),
+    # Joins and drains need an edge-cut partitioning.
+    "membership": (dict(num_standby=2, membership=(
+        (2, "join", None), (4, "drain", 1))), PARTITIONS[:1]),
 }
 
 
@@ -202,6 +228,26 @@ def dump_run(graph, algorithm, partition, iterations, algorithm_kwargs,
     })
 
 
+def dump_serving(graph, partition, iterations, scenario):
+    """Run one serving configuration; returns every response and the
+    serve report's load and counts."""
+    kwargs = {"serve": SERVE, **SERVING[scenario][0]}
+    spec = BackendSpec(algorithm="pagerank", num_nodes=NUM_NODES,
+                       partition=partition, max_iterations=iterations,
+                       seed=11, **kwargs)
+    result = SimulatorBackend().run(graph, spec)
+    report = result.extra["serve"]
+    return _plain({
+        "responses": [(r.gid, r.kind, r.value, r.superstep, r.degraded,
+                       r.replica_node)
+                      for r in result.extra["serve_responses"]],
+        "per_replica_load": report["per_replica_load"],
+        "degraded_reads": report["degraded_reads"],
+        "misses": report["misses"],
+        "queries": report["queries"],
+    })
+
+
 def matrix(quick: bool):
     """``(label, dump_run arguments)`` for every configuration."""
     scenarios = list(SCENARIOS)
@@ -232,6 +278,21 @@ def matrix(quick: bool):
                    (graph, DecayingDegree(), partition, 4, None, scenario))
 
 
+def serving_matrix(quick: bool):
+    """``(label, dump_serving arguments)`` for every serving row; quick
+    keeps one scenario per partition."""
+    make_graph, _kwargs, iterations = WORKLOADS["pagerank"]
+    graph = make_graph()
+    cell = 0
+    for scenario, (_kwargs, partitions) in SERVING.items():
+        for partition in partitions:
+            cell += 1
+            if quick and cell % 3 != 1:
+                continue
+            yield (f"serve/pagerank/{partition}/{scenario}",
+                   (graph, partition, iterations, scenario))
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -240,6 +301,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     dump = {label: dump_run(*run_args)
             for label, run_args in matrix(args.quick)}
+    dump.update((label, dump_serving(*run_args))
+                for label, run_args in serving_matrix(args.quick))
     with open(args.out, "w") as fh:
         json.dump(dump, fh, sort_keys=True, indent=1, default=repr)
         fh.write("\n")
