@@ -69,6 +69,11 @@ def main() -> None:
           f"p99 {report['p99_us']:.1f}us")
     print(f"per-replica load: {report['per_replica_load']}")
 
+    # ``responses`` is a read-only view over response columns: it
+    # indexes, slices and iterates, building each row on demand.
+    for resp in responses[:3]:
+        print(f"  {KIND_NAMES[resp.kind]:<12} vertex {resp.gid:>4} "
+              f"superstep {resp.superstep:>2} node {resp.replica_node}")
     sample = next(r for r in responses
                   if r.degraded and r.kind == 0 and r.value is not None)
     print(f"\na degraded read: vertex {sample.gid} -> {sample.value:.6f} "

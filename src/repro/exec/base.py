@@ -21,6 +21,13 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.errors import ConfigError
+
+#: The ``BackendSpec.serve`` keys that are not workload arguments.
+SERVE_KEYS = frozenset(
+    {"policy", "route_seed", "keep_responses", "expected_supersteps"}
+)
+
 
 class TransportClosed(Exception):
     """The peer endpoint is gone (closed pipe, dead process)."""
@@ -130,17 +137,27 @@ class BackendSpec:
     #: read-serving layer (DESIGN.md §13); empty = no serving.  Keys
     #: mix :class:`repro.serve.workload.OpenLoopWorkload` arguments
     #: (``num_queries``, ``qps``, ``zipf_s``, ``seed``, ...) with the
-    #: routing knobs ``policy`` and ``route_seed`` plus the cursor's
-    #: ``expected_supersteps`` (defaults to ``max_iterations``).  Both
-    #: backends build the same workload and report the same
-    #: ``extra["serve"]`` shape.
+    #: routing knobs ``policy`` and ``route_seed``, the cursor's
+    #: ``expected_supersteps`` (defaults to ``max_iterations``) and
+    #: ``keep_responses`` (default ``True``; ``False`` keeps counts and
+    #: latencies but no response columns).  Any other key is a
+    #: ``ConfigError``.  Both backends build the same workload and
+    #: report the same ``extra["serve"]`` shape.
     serve: tuple = ()
 
     def serve_config(self) -> dict | None:
         """The serve kv-pairs as a dict, or ``None`` when not serving."""
         if not self.serve:
             return None
+        # Deferred: ``repro.serve`` imports the engine, which imports
+        # this module.
+        from repro.serve.workload import WORKLOAD_KEYS
+
         cfg = dict(self.serve)
+        unknown = sorted(set(cfg) - WORKLOAD_KEYS - SERVE_KEYS)
+        if unknown:
+            known = sorted(WORKLOAD_KEYS | SERVE_KEYS)
+            raise ConfigError(f"unknown serve key(s) {unknown}; expected {known}")
         cfg.setdefault("expected_supersteps", self.max_iterations)
         return cfg
 

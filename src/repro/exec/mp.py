@@ -93,7 +93,7 @@ from repro.exec.serialize import (TAG_GATHER, TAG_RAW_GATHER, decode_batch,
                                   encoded_records)
 from repro.ft import ladder
 from repro.serve.router import MISS, ReplicaRouter
-from repro.serve.server import ReadResponse, ServeStats, WorkloadCursor
+from repro.serve.server import ServeStats, WorkloadCursor
 from repro.serve.view import CommittedView
 from repro.serve.workload import POINT, TOPK, workload_from_config
 from repro.utils.sizing import BYTES_PER_MSG_HEADER
@@ -284,44 +284,50 @@ class _MpReadServer:
 
     def drain(self, progress: float, committed: int) -> None:
         """Serve every query whose arrival progress has passed."""
-        queries = self.cursor.due(progress)
-        if queries:
-            self._serve_batch(queries, committed)
+        lo, hi = self.cursor.due(progress)
+        if lo < hi:
+            self.router.begin_drain()
+            try:
+                self._serve_batch(lo, hi, committed)
+            finally:
+                self.router.end_drain()
 
     def report(self) -> dict:
         return self.stats.report(self.router, self.engine.metrics)
 
     # -- execution -------------------------------------------------------
 
-    def _serve_batch(self, queries, committed: int) -> None:
+    def _serve_batch(self, lo: int, hi: int, committed: int) -> None:
         start = time.perf_counter()
+        cursor = self.cursor
+        kinds, gids = cursor.kinds[lo:hi], cursor.gids[lo:hi]
         in_recovery = self.engine.in_recovery
         alive = sorted(self.backend._workers)
         # Route every point/neighborhood gid, bucket by serving rank.
         plans: list = []
         by_rank: dict[int, set] = defaultdict(set)
-        topk_ks: set[int] = set()
-        for query in queries:
-            if query.kind == TOPK:
-                topk_ks.add(query.k)
+        route = self.router.route
+        for kind, gid in zip(kinds, gids):
+            if kind == TOPK:
                 plans.append(None)
                 continue
-            gids = ([query.gid] if query.kind == POINT
-                    else self.view.out_neighbors(
-                        query.gid, limit=self.neighborhood_limit))
+            targets = ([gid] if kind == POINT
+                       else self.view.out_neighbors(
+                           gid, limit=self.neighborhood_limit))
             routed: list[tuple[int, int]] = []
             degraded = in_recovery
-            for gid in gids:
-                node, deg = self.router.route(gid)
+            for target in targets:
+                node, deg = route(target)
                 degraded = degraded or deg
-                routed.append((gid, node))
+                routed.append((target, node))
                 if node == MISS:
                     self.stats.misses += 1
                 else:
-                    by_rank[node].add(gid)
+                    by_rank[node].add(target)
             plans.append((routed, degraded))
-        # One read frame per involved rank, one topk frame per distinct
-        # K — the whole drain is two collect round-trips at most.
+        # One read frame per involved rank, one topk frame if any query
+        # asks for it — the whole drain is two collect round-trips at
+        # most.
         values: dict[int, dict] = {}
         if by_rank:
             self._req += 1
@@ -331,16 +337,16 @@ class _MpReadServer:
             frames = self.backend._collect("read_done", self._req,
                                            sorted(by_rank))
             values = {rank: frame[2] for rank, frame in frames.items()}
-        topk_merged: dict[int, tuple] = {}
-        for k in sorted(topk_ks):
+        top = None
+        if TOPK in kinds:
+            k = cursor.topk_k
             self._req += 1
             self.backend._send_all(alive, "topk", self._req, k)
             frames = self.backend._collect("topk_done", self._req, alive)
             merged = sorted((pair for frame in frames.values()
                              for pair in frame[2]),
                             key=lambda t: (-t[1], t[0]))
-            topk_merged[k] = tuple((int(gid), value)
-                                   for gid, value in merged[:k])
+            top = tuple((int(gid), value) for gid, value in merged[:k])
         latency_s = time.perf_counter() - start
         # Top-K coverage is partial whenever any rank is out of the
         # aggregation or recovery-recomputed selfish masters are still
@@ -350,25 +356,20 @@ class _MpReadServer:
                          or bool(self.engine.selfish_read_fence)
                          or len(cluster.alive_workers())
                          < cluster.expected_workers())
-        for query, plan in zip(queries, plans):
-            if query.kind == TOPK:
-                resp = ReadResponse(
-                    gid=-1, kind=TOPK, value=topk_merged[query.k],
-                    superstep=committed, degraded=topk_degraded,
-                    replica_node=MISS)
-            else:
-                routed, degraded = plan
-                parts = [(gid, None if node == MISS
-                          else values[node][gid])
-                         for gid, node in routed]
-                resp = ReadResponse(
-                    gid=query.gid, kind=query.kind,
-                    value=(parts[0][1] if query.kind == POINT
-                           else tuple(parts)),
-                    superstep=committed, degraded=degraded,
-                    replica_node=next((node for _gid, node in routed
-                                       if node != MISS), MISS))
-            self.stats.record(resp, latency_s)
+        record = self.stats.record
+        for kind, gid, plan in zip(kinds, gids, plans):
+            if kind == TOPK:
+                record(-1, TOPK, top, committed, topk_degraded, MISS,
+                       latency_s)
+                continue
+            routed, degraded = plan
+            parts = tuple((target, None if node == MISS
+                           else values[node][target])
+                          for target, node in routed)
+            record(gid, kind, parts[0][1] if kind == POINT else parts,
+                   committed, degraded,
+                   next((node for _target, node in routed
+                         if node != MISS), MISS), latency_s)
 
 
 class MultiprocessingBackend(ExecutionBackend):

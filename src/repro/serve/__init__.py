@@ -10,8 +10,8 @@ path that runs *concurrently* with supersteps and recovery:
   explicit degraded policy (and the selfish-vertex master fence);
 * :mod:`repro.serve.workload` — seeded open-loop traffic (Poisson
   arrivals, Zipf keys, configurable QPS);
-* :mod:`repro.serve.server` — the query server, latency accounting and
-  the engine pump hook;
+* :mod:`repro.serve.server` — the drain-at-a-time query server, its
+  response columns and latency accounting, and the engine pump hook;
 * :mod:`repro.serve.replay` — the post-hoc bit-equality differential
   check against a serving-free replay.
 """
@@ -26,6 +26,7 @@ from repro.serve.server import (
     PHASE_PROGRESS,
     ReadResponse,
     ReadServer,
+    ResponseView,
     ServePump,
     ServeStats,
     WorkloadCursor,
@@ -55,6 +56,7 @@ __all__ = [
     "ReadResponse",
     "ReadServer",
     "ReplicaRouter",
+    "ResponseView",
     "ServePump",
     "ServeStats",
     "TOPK",

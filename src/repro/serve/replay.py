@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any
 from repro.serve.workload import NEIGHBORHOOD, POINT, TOPK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.server import ReadResponse
+    from repro.serve.server import ReadResponse, ResponseView
 
 
 class HistoryRecorder:
@@ -57,7 +57,7 @@ def replay_committed_history(graph, spec) -> dict[int, dict[int, Any]]:
     return recorder.history
 
 
-def check_responses(responses: "list[ReadResponse]",
+def check_responses(responses: "ResponseView",
                     history: dict[int, dict[int, Any]],
                     ) -> list[tuple["ReadResponse", Any]]:
     """Every response vs the committed value at its tagged superstep.
@@ -70,38 +70,42 @@ def check_responses(responses: "list[ReadResponse]",
     commit history by construction).  Misses (``value is None`` with
     ``degraded=True``) are not mismatches — they are the explicit
     degraded contract for vertices with no alive copy.
+
+    The :class:`~repro.serve.server.ResponseView` is read column by
+    column; a row is built only for a mismatch.
     """
     mismatches: list[tuple[Any, Any]] = []
     topk_cache: dict[tuple[int, int], list] = {}
-    for resp in responses:
-        committed = history.get(resp.superstep)
+    for i, (gid, kind, value, superstep, degraded, _node) in enumerate(
+            zip(*responses.columns())):
+        committed = history.get(superstep)
         if committed is None:
-            mismatches.append((resp, f"unknown superstep "
-                                     f"{resp.superstep}"))
+            mismatches.append((responses[i], f"unknown superstep "
+                                             f"{superstep}"))
             continue
-        if resp.kind == POINT:
-            if resp.value is None and resp.degraded:
+        if kind == POINT:
+            if value is None and degraded:
                 continue
-            expected = committed[resp.gid]
-            if resp.value != expected:
-                mismatches.append((resp, expected))
-        elif resp.kind == NEIGHBORHOOD:
-            for nbr, value in resp.value:
-                if value is None and resp.degraded:
+            expected = committed[gid]
+            if value != expected:
+                mismatches.append((responses[i], expected))
+        elif kind == NEIGHBORHOOD:
+            for nbr, nbr_value in value:
+                if nbr_value is None and degraded:
                     continue
                 expected = committed[nbr]
-                if value != expected:
-                    mismatches.append((resp, (nbr, expected)))
-        elif resp.kind == TOPK:
-            if resp.degraded:
+                if nbr_value != expected:
+                    mismatches.append((responses[i], (nbr, expected)))
+        elif kind == TOPK:
+            if degraded:
                 continue
-            k = len(resp.value)
-            key = (resp.superstep, k)
+            k = len(value)
+            key = (superstep, k)
             expected_top = topk_cache.get(key)
             if expected_top is None:
                 ranked = sorted(committed.items(),
                                 key=lambda t: (-t[1], t[0]))
                 expected_top = topk_cache[key] = ranked[:k]
-            if list(resp.value) != expected_top:
-                mismatches.append((resp, expected_top))
+            if list(value) != expected_top:
+                mismatches.append((responses[i], expected_top))
     return mismatches

@@ -26,8 +26,12 @@ graph gone).  When every copy of a vertex sits on a transitioning
 node — possible for an instant mid-drain — the read falls back to the
 master, which always holds the committed value until it moves.
 
-Routing decisions are deterministic for a fixed seed and call sequence;
-per-replica load counts feed the obs registry.
+Routing works one drain at a time (:meth:`ReplicaRouter.begin_drain`):
+the alive and ineligible node sets, the fence and the recovery flag are
+snapshotted once per drain, and each gid's plan (candidates, eligible
+copies, degraded tag) is cached for that drain only.  Routing decisions
+are deterministic for a fixed seed and call sequence; per-replica load
+counts feed the obs registry.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ class ReplicaRouter:
         #: only when the cluster's epoch moves (DESIGN.md §14).
         self._epoch = -1
         self._ineligible: frozenset[int] = frozenset()
+        #: The open drain's plan cache (``None`` outside a drain).
+        self._plans: dict[int, tuple] | None = None
 
     # -- placement -------------------------------------------------------
 
@@ -92,24 +98,43 @@ class ReplicaRouter:
 
     # -- routing ---------------------------------------------------------
 
-    def route(self, gid: int) -> tuple[int, bool]:
-        """Pick the copy that serves this read.
+    def begin_drain(self) -> None:
+        """Open a routing snapshot: what cannot change until the drain
+        ends — alive nodes, the membership-ineligible set, the selfish
+        read fence, ``in_recovery`` — plus an empty per-drain plan cache.
 
-        Returns ``(node, degraded)``; ``node`` is :data:`MISS` when no
-        copy is alive.
+        Placement is cached for one drain only: recovery and membership
+        changes mutate a stamped slot's replica positions in place.
         """
+        engine = self.engine
+        self._dead = {nid for nid, node in engine.cluster.nodes.items()
+                      if not node.is_alive}
+        self._drain_ineligible = self.membership_ineligible()
+        self._unusable = self._dead | self._drain_ineligible
+        self._fence = engine.selfish_read_fence
+        self._in_recovery = engine.in_recovery
+        self._plans = {}
+
+    def end_drain(self) -> None:
+        self._plans = None
+
+    def _plan(self, gid: int) -> tuple[list[int], int, bool]:
+        """``(eligible, fixed, degraded)`` for ``gid`` under the open
+        snapshot; ``fixed`` is the node serving the read (without the
+        policy) when no copy is eligible."""
         # A selfish master recomputed by recovery holds the value the
         # retry will commit, and no surviving copy holds the committed
         # one — a degraded miss until the next barrier closes the
         # window (see ``Engine.selfish_read_fence``).
-        if gid in self.engine.selfish_read_fence:
-            return MISS, True
+        if gid in self._fence:
+            return [], MISS, True
         candidates = self.candidates(gid)
-        cluster = self.engine.cluster
-        alive = [n for n in candidates if cluster.node(n).is_alive]
-        degraded = (self.engine.in_recovery
-                    or len(alive) < len(candidates))
-        ineligible = self.membership_ineligible()
+        if self._unusable.isdisjoint(candidates):
+            return candidates, MISS, self._in_recovery
+        dead = self._dead
+        alive = [n for n in candidates if n not in dead]
+        degraded = self._in_recovery or len(alive) < len(candidates)
+        ineligible = self._drain_ineligible
         eligible = [n for n in alive if n not in ineligible]
         if not eligible:
             # Every copy sits on a transitioning node (possible for an
@@ -118,9 +143,32 @@ class ReplicaRouter:
             # but never route to a node whose local graph may be gone.
             master = candidates[0]
             if master in alive and master not in self.engine.cluster._retired:
-                self.load[master] += 1
-                return master, True
-            return MISS, True
+                return [], master, True
+            return [], MISS, True
+        return eligible, MISS, degraded
+
+    def route(self, gid: int) -> tuple[int, bool]:
+        """Pick the copy that serves this read.
+
+        Returns ``(node, degraded)``; ``node`` is :data:`MISS` when no
+        copy is alive.  Reads the open drain's snapshot; a call outside
+        a drain opens a one-query snapshot.
+        """
+        plans = self._plans
+        if plans is None:
+            self.begin_drain()
+            try:
+                return self.route(gid)
+            finally:
+                self.end_drain()
+        plan = plans.get(gid)
+        if plan is None:
+            plan = plans[gid] = self._plan(gid)
+        eligible, node, degraded = plan
+        if not eligible:
+            if node != MISS:
+                self.load[node] += 1
+            return node, degraded
         if self.policy == "least_loaded":
             node = min(eligible, key=lambda n: (self.load[n], n))
         else:

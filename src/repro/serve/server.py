@@ -1,11 +1,13 @@
 """The read server and the engine hook that pumps it (DESIGN.md §13).
 
-:class:`ReadServer` answers one query at a time against a
-:class:`~repro.serve.view.CommittedView` through a
+:class:`ReadServer` answers one *drain* at a time — the queries whose
+arrival has passed at one engine phase hook, a range of query indices —
+against the engine's committed columns through a
 :class:`~repro.serve.router.ReplicaRouter`, stamping every response
-with the superstep it reflects and the degraded flag.  Service-time
-latency (wall-clock per query) and per-replica load feed the obs
-:class:`~repro.obs.registry.MetricsRegistry`.
+with the superstep it reflects and the degraded flag.  Responses land
+in :class:`ServeStats`' parallel columns; no per-read object is built.
+Service-time latency (wall-clock per query) and per-replica load feed
+the obs :class:`~repro.obs.registry.MetricsRegistry`.
 
 :class:`ServePump` drives the server *concurrently with the run*: it
 attaches as an engine serve hook (:meth:`Engine.attach_serve`) and at
@@ -19,6 +21,7 @@ at its protocol-safe points — same workload, same arrival order.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -27,11 +30,11 @@ import numpy as np
 from repro.serve.router import MISS, ReplicaRouter
 from repro.serve.view import CommittedView
 from repro.serve.workload import (
+    KIND_NAMES,
     NEIGHBORHOOD,
     POINT,
     TOPK,
     OpenLoopWorkload,
-    Query,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,28 +61,77 @@ class ReadResponse:
     replica_node: int
 
 
+class ResponseView(Sequence):
+    """Read-only sequence over :class:`ServeStats`' response columns;
+    a :class:`ReadResponse` row is built only when one is indexed."""
+
+    def __init__(self, stats: "ServeStats"):
+        self._stats = stats
+
+    def columns(self) -> tuple[list, ...]:
+        """``(gids, kinds, values, supersteps, degraded, nodes)``."""
+        s = self._stats
+        return (s.gids, s.kinds, s.values, s.supersteps, s.degraded,
+                s.nodes)
+
+    def __len__(self) -> int:
+        return len(self._stats.gids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        s = self._stats
+        return ReadResponse(gid=s.gids[index], kind=s.kinds[index],
+                            value=s.values[index],
+                            superstep=s.supersteps[index],
+                            degraded=s.degraded[index],
+                            replica_node=s.nodes[index])
+
+
 class ServeStats:
-    """Response accounting shared by both backends' servers."""
+    """Response accounting shared by both backends' servers: one column
+    per response field, plus the per-query service time."""
 
     def __init__(self, keep_responses: bool = True):
         self.keep_responses = keep_responses
-        self.responses: list[ReadResponse] = []
+        #: Response columns, one entry per answered query (only while
+        #: ``keep_responses``; ``kinds`` always, for per-kind latency).
+        self.gids: list[int] = []
+        self.kinds: list[int] = []
+        self.values: list[Any] = []
+        self.supersteps: list[int] = []
+        self.degraded: list[bool] = []
+        self.nodes: list[int] = []
         self.latencies_s: list[float] = []
-        self.served = 0
         self.degraded_served = 0
         self.misses = 0
 
-    def record(self, resp: ReadResponse, latency_s: float) -> None:
-        self.served += 1
+    @property
+    def served(self) -> int:
+        return len(self.latencies_s)
+
+    @property
+    def responses(self) -> ResponseView:
+        return ResponseView(self)
+
+    def record(self, gid: int, kind: int, value: Any, superstep: int,
+               degraded: bool, node: int, latency_s: float) -> None:
+        """Append one answered query."""
         self.latencies_s.append(latency_s)
-        if resp.degraded:
+        self.kinds.append(kind)
+        if degraded:
             self.degraded_served += 1
         if self.keep_responses:
-            self.responses.append(resp)
+            self.gids.append(gid)
+            self.values.append(value)
+            self.supersteps.append(superstep)
+            self.degraded.append(degraded)
+            self.nodes.append(node)
 
     def report(self, router: ReplicaRouter, metrics=None) -> dict:
         """p50/p99 service latency, per-replica load, degraded counts —
-        also published to a metrics registry when one is given."""
+        also published to a metrics registry when one is given, with
+        the p50 of each query kind."""
         lat = np.asarray(self.latencies_s, dtype=np.float64)
         p50 = float(np.percentile(lat, 50)) if lat.size else 0.0
         p99 = float(np.percentile(lat, 99)) if lat.size else 0.0
@@ -89,6 +141,13 @@ class ServeStats:
             metrics.set_gauge("serve.misses", self.misses)
             metrics.set_gauge("serve.p50_us", p50 * 1e6)
             metrics.set_gauge("serve.p99_us", p99 * 1e6)
+            kinds = np.asarray(self.kinds, dtype=np.int8)
+            for code, name in KIND_NAMES.items():
+                own = lat[kinds == code]
+                metrics.set_gauge(
+                    f"serve.{name}_p50_us",
+                    float(np.percentile(own, 50)) * 1e6 if own.size
+                    else 0.0)
             router.publish_load(metrics)
         return {
             "queries": self.served,
@@ -115,7 +174,7 @@ class ReadServer:
         self.stats = ServeStats(keep_responses)
 
     @property
-    def responses(self) -> list[ReadResponse]:
+    def responses(self) -> ResponseView:
         return self.stats.responses
 
     @property
@@ -132,70 +191,82 @@ class ReadServer:
 
     # -- query execution -------------------------------------------------
 
-    def serve(self, query: Query) -> ReadResponse:
-        start = time.perf_counter()
-        if query.kind == POINT:
-            resp = self._serve_point(query.gid)
-        elif query.kind == NEIGHBORHOOD:
-            resp = self._serve_neighborhood(query.gid)
-        elif query.kind == TOPK:
-            resp = self._serve_topk(query.k)
-        else:
-            raise ValueError(f"unknown query kind {query.kind}")
-        self.stats.record(resp, time.perf_counter() - start)
-        return resp
+    def serve_drain(self, kinds: list[int], gids: list[int],
+                    k: int) -> None:
+        """Answer queries ``(kinds[i], gids[i])`` in order, top-K ones
+        with ``k``, under one routing snapshot.
 
-    def _serve_point(self, gid: int) -> ReadResponse:
-        node, degraded = self.router.route(gid)
-        if node == MISS:
-            self.stats.misses += 1
-            value = None
-        else:
-            value = self.view.read(gid, node)
-        return ReadResponse(gid=gid, kind=POINT, value=value,
-                            superstep=self.view.superstep,
-                            degraded=degraded, replica_node=node)
-
-    def _serve_neighborhood(self, gid: int) -> ReadResponse:
-        nbrs = self.view.out_neighbors(gid,
-                                       limit=self.neighborhood_limit)
-        parts: list[tuple[int, Any]] = []
-        degraded = self.engine.in_recovery
-        node0 = MISS
-        for nbr in nbrs:
-            node, deg = self.router.route(nbr)
-            degraded = degraded or deg
-            if node == MISS:
-                self.stats.misses += 1
-                parts.append((nbr, None))
-                continue
-            if node0 == MISS:
-                node0 = node
-            parts.append((nbr, self.view.read(nbr, node)))
-        return ReadResponse(gid=gid, kind=NEIGHBORHOOD,
-                            value=tuple(parts),
-                            superstep=self.view.superstep,
-                            degraded=degraded, replica_node=node0)
-
-    def _serve_topk(self, k: int) -> ReadResponse:
-        top = self.view.top_k(k)
-        # Top-K aggregates over alive nodes' masters: with any node
-        # dead (even before detection fires) coverage may be partial,
-        # which is exactly the explicit-degradation contract.
-        engine = self.engine
-        # ``selfish_read_fence``: recovery-recomputed masters are still
-        # in the ranking but reflect the *next* commit — partial too.
-        # ``expected_workers`` tracks elastic membership (joins grow
-        # it, retirements shrink it) so a cleanly drained node does not
-        # read as a permanently degraded cluster.
-        partial = bool(engine.selfish_read_fence) or (
-            len(engine.cluster.alive_workers())
-            < engine.cluster.expected_workers())
-        return ReadResponse(
-            gid=-1, kind=TOPK, value=tuple(top),
-            superstep=self.view.superstep,
-            degraded=engine.in_recovery or partial,
-            replica_node=MISS)
+        Each query's ``perf_counter`` pair encloses all of its own work
+        (routing, reads, the column appends); only the O(nodes) drain
+        set-up sits outside.
+        """
+        engine, router, stats = self.engine, self.router, self.stats
+        router.begin_drain()
+        try:
+            route = router.route
+            local_graphs = engine.local_graphs
+            out_neighbors = self.view.out_neighbors
+            limit = self.neighborhood_limit
+            top_k = self.view.top_k
+            superstep = engine.committed_iteration
+            in_recovery = engine.in_recovery
+            # Top-K coverage is partial with any node dead (even before
+            # detection fires) or recovery-recomputed selfish masters in
+            # the ranking (they reflect the *next* commit).
+            # ``expected_workers`` follows elastic membership, so a
+            # cleanly drained node does not read as a degraded cluster.
+            cluster = engine.cluster
+            topk_degraded = in_recovery or bool(
+                engine.selfish_read_fence) or (
+                len(cluster.alive_workers()) < cluster.expected_workers())
+            keep = stats.keep_responses
+            perf = time.perf_counter
+            misses = degraded_served = 0
+            for kind, gid in zip(kinds, gids):
+                start = perf()
+                if kind == POINT:
+                    node, degraded = route(gid)
+                    if node == MISS:
+                        misses += 1
+                        value = None
+                    else:
+                        lg = local_graphs[node]
+                        value = lg.values.item(lg.index_of[gid])
+                elif kind == NEIGHBORHOOD:
+                    parts = []
+                    degraded = in_recovery
+                    node = MISS
+                    for nbr in out_neighbors(gid, limit):
+                        copy, deg = route(nbr)
+                        degraded = degraded or deg
+                        if copy == MISS:
+                            misses += 1
+                            parts.append((nbr, None))
+                            continue
+                        if node == MISS:
+                            node = copy
+                        lg = local_graphs[copy]
+                        parts.append((nbr, lg.values.item(lg.index_of[nbr])))
+                    value = tuple(parts)
+                elif kind == TOPK:
+                    gid, node, degraded = -1, MISS, topk_degraded
+                    value = tuple(top_k(k))
+                else:
+                    raise ValueError(f"unknown query kind {kind}")
+                stats.kinds.append(kind)
+                if keep:
+                    stats.gids.append(gid)
+                    stats.values.append(value)
+                    stats.supersteps.append(superstep)
+                    stats.degraded.append(degraded)
+                    stats.nodes.append(node)
+                if degraded:
+                    degraded_served += 1
+                stats.latencies_s.append(perf() - start)
+            stats.misses += misses
+            stats.degraded_served += degraded_served
+        finally:
+            router.end_drain()
 
     # -- reporting -------------------------------------------------------
 
@@ -231,34 +302,32 @@ class WorkloadCursor:
     workload's arrival seconds are scaled so its full horizon spans
     ``expected_supersteps``.  Both backends share this mapping, so the
     query-to-drain-point assignment is identical wherever the drain
-    points coincide.
+    points coincide.  A drain is a range ``[lo, hi)`` of query indices;
+    :attr:`kinds` and :attr:`gids` are the workload's columns as lists,
+    made once, for the servers to slice.
     """
 
     def __init__(self, workload: OpenLoopWorkload,
                  expected_supersteps: int):
         scale = expected_supersteps / workload.horizon_s
         self._arrival_progress = workload.arrival_s * scale
-        self._workload = workload
+        self.kinds: list[int] = workload.kinds.tolist()
+        self.gids: list[int] = workload.gids.tolist()
+        self.topk_k = workload.topk_k
         self._next = 0
 
-    def due(self, progress: float) -> list[Query]:
-        """Queries that arrived by ``progress``, in arrival order."""
-        arrivals = self._arrival_progress
-        i = self._next
-        out: list[Query] = []
-        while i < arrivals.size and arrivals[i] <= progress:
-            out.append(self._workload.query(i))
-            i += 1
-        self._next = i
-        return out
+    def due(self, progress: float) -> tuple[int, int]:
+        """The index range ``[lo, hi)`` of the queries that arrived by
+        ``progress`` (arrivals are sorted: one binary search)."""
+        lo = self._next
+        hi = max(lo, int(np.searchsorted(self._arrival_progress, progress,
+                                         side="right")))
+        self._next = hi
+        return lo, hi
 
-    def drain(self) -> list[Query]:
+    def drain(self) -> tuple[int, int]:
         """All remaining queries (end of run)."""
         return self.due(float("inf"))
-
-    @property
-    def remaining(self) -> int:
-        return int(self._arrival_progress.size - self._next)
 
 
 class ServePump:
@@ -277,9 +346,13 @@ class ServePump:
         frac = PHASE_PROGRESS.get(phase)
         if frac is None:
             return
-        for query in self.cursor.due(engine.iteration + frac):
-            self.server.serve(query)
+        self._serve(*self.cursor.due(engine.iteration + frac))
 
     def finish(self) -> None:
-        for query in self.cursor.drain():
-            self.server.serve(query)
+        self._serve(*self.cursor.drain())
+
+    def _serve(self, lo: int, hi: int) -> None:
+        if lo < hi:
+            cursor = self.cursor
+            self.server.serve_drain(cursor.kinds[lo:hi], cursor.gids[lo:hi],
+                                    cursor.topk_k)

@@ -1,10 +1,11 @@
 """Snapshot-isolated read facade over an engine's committed state.
 
-A :class:`CommittedView` answers point, neighborhood and top-K reads
-against the value set committed at the engine's last barrier
-(:attr:`~repro.engine.engine.Engine.committed_iteration`) — never
-mid-superstep or uncommitted state.  Two properties make this cheap
-(DESIGN.md §13):
+Every read answers from the value set committed at the engine's last
+barrier (:attr:`~repro.engine.engine.Engine.committed_iteration`) —
+never mid-superstep or uncommitted state.  A point read is one element
+of a node's committed value column, which the server reads inline; a
+:class:`CommittedView` answers the neighbourhood topology and top-K.
+Two properties make this cheap (DESIGN.md §13):
 
 * **Staging separation** — uncommitted superstep results live only in
   the vectorized executor's ``pend_*`` arrays (or the slots' pending
@@ -37,21 +38,9 @@ class CommittedView:
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
-
-    @property
-    def superstep(self) -> int:
-        """The superstep every read through this view reflects
-        (``-1`` = initial values, before the first commit)."""
-        return self.engine.committed_iteration
-
-    # -- point reads ----------------------------------------------------
-
-    def read(self, gid: int, node: int | None = None) -> Any:
-        """Committed value of ``gid`` from the copy on ``node``
-        (default: its master)."""
-        if node is None:
-            node = self.engine.master_node_of[gid]
-        return self.engine.committed_value_at(node, gid)
+        #: The last committed snapshot's top-K and its cache key.
+        self._top_key: tuple | None = None
+        self._top: list[tuple[int, Any]] = []
 
     # -- neighborhood reads ---------------------------------------------
 
@@ -61,7 +50,7 @@ class CommittedView:
         nbrs = self.engine.graph.out_neighbors(gid)
         if limit and nbrs.size > limit:
             nbrs = nbrs[:limit]
-        return [int(n) for n in nbrs]
+        return nbrs.tolist()
 
     # -- top-K ----------------------------------------------------------
 
@@ -73,10 +62,30 @@ class CommittedView:
         ``SlotArray.masters`` (a read never builds an image nor stamps a
         slot).  Ties break toward the lower gid.  Returns
         ``[(gid, value), ...]`` best-first.
+
+        One ranking per committed snapshot: the result is cached under
+        ``(k, largest, committed_iteration, alive workers,
+        membership_epoch)``, except while recovery or a selfish
+        recompute writes master values without a commit.
         """
         engine = self.engine
+        cluster = engine.cluster
+        alive = cluster.alive_workers()
+        if engine.in_recovery or engine.selfish_read_fence:
+            return self._rank(alive, k, largest)
+        key = (k, largest, engine.committed_iteration, tuple(alive),
+               cluster.membership_epoch)
+        if key != self._top_key:
+            self._top = self._rank(alive, k, largest)
+            self._top_key = key
+        return list(self._top)
+
+    def _rank(self, alive: list[int], k: int,
+              largest: bool) -> list[tuple[int, Any]]:
+        """The uncached ranking over ``alive`` nodes' masters."""
+        engine = self.engine
         per_node: list[list[tuple[Any, int]]] = []
-        for node in engine.cluster.alive_workers():
+        for node in alive:
             lg = engine.local_graphs[node]
             topo = lg.cached_topology
             if topo is None:

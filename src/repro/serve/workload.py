@@ -12,8 +12,8 @@ Everything is generated up front from one ``numpy`` PCG64 stream, so a
 ``(seed, qps, num_queries, ...)`` tuple names the exact same query
 sequence on every backend — the determinism the routing tests and the
 differential replay check depend on.  Queries are stored columnar
-(arrays, not 100k objects); :meth:`OpenLoopWorkload.query` materializes
-one on demand.
+(arrays, not 100k objects) and served as index ranges;
+:meth:`OpenLoopWorkload.query` materializes one on demand.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import pytest
 
 from repro.api import make_engine
 from repro.chaos import InvariantViolation, ReadConsistencyChecker
+from repro.errors import ConfigError
 from repro.exec.base import BackendSpec
 from repro.exec.simulator import SimulatorBackend
 from repro.graph import generators
@@ -34,10 +35,16 @@ from repro.serve import (
     CommittedView,
     OpenLoopWorkload,
     ReplicaRouter,
+    KIND_NAMES,
+    ReadResponse,
+    ReadServer,
+    ServePump,
+    WorkloadCursor,
     check_responses,
     replay_committed_history,
     workload_from_config,
 )
+from tests.reference.serve import ReferencePump, ReferenceServer
 
 #: Mirrors the serve-smoke acceptance scenario: a power-law graph large
 #: enough to have structural selfish sinks (no out-edges) on every
@@ -376,6 +383,146 @@ class TestReadConsistencyChecker:
             ReadConsistencyChecker().on_phase(engine, "post_commit")
 
 
+#: The serving rows of ``tests/tools/behaviour_dump.py``: PageRank on a
+#: graph with selfish sinks, 4 nodes, 6 supersteps, one read workload.
+DUMP_SERVE = (("neighborhood_frac", 0.1), ("num_queries", 1500),
+              ("qps", 1500.0), ("seed", 5), ("topk_frac", 0.05))
+DUMP_KILLS = ((2, (1,), "compute"), (3, (2,), "after_commit"))
+DUMP_SCHEDULES = {
+    "clean": {},
+    "rebirth": dict(num_standby=2, failures=DUMP_KILLS),
+    "migration": dict(recovery="migration", num_standby=0,
+                      failures=((2, (1,), "compute"),)),
+    "membership": dict(num_standby=2, membership=((2, "join", None),
+                                                  (4, "drain", 1))),
+}
+
+
+def _served(graph, spec, reference: bool):
+    """Run ``spec`` with the production drain path or the reference
+    per-query one; returns the server after the tail drain."""
+    cfg = spec.serve_config()
+    workload = workload_from_config(graph.num_vertices, cfg)
+    engine = make_engine(graph, **spec.engine_kwargs())
+    for iteration, ranks, phase in spec.failures:
+        engine.schedule_failure(iteration, list(ranks), phase)
+    kwargs = dict(seed=cfg.get("route_seed", 0),
+                  policy=cfg.get("policy", "round_robin"),
+                  neighborhood_limit=workload.neighborhood_limit)
+    if reference:
+        server = ReferenceServer(engine, **kwargs)
+        pump = ReferencePump(server, workload, cfg["expected_supersteps"])
+    else:
+        server = ReadServer(engine, **kwargs)
+        pump = ServePump(server, WorkloadCursor(
+            workload, cfg["expected_supersteps"]))
+    engine.attach_serve(pump)
+    engine.run()
+    pump.finish()
+    return server
+
+
+class TestReferenceEquivalence:
+    """The drain path (routing snapshot, plan cache, response columns,
+    cached top-K) answers exactly what the per-query reference path
+    (``tests/reference/serve.py``) answers on the dump's schedules."""
+
+    @pytest.mark.parametrize("policy", ["round_robin", "least_loaded"])
+    @pytest.mark.parametrize("partition,schedule", [
+        (partition, schedule) for schedule in DUMP_SCHEDULES
+        for partition in PARTS
+        if schedule != "membership" or partition == "hash_edge_cut"])
+    def test_drain_path_equals_reference(self, partition, schedule,
+                                         policy):
+        graph = generators.power_law(200, alpha=2.0, seed=77,
+                                     avg_degree=5.0, selfish_frac=0.1)
+        spec = BackendSpec(
+            algorithm="pagerank", num_nodes=4, partition=partition,
+            max_iterations=6, seed=11,
+            serve=DUMP_SERVE + (("policy", policy),),
+            **DUMP_SCHEDULES[schedule])
+        new = _served(graph, spec, reference=False)
+        ref = _served(graph, spec, reference=True)
+        rows = [(r.gid, r.kind, r.value, r.superstep, r.degraded,
+                 r.replica_node) for r in ref.responses]
+        assert list(zip(*new.responses.columns())) == rows
+        assert new.router.load == ref.router.load
+        assert new.router._rr == ref.router._rr
+        assert new.misses == ref.misses
+        # Every top-K answer, degraded ones included (which
+        # ``check_responses`` skips), equals an uncached recompute.
+        topk = [r for r in ref.responses if r.kind == TOPK]
+        assert topk
+        if schedule in ("rebirth", "migration"):
+            assert any(r.degraded for r in topk)
+
+
+class TestDrainPath:
+    """Response columns, per-kind gauges, config validation, top-K cache."""
+
+    def test_response_view_is_a_sequence_of_rows(self, graph):
+        result = SimulatorBackend().run(graph, make_spec())
+        responses = result.extra["serve_responses"]
+        assert len(responses) == 2000
+        rows = list(responses)
+        assert all(isinstance(r, ReadResponse) for r in rows)
+        assert responses[:3] == rows[:3]
+        assert responses[-1] == rows[-1]
+        assert responses[5:9:2] == rows[5:9:2]
+
+    def test_kept_nothing_when_keep_responses_is_off(self, graph):
+        result = SimulatorBackend().run(graph, make_spec(
+            serve=SERVE + (("keep_responses", False),)))
+        assert len(result.extra["serve_responses"]) == 0
+        assert result.extra["serve"]["queries"] == 2000
+
+    def test_per_kind_gauges_are_percentiles_of_their_kind(self, graph):
+        spec = make_spec(failures=FAILURES)
+        cfg = spec.serve_config()
+        workload = workload_from_config(graph.num_vertices, cfg)
+        engine = make_engine(graph, **spec.engine_kwargs())
+        server = ReadServer(engine, neighborhood_limit=16)
+        pump = ServePump(server, WorkloadCursor(
+            workload, cfg["expected_supersteps"]))
+        engine.attach_serve(pump)
+        engine.run()
+        pump.finish()
+        server.report()
+        gauges = engine.metrics.gauges()
+        latency = np.asarray(server.stats.latencies_s)
+        kinds = np.asarray(server.stats.kinds)
+        for code, name in KIND_NAMES.items():
+            assert (kinds == code).any()
+            assert gauges[f"serve.{name}_p50_us"] == \
+                float(np.percentile(latency[kinds == code], 50)) * 1e6
+
+    def test_misspelled_serve_key_is_a_config_error(self, graph):
+        spec = make_spec(serve=(("num_queries", 2000),
+                                ("topk_fraction", 0.5)))
+        with pytest.raises(ConfigError, match="topk_fraction"):
+            SimulatorBackend().run(graph, spec)
+
+    def test_topk_cache_bypassed_while_the_fence_is_armed(self, graph):
+        engine = make_engine(graph, **make_spec(serve=()).engine_kwargs())
+        engine.run()
+        view = CommittedView(engine)
+        top = view.top_k(5)
+        gid, _value = top[-1]
+        node = engine.master_node_of[gid]
+        lg = engine.local_graphs[node]
+        pos = lg.index_of[gid]
+        saved = lg.values[pos]
+        # A recompute writes a master value without a commit, fenced.
+        engine.selfish_read_fence.add(gid)
+        lg.values[pos] = 1e9
+        try:
+            assert view.top_k(5)[0] == (gid, 1e9)
+        finally:
+            lg.values[pos] = saved
+            engine.selfish_read_fence.clear()
+        assert view.top_k(5) == top
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="multiprocessing backend requires the fork start method")
@@ -415,6 +562,15 @@ class TestCrossBackendServing:
         mismatches = check_responses(mp.extra["serve_responses"],
                                      history)
         assert mismatches == [], mismatches[:3]
+
+    def test_misspelled_serve_key_is_a_config_error(self, graph):
+        from repro.exec.mp import MultiprocessingBackend
+        spec = make_spec(serve=(("num_queries", 2000),
+                                ("topk_fraction", 0.5)))
+        with MultiprocessingBackend() as backend:
+            with pytest.raises(ConfigError, match="topk_fraction"):
+                backend.run(graph, spec)
+        assert multiprocessing.active_children() == []
 
     def test_scalar_workers_serve_the_same_history(self, graph):
         """``vectorized=False`` workers answer reads from slots, the
