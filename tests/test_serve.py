@@ -11,7 +11,9 @@ Covers the satellite checklist: snapshot isolation across superstep
 boundaries, reads that build and stamp nothing, read-during-recovery
 degradation tagging, replica-routing determinism, the selfish read
 fence closed by the recovery audit, the replica-read-consistency chaos
-invariant, and chaos slices with reads on both execution backends.
+invariant, chaos slices with reads on both execution backends, and the
+drain path held equal to the per-query reference path
+(``tests/reference/serve.py``).
 """
 
 from __future__ import annotations
