@@ -286,11 +286,11 @@ class _MpReadServer:
         """Serve every query whose arrival progress has passed."""
         lo, hi = self.cursor.due(progress)
         if lo < hi:
-            self.router.begin_drain()
+            self.router.open_snapshot()
             try:
                 self._serve_batch(lo, hi, committed)
             finally:
-                self.router.end_drain()
+                self.router.close_snapshot()
 
     def report(self) -> dict:
         return self.stats.report(self.router, self.engine.metrics)

@@ -26,7 +26,7 @@ graph gone).  When every copy of a vertex sits on a transitioning
 node — possible for an instant mid-drain — the read falls back to the
 master, which always holds the committed value until it moves.
 
-Routing works one drain at a time (:meth:`ReplicaRouter.begin_drain`):
+Routing works one drain at a time (:meth:`ReplicaRouter.open_snapshot`):
 the alive and ineligible node sets, the fence and the recovery flag are
 snapshotted once per drain, and each gid's plan (candidates, eligible
 copies, degraded tag) is cached for that drain only.  Routing decisions
@@ -98,7 +98,7 @@ class ReplicaRouter:
 
     # -- routing ---------------------------------------------------------
 
-    def begin_drain(self) -> None:
+    def open_snapshot(self) -> None:
         """Open a routing snapshot: what cannot change until the drain
         ends — alive nodes, the membership-ineligible set, the selfish
         read fence, ``in_recovery`` — plus an empty per-drain plan cache.
@@ -115,7 +115,7 @@ class ReplicaRouter:
         self._in_recovery = engine.in_recovery
         self._plans = {}
 
-    def end_drain(self) -> None:
+    def close_snapshot(self) -> None:
         self._plans = None
 
     def _plan(self, gid: int) -> tuple[list[int], int, bool]:
@@ -156,11 +156,11 @@ class ReplicaRouter:
         """
         plans = self._plans
         if plans is None:
-            self.begin_drain()
+            self.open_snapshot()
             try:
                 return self.route(gid)
             finally:
-                self.end_drain()
+                self.close_snapshot()
         plan = plans.get(gid)
         if plan is None:
             plan = plans[gid] = self._plan(gid)

@@ -69,9 +69,11 @@ class ResponseView(Sequence):
         self._stats = stats
 
     def columns(self) -> tuple[list, ...]:
-        """``(gids, kinds, values, supersteps, degraded, nodes)``."""
+        """``(gids, kinds, values, supersteps, degraded, nodes)``, all
+        of one length (empty while ``keep_responses`` is off)."""
         s = self._stats
-        return (s.gids, s.kinds, s.values, s.supersteps, s.degraded,
+        kinds = s.kinds if s.keep_responses else []
+        return (s.gids, kinds, s.values, s.supersteps, s.degraded,
                 s.nodes)
 
     def __len__(self) -> int:
@@ -94,8 +96,11 @@ class ServeStats:
 
     def __init__(self, keep_responses: bool = True):
         self.keep_responses = keep_responses
-        #: Response columns, one entry per answered query (only while
-        #: ``keep_responses``; ``kinds`` always, for per-kind latency).
+        #: Response columns, one entry per answered query, kept only
+        #: while ``keep_responses``.  ``kinds`` is the exception: it
+        #: always runs parallel to ``latencies_s`` for the per-kind
+        #: gauges, so :meth:`ResponseView.columns` hides it when
+        #: responses are not kept.
         self.gids: list[int] = []
         self.kinds: list[int] = []
         self.values: list[Any] = []
@@ -197,17 +202,18 @@ class ReadServer:
         with ``k``, under one routing snapshot.
 
         Each query's ``perf_counter`` pair encloses all of its own work
-        (routing, reads, the column appends); only the O(nodes) drain
-        set-up sits outside.
+        (routing and reads); only the O(nodes) drain set-up sits
+        outside.
         """
         engine, router, stats = self.engine, self.router, self.stats
-        router.begin_drain()
+        router.open_snapshot()
         try:
             route = router.route
-            local_graphs = engine.local_graphs
+            value_at = engine.committed_value_at
             out_neighbors = self.view.out_neighbors
             limit = self.neighborhood_limit
             top_k = self.view.top_k
+            record = stats.record
             superstep = engine.committed_iteration
             in_recovery = engine.in_recovery
             # Top-K coverage is partial with any node dead (even before
@@ -219,19 +225,16 @@ class ReadServer:
             topk_degraded = in_recovery or bool(
                 engine.selfish_read_fence) or (
                 len(cluster.alive_workers()) < cluster.expected_workers())
-            keep = stats.keep_responses
             perf = time.perf_counter
-            misses = degraded_served = 0
             for kind, gid in zip(kinds, gids):
                 start = perf()
                 if kind == POINT:
                     node, degraded = route(gid)
                     if node == MISS:
-                        misses += 1
+                        stats.misses += 1
                         value = None
                     else:
-                        lg = local_graphs[node]
-                        value = lg.values.item(lg.index_of[gid])
+                        value = value_at(node, gid)
                 elif kind == NEIGHBORHOOD:
                     parts = []
                     degraded = in_recovery
@@ -240,33 +243,22 @@ class ReadServer:
                         copy, deg = route(nbr)
                         degraded = degraded or deg
                         if copy == MISS:
-                            misses += 1
+                            stats.misses += 1
                             parts.append((nbr, None))
                             continue
                         if node == MISS:
                             node = copy
-                        lg = local_graphs[copy]
-                        parts.append((nbr, lg.values.item(lg.index_of[nbr])))
+                        parts.append((nbr, value_at(copy, nbr)))
                     value = tuple(parts)
                 elif kind == TOPK:
                     gid, node, degraded = -1, MISS, topk_degraded
                     value = tuple(top_k(k))
                 else:
                     raise ValueError(f"unknown query kind {kind}")
-                stats.kinds.append(kind)
-                if keep:
-                    stats.gids.append(gid)
-                    stats.values.append(value)
-                    stats.supersteps.append(superstep)
-                    stats.degraded.append(degraded)
-                    stats.nodes.append(node)
-                if degraded:
-                    degraded_served += 1
-                stats.latencies_s.append(perf() - start)
-            stats.misses += misses
-            stats.degraded_served += degraded_served
+                record(gid, kind, value, superstep, degraded, node,
+                       perf() - start)
         finally:
-            router.end_drain()
+            router.close_snapshot()
 
     # -- reporting -------------------------------------------------------
 

@@ -228,11 +228,12 @@ class TestNothingStampedWithoutAConsumer:
         engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
                              max_iterations=3)
         engine.run()
-        view = CommittedView(engine)
-        want = view.top_k(10)
+        want = CommittedView(engine).top_k(10)
         for lg in engine.local_graphs.values():
             lg.invalidate_soa()
-        assert view.top_k(10) == want
+        # A fresh view holds no cached ranking, so this read ranks again
+        # on the image-less graphs.
+        assert CommittedView(engine).top_k(10) == want
         assert all(lg.cached_topology is None and lg.materialized == 0
                    for lg in engine.local_graphs.values())
 

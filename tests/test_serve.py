@@ -475,7 +475,9 @@ class TestDrainPath:
     def test_kept_nothing_when_keep_responses_is_off(self, graph):
         result = SimulatorBackend().run(graph, make_spec(
             serve=SERVE + (("keep_responses", False),)))
-        assert len(result.extra["serve_responses"]) == 0
+        responses = result.extra["serve_responses"]
+        assert len(responses) == 0
+        assert [len(col) for col in responses.columns()] == [0] * 6
         assert result.extra["serve"]["queries"] == 2000
 
     def test_per_kind_gauges_are_percentiles_of_their_kind(self, graph):
