@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import UnknownNodeError
-from repro.exec.transport import LocalHub
 from repro.obs.registry import MetricsRegistry
 from repro.utils.sizing import BYTES_PER_MSG_HEADER
 
@@ -121,15 +120,65 @@ class TrafficStats:
         self.total_batches += 1
 
 
+class LocalHub:
+    """Per-destination FIFO queues with crash-purge support.
+
+    The queue mechanics behind :class:`Network`'s inbox and
+    delayed-inbox maps: append/drain are O(1) amortised, queue keys
+    never linger empty (crashed-node ids must not accumulate across
+    rebirth cycles), and :meth:`remove` supports the purge-by-sender
+    crash semantics.
+    """
+
+    def __init__(self) -> None:
+        self._queues: dict[int, list] = {}
+
+    def __len__(self) -> int:
+        """Total queued items across all destinations (so an empty hub
+        is falsy, like the plain dict it replaced)."""
+        return sum(len(queue) for queue in self._queues.values())
+
+    def append(self, dst: int, item: Any) -> None:
+        queue = self._queues.get(dst)
+        if queue is None:
+            queue = self._queues[dst] = []
+        queue.append(item)
+
+    def drain(self, dst: int) -> list:
+        """Remove and return the destination's whole queue (FIFO order)."""
+        return self._queues.pop(dst, [])
+
+    def size(self, dst: int) -> int:
+        return len(self._queues.get(dst, ()))
+
+    def dsts(self) -> set[int]:
+        """Destinations currently holding at least one queued item."""
+        return set(self._queues)
+
+    def remove(self, predicate: Callable[[Any], bool]) -> list:
+        """Remove and return every queued item matching ``predicate``,
+        deleting queues it empties."""
+        removed: list = []
+        for dst in list(self._queues):
+            queue = self._queues[dst]
+            kept = [item for item in queue if not predicate(item)]
+            if len(kept) == len(queue):
+                continue
+            removed.extend(item for item in queue if predicate(item))
+            if kept:
+                self._queues[dst] = kept
+            else:
+                del self._queues[dst]
+        return removed
+
+
 class Network:
     """In-memory batched transport between simulated nodes."""
 
     def __init__(self, is_alive: Callable[[int], bool],
                  metrics: MetricsRegistry | None = None):
         self._is_alive = is_alive
-        #: Per-destination FIFO inbox queues — the extracted
-        #: :class:`~repro.exec.transport.LocalHub` structure shared with
-        #: the in-process transport endpoints (DESIGN.md §12).
+        #: Per-destination FIFO inbox queues.
         self._queues = LocalHub()
         #: Messages held back by a ``delay`` fault verdict; merged at the
         #: back of the destination's inbox on the next ``deliver`` (late

@@ -204,8 +204,7 @@ class _NodeState:
 
     def topk(self, k: int) -> list[tuple]:
         pos = np.flatnonzero(self.topo.is_master)
-        return [(gid, value) for value, gid in
-                top_masters(self.topo.gids[pos], self.values[pos], k)]
+        return top_masters(self.topo.gids[pos], self.values[pos], k)
 
     def committed_state(self) -> list[list]:
         """Every local copy's committed state, one list per column:
@@ -224,12 +223,11 @@ def _runs(keys: np.ndarray):
     return zip(bounds, np.r_[bounds[1:], keys.size])
 
 
-def top_masters(gids: np.ndarray, values: np.ndarray, k: int,
-                largest: bool = True) -> list[tuple]:
-    """The K extreme ``(value, gid)`` pairs among one node's masters
-    (their ``gids`` and committed ``values``), best-first, ties toward
-    the lower gid."""
-    order = np.lexsort((gids, -values if largest else values))[:k]
+def top_masters(gids: np.ndarray, values: np.ndarray, k: int) -> list[tuple]:
+    """The K ``(value, gid)`` pairs with the largest values among one
+    node's masters (their ``gids`` and committed ``values``),
+    best-first, ties toward the lower gid."""
+    order = np.lexsort((gids, -values))[:k]
     return list(zip(values[order].tolist(), gids[order].tolist()))
 
 

@@ -10,17 +10,16 @@ its array image in :mod:`repro.engine.vectorized`) run on two backends:
   per cluster node, exchanging columnar batches over pipes, with real
   ``SIGKILL`` failures detected by heartbeat.
 
-``repro.exec.base`` defines the shared :class:`~repro.exec.base.Transport`
-frame contract and the :class:`~repro.exec.base.BackendSpec` /
-:class:`~repro.exec.base.BackendRunResult` types; ``repro.exec.serialize``
-is the frame codec for the four columnar batch types.
+``repro.exec.base`` defines the :class:`~repro.exec.base.BackendSpec` /
+:class:`~repro.exec.base.BackendRunResult` /
+:class:`~repro.exec.base.ExecutionBackend` contracts;
+``repro.exec.serialize`` is the frame codec for the columnar batch
+types.
 
-Every export resolves lazily: ``repro.cluster.network`` imports
-``repro.exec.transport`` (for the extracted ``LocalHub`` queues) while
-``repro.exec.protocol`` imports ``repro.cluster.network`` (for
-``MessageKind``) — an eager package ``__init__`` would turn that pair
-into an import cycle, and the backend modules would additionally drag
-``repro.api`` back into the engine.
+Every export resolves lazily: ``repro.engine.engine`` imports
+``repro.exec.protocol``, which runs this ``__init__`` first, and the
+backend modules import ``repro.api`` and through it the engine — an
+eager ``__init__`` would turn that pair into an import cycle.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "MultiprocessingBackend",
     "NodeProtocol",
     "SimulatorBackend",
-    "Transport",
 ]
 
 _EXPORTS = {
@@ -44,7 +42,6 @@ _EXPORTS = {
     "MultiprocessingBackend": "repro.exec.mp",
     "NodeProtocol": "repro.exec.protocol",
     "SimulatorBackend": "repro.exec.simulator",
-    "Transport": "repro.exec.base",
 }
 
 

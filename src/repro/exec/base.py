@@ -1,12 +1,4 @@
-"""Execution-backend and transport contracts (DESIGN.md §12).
-
-A :class:`Transport` is one endpoint of a lossless, per-sender-FIFO
-frame channel between ranks.  Its implementations in
-:mod:`repro.exec.transport` back the transport contract tests only: no
-backend runs on them.  The multiprocessing backend talks to its workers
-over raw ``multiprocessing.Pipe`` connections (:mod:`repro.exec.mp`),
-and the simulator's ``Network`` uses just that module's ``LocalHub``
-queues.
+"""Execution-backend contracts (DESIGN.md §12).
 
 An :class:`ExecutionBackend` turns ``(graph, BackendSpec)`` into a
 :class:`BackendRunResult` whose fields are directly comparable across
@@ -29,62 +21,9 @@ SERVE_KEYS = frozenset(
 )
 
 
-class TransportClosed(Exception):
-    """The peer endpoint is gone (closed pipe, dead process)."""
-
-
 class BackendError(RuntimeError):
     """A backend cannot run the spec — unsupported feature combination
     or a wedged/failed worker outside the recoverable protocol points."""
-
-
-class Transport(ABC):
-    """One endpoint of a lossless frame channel between ranks.
-
-    Contract (exercised by ``tests/test_transport_contract.py`` for
-    every implementation):
-
-    * **FIFO per sender** — frames from rank A arrive at rank B in the
-      order A sent them; no frame is dropped, duplicated or reordered.
-    * **Backpressure visibility** — frames queue losslessly while the
-      receiver does not drain; :meth:`pending` reports the number of
-      frames currently buffered for this endpoint.
-    * **Typed frames survive the trip** — any value the
-      :mod:`repro.exec.serialize` codec can encode (including all four
-      columnar batch types) round-trips unchanged.
-    """
-
-    #: The rank this endpoint belongs to.
-    rank: int = -1
-
-    @abstractmethod
-    def send(self, dst: int, frame: Any) -> None:
-        """Queue ``frame`` toward rank ``dst`` (never blocks the
-        protocol; raises :class:`TransportClosed` if the peer is gone).
-        """
-
-    @abstractmethod
-    def recv(self, timeout: float | None = None) -> tuple[int, Any]:
-        """Dequeue the next ``(src, frame)`` pair for this endpoint.
-
-        Blocks up to ``timeout`` seconds (``None`` = forever); raises
-        ``TimeoutError`` on expiry and :class:`TransportClosed` when
-        the channel is gone with nothing buffered.
-        """
-
-    @abstractmethod
-    def poll(self, timeout: float = 0.0) -> bool:
-        """Whether a frame is available to :meth:`recv` right now."""
-
-    @abstractmethod
-    def pending(self) -> int:
-        """Frames currently buffered for this endpoint (not yet
-        received) — the backpressure signal."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release the endpoint; further sends raise
-        :class:`TransportClosed`."""
 
 
 @dataclass(frozen=True)

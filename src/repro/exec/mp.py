@@ -44,9 +44,10 @@ parent's ``Cluster`` and calls :func:`repro.ft.ladder.recover`, as
 repair, broadcast refresh, selfish read fence — then re-forks one
 worker per live rank from the recovered image and redoes the
 interrupted iteration (at most ``max_iteration_retries`` redos each).
-Survivors' staged state dies with their processes.  Only a death
-inside the finalize round itself is a hard error (some workers may
-already have committed).
+Survivors' staged state dies with their processes.  A death inside
+the finalize round itself (some workers may already have committed), in
+a membership reshape's state pull, or in the end-of-run read drain or
+state pull is a :class:`BackendError` naming the ranks and the point.
 
 Elastic membership
 ------------------
@@ -74,6 +75,7 @@ import os
 import signal
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import wait as mpc_wait
 from typing import Any
@@ -92,10 +94,8 @@ from repro.exec.serialize import (TAG_GATHER, TAG_RAW_GATHER, decode_batch,
                                   encoded_precombine_records,
                                   encoded_records)
 from repro.ft import ladder
-from repro.serve.router import MISS, ReplicaRouter
-from repro.serve.server import ServeStats, WorkloadCursor
-from repro.serve.view import CommittedView
-from repro.serve.workload import POINT, TOPK, workload_from_config
+from repro.serve.server import ServePump, serve_pump
+from repro.serve.view import merge_top
 from repro.utils.sizing import BYTES_PER_MSG_HEADER
 
 
@@ -105,6 +105,17 @@ class _WorkerDeath(Exception):
     def __init__(self, ranks: set[int]):
         super().__init__(f"workers died: {sorted(ranks)}")
         self.ranks = set(ranks)
+
+
+@contextmanager
+def _fatal(where: str):
+    """A worker death outside the abortable rounds is no recovery case:
+    it leaves as a :class:`BackendError` naming the ranks and ``where``."""
+    try:
+        yield
+    except _WorkerDeath as death:
+        raise BackendError(
+            f"workers {sorted(death.ranks)} died {where}") from death
 
 
 # ---------------------------------------------------------------------------
@@ -253,123 +264,52 @@ class _TrafficBook:
             self.combine_phys += encoded_records(enc)
 
 
-class _MpReadServer:
-    """Coordinator-side query server over worker read frames.
+class _WorkerReader:
+    """The coordinator's reader for the shared
+    :class:`~repro.serve.server.ReadServer`.
 
-    Routing and accounting reuse the simulator's serve layer —
-    :class:`~repro.serve.router.ReplicaRouter` /
-    :class:`~repro.serve.server.ServeStats` — over the parent engine:
-    its placement is the workers' placement (it only ever changes
-    parent-side, in a recovery or a reshape, followed by a re-fork) and
-    its cluster marks exactly the ranks whose worker died as crashed.
-    Reads execute as batched ``read``/``topk`` frames against the
-    workers holding the routed copies, only at protocol-safe points
-    (workers idle between rounds), so every answer is a committed
-    value.  Queries due at one drain point share the drain's round-trip
-    latency — they are served concurrently by one frame exchange.
+    The server routes over the parent engine: its placement is the
+    workers' placement (it only ever changes parent-side, in a recovery
+    or a reshape, followed by a re-fork) and its cluster marks exactly
+    the ranks whose worker died as crashed.  A fetch sends one ``read``
+    frame per rank holding a routed copy and one ``topk`` frame to every
+    worker when the drain holds a top-K query, only at protocol-safe
+    points (workers idle between rounds), so every answer is a committed
+    value.
     """
 
-    def __init__(self, backend: "MultiprocessingBackend", engine,
-                 workload, cfg: dict):
+    def __init__(self, backend: "MultiprocessingBackend"):
         self.backend = backend
-        self.engine = engine
-        self.view = CommittedView(engine)  # static topology reads only
-        self.cursor = WorkloadCursor(workload, cfg["expected_supersteps"])
-        self.router = ReplicaRouter(
-            engine, seed=cfg.get("route_seed", 0),
-            policy=cfg.get("policy", "round_robin"))
-        self.stats = ServeStats(cfg.get("keep_responses", True))
-        self.neighborhood_limit = workload.neighborhood_limit
         self._req = 0
+        self._values: dict[int, dict] = {}
+        self._top: list = []
 
-    def drain(self, progress: float, committed: int) -> None:
-        """Serve every query whose arrival progress has passed."""
-        lo, hi = self.cursor.due(progress)
-        if lo < hi:
-            self.router.open_snapshot()
-            try:
-                self._serve_batch(lo, hi, committed)
-            finally:
-                self.router.close_snapshot()
-
-    def report(self) -> dict:
-        return self.stats.report(self.router, self.engine.metrics)
-
-    # -- execution -------------------------------------------------------
-
-    def _serve_batch(self, lo: int, hi: int, committed: int) -> None:
+    def fetch(self, copies, k: int | None) -> float:
         start = time.perf_counter()
-        cursor = self.cursor
-        kinds, gids = cursor.kinds[lo:hi], cursor.gids[lo:hi]
-        in_recovery = self.engine.in_recovery
-        alive = sorted(self.backend._workers)
-        # Route every point/neighborhood gid, bucket by serving rank.
-        plans: list = []
+        backend = self.backend
         by_rank: dict[int, set] = defaultdict(set)
-        route = self.router.route
-        for kind, gid in zip(kinds, gids):
-            if kind == TOPK:
-                plans.append(None)
-                continue
-            targets = ([gid] if kind == POINT
-                       else self.view.out_neighbors(
-                           gid, limit=self.neighborhood_limit))
-            routed: list[tuple[int, int]] = []
-            degraded = in_recovery
-            for target in targets:
-                node, deg = route(target)
-                degraded = degraded or deg
-                routed.append((target, node))
-                if node == MISS:
-                    self.stats.misses += 1
-                else:
-                    by_rank[node].add(target)
-            plans.append((routed, degraded))
-        # One read frame per involved rank, one topk frame if any query
-        # asks for it — the whole drain is two collect round-trips at
-        # most.
-        values: dict[int, dict] = {}
+        for node, gid in copies:
+            by_rank[node].add(gid)
         if by_rank:
             self._req += 1
-            self.backend._send_all(
-                sorted(by_rank), "read", self._req,
-                per_rank={r: sorted(gids) for r, gids in by_rank.items()})
-            frames = self.backend._collect("read_done", self._req,
-                                           sorted(by_rank))
-            values = {rank: frame[2] for rank, frame in frames.items()}
-        top = None
-        if TOPK in kinds:
-            k = cursor.topk_k
+            ranks = sorted(by_rank)
+            backend._send_all(ranks, "read", self._req, per_rank={
+                r: sorted(by_rank[r]) for r in ranks})
+            frames = backend._collect("read_done", self._req, ranks)
+            self._values = {r: frame[2] for r, frame in frames.items()}
+        if k is not None:
             self._req += 1
-            self.backend._send_all(alive, "topk", self._req, k)
-            frames = self.backend._collect("topk_done", self._req, alive)
-            merged = sorted((pair for frame in frames.values()
-                             for pair in frame[2]),
-                            key=lambda t: (-t[1], t[0]))
-            top = tuple((int(gid), value) for gid, value in merged[:k])
-        latency_s = time.perf_counter() - start
-        # Top-K coverage is partial whenever any rank is out of the
-        # aggregation or recovery-recomputed selfish masters are still
-        # in the ranking — the explicit-degradation contract.
-        cluster = self.engine.cluster
-        topk_degraded = (in_recovery
-                         or bool(self.engine.selfish_read_fence)
-                         or len(cluster.alive_workers())
-                         < cluster.expected_workers())
-        record = self.stats.record
-        for kind, gid, plan in zip(kinds, gids, plans):
-            if kind == TOPK:
-                record(-1, TOPK, top, committed, topk_degraded, MISS,
-                       latency_s)
-                continue
-            routed, degraded = plan
-            parts = tuple((target, None if node == MISS
-                           else values[node][target])
-                          for target, node in routed)
-            record(gid, kind, parts[0][1] if kind == POINT else parts,
-                   committed, degraded,
-                   next((node for _target, node in routed
-                         if node != MISS), MISS), latency_s)
+            alive = sorted(backend._workers)
+            backend._send_all(alive, "topk", self._req, k)
+            frames = backend._collect("topk_done", self._req, alive)
+            self._top = merge_top((frame[2] for frame in frames.values()), k)
+        return time.perf_counter() - start
+
+    def value_at(self, node: int, gid: int):
+        return self._values[node][gid]
+
+    def top_k(self, k: int) -> list:
+        return self._top
 
 
 class MultiprocessingBackend(ExecutionBackend):
@@ -389,7 +329,7 @@ class MultiprocessingBackend(ExecutionBackend):
         self._ctx = None
         self._workers: dict[int, _Worker] = {}
         self._engine = None
-        self._serve: _MpReadServer | None = None
+        self._serve: ServePump | None = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -632,8 +572,7 @@ class MultiprocessingBackend(ExecutionBackend):
                 engine.cluster.crash(rank)
             try:
                 if self._serve is not None:
-                    self._serve.drain(progress,
-                                      committed=resume_iteration - 1)
+                    self._serve.drain(progress, resume_iteration - 1)
                 self._sync_parent_from_workers()
                 dead = set()
             except _WorkerDeath as more:
@@ -710,8 +649,7 @@ class MultiprocessingBackend(ExecutionBackend):
         serve_cfg = spec.serve_config()
         self._serve = None
         if serve_cfg is not None:
-            workload = workload_from_config(graph.num_vertices, serve_cfg)
-            self._serve = _MpReadServer(self, engine, workload, serve_cfg)
+            self._serve = serve_pump(engine, serve_cfg, _WorkerReader(self))
         kills: dict[tuple[str, int], set[int]] = defaultdict(set)
         for iteration, ranks, phase in spec.failures:
             kills[phase, iteration].update(ranks)
@@ -731,7 +669,7 @@ class MultiprocessingBackend(ExecutionBackend):
                     self._flap(rank)
                 try:
                     if self._serve is not None:
-                        self._serve.drain(it + 0.0, committed=it - 1)
+                        self._serve.drain(it + 0.0, it - 1)
                     active_total, elided = self._iterate(
                         it, book, kills.pop(("compute", it), ()),
                         kills.pop(("commit", it), ()))
@@ -753,7 +691,9 @@ class MultiprocessingBackend(ExecutionBackend):
                 engine.selfish_read_fence.clear()
                 reshape_events = engine.membership.due(it, "post_commit")
                 if reshape_events:
-                    self._reshape(reshape_events)
+                    with _fatal(f"in the membership reshape after "
+                                f"iteration {it}"):
+                        self._reshape(reshape_events)
                 if active_total == 0:
                     halted = True
                     break
@@ -764,8 +704,10 @@ class MultiprocessingBackend(ExecutionBackend):
                     self._recover(dead, completed, float(completed))
             wall_s = time.perf_counter() - start
             if self._serve is not None:
-                self._serve.drain(float("inf"), committed=completed - 1)
-            self._sync_parent_from_workers()
+                with _fatal("in the end-of-run read drain"):
+                    self._serve.drain(float("inf"), completed - 1)
+            with _fatal("in the final state pull"):
+                self._sync_parent_from_workers()
             values = engine.values()
             engine.publish_slots_materialized()
         finally:
@@ -778,8 +720,8 @@ class MultiprocessingBackend(ExecutionBackend):
         if membership:
             extra["membership"] = {**membership, "reshapes": self._reshapes}
         if self._serve is not None:
-            extra["serve"] = self._serve.report()
-            extra["serve_responses"] = self._serve.stats.responses
+            extra["serve"] = self._serve.server.report()
+            extra["serve_responses"] = self._serve.server.responses
             self._serve = None
         return BackendRunResult(
             backend=self.name,
@@ -831,7 +773,7 @@ class MultiprocessingBackend(ExecutionBackend):
         # results live only in the pending fields / arrays.  (Never
         # drain between the commit rounds below: state flips there.)
         if self._serve is not None:
-            self._serve.drain(it + 0.5, committed=it - 1)
+            self._serve.drain(it + 0.5, it - 1)
 
         # Commit stage 1 stays abortable: workers only stage pending
         # state until the finalize round, so a death here propagates as
@@ -843,13 +785,9 @@ class MultiprocessingBackend(ExecutionBackend):
         # The finalize round is the point of no return: once any worker
         # processes ``commit2`` its state flips, so a death here leaves a
         # half-committed superstep — a hard error, not a recovery case.
-        try:
+        with _fatal(f"inside the finalize round of iteration {it}; the "
+                    f"multiprocessing backend cannot roll back a "
+                    f"half-committed superstep"):
             committed = self._round(it, alive, "commit2", "committed",
                                     act_frames)
-        except _WorkerDeath as death:
-            raise BackendError(
-                f"workers {sorted(death.ranks)} died inside the finalize "
-                f"round of iteration {it}; the multiprocessing backend "
-                f"cannot roll back a half-committed superstep"
-            ) from death
         return sum(frame[2] for frame in committed.values()), elided

@@ -531,11 +531,12 @@ class ScalarNodeState:
                       else None) for gid in gids}
 
     def topk(self, k: int) -> list[tuple]:
-        """Local masters' top-K ``(gid, value)`` by (value desc, gid
-        asc); the caller merges the per-node lists."""
+        """Local masters' top-K ``(value, gid)`` by (value desc, gid
+        asc), as ``top_masters`` ranks them; the caller merges the
+        per-node lists (``repro.serve.view.merge_top``)."""
         top = heapq.nlargest(k, ((slot.value, -slot.gid)
                                  for slot in self.lg.iter_masters()))
-        return [(-neg_gid, value) for value, neg_gid in top]
+        return [(value, -neg_gid) for value, neg_gid in top]
 
     def committed_state(self) -> list[list]:
         """Every local copy's committed state, one list per column:

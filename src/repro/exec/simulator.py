@@ -5,7 +5,8 @@ the rest of the repo uses (tests, chaos, cost model — semantics
 unchanged) and repackages its outcome as a
 :class:`~repro.exec.base.BackendRunResult` for cross-backend
 comparison.  When the spec carries a serve configuration the backend
-attaches a :class:`~repro.serve.server.ServePump`, so reads interleave
+attaches the :class:`~repro.serve.server.ServePump` that
+:func:`~repro.serve.server.serve_pump` builds, so reads interleave
 with supersteps and recovery at every engine phase hook, and returns
 the serve report (and responses, for the differential check) in
 ``extra["serve"]`` / ``extra["serve_responses"]``.
@@ -22,8 +23,7 @@ from repro.exec.base import (
     ExecutionBackend,
     recoveries_report,
 )
-from repro.serve.server import ReadServer, ServePump, WorkloadCursor
-from repro.serve.workload import workload_from_config
+from repro.serve.server import serve_pump
 
 
 class SimulatorBackend(ExecutionBackend):
@@ -38,16 +38,7 @@ class SimulatorBackend(ExecutionBackend):
         serve_cfg = spec.serve_config()
         pump = None
         if serve_cfg is not None:
-            workload = workload_from_config(graph.num_vertices, serve_cfg)
-            server = ReadServer(
-                engine,
-                seed=serve_cfg.get("route_seed", 0),
-                policy=serve_cfg.get("policy", "round_robin"),
-                keep_responses=serve_cfg.get("keep_responses", True),
-                neighborhood_limit=workload.neighborhood_limit)
-            cursor = WorkloadCursor(workload,
-                                    serve_cfg["expected_supersteps"])
-            pump = ServePump(server, cursor)
+            pump = serve_pump(engine, serve_cfg)
             engine.attach_serve(pump)
         start = time.perf_counter()
         result = engine.run()

@@ -1,139 +1,25 @@
-"""Transport implementations (DESIGN.md §12).
+"""A frame channel over ``multiprocessing`` pipes (DESIGN.md §12).
 
-:class:`LocalHub` is the extracted in-memory queue structure the
-simulator's ``Network`` runs on (per-destination FIFO lists with
-purge-by-predicate for crash semantics).  :class:`LocalTransport`
-exposes the same structure through the :class:`~repro.exec.base.
-Transport` endpoint contract, and :class:`PipeTransport` implements
-that contract over ``multiprocessing`` pipe connections — the
-multiprocessing backend's worker side.
-
-Both endpoint implementations satisfy the shared contract suite in
-``tests/test_transport_contract.py``: lossless, FIFO per sender,
-backpressure visible via :meth:`~repro.exec.base.Transport.pending`.
+No backend runs on it: the multiprocessing backend talks to its workers
+over raw ``multiprocessing.Pipe`` connections (:mod:`repro.exec.mp`),
+and the simulator's ``Network`` queues live in
+:mod:`repro.cluster.network`.  :class:`PipeTransport` and
+:func:`pipe_pair` stay as the fixture of the benchmark ledger's
+multiprocessing layer probe; ``tests/test_transport_contract.py`` holds
+them lossless, FIFO per sender, with visible backpressure.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
-
-from repro.exec.base import Transport, TransportClosed
+from typing import Any
 
 
-class LocalHub:
-    """Per-destination FIFO queues with crash-purge support.
-
-    The queue mechanics behind the simulator ``Network``'s inbox and
-    delayed-inbox maps: append/drain are O(1) amortised, queue keys
-    never linger empty (crashed-node ids must not accumulate across
-    rebirth cycles), and :meth:`remove` supports the purge-by-sender
-    crash semantics.
-    """
-
-    def __init__(self) -> None:
-        self._queues: dict[int, list] = {}
-
-    def __len__(self) -> int:
-        """Total queued items across all destinations (so an empty hub
-        is falsy, like the plain dict it replaced)."""
-        return sum(len(queue) for queue in self._queues.values())
-
-    def append(self, dst: int, item: Any) -> None:
-        queue = self._queues.get(dst)
-        if queue is None:
-            queue = self._queues[dst] = []
-        queue.append(item)
-
-    def drain(self, dst: int) -> list:
-        """Remove and return the destination's whole queue (FIFO order)."""
-        return self._queues.pop(dst, [])
-
-    def popleft(self, dst: int) -> Any:
-        """Dequeue the oldest item for ``dst`` (raises ``IndexError``
-        when empty)."""
-        queue = self._queues[dst]
-        item = queue.pop(0)
-        if not queue:
-            del self._queues[dst]
-        return item
-
-    def size(self, dst: int) -> int:
-        return len(self._queues.get(dst, ()))
-
-    def dsts(self) -> set[int]:
-        """Destinations currently holding at least one queued item."""
-        return set(self._queues)
-
-    def remove(self, predicate: Callable[[Any], bool]) -> list:
-        """Remove and return every queued item matching ``predicate``,
-        deleting queues it empties."""
-        removed: list = []
-        for dst in list(self._queues):
-            queue = self._queues[dst]
-            kept = [item for item in queue if not predicate(item)]
-            if len(kept) == len(queue):
-                continue
-            removed.extend(item for item in queue if predicate(item))
-            if kept:
-                self._queues[dst] = kept
-            else:
-                del self._queues[dst]
-        return removed
+class TransportClosed(Exception):
+    """The peer endpoint is gone (closed pipe, dead process)."""
 
 
-class LocalRouter:
-    """A set of in-process :class:`LocalTransport` endpoints sharing
-    one :class:`LocalHub` — the deterministic single-process analogue
-    of the pipe mesh."""
-
-    def __init__(self) -> None:
-        self._hub = LocalHub()
-        self._ranks: set[int] = set()
-        self._closed: set[int] = set()
-
-    def endpoint(self, rank: int) -> "LocalTransport":
-        self._ranks.add(rank)
-        return LocalTransport(self, rank)
-
-
-class LocalTransport(Transport):
-    """In-process endpoint over a shared :class:`LocalHub`.
-
-    Single-threaded by design (the simulator is single-threaded): a
-    ``recv`` on an empty queue raises ``TimeoutError`` immediately —
-    no other thread could ever fill it within the timeout.
-    """
-
-    def __init__(self, router: LocalRouter, rank: int):
-        self._router = router
-        self.rank = rank
-
-    def send(self, dst: int, frame: Any) -> None:
-        router = self._router
-        if self.rank in router._closed:
-            raise TransportClosed(f"endpoint {self.rank} is closed")
-        if dst not in router._ranks or dst in router._closed:
-            raise TransportClosed(f"no live endpoint for rank {dst}")
-        router._hub.append(dst, (self.rank, frame))
-
-    def recv(self, timeout: float | None = None) -> tuple[int, Any]:
-        if self._router._hub.size(self.rank) == 0:
-            raise TimeoutError(f"no frame queued for rank {self.rank}")
-        return self._router._hub.popleft(self.rank)
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        return self._router._hub.size(self.rank) > 0
-
-    def pending(self) -> int:
-        return self._router._hub.size(self.rank)
-
-    def close(self) -> None:
-        self._router._closed.add(self.rank)
-        self._router._hub.drain(self.rank)
-
-
-class PipeTransport(Transport):
+class PipeTransport:
     """Endpoint over ``multiprocessing`` pipe connections, one per peer.
 
     Frames buffered inside the OS pipe are drained into a local deque

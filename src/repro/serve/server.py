@@ -1,27 +1,31 @@
-"""The read server and the engine hook that pumps it (DESIGN.md §13).
+"""The read server and the pump that feeds it (DESIGN.md §13).
 
 :class:`ReadServer` answers one *drain* at a time — the queries whose
 arrival has passed at one engine phase hook, a range of query indices —
-against the engine's committed columns through a
+against committed state through a
 :class:`~repro.serve.router.ReplicaRouter`, stamping every response
-with the superstep it reflects and the degraded flag.  Responses land
-in :class:`ServeStats`' parallel columns; no per-read object is built.
-Service-time latency (wall-clock per query) and per-replica load feed
-the obs :class:`~repro.obs.registry.MetricsRegistry`.
+with the superstep it reflects and the degraded flag.  It is the one
+server of both backends: a drain is routed whole, then a *reader*
+fetches and answers the reads — :class:`EngineReader` from the
+engine's committed columns in process, mp's worker reader over
+``read`` / ``topk`` frames.  Responses land in :class:`ServeStats`'
+parallel columns; no per-read object is built.  Service-time latency
+(wall-clock per query) and per-replica load feed the obs
+:class:`~repro.obs.registry.MetricsRegistry`.
 
-:class:`ServePump` drives the server *concurrently with the run*: it
-attaches as an engine serve hook (:meth:`Engine.attach_serve`) and at
-every phase hook drains the queries whose arrival time has passed.
-Arrival seconds map onto run progress (supersteps are the engine's
-clock) via :class:`WorkloadCursor`, which both backends share: the
-simulator pumps at every engine phase, the multiprocessing coordinator
-at its protocol-safe points — same workload, same arrival order.
+:class:`ServePump` drives the server *concurrently with the run*: the
+simulator attaches it as an engine serve hook
+(:meth:`Engine.attach_serve`), the multiprocessing coordinator calls
+:meth:`ServePump.drain` at its protocol-safe points, and
+:func:`serve_pump` builds it from a serve config for both.  Arrival
+seconds map onto run progress (supersteps are the engine's clock) via
+:class:`WorkloadCursor` — same workload, same arrival order.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -35,6 +39,7 @@ from repro.serve.workload import (
     POINT,
     TOPK,
     OpenLoopWorkload,
+    workload_from_config,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,8 +96,8 @@ class ResponseView(Sequence):
 
 
 class ServeStats:
-    """Response accounting shared by both backends' servers: one column
-    per response field, plus the per-query service time."""
+    """Response accounting: one column per response field, plus the
+    per-query service time."""
 
     def __init__(self, keep_responses: bool = True):
         self.keep_responses = keep_responses
@@ -165,18 +170,44 @@ class ServeStats:
         }
 
 
+class EngineReader:
+    """The in-process reader: it fetches nothing, and reads the engine's
+    committed columns (:meth:`Engine.committed_value_at`) and
+    :meth:`CommittedView.top_k`.
+
+    The reader seam of :class:`ReadServer`: after a drain is routed,
+    ``fetch(copies, k)`` gets every routed ``(node, gid)`` copy (a lazy
+    iterable) and the top-K ``k`` (``None`` when the drain holds no
+    top-K query) and returns the wall seconds it spent;
+    ``value_at(node, gid)`` and ``top_k(k)`` then answer from what was
+    fetched.  mp's coordinator plugs in a reader over worker frames
+    (:mod:`repro.exec.mp`).
+    """
+
+    def __init__(self, engine: "Engine", view: CommittedView):
+        self.value_at = engine.committed_value_at
+        self.top_k = view.top_k
+
+    @staticmethod
+    def fetch(copies: Iterable[tuple[int, int]], k: int | None) -> float:
+        return 0.0
+
+
 class ReadServer:
-    """Synchronous query execution over committed state."""
+    """Synchronous query execution over committed state, on both
+    backends: the backend difference is the reader (see
+    :class:`EngineReader`)."""
 
     def __init__(self, engine: "Engine", seed: int = 0,
                  policy: str = "round_robin",
                  keep_responses: bool = True,
-                 neighborhood_limit: int = 16):
+                 neighborhood_limit: int = 16, reader=None):
         self.engine = engine
         self.neighborhood_limit = neighborhood_limit
         self.view = CommittedView(engine)
         self.router = ReplicaRouter(engine, seed=seed, policy=policy)
         self.stats = ServeStats(keep_responses)
+        self.reader = reader or EngineReader(engine, self.view)
 
     @property
     def responses(self) -> ResponseView:
@@ -196,25 +227,23 @@ class ReadServer:
 
     # -- query execution -------------------------------------------------
 
-    def serve_drain(self, kinds: list[int], gids: list[int],
-                    k: int) -> None:
+    def serve_drain(self, kinds: list[int], gids: list[int], k: int,
+                    superstep: int) -> None:
         """Answer queries ``(kinds[i], gids[i])`` in order, top-K ones
-        with ``k``, under one routing snapshot.
+        with ``k``, under one routing snapshot, tagged with the
+        committed ``superstep``.
 
-        Each query's ``perf_counter`` pair encloses all of its own work
-        (routing and reads); only the O(nodes) drain set-up sits
-        outside.
+        Every query is routed, the reader fetches, then every query is
+        read and recorded.  A query's latency is its own routing plus
+        its own reads plus the reader's fetch (zero in process); only
+        the O(nodes) drain set-up sits outside.
         """
         engine, router, stats = self.engine, self.router, self.stats
         router.open_snapshot()
         try:
             route = router.route
-            value_at = engine.committed_value_at
             out_neighbors = self.view.out_neighbors
             limit = self.neighborhood_limit
-            top_k = self.view.top_k
-            record = stats.record
-            superstep = engine.committed_iteration
             in_recovery = engine.in_recovery
             # Top-K coverage is partial with any node dead (even before
             # detection fires) or recovery-recomputed selfish masters in
@@ -226,37 +255,67 @@ class ReadServer:
                 engine.selfish_read_fence) or (
                 len(cluster.alive_workers()) < cluster.expected_workers())
             perf = time.perf_counter
+            # Route.  Per query: the serving node, the degraded tag and
+            # the routing seconds; per neighbourhood query also its
+            # ``(neighbours, copies)``.  A miss counts when it is routed.
+            # A point query keeps only atoms: a container per query,
+            # held until the drain ends, cost serve_kill_sim one more
+            # full garbage collection.
+            nodes: list[int] = []
+            flags: list[bool] = []
+            route_s: list[float] = []
+            hoods: list[tuple[list[int], list[int]]] = []
+            add_node, add_flag, add_s = (nodes.append, flags.append,
+                                         route_s.append)
+            topk = None
             for kind, gid in zip(kinds, gids):
                 start = perf()
                 if kind == POINT:
                     node, degraded = route(gid)
                     if node == MISS:
                         stats.misses += 1
-                        value = None
-                    else:
-                        value = value_at(node, gid)
                 elif kind == NEIGHBORHOOD:
-                    parts = []
                     degraded = in_recovery
                     node = MISS
-                    for nbr in out_neighbors(gid, limit):
+                    nbrs = out_neighbors(gid, limit)
+                    copies = []
+                    for nbr in nbrs:
                         copy, deg = route(nbr)
                         degraded = degraded or deg
                         if copy == MISS:
                             stats.misses += 1
-                            parts.append((nbr, None))
-                            continue
-                        if node == MISS:
+                        elif node == MISS:
                             node = copy
-                        parts.append((nbr, value_at(copy, nbr)))
-                    value = tuple(parts)
+                        copies.append(copy)
+                    hoods.append((nbrs, copies))
                 elif kind == TOPK:
-                    gid, node, degraded = -1, MISS, topk_degraded
-                    value = tuple(top_k(k))
+                    node, degraded, topk = MISS, topk_degraded, k
                 else:
                     raise ValueError(f"unknown query kind {kind}")
+                add_s(perf() - start)
+                add_node(node)
+                add_flag(degraded)
+            reader = self.reader
+            fetch_s = reader.fetch(_copies(kinds, gids, nodes, hoods), topk)
+            # Read and record.
+            value_at, top_k = reader.value_at, reader.top_k
+            record = stats.record
+            hood = iter(hoods)
+            for kind, gid, node, degraded, own_s in zip(
+                    kinds, gids, nodes, flags, route_s):
+                start = perf()
+                if kind == POINT:
+                    value = None if node == MISS else value_at(node, gid)
+                elif kind == NEIGHBORHOOD:
+                    nbrs, copies = next(hood)
+                    value = tuple([
+                        (nbr, None if copy == MISS else value_at(copy, nbr))
+                        for nbr, copy in zip(nbrs, copies)])
+                else:
+                    gid = -1
+                    value = tuple(top_k(k))
                 record(gid, kind, value, superstep, degraded, node,
-                       perf() - start)
+                       own_s + fetch_s + perf() - start)
         finally:
             router.close_snapshot()
 
@@ -265,6 +324,21 @@ class ReadServer:
     def report(self) -> dict[str, Any]:
         """Serve-side stats, also published to the engine's metrics."""
         return self.stats.report(self.router, self.engine.metrics)
+
+
+def _copies(kinds: list[int], gids: list[int], nodes: list[int],
+            hoods: list[tuple[list[int], list[int]]]):
+    """Every routed ``(node, gid)`` copy of a drain, misses left out."""
+    hood = iter(hoods)
+    for kind, gid, node in zip(kinds, gids, nodes):
+        if kind == POINT:
+            if node != MISS:
+                yield node, gid
+        elif kind == NEIGHBORHOOD:
+            nbrs, copies = next(hood)
+            for nbr, copy in zip(nbrs, copies):
+                if copy != MISS:
+                    yield copy, nbr
 
 
 #: Fraction of a superstep each engine phase hook sits at — maps the
@@ -296,7 +370,7 @@ class WorkloadCursor:
     query-to-drain-point assignment is identical wherever the drain
     points coincide.  A drain is a range ``[lo, hi)`` of query indices;
     :attr:`kinds` and :attr:`gids` are the workload's columns as lists,
-    made once, for the servers to slice.
+    made once, for the server to slice.
     """
 
     def __init__(self, workload: OpenLoopWorkload,
@@ -323,11 +397,13 @@ class WorkloadCursor:
 
 
 class ServePump:
-    """Engine serve hook: drain due queries at every phase hook.
+    """Drains due queries into a :class:`ReadServer`.
 
-    Attach via :meth:`Engine.attach_serve`; reads interleave with
-    supersteps and recovery at every phase the engine exposes, and
-    :meth:`finish` drains the tail after the run completes.
+    On the simulator it attaches as an engine serve hook
+    (:meth:`Engine.attach_serve`): reads interleave with supersteps and
+    recovery at every phase the engine exposes, and :meth:`finish`
+    drains the tail after the run completes.  The multiprocessing
+    coordinator calls :meth:`drain` itself, at its protocol-safe points.
     """
 
     def __init__(self, server: ReadServer, cursor: WorkloadCursor):
@@ -338,13 +414,28 @@ class ServePump:
         frac = PHASE_PROGRESS.get(phase)
         if frac is None:
             return
-        self._serve(*self.cursor.due(engine.iteration + frac))
+        self.drain(engine.iteration + frac, engine.committed_iteration)
 
     def finish(self) -> None:
-        self._serve(*self.cursor.drain())
+        self.drain(float("inf"), self.server.engine.committed_iteration)
 
-    def _serve(self, lo: int, hi: int) -> None:
+    def drain(self, progress: float, superstep: int) -> None:
+        """Serve every query due by ``progress``, tagged ``superstep``."""
+        lo, hi = self.cursor.due(progress)
         if lo < hi:
             cursor = self.cursor
             self.server.serve_drain(cursor.kinds[lo:hi], cursor.gids[lo:hi],
-                                    cursor.topk_k)
+                                    cursor.topk_k, superstep)
+
+
+def serve_pump(engine: "Engine", cfg: dict, reader=None) -> ServePump:
+    """The server and arrival cursor a ``BackendSpec.serve`` config
+    names, over ``engine`` — both backends build theirs here."""
+    workload = workload_from_config(engine.graph.num_vertices, cfg)
+    server = ReadServer(engine, seed=cfg.get("route_seed", 0),
+                        policy=cfg.get("policy", "round_robin"),
+                        keep_responses=cfg.get("keep_responses", True),
+                        neighborhood_limit=workload.neighborhood_limit,
+                        reader=reader)
+    return ServePump(server, WorkloadCursor(workload,
+                                            cfg["expected_supersteps"]))

@@ -54,34 +54,33 @@ class CommittedView:
 
     # -- top-K ----------------------------------------------------------
 
-    def top_k(self, k: int, largest: bool = True) -> list[tuple[int, Any]]:
-        """The K masters with the extreme committed values.
+    def top_k(self, k: int) -> list[tuple[int, Any]]:
+        """The K masters with the largest committed values.
 
         Masters only (each vertex counted once), alive nodes only; each
         node's masters are found in its cached image, else by
         ``SlotArray.masters`` (a read never builds an image nor stamps a
-        slot).  Ties break toward the lower gid.  Returns
-        ``[(gid, value), ...]`` best-first.
+        slot).  Ranked by :func:`merge_top`.  Returns ``[(gid, value),
+        ...]`` best-first.
 
         One ranking per committed snapshot: the result is cached under
-        ``(k, largest, committed_iteration, alive workers,
-        membership_epoch)``, except while recovery or a selfish
-        recompute writes master values without a commit.
+        ``(k, committed_iteration, alive workers, membership_epoch)``,
+        except while recovery or a selfish recompute writes master
+        values without a commit.
         """
         engine = self.engine
         cluster = engine.cluster
         alive = cluster.alive_workers()
         if engine.in_recovery or engine.selfish_read_fence:
-            return self._rank(alive, k, largest)
-        key = (k, largest, engine.committed_iteration, tuple(alive),
+            return self._rank(alive, k)
+        key = (k, engine.committed_iteration, tuple(alive),
                cluster.membership_epoch)
         if key != self._top_key:
-            self._top = self._rank(alive, k, largest)
+            self._top = self._rank(alive, k)
             self._top_key = key
         return list(self._top)
 
-    def _rank(self, alive: list[int], k: int,
-              largest: bool) -> list[tuple[int, Any]]:
+    def _rank(self, alive: list[int], k: int) -> list[tuple[int, Any]]:
         """The uncached ranking over ``alive`` nodes' masters."""
         engine = self.engine
         per_node: list[list[tuple[Any, int]]] = []
@@ -94,9 +93,16 @@ class CommittedView:
             else:
                 pos = np.flatnonzero(topo.is_master)
                 gids = topo.gids[pos]
-            per_node.append(top_masters(gids, lg.values[pos], k, largest))
-        merged: list[tuple[Any, int]] = [t for part in per_node
-                                         for t in part]
-        merged.sort(key=(lambda t: (-t[0], t[1])) if largest
-                    else (lambda t: (t[0], t[1])))
-        return [(gid, value) for value, gid in merged[:k]]
+            per_node.append(top_masters(gids, lg.values[pos], k))
+        return merge_top(per_node, k)
+
+
+def merge_top(parts, k: int) -> list[tuple[int, Any]]:
+    """The top-K ranking: merge per-node ``(value, gid)`` lists
+    (:func:`~repro.engine.vectorized.top_masters`) into the K
+    ``(gid, value)`` pairs with the largest values, best-first, ties
+    toward the lower gid.  mp's coordinator merges its workers' lists
+    with it too."""
+    merged = [t for part in parts for t in part]
+    merged.sort(key=lambda t: (-t[0], t[1]))
+    return [(gid, value) for value, gid in merged[:k]]

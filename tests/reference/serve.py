@@ -28,8 +28,8 @@ from repro.serve.view import CommittedView
 from repro.serve.workload import NEIGHBORHOOD, POINT, TOPK, Query
 
 
-def top_k(engine, k: int, largest: bool = True) -> list[tuple[int, Any]]:
-    """The K masters with the extreme committed values, recomputed."""
+def top_k(engine, k: int) -> list[tuple[int, Any]]:
+    """The K masters with the largest committed values, recomputed."""
     per_node: list[list[tuple[Any, int]]] = []
     for node in engine.cluster.alive_workers():
         lg = engine.local_graphs[node]
@@ -40,11 +40,10 @@ def top_k(engine, k: int, largest: bool = True) -> list[tuple[int, Any]]:
         else:
             pos = np.flatnonzero(topo.is_master)
             gids = topo.gids[pos]
-        per_node.append(top_masters(gids, lg.values[pos], k, largest))
+        per_node.append(top_masters(gids, lg.values[pos], k))
     merged: list[tuple[Any, int]] = [t for part in per_node
                                      for t in part]
-    merged.sort(key=(lambda t: (-t[0], t[1])) if largest
-                else (lambda t: (t[0], t[1])))
+    merged.sort(key=lambda t: (-t[0], t[1]))
     return [(gid, value) for value, gid in merged[:k]]
 
 

@@ -15,6 +15,7 @@ simulator and converges to the failure-free values.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from repro.chaos.oracle import values_close
 from repro.engine.vectorized import ArrayNodeProtocol
 from repro.errors import UnrecoverableFailureError
 from repro.exec.base import BackendError, BackendSpec
-from repro.exec.mp import MultiprocessingBackend
+from repro.exec.mp import MultiprocessingBackend, _NodeWorker
 from repro.exec.protocol import NodeProtocol
 from repro.exec.simulator import SimulatorBackend
 from repro.graph import generators
@@ -419,6 +420,29 @@ class TestWorkerHygiene:
                                        max_iterations=2))
         backend.close()
         backend.close()
+
+    @pytest.mark.parametrize("membership,point", [
+        ((), "final state pull"),
+        (((2, "join", None),), "membership reshape after iteration 2"),
+    ], ids=["clean", "join"])
+    def test_death_outside_the_abortable_rounds_is_typed(
+            self, graph, monkeypatch, membership, point):
+        """A worker dying on the ``fullstate`` frame — the reshape pull
+        of a join, or the final pull of a clean run — leaves ``run`` as
+        a ``BackendError`` naming the point, with every child reaped."""
+        def die(self):
+            os._exit(9)
+
+        monkeypatch.setattr(_NodeWorker, "fullstate", die)
+        spec = BackendSpec(algorithm="pagerank", num_nodes=3, ft_level=1,
+                           max_iterations=4, num_standby=1,
+                           membership=membership)
+        with MultiprocessingBackend() as backend:
+            with pytest.raises(BackendError,
+                               match=rf"workers \[[0-9, ]+\] died in the "
+                                     rf"{point}"):
+                backend.run(graph, spec)
+        assert multiprocessing.active_children() == []
 
 
 #: Every spec the backend refuses, with the reason it gives.

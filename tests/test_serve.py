@@ -472,13 +472,25 @@ class TestDrainPath:
         assert responses[-1] == rows[-1]
         assert responses[5:9:2] == rows[5:9:2]
 
-    def test_kept_nothing_when_keep_responses_is_off(self, graph):
-        result = SimulatorBackend().run(graph, make_spec(
-            serve=SERVE + (("keep_responses", False),)))
+    @pytest.mark.parametrize("backend", [
+        "simulator",
+        pytest.param("multiprocessing", marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="multiprocessing backend requires the fork start "
+                   "method")),
+    ])
+    def test_kept_nothing_when_keep_responses_is_off(self, graph, backend):
+        from repro.exec.mp import MultiprocessingBackend
+        make = {"simulator": SimulatorBackend,
+                "multiprocessing": MultiprocessingBackend}[backend]
+        with make() as runner:
+            result = runner.run(graph, make_spec(
+                serve=SERVE + (("keep_responses", False),)))
         responses = result.extra["serve_responses"]
         assert len(responses) == 0
         assert [len(col) for col in responses.columns()] == [0] * 6
         assert result.extra["serve"]["queries"] == 2000
+        assert multiprocessing.active_children() == []
 
     def test_per_kind_gauges_are_percentiles_of_their_kind(self, graph):
         spec = make_spec(failures=FAILURES)

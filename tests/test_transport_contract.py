@@ -1,12 +1,9 @@
-"""Transport contract suite (DESIGN.md §12).
+"""Pipe transport suite (DESIGN.md §12).
 
-Every :class:`repro.exec.base.Transport` implementation must satisfy
-the same contract — FIFO per sender, lossless with visible
-backpressure, typed frames surviving the trip — so the superstep
-protocol can run unchanged over any of them.  The suite is
-parametrized over the in-process endpoint pair (the simulator's
-extracted queue structure) and the real pipe pair (the
-multiprocessing backend's wire).
+:class:`repro.exec.transport.PipeTransport` — the fixture of the
+benchmark ledger's multiprocessing layer probe — must be FIFO per
+sender, lossless with visible backpressure, and carry every columnar
+batch type through the codec unchanged.
 """
 
 from __future__ import annotations
@@ -15,20 +12,15 @@ import pytest
 
 from repro.engine.messages import (ActivateBatch, ActiveBroadcastBatch,
                                    GatherBatch, SyncBatch)
-from repro.exec.base import TransportClosed
 from repro.exec.serialize import (decode_batch, encode_batch,
                                   encoded_nbytes, encoded_records)
-from repro.exec.transport import LocalRouter, pipe_pair
+from repro.exec.transport import TransportClosed, pipe_pair
 
 
-@pytest.fixture(params=["local", "pipe"])
+@pytest.fixture(params=["pipe"])
 def endpoints(request):
-    """A connected transport pair ``(a, b)`` with ranks 0 and 1."""
-    if request.param == "local":
-        router = LocalRouter()
-        a, b = router.endpoint(0), router.endpoint(1)
-    else:
-        a, b = pipe_pair(0, 1)
+    """A connected pipe pair ``(a, b)`` with ranks 0 and 1."""
+    a, b = pipe_pair(0, 1)
     yield a, b
     a.close()
     b.close()
