@@ -9,7 +9,8 @@ committed superstep (``post_commit``) and after every completed recovery
   an alive node, with self-consistent metadata (P3);
 * **K+1 replication** — every vertex has at least ``min(K+1, alive)``
   copies on distinct alive nodes and at least ``min(K, replicas)``
-  full-state mirrors (P2/P6);
+  full-state mirrors (P2/P6), each seated at its index in the master's
+  mirror list and holding an exact copy of the master's metadata;
 * **Value agreement** — every replica's committed value equals its
   master's (mirrors *and* plain replicas), except selfish vertices when
   the selfish optimisation legitimately skips their sync (Section 4.4);
@@ -177,18 +178,30 @@ class InvariantChecker:
                     self._fail(phase, f"vertex {gid}: replica on node "
                                       f"{rnode} believes master is "
                                       f"{rslot.master_node}, not {node}")
-            for mnode in mirrors:
+            for seat, mnode in enumerate(mirrors):
                 mslot = engine.local_graphs[mnode].slot_of(gid)
                 if not mslot.is_mirror:
                     self._fail(phase, f"vertex {gid}: elected mirror on "
                                       f"node {mnode} has role "
                                       f"{mslot.role.value}")
-                if mslot.meta is None:
+                if mslot.mirror_id != seat:
+                    self._fail(phase, f"vertex {gid}: mirror on node "
+                                      f"{mnode} has mirror id "
+                                      f"{mslot.mirror_id}, seat {seat}")
+                copy = mslot.meta
+                if copy is None:
                     self._fail(phase, f"vertex {gid}: mirror on node "
                                       f"{mnode} lacks the metadata copy")
-                if mslot.meta.master_node != node:
-                    self._fail(phase, f"vertex {gid}: mirror metadata "
-                                      f"names master {mslot.meta.master_node}")
+                # The copy is the master's full state (Section 4.2): a
+                # mirror promoted later recovers from it alone.
+                if (list(copy.replica_positions.items())
+                        != list(meta.replica_positions.items())
+                        or copy.mirror_nodes != mirrors
+                        or copy.master_node != meta.master_node
+                        or copy.master_position != meta.master_position):
+                    self._fail(phase, f"vertex {gid}: mirror on node "
+                                      f"{mnode} holds metadata {copy}, "
+                                      f"its master {meta}")
 
     def _check_value_agreement(self, engine: "Engine", alive: list[int],
                                phase: str) -> None:

@@ -1,50 +1,27 @@
-"""ZooKeeper-like coordination: barriers, membership, shared state.
+"""ZooKeeper-like coordination: the membership registry.
 
-Imitator inherits barrier-based synchronisation and distributed shared
-state from Apache Hama, implemented over ZooKeeper (Section 3.2,
-footnote 5: each node creates a file in a shared directory and the last
-arriver wakes everyone).  This module provides the same contract to the
-engine — ``enter_barrier``/``leave_barrier`` returning a result that
-reports node failures — in a deterministic single-process form.
+Imitator inherits its barriers and membership from Apache Hama, over
+ZooKeeper (Section 3.2, footnote 5).  Here the barriers are the
+engine's own (a failure is detected through the cluster's heartbeat
+:class:`~repro.cluster.heartbeat.FailureDetector`), so the service keeps
+one job: which nodes are members — the workers and any reborn or joined
+node — in a deterministic single-process form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from repro.errors import UnknownNodeError
 
 
-@dataclass(frozen=True)
-class BarrierResult:
-    """What a node learns when it passes a global barrier."""
-
-    #: Barrier sequence number (monotonic per job).
-    epoch: int
-    #: Nodes newly detected as failed at this barrier, ordered.
-    failed: tuple[int, ...]
-
-    def is_fail(self) -> bool:
-        """Mirror of the paper's ``state.is_fail()`` (Algorithm 1)."""
-        return bool(self.failed)
-
-
 class CoordinationService:
-    """Membership registry, shared KV store and failure-aware barriers."""
+    """Membership registry: the nodes of the job."""
 
     def __init__(self) -> None:
         self._members: set[int] = set()
-        self._kv: dict[str, Any] = {}
-        self._epoch = 0
-        self._reported_failed: set[int] = set()
-
-    # -- membership -----------------------------------------------------
 
     def register(self, node_id: int) -> None:
-        """Add a node to the barrier group (workers and reborn standbys)."""
+        """Add a node to the job (workers, reborn standbys, joins)."""
         self._members.add(node_id)
-        self._reported_failed.discard(node_id)
 
     def deregister(self, node_id: int) -> None:
         if node_id not in self._members:
@@ -54,38 +31,3 @@ class CoordinationService:
     @property
     def members(self) -> frozenset[int]:
         return frozenset(self._members)
-
-    # -- shared state -----------------------------------------------------
-
-    def put(self, key: str, value: Any) -> None:
-        """Publish a small shared value (iteration counter, halt votes)."""
-        self._kv[key] = value
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._kv.get(key, default)
-
-    def delete(self, key: str) -> None:
-        self._kv.pop(key, None)
-
-    # -- barrier -----------------------------------------------------------
-
-    def barrier(self, detected_failures: set[int]) -> BarrierResult:
-        """Run one global barrier round.
-
-        ``detected_failures`` is the failure detector's current view of
-        crashed members.  A crashed node is removed from the membership
-        and reported exactly once; the next barriers proceed with the
-        survivors (recovery re-registers replacements).
-        """
-        self._epoch += 1
-        newly_failed = sorted(
-            n for n in detected_failures
-            if n in self._members and n not in self._reported_failed)
-        for n in newly_failed:
-            self._reported_failed.add(n)
-            self._members.discard(n)
-        return BarrierResult(epoch=self._epoch, failed=tuple(newly_failed))
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch

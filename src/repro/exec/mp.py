@@ -322,10 +322,7 @@ class MultiprocessingBackend(ExecutionBackend):
     #: a structured :class:`BackendError`, not a silent loop.
     max_iteration_retries = 3
 
-    def __init__(self, heartbeat_s: float = MP_HEARTBEAT_INTERVAL_S,
-                 heartbeat_misses: int = MP_HEARTBEAT_MISSES):
-        self.heartbeat_s = heartbeat_s
-        self.heartbeat_misses = heartbeat_misses
+    def __init__(self):
         self._ctx = None
         self._workers: dict[int, _Worker] = {}
         self._engine = None
@@ -639,10 +636,14 @@ class MultiprocessingBackend(ExecutionBackend):
         engine = make_engine(graph,
                              **{**spec.engine_kwargs(), "membership": ()})
         self._validate(spec, engine)
-        if spec.heartbeat_interval_s is not None:
-            self.heartbeat_s = spec.heartbeat_interval_s
-        if spec.heartbeat_misses is not None:
-            self.heartbeat_misses = spec.heartbeat_misses
+        # Per run: a reused backend must not keep an earlier spec's
+        # heartbeat tuning.
+        self.heartbeat_s = (MP_HEARTBEAT_INTERVAL_S
+                            if spec.heartbeat_interval_s is None
+                            else spec.heartbeat_interval_s)
+        self.heartbeat_misses = (MP_HEARTBEAT_MISSES
+                                 if spec.heartbeat_misses is None
+                                 else spec.heartbeat_misses)
         self._ctx = multiprocessing.get_context("fork")
         self._engine = engine
         self._reshapes = 0

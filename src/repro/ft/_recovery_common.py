@@ -38,7 +38,7 @@ from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError, UnrecoverableFailureError
 from repro.ft.edge_ckpt import NO_EDGES, Edges
 from repro.utils.rng import SeededRng
-from repro.utils.sizing import BYTES_PER_VID
+from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import Engine
@@ -520,27 +520,21 @@ def create_replica(engine: "Engine", gid: int,
     ``(position, bytes)``.
     """
     master_node = engine.master_node_of[gid]
-    master_lg = engine.local_graphs[master_node]
-    master_slot = master_lg.slot_of(gid)
     position = len(engine.local_graphs[node].slots)
     # ``node`` holds no copy, so it is not among the mirrors: the copy is
     # a plain replica, and one a local edge is about to need.
     batch = _replica_row(engine, gid, node, position)
     place_rows(engine.local_graphs[node], batch,
                last_committed_iteration(engine), False, engine.is_edge_cut)
-    master_slot.meta.replica_positions[node] = position
-    master_slot.meta.invalidate_replica_cache()
-    master_lg.invalidate_soa()  # its sync plan grew; add_slot covered ``node``
+    for meta in metadata_copies(engine, gid):
+        meta.replica_positions[node] = position
+        meta.invalidate_replica_cache()
+    # Its sync plan grew; ``add_slot`` covered ``node``.
+    engine.local_graphs[master_node].invalidate_soa()
     nbytes = batch.rows_nbytes(engine.program.value_nbytes)
     engine.cluster.network.send(
         Message(MessageKind.RECOVERY, master_node, node,
                 ("replica-state", gid), nbytes))
-    # Keep mirrors' metadata copies fresh.
-    for mirror_node in master_slot.meta.mirror_nodes:
-        mirror = engine.local_graphs[mirror_node].slot_of(gid)
-        if mirror.meta is not None:
-            mirror.meta.replica_positions[node] = position
-            mirror.meta.invalidate_replica_cache()
     return position, nbytes
 
 
@@ -661,36 +655,158 @@ def restore_ft_level(engine: "Engine", gids: list[int],
             meta.replica_positions[best] = position
             created += 1
             bytes_sent += batch.rows_nbytes(program.value_nbytes)
-        # Elect mirrors up to k, keeping surviving ones.
+        # Elect mirrors up to k, keeping surviving ones; the new ones
+        # receive the master's full state.
         meta.mirror_nodes = [n for n in meta.mirror_nodes
                              if n in meta.replica_positions]
-        pool = [n for n in meta.replica_positions
-                if n not in meta.mirror_nodes]
-        pool.sort(key=lambda n: (len(engine.local_graphs[n].slots), n))
-        while len(meta.mirror_nodes) < min(k, len(meta.replica_positions)):
-            node = pool.pop(0)
-            meta.mirror_nodes.append(node)
-            mirror_slot = engine.local_graphs[node].slot_of(gid)
-            mirror_slot.mirror_self_active = master_slot.mirror_self_active
-            if engine.is_edge_cut:
-                mirror_slot.full_edges = [
-                    (master_lg.slots[pos].gid, pos, weight)
-                    for pos, weight in master_slot.in_edges]
-                bytes_sent += len(mirror_slot.full_edges) * 24
-            bytes_sent += 64
+        pool = sorted((n for n in meta.replica_positions
+                       if n not in meta.mirror_nodes),
+                      key=lambda n: (len(engine.local_graphs[n].slots), n))
+        fresh = pool[:max(0, min(k, len(meta.replica_positions))
+                          - len(meta.mirror_nodes))]
+        meta.mirror_nodes += fresh
         meta.invalidate_replica_cache()
         master_lg.invalidate_soa()  # its sync plan and FT level changed
         # Every mirror, new or surviving, gets its seat and the final
         # metadata copy (survivors hold stale ones after the changes).
         for node in meta.mirror_nodes:
             engine.local_graphs[node].invalidate_soa()
-            mslot = engine.local_graphs[node].slot_of(gid)
-            mslot.role = Role.MIRROR
-            mslot.mirror_id = meta.mirror_nodes.index(node)
-            mslot.meta = MasterMeta(
-                replica_positions=dict(meta.replica_positions),
-                mirror_nodes=list(meta.mirror_nodes),
-                master_node=meta.master_node,
-                master_position=meta.master_position,
-            )
+        bytes_sent += publish(engine, master_lg, master_slot, fresh)
     return created, bytes_sent
+
+
+# ----------------------------------------------------------------------
+# Copy placement after load: every write of a role, a metadata copy or a
+# local edge outside the barrier commit goes through these (Migration,
+# FT repair, elastic moves and drains).  They invalidate no SoA image
+# but through the replicas they create: the caller does, for the write
+# set it knows (DESIGN.md §11).
+# ----------------------------------------------------------------------
+
+def metadata_copies(engine: "Engine", gid: int) -> list[MasterMeta]:
+    """``gid``'s master metadata, then each mirror's copy of it."""
+    meta = engine.local_graphs[engine.master_node_of[gid]].slot_of(gid).meta
+    copies = (engine.local_graphs[node].slot_of(gid).meta
+              for node in meta.mirror_nodes)
+    return [meta, *(copy for copy in copies if copy is not None)]
+
+
+def forget_nodes(meta: MasterMeta, nodes) -> None:
+    """Drop ``nodes`` from one copy of a vertex's metadata: their
+    replica positions and mirror seats, the others' order kept."""
+    for node in nodes:
+        meta.replica_positions.pop(node, None)
+    meta.mirror_nodes = [n for n in meta.mirror_nodes if n not in nodes]
+    meta.invalidate_replica_cache()
+
+
+def crown(lg: LocalGraph, slot: VertexSlot, meta: MasterMeta) -> None:
+    """Seat ``slot`` as its vertex's master on ``lg``, holding ``meta``:
+    the master role, no mirror id, and the node and position in slot and
+    metadata alike.  Call it before ``lg.set_active``, which files a slot
+    by its role."""
+    slot.role = Role.MASTER
+    slot.mirror_id = -1
+    slot.meta = meta
+    slot.master_node = meta.master_node = lg.node_id
+    meta.master_position = lg.position_of(slot.gid)
+
+
+def hand_over(engine: "Engine", gid: int, src: int, dst: int) -> None:
+    """Move ``gid``'s master seat from its copy on ``src`` to the one on
+    ``dst``: ``dst`` leaves the copies and is crowned with the metadata;
+    ``src`` stays a copy, in ``dst``'s mirror seat if it held one (same
+    index, so the recovery-leader order and the mirror count hold), and
+    steps down in place — :func:`publish` then seats it."""
+    src_lg = engine.local_graphs[src]
+    dst_lg = engine.local_graphs[dst]
+    outgoing = src_lg.slot_of(gid)
+    meta = outgoing.meta
+    meta.replica_positions.pop(dst, None)
+    meta.replica_positions[src] = src_lg.position_of(gid)
+    meta.mirror_nodes = [src if n == dst else n for n in meta.mirror_nodes]
+    meta.invalidate_replica_cache()
+    crown(dst_lg, dst_lg.slot_of(gid), meta)
+    outgoing.role = Role.MIRROR if src in meta.mirror_set else Role.REPLICA
+    outgoing.mirror_id = -1
+    outgoing.meta = None
+    outgoing.full_edges = None
+
+
+def publish(engine: "Engine", master_lg: LocalGraph, master: VertexSlot,
+            fresh) -> int:
+    """Write every mirror seat of ``master``'s vertex from its metadata,
+    the truth (Section 4.2): the role, the mirror id and a copy of the
+    metadata.  The seats on the ``fresh`` nodes also receive the
+    master's full state: its self-sustained activity and, under
+    edge-cut, a backup of its in-edges.  Returns the bytes shipped to
+    them."""
+    meta = master.meta
+    nbytes = 0
+    for seat, node in enumerate(meta.mirror_nodes):
+        slot = engine.local_graphs[node].slot_of(master.gid)
+        if node in fresh:
+            slot.mirror_self_active = master.mirror_self_active
+            if engine.is_edge_cut:
+                slot.full_edges = _edge_backup(master_lg, master)
+                nbytes += len(slot.full_edges) * BYTES_PER_EDGE
+            nbytes += 64
+        slot.role = Role.MIRROR
+        slot.mirror_id = seat
+        slot.meta = MasterMeta(dict(meta.replica_positions),
+                               list(meta.mirror_nodes), meta.master_node,
+                               meta.master_position)
+    return nbytes
+
+
+def announce_master(engine: "Engine", gid: int, meta: MasterMeta) -> int:
+    """The location update: every copy of ``gid`` learns its master's
+    node from ``meta`` — a metadata copy the position too — by one
+    control message each, in node order.  Returns the bytes sent."""
+    master = meta.master_node
+    net = engine.cluster.network
+    for node in sorted(meta.replica_positions):
+        slot = engine.local_graphs[node].slot_of(gid)
+        slot.master_node = master
+        if slot.meta is not None:
+            slot.meta.master_node = master
+            slot.meta.master_position = meta.master_position
+        net.send(Message(MessageKind.CONTROL, master, node,
+                         ("new-master", gid, master), BYTES_PER_VID + 4))
+    return len(meta.replica_positions) * (BYTES_PER_VID + 4)
+
+
+def link_edges(engine: "Engine", node: int, edges) -> int:
+    """Add the local edges ``(src gid, dst gid, weight)`` to ``node``, in
+    order.  An endpoint the node holds no copy of first gets a plain
+    replica, target before source (:func:`create_replica`).  Returns
+    the bytes those replicas cost."""
+    lg = engine.local_graphs[node]
+    nbytes = 0
+    for src_gid, dst_gid, weight in edges:
+        for gid in (dst_gid, src_gid):
+            if gid not in lg.index_of:
+                nbytes += create_replica(engine, gid, node)[1]
+        dst, src = lg.index_of[dst_gid], lg.index_of[src_gid]
+        lg.slots[dst].in_edges.append((src, weight))
+        lg.slots[src].out_edges.append(dst)
+    return nbytes
+
+
+def relink_master(engine: "Engine", lg: LocalGraph, master: VertexSlot,
+                  sources: list[tuple[int, float]]) -> int:
+    """Rebuild ``master``'s local in-edges on ``lg`` from ``sources``,
+    its ``(src gid, weight)`` pairs in order (:func:`link_edges`), and
+    its edge backup from them.  Returns the bytes of the replicas
+    made."""
+    master.in_edges = []
+    nbytes = link_edges(engine, lg.node_id,
+                        [(gid, master.gid, w) for gid, w in sources])
+    master.full_edges = _edge_backup(lg, master)
+    return nbytes
+
+
+def _edge_backup(lg: LocalGraph, master: VertexSlot) -> list:
+    """A master's in-edges as ``(src gid, src position, weight)``
+    triples, in its node's positions: what a mirror backs up."""
+    return [(lg.slots[p].gid, p, w) for p, w in master.in_edges]

@@ -27,15 +27,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.network import Message, MessageKind
 from repro.costmodel import pairwise_comm_time, storage_read_time
-from repro.engine.state import Role
 from repro.errors import UnrecoverableFailureError
 from repro.ft import _recovery_common as common
 from repro.ft.edge_ckpt import (Edges, by_receiver, concat_edges, dedupe,
                                 receiver_of)
 from repro.ft.recovery import RecoveryStats
-from repro.utils.sizing import BYTES_PER_VID
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
@@ -86,25 +83,18 @@ class MigrationRecovery:
             engine.master_node_of[gid] = node
         stats.vertices_recovered += len(promotions)
 
-        # Surviving masters drop crashed replica locations.  Restoring
-        # the fault-tolerance level for vertices that lost copies is the
-        # engine's post-recovery repair pass (it runs after *every*
-        # successful recovery, whatever the rung — DESIGN.md §9).
+        # Every metadata copy on a survivor drops the crashed nodes:
+        # masters' and mirrors' alike, since a mirror may be promoted in
+        # a *later* failure and would otherwise resurrect dead replica
+        # locations.  Restoring the fault-tolerance level for vertices
+        # that lost copies is the engine's post-recovery repair pass (it
+        # runs after *every* successful recovery, whatever the rung —
+        # DESIGN.md §9).
         for node in survivors:
             lg = engine.local_graphs[node]
             for slot in lg.iter_slots():
-                meta = slot.meta
-                if meta is None:
-                    continue
-                for crashed in list(meta.replica_positions):
-                    if crashed in failed_set:
-                        del meta.replica_positions[crashed]
-                # Mirrors' metadata copies must be pruned too: one of
-                # them may be promoted to master in a *later* failure
-                # and would otherwise resurrect dead replica locations.
-                meta.mirror_nodes = [n for n in meta.mirror_nodes
-                                     if n not in failed_set]
-                meta.invalidate_replica_cache()
+                if slot.meta is not None:
+                    common.forget_nodes(slot.meta, failed_set)
             # Write set (DESIGN.md §11): every survivor's roles and
             # metadata.
             lg.invalidate_soa()
@@ -124,16 +114,8 @@ class MigrationRecovery:
         # Location updates: every promoted master informs its surviving
         # copies of the new master node (control traffic).
         for gid, node in promotions:
-            meta = engine.local_graphs[node].slot_of(gid).meta
-            for replica_node in sorted(meta.replica_positions):
-                slot = engine.local_graphs[replica_node].slot_of(gid)
-                slot.master_node = node
-                if slot.meta is not None:
-                    slot.meta.master_node = node
-                    slot.meta.master_position = meta.master_position
-                net.send(Message(MessageKind.CONTROL, node, replica_node,
-                                 ("new-master", gid, node),
-                                 BYTES_PER_VID + 4))
+            common.announce_master(
+                engine, gid, engine.local_graphs[node].slot_of(gid).meta)
         for node in survivors:
             net.deliver(node)
 
@@ -185,12 +167,11 @@ class MigrationRecovery:
 
     def _promote(self, gid: int, node: int, failed_set: set[int]) -> None:
         """Turn a surviving mirror into the vertex's master."""
-        engine = self.engine
-        lg = engine.local_graphs[node]
+        lg = self.engine.local_graphs[node]
         slot = lg.slot_of(gid)
-        meta = slot.meta
-        slot.role = Role.MASTER
-        slot.mirror_id = -1
+        # The metadata now lists the copies around the new location.
+        common.forget_nodes(slot.meta, failed_set | {node})
+        common.crown(lg, slot, slot.meta)
         # The promoted copy's dynamic state: value is the synced one;
         # activity starts from the master's self-sustained flag and the
         # replay phase adds back neighbor activations.  The surviving
@@ -199,17 +180,6 @@ class MigrationRecovery:
         old_gather_flag = slot.active
         lg.set_active(slot, slot.mirror_self_active)
         slot.replicas_known_active = old_gather_flag
-        position = lg.position_of(gid)
-        # Rewrite the metadata for the new location.
-        new_positions = {n: p for n, p in meta.replica_positions.items()
-                         if n not in failed_set and n != node}
-        meta.replica_positions = new_positions
-        meta.mirror_nodes = [n for n in meta.mirror_nodes
-                             if n not in failed_set and n != node]
-        meta.invalidate_replica_cache()
-        meta.master_node = node
-        meta.master_position = position
-        slot.master_node = node
 
     # ------------------------------------------------------------------
     # edge recovery
@@ -230,19 +200,10 @@ class MigrationRecovery:
             if slot.full_edges is None:
                 raise UnrecoverableFailureError(
                     f"mirror of vertex {gid} lacks the full edge copy")
-            position = lg.position_of(gid)
-            slot.in_edges = []
-            for src_gid, _old_pos, weight in slot.full_edges:
-                if src_gid in lg.index_of:
-                    src_pos = lg.index_of[src_gid]
-                else:
-                    src_pos, _ = common.create_replica(engine, src_gid, node)
-                lg.slots[src_pos].out_edges.append(position)
-                slot.in_edges.append((src_pos, weight))
-                linked += 1
-            # The full-state copy now describes the new local layout.
-            slot.full_edges = [(lg.slots[p].gid, p, w)
-                               for p, w in slot.in_edges]
+            common.relink_master(engine, lg, slot, [
+                (src_gid, weight) for src_gid, _old_pos, weight
+                in slot.full_edges])
+            linked += len(slot.in_edges)
         return linked
 
     def _reload_vertex_cut_edges(self, failed: tuple[int, ...],
@@ -297,20 +258,9 @@ class MigrationRecovery:
     def _apply_edges(self, node: int, edges: Edges) -> int:
         """Attach reloaded edges to local slots, creating missing copies."""
         engine = self.engine
-        lg = engine.local_graphs[node]
         src, dst, weight = edges
-        for src_gid, dst_gid, w in zip(src.tolist(), dst.tolist(),
-                                       weight.tolist()):
-            if dst_gid in lg.index_of:
-                dst_pos = lg.index_of[dst_gid]
-            else:
-                dst_pos, _ = common.create_replica(engine, dst_gid, node)
-            if src_gid in lg.index_of:
-                src_pos = lg.index_of[src_gid]
-            else:
-                src_pos, _ = common.create_replica(engine, src_gid, node)
-            lg.slots[dst_pos].in_edges.append((src_pos, w))
-            lg.slots[src_pos].out_edges.append(dst_pos)
+        common.link_edges(engine, node, zip(src.tolist(), dst.tolist(),
+                                            weight.tolist()))
         # Future failures of this node must also recover the edges it
         # just absorbed: append them to its own edge-ckpt files, one
         # chunk per receiver, overlapped with resumed execution (bytes

@@ -198,6 +198,34 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation, match="copies"):
             checker.check_all(engine)
 
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda copy, slot: copy.replica_positions.update(
+            {next(iter(copy.replica_positions)): 10**6}), "holds metadata"),
+        (lambda copy, slot: copy.mirror_nodes.reverse(), "holds metadata"),
+        (lambda copy, slot: setattr(copy, "master_position", -7),
+         "holds metadata"),
+        (lambda copy, slot: setattr(slot, "mirror_id", slot.mirror_id + 1),
+         "mirror id"),
+    ], ids=["replica_position", "mirror_order", "master_position",
+            "mirror_id"])
+    def test_catches_a_stale_mirror_copy(self, graph, corrupt, match):
+        """Every mirror holds the master's metadata and sits at its own
+        index: one corrupted copy, on one mirror, fails the check."""
+        from repro.api import make_engine
+        engine = make_engine(graph, "pagerank",
+                             **small_kwargs(ft_level=2))
+        engine.run(max_iterations=1)
+        checker = InvariantChecker()
+        checker.check_all(engine)
+        master = next(slot for node in engine._alive()
+                      for slot in engine.local_graphs[node].iter_masters()
+                      if len(slot.meta.mirror_nodes) == 2)
+        mirror = engine.local_graphs[
+            master.meta.mirror_nodes[1]].slot_of(master.gid)
+        corrupt(mirror.meta, mirror)
+        with pytest.raises(InvariantViolation, match=match):
+            checker.check_all(engine)
+
     def test_catches_index_corruption(self, graph):
         from repro.api import make_engine
         engine = make_engine(graph, "pagerank", **small_kwargs())

@@ -23,6 +23,7 @@ import pytest
 
 from repro.algorithms import PageRank
 from repro.chaos.oracle import values_close
+from repro.config import MP_HEARTBEAT_INTERVAL_S, MP_HEARTBEAT_MISSES
 from repro.engine.vectorized import ArrayNodeProtocol
 from repro.errors import UnrecoverableFailureError
 from repro.exec.base import BackendError, BackendSpec
@@ -420,6 +421,27 @@ class TestWorkerHygiene:
                                        max_iterations=2))
         backend.close()
         backend.close()
+
+    def test_heartbeat_tuning_is_per_run(self, graph, monkeypatch):
+        """A spec's heartbeat override lasts one run: the next run of the
+        same backend without one waits with the defaults."""
+        waits = []
+        collect = MultiprocessingBackend._collect
+
+        def spy(self, *args, **kwargs):
+            waits.append((self.heartbeat_s, self.heartbeat_misses))
+            return collect(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiprocessingBackend, "_collect", spy)
+        spec = BackendSpec(algorithm="pagerank", num_nodes=2,
+                           max_iterations=2)
+        with MultiprocessingBackend() as backend:
+            backend.run(graph, replace(spec, heartbeat_interval_s=0.05,
+                                       heartbeat_misses=400))
+            tuned, waits[:] = set(waits), []
+            backend.run(graph, spec)
+        assert tuned == {(0.05, 400)}
+        assert set(waits) == {(MP_HEARTBEAT_INTERVAL_S, MP_HEARTBEAT_MISSES)}
 
     @pytest.mark.parametrize("membership,point", [
         ((), "final state pull"),
