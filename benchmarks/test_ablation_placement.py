@@ -24,21 +24,13 @@ from repro.ft.replication import plan_replication
 from repro.partition import hash_edge_cut
 
 
-def _copies_per_node(graph, plan) -> np.ndarray:
-    counts = np.zeros(NUM_NODES, dtype=np.int64)
-    for v in range(graph.num_vertices):
-        counts[plan.master_of[v]] += 1
-        for node in plan.replica_nodes[v]:
-            counts[node] += 1
-    return counts
+def _copies_per_node(plan) -> np.ndarray:
+    return (np.bincount(plan.master_of, minlength=NUM_NODES)
+            + np.bincount(plan.replica_nodes.nodes, minlength=NUM_NODES))
 
 
-def _mirrors_per_node(graph, plan) -> np.ndarray:
-    counts = np.zeros(NUM_NODES, dtype=np.int64)
-    for v in range(graph.num_vertices):
-        for node in plan.mirror_nodes[v]:
-            counts[node] += 1
-    return counts
+def _mirrors_per_node(plan) -> np.ndarray:
+    return np.bincount(plan.mirror_nodes.nodes, minlength=NUM_NODES)
 
 
 def test_ablation_ft_placement(benchmark):
@@ -55,7 +47,7 @@ def test_ablation_ft_placement(benchmark):
                                        ft_level=1,
                                        placement_candidates=candidates)
             plan = plan_replication(graph, part, cfg)
-            counts = _copies_per_node(graph, plan)
+            counts = _copies_per_node(plan)
             rows.append([label, int(counts.max()),
                          float(counts.max() / counts.mean()),
                          float(counts.std())])
@@ -79,16 +71,15 @@ def test_ablation_mirror_election(benchmark):
         part = hash_edge_cut(graph, NUM_NODES)
         cfg = FaultToleranceConfig(mode=FTMode.REPLICATION, ft_level=1)
         plan = plan_replication(graph, part, cfg)
-        greedy = _mirrors_per_node(graph, plan)
+        greedy = _mirrors_per_node(plan)
 
         # Naive baseline: the first (lowest-id) replica node is always
         # the mirror.
         naive = np.zeros(NUM_NODES, dtype=np.int64)
         for v in range(graph.num_vertices):
-            if plan.replica_nodes[v]:
-                ft_first = plan.ft_nodes[v][0] if plan.ft_nodes[v] \
-                    else plan.replica_nodes[v][0]
-                naive[ft_first] += 1
+            fts, replicas = plan.ft_nodes[v], plan.replica_nodes[v]
+            if replicas.size:
+                naive[fts[0] if fts.size else replicas[0]] += 1
         for label, counts in (("greedy (paper)", greedy),
                               ("first-replica", naive)):
             rows.append([label, int(counts.max()),

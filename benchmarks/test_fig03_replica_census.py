@@ -34,10 +34,8 @@ def test_fig03_replica_census(benchmark):
             # (selfish vertices need only an unsynchronised FT replica).
             cfg = FaultToleranceConfig(mode=FTMode.REPLICATION, ft_level=1)
             plan = plan_replication(graph, part, cfg)
-            non_selfish_ft = sum(
-                len(plan.ft_nodes[v]) for v in range(n)
-                if not plan.selfish[v])
-            total_replicas = sum(len(r) for r in plan.replica_nodes)
+            non_selfish_ft = int(plan.ft_nodes.lengths[~plan.selfish].sum())
+            total_replicas = plan.replica_nodes.nodes.size
             rows.append([dataset,
                          len(selfish) / n,
                          len(normal) / n,

@@ -28,11 +28,10 @@ def test_fig08a_extra_replicas(benchmark):
             part = hash_edge_cut(graph, 50)
             cfg = FaultToleranceConfig(mode=FTMode.REPLICATION, ft_level=1)
             plan = plan_replication(graph, part, cfg)
-            total = sum(len(r) for r in plan.replica_nodes)
+            total = plan.replica_nodes.nodes.size
             with_selfish = plan.total_ft_replicas() / max(1, total)
-            sans_selfish = sum(
-                len(plan.ft_nodes[v]) for v in range(graph.num_vertices)
-                if not plan.selfish[v]) / max(1, total)
+            sans_selfish = int(plan.ft_nodes.lengths[~plan.selfish].sum()
+                               ) / max(1, total)
             rows.append([dataset, with_selfish, sans_selfish])
         return rows
 

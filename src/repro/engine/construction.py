@@ -22,7 +22,6 @@ Layout and edge order are exactly those of the slot-at-a-time reference
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -86,9 +85,9 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
                      vertices=num_vertices, edges=graph.num_edges):
         master_of = np.asarray(plan.master_of, dtype=np.int64)
         vertex_selfish = np.asarray(plan.selfish, dtype=bool)
-        rep_gid, rep_node, rep_len = _flatten(plan.replica_nodes)
-        mir_gid, mir_node, mir_len = _flatten(plan.mirror_nodes)
-        ft_gid, ft_node, ft_len = _flatten(plan.ft_nodes)
+        rep_gid, rep_node, rep_len = plan.replica_nodes.columns()
+        mir_gid, mir_node, mir_len = plan.mirror_nodes.columns()
+        ft_gid, ft_node, ft_len = plan.ft_nodes.columns()
         replica_less = rep_len == ft_len
         report = ConstructionReport(
             num_vertices, graph.num_edges,
@@ -140,7 +139,7 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
         mirror_id = np.full(total, -1, dtype=np.int64)
         mirror_id[copy_index(mir_gid, mir_node)] = (
             np.arange(mir_gid.size)
-            - np.repeat(np.cumsum(mir_len) - mir_len, mir_len))
+            - np.repeat(plan.mirror_nodes.ptr[:-1], mir_len))
         is_mirror = mirror_id >= 0
         ft_only = ~is_master & np.isin(key, ft_gid * num_nodes + ft_node)
         out_deg = graph.out_degrees()[gids]
@@ -188,11 +187,9 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
             "master_position": np.where(is_master | is_mirror,
                                         position[master_index][gids], -1),
             "master_index": master_index,
-            "replica_len": rep_len, "replica_ptr": csr_ptr(rep_len),
-            "replica_node": rep_node,
+            "replicas": plan.replica_nodes,
             "replica_position": position[rep_index],
-            "mirror_len": mir_len, "mirror_ptr": csr_ptr(mir_len),
-            "mirror_node": mir_node}
+            "mirrors": plan.mirror_nodes}
         if edge_cut and mir_len.any():
             # Every copy's local in-edges as (src gid, src position,
             # weight), by copy index: a mirror's backup is its master's.
@@ -232,11 +229,11 @@ def _birth_record(node: int, topo: NodeTopology, lo: int, hi: int,
     with_meta = roles != RecoveryBatch.REPLICA
     meta_gids = gids[with_meta]
     replica_count = np.zeros(topo.n, dtype=np.int64)
-    replica_count[with_meta] = records["replica_len"][meta_gids]
-    replicas, _ = csr_rows(records["replica_ptr"], meta_gids)
+    replicas, replica_count[with_meta] = csr_rows(records["replicas"].ptr,
+                                                  meta_gids)
     mirror_count = np.zeros(topo.n, dtype=np.int64)
-    mirror_count[with_meta] = records["mirror_len"][meta_gids]
-    mirrors, _ = csr_rows(records["mirror_ptr"], meta_gids)
+    mirrors, mirror_count[with_meta] = csr_rows(records["mirrors"].ptr,
+                                                meta_gids)
     edge_count = np.zeros(topo.n, dtype=np.int64)
     none = edges = np.zeros(0, dtype=np.int64)
     ptr, edge_gids, edge_positions, edge_weights = records.get(
@@ -255,10 +252,10 @@ def _birth_record(node: int, topo: NodeTopology, lo: int, hi: int,
         mirror_id=records["mirror_id"][lo:hi], master_node=topo.master_node,
         master_position=records["master_position"][lo:hi],
         replica_ptr=csr_ptr(replica_count),
-        replica_nodes=records["replica_node"][replicas],
+        replica_nodes=records["replicas"].nodes[replicas],
         replica_positions=records["replica_position"][replicas],
         mirror_ptr=csr_ptr(mirror_count),
-        mirror_nodes=records["mirror_node"][mirrors],
+        mirror_nodes=records["mirrors"].nodes[mirrors],
         edge_ptr=csr_ptr(edge_count), edge_gids=edge_gids[edges],
         edge_positions=edge_positions[edges],
         edge_weights=edge_weights[edges])
@@ -286,12 +283,3 @@ def ft_census(masters: np.ndarray,
     return masters.size, {level: masters[levels == level].tolist()
                           for level in dict.fromkeys(levels.tolist())}
 
-
-def _flatten(node_lists: list[list[int]]) -> tuple[np.ndarray, ...]:
-    """``(vertex, node)`` columns of a per-vertex list of node lists, in
-    listed order, and the per-vertex lengths."""
-    lens = np.fromiter(map(len, node_lists), np.int64,
-                       count=len(node_lists))
-    nodes = np.fromiter(chain.from_iterable(node_lists), np.int64,
-                        count=int(lens.sum()))
-    return np.repeat(np.arange(len(node_lists)), lens), nodes, lens

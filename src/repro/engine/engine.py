@@ -214,14 +214,14 @@ class Engine:
                         else _zero_ft(self.job.ft))
             with self.tracer.span("load.replicate", cat="load"):
                 self.plan = plan_replication(graph, partitioning, plan_cfg,
-                                             seed=self.seed)
+                                             seed=self.seed,
+                                             tracer=self.tracer)
             with self.tracer.span("load.construct", cat="load"):
                 self.local_graphs, self.construction = build_local_graphs(
                     graph, partitioning, self.plan, self.tracer)
             for node_id, lg in self.local_graphs.items():
                 self.cluster.node(node_id).local = lg
-            self.master_node_of: list[int] = [int(n)
-                                              for n in self.plan.master_of]
+            self.master_node_of: list[int] = self.plan.master_of.tolist()
             self.is_edge_cut = partitioning.kind == "edge-cut"
             #: Transport policy (DESIGN.md §10): no-op sync elision.
             self._sync_elision = self.job.engine.sync_elision

@@ -24,8 +24,38 @@ import numpy as np
 from repro.config import FaultToleranceConfig
 from repro.errors import ConfigError
 from repro.graph.graph import Graph
-from repro.partition.base import EdgeCutPartitioning, VertexCutPartitioning
+from repro.obs import NULL_TRACER
+from repro.partition.base import replica_pairs, unique_pairs
 from repro.utils.rng import SeededRng
+
+
+@dataclass(frozen=True, eq=False)
+class NodeRows:
+    """One row of nodes per vertex, as CSR: vertex ``v``'s nodes are
+    ``nodes[ptr[v]:ptr[v + 1]]``."""
+
+    ptr: np.ndarray
+    nodes: np.ndarray
+
+    @classmethod
+    def of(cls, owner: np.ndarray, nodes, num_vertices: int) -> NodeRows:
+        """Rows from ``(owner, node)`` columns sorted by owner."""
+        return cls(np.searchsorted(owner, np.arange(num_vertices + 1)),
+                   np.asarray(nodes, dtype=np.int64))
+
+    def __getitem__(self, v: int) -> np.ndarray:
+        return self.nodes[self.ptr[v]:self.ptr[v + 1]]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(owner, node, lengths)``: one row per listed node, in
+        listed order, and the per-vertex lengths."""
+        lengths = self.lengths
+        return (np.repeat(np.arange(lengths.size), lengths), self.nodes,
+                lengths)
 
 
 @dataclass
@@ -36,175 +66,172 @@ class ReplicationPlan:
     num_nodes: int
     #: v -> node of its master.
     master_of: np.ndarray
-    #: v -> sorted list of replica nodes (computation + FT, master
-    #: excluded).
-    replica_nodes: list[list[int]]
-    #: v -> subset of ``replica_nodes`` that exist only for fault
-    #: tolerance.
-    ft_nodes: list[list[int]]
-    #: v -> ordered mirror nodes; index in this list is the mirror id
-    #: (the lowest surviving id leads recovery, Section 5.3.1).
-    mirror_nodes: list[list[int]]
+    #: v -> sorted replica nodes (computation + FT, master excluded).
+    replica_nodes: NodeRows
+    #: v -> the replica nodes that exist only for fault tolerance, in
+    #: placement order.
+    ft_nodes: NodeRows
+    #: v -> mirror nodes in election order; a mirror's index in its row
+    #: is its mirror id (the lowest surviving id leads recovery,
+    #: Section 5.3.1).
+    mirror_nodes: NodeRows
     #: Selfish flag per vertex (zero out-degree).
     selfish: np.ndarray = field(repr=False, default=None)
 
     # -- census used by Figs. 3 and 8 ---------------------------------
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.replica_nodes)
-
     def total_computation_replicas(self) -> int:
-        return sum(len(r) - len(f) for r, f in
-                   zip(self.replica_nodes, self.ft_nodes))
+        return self.replica_nodes.nodes.size - self.ft_nodes.nodes.size
 
     def total_ft_replicas(self) -> int:
-        return sum(len(f) for f in self.ft_nodes)
+        return self.ft_nodes.nodes.size
 
     def extra_replica_fraction(self) -> float:
         """FT replicas as a fraction of all replicas (Fig. 8a)."""
-        total = sum(len(r) for r in self.replica_nodes)
+        total = self.replica_nodes.nodes.size
         if total == 0:
             return 0.0
         return self.total_ft_replicas() / total
 
     def validate(self) -> None:
-        """Check invariants P2/P3 from DESIGN.md."""
-        for v, (replicas, fts, mirrors) in enumerate(
-                zip(self.replica_nodes, self.ft_nodes, self.mirror_nodes)):
-            master = int(self.master_of[v])
-            rset = set(replicas)
-            if master in rset:
-                raise ConfigError(
-                    f"vertex {v}: master node {master} also in replicas")
-            if len(rset) != len(replicas):
-                raise ConfigError(f"vertex {v}: duplicate replica nodes")
-            if not set(fts) <= rset:
-                raise ConfigError(f"vertex {v}: FT node not in replicas")
-            if not set(mirrors) <= rset:
-                raise ConfigError(f"vertex {v}: mirror node not a replica")
-            if len(mirrors) != min(self.ft_level, len(replicas)):
-                raise ConfigError(
-                    f"vertex {v}: expected {self.ft_level} mirrors, "
-                    f"got {len(mirrors)} of {len(replicas)} replicas")
-            if len(replicas) < self.ft_level:
-                raise ConfigError(
-                    f"vertex {v}: only {len(replicas)} copies for "
-                    f"ft_level {self.ft_level}")
+        """Check invariants P2/P3 from DESIGN.md; a violation names the
+        first offending vertex."""
+        k, stride = self.ft_level, self.num_nodes
+        rep_gid, rep_node, rep_len = self.replica_nodes.columns()
+        rep_key = np.sort(rep_gid * stride + rep_node)
 
+        def outside(rows: NodeRows) -> np.ndarray:
+            gid, node, _ = rows.columns()
+            return gid[~np.isin(gid * stride + node, rep_key)]
 
-def computation_replicas(graph: Graph, partitioning) -> list[set[int]]:
-    """Per-vertex computation replica node sets (master excluded)."""
-    if not isinstance(partitioning,
-                      (EdgeCutPartitioning, VertexCutPartitioning)):
-        raise ConfigError(
-            f"unsupported partitioning: {type(partitioning).__name__}")
-    master_of = np.asarray(partitioning.master_of)
-    if isinstance(partitioning, EdgeCutPartitioning):
-        # A source is copied to every node mastering one of its targets.
-        vertex, node = graph.sources, master_of[graph.targets]
-    else:
-        # Both endpoints are copied to the node their edge lives on.
-        vertex = np.concatenate([graph.sources, graph.targets])
-        node = np.tile(np.asarray(partitioning.edge_node), 2)
-    num_nodes = partitioning.num_nodes
-    off_master = node != master_of[vertex]
-    pairs = np.unique(vertex[off_master] * num_nodes + node[off_master])
-    replicas: list[set[int]] = [set() for _ in range(graph.num_vertices)]
-    for v, replica_node in zip(*map(np.ndarray.tolist,
-                                    divmod(pairs, num_nodes))):
-        replicas[v].add(replica_node)
-    return replicas
+        bad = np.zeros((6, self.master_of.size), dtype=bool)
+        bad[0, rep_gid[rep_node == self.master_of[rep_gid]]] = True
+        bad[1, rep_key[1:][rep_key[1:] == rep_key[:-1]] // stride] = True
+        bad[2, outside(self.ft_nodes)] = True
+        bad[3, outside(self.mirror_nodes)] = True
+        mirrors = self.mirror_nodes.lengths
+        bad[4] = mirrors != np.minimum(k, rep_len)
+        bad[5] = rep_len < k
+        offenders = np.flatnonzero(bad.any(axis=0))
+        if not offenders.size:
+            return
+        v = int(offenders[0])
+        raise ConfigError(f"vertex {v}: " + (
+            f"master node {self.master_of[v]} also in replicas",
+            "duplicate replica nodes",
+            "FT node not in replicas",
+            "mirror node not a replica",
+            f"expected {k} mirrors, got {mirrors[v]} of {rep_len[v]} "
+            "replicas",
+            f"only {rep_len[v]} copies for ft_level {k}",
+        )[int(np.argmax(bad[:, v]))])
 
 
 def plan_replication(graph: Graph, partitioning,
                      ft_config: FaultToleranceConfig,
-                     seed: int = 0) -> ReplicationPlan:
+                     seed: int = 0, tracer=NULL_TRACER) -> ReplicationPlan:
     """Produce the full replication layout for a job.
 
     With ``ft_level == 0`` (BASE / CKPT configurations) no FT replicas
     or mirrors are created and the plan just records the computation
-    replicas.
+    replicas.  ``tracer`` gets the four steps as child spans of the
+    caller's.
     """
     n = graph.num_vertices
     num_nodes = partitioning.num_nodes
     k = ft_config.ft_level
     master_of = np.asarray(partitioning.master_of)
-    replica_sets = computation_replicas(graph, partitioning)
-    selfish = graph.out_degrees() == 0
-
-    ft_nodes: list[list[int]] = [[] for _ in range(n)]
-    if k > 0:
-        if k >= num_nodes:
-            raise ConfigError(
-                f"ft_level {k} impossible with {num_nodes} nodes")
-        rng = SeededRng(seed, "ft-placement")
-        # Total copies (masters + replicas) per node; FT placement
-        # balances this load.
-        load = np.bincount(master_of, minlength=num_nodes).astype(np.int64)
-        for v, rset in enumerate(replica_sets):
-            for node in rset:
-                load[node] += 1
-        candidates = max(1, ft_config.placement_candidates)
-        for v in range(n):
-            rset = replica_sets[v]
-            master = int(master_of[v])
-            while len(rset) < k:
-                excluded = rset | {master}
-                pool = [node for node in range(num_nodes)
-                        if node not in excluded]
-                if not pool:
-                    raise ConfigError(
-                        f"vertex {v}: cannot place {k} copies on "
-                        f"{num_nodes} nodes")
-                if len(pool) > candidates:
-                    sample = rng.sample(pool, candidates)
-                else:
-                    sample = pool
-                best = min(sample, key=lambda node: (load[node], node))
-                rset.add(best)
-                ft_nodes[v].append(best)
-                load[best] += 1
-
-    replica_nodes = [sorted(rset) for rset in replica_sets]
-
-    # Mirror election (Section 4.2): every master machine assigns its
-    # vertices' mirrors greedily to the replica-hosting machine with the
-    # fewest mirrors assigned by this machine so far; FT replicas are
-    # always elected first.
-    mirror_nodes: list[list[int]] = [[] for _ in range(n)]
-    if k > 0:
-        counters: dict[int, np.ndarray] = {}
-        for v in range(n):
-            master = int(master_of[v])
-            counter = counters.get(master)
-            if counter is None:
-                counter = np.zeros(num_nodes, dtype=np.int64)
-                counters[master] = counter
-            chosen: list[int] = []
-            for node in ft_nodes[v]:
-                if len(chosen) >= k:
-                    break
-                chosen.append(node)
-            remaining = [node for node in replica_nodes[v]
-                         if node not in chosen]
-            while len(chosen) < min(k, len(replica_nodes[v])):
-                best = min(remaining, key=lambda node: (counter[node], node))
-                remaining.remove(best)
-                chosen.append(best)
-            for node in chosen:
-                counter[node] += 1
-            mirror_nodes[v] = chosen
-
-    plan = ReplicationPlan(
-        ft_level=k,
-        num_nodes=num_nodes,
-        master_of=master_of,
-        replica_nodes=replica_nodes,
-        ft_nodes=ft_nodes,
-        mirror_nodes=mirror_nodes,
-        selfish=selfish,
-    )
-    if k > 0:
+    with tracer.span("load.replicate.replicas", cat="load"):
+        computation = NodeRows.of(*replica_pairs(graph, partitioning), n)
+    if k and k >= num_nodes:
+        raise ConfigError(f"ft_level {k} impossible with {num_nodes} nodes")
+    deficient = np.flatnonzero(computation.lengths < k)
+    with tracer.span("load.replicate.place", cat="load",
+                     deficient=int(deficient.size)):
+        ft_gid, ft_node = _place_ft_replicas(computation, deficient,
+                                             master_of, num_nodes, k,
+                                             ft_config, seed)
+        ft_nodes = NodeRows.of(ft_gid, ft_node, n)
+        gids, nodes, _ = computation.columns()
+        replica_nodes = NodeRows.of(*unique_pairs(
+            np.concatenate([gids, ft_gid]),
+            np.concatenate([nodes, ft_node]), num_nodes), n)
+    contested = int((replica_nodes.lengths > k).sum()) if k else 0
+    with tracer.span("load.replicate.elect", cat="load",
+                     contested=contested):
+        mirror_nodes = _elect_mirrors(replica_nodes, ft_nodes, master_of,
+                                      num_nodes, k)
+    with tracer.span("load.replicate.validate", cat="load"):
+        plan = ReplicationPlan(
+            ft_level=k,
+            num_nodes=num_nodes,
+            master_of=master_of,
+            replica_nodes=replica_nodes,
+            ft_nodes=ft_nodes,
+            mirror_nodes=mirror_nodes,
+            selfish=graph.out_degrees() == 0,
+        )
         plan.validate()
     return plan
+
+
+def _place_ft_replicas(computation: NodeRows, deficient: np.ndarray,
+                       master_of: np.ndarray, num_nodes: int, k: int,
+                       ft_config: FaultToleranceConfig,
+                       seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Section 4.1: top every vertex with fewer than ``k`` computation
+    replicas up to ``k``, in vertex-id order, each FT replica on the
+    least loaded of a few candidates sampled from the nodes not yet
+    holding a copy (lowest node on a tie).  Load is total copies
+    (masters + replicas) per node.  Returns the ``(vertex, node)``
+    columns of the FT replicas in placement order."""
+    rng = SeededRng(seed, "ft-placement")
+    candidates = max(1, ft_config.placement_candidates)
+    load = (np.bincount(master_of, minlength=num_nodes)
+            + np.bincount(computation.nodes, minlength=num_nodes)).tolist()
+    rows, ptr = computation.nodes.tolist(), computation.ptr.tolist()
+    ft_gid, ft_node = [], []
+    for v, master in zip(deficient.tolist(), master_of[deficient].tolist()):
+        excluded = {master, *rows[ptr[v]:ptr[v + 1]]}
+        for _ in range(k + 1 - len(excluded)):
+            pool = [node for node in range(num_nodes)
+                    if node not in excluded]
+            sample = (rng.sample(pool, candidates)
+                      if len(pool) > candidates else pool)
+            best = min(sample, key=lambda node: (load[node], node))
+            excluded.add(best)
+            ft_gid.append(v)
+            ft_node.append(best)
+            load[best] += 1
+    return (np.array(ft_gid, dtype=np.int64),
+            np.array(ft_node, dtype=np.int64))
+
+
+def _elect_mirrors(replica_nodes: NodeRows, ft_nodes: NodeRows,
+                   master_of: np.ndarray, num_nodes: int,
+                   k: int) -> NodeRows:
+    """Section 4.2: every master machine assigns its vertices' mirrors
+    in vertex-id order, FT replicas first (an FT replica is always a
+    mirror), then greedily the replica-hosting machines with the fewest
+    mirrors assigned by this machine so far (lowest node on a tie)."""
+    if not k:
+        return NodeRows.of(np.zeros(0, dtype=np.int64), [], master_of.size)
+    counters = [[0] * num_nodes for _ in range(num_nodes)]
+    rows, ptr = replica_nodes.nodes.tolist(), replica_nodes.ptr.tolist()
+    fts, ft_ptr = ft_nodes.nodes.tolist(), ft_nodes.ptr.tolist()
+    elected: list[int] = []
+    for v, master in enumerate(master_of.tolist()):
+        counter = counters[master]
+        row = rows[ptr[v]:ptr[v + 1]]
+        chosen = fts[ft_ptr[v]:ft_ptr[v + 1]]
+        if chosen:
+            row = [node for node in row if node not in chosen]
+            chosen = chosen + sorted(row, key=counter.__getitem__)
+        else:
+            chosen = sorted(row, key=counter.__getitem__)[:k]
+        for node in chosen:
+            counter[node] += 1
+        elected += chosen
+    lengths = np.minimum(replica_nodes.lengths, k)
+    return NodeRows(np.concatenate(([0], np.cumsum(lengths))),
+                    np.array(elected, dtype=np.int64))

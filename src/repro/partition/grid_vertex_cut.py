@@ -18,7 +18,7 @@ from repro.partition.base import (
     VertexCutPartitioning,
     assign_masters_for_vertex_cut,
 )
-from repro.utils.hashing import stable_hash
+from repro.utils.hashing import stable_hash_array
 
 
 def _grid_shape(num_nodes: int) -> tuple[int, int]:
@@ -36,23 +36,18 @@ def grid_vertex_cut(graph: Graph, num_nodes: int,
     if num_nodes < 1:
         raise PartitionError("num_nodes must be >= 1")
     rows, cols = _grid_shape(num_nodes)
-    n = graph.num_vertices
     # Vertex -> home cell.
-    home = np.array([stable_hash(v, salt=seed) % num_nodes
-                     for v in range(n)], dtype=np.int64)
-    home_r = home // cols
-    home_c = home % cols
+    home = (stable_hash_array(np.arange(graph.num_vertices), seed)
+            % num_nodes).astype(np.int64)
+    home_r, home_c = np.divmod(home, cols)
     src, dst = graph.sources, graph.targets
-    edge_node = np.empty(graph.num_edges, dtype=np.int64)
-    for eid in range(graph.num_edges):
-        u, v = int(src[eid]), int(dst[eid])
-        # Constraint sets: row+column of each endpoint's home cell.
-        # The canonical intersection contains the two "cross" cells
-        # (row_u x col_v) and (row_v x col_u); pick deterministically.
-        cell_a = int(home_r[u]) * cols + int(home_c[v])
-        cell_b = int(home_r[v]) * cols + int(home_c[u])
-        pick = stable_hash(u * 2_000_003 + v, salt=seed + 1) & 1
-        edge_node[eid] = cell_a if pick == 0 else cell_b
+    # Constraint sets: row+column of each endpoint's home cell.  The
+    # canonical intersection contains the two "cross" cells
+    # (row_u x col_v) and (row_v x col_u); pick deterministically.
+    cell_a = home_r[src] * cols + home_c[dst]
+    cell_b = home_r[dst] * cols + home_c[src]
+    pick = stable_hash_array(src * 2_000_003 + dst, seed + 1) & 1
+    edge_node = np.where(pick == 0, cell_a, cell_b)
     master_of = assign_masters_for_vertex_cut(graph, edge_node, num_nodes,
                                               seed=seed)
     part = VertexCutPartitioning(num_nodes=num_nodes, edge_node=edge_node,

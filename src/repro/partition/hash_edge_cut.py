@@ -11,27 +11,14 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.partition.base import EdgeCutPartitioning
-from repro.utils.hashing import stable_hash
+from repro.utils.hashing import stable_hash_array
 
 
 def hash_edge_cut(graph: Graph, num_nodes: int,
                   seed: int = 0) -> EdgeCutPartitioning:
     """Assign each vertex to ``hash(v) mod num_nodes``."""
-    ids = np.arange(graph.num_vertices, dtype=np.int64)
-    # Vectorised splitmix64 (mirrors repro.utils.hashing.stable_hash).
-    mask = np.uint64(0xFFFFFFFFFFFFFFFF)
-    x = (ids.astype(np.uint64)
-         + np.uint64(0x9E3779B97F4A7C15)
-         + np.uint64((seed * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF))
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & mask
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & mask
-        x = x ^ (x >> np.uint64(31))
-    master_of = (x % np.uint64(num_nodes)).astype(np.int64)
-    # Keep the scalar and vector hash implementations honest.
-    if graph.num_vertices:
-        v0 = graph.num_vertices - 1
-        assert int(master_of[v0]) == stable_hash(v0, seed) % num_nodes
+    master_of = (stable_hash_array(np.arange(graph.num_vertices), seed)
+                 % num_nodes).astype(np.int64)
     part = EdgeCutPartitioning(num_nodes=num_nodes, master_of=master_of,
                                strategy="hash")
     part.validate(graph)

@@ -24,7 +24,7 @@ from repro.partition.base import (
     VertexCutPartitioning,
     assign_masters_for_vertex_cut,
 )
-from repro.partition.hash_edge_cut import hash_edge_cut
+from repro.utils.hashing import stable_hash_array
 
 
 def hybrid_cut(graph: Graph, num_nodes: int, seed: int = 0,
@@ -41,9 +41,8 @@ def hybrid_cut(graph: Graph, num_nodes: int, seed: int = 0,
         raise PartitionError("threshold must be >= 0")
     in_deg = graph.in_degrees()
     high = in_deg > threshold
-    # Reuse the vectorised stable hash from the edge-cut module for
-    # per-vertex hashing.
-    vhash = hash_edge_cut(graph, num_nodes, seed=seed).master_of
+    vhash = (stable_hash_array(np.arange(graph.num_vertices), seed)
+             % num_nodes).astype(np.int64)
     src, dst = graph.sources, graph.targets
     edge_node = np.where(high[dst], vhash[src], vhash[dst])
     master_of = assign_masters_for_vertex_cut(graph, edge_node, num_nodes,

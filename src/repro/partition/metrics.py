@@ -11,62 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import PartitionError
 from repro.graph.graph import Graph
-from repro.partition.base import EdgeCutPartitioning, VertexCutPartitioning
-
-
-def replica_node_sets(graph: Graph, partitioning) -> list[set[int]]:
-    """For each vertex, the set of nodes hosting a copy of it.
-
-    Edge-cut: the master node plus every node holding an out-edge's
-    target master (those nodes materialise a local replica to read
-    from).  Vertex-cut: every node hosting at least one adjacent edge,
-    plus the master node.
-    """
-    n = graph.num_vertices
-    hosts: list[set[int]] = [set() for _ in range(n)]
-    if isinstance(partitioning, EdgeCutPartitioning):
-        master_of = np.asarray(partitioning.master_of)
-        for v in range(n):
-            hosts[v].add(int(master_of[v]))
-        src, dst = graph.sources, graph.targets
-        src_nodes = master_of[src]
-        dst_nodes = master_of[dst]
-        for eid in np.flatnonzero(src_nodes != dst_nodes):
-            hosts[int(src[eid])].add(int(dst_nodes[eid]))
-    elif isinstance(partitioning, VertexCutPartitioning):
-        edge_node = np.asarray(partitioning.edge_node)
-        master_of = np.asarray(partitioning.master_of)
-        src, dst = graph.sources, graph.targets
-        for eid in range(graph.num_edges):
-            node = int(edge_node[eid])
-            hosts[int(src[eid])].add(node)
-            hosts[int(dst[eid])].add(node)
-        for v in range(n):
-            hosts[v].add(int(master_of[v]))
-    else:
-        raise PartitionError(f"unknown partitioning type: "
-                             f"{type(partitioning).__name__}")
-    return hosts
+from repro.partition.base import EdgeCutPartitioning, replica_pairs
 
 
 def replication_factor(graph: Graph, partitioning) -> float:
-    """Average copies per vertex (lambda in the partitioning papers)."""
+    """Average copies per vertex (lambda in the partitioning papers): the
+    master plus every computation replica."""
     if graph.num_vertices == 0:
         return 0.0
-    hosts = replica_node_sets(graph, partitioning)
-    return sum(len(h) for h in hosts) / graph.num_vertices
+    vertex, _ = replica_pairs(graph, partitioning)
+    return (graph.num_vertices + vertex.size) / graph.num_vertices
 
 
 def vertex_balance(graph: Graph, partitioning) -> float:
     """Max/mean ratio of master-vertex counts across nodes."""
-    if isinstance(partitioning, EdgeCutPartitioning):
-        counts = np.bincount(np.asarray(partitioning.master_of),
-                             minlength=partitioning.num_nodes)
-    else:
-        counts = np.bincount(np.asarray(partitioning.master_of),
-                             minlength=partitioning.num_nodes)
+    counts = np.bincount(np.asarray(partitioning.master_of),
+                         minlength=partitioning.num_nodes)
     mean = counts.mean()
     return float(counts.max() / mean) if mean > 0 else 1.0
 

@@ -16,6 +16,7 @@ from repro.partition.base import (
     VertexCutPartitioning,
     assign_masters_for_vertex_cut,
 )
+from repro.utils.hashing import stable_hash_array
 
 
 def random_vertex_cut(graph: Graph, num_nodes: int,
@@ -25,15 +26,13 @@ def random_vertex_cut(graph: Graph, num_nodes: int,
         raise PartitionError("num_nodes must be >= 1")
     src = graph.sources.astype(np.uint64)
     dst = graph.targets.astype(np.uint64)
-    mask = np.uint64(0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        x = (src * np.uint64(0x9E3779B97F4A7C15)
-             + dst * np.uint64(0xBF58476D1CE4E5B9)
-             + np.uint64((seed * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF))
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & mask
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & mask
-        x = x ^ (x >> np.uint64(31))
-    edge_node = (x % np.uint64(num_nodes)).astype(np.int64)
+    # splitmix64 of the endpoint key: stable_hash_array adds the
+    # golden-ratio increment itself, so the key is offset by it.
+    key = (src * np.uint64(0x9E3779B97F4A7C15)
+           + dst * np.uint64(0xBF58476D1CE4E5B9)
+           + np.uint64((seed * 0x94D049BB133111EB - 0x9E3779B97F4A7C15)
+                       & 0xFFFFFFFFFFFFFFFF))
+    edge_node = (stable_hash_array(key) % num_nodes).astype(np.int64)
     master_of = assign_masters_for_vertex_cut(graph, edge_node, num_nodes,
                                               seed=seed)
     part = VertexCutPartitioning(num_nodes=num_nodes, edge_node=edge_node,

@@ -21,7 +21,7 @@ from repro.engine.construction import ConstructionReport
 from repro.engine.local_graph import LocalGraph
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError
-from repro.ft.replication import ReplicationPlan
+from tests.reference.replication import ReplicationPlan
 from repro.graph.graph import Graph
 from repro.partition.base import EdgeCutPartitioning, VertexCutPartitioning
 

@@ -83,7 +83,7 @@ class TestEdgeCutConstruction:
         part = hash_edge_cut(graph, 6)
         plan, (locals_, _) = build(graph, part)
         v = next(v for v in range(graph.num_vertices)
-                 if plan.mirror_nodes[v])
+                 if plan.mirror_nodes[v].size)
         master = locals_[int(part.master_of[v])].slot_of(v)
         mirror = locals_[plan.mirror_nodes[v][0]].slot_of(v)
         assert mirror.meta is not master.meta

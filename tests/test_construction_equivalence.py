@@ -3,7 +3,10 @@
 ``repro.engine.construction.build_local_graphs`` computes every node's
 layout with numpy group-bys and hands each ``LocalGraph`` its SoA image
 and FT census at birth; ``tests/reference/construction.py`` is the
-three-pass build it replaced.  Everything observable must be equal:
+three-pass build it replaced, and it builds from the plan of the list
+planner ``tests/reference/replication.py`` (the production planner's
+CSR plan feeds the production build), so two independent pipelines
+meet here.  Everything observable must be equal:
 the slots (dataclass ``==``), the insertion orders that are send or
 scan orders (``index_of``, ``replica_positions``, the census' levels),
 the image field for field (dtype, values, ``sync_plan`` key order)
@@ -25,8 +28,8 @@ from hypothesis import strategies as st
 from repro.config import FaultToleranceConfig, FTMode
 from repro.engine.construction import build_local_graphs
 from repro.engine.soa import NodeTopology
-from repro.errors import EngineError
-from repro.ft.replication import plan_replication
+from repro.errors import ConfigError, EngineError
+from repro.ft.replication import NodeRows, plan_replication
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.partition import hash_edge_cut, hybrid_cut
@@ -34,6 +37,7 @@ from repro.partition.fennel import fennel_edge_cut
 from repro.partition.grid_vertex_cut import grid_vertex_cut
 from repro.partition.random_vertex_cut import random_vertex_cut
 from tests.reference import construction as reference
+from tests.reference import replication as reference_replication
 
 PARTITIONERS = {
     "hash_edge_cut": hash_edge_cut,
@@ -44,10 +48,13 @@ PARTITIONERS = {
 }
 
 
+def ft_config(level):
+    return (FaultToleranceConfig(mode=FTMode.REPLICATION, ft_level=level)
+            if level else FaultToleranceConfig(mode=FTMode.NONE, ft_level=0))
+
+
 def plan_for(graph, part, level, seed=0):
-    cfg = (FaultToleranceConfig(mode=FTMode.REPLICATION, ft_level=level)
-           if level else FaultToleranceConfig(mode=FTMode.NONE, ft_level=0))
-    return plan_replication(graph, part, cfg, seed=seed)
+    return plan_replication(graph, part, ft_config(level), seed=seed)
 
 
 def assert_same_image(have: NodeTopology, want: NodeTopology) -> None:
@@ -68,9 +75,12 @@ def assert_same_image(have: NodeTopology, want: NodeTopology) -> None:
             assert np.array_equal(a, b), name
 
 
-def assert_same_build(graph, part, plan) -> None:
-    built, report = build_local_graphs(graph, part, plan)
-    wanted, wanted_report = reference.build_local_graphs(graph, part, plan)
+def assert_same_build(graph, part, level, seed) -> None:
+    built, report = build_local_graphs(graph, part,
+                                       plan_for(graph, part, level, seed))
+    wanted, wanted_report = reference.build_local_graphs(
+        graph, part, reference_replication.plan_replication(
+            graph, part, ft_config(level), seed=seed))
     assert report == wanted_report
     assert list(built) == list(wanted)
     for node, want in wanted.items():
@@ -99,14 +109,14 @@ def test_equal_to_the_reference(partition, level, seed):
     graph = generators.power_law(300, alpha=2.0, seed=seed, avg_degree=5.0,
                                  selfish_frac=0.1)
     part = PARTITIONERS[partition](graph, 8, seed=seed)
-    assert_same_build(graph, part, plan_for(graph, part, level, seed))
+    assert_same_build(graph, part, level, seed)
 
 
 @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
 def test_equal_to_the_reference_at_ten_times_the_size(partition):
     graph = generators.power_law(3000, alpha=2.0, seed=5, avg_degree=8.0)
     part = PARTITIONERS[partition](graph, 8, seed=5)
-    assert_same_build(graph, part, plan_for(graph, part, 1, 5))
+    assert_same_build(graph, part, 1, 5)
 
 
 EDGE_CASES = {
@@ -126,7 +136,7 @@ def test_edge_cases(case, partition, num_nodes):
     graph = EDGE_CASES[case]
     part = PARTITIONERS[partition](graph, num_nodes, seed=1)
     for level in range(min(num_nodes, 3)):
-        assert_same_build(graph, part, plan_for(graph, part, level, 1))
+        assert_same_build(graph, part, level, 1)
 
 
 @st.composite
@@ -147,7 +157,7 @@ def multigraphs(draw):
 def test_random_multigraphs(graph, partition, num_nodes, level, seed):
     part = PARTITIONERS[partition](graph, num_nodes, seed=seed)
     level = min(level, num_nodes - 1)
-    assert_same_build(graph, part, plan_for(graph, part, level, seed))
+    assert_same_build(graph, part, level, seed)
 
 
 class TestTypedFailures:
@@ -176,15 +186,28 @@ class TestTypedFailures:
 
     @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
     def test_master_inside_its_own_replica_set(self, graph, partition):
-        """``plan.validate()`` is skipped at ``ft_level == 0``; the
-        reference caught this only because ``add_slot`` ran per slot."""
+        """The planner validates at every ``ft_level``, so it cannot
+        hand this plan over; construction still refuses it on its own,
+        as the reference's per-slot ``add_slot`` did."""
         part = PARTITIONERS[partition](graph, 4, seed=1)
         plan = plan_for(graph, part, 0)
         gid = 17
         node = int(plan.master_of[gid])
-        plan.replica_nodes[gid] = sorted({*plan.replica_nodes[gid], node})
+        rows = plan.replica_nodes
+        at = rows.ptr[gid] + np.searchsorted(rows[gid], node)
+        corrupted = dataclasses.replace(plan, replica_nodes=NodeRows(
+            rows.ptr + (np.arange(rows.ptr.size) > gid),
+            np.insert(rows.nodes, at, node)))
+        assert corrupted.replica_nodes[gid].tolist() == sorted(
+            {*rows[gid].tolist(), node})
+        wanted = reference_replication.plan_replication(
+            graph, part, ft_config(0))
+        wanted.replica_nodes[gid] = sorted({*wanted.replica_nodes[gid], node})
         message = f"vertex {gid} already present on node {node}"
         with pytest.raises(EngineError, match=message):
-            reference.build_local_graphs(graph, part, plan)
+            reference.build_local_graphs(graph, part, wanted)
         with pytest.raises(EngineError, match=message):
-            build_local_graphs(graph, part, plan)
+            build_local_graphs(graph, part, corrupted)
+        with pytest.raises(ConfigError, match=(
+                f"vertex {gid}: master node {node} also in replicas")):
+            corrupted.validate()

@@ -134,6 +134,30 @@ class TestTimelineContract:
             parent["dur_wall_s"], rel=0.05)
         assert columns["dur_sim_s"] == slots["dur_sim_s"] == 0.0
 
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_replicate_children_tile_their_parent(self, partition):
+        """``load.replicate`` = computation replicas + FT placement +
+        mirror election + validation, each annotated with the vertices
+        it had work for."""
+        big = generators.power_law(1500, alpha=2.0, seed=31, avg_degree=8.0)
+        tracer = Tracer()
+        engine = make_engine(big, "pagerank", num_nodes=8, ft_level=2,
+                             partition=partition, tracer=tracer)
+        (parent,) = tracer.spans("load.replicate")
+        children = [s for s in tracer.spans() if s["parent"] == parent["name"]]
+        assert [s["name"] for s in children] == [
+            f"load.replicate.{step}"
+            for step in ("replicas", "place", "elect", "validate")]
+        plan = engine.plan
+        place, elect = children[1], children[2]
+        assert place["deficient"] == int(
+            (plan.ft_nodes.ptr[1:] > plan.ft_nodes.ptr[:-1]).sum()) > 0
+        assert elect["contested"] == int(
+            (plan.replica_nodes.lengths > 2).sum()) > 0
+        covered = sum(s["dur_wall_s"] for s in children)
+        assert 0.8 * parent["dur_wall_s"] <= covered <= parent["dur_wall_s"]
+        assert all(s["dur_sim_s"] == 0.0 for s in children)
+
     def test_spans_never_leak(self, graph):
         _, _, tracer = traced_run(graph, failures=[(2, [1])],
                                   max_iterations=5)

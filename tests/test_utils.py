@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.utils.hashing import hash_to_node, stable_hash
+from repro.utils.hashing import hash_to_node, stable_hash, stable_hash_array
 from repro.utils.rng import SeededRng, derive_seed
 from repro.utils.sizing import (
     BYTES_PER_EDGE,
@@ -43,6 +44,16 @@ class TestStableHash:
     def test_hash_to_node_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
             hash_to_node(1, 0)
+
+    @pytest.mark.parametrize("salt", [0, 1, 7, 13, 84, -3, 2**40])
+    def test_array_hash_equals_the_scalar_one(self, salt):
+        """The vectorised splitmix every partitioner hashes with."""
+        ids = [0, 1, 2, 2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1,
+               12_500 * 1_000_003 + 7]
+        hashed = stable_hash_array(ids, salt)
+        assert hashed.dtype == np.uint64
+        assert hashed.tolist() == [stable_hash(v, salt) for v in ids]
+        assert stable_hash_array(np.zeros(0, dtype=np.int64), salt).size == 0
 
 
 class TestSeededRng:
