@@ -134,7 +134,7 @@ class SlotArray:
     stamps every position left in one pass, :meth:`take` a selection in
     one pass.  Assigning a slot binds it and writes its committed fields
     into the columns; assigning ``None`` (a tombstone) detaches the slot
-    there first.  :meth:`append` keeps the columns the array's length.
+    there first.  :meth:`grow` keeps the columns the array's length.
     :attr:`materialized` counts the slots stamped from the record.
     ``gids[pos]`` is the gid born at ``pos`` as one ``int`` object, which
     the gid index, the active sets and the slot stamped there share: a
@@ -213,14 +213,16 @@ class SlotArray:
             for name, value in zip(DYNAMIC.values(), fields):
                 setattr(item, name, value)
 
-    def append(self) -> None:
-        """Add a vacant position at the end."""
-        graph = self._graph()
-        self._items.append(None)
-        for name, fill in VACANT.items():
-            column = getattr(graph, name)
-            setattr(graph, name,
-                    np.append(column, np.array([fill], dtype=column.dtype)))
+    def grow(self, length: int) -> None:
+        """Add vacant positions up to ``length``, each column at once."""
+        extra = length - len(self._items)
+        if extra > 0:
+            graph = self._graph()
+            self._items.extend([None] * extra)
+            for name, fill in VACANT.items():
+                column = getattr(graph, name)
+                setattr(graph, name, np.concatenate(
+                    (column, np.full(extra, fill, dtype=column.dtype))))
 
     def holds(self, pos: int) -> bool:
         """Whether a copy lives at ``pos``, stamped or not."""
@@ -429,8 +431,7 @@ class LocalGraph:
         elif position < len(slots) and slots.holds(position):
             raise EngineError(
                 f"position {position} on node {self.node_id} occupied")
-        while len(slots) <= position:
-            slots.append()
+        slots.grow(position + 1)
         slots[position] = slot
         self.index_of[slot.gid] = position
         self.invalidate_soa()

@@ -548,17 +548,16 @@ class RecoveryBatch:
                                              for b in batches])[idx]
         return cls(-1, batches[-1].iteration, **cols)
 
-    def rows_nbytes(self, value_nbytes_of) -> int:
-        """Wire size of the rows: per row an id, 8 bytes of flags and
-        degrees, the value and a 4-byte position, plus its edges and
-        metadata entries."""
-        return (len(self) * (BYTES_PER_VID + 12)
-                + sum(map(value_nbytes_of, self.values))
-                + len(self.edge_gids) * BYTES_PER_EDGE
-                + len(self.replica_nodes) * (BYTES_PER_VID + 4)
-                + len(self.mirror_nodes) * 4)
+    def row_nbytes(self, value_nbytes_of) -> np.ndarray:
+        """Wire size of each row: an id, 8 bytes of flags and degrees, the
+        value and a 4-byte position, plus its edges and metadata entries."""
+        return (np.fromiter(map(value_nbytes_of, self.values), np.int64,
+                            len(self)) + (BYTES_PER_VID + 12)
+                + np.diff(self.edge_ptr) * BYTES_PER_EDGE
+                + np.diff(self.replica_ptr) * (BYTES_PER_VID + 4)
+                + np.diff(self.mirror_ptr) * 4)
 
     def nbytes(self, value_nbytes_of) -> int:
         """Wire size of the batch: the rows plus 16 bytes of shared
         global state."""
-        return 16 + self.rows_nbytes(value_nbytes_of)
+        return 16 + int(self.row_nbytes(value_nbytes_of).sum())

@@ -11,8 +11,8 @@ Both strategies decompose into the paper's three phases:
   no slot outside the selection is read;
 * **Reconstruction** — received rows are written positionally into the
   destination's vertex array: a reborn node is built whole, SoA image and
-  FT census included, in one pass (:func:`reborn_graph`), and single
-  copies are appended to a live node (:func:`place_rows`);
+  FT census included, in one pass (:func:`reborn_graph`), and new copies
+  join a live node a batch at a time (:func:`place_replicas`);
 * **Replay** — activation operations stamped with the last committed
   iteration are re-executed, and selfish vertices' dynamic state is
   recomputed from their neighbors, both over unique sorted positions.
@@ -228,6 +228,7 @@ def place_rows(lg: LocalGraph, batch: RecoveryBatch, last_commit: int,
     values, *flags = _row_state(batch, last_commit)
     slots = stamp_slots(batch, np.arange(len(batch)), [ft_only] * len(batch),
                         full_edges=edge_cut)
+    lg.slots.grow(int(batch.positions.max(initial=-1)) + 1)
     for slot, position, *state in zip(
             slots, batch.positions.tolist(), values,
             *(column.tolist() for column in flags)):
@@ -508,47 +509,6 @@ def check_recoverable(engine: "Engine", failed: set[int], rung: str,
                 n for n in engine._alive() if n not in failed))
 
 
-def create_replica(engine: "Engine", gid: int,
-                   node: int) -> tuple[int, int]:
-    """Create a plain replica of ``gid`` on ``node`` from its master.
-
-    Used when migrated edges, or a moved master's in-edges, land on a
-    node with no local copy of an endpoint ("some new replicas are
-    necessary to retain local access semantics", Section 5.2.1): state
-    fetched from the master, registered in the master's (and every
-    mirror's) metadata, counted as recovery traffic.  Returns
-    ``(position, bytes)``.
-    """
-    master_node = engine.master_node_of[gid]
-    position = len(engine.local_graphs[node].slots)
-    # ``node`` holds no copy, so it is not among the mirrors: the copy is
-    # a plain replica, and one a local edge is about to need.
-    batch = _replica_row(engine, gid, node, position)
-    place_rows(engine.local_graphs[node], batch,
-               last_committed_iteration(engine), False, engine.is_edge_cut)
-    for meta in metadata_copies(engine, gid):
-        meta.replica_positions[node] = position
-        meta.invalidate_replica_cache()
-    # Its sync plan grew; ``add_slot`` covered ``node``.
-    engine.local_graphs[master_node].invalidate_soa()
-    nbytes = batch.rows_nbytes(engine.program.value_nbytes)
-    engine.cluster.network.send(
-        Message(MessageKind.RECOVERY, master_node, node,
-                ("replica-state", gid), nbytes))
-    return position, nbytes
-
-
-def _replica_row(engine: "Engine", gid: int, node: int,
-                 position: int) -> RecoveryBatch:
-    """The 1-row batch a master sends to put a plain replica of ``gid``
-    at ``position`` on ``node``."""
-    master_node = engine.master_node_of[gid]
-    return pack_rows(
-        engine, master_node,
-        np.array([engine.local_graphs[master_node].position_of(gid)]),
-        np.array([RecoveryBatch.REPLICA]), node, np.array([position]))
-
-
 def masters_below(engine: "Engine", alive: list[int],
                   k: int) -> tuple[list[int], int]:
     """Scan the live nodes' masters for FT levels below ``k``.
@@ -594,7 +554,8 @@ def restore_ft_level(engine: "Engine", gids: list[int],
     and new mirrors elected; new mirrors receive the master's full
     state.  ``k`` overrides the target replication level (the adaptive
     floor, DESIGN.md §14); the default is the engine's current effective
-    floor.  Returns ``(replicas_created, mirror_bytes_sent)``.
+    floor.  Returns ``(replicas_created, mirror_bytes_sent)``.  Plans
+    every vertex, places per node (:func:`place_replicas`), publishes.
     """
     if k is None:
         k = engine.membership.effective_floor
@@ -605,9 +566,12 @@ def restore_ft_level(engine: "Engine", gids: list[int],
              if (n < engine.cluster.num_workers
                  or n in engine.local_graphs)
              and engine.cluster.placement_eligible(n)]
-    created = 0
-    bytes_sent = 0
-    program = engine.program
+    created = bytes_sent = 0
+    planned: dict[int, list[int]] = {}  # node -> gids, in plan order
+    elected = []  # (master's graph, master, kept and fresh mirrors)
+
+    def load(n: int) -> tuple[int, int]:
+        return len(engine.local_graphs[n].slots) + len(planned.get(n, ())), n
     for gid in gids:
         master_node = engine.master_node_of[gid]
         master_lg = engine.local_graphs[master_node]
@@ -638,33 +602,30 @@ def restore_ft_level(engine: "Engine", gids: list[int],
                 meta.replica_positions[node] = \
                     engine.local_graphs[node].position_of(gid)
                 created += 1
-                bytes_sent += program.value_nbytes(master_slot.value) \
-                    + BYTES_PER_VID
+                bytes_sent += engine.program.value_nbytes(
+                    master_slot.value) + BYTES_PER_VID
                 continue
             candidates = engine.job.ft.placement_candidates
             sample = (rng.sample(pool, candidates)
                       if len(pool) > candidates else pool)
-            best = min(sample,
-                       key=lambda n: (len(engine.local_graphs[n].slots), n))
-            # A plain FT replica, elected below if chosen as mirror.
-            position = len(engine.local_graphs[best].slots)
-            batch = _replica_row(engine, gid, best, position)
-            place_rows(engine.local_graphs[best], batch,
-                       last_committed_iteration(engine), True,
-                       engine.is_edge_cut)
-            meta.replica_positions[best] = position
+            best = min(sample, key=load)
+            # A plain FT replica, elected below if chosen as mirror; its
+            # entry is taken now, in order, at the position it will get.
+            meta.replica_positions[best] = load(best)[0]
+            planned.setdefault(best, []).append(gid)
             created += 1
-            bytes_sent += batch.rows_nbytes(program.value_nbytes)
         # Elect mirrors up to k, keeping surviving ones; the new ones
         # receive the master's full state.
-        meta.mirror_nodes = [n for n in meta.mirror_nodes
-                             if n in meta.replica_positions]
-        pool = sorted((n for n in meta.replica_positions
-                       if n not in meta.mirror_nodes),
-                      key=lambda n: (len(engine.local_graphs[n].slots), n))
-        fresh = pool[:max(0, min(k, len(meta.replica_positions))
-                          - len(meta.mirror_nodes))]
-        meta.mirror_nodes += fresh
+        keep = [n for n in meta.mirror_nodes if n in meta.replica_positions]
+        pool = sorted((n for n in meta.replica_positions if n not in keep),
+                      key=load)
+        elected.append((master_lg, master_slot, keep, pool[:max(
+            0, min(k, len(meta.replica_positions)) - len(keep))]))
+    for node, placed in planned.items():
+        bytes_sent += place_replicas(engine, node, placed, True)
+    for master_lg, master_slot, keep, fresh in elected:
+        meta = master_slot.meta
+        meta.mirror_nodes = keep + fresh
         meta.invalidate_replica_cache()
         master_lg.invalidate_soa()  # its sync plan and FT level changed
         # Every mirror, new or surviving, gets its seat and the final
@@ -679,9 +640,49 @@ def restore_ft_level(engine: "Engine", gids: list[int],
 # Copy placement after load: every write of a role, a metadata copy or a
 # local edge outside the barrier commit goes through these (Migration,
 # FT repair, elastic moves and drains).  They invalidate no SoA image
-# but through the replicas they create: the caller does, for the write
-# set it knows (DESIGN.md §11).
+# but through the copies :func:`place_replicas` makes: the caller does,
+# for the write set it knows (DESIGN.md §11).
 # ----------------------------------------------------------------------
+
+def place_replicas(engine: "Engine", node: int, gids,
+                   ft_only: bool) -> int:
+    """The one writer of new copies on a live node: plain replicas of
+    ``gids`` (none held on ``node``) at its next free positions, in
+    order — one :func:`pack_rows` per master node, one :func:`place_rows`,
+    each position registered in every metadata copy.  A copy a local
+    edge needs (Section 5.2.1) ships as one ``RECOVERY`` message; the
+    caller books ``ft_only`` ones (a repair round, a master move).  The
+    masters' images drop once, at the end.  Returns the rows' bytes."""
+    if not (gids := list(gids)):
+        return 0
+    lg = engine.local_graphs[node]
+    positions = np.arange(len(lg.slots), len(lg.slots) + len(gids))
+    owners = np.array([engine.master_node_of[gid] for gid in gids])
+    masters = np.unique(owners).tolist()
+    batches = []
+    for owner in masters:
+        rows = np.flatnonzero(owners == owner)
+        at = engine.local_graphs[owner].index_of
+        batches.append(pack_rows(
+            engine, owner, np.array([at[gids[row]] for row in rows]),
+            np.full(rows.size, _B.REPLICA), node, positions[rows]))
+    batch = RecoveryBatch.merge(batches)
+    place_rows(lg, batch, last_committed_iteration(engine), ft_only,
+               engine.is_edge_cut)
+    sizes = batch.row_nbytes(engine.program.value_nbytes).tolist()
+    for gid, position, owner, nbytes in zip(gids, positions.tolist(),
+                                            owners.tolist(), sizes):
+        for meta in metadata_copies(engine, gid):
+            meta.replica_positions[node] = position
+            meta.invalidate_replica_cache()
+        if not ft_only:
+            engine.cluster.network.send(Message(
+                MessageKind.RECOVERY, owner, node, ("replica-state", gid),
+                nbytes))
+    for owner in masters:
+        engine.local_graphs[owner].invalidate_soa()
+    return sum(sizes)
+
 
 def metadata_copies(engine: "Engine", gid: int) -> list[MasterMeta]:
     """``gid``'s master metadata, then each mirror's copy of it."""
@@ -748,7 +749,7 @@ def publish(engine: "Engine", master_lg: LocalGraph, master: VertexSlot,
         if node in fresh:
             slot.mirror_self_active = master.mirror_self_active
             if engine.is_edge_cut:
-                slot.full_edges = _edge_backup(master_lg, master)
+                slot.full_edges = edge_backup(master_lg, master)
                 nbytes += len(slot.full_edges) * BYTES_PER_EDGE
             nbytes += 64
         slot.role = Role.MIRROR
@@ -778,35 +779,37 @@ def announce_master(engine: "Engine", gid: int, meta: MasterMeta) -> int:
 
 def link_edges(engine: "Engine", node: int, edges) -> int:
     """Add the local edges ``(src gid, dst gid, weight)`` to ``node``, in
-    order.  An endpoint the node holds no copy of first gets a plain
-    replica, target before source (:func:`create_replica`).  Returns
-    the bytes those replicas cost."""
+    order.  The endpoints the node holds no copy of first get plain
+    replicas, in one :func:`place_replicas`, in order of first
+    appearance, target before source.  Returns the bytes they cost."""
     lg = engine.local_graphs[node]
-    nbytes = 0
+    edges = list(edges)
+    nbytes = place_replicas(engine, node, dict.fromkeys(
+        gid for src_gid, dst_gid, _ in edges for gid in (dst_gid, src_gid)
+        if gid not in lg.index_of), False)
     for src_gid, dst_gid, weight in edges:
-        for gid in (dst_gid, src_gid):
-            if gid not in lg.index_of:
-                nbytes += create_replica(engine, gid, node)[1]
         dst, src = lg.index_of[dst_gid], lg.index_of[src_gid]
         lg.slots[dst].in_edges.append((src, weight))
         lg.slots[src].out_edges.append(dst)
     return nbytes
 
 
-def relink_master(engine: "Engine", lg: LocalGraph, master: VertexSlot,
-                  sources: list[tuple[int, float]]) -> int:
-    """Rebuild ``master``'s local in-edges on ``lg`` from ``sources``,
-    its ``(src gid, weight)`` pairs in order (:func:`link_edges`), and
-    its edge backup from them.  Returns the bytes of the replicas
-    made."""
-    master.in_edges = []
-    nbytes = link_edges(engine, lg.node_id,
-                        [(gid, master.gid, w) for gid, w in sources])
-    master.full_edges = _edge_backup(lg, master)
+def relink_masters(engine: "Engine", lg: LocalGraph,
+                   masters: list[VertexSlot], backups: list) -> int:
+    """Rebuild ``masters``' local in-edges on ``lg``, in one
+    :func:`link_edges`, from their ``(src gid, position, weight)``
+    ``backups``, and the backups from them.  Returns the replicas' bytes."""
+    for master in masters:
+        master.in_edges = []
+    nbytes = link_edges(engine, lg.node_id, [
+        (gid, master.gid, w)
+        for master, backup in zip(masters, backups) for gid, _, w in backup])
+    for master in masters:
+        master.full_edges = edge_backup(lg, master)
     return nbytes
 
 
-def _edge_backup(lg: LocalGraph, master: VertexSlot) -> list:
+def edge_backup(lg: LocalGraph, master: VertexSlot) -> list:
     """A master's in-edges as ``(src gid, src position, weight)``
     triples, in its node's positions: what a mirror backs up."""
     return [(lg.slots[p].gid, p, w) for p, w in master.in_edges]

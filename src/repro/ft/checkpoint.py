@@ -43,7 +43,7 @@ from repro.engine import construction
 from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import SyncBatch
 from repro.ft.edge_ckpt import (EdgeCkptStore, birth_receivers,
-                                by_receiver, receiver_of)
+                                by_receiver, receivers_of)
 from repro.ft.recovery import RecoveryStats
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
@@ -209,8 +209,9 @@ class CheckpointManager:
         ``dst`` on ``node``: in the edge-ckpt log (bytes counted, time
         overlapped with execution), the safety log or the CKPT journal."""
         if self.edges is not None:
-            self.edges.log(node, receiver_of(self.engine, dst, node), (
-                np.array([src]), np.array([dst]), np.array([weight])))
+            edge = (np.array([src]), np.array([dst]), np.array([weight]))
+            (to,) = receivers_of(self.engine, edge[1], node).tolist()
+            self.edges.log(node, to, edge)
         if self.safety:
             self.safety_log[(src, dst)] = weight
         elif self.interval:

@@ -46,21 +46,21 @@ def birth_receivers(node: int, lg, num_nodes: int) -> np.ndarray:
                     mirror)[topo.in_dst]
 
 
-def receiver_of(engine, target: int, owner: int) -> int:
+def receivers_of(engine, targets: np.ndarray, owner: int) -> np.ndarray:
     """The receiver rule read off the slots, once recovery has written
-    structure: the surviving node that would reload an edge of
-    ``owner`` into ``target``."""
-    master = engine.master_node_of[target]
-    if master != owner:
-        return master
-    meta = engine.local_graphs[master].slot_of(target).meta
-    for node in meta.mirror_nodes:
-        if node != owner:
-            return node
-    # No mirror off the owner (ft_level 0): fall back to the next node
-    # round-robin; recovery of this edge then needs the checkpoint path
-    # anyway.
-    return (owner + 1) % engine.cluster.num_workers
+    structure: per edge of ``owner`` into ``targets``, the surviving
+    node that would reload it."""
+    master_of = engine.master_node_of
+    receivers = np.array([master_of[t] for t in targets.tolist()],
+                         dtype=np.int64)
+    # Mastered on the owner: its first mirror elsewhere, else (ft_level
+    # 0) the next node round-robin, and the checkpoint path recovers it.
+    fallback = (owner + 1) % engine.cluster.num_workers
+    for at in np.flatnonzero(receivers == owner).tolist():
+        meta = engine.local_graphs[owner].slot_of(int(targets[at])).meta
+        receivers[at] = next(
+            (node for node in meta.mirror_nodes if node != owner), fallback)
+    return receivers
 
 
 def concat_edges(chunks) -> Edges:

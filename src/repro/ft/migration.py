@@ -31,7 +31,7 @@ from repro.costmodel import pairwise_comm_time, storage_read_time
 from repro.errors import UnrecoverableFailureError
 from repro.ft import _recovery_common as common
 from repro.ft.edge_ckpt import (Edges, by_receiver, concat_edges, dedupe,
-                                receiver_of)
+                                receivers_of)
 from repro.ft.recovery import RecoveryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,12 +64,14 @@ class MigrationRecovery:
         promotions: list[tuple[int, int]] = []  # (gid, new master node)
         selfish_promoted: list[int] = []
         scan_cost: dict[int, int] = {}
+        holders = {}  # node -> metadata positions (promotion keeps them)
         selfish_opt = engine.selfish_opt_active
         for node in survivors:
             lg = engine.local_graphs[node]
             scan_cost[node] = len(lg.index_of)
             lead, _ = common.leading_mirrors(engine, node, failed_set)
             topo = lg.topology()
+            holders[node] = np.flatnonzero(topo.is_master | topo.is_mirror)
             for gid, selfish in zip(topo.gids[lead].tolist(),
                                     topo.selfish[lead].tolist()):
                 promotions.append((gid, node))
@@ -92,9 +94,8 @@ class MigrationRecovery:
         # DESIGN.md §9).
         for node in survivors:
             lg = engine.local_graphs[node]
-            for slot in lg.iter_slots():
-                if slot.meta is not None:
-                    common.forget_nodes(slot.meta, failed_set)
+            for slot in lg.slots.take(holders[node]):
+                common.forget_nodes(slot.meta, failed_set)
             # Write set (DESIGN.md §11): every survivor's roles and
             # metadata.
             lg.invalidate_soa()
@@ -189,22 +190,22 @@ class MigrationRecovery:
                                   ) -> int:
         """Rebuild promoted masters' local in-edges from full state.
 
-        Sources without a local copy get new replicas whose state is
+        Sources without a local copy get new replicas, a batch per node,
         fetched from their masters (counted as recovery traffic).
         """
         engine = self.engine
-        linked = 0
+        by_node: dict[int, list] = defaultdict(list)
         for gid, node in promotions:
-            lg = engine.local_graphs[node]
-            slot = lg.slot_of(gid)
+            slot = engine.local_graphs[node].slot_of(gid)
             if slot.full_edges is None:
                 raise UnrecoverableFailureError(
                     f"mirror of vertex {gid} lacks the full edge copy")
-            common.relink_master(engine, lg, slot, [
-                (src_gid, weight) for src_gid, _old_pos, weight
-                in slot.full_edges])
-            linked += len(slot.in_edges)
-        return linked
+            by_node[node].append(slot)
+        for node, masters in by_node.items():
+            common.relink_masters(engine, engine.local_graphs[node], masters,
+                                  [slot.full_edges for slot in masters])
+        return sum(len(slot.in_edges) for masters in by_node.values()
+                   for slot in masters)
 
     def _reload_vertex_cut_edges(self, failed: tuple[int, ...],
                                  survivors: list[int]
@@ -265,8 +266,7 @@ class MigrationRecovery:
         # just absorbed: append them to its own edge-ckpt files, one
         # chunk per receiver, overlapped with resumed execution (bytes
         # counted, no normal-execution time charged).
-        receivers = np.array([receiver_of(engine, gid, node)
-                              for gid in dst.tolist()], dtype=np.int64)
-        for to, chunk in by_receiver(receivers, edges).items():
+        for to, chunk in by_receiver(receivers_of(engine, dst, node),
+                                     edges).items():
             engine.ckpt.edges.log(node, to, chunk)
         return src.size

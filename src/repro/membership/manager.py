@@ -482,9 +482,9 @@ class MembershipManager:
             bytes_sent += rbytes
         if moved or finalized:
             self._charge(net, len(moved))
-            # A move's write set is wide (source, destination, every
-            # copy's view of the master, new replicas' masters): this one
-            # caller invalidates every image, not each write site its own.
+            # A drain's prune drops no image for the metadata it writes:
+            # this site does (narrowing it to the prune's holders would
+            # change ``soa.state_builds``); moves drop their own too.
             for lg in engine.local_graphs.values():
                 lg.invalidate_soa()
             post = engine.cluster.clocks.global_max()

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cluster.network import Message, MessageKind
-from repro.engine.state import Role, VertexSlot
 from repro.errors import EngineError
 from repro.ft import _recovery_common as common
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
@@ -60,16 +59,10 @@ def move_master(engine: "Engine", gid: int, dst: int) -> int:
     broadcast_flag = src_slot.replicas_known_active
 
     # -- materialise the master copy on dst -----------------------------
-    if gid in dst_lg.index_of:
-        dst_slot = dst_lg.slot_of(gid)
-    else:
-        dst_slot = VertexSlot(gid=gid, role=Role.REPLICA,
-                              out_degree=src_slot.out_degree,
-                              in_degree=src_slot.in_degree,
-                              master_node=src,
-                              selfish=src_slot.selfish)
-        dst_slot.value = src_slot.value
-        dst_lg.add_slot(dst_slot, position=len(dst_lg.slots))
+    # (its state ships in the move's own message, booked below)
+    if gid not in dst_lg.index_of:
+        common.place_replicas(engine, dst, [gid], True)
+    dst_slot = dst_lg.slot_of(gid)
 
     # -- hand the master seat over, then the master's state -------------
     common.hand_over(engine, gid, src, dst)
@@ -85,8 +78,8 @@ def move_master(engine: "Engine", gid: int, dst: int) -> int:
 
     # -- rebuild the complete in-edge list on dst, in source order ------
     in_edges = src_slot.in_edges
-    bytes_sent += common.relink_master(engine, dst_lg, dst_slot, [
-        (src_lg.slots[p].gid, weight) for p, weight in in_edges])
+    bytes_sent += common.relink_masters(engine, dst_lg, [dst_slot], [
+        common.edge_backup(src_lg, src_slot)])
 
     # -- the outgoing master, demoted in place --------------------------
     src_slot.clear_pending()
@@ -107,6 +100,9 @@ def move_master(engine: "Engine", gid: int, dst: int) -> int:
     bytes_sent += state_nbytes
     # Every copy learns the new location (control traffic).
     bytes_sent += common.announce_master(engine, gid, meta)
+    # Its write set, dropped now: the next move reads through it.
+    for node in {src, dst, *meta.replica_positions}:
+        engine.local_graphs[node].invalidate_soa()
     return bytes_sent
 
 

@@ -52,7 +52,7 @@ class TestRecoveredVertex:
     the value and a 4-byte position, plus its edges and metadata."""
 
     def row_nbytes(self, **kw):
-        return make_batch(dict(kw)).rows_nbytes(lambda v: 8)
+        return int(make_batch(dict(kw)).row_nbytes(lambda v: 8)[0])
 
     def test_replica_size(self):
         assert self.row_nbytes() == BYTES_PER_VID + 8 + 8 + 4
@@ -72,8 +72,8 @@ class TestRecoveryBatch:
         one = make_batch(dict(gid=1, position=0))
         two = make_batch(dict(gid=1, position=0), dict(gid=2, position=1))
         assert two.nbytes(lambda v: 8) > one.nbytes(lambda v: 8)
-        assert two.nbytes(lambda v: 8) == 16 + 2 * one.rows_nbytes(
-            lambda v: 8)
+        assert two.nbytes(lambda v: 8) == 16 + 2 * int(one.row_nbytes(
+            lambda v: 8)[0])
 
     def test_nbytes_pinned_on_every_kind_of_row(self):
         """A master with its in-edges and metadata, an edge-cut mirror,

@@ -144,9 +144,10 @@ class TestRelinkVertexCut:
                          edges=edges((2, 5, 0.5), (2, 7, 1.0)))
 
 
-class TestCreateReplica:
-    """One plain-replica helper behind Migration's edge reload and
-    ``move_master`` (it used to exist verbatim in both)."""
+class TestPlaceReplicas:
+    """One batched plain-replica writer behind Migration's edge reload,
+    ``move_master`` and FT repair (each once had its own per-row
+    loop)."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -160,49 +161,62 @@ class TestCreateReplica:
     def test_registers_in_master_and_every_mirror_copy(self, graph):
         engine = make_engine(graph, "pagerank", num_nodes=5, ft_level=2,
                              num_standby=0, max_iterations=4)
-        gid, node = next(
-            (gid, node) for gid in range(graph.num_vertices)
-            for node in range(5)
-            if gid not in engine.local_graphs[node].index_of)
-        master = engine.local_graphs[
-            engine.master_node_of[gid]].slot_of(gid)
-        mirrors = list(master.meta.mirror_nodes)
-        assert len(mirrors) == 2
-        master.meta.sync_targets()  # warm the cache the helper must drop
+        node = 0
+        gids = [gid for gid in range(graph.num_vertices)
+                if gid not in engine.local_graphs[node].index_of][:6]
+        masters = [engine.local_graphs[engine.master_node_of[gid]]
+                   .slot_of(gid) for gid in gids]
+        assert len({engine.master_node_of[gid] for gid in gids}) > 1
+        mirrors = [list(master.meta.mirror_nodes) for master in masters]
+        assert all(len(seats) == 2 for seats in mirrors)
+        for master in masters:
+            master.meta.sync_targets()  # warm the cache it must drop
+        base = len(engine.local_graphs[node].slots)
         before = self.recovery_bytes(engine)
-        position, nbytes = common.create_replica(engine, gid, node)
-        slot = engine.local_graphs[node].slot_of(gid)
-        assert engine.local_graphs[node].position_of(gid) == position
-        assert slot.role is Role.REPLICA and slot.meta is None
-        assert slot.value == master.value
-        assert slot.master_node == engine.master_node_of[gid]
-        assert master.meta.replica_positions[node] == position
-        assert (node, False) in master.meta.sync_targets()
-        for mirror_node in mirrors:
-            copy = engine.local_graphs[mirror_node].slot_of(gid).meta
-            assert copy.replica_positions[node] == position
+        nbytes = common.place_replicas(engine, node, gids, False)
+        lg = engine.local_graphs[node]
+        for position, gid, master, seats in zip(
+                range(base, base + len(gids)), gids, masters, mirrors):
+            slot = lg.slot_of(gid)
+            assert lg.position_of(gid) == position
+            assert slot.role is Role.REPLICA and slot.meta is None
+            assert not slot.ft_only
+            assert slot.value == master.value
+            assert slot.master_node == engine.master_node_of[gid]
+            assert master.meta.replica_positions[node] == position
+            assert (node, False) in master.meta.sync_targets()
+            for mirror_node in seats:
+                copy = engine.local_graphs[mirror_node].slot_of(gid).meta
+                assert copy.replica_positions[node] == position
         assert self.recovery_bytes(engine) - before \
-            == nbytes + BYTES_PER_MSG_HEADER
+            == nbytes + len(gids) * BYTES_PER_MSG_HEADER
 
     def test_both_callers_book_their_bytes_through_it(self, graph,
                                                       monkeypatch):
         booked = []
-        real = common.create_replica
+        real = common.place_replicas
 
-        def spy(engine, gid, node):
+        def spy(engine, node, gids, ft_only):
+            gids = list(gids)
             before = self.recovery_bytes(engine)
-            position, nbytes = real(engine, gid, node)
-            booked.append((nbytes, self.recovery_bytes(engine) - before))
-            return position, nbytes
+            nbytes = real(engine, node, gids, ft_only)
+            booked.append((ft_only, len(gids), nbytes,
+                           self.recovery_bytes(engine) - before))
+            return nbytes
 
-        monkeypatch.setattr(common, "create_replica", spy)
+        monkeypatch.setattr(common, "place_replicas", spy)
         # Caller 1: Migration reloads a crashed node's vertex-cut edges
         # onto survivors that lack some endpoints.
         run_job(graph, "pagerank", num_nodes=5, max_iterations=5,
                 partition="random_vertex_cut", ft_level=1, num_standby=0,
                 recovery="migration", failures=[(2, (0,))])
         from_migration = len(booked)
-        assert from_migration > 0
+
+        def placed_for_edges(entries):
+            return any(not ft_only and count
+                       for ft_only, count, *_ in entries)
+
+        assert placed_for_edges(booked)
         # Caller 2: a moved master's in-edge sources are missing on the
         # destination.
         engine = make_engine(graph, "pagerank", num_nodes=5, ft_level=1,
@@ -210,8 +224,11 @@ class TestCreateReplica:
         for gid in range(graph.num_vertices):
             dst = (engine.master_node_of[gid] + 1) % 5
             move_master(engine, gid, dst)
-            if len(booked) > from_migration:
+            if placed_for_edges(booked[from_migration:]):
                 break
-        assert len(booked) > from_migration
-        assert all(delta == nbytes + BYTES_PER_MSG_HEADER
-                   for nbytes, delta in booked)
+        assert placed_for_edges(booked[from_migration:])
+        # An edge's replicas ship one message each; FT repair's are
+        # charged by its round.
+        assert all(delta == (0 if ft_only
+                             else nbytes + count * BYTES_PER_MSG_HEADER)
+                   for ft_only, count, nbytes, delta in booked)

@@ -26,6 +26,7 @@ from repro.engine.soa import NodeTopology
 from repro.ft import _recovery_common as common
 from repro.ft import ladder
 from repro.graph import generators
+from repro.membership.rebalance import move_master
 from repro.obs import Tracer
 
 PARTS = ["hash_edge_cut", "hybrid_cut"]
@@ -171,14 +172,33 @@ class TestWriteSites:
         common.replay_activations(engine, [node], None)
         self._check(engine, set())
 
-    def test_create_replica_reaches_the_master(self, graph):
+    def test_place_replicas_reaches_the_masters(self, graph):
         engine = _ran(graph, num_nodes=6)
-        gid, dst = next(
-            (gid, node) for gid in range(graph.num_vertices)
-            for node, lg in engine.local_graphs.items()
-            if gid not in lg.index_of)
-        common.create_replica(engine, gid, dst)
-        self._check(engine, {engine.master_node_of[gid], dst})
+        dst = 0
+        gids = [gid for gid in range(graph.num_vertices)
+                if gid not in engine.local_graphs[dst].index_of][:8]
+        masters = {engine.master_node_of[gid] for gid in gids}
+        assert len(masters) > 1
+        common.place_replicas(engine, dst, gids, False)
+        self._check(engine, masters | {dst})
+
+    def test_move_master_drops_its_write_set(self, graph):
+        """The source, the destination and every copy's node lose their
+        image when the move ends, the new replicas' masters with their
+        placement, so the next move in the same pump reads no stale
+        one: every image left is coherent."""
+        engine = _ran(graph, num_nodes=5)
+        for gid in range(0, graph.num_vertices, 7):
+            src = engine.master_node_of[gid]
+            dst = (src + 1) % 5
+            move_master(engine, gid, dst)
+            meta = engine.local_graphs[dst].slot_of(gid).meta
+            assert not _imaged(engine) & {src, dst,
+                                          *meta.replica_positions}
+            InvariantChecker()._check_soa_coherence(engine, engine._alive(),
+                                                    "manual")
+            for lg in engine.local_graphs.values():
+                lg.topology()
 
     def test_recomputed_selfish_master(self):
         g = generators.power_law(200, alpha=2.0, seed=5, avg_degree=5.0,
