@@ -28,7 +28,6 @@ from repro.api import make_engine
 from repro.datasets import CATALOG
 from repro.datasets import load as load_dataset
 from repro.engine.engine import Engine, RunResult
-from repro.metrics.report import execution_time
 
 #: The paper's cluster size (Section 6.1).
 NUM_NODES = 50
@@ -208,7 +207,7 @@ def overhead_over_base(dataset: str, ft: str, **overrides: Any) -> float:
     """Relative slowdown of an FT config against BASE (Figs. 7/13...)."""
     _, base = run(dataset, ft="none", **overrides)
     _, with_ft = run(dataset, ft=ft, **overrides)
-    return execution_time(with_ft) / execution_time(base) - 1.0
+    return with_ft.execution_time_s() / base.execution_time_s() - 1.0
 
 
 def recovery_stats(dataset: str, *, at_iteration: int = 2,

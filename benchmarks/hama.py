@@ -204,8 +204,6 @@ class PregelEngine:
         msg_num_by_node: dict[int, dict[int, int]] = defaultdict(
             lambda: defaultdict(int))
         compute_edges: dict[int, int] = defaultdict(int)
-        # Messages checkpointed this superstep (Hama stores them all).
-        produced: dict[int, list[tuple[int, Any]]] = defaultdict(list)
 
         for node in alive:
             for vid in sorted(self.active[node]):
@@ -226,7 +224,6 @@ class PregelEngine:
                     outboxes[(node, dst_node)].append(
                         (vid, outgoing))
                     for dst in targets:
-                        produced[node].append((dst, outgoing))
                         msg_count += 1
                         msg_bytes_by_node[node][dst_node] += nbytes
                         msg_num_by_node[node][dst_node] += 1
@@ -254,7 +251,7 @@ class PregelEngine:
         ckpt_time = 0.0
         if self.checkpoint_interval \
                 and (self.iteration + 1) % self.checkpoint_interval == 0:
-            ckpt_time = self._checkpoint(alive, produced)
+            ckpt_time = self._checkpoint(alive)
             for node in alive:
                 self.cluster.clocks.advance(node, ckpt_time)
         post = self.cluster.clocks.barrier(self.model, alive)
@@ -270,14 +267,12 @@ class PregelEngine:
 
     # -- Hama-style checkpoint --------------------------------------------
 
-    def _checkpoint(self, alive: list[int],
-                    produced: dict[int, list[tuple[int, Any]]]) -> float:
+    def _checkpoint(self, alive: list[int]) -> float:
         """Persist vertex values AND in-flight messages (Hama default).
 
         Returns the barrier time added (max over nodes).
         """
         program = self.program
-        del produced  # in-flight state is exactly the delivered inboxes
         slowest = 0.0
         for node in alive:
             values = dict(self.values[node])

@@ -12,7 +12,6 @@ from __future__ import annotations
 from _harness import print_table, run
 
 from repro.datasets import CYCLOPS_WORKLOADS
-from repro.metrics.report import execution_time
 
 
 def test_fig02a_checkpoint_vs_iteration(benchmark):
@@ -45,11 +44,11 @@ def test_fig02b_interval_sweep(benchmark):
 
     def experiment():
         _, base = run("ljournal", ft="none", iterations=8)
-        base_time = execution_time(base)
+        base_time = base.execution_time_s()
         for interval in (1, 2, 4):
             _, result = run("ljournal", ft="checkpoint", iterations=8,
                             checkpoint_interval=interval)
-            overhead = execution_time(result) / base_time - 1.0
+            overhead = result.execution_time_s() / base_time - 1.0
             rows.append([f"interval={interval}", overhead])
         return rows
 

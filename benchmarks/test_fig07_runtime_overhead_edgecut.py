@@ -10,7 +10,6 @@ from __future__ import annotations
 from _harness import overhead_over_base, print_table, run
 
 from repro.datasets import CYCLOPS_WORKLOADS
-from repro.metrics.report import execution_time
 
 
 def test_fig07_runtime_overhead(benchmark):
@@ -25,7 +24,7 @@ def test_fig07_runtime_overhead(benchmark):
             _, base = run(dataset, algorithm=algorithm, ft="none")
             _, mem = run(dataset, algorithm=algorithm, ft="checkpoint",
                          checkpoint_in_memory=True)
-            mem_ckpt = execution_time(mem) / execution_time(base) - 1.0
+            mem_ckpt = mem.execution_time_s() / base.execution_time_s() - 1.0
             rows.append([algorithm, dataset, rep, ckpt, mem_ckpt])
         return rows
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from _harness import print_table, run
 
-from repro.metrics.report import execution_time
 
 ITERS = 20
 CKPT_INTERVAL = 4
@@ -87,5 +86,5 @@ def test_fig12_case_study(benchmark):
     reb_tail = [s.sim_time_s for s in reb.iteration_stats[-5:]]
     mig_tail = [s.sim_time_s for s in mig.iteration_stats[-5:]]
     assert sum(mig_tail) >= sum(reb_tail) * 0.98
-    base_finish = execution_time(base)
+    base_finish = base.execution_time_s()
     assert reb.iteration_stats[-1].sim_clock_s < base_finish + 30

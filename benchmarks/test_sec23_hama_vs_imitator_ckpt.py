@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from _harness import NUM_NODES, print_table, run
 
+from benchmarks.hama import MessagePassingPageRank, PregelEngine
 from repro.datasets import CATALOG, load
-from repro.engine.pregel import MessagePassingPageRank, PregelEngine
 
 DATASETS = ("gweb", "ljournal", "wiki")
 

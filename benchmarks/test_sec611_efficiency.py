@@ -11,7 +11,6 @@ from __future__ import annotations
 from _harness import print_table, run
 
 from repro.ft.young import efficiency
-from repro.metrics.report import execution_time
 
 
 def test_sec611_efficiency(benchmark):
@@ -29,8 +28,8 @@ def test_sec611_efficiency(benchmark):
         # one iteration's worth of replication overhead.
         ckpt_payment = (sum(s.checkpoint_s for s in ckpt.iteration_stats)
                         / iters)
-        rep_payment = max(1e-4, (execution_time(rep)
-                                 - execution_time(base)) / iters)
+        rep_payment = max(1e-4, (rep.execution_time_s()
+                                 - base.execution_time_s()) / iters)
         _, reb = run("twitter", ft="replication", partition="hybrid_cut",
                      iterations=3, recovery="migration",
                      failures=((1, (5,)),))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from _harness import print_table, run
 
-from repro.metrics import total_cluster_memory
 
 
 def test_tab03_memory_vs_ft_level(benchmark):
@@ -20,13 +19,13 @@ def test_tab03_memory_vs_ft_level(benchmark):
         engine, _ = run("wiki", ft="none", iterations=4)
         per_node = max(engine.memory_report().values())
         rows.append(["w/o FT", per_node / 2**20,
-                     total_cluster_memory(engine) / 2**20])
+                     sum(engine.memory_report().values()) / 2**20])
         for level in (1, 2, 3):
             engine, _ = run("wiki", ft="replication", ft_level=level,
                             iterations=4)
             per_node = max(engine.memory_report().values())
             rows.append([f"FT/{level}", per_node / 2**20,
-                         total_cluster_memory(engine) / 2**20])
+                         sum(engine.memory_report().values()) / 2**20])
         return rows
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from _harness import print_table, run
 
-from repro.metrics.report import execution_time
 
 CUTS = ("random_vertex_cut", "grid_vertex_cut", "hybrid_cut")
 SHORT = {"random_vertex_cut": "random", "grid_vertex_cut": "grid",
@@ -42,7 +41,7 @@ def test_tab06_ft_levels_vs_partitioning(benchmark):
                     _, result = run("twitter", ft="replication",
                                     partition=cut, ft_level=level,
                                     iterations=3)
-                times.append(execution_time(result))
+                times.append(result.execution_time_s())
                 comms.append(comm_gb_per_iter(result))
             time_rows.append([SHORT[cut]] + times)
             comm_rows.append([SHORT[cut]] + comms)

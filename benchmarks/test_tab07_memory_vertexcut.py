@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from _harness import print_table, run
 
-from repro.metrics import total_cluster_memory
 
 CUTS = ("random_vertex_cut", "grid_vertex_cut", "hybrid_cut")
 SHORT = {"random_vertex_cut": "random", "grid_vertex_cut": "grid",
@@ -24,13 +23,13 @@ def test_tab07_memory(benchmark):
         for cut in CUTS:
             engine, _ = run("twitter", ft="none", partition=cut,
                             iterations=3)
-            base = total_cluster_memory(engine)
+            base = sum(engine.memory_report().values())
             row = [SHORT[cut], base / 2**20]
             for level in (1, 2, 3):
                 engine, _ = run("twitter", ft="replication",
                                 partition=cut, ft_level=level,
                                 iterations=3)
-                mem = total_cluster_memory(engine)
+                mem = sum(engine.memory_report().values())
                 row.append(100 * (mem / base - 1.0))
             rows.append(row)
         return rows

@@ -7,12 +7,13 @@ which the cost model turns into communication time, plus job-lifetime
 totals that back the paper's communication-cost tables (Table 6).
 
 Fail-stop interaction: a message addressed to a crashed node is dropped
-(counted in ``dropped_msgs``); when a node crashes, its not-yet-delivered
-outgoing messages are purged — exactly the "messages from crashed nodes
-may be lost" situation that forces the rollback in Algorithm 1.  Purged
-traffic is deducted from the *step* counters (the barrier must not
-charge comm time for bytes that never completed the exchange) but stays
-in the lifetime totals (those bytes did cross the wire).
+(counted in ``net.dropped_msgs``); when a node crashes, its
+not-yet-delivered outgoing messages are purged — exactly the "messages
+from crashed nodes may be lost" situation that forces the rollback in
+Algorithm 1.  Purged traffic is deducted from the *step* counters (the
+barrier must not charge comm time for bytes that never completed the
+exchange) but stays in the lifetime totals (those bytes did cross the
+wire).
 
 Columnar batches (DESIGN.md §10): a payload flagged ``is_columnar``
 carries N logical records in one physical message.  Record-level
@@ -27,8 +28,8 @@ per-verdict sub-batches (each with its own header), so the chaos matrix
 and differential oracles keep record-level semantics.
 
 Counters live in a :class:`repro.obs.MetricsRegistry` under the
-``net.*`` namespace; the legacy attribute names (``dropped_msgs``,
-``chaos_duplicated_msgs``, ...) are registry-backed views.
+``net.*`` namespace (``net.dropped_msgs``, ``net.chaos_duplicated_msgs``,
+...); read them with ``net.metrics.value(name)``.
 """
 
 from __future__ import annotations
@@ -222,39 +223,6 @@ class Network:
             return
         metrics.absorb(self.metrics)
         self.metrics = metrics
-
-    @property
-    def dropped_msgs(self) -> int:
-        """Messages dropped at a dead destination."""
-        return int(self.metrics.value("net.dropped_msgs"))
-
-    @property
-    def dropped_bytes(self) -> int:
-        """Wire bytes (incl. header) of messages dropped at a dead
-        destination; keeps the cost model's traffic accounting honest
-        during failure windows."""
-        return int(self.metrics.value("net.dropped_bytes"))
-
-    @property
-    def chaos_dropped_msgs(self) -> int:
-        return int(self.metrics.value("net.chaos_dropped_msgs"))
-
-    @property
-    def chaos_dropped_bytes(self) -> int:
-        return int(self.metrics.value("net.chaos_dropped_bytes"))
-
-    @property
-    def chaos_duplicated_msgs(self) -> int:
-        return int(self.metrics.value("net.chaos_duplicated_msgs"))
-
-    @property
-    def chaos_delayed_msgs(self) -> int:
-        return int(self.metrics.value("net.chaos_delayed_msgs"))
-
-    @property
-    def purged_msgs(self) -> int:
-        """In-flight messages discarded by crash purges (both kinds)."""
-        return int(self.metrics.value("net.purged_msgs"))
 
     # -- step lifecycle -------------------------------------------------
 

@@ -186,8 +186,6 @@ class EngineConfig:
     partition: PartitionStrategy = PartitionStrategy.HASH_EDGE_CUT
     #: Maximum number of iterations (supersteps) to run.
     max_iterations: int = 20
-    #: Stop early once no vertex is active.
-    halt_on_inactive: bool = True
     #: Elide sync records for masters whose committed update is a
     #: non-activating no-op (value and flags unchanged).  Never changes
     #: results; collapses traffic in the convergence tail.

@@ -6,18 +6,8 @@ from repro.engine.state import Role, VertexSlot
 from repro.engine.local_graph import LocalGraph
 from repro.engine.construction import build_local_graphs, ConstructionReport
 from repro.engine.engine import Engine, IterationStats, RunResult
-from repro.engine.pregel import (
-    MessagePassingPageRank,
-    PregelEngine,
-    PregelProgram,
-    PregelResult,
-)
 
 __all__ = [
-    "PregelEngine",
-    "PregelProgram",
-    "PregelResult",
-    "MessagePassingPageRank",
     "VertexProgram",
     "VertexView",
     "ApplyContext",

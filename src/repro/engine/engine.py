@@ -116,6 +116,11 @@ class RunResult:
         times = [s.sim_time_s - s.checkpoint_s for s in self.iteration_stats]
         return sum(times) / len(times) if times else 0.0
 
+    def execution_time_s(self) -> float:
+        """Normal-execution simulated time (checkpoints included,
+        recovery excluded): what the overhead figures compare."""
+        return sum(s.sim_time_s for s in self.iteration_stats)
+
 
 @dataclass(frozen=True)
 class _ScheduledFailure:
@@ -338,7 +343,7 @@ class Engine:
             self._chaos_point("post_commit")
             self.membership.post_commit()
             self.iteration += 1
-            if self._halted and self.job.engine.halt_on_inactive:
+            if self._halted:
                 self.tracer.instant("halt", cat="engine",
                                     iteration=self.iteration)
                 break

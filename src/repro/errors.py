@@ -83,7 +83,3 @@ class UnrecoverableFailureError(FaultToleranceError):
 
 class NoStandbyNodeError(FaultToleranceError):
     """Rebirth recovery was requested but no standby node is available."""
-
-
-class CheckpointError(FaultToleranceError):
-    """A checkpoint could not be written or read back."""

@@ -348,11 +348,7 @@ class MembershipManager:
                     slot.last_activates = batch.activates(i)
                     if slot.is_mirror:
                         slot.mirror_self_active = batch.self_active(i)
-        for node in alive:
-            engine.cluster.clocks.advance(node, pairwise_comm_time(
-                engine.model, net.step_bytes, net.step_msgs, node))
-        engine._last_barrier_clock = engine.cluster.clocks.barrier(
-            engine.model, alive)
+        engine._last_barrier_clock = self._comm_barrier(alive)
         engine.metrics.inc("membership.flap_resync_records", records)
         engine.tracer.instant("membership.flap_resync", cat="membership",
                               nodes=flapped, records=records)
@@ -394,12 +390,7 @@ class MembershipManager:
         self.policy.repair_result(len(batch), len(batch) - still)
         if created:
             repair_s = common.repair_transfer_s(engine, created, len(alive))
-            for node in alive:
-                engine.cluster.clocks.advance(node, pairwise_comm_time(
-                    engine.model, net.step_bytes, net.step_msgs, node))
-                engine.cluster.clocks.advance(node, repair_s)
-            engine._last_barrier_clock = engine.cluster.clocks.barrier(
-                engine.model, alive)
+            engine._last_barrier_clock = self._comm_barrier(alive, repair_s)
         engine.metrics.inc("ft.policy.repair_rounds")
         engine.metrics.inc("ft.policy.repair_replicas", created)
         engine.metrics.inc("ft.policy.repair_bytes", bytes_sent)
@@ -558,16 +549,26 @@ class MembershipManager:
     def _charge(self, net, moved: int) -> None:
         """Charge transfer time: comm + reconstruction + one round."""
         engine = self.engine
-        model = engine.model
         alive = engine._alive()
         for node in alive:
             net.deliver(node)
-        transfer_s = common.repair_transfer_s(engine, moved, len(alive))
+        self._comm_barrier(
+            alive, common.repair_transfer_s(engine, moved, len(alive)))
+
+    def _comm_barrier(self, alive: list[int],
+                      extra_s: float | None = None) -> float:
+        """Advance each alive clock by its comm time for the network's
+        step counters, then by ``extra_s`` if given, and barrier them;
+        returns the post-barrier clock."""
+        engine = self.engine
+        clocks = engine.cluster.clocks
+        net = engine.cluster.network
         for node in alive:
-            engine.cluster.clocks.advance(node, pairwise_comm_time(
-                model, net.step_bytes, net.step_msgs, node))
-            engine.cluster.clocks.advance(node, transfer_s)
-        engine.cluster.clocks.barrier(model, alive)
+            clocks.advance(node, pairwise_comm_time(
+                engine.model, net.step_bytes, net.step_msgs, node))
+            if extra_s is not None:
+                clocks.advance(node, extra_s)
+        return clocks.barrier(engine.model, alive)
 
 
     # -- the run's report -----------------------------------------------

@@ -1,14 +1,15 @@
 """One queryable home for the counters scattered across the system.
 
-Before this module existed every subsystem grew its own ad-hoc ints:
-``Network.dropped_msgs``, ``Network.chaos_*``, the engine's
-``_step_stats`` tuple, per-recovery ``RecoveryStats`` fields.  The
-:class:`MetricsRegistry` absorbs them behind one namespace-dotted
-counter/gauge interface (``net.sent_bytes``, ``chaos.crashes``,
-``engine.supersteps``, ...) and supports **per-superstep snapshots**:
-the engine snapshots the registry inside every barrier commit, so the
-full counter trajectory of a run can be replayed superstep by
-superstep (the paper's per-phase traffic breakdowns, Figs. 8/14).
+The network's drop, chaos and purge counts, the engine's per-step
+stats and per-recovery ``RecoveryStats`` fields all live here, behind
+one namespace-dotted counter/gauge interface (``net.dropped_msgs``,
+``net.chaos_duplicated_msgs``, ``net.sent_bytes``, ``chaos.crashes``,
+``engine.supersteps``, ...); the network keeps no count attributes of
+its own, so read them with ``metrics.value(name)``.  The registry
+supports **per-superstep snapshots**: the engine snapshots it inside
+every barrier commit, so the full counter trajectory of a run can be
+replayed superstep by superstep (the paper's per-phase traffic
+breakdowns, Figs. 8/14).
 
 Counters are monotonic; gauges are last-write-wins.  Both are plain
 dict entries — incrementing one is a hash lookup and an add, cheap

@@ -39,6 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING
 
+from repro.errors import ConfigError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
 
@@ -52,7 +54,8 @@ class ReplicaRouter:
     def __init__(self, engine: "Engine", seed: int = 0,
                  policy: str = "round_robin"):
         if policy not in ("round_robin", "least_loaded"):
-            raise ValueError(f"unknown routing policy {policy!r}")
+            raise ConfigError(f"unknown routing policy {policy!r}; "
+                              "expected 'round_robin' or 'least_loaded'")
         self.engine = engine
         self.policy = policy
         #: Reads served per node (the per-replica load report).

@@ -110,7 +110,7 @@ class TestDuplicateIndependence:
         net.fault_injector = lambda msg: "duplicate"
         net.send(Message(MessageKind.SYNC, 0, 1, "x", 8))
         wire = 8 + BYTES_PER_MSG_HEADER
-        assert net.chaos_duplicated_msgs == 1
+        assert net.metrics.value("net.chaos_duplicated_msgs") == 1
         assert net.totals.total_msgs == 2
         assert net.totals.total_bytes == 2 * wire
         assert net.step_msgs_sent_by(0) == 2
@@ -129,7 +129,7 @@ class TestPurgeStepDeduction:
         # Survivor traffic untouched, lifetime totals keep everything.
         assert net.step_msgs_sent_by(2) == 1
         assert net.totals.total_msgs == 3
-        assert net.purged_msgs == 2
+        assert net.metrics.value("net.purged_msgs") == 2
 
     def test_self_sends_never_deducted(self):
         net = make_net()
@@ -175,7 +175,7 @@ class TestQueueKeyBoundedness:
         net.send(Message(MessageKind.SYNC, 2, 1, "x", 8))
         assert net.purge_inbox(1) == 2
         assert net.queued_node_ids() == set()
-        assert net.purged_msgs == 2
+        assert net.metrics.value("net.purged_msgs") == 2
 
     def test_purge_from_removes_emptied_keys(self):
         net = make_net()

@@ -88,7 +88,7 @@ class TestBatchAccounting:
         batch = sync_batch(4)
         net.send(Message(MessageKind.SYNC, 0, 1, batch, batch.nbytes()))
         assert net.purge_from(0) == 1  # one physical queue entry
-        assert net.purged_msgs == 4   # four logical records
+        assert net.metrics.value("net.purged_msgs") == 4  # four records
         assert net.step_msgs_sent_by(0) == 0
         assert net.step_bytes_sent_by(0) == 0
 
@@ -180,10 +180,11 @@ class TestChaosSubBatchSplitting:
         # main sub-batch (records 0 and 2), duplicate (record 2), then
         # the delayed sub-batch (record 3) at the back of the inbox.
         assert [m.payload.gids for m in inbox] == [[0, 2], [2], [3]]
-        assert net.chaos_dropped_msgs == 1
-        assert net.chaos_dropped_bytes == batch.record_nbytes(1)
-        assert net.chaos_duplicated_msgs == 1
-        assert net.chaos_delayed_msgs == 1
+        assert net.metrics.value("net.chaos_dropped_msgs") == 1
+        assert net.metrics.value("net.chaos_dropped_bytes") \
+            == batch.record_nbytes(1)
+        assert net.metrics.value("net.chaos_duplicated_msgs") == 1
+        assert net.metrics.value("net.chaos_delayed_msgs") == 1
         # Record counters see 4 delivered records (0, 2, 2-dup, 3);
         # each of the 3 sub-batches pays its own header.
         assert net.totals.total_msgs == 4
@@ -506,8 +507,9 @@ class TestRawGatherChaos:
         assert main.payload.gids == [10, 12]
         assert main.payload.counts == [3, 1]
         assert main.payload.contribs == [0.125, 0.25, 0.5, 5.0]
-        assert net.chaos_dropped_msgs == 1
-        assert net.chaos_dropped_bytes == batch.record_nbytes(1)
+        assert net.metrics.value("net.chaos_dropped_msgs") == 1
+        assert net.metrics.value("net.chaos_dropped_bytes") \
+            == batch.record_nbytes(1)
 
     def test_delay_travels_with_group(self):
         net, _, _ = self.send_raw(["deliver", "delay", "deliver"])
@@ -579,10 +581,10 @@ class TestCombiningDifferential:
         assert on.total_messages == off.total_messages
         assert on.total_bytes == off.total_bytes
         net_on, net_off = eng_on.cluster.network, eng_off.cluster.network
-        assert net_on.chaos_dropped_msgs == net_off.chaos_dropped_msgs
-        assert net_on.chaos_dropped_bytes == net_off.chaos_dropped_bytes
-        assert net_on.chaos_delayed_msgs == net_off.chaos_delayed_msgs
-        assert net_on.chaos_dropped_msgs > 0  # non-vacuous
+        for name in ("net.chaos_dropped_msgs", "net.chaos_dropped_bytes",
+                     "net.chaos_delayed_msgs"):
+            assert net_on.metrics.value(name) == net_off.metrics.value(name)
+        assert net_on.metrics.value("net.chaos_dropped_msgs") > 0  # non-vacuous
 
 
 
@@ -711,7 +713,8 @@ class TestArrayColumns:
             assert isinstance(msg.payload.gids, np.ndarray)
             assert type(msg.payload.nbytes()) is int
             assert msg.nbytes == msg.payload.nbytes()
-        assert net.chaos_dropped_bytes == batch.record_nbytes(1)
+        assert net.metrics.value("net.chaos_dropped_bytes") \
+            == batch.record_nbytes(1)
         assert net.totals.total_bytes == sum(
             batch.record_nbytes(i) for i in (0, 2, 2, 3)) \
             + 3 * BYTES_PER_MSG_HEADER

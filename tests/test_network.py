@@ -43,16 +43,18 @@ class TestSendDeliver:
     def test_send_to_dead_node_drops(self):
         net, alive = make_net({0, 1})
         net.send(Message(MessageKind.SYNC, 0, 2, "x", 8))
-        assert net.dropped_msgs == 1
-        assert net.dropped_bytes == 8 + BYTES_PER_MSG_HEADER
+        assert net.metrics.value("net.dropped_msgs") == 1
+        assert net.metrics.value("net.dropped_bytes") \
+            == 8 + BYTES_PER_MSG_HEADER
 
     def test_dropped_bytes_accumulate_and_stay_out_of_totals(self):
         net, _ = make_net({0, 1})
         net.begin_step()
         net.send(Message(MessageKind.SYNC, 0, 2, "x", 8))
         net.send(Message(MessageKind.GATHER, 1, 2, "yy", 24))
-        assert net.dropped_msgs == 2
-        assert net.dropped_bytes == 8 + 24 + 2 * BYTES_PER_MSG_HEADER
+        assert net.metrics.value("net.dropped_msgs") == 2
+        assert net.metrics.value("net.dropped_bytes") \
+            == 8 + 24 + 2 * BYTES_PER_MSG_HEADER
         # Dropped traffic never pollutes the delivered-bytes accounting.
         assert net.totals.total_bytes == 0
         assert net.step_bytes_sent_by(0) == 0

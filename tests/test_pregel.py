@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import run_job
-from repro.engine.pregel import (
+from benchmarks.hama import (
     MessagePassingPageRank,
     PregelEngine,
     PregelProgram,
 )
+from repro.api import run_job
 from repro.errors import EngineError, UnrecoverableFailureError
 from repro.graph import generators
 

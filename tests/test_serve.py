@@ -247,7 +247,7 @@ class TestRouting:
         assert max(loads) - min(loads) <= 1
 
     def test_unknown_policy_rejected(self, engine):
-        with pytest.raises(ValueError, match="policy"):
+        with pytest.raises(ConfigError, match="policy"):
             ReplicaRouter(engine, policy="random")
 
     def test_selfish_vertices_pinned_to_master(self, engine):
@@ -518,6 +518,11 @@ class TestDrainPath:
         with pytest.raises(ConfigError, match="topk_fraction"):
             SimulatorBackend().run(graph, spec)
 
+    def test_unknown_policy_is_a_config_error(self, graph):
+        spec = make_spec(serve=(("num_queries", 2000), ("policy", "random")))
+        with pytest.raises(ConfigError, match="round_robin"):
+            SimulatorBackend().run(graph, spec)
+
     def test_topk_cache_bypassed_while_the_fence_is_armed(self, graph):
         engine = make_engine(graph, **make_spec(serve=()).engine_kwargs())
         engine.run()
@@ -585,6 +590,14 @@ class TestCrossBackendServing:
                                 ("topk_fraction", 0.5)))
         with MultiprocessingBackend() as backend:
             with pytest.raises(ConfigError, match="topk_fraction"):
+                backend.run(graph, spec)
+        assert multiprocessing.active_children() == []
+
+    def test_unknown_policy_is_a_config_error(self, graph):
+        from repro.exec.mp import MultiprocessingBackend
+        spec = make_spec(serve=(("num_queries", 2000), ("policy", "random")))
+        with MultiprocessingBackend() as backend:
+            with pytest.raises(ConfigError, match="least_loaded"):
                 backend.run(graph, spec)
         assert multiprocessing.active_children() == []
 
