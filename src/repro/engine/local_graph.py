@@ -18,7 +18,9 @@ stamped only where a consumer indexes one (a whole node in one batched
 pass when one iterates).  The authority rule (DESIGN.md §3): the columns
 are the state; a slot is a view — stamped or placed here, it is bound to
 its position and its six committed fields read and write the columns
-there.
+there.  The read rule: a reader that must not stamp reads a position's
+static columns and metadata from its slot if stamped, else from the
+birth record (:meth:`SlotArray.metadata`).
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ VACANT = {"values": 0, "active": False, "last_activates": False,
           "last_update": -1}
 #: An entry of a :class:`SlotArray` no consumer has indexed yet.
 _UNSTAMPED = object()
+#: A role's code in a :class:`RecoveryBatch`.
+_ROLE_CODE = {role: code for code, role in enumerate(_B.ROLES)}
 
 
 def stamp_slots(rows: RecoveryBatch, at: np.ndarray, ft_only,
@@ -124,6 +128,27 @@ def _metas(nodes, positions, replicas, mirror_nodes, mirrors, master_node,
                          mirror_nodes[seat:seat + seats], node, position)
         at += count
         seat += seats
+
+
+def _csr_group(n: int, rec: RecoveryBatch, ptr: str, names, fresh, rows,
+               at, counts: list, columns) -> dict[str, np.ndarray]:
+    """One CSR group of :meth:`SlotArray.metadata`'s ``n`` rows: rows
+    ``fresh`` sliced from the birth record ``rec`` at its ``rows``, rows
+    ``at`` from the stamped slots' ``counts`` and flat ``columns``, every
+    other row empty."""
+    count = np.zeros(n, dtype=np.int64)
+    src, count[fresh] = csr_rows(getattr(rec, ptr), rows)
+    count[at] = counts
+    out = {ptr: csr_ptr(count)}
+    into, _ = csr_rows(out[ptr], fresh)
+    here, _ = csr_rows(out[ptr], at)
+    for name, column in zip(names, columns):
+        flat = out[name] = np.empty(
+            int(out[ptr][-1]),
+            dtype=np.float64 if name == "edge_weights" else np.int64)
+        flat[into] = getattr(rec, name)[src]
+        flat[here] = column
+    return out
 
 
 class SlotArray:
@@ -287,6 +312,54 @@ class SlotArray:
                 positions.append(pos)
                 out.append(item.gid)
         return np.array(positions, dtype=np.int64), out
+
+    def metadata(self, positions) -> dict[str, np.ndarray]:
+        """The copies at ``positions`` as columns in the
+        :class:`RecoveryBatch` shape: ``gids``, ``roles``, ``selfish``,
+        ``master_node``, ``master_position`` (-1 on a replica) and the
+        metadata CSR groups — replica nodes and positions and mirror nodes
+        of a master or mirror, an edge-cut mirror's edge backup.  Read
+        from the slot where one is stamped, else from the birth record,
+        one ``csr_rows`` slice per group: the rule of :meth:`placement`,
+        exact because every structural writer reaches a slot first.
+        Stamps nothing."""
+        pos = np.asarray(positions, dtype=np.int64)
+        entries = [self._items[p] for p in pos.tolist()]
+        lazy = np.array([s is _UNSTAMPED for s in entries], dtype=bool)
+        fresh, at = np.flatnonzero(lazy), np.flatnonzero(~lazy)
+        slots = [entries[i] for i in at.tolist()]
+        metas = [s.meta for s in slots]
+        rec = _B.empty() if self._rows is None else self._rows
+        rows = pos[fresh] if self._row_of is None else self._row_of[
+            pos[fresh]]
+        out = {}
+        for name, dtype, stamped in (
+                ("gids", np.int64, [s.gid for s in slots]),
+                ("roles", np.int64, [_ROLE_CODE[s.role] for s in slots]),
+                ("selfish", bool, [s.selfish for s in slots]),
+                ("master_node", np.int64, [s.master_node for s in slots]),
+                ("master_position", np.int64,
+                 [-1 if m is None else m.master_position for m in metas])):
+            column = out[name] = np.empty(pos.size, dtype=dtype)
+            column[fresh] = getattr(rec, name)[rows]
+            column[at] = stamped
+        held = [i for i, m in enumerate(metas) if m is not None]
+        metas = [metas[i] for i in held]
+        mirrors = [i for i, s in enumerate(slots) if s.role is Role.MIRROR]
+        backups = [slots[i].full_edges or () for i in mirrors]
+        backed = (rec.roles[rows] == _B.MIRROR) & self._full_edges
+        for (ptr, names), group in zip(_B._CSR, (
+                (fresh, rows, at[held],
+                 [len(m.replica_positions) for m in metas],
+                 ([n for m in metas for n in m.replica_positions],
+                  [p for m in metas for p in m.replica_positions.values()])),
+                (fresh, rows, at[held], [len(m.mirror_nodes) for m in metas],
+                 ([n for m in metas for n in m.mirror_nodes],)),
+                (fresh[backed], rows[backed], at[mirrors],
+                 [len(b) for b in backups],
+                 [[e[k] for b in backups for e in b] for k in range(3)]))):
+            out.update(_csr_group(pos.size, rec, ptr, names, *group))
+        return out
 
     @property
     def birth(self) -> tuple[RecoveryBatch, object]:

@@ -438,6 +438,18 @@ def csr_rows(ptr: np.ndarray, rows: np.ndarray
             - np.repeat(np.cumsum(counts) - counts - starts, counts)), counts
 
 
+def csr_first(ptr: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """Per CSR row over ``ptr``, the flat index of its first entry where
+    ``hits`` holds, -1 where none does."""
+    at = np.flatnonzero(hits)
+    rows = np.searchsorted(ptr, at, side="right") - 1
+    first = np.ones(at.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    out = np.full(ptr.size - 1, -1, dtype=np.int64)
+    out[rows[first]] = at[first]
+    return out
+
+
 def csr_ptr(counts) -> np.ndarray:
     """CSR row pointer over per-row lengths."""
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))

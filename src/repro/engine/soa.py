@@ -2,8 +2,9 @@
 
 A node is born as columns and its slots
 (:class:`~repro.engine.state.VertexSlot`) are stamped lazily
-(``engine/local_graph.py``; recovery rungs and membership moves read
-and write the slots they stamp), and the vectorized compute path,
+(``engine/local_graph.py``; Migration, FT repair and membership moves
+write the slots they stamp, while a Rebirth reads metadata as columns,
+``SlotArray.metadata``, and stamps none), and the vectorized compute path,
 recovery's selection and checkpointing need the *static* shape of a
 node's graph as flat numpy arrays: role masks,
 degrees, the local in-/out-edge lists in CSR-style per-edge arrays, the

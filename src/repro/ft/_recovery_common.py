@@ -7,8 +7,9 @@ Both strategies decompose into the paper's three phases:
   location knowledge is in the master metadata every master and mirror
   already holds, and in the image's ``sync_plan`` / ``sync_peer``), then
   pack the selected rows into columnar
-  :class:`~repro.engine.messages.RecoveryBatch`\\ es (:func:`pack_rows`);
-  no slot outside the selection is read;
+  :class:`~repro.engine.messages.RecoveryBatch`\\ es (:func:`pack_rows`),
+  reading the metadata as columns (``SlotArray.metadata``): no slot is
+  stamped;
 * **Reconstruction** — received rows are written positionally into the
   destination's vertex array: a reborn node is built whole, SoA image and
   FT census included, in one pass (:func:`reborn_graph`), and new copies
@@ -24,7 +25,6 @@ them and do the strategy-specific accounting.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -32,7 +32,8 @@ import numpy as np
 from repro.cluster.network import Message, MessageKind
 from repro.engine.construction import ft_census, sync_columns
 from repro.engine.local_graph import DYNAMIC, LocalGraph, stamp_slots
-from repro.engine.messages import RecoveryBatch, csr_ptr, csr_rows
+from repro.engine.messages import (RecoveryBatch, csr_first, csr_ptr,
+                                   csr_rows)
 from repro.engine.soa import NodeTopology
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError, UnrecoverableFailureError
@@ -51,38 +52,28 @@ def last_committed_iteration(engine: "Engine") -> int:
     return engine.iteration - 1
 
 
-def surviving_recoverer(meta: MasterMeta, failed: set[int]) -> int | None:
-    """The node leading recovery of a vertex whose master crashed.
-
-    Mirror ids order the mirrors; the surviving mirror with the lowest
-    id does the work so the others stay silent (Section 5.3.1).
-    Returns ``None`` when every mirror crashed too.
-    """
-    for node in meta.mirror_nodes:
-        if node not in failed:
-            return node
-    return None
-
-
 def _orphaned_mirrors(topo, failed: set[int]) -> np.ndarray:
     """Positions of the mirrors whose master sat on a failed node."""
     return np.flatnonzero(topo.is_mirror
                           & np.isin(topo.master_node, sorted(failed)))
 
 
-def leading_mirrors(engine: "Engine", node: int, failed: set[int]
-                    ) -> tuple[np.ndarray, list[MasterMeta]]:
-    """The mirrors on ``node`` leading the recovery of a master lost
-    with ``failed`` (:func:`surviving_recoverer`): their positions,
-    ascending, and metadata.  A mask over the node's image picks the
-    candidates (:func:`_orphaned_mirrors`) and only their slots are
-    read."""
+def leading_mirrors(engine: "Engine", node: int,
+                    failed: set[int]) -> np.ndarray:
+    """The positions, ascending, of the mirrors on ``node`` leading the
+    recovery of a master lost with ``failed``: mirror ids order the
+    mirrors, and the surviving one with the lowest id does the work so
+    the others stay silent (Section 5.3.1).  A mask over the node's image
+    picks the candidates (:func:`_orphaned_mirrors`); their mirror lists
+    are read as columns (``SlotArray.metadata``)."""
     lg = engine.local_graphs[node]
     candidates = _orphaned_mirrors(lg.topology(), failed)
-    metas = [slot.meta for slot in lg.slots.take(candidates)]
-    lead = [surviving_recoverer(meta, failed) == node for meta in metas]
-    return (candidates[np.array(lead, dtype=bool)],
-            [meta for meta, keep in zip(metas, lead) if keep])
+    meta = lg.slots.metadata(candidates)
+    seats = meta["mirror_nodes"]
+    first = csr_first(meta["mirror_ptr"], ~np.isin(seats, sorted(failed)))
+    lead = first >= 0
+    lead[lead] = seats[first[lead]] == node
+    return candidates[lead]
 
 
 def _committed_rows(lg: LocalGraph, pos: np.ndarray):
@@ -90,17 +81,13 @@ def _committed_rows(lg: LocalGraph, pos: np.ndarray):
     replicas_known_active, last_update_iter, is_master, selfish,
     master_node`` of the copies at positions ``pos`` of ``lg``, one
     column each: the committed half from the node's columns, the static
-    half from its image — or, with none cached, from the slots there."""
+    half from its image — or, with none cached, from
+    ``SlotArray.metadata``."""
     topo = lg.cached_topology
     if topo is None:
-        slots = lg.slots.take(pos)
-        static = (
-            np.fromiter((s.gid for s in slots), np.int64, len(slots)),
-            np.fromiter((s.role is Role.MASTER for s in slots), bool,
-                        len(slots)),
-            np.fromiter((s.selfish for s in slots), bool, len(slots)),
-            np.fromiter((s.master_node for s in slots), np.int64,
-                        len(slots)))
+        meta = lg.slots.metadata(pos)
+        static = (meta["gids"], meta["roles"] == _B.MASTER, meta["selfish"],
+                  meta["master_node"])
     else:
         static = (topo.gids[pos], topo.is_master[pos], topo.selfish[pos],
                   topo.master_node[pos])
@@ -119,9 +106,9 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
     shipped by that mirror.
 
     Values and flags come from :func:`_committed_rows`; the metadata of
-    master and mirror rows and a mirror's edge backup from the selected
-    slots; a master's in-edges from the node's image; degrees from the
-    graph.
+    master and mirror rows and a mirror's edge backup from
+    ``SlotArray.metadata``; a master's in-edges from the node's image;
+    degrees from the graph.  Stamps nothing.
     """
     lg = engine.local_graphs[node]
     rows = pos.size
@@ -135,23 +122,20 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
              | self_active * _B.FLAG_SELF_ACTIVE
              | known * _B.FLAG_KNOWN_ACTIVE)
 
-    # Master and mirror rows carry the metadata (Section 4.2).
+    # Master and mirror rows carry the metadata (Section 4.2); a mirror
+    # row its seat, the index of ``dst`` in the mirror list.
     with_meta = np.flatnonzero(roles != _B.REPLICA)
-    slots = lg.slots.take(pos[with_meta])
-    metas = [slot.meta for slot in slots]
-    replicas = [meta.replica_positions for meta in metas]
+    meta = lg.slots.metadata(pos[with_meta])
     mirror_id = np.full(rows, -1, dtype=np.int64)
-    mirror_id[roles == _B.MIRROR] = [
-        meta.mirror_nodes.index(dst)
-        for meta, role in zip(metas, roles[with_meta].tolist())
-        if role == _B.MIRROR]
+    seat = csr_first(meta["mirror_ptr"], meta["mirror_nodes"] == dst)
+    mirror_id[roles == _B.MIRROR] = (seat - meta["mirror_ptr"][:-1])[
+        roles[with_meta] == _B.MIRROR]
     master_position = np.full(rows, -1, dtype=np.int64)
-    master_position[with_meta] = [meta.master_position for meta in metas]
+    master_position[with_meta] = meta["master_position"]
     replica_count = np.zeros(rows, dtype=np.int64)
-    replica_count[with_meta] = [len(r) for r in replicas]
+    replica_count[with_meta] = np.diff(meta["replica_ptr"])
     mirror_count = np.zeros(rows, dtype=np.int64)
-    mirror_count[with_meta] = [len(meta.mirror_nodes) for meta in metas]
-    total_replicas = int(replica_count.sum())
+    mirror_count[with_meta] = np.diff(meta["mirror_ptr"])
 
     # Edge-cut: the master's in-edges ride with its full state
     # (Section 4.3), in the master node's positions — the image's CSR
@@ -161,9 +145,7 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
     if engine.is_edge_cut and with_meta.size:
         from_master = is_master[with_meta]
         own, backed = with_meta[from_master], with_meta[~from_master]
-        backups = [slot.full_edges or () for slot, m in
-                   zip(slots, from_master.tolist()) if not m]
-        edge_count[backed] = [len(b) for b in backups]
+        edge_count[backed] = np.diff(meta["edge_ptr"])[~from_master]
         if own.size:
             topo = lg.topology()
             idx, edge_count[own] = csr_rows(csr_ptr(topo.in_counts), pos[own])
@@ -176,11 +158,10 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
             src = topo.in_src[idx]
             edges[0][at], edges[1][at], edges[2][at] = (
                 topo.gids[src], src, topo.in_w[idx])
-        triples = list(chain.from_iterable(backups))
-        if triples:
-            at, _ = csr_rows(edge_ptr, backed)
-            for column, shipped in zip(edges, zip(*triples)):
-                column[at] = shipped
+        at, _ = csr_rows(edge_ptr, backed)
+        for column, name in zip(edges, ("edge_gids", "edge_positions",
+                                        "edge_weights")):
+            column[at] = meta[name]
     return RecoveryBatch(
         src_node=node, iteration=engine.iteration, gids=gids,
         positions=dst_pos, roles=roles, values=values, flags=flags,
@@ -190,15 +171,9 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
         mirror_id=mirror_id, master_node=master_node,
         master_position=master_position,
         replica_ptr=csr_ptr(replica_count),
-        replica_nodes=np.fromiter(chain.from_iterable(replicas), np.int64,
-                                  total_replicas),
-        replica_positions=np.fromiter(
-            chain.from_iterable(r.values() for r in replicas), np.int64,
-            total_replicas),
-        mirror_ptr=csr_ptr(mirror_count),
-        mirror_nodes=np.fromiter(
-            chain.from_iterable(meta.mirror_nodes for meta in metas),
-            np.int64, int(mirror_count.sum())),
+        replica_nodes=meta["replica_nodes"],
+        replica_positions=meta["replica_positions"],
+        mirror_ptr=csr_ptr(mirror_count), mirror_nodes=meta["mirror_nodes"],
         edge_ptr=csr_ptr(edge_count), edge_gids=edges[0],
         edge_positions=edges[1], edge_weights=edges[2])
 
@@ -406,7 +381,8 @@ def replay_activations(engine: "Engine", nodes: list[int],
 
 
 def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
-    """Recompute selfish vertices' dynamic state from neighbors.
+    """Recompute selfish vertices' dynamic state from neighbors: in-edges
+    off each node's image, values through the columns, stamping nothing.
 
     Selfish vertices skipped normal sync (Section 4.4), so their
     recovered value is stale; being history-free (the optimisation's
@@ -431,38 +407,56 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
     for gid in gids:
         by_node[engine.master_node_of[gid]].append(gid)
     partials: dict[int, list[tuple[int, Any]]] = defaultdict(list)
+
+    def in_edges(lg: LocalGraph, wanted) -> tuple[np.ndarray, list]:
+        """The positions of the ``wanted`` gids on ``lg``, ascending, and
+        per position its gid and in-edges ``(src positions, weights)``,
+        from the node's image."""
+        pos = np.sort(np.fromiter((lg.index_of[gid] for gid in wanted),
+                                  np.int64))
+        topo = lg.topology()
+        ptr = csr_ptr(topo.in_counts)
+        return pos, [(gid, topo.in_src[lo:hi].tolist(),
+                      topo.in_w[lo:hi].tolist())
+                     for gid, lo, hi in zip(topo.gids[pos].tolist(),
+                                            ptr[pos].tolist(),
+                                            ptr[pos + 1].tolist())]
+
     if not engine.is_edge_cut:
         want = set(gids)
         for node in engine._alive():
             lg = engine.local_graphs[node]
-            for position in sorted(lg.index_of[gid] for gid in want
-                                   if gid in lg.index_of):
-                slot = lg.slots[position]
-                if not slot.in_edges:
+            _, held = in_edges(lg, [gid for gid in want
+                                    if gid in lg.index_of])
+            for gid, srcs, weights in held:
+                if not srcs:
                     continue
                 acc = program.gather_init()
-                for src_pos, weight in slot.in_edges:
-                    acc = program.gather(acc, lg.view(src_pos), weight,
-                                         slot.gid)
+                for src_pos, weight in zip(srcs, weights):
+                    acc = program.gather(acc, lg.view(src_pos), weight, gid)
                     edges += 1
-                partials[slot.gid].append((node, acc))
+                partials[gid].append((node, acc))
     for node, group in sorted(by_node.items()):
         lg = engine.local_graphs[node]
-        for position in sorted(lg.index_of[gid] for gid in group):
-            slot = lg.slots[position]
-            gid = slot.gid
+        pos, held = in_edges(lg, group)
+        new = []
+        for (gid, srcs, weights), old in zip(held, lg.values[pos].tolist()):
             acc = program.gather_init()
             if engine.is_edge_cut:
-                for src_pos, weight in slot.in_edges:
+                for src_pos, weight in zip(srcs, weights):
                     acc = program.gather(acc, lg.view(src_pos), weight, gid)
                     edges += 1
             else:
                 for _, part in sorted(partials.get(gid, ()),
                                       key=lambda item: item[0]):
                     acc = program.gather_sum(acc, part)
-            slot.value = program.apply(gid, slot.value, acc, ctx)
-            lg.set_active(slot, program.stays_active(
-                gid, slot.value, slot.value, ctx))
+            new.append(program.apply(gid, old, acc, ctx))
+        # A selfish vertex is no edge's source, so no gather above read a
+        # value this store writes.
+        lg.store(pos, values=new)
+        lg.set_active_bulk(pos, [
+            program.stays_active(gid, value, value, ctx)
+            for (gid, *_), value in zip(held, lg.values[pos].tolist())])
     return edges
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.storage import PersistentStore
+from repro.engine.messages import csr_first
 from repro.errors import FaultToleranceError
 from repro.utils.sizing import BYTES_PER_EDGE
 
@@ -47,19 +48,24 @@ def birth_receivers(node: int, lg, num_nodes: int) -> np.ndarray:
 
 
 def receivers_of(engine, targets: np.ndarray, owner: int) -> np.ndarray:
-    """The receiver rule read off the slots, once recovery has written
-    structure: per edge of ``owner`` into ``targets``, the surviving
-    node that would reload it."""
+    """The receiver rule once recovery has written structure: per edge
+    of ``owner`` into ``targets``, the surviving node that would reload
+    it, the owner's metadata read as columns (``SlotArray.metadata``)."""
     master_of = engine.master_node_of
     receivers = np.array([master_of[t] for t in targets.tolist()],
                          dtype=np.int64)
     # Mastered on the owner: its first mirror elsewhere, else (ft_level
     # 0) the next node round-robin, and the checkpoint path recovers it.
-    fallback = (owner + 1) % engine.cluster.num_workers
-    for at in np.flatnonzero(receivers == owner).tolist():
-        meta = engine.local_graphs[owner].slot_of(int(targets[at])).meta
-        receivers[at] = next(
-            (node for node in meta.mirror_nodes if node != owner), fallback)
+    at = np.flatnonzero(receivers == owner)
+    if at.size:
+        lg = engine.local_graphs[owner]
+        meta = lg.slots.metadata(
+            [lg.index_of[t] for t in targets[at].tolist()])
+        first = csr_first(meta["mirror_ptr"], meta["mirror_nodes"] != owner)
+        # A row with no such mirror reads -1: the appended fallback.
+        receivers[at] = np.append(
+            meta["mirror_nodes"], (owner + 1) % engine.cluster.num_workers
+        )[first]
     return receivers
 
 

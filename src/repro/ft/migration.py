@@ -69,7 +69,7 @@ class MigrationRecovery:
         for node in survivors:
             lg = engine.local_graphs[node]
             scan_cost[node] = len(lg.index_of)
-            lead, _ = common.leading_mirrors(engine, node, failed_set)
+            lead = common.leading_mirrors(engine, node, failed_set)
             topo = lg.topology()
             holders[node] = np.flatnonzero(topo.is_master | topo.is_mirror)
             for gid, selfish in zip(topo.gids[lead].tolist(),

@@ -27,6 +27,8 @@ re-executes activation operations on the new node only.
 
 Write set (DESIGN.md §11): the reborn nodes' new ``LocalGraph``s only —
 survivors read and send, so their SoA images and FT census stay valid.
+They read their metadata as columns (``SlotArray.metadata``), so a
+Rebirth stamps no slot anywhere.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from repro.cluster.network import Message, MessageKind
 from repro.costmodel import storage_read_time
 from repro.engine.local_graph import LocalGraph
-from repro.engine.messages import RecoveryBatch
+from repro.engine.messages import RecoveryBatch, csr_first
 from repro.errors import NoStandbyNodeError
 from repro.ft import _recovery_common as common
 from repro.ft.edge_ckpt import NO_EDGES, Edges, dedupe
@@ -99,12 +101,13 @@ class RebirthRecovery:
             lg = engine.local_graphs[node]
             topo = lg.topology()
             scan_cost[node] = len(lg.index_of)
-            lead, metas = common.leading_mirrors(engine, node, failed_set)
+            lead = common.leading_mirrors(engine, node, failed_set)
+            meta = lg.slots.metadata(lead)
             recovered_masters.append(topo.gids[lead])
             if engine.selfish_opt_active:
                 selfish_recovered.append(topo.gids[lead[topo.selfish[lead]]])
             for dst in failed:
-                pos, peer, roles = _rows_for(topo, lead, metas, dst)
+                pos, peer, roles = _rows_for(topo, lead, meta, dst)
                 if pos.size:
                     batches[(node, dst)] = common.pack_rows(
                         engine, node, pos, roles, dst, peer)
@@ -204,30 +207,26 @@ class RebirthRecovery:
         return stats
 
 
-def _rows_for(topo, lead: np.ndarray, metas: list, dst: int
+def _rows_for(topo, lead: np.ndarray, meta: dict, dst: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a survivor with image ``topo``, leading the dead masters'
-    mirrors at ``lead`` (with metadata ``metas``), ships to the newbie
-    ``dst``: positions here, positions there and roles of its masters'
-    copies on ``dst``, of the dead masters ``dst`` held, and of the copies
-    on ``dst`` of dead masters held elsewhere."""
+    mirrors at ``lead`` (their ``SlotArray.metadata`` columns ``meta``),
+    ships to the newbie ``dst``: positions here, positions there and
+    roles of its masters' copies on ``dst``, of the dead masters ``dst``
+    held, and of the copies on ``dst`` of dead masters held elsewhere."""
     pos, peer, mirror = topo.copies_on(dst)
-    rows = [(pos, peer, np.where(mirror, RecoveryBatch.MIRROR,
-                                 RecoveryBatch.REPLICA))]
     held = topo.master_node[lead] == dst
-    rows.append((lead[held], np.array(
-        [meta.master_position for meta, here in zip(metas, held.tolist())
-         if here], dtype=np.int64),
-        np.full(int(held.sum()), RecoveryBatch.MASTER)))
-    copies = [(p, meta.replica_positions[dst],
-               RecoveryBatch.MIRROR if dst in meta.mirror_set
-               else RecoveryBatch.REPLICA)
-              for p, meta in zip(lead.tolist(), metas)
-              if dst in meta.replica_positions]
-    if copies:
-        rows.append(tuple(np.array(column, dtype=np.int64)
-                          for column in zip(*copies)))
-    return tuple(np.concatenate(column) for column in zip(*rows))
+    entry = csr_first(meta["replica_ptr"], meta["replica_nodes"] == dst)
+    seat = csr_first(meta["mirror_ptr"], meta["mirror_nodes"] == dst)
+    copied = entry >= 0
+    return (np.concatenate((pos, lead[held], lead[copied])),
+            np.concatenate((peer, meta["master_position"][held],
+                            meta["replica_positions"][entry[copied]])),
+            np.concatenate((
+                np.where(mirror, RecoveryBatch.MIRROR, RecoveryBatch.REPLICA),
+                np.full(int(held.sum()), RecoveryBatch.MASTER),
+                np.where(seat[copied] >= 0, RecoveryBatch.MIRROR,
+                         RecoveryBatch.REPLICA))))
 
 
 def _comm_time(engine: "Engine", net, node: int) -> float:

@@ -12,8 +12,10 @@
 * A failure-free load or run creates no ``VertexSlot`` / ``MasterMeta``
   at all, and ``soa.slots_materialized`` reads 0 at every barrier, on
   both cuts and on the multiprocessing parent image.
-* A recovery stamps only what its masks select: on the ``pr_kill_sim``
-  spec, fewer slots than the rows its two Rebirths ship.
+* A Rebirth stamps nothing: on the ``pr_kill_sim`` spec, on an edge-cut
+  and on a vertex-cut, the survivors read metadata as columns
+  (``SlotArray.metadata``, which equals a row-by-row read of the stamped
+  slots on any mix of stamped and unstamped positions).
 * The vertex-cut edge-ckpt files, built from columns, equal the ones the
   slot walk of ``tests/reference/edge_ckpt.py`` writes, at load and when
   the safety net rewrites them over the snapshot's mutated weights.
@@ -33,9 +35,11 @@ from hypothesis import strategies as st
 import repro.exec.mp as mp
 from repro.api import make_engine
 from repro.engine.local_graph import DYNAMIC, VACANT, LocalGraph
+from repro.engine.messages import RecoveryBatch
 from repro.engine.state import COMMITTED, MasterMeta, Role, VertexSlot
 from repro.exec.base import BackendSpec
 from repro.exec.mp import MultiprocessingBackend
+from repro.ft import _recovery_common as common
 from repro.graph import generators
 from repro.serve.view import CommittedView
 from repro.utils.sizing import BYTES_PER_EDGE
@@ -278,20 +282,98 @@ class TestNothingStampedWithoutAConsumer:
 
 
 def test_recovery_stamps_no_more_than_it_ships():
-    """The ``pr_kill_sim`` ledger spec at ``--quick`` scale: survivors
-    stamp only the leading mirrors and the masters whose copies they
-    re-send; the reborn nodes are born from the rows."""
+    """The ``pr_kill_sim`` ledger spec at ``--quick`` scale, on both an
+    edge-cut and a vertex-cut: survivors read the leading mirrors' and
+    their masters' metadata as columns, the selfish recompute reads the
+    image and writes the columns, and the reborn nodes are born from the
+    rows, so the two Rebirths stamp no slot at all."""
     graph = generators.power_law(2000, alpha=2.0, seed=7, avg_degree=8.0)
-    engine = make_engine(graph, "pagerank", num_nodes=8, ft_level=1,
-                         num_standby=2, max_iterations=20,
-                         partition="hash_edge_cut")
-    engine.schedule_failure(6, (1,), "compute")
-    engine.schedule_failure(13, (2,), "after_commit")
-    result = engine.run()
-    assert [r.strategy for r in result.recoveries] == ["rebirth"] * 2
-    shipped = sum(r.vertices_recovered for r in result.recoveries)
-    stamped = engine.metrics.gauge(GAUGE)
-    assert 0 < stamped <= shipped
+    for partition in ("hash_edge_cut", "hybrid_cut"):
+        engine = make_engine(graph, "pagerank", num_nodes=8, ft_level=1,
+                             num_standby=2, max_iterations=20,
+                             partition=partition)
+        engine.schedule_failure(6, (1,), "compute")
+        engine.schedule_failure(13, (2,), "after_commit")
+        result = engine.run()
+        assert [r.strategy for r in result.recoveries] == ["rebirth"] * 2
+        assert sum(r.vertices_recovered for r in result.recoveries) > 0
+        assert engine.metrics.gauge(GAUGE) == 0, partition
+
+
+def _row_by_row(lg, positions) -> list[tuple]:
+    """Each position's copy read off its stamped slot: gid, role code,
+    selfish, master node, master position, replica ``(node, position)``
+    pairs in dict order, mirror nodes in order, and an edge-cut mirror's
+    backup triples."""
+    rows = []
+    for pos in positions:
+        slot = lg.slots[pos]
+        meta = slot.meta
+        rows.append((
+            slot.gid, RecoveryBatch.ROLES.index(slot.role), slot.selfish,
+            slot.master_node, -1 if meta is None else meta.master_position,
+            [] if meta is None else list(meta.replica_positions.items()),
+            [] if meta is None else list(meta.mirror_nodes),
+            list(slot.full_edges or ()) if slot.role is Role.MIRROR else []))
+    return rows
+
+
+def _as_rows(columns: dict) -> list[tuple]:
+    """:meth:`SlotArray.metadata` columns in the form of
+    :func:`_row_by_row`."""
+    def cut(ptr, *flats):
+        ptr = columns[ptr].tolist()
+        flats = [columns[name].tolist() for name in flats]
+        return [list(zip(*(flat[lo:hi] for flat in flats)))
+                for lo, hi in zip(ptr, ptr[1:])]
+    return [(*static, replicas, [node for (node,) in mirrors], edges)
+            for *static, replicas, mirrors, edges in zip(
+                *(columns[name].tolist() for name in (
+                    "gids", "roles", "selfish", "master_node",
+                    "master_position")),
+                cut("replica_ptr", "replica_nodes", "replica_positions"),
+                cut("mirror_ptr", "mirror_nodes"),
+                cut("edge_ptr", "edge_gids", "edge_positions",
+                    "edge_weights"))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(partition=st.sampled_from(CUTS), level=st.sampled_from([1, 2]),
+       seed=st.integers(0, 20),
+       history=st.sampled_from(["load", "rebirth", "repair"]),
+       data=st.data())
+def test_metadata_reader_equals_the_stamped_slots(partition, level, seed,
+                                                   history, data):
+    """``SlotArray.metadata`` on a drawn mix of stamped and unstamped
+    positions, in a drawn order with repeats, equals a row-by-row read
+    of the stamped ``MasterMeta`` / ``full_edges``: on graphs as loaded,
+    after a Rebirth (the reborn node's record is the rows it received),
+    and after an FT repair to ``level + 1`` copies — ``place_replicas``
+    appends replica entries, ``restore_ft_level`` elects mirrors and
+    ``publish`` rewrites every mirror's copy — with the written images
+    not rebuilt.  The read stamps nothing."""
+    graph = generators.power_law(80, alpha=2.0, seed=seed, avg_degree=4.0,
+                                 selfish_frac=0.1)
+    engine = make_engine(graph, "pagerank", num_nodes=4, partition=partition,
+                         ft_level=level, seed=seed, num_standby=1,
+                         max_iterations=4)
+    if history == "rebirth":
+        engine.schedule_failure(2, (seed % 4,), "compute")
+        engine.run()
+        reborn = engine.local_graphs[seed % 4]
+        assert reborn.materialized < len(reborn.slots)  # read off its rows
+    elif history == "repair":
+        common.restore_ft_level(engine, list(range(graph.num_vertices)),
+                                "reader", level + 1)
+    for lg in engine.local_graphs.values():
+        n = len(lg.slots)
+        held = [pos for pos in range(n) if lg.slots.holds(pos)]
+        lg.slots.take(data.draw(st.lists(st.sampled_from(held), max_size=n)))
+        positions = data.draw(st.lists(st.sampled_from(held), max_size=2 * n))
+        stamped = lg.materialized
+        columns = lg.slots.metadata(positions)
+        assert lg.materialized == stamped
+        assert _as_rows(columns) == _row_by_row(lg, positions)
 
 
 class TestEdgeCkptFilesFromColumns:

@@ -12,16 +12,13 @@ from repro.engine.soa import NodeTopology
 from repro.engine.state import MasterMeta, Role
 from repro.errors import UnrecoverableFailureError
 from repro.ft import _recovery_common as common
-from repro.ft._recovery_common import (
-    place_rows,
-    reborn_graph,
-    surviving_recoverer,
-)
+from repro.ft._recovery_common import place_rows, reborn_graph
 from repro.ft.edge_ckpt import dedupe
 from repro.graph import generators
 from repro.membership.rebalance import move_master
 from repro.utils.sizing import BYTES_PER_MSG_HEADER
 from tests.reference.edge_ckpt import rows
+from tests.reference.recovery import surviving_recoverer
 from tests.test_construction_equivalence import assert_same_image
 from tests.test_edge_ckpt import edges
 from tests.test_messages import make_batch
@@ -34,6 +31,27 @@ class TestSurvivingRecoverer:
         assert surviving_recoverer(meta, failed={4}) == 7
         assert surviving_recoverer(meta, failed={4, 7}) == 9
         assert surviving_recoverer(meta, failed={4, 7, 9}) is None
+
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_leading_mirrors_apply_it_to_every_orphan(self, partition):
+        """Two crashed nodes at K=2 (some vertices lose their master and
+        a mirror): each survivor leads exactly the orphaned mirrors the
+        rule names it for, read off their slots, and stamps none."""
+        g = generators.power_law(300, alpha=2.0, seed=4, avg_degree=5.0)
+        engine = make_engine(g, "pagerank", num_nodes=5, ft_level=2,
+                             partition=partition)
+        failed = {1, 3}
+        led = 0
+        for node in (0, 2, 4):
+            lg = engine.local_graphs[node]
+            got = common.leading_mirrors(engine, node, failed).tolist()
+            assert lg.materialized == 0
+            assert got == [pos for pos, slot in enumerate(lg.slots)
+                           if slot.role is Role.MIRROR
+                           and slot.master_node in failed
+                           and surviving_recoverer(slot.meta, failed) == node]
+            led += len(got)
+        assert led > 0
 
 
 class TestDedupeEdgeRecords:

@@ -2,7 +2,8 @@
 
 Spies count the batches a recovery packs (``pack_rows``) and the SoA
 images it reads back out of the slots (``NodeTopology.build``), per
-Migration and per FT-repair round, on any host.  Placement is batched
+Migration and per FT-repair round, and the slots a Rebirth stamps, per
+node, on any host.  Placement is batched
 (``place_replicas``): each node packs at most one batch for each node it
 places copies on, so a recovery over ``s`` survivors packs at most
 ``s**2`` batches however many copies it makes, and builds each image it
@@ -17,6 +18,7 @@ from repro.api import make_engine
 from repro.engine.soa import NodeTopology
 from repro.ft import _recovery_common as common
 from repro.ft.migration import MigrationRecovery
+from repro.ft.rebirth import RebirthRecovery
 from repro.graph import generators
 
 PARTS = ["hash_edge_cut", "hybrid_cut"]
@@ -105,3 +107,40 @@ def test_repair_packs_per_node_pair(graph, partition, work):
         assert packs <= alive ** 2
         assert builds <= alive
 
+
+
+@pytest.mark.parametrize("partition", PARTS)
+def test_rebirth_stamps_no_slot(partition, monkeypatch):
+    """Survivors read and send (DESIGN.md §9): metadata as columns, values
+    and flags from the columns, the selfish recompute off the image; the
+    newbies are born from their rows.  So a Rebirth stamps no slot on any
+    survivor or newbie, selfish masters among the lost ones included."""
+    graph = generators.power_law(400, alpha=2.0, seed=3, avg_degree=6.0,
+                                 selfish_frac=0.1)
+    stamped, selfish = [], []
+    real_recover = RebirthRecovery.recover
+    real_recompute = common.recompute_selfish_masters
+
+    def recover(self, failed):
+        graphs = self.engine.local_graphs
+        before = {node: graphs[node].materialized for node in graphs
+                  if node not in failed}
+        stats = real_recover(self, failed)
+        stamped.append({node: lg.materialized - before.get(node, 0)
+                        for node, lg in graphs.items()})
+        return stats
+
+    def recompute(engine, gids):
+        selfish.extend(gids)
+        return real_recompute(engine, gids)
+
+    monkeypatch.setattr(RebirthRecovery, "recover", recover)
+    monkeypatch.setattr(common, "recompute_selfish_masters", recompute)
+    engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                         partition=partition, num_standby=2, max_iterations=8)
+    engine.schedule_failure(3, [1], "compute")
+    engine.schedule_failure(5, [2], "after_commit")
+    result = engine.run()
+    assert [r.strategy for r in result.recoveries] == ["rebirth"] * 2
+    assert selfish
+    assert stamped == [dict.fromkeys(range(4), 0)] * 2
