@@ -63,28 +63,16 @@ class ArrayKernel:
         from repro.engine.combine import ufunc_of
         ufunc_of(self.combine).at(acc, seg, contrib)
 
-    def edge_fold(self, topo, values: np.ndarray, esel: np.ndarray,
+    def edge_fold(self, topo, values: np.ndarray, esel,
                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Fold the selected in-edges; return (acc, has_contribution)."""
-        acc, has, _ = self.edge_fold_counted(topo, values, esel)
-        return acc, has
-
-    def edge_fold_counted(self, topo, values: np.ndarray, esel: np.ndarray,
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``edge_fold`` plus the per-position contribution count.
-
-        The count column feeds the combining layer's pre-combine
-        accounting (DESIGN.md §15): position *p*'s combined partial
-        absorbed ``counts[p]`` raw per-edge contributions.
-        """
+        """Fold the selected in-edges (``esel``: indices, or
+        ``slice(None)`` for all); return (acc, has_contribution)."""
         seg, contrib = self.edge_contrib(topo, values, esel)
         acc = self.init_acc(topo.n)
         self.fold_into(acc, seg, contrib)
         has = np.zeros(topo.n, dtype=bool)
         has[seg] = True
-        counts = np.bincount(seg, minlength=topo.n).astype(np.int64) \
-            if seg.size else np.zeros(topo.n, dtype=np.int64)
-        return acc, has, counts
+        return acc, has
 
     def fold_groups(self, counts: np.ndarray,
                     contribs: np.ndarray) -> np.ndarray:
@@ -132,6 +120,8 @@ class PageRankKernel(ArrayKernel):
         src = topo.in_src[esel]
         deg = topo.out_deg_f[src]
         nz = deg > 0.0
+        if nz.all():
+            return topo.in_dst[esel], values[src] / deg
         return (topo.in_dst[esel][nz], values[src[nz]] / deg[nz])
 
     def apply(self, gids, old, acc, has, ctx):

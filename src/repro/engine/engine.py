@@ -60,6 +60,7 @@ from repro.graph.graph import Graph
 from repro.membership.manager import MembershipManager
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.partition.base import make_partitioner
+from repro.utils.arrays import sorted_unique
 
 
 @dataclass
@@ -363,7 +364,7 @@ class Engine:
         column."""
         out: list[Any] = [None] * self.graph.num_vertices
         master_of = np.asarray(self.master_node_of)
-        for node in np.unique(master_of).tolist():
+        for node in sorted_unique(master_of).tolist():
             lg = self.local_graphs[node]
             gids = np.flatnonzero(master_of == node).tolist()
             positions = np.fromiter(map(lg.index_of.__getitem__, gids),
@@ -630,8 +631,8 @@ class Engine:
 
     def _apply_received_syncs(self, alive: list[int], net) -> None:
         for node in alive:
-            for msg in net.deliver(node):
-                self._state(node).stage(msg.payload)
+            if inbox := [msg.payload for msg in net.deliver(node)]:
+                self._state(node).stage(inbox)
 
     def _commit_edge_mutations(self) -> None:
         # Only the scalar path stages any (its finalize clears them);

@@ -8,7 +8,8 @@ write the slots they stamp, while a Rebirth reads metadata as columns,
 recovery's selection and checkpointing need the *static* shape of a
 node's graph as flat numpy arrays: role masks,
 degrees, the local in-/out-edge lists in CSR-style per-edge arrays, the
-master->replica sync fan-out grouped by destination and, beside it,
+master->replica sync fan-out grouped by destination (flat in send
+order, ``sync_pos``; ``sync_plan`` holds views of it) and, beside it,
 each planned copy's position on its own node.  :class:`NodeTopology` is
 that image, with two constructors the SoA-coherence chaos invariant
 holds equal: the loader — and Rebirth, for a reborn node — cuts it from
@@ -43,6 +44,7 @@ class NodeTopology:
         "master_node", "out_deg_f", "in_counts", "has_in",
         "in_src", "in_w", "in_dst", "out_src", "out_dst",
         "gid_sorted", "pos_sorted", "sync_plan", "sync_peer",
+        "sync_pos", "sync_ptr", "sync_mirror",
     )
 
     @classmethod
@@ -132,8 +134,15 @@ class NodeTopology:
         order = np.argsort(gids[occ], kind="stable")
         topo.pos_sorted = occ[order]
         topo.gid_sorted = gids[topo.pos_sorted]
-        topo.sync_plan = {key: np.asarray(positions, dtype=np.int64)
-                          for key, positions in sync_plan.items()}
+        # The plan flat once, in send order (``sync_plan[key]`` a view).
+        plan = [np.asarray(p, dtype=np.int64) for p in sync_plan.values()]
+        topo.sync_pos = np.concatenate([np.zeros(0, np.int64), *plan])
+        topo.sync_ptr = np.cumsum([0, *map(len, plan)], dtype=np.int64)
+        topo.sync_mirror = np.repeat(np.array(
+            [m for _, m in sync_plan], dtype=bool), np.diff(topo.sync_ptr))
+        bounds = topo.sync_ptr.tolist()
+        topo.sync_plan = {key: topo.sync_pos[b:e] for key, b, e in
+                          zip(sync_plan, bounds, bounds[1:])}
         topo.sync_peer = np.asarray(sync_peer, dtype=np.int64)
         return topo
 
@@ -141,15 +150,12 @@ class NodeTopology:
                                             np.ndarray]:
         """The masters here with a copy on ``node``: their positions,
         the copy's position there and whether it is a mirror."""
-        none = np.zeros(0, dtype=np.int64)
-        parts, at = [(none, none, none.astype(bool))], 0
-        for (dst, mirror), positions in self.sync_plan.items():
-            if dst == node:
-                parts.append((positions,
-                              self.sync_peer[at:at + positions.size],
-                              np.full(positions.size, mirror)))
-            at += positions.size
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        ptr = self.sync_ptr.tolist()
+        take = np.concatenate([np.zeros(0, dtype=np.int64), *(
+            np.arange(b, e) for (dst, _), b, e in
+            zip(self.sync_plan, ptr, ptr[1:]) if dst == node)])
+        return (self.sync_pos[take], self.sync_peer[take],
+                self.sync_mirror[take])
 
     def translate(self, gid_array: np.ndarray) -> np.ndarray:
         """Map an array of gids to local positions (all must be local)."""

@@ -39,9 +39,11 @@ Lifecycle
   vertex-cut phase-0 activity broadcast writes the columns too
   (``active`` on receiver replicas, ``replicas_known_active`` on sender
   masters).
-* Compute and received sync batches stage into pending *arrays*; a
-  sync batch carries each record's position here, so it stages with one
-  scatter.
+* A superstep is a constant number of array passes per node, whatever
+  the number of peers: the sync build is one pass over the flat plan
+  (``NodeTopology.sync_pos``), and the node's whole inbox of received
+  sync batches stages into pending *arrays* with one scatter per column
+  (a sync record carries its position here).
 * The barrier commit is split where the multiprocessing backend splits
   it: an abortable stage 1 (activation scatter), the activation intake,
   and a finalize that *alone* writes the committed columns and applies
@@ -73,6 +75,7 @@ from repro.engine.messages import (
     SyncBatch,
 )
 from repro.errors import EngineError
+from repro.utils.arrays import sorted_unique
 from repro.utils.sizing import BYTES_PER_VID
 
 
@@ -173,8 +176,8 @@ class _NodeState:
     def fold_apply(self, ctx, outbox: dict) -> tuple[int, int]:
         return self.proto.master_fold_apply(self, ctx, outbox)
 
-    def stage(self, batch) -> None:
-        self.proto.stage_sync_batch(self, batch)
+    def stage(self, batches) -> None:
+        self.proto.stage_inbox(self, batches)
 
     def stage1(self, iteration: int) -> dict:
         return self.proto.commit_stage1(self)
@@ -215,6 +218,14 @@ class _NodeState:
             self.topo.gids, self.values, self.last_activates,
             self.last_update, self.mirror_self_active, self.active,
             self.replicas_known_active)]
+
+
+def _in_edges(topo, sel: np.ndarray):
+    """The in-edges into the ``sel`` positions: ``slice(None)`` when
+    that is every in-edge (a dense frontier gathers nothing)."""
+    if (topo.has_in & ~sel).any():
+        return np.flatnonzero(sel[topo.in_dst])
+    return slice(None)
 
 
 def _runs(keys: np.ndarray):
@@ -265,9 +276,8 @@ class ArrayNodeProtocol:
         """
         topo = st.topo
         sel = st.active & topo.is_master
-        esel = np.flatnonzero(sel[topo.in_dst]) \
-            if topo.in_dst.size else topo.in_dst
-        acc, has = self.kernel.edge_fold(topo, st.values, esel)
+        acc, has = self.kernel.edge_fold(topo, st.values,
+                                         _in_edges(topo, sel))
         elided = self._master_compute(st, sel, acc, has, ctx, outbox)
         return int(topo.in_counts[sel].sum()), int(sel.sum()), elided
 
@@ -286,9 +296,8 @@ class ArrayNodeProtocol:
         topo = st.topo
         st.partials = []
         sel = st.active & topo.has_in
-        esel = np.flatnonzero(sel[topo.in_dst]) \
-            if topo.in_dst.size else topo.in_dst
-        seg, contrib = kernel.edge_contrib(topo, st.values, esel)
+        seg, contrib = kernel.edge_contrib(topo, st.values,
+                                           _in_edges(topo, sel))
         acc = kernel.init_acc(topo.n)
         kernel.fold_into(acc, seg, contrib)
         cnt = np.bincount(seg, minlength=topo.n) if seg.size \
@@ -379,7 +388,9 @@ class ArrayNodeProtocol:
                         acc: np.ndarray, has: np.ndarray, ctx,
                         outbox: dict) -> int:
         """Apply + stage + build syncs for one node's computed masters;
-        returns the number of sync records elided."""
+        returns the number of sync records elided.  One pass over the
+        flat plan (``topo.sync_pos``) picks and gathers every record;
+        each ``(dst, kind)`` batch is then a slice of those columns."""
         kernel = self.kernel
         topo = st.topo
         old = st.values
@@ -387,72 +398,80 @@ class ArrayNodeProtocol:
         act = kernel.activates(topo.gids, old, new, ctx)
         stay = kernel.stays_active(topo.gids, old, new, ctx)
         st.pend_mask |= sel
-        st.pend_values[sel] = new[sel]
-        st.pend_activates[sel] = act[sel]
-        st.pend_self_active[sel] = stay[sel]
-        if self.sync_elision:
-            noop = ~act & ~st.last_activates & (new == old)
-            mirror_elide = noop & (stay == st.mirror_self_active)
-        else:
-            noop = mirror_elide = None
+        np.copyto(st.pend_values, new, where=sel)
+        np.copyto(st.pend_activates, act, where=sel)
+        np.copyto(st.pend_self_active, stay, where=sel)
+        pos, mirror = topo.sync_pos, topo.sync_mirror
+        pick = sel[pos]
+        if self.selfish_opt:
+            pick &= ~topo.selfish[pos]
         elided = 0
-        plain_size = BYTES_PER_VID + kernel.value_nbytes + 1
-        mirror_size = BYTES_PER_VID + kernel.value_nbytes + 2
-        at = 0
-        for (dst, is_mirror), positions in topo.sync_plan.items():
-            # ``pick`` indexes the key's slice of both the plan and
-            # ``sync_peer`` (each copy's position on ``dst``).
-            peers = topo.sync_peer[at:at + positions.size]
-            at += positions.size
-            pick = np.flatnonzero(sel[positions])
-            if self.selfish_opt and pick.size:
-                pick = pick[~topo.selfish[positions[pick]]]
-            if noop is not None and pick.size:
-                elide = mirror_elide if is_mirror else noop
-                kept = pick[~elide[positions[pick]]]
-                elided += int(pick.size - kept.size)
-                pick = kept
-            if not pick.size:
-                continue
-            keep = positions[pick]
-            # Flag bits mirror the scalar append calls exactly: plain
-            # syncs carry only the activates bit.
-            if is_mirror:
-                outbox[(dst, MessageKind.MIRROR_SYNC)] = \
-                    SyncBatch.from_columns(
-                        topo.gids[keep], peers[pick], new[keep],
-                        act[keep] + 2 * stay[keep],
-                        np.full(keep.size, mirror_size), full_state=True)
-            else:
-                outbox[(dst, MessageKind.SYNC)] = SyncBatch.from_columns(
-                    topo.gids[keep], peers[pick], new[keep],
-                    act[keep].astype(np.int64),
-                    np.full(keep.size, plain_size))
+        noop = ~act & ~st.last_activates & (new == old) \
+            if self.sync_elision else None
+        if noop is not None and noop.any():
+            mirror_elide = noop & (stay == st.mirror_self_active)
+            before = int(np.count_nonzero(pick))
+            pick &= ~np.where(mirror, mirror_elide[pos], noop[pos])
+            elided = before - int(np.count_nonzero(pick))
+        idx = np.flatnonzero(pick)
+        keep, mirror = pos[idx], mirror[idx]
+        # Flag bits mirror the scalar append calls exactly: plain
+        # syncs carry only the activates bit.
+        gids, peers, values = topo.gids[keep], topo.sync_peer[idx], new[keep]
+        flags = act[keep] + 2 * (stay[keep] & mirror)
+        sizes = np.where(mirror, BYTES_PER_VID + kernel.value_nbytes + 2,
+                         BYTES_PER_VID + kernel.value_nbytes + 1)
+        bounds = np.searchsorted(idx, topo.sync_ptr).tolist()
+        for (dst, is_mirror), b, e in zip(topo.sync_plan, bounds,
+                                          bounds[1:]):
+            if b < e:
+                kind = (MessageKind.MIRROR_SYNC if is_mirror
+                        else MessageKind.SYNC)
+                outbox[(dst, kind)] = SyncBatch.from_columns(
+                    gids[b:e], peers[b:e], values[b:e], flags[b:e],
+                    sizes[b:e], full_state=is_mirror)
         return elided
 
     # -- receive staging ----------------------------------------------
 
-    def stage_sync_batch(self, st: _NodeState, batch: SyncBatch) -> None:
-        """Stage every record of one received sync batch at the
-        positions it carries (kernel-backed programs never mutate edges,
-        so there are no edge updates).  A position holding another gid
-        raises before anything is staged."""
-        pos = batch.positions
+    def stage_inbox(self, st: _NodeState, batches: list) -> None:
+        """Stage a node's whole sync inbox (arrival order) with one gid
+        check and one scatter per column at the positions the records
+        carry (kernel programs never mutate edges).  A stale position
+        anywhere raises before anything is staged; a repeated one (a
+        duplicated or split batch) keeps its last record."""
+        if not batches:
+            return
+        pos, gids, values, flags = (np.concatenate(
+            [getattr(batch, name) for batch in batches], dtype=dtype)
+            for name, dtype in (("positions", np.int64), ("gids", np.int64),
+                                ("values", st.pend_values.dtype),
+                                ("flags", np.int64)))
         try:
-            stale = not np.array_equal(st.topo.gids[pos], batch.gids)
+            stale = not np.array_equal(st.topo.gids[pos], gids)
         except IndexError:
             stale = True
         if stale:
             raise EngineError(
                 f"node {st.node}: a sync batch's positions do not hold "
                 f"its gids")
-        st.pend_mask[pos] = True
-        st.pend_values[pos] = batch.values
-        flags = batch.flags
+        full = np.repeat([batch.full_state for batch in batches],
+                         [batch.record_count for batch in batches])
+        hit = np.zeros(st.topo.n, dtype=bool)
+        hit[pos] = True
+        if np.count_nonzero(hit) < pos.size:
+            # A stable sort keeps arrival order within each position's
+            # run; the last record of a run wins.
+            order = np.argsort(pos, kind="stable")
+            keep = order[np.r_[pos[order[1:]] != pos[order[:-1]], True]]
+            pos, values, flags, full = (pos[keep], values[keep],
+                                        flags[keep], full[keep])
+        st.pend_mask |= hit
+        st.pend_values[pos] = values
         st.pend_activates[pos] = (flags & SyncBatch.FLAG_ACTIVATES) != 0
-        if batch.full_state:
-            st.pend_self_active[pos] = \
-                (flags & SyncBatch.FLAG_SELF_ACTIVE) != 0
+        if full.any():
+            st.pend_self_active[pos[full]] = \
+                (flags[full] & SyncBatch.FLAG_SELF_ACTIVE) != 0
 
     # -- barrier commit ------------------------------------------------
 
@@ -478,7 +497,7 @@ class ArrayNodeProtocol:
                 # Unique sorted (master node, gid) pairs on one int64
                 # key; np.unique(axis=0) on the row pairs is 10x slower.
                 stride = int(topo.gids.max()) + 1
-                dcol, gcol = np.divmod(np.unique(
+                dcol, gcol = np.divmod(sorted_unique(
                     topo.master_node[rem] * stride + topo.gids[rem]),
                     stride)
                 for b, e in _runs(dcol):

@@ -175,8 +175,7 @@ class _NodeWorker:
         return ("vc2_done", it, _encode_outbox(outbox), *counts)
 
     def commit(self, it: int, frames: list) -> tuple:
-        for _src, enc in frames:
-            self.st.stage(decode_batch(enc))
+        self.st.stage([decode_batch(enc) for _src, enc in frames])
         return ("staged", it, _encode_outbox(self.st.stage1(it)))
 
     def commit2(self, it: int, frames: list) -> tuple:
@@ -520,11 +519,10 @@ class MultiprocessingBackend(ExecutionBackend):
             lg = engine.local_graphs[rank]
             topo = lg.topology()
             known = np.ones(topo.n, dtype=bool)
-            at = 0
-            for (node, _mirror), masters in topo.sync_plan.items():
-                peers = topo.sync_peer[at:at + masters.size]
-                at += masters.size
+            ptr = topo.sync_ptr.tolist()
+            for (node, _mirror), b, e in zip(topo.sync_plan, ptr, ptr[1:]):
                 if node in self._workers:
+                    masters, peers = topo.sync_pos[b:e], topo.sync_peer[b:e]
                     known[masters] &= (engine.local_graphs[node].active[peers]
                                        == lg.active[masters])
             masters = np.flatnonzero(topo.is_master)

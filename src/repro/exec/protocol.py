@@ -486,9 +486,10 @@ class ScalarNodeState:
 
     # -- barrier commit --------------------------------------------------
 
-    def stage(self, batch) -> None:
-        """Stage one received sync batch."""
-        self.proto.apply_sync_batch(self.lg, batch, self.dirty)
+    def stage(self, batches) -> None:
+        """Stage a node's received sync batches, in arrival order."""
+        for batch in batches:
+            self.proto.apply_sync_batch(self.lg, batch, self.dirty)
 
     def stage1(self, iteration: int) -> dict:
         """Abortable commit stage 1: local activation scatter; returns

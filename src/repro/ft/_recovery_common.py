@@ -38,6 +38,7 @@ from repro.engine.soa import NodeTopology
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError, UnrecoverableFailureError
 from repro.ft.edge_ckpt import NO_EDGES, Edges
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import SeededRng
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
@@ -359,8 +360,8 @@ def replay_activations(engine: "Engine", nodes: list[int],
             hit = hit[np.isin(topo.gids[hit], targets)]
         ops += hit.size
         local = topo.is_master[hit]
-        _activate(lg, np.unique(hit[local]).tolist())
-        far = np.unique(hit[~local])
+        _activate(lg, sorted_unique(hit[local]).tolist())
+        far = sorted_unique(hit[~local])
         remote.extend(zip([node] * far.size, topo.master_node[far].tolist(),
                           topo.gids[far].tolist()))
     net = engine.cluster.network
@@ -652,7 +653,7 @@ def place_replicas(engine: "Engine", node: int, gids,
     lg = engine.local_graphs[node]
     positions = np.arange(len(lg.slots), len(lg.slots) + len(gids))
     owners = np.array([engine.master_node_of[gid] for gid in gids])
-    masters = np.unique(owners).tolist()
+    masters = sorted_unique(owners).tolist()
     batches = []
     for owner in masters:
         rows = np.flatnonzero(owners == owner)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.graph import Graph
+from repro.utils.arrays import sorted_unique
 from repro.utils.hashing import stable_hash_array
 
 
@@ -88,10 +89,7 @@ def unique_pairs(vertex: np.ndarray, node: np.ndarray,
     """Each ``(vertex, node)`` pair once, by vertex then node: the
     sorted ``np.unique`` of ``vertex * num_nodes + node``, as a sort and
     a mask (several times faster than ``np.unique`` on numpy 2)."""
-    keys = np.sort(vertex * num_nodes + node)
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return np.divmod(keys[first], num_nodes)
+    return np.divmod(sorted_unique(vertex * num_nodes + node), num_nodes)
 
 
 def replica_pairs(graph: Graph,

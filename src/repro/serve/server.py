@@ -41,6 +41,7 @@ from repro.serve.workload import (
     OpenLoopWorkload,
     workload_from_config,
 )
+from repro.utils.arrays import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
@@ -143,8 +144,8 @@ class ServeStats:
         also published to a metrics registry when one is given, with
         the p50 of each query kind."""
         lat = np.asarray(self.latencies_s, dtype=np.float64)
-        p50 = float(np.percentile(lat, 50)) if lat.size else 0.0
-        p99 = float(np.percentile(lat, 99)) if lat.size else 0.0
+        p50 = percentile(lat, 50) if lat.size else 0.0
+        p99 = percentile(lat, 99) if lat.size else 0.0
         if metrics is not None:
             metrics.set_gauge("serve.queries", self.served)
             metrics.set_gauge("serve.degraded", self.degraded_served)
@@ -156,7 +157,7 @@ class ServeStats:
                 own = lat[kinds == code]
                 metrics.set_gauge(
                     f"serve.{name}_p50_us",
-                    float(np.percentile(own, 50)) * 1e6 if own.size
+                    percentile(own, 50) * 1e6 if own.size
                     else 0.0)
             router.publish_load(metrics)
         return {

@@ -647,9 +647,9 @@ class TestPositionalSync:
                 batch.gids, positions, batch.values, batch.flags,
                 batch.sizes, batch.full_state)
             with pytest.raises(EngineError, match="positions"):
-                st.stage(stale)
+                st.stage([stale])
             assert not st.pend_mask.any()
-        st.stage(batch)
+        st.stage([batch])
         assert st.pend_mask.sum() == batch.record_count
 
     @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
@@ -660,13 +660,13 @@ class TestPositionalSync:
         from repro.engine.vectorized import ArrayNodeProtocol
 
         staged = []
-        stage = ArrayNodeProtocol.stage_sync_batch
+        stage = ArrayNodeProtocol.stage_inbox
 
-        def spy(self, st, batch):
-            staged.append(batch.record_count)
-            return stage(self, st, batch)
+        def spy(self, st, batches):
+            staged.append(sum(batch.record_count for batch in batches))
+            return stage(self, st, batches)
 
-        monkeypatch.setattr(ArrayNodeProtocol, "stage_sync_batch", spy)
+        monkeypatch.setattr(ArrayNodeProtocol, "stage_inbox", spy)
         engine = self.engine(partition=partition, ft_level=2, num_standby=1)
         engine.schedule_failure(2, nodes=1)
         result = engine.run()

@@ -1,4 +1,5 @@
-"""How much work a recovery does, counted rather than timed.
+"""How much work a recovery and a superstep do, counted rather than
+timed.
 
 Spies count the batches a recovery packs (``pack_rows``) and the SoA
 images it reads back out of the slots (``NodeTopology.build``), per
@@ -8,14 +9,21 @@ node, on any host.  Placement is batched
 places copies on, so a recovery over ``s`` survivors packs at most
 ``s**2`` batches however many copies it makes, and builds each image it
 wrote on at most once.  A per-row writer packs one batch per copy.
+The barrier stages each alive node's received syncs in one call, through
+a Rebirth too; a per-batch loop stages once per (sender, kind) batch.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro.api import make_engine
 from repro.engine.soa import NodeTopology
+from repro.engine.vectorized import ArrayNodeProtocol
 from repro.ft import _recovery_common as common
 from repro.ft.migration import MigrationRecovery
 from repro.ft.rebirth import RebirthRecovery
@@ -144,3 +152,54 @@ def test_rebirth_stamps_no_slot(partition, monkeypatch):
     assert [r.strategy for r in result.recoveries] == ["rebirth"] * 2
     assert selfish
     assert stamped == [dict.fromkeys(range(4), 0)] * 2
+
+
+@pytest.mark.parametrize("partition", PARTS)
+def test_a_node_stages_its_inbox_once_per_superstep(graph, partition,
+                                                    monkeypatch):
+    """At most one staging call per alive node per superstep, however
+    many batches its inbox holds (before, after and through a Rebirth);
+    a per-batch loop made several calls per node here."""
+    calls, batches = [], []
+    real_stage = ArrayNodeProtocol.stage_inbox
+
+    def stage(self, st, inbox):
+        calls.append((engine.iteration, st.node))
+        batches.append(len(inbox))
+        return real_stage(self, st, inbox)
+
+    monkeypatch.setattr(ArrayNodeProtocol, "stage_inbox", stage)
+    engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                         partition=partition, num_standby=1,
+                         max_iterations=6)
+    engine.schedule_failure(3, [1], "compute")
+    result = engine.run()
+    assert [r.strategy for r in result.recoveries] == ["rebirth"]
+    assert len(set(calls)) == len(calls)
+    assert {it for it, _node in calls} == set(range(6))
+    assert sum(batches) > len(calls)
+
+
+def test_a_rebirth_leaves_numpy_ma_unimported():
+    """Bare ``np.unique`` (also inside ``np.percentile``) imports
+    ``numpy.ma`` on its first call (numpy 2); the superstep, a Rebirth,
+    the result and the read report use ``repro.utils.arrays`` instead,
+    on both cuts."""
+    script = textwrap.dedent("""
+        import sys
+        from repro.exec import BackendSpec, SimulatorBackend
+        from repro.graph import generators
+        graph = generators.power_law(300, alpha=2.0, seed=3, avg_degree=5.0)
+        for partition in ("hash_edge_cut", "hybrid_cut"):
+            result = SimulatorBackend().run(graph, BackendSpec(
+                algorithm="pagerank", num_nodes=4, ft_level=1,
+                partition=partition, num_standby=1, max_iterations=6,
+                failures=((3, (1,), "compute"),),
+                serve=(("num_queries", 200), ("qps", 2000.0))))
+            assert result.failures_recovered == 1
+            assert result.extra["serve"]["queries"] == 200
+        print("numpy.ma" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]

@@ -1,10 +1,15 @@
-"""Unit tests for repro.utils: hashing, RNG streams, sizing."""
+"""Unit tests for repro.utils: hashing, RNG streams, sizing, array
+idioms."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.utils.arrays import percentile, sorted_unique
 from repro.utils.hashing import hash_to_node, stable_hash, stable_hash_array
 from repro.utils.rng import SeededRng, derive_seed
 from repro.utils.sizing import (
@@ -100,3 +105,24 @@ class TestSizing:
 
     def test_edge_record_layout(self):
         assert BYTES_PER_EDGE == 2 * BYTES_PER_VID + 8
+
+
+class TestArrayIdioms:
+    """Each helper is the numpy call it stands in for, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.int64, st.integers(0, 60),
+                      elements=st.integers(-20, 20)))
+    def test_sorted_unique_is_np_unique(self, keys):
+        have, want = sorted_unique(keys), np.unique(keys)
+        assert have.dtype == want.dtype
+        assert np.array_equal(have, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 60),
+                      elements=st.floats(0, 1e3, allow_nan=False)),
+           st.sampled_from([0, 12.5, 50, 75, 99, 99.9, 100]))
+    def test_percentile_is_np_percentile(self, values, q):
+        want = float(np.percentile(values, q))
+        assert np.float64(percentile(values, q)).tobytes() == \
+            np.float64(want).tobytes()

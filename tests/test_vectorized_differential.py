@@ -236,10 +236,13 @@ def _drive_by_hand(engine, states, supersteps, probe=lambda when: None):
                 counts[rank] = (edges[rank],
                                 *states[rank].fold_apply(ctx, outbox))
                 ship(rank, outbox)
+        inboxes = {}
         for (_src, dst, kind), batch in sent.items():
             if kind in (MessageKind.SYNC.value,
                         MessageKind.MIRROR_SYNC.value):
-                states[dst].stage(batch)
+                inboxes.setdefault(dst, []).append(batch)
+        for dst, inbox in inboxes.items():
+            states[dst].stage(inbox)
         probe("computed")
         signals = {rank: [(dst, gid) for (dst, _kind), batch in
                           states[rank].stage1(it).items()
