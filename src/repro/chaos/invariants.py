@@ -14,10 +14,10 @@ committed superstep (``post_commit``) and after every completed recovery
 * **Value agreement** — every replica's committed value equals its
   master's (mirrors *and* plain replicas), except selfish vertices when
   the selfish optimisation legitimately skips their sync (Section 4.4);
-* **Active-set consistency** — each node's ``active_masters`` /
-  ``active_others`` indexes match the slots' flags, the gid index maps
-  to the right slots, and vertex-cut masters whose activity diverged
-  from what replicas believe are queued for re-broadcast;
+* **Index consistency** — the gid index maps to the right slots, and
+  vertex-cut masters whose activity diverged from what replicas believe
+  are queued for re-broadcast (activity itself is the ``active`` column
+  alone, which the one-copy check below covers);
 * **One copy** — every stamped slot is a view of its own position's
   committed columns (bound to its graph at its position), and every
   tombstone holds the vacant fill (DESIGN.md §3);
@@ -99,16 +99,6 @@ class InvariantChecker:
                     self._fail(phase, f"node {node}: index maps vertex "
                                       f"{gid} to position {pos} holding "
                                       f"{getattr(slot, 'gid', None)}")
-            want_masters = {s.gid for s in lg.iter_masters() if s.active}
-            want_others = {s.gid for s in lg.iter_slots()
-                           if not s.is_master and s.active}
-            if lg.active_masters != want_masters:
-                self._fail(phase, f"node {node}: active_masters index "
-                                  f"diverged (index {sorted(lg.active_masters)}"
-                                  f" vs flags {sorted(want_masters)})")
-            if lg.active_others != want_others:
-                self._fail(phase, f"node {node}: active_others index "
-                                  f"diverged")
 
     def _check_masters(self, engine: "Engine", alive: list[int],
                        phase: str) -> None:

@@ -6,12 +6,12 @@ numpy group-bys lay out, for all nodes at once, the position tables
 (masters in vertex-id order, then computation/FT replicas in vertex-id
 order), the role / degree / mirror columns, the edge CSR and each
 master's sync fan-out.  Each node's SoA image
-(:class:`~repro.engine.soa.NodeTopology`, DESIGN.md §11) and FT census
-are cut from those columns, and so is its birth record
-(:func:`_birth_record`): every copy's position recorded in the master
-metadata so recovery messages apply positionally (Section 5.1.2), and
-under edge-cut the master's edge list duplicated onto its mirrors.  A
-node is born from the three (:meth:`LocalGraph.born`, which Rebirth's
+(:class:`~repro.engine.soa.NodeTopology`, DESIGN.md §11) is cut from
+those columns, and so is its birth record (:func:`_birth_record`):
+every copy's position recorded in the master metadata so recovery
+messages apply positionally (Section 5.1.2), and under edge-cut the
+master's edge list duplicated onto its mirrors.  A node is born from
+the two (:meth:`LocalGraph.born`, which Rebirth's
 reborn node goes through too); no ``VertexSlot`` exists until a consumer
 indexes one.
 
@@ -65,7 +65,7 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
                        ) -> tuple[dict[int, LocalGraph], ConstructionReport]:
     """Materialise each node's local graph: ``(local_graphs, report)``,
     ``local_graphs`` mapping node id to its :class:`LocalGraph`, each
-    born from its SoA image, FT census and birth record.  ``tracer``
+    born from its SoA image and birth record.  ``tracer``
     gets the array work and the birth of the graphs as two spans."""
     edge_cut = isinstance(partitioning, EdgeCutPartitioning)
     if edge_cut:
@@ -145,7 +145,6 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
         out_deg = graph.out_degrees()[gids]
         selfish = vertex_selfish[gids]
         master_node = master_of[gids]
-        ft_level = np.minimum(mir_len, rep_len)
         # Sync fan-out: one row per replica, in vertex-id order (the
         # order of every node's masters), filed under its master's node.
         sync_from = master_of[rep_gid]
@@ -176,8 +175,7 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
                     rep_node[rows] * 2 + is_mirror[rep_index[rows]],
                     position[master_index[rep_gid[rows]]],
                     position[rep_index[rows]]))
-            masters = gids[lo:hi][is_master[lo:hi]]
-            images.append((topology, ft_census(masters, ft_level[masters])))
+            images.append(topology)
 
         # What the birth records cut from, per copy and per plan entry.
         records = {
@@ -193,12 +191,11 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
         if edge_cut and mir_len.any():
             # Every copy's local in-edges as (src gid, src position,
             # weight), by copy index: a mirror's backup is its master's.
-            topos = [topo for topo, _ in images]
             records["full"] = (
-                csr_ptr(np.concatenate([t.in_counts for t in topos])),
-                np.concatenate([t.gids[t.in_src] for t in topos]),
-                np.concatenate([t.in_src for t in topos]),
-                np.concatenate([t.in_w for t in topos]))
+                csr_ptr(np.concatenate([t.in_counts for t in images])),
+                np.concatenate([t.gids[t.in_src] for t in images]),
+                np.concatenate([t.in_src for t in images]),
+                np.concatenate([t.in_w for t in images]))
         # The edge- and copy-sized scratch dies before the records are
         # cut (freed heap under live arrays still counts toward peak
         # RSS).
@@ -208,11 +205,11 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
 
     with tracer.span("load.construct.slots", cat="load", slots=total):
         locals_: dict[int, LocalGraph] = {}
-        for node, (topo, census) in enumerate(images):
+        for node, topo in enumerate(images):
             lo, hi = int(offset[node]), int(offset[node + 1])
             locals_[node] = LocalGraph.born(
                 node, _birth_record(node, topo, lo, hi, records),
-                topo, census, records["ft_only"][lo:hi], edge_cut)
+                topo, records["ft_only"][lo:hi], edge_cut)
     return locals_, report
 
 
@@ -273,13 +270,4 @@ def sync_columns(to: np.ndarray, master_pos: np.ndarray,
              for key, mask in zip(keys, masks)},
             np.concatenate([np.zeros(0, dtype=np.int64),
                             *(peer_pos[mask] for mask in masks)]))
-
-
-def ft_census(masters: np.ndarray,
-              levels: np.ndarray) -> tuple[int, dict[int, list[int]]]:
-    """``LocalGraph.ft_census`` of a node from its master gids and their
-    FT levels, both in position order: levels in the order a walk first
-    meets them."""
-    return masters.size, {level: masters[levels == level].tolist()
-                          for level in dict.fromkeys(levels.tolist())}
 

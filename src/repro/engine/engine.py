@@ -26,9 +26,11 @@ Simulated time: every node advances its own clock by modeled compute
 and communication costs; the global barrier max-reduces the clocks
 (:mod:`repro.costmodel`).
 
-Scheduling: compute loops iterate each node's *active sets* and the
-barrier commit touches only *dirty* slots (those that computed or
-received a message), so sparse supersteps cost O(work), not O(graph).
+Scheduling: compute loops visit the set positions of each node's
+``active`` column (one array scan) and the scalar barrier commit
+touches only *dirty* slots (those that computed or received a
+message), so sparse supersteps do Python work in O(active), not
+O(graph).
 """
 
 from __future__ import annotations
@@ -596,8 +598,9 @@ class Engine:
         alive = self._alive()
         net = self.cluster.network
         with self.tracer.span("barrier", iteration=self.iteration) as sp:
-            ckpt_time = self._commit_barrier_inner(alive, net, sp)
-        self._finish_iteration_stats(alive, net, ckpt_time)
+            ckpt_time, total_active = self._commit_barrier_inner(alive, net,
+                                                                 sp)
+        self._finish_iteration_stats(alive, net, ckpt_time, total_active)
         # The barrier committed: reads served from here on reflect this
         # superstep (the columns hold it).  Any recovery-recomputed
         # selfish values are now the committed values, so the read
@@ -606,7 +609,8 @@ class Engine:
         if self.selfish_read_fence:
             self.selfish_read_fence.clear()
 
-    def _commit_barrier_inner(self, alive: list[int], net, span) -> float:
+    def _commit_barrier_inner(self, alive: list[int], net,
+                              span) -> tuple[float, int]:
         # Apply received syncs to replicas/mirrors.
         with self.tracer.span("barrier.apply_syncs",
                               iteration=self.iteration):
@@ -627,7 +631,7 @@ class Engine:
         ckpt_time = self.ckpt.post_commit(alive)
         for node in alive:
             self.cluster.clocks.advance(node, ckpt_time)
-        return ckpt_time
+        return ckpt_time, total_active
 
     def _apply_received_syncs(self, alive: list[int], net) -> None:
         for node in alive:
@@ -682,20 +686,20 @@ class Engine:
         # shadows, broadcast queue.
         total = 0
         for node in alive:
-            stale = self._state(node).finalize(iteration)
+            st = self._state(node)
+            stale = st.finalize(iteration)
             if stale:
                 self._broadcast_pending[node].update(stale)
-            total += len(self.local_graphs[node].active_masters)
+            total += st.active_master_count()
         return total
 
     def _finish_iteration_stats(self, alive: list[int], net,
-                                ckpt_time: float) -> None:
-        """Close the superstep: barrier clocks, stats, metrics snapshot."""
+                                ckpt_time: float, total_active: int) -> None:
+        """Close the superstep: barrier clocks, stats, metrics snapshot;
+        ``total_active`` is the commit's count of active masters."""
         post = self.cluster.clocks.barrier(self.model, alive)
         msgs = net.totals.total_msgs - self._step_start[0]
         nbytes = net.totals.total_bytes - self._step_start[1]
-        total_active = sum(len(self.local_graphs[n].active_masters)
-                           for n in alive)
         self.iteration_stats.append(IterationStats(
             iteration=self.iteration,
             active_masters=total_active,

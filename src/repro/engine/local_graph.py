@@ -59,17 +59,15 @@ _ROLE_CODE = {role: code for code, role in enumerate(_B.ROLES)}
 def stamp_slots(rows: RecoveryBatch, at: np.ndarray, ft_only,
                 in_edges: list | None = None, in_counts=None,
                 out_edges: list | None = None, out_counts=None,
-                full_edges: bool = False,
-                gids: list | None = None) -> list[VertexSlot]:
+                full_edges: bool = False) -> list[VertexSlot]:
     """The one slot stamper: detached slots for the rows ``at`` of
     ``rows`` (a birth record or a received batch), with ``ft_only``
     aligned with ``at``, their local edges — ``in_edges`` the
     ``(src position, weight)`` pairs and ``out_edges`` the target
     positions, in CSR order, cut per row by ``in_counts`` /
     ``out_counts`` — and, with ``full_edges`` (edge-cut), each mirror's
-    ``(src gid, src position, weight)`` copy of its master's in-edges;
-    ``gids``, the rows' gid objects, default to fresh ones.  The
-    committed fields are a fresh slot's until the slot is bound."""
+    ``(src gid, src position, weight)`` copy of its master's in-edges.
+    The committed fields are a fresh slot's until the slot is bound."""
     count = at.size
     roles = rows.roles[at]
     with_meta = at[roles != _B.REPLICA]
@@ -92,7 +90,7 @@ def stamp_slots(rows: RecoveryBatch, at: np.ndarray, ft_only,
     slots = []
     for (gid, role, master_node, mirror_id, out_degree, in_degree, selfish,
          fo) in zip(
-            rows.gids[at].tolist() if gids is None else gids, roles.tolist(),
+            rows.gids[at].tolist(), roles.tolist(),
             rows.master_node[at].tolist(), rows.mirror_id[at].tolist(),
             rows.out_degree[at].tolist(), rows.in_degree[at].tolist(),
             rows.selfish[at].tolist(), ft_only):
@@ -161,13 +159,9 @@ class SlotArray:
     into the columns; assigning ``None`` (a tombstone) detaches the slot
     there first.  :meth:`grow` keeps the columns the array's length.
     :attr:`materialized` counts the slots stamped from the record.
-    ``gids[pos]`` is the gid born at ``pos`` as one ``int`` object, which
-    the gid index, the active sets and the slot stamped there share: a
-    dict probe with the key's own object skips the value compare (the
-    scalar loop's ``slot_of``).
     """
 
-    __slots__ = ("_graph", "_items", "materialized", "_lazy", "gids",
+    __slots__ = ("_graph", "_items", "materialized", "_lazy",
                  "_rows", "_row_of", "_ft_only", "_topo", "_full_edges",
                  "_in_ptr", "_out_ptr", "_placement")
 
@@ -188,10 +182,6 @@ class SlotArray:
             self._items = items.tolist()
             self._row_of = np.full(n, -1, dtype=np.int64)
             self._row_of[rows.positions] = np.arange(len(rows))
-        self.gids = np.full(n, None, dtype=object)
-        if rows is not None:
-            self.gids[rows.positions] = np.array(rows.gids.tolist(),
-                                                 dtype=object)
         self._rows, self._topo = rows, topology
         self._ft_only, self._full_edges = ft_only, full_edges
         self._in_ptr = self._out_ptr = None
@@ -380,7 +370,7 @@ class SlotArray:
             self._rows, rows, self._ft_only[rows].tolist(),
             list(zip(topo.in_src[at].tolist(), topo.in_w[at].tolist())),
             in_counts.tolist(), topo.out_dst[out_at].tolist(),
-            out_counts.tolist(), self._full_edges, self.gids[pos].tolist())
+            out_counts.tolist(), self._full_edges)
         items, graph = self._items, self._graph
         for p, slot in zip(positions, slots):
             slot.bind(graph, p)
@@ -397,29 +387,16 @@ class LocalGraph:
         self.node_id = node_id
         self.slots = SlotArray(self)
         self.index_of: dict[int, int] = {}
-        #: gids of *master* slots whose ``active`` flag is set — the
-        #: engine's compute loops iterate these instead of scanning the
-        #: array, so sparse supersteps (SSSP tails) cost O(active), not
-        #: O(all slots).  Maintained by :meth:`set_active`; never flip
-        #: ``slot.active`` directly once a slot is registered.
-        self.active_masters: set[int] = set()
-        #: Same for non-master slots (vertex-cut replicas gather too).
-        self.active_others: set[int] = set()
-        # Tuple snapshots of the active sets, cached until the next
-        # mutation — the compute loops iterate these instead of copying
-        # the set per node per superstep.
-        self._masters_snapshot: tuple[int, ...] | None = None
-        self._others_snapshot: tuple[int, ...] | None = None
-        #: Cached structure-of-arrays topology (DESIGN.md §11) and FT
-        #: census: born with the graph (:meth:`born`) or built lazily by
-        #: :meth:`topology` / :meth:`ft_census`; :meth:`invalidate_soa`
-        #: drops both.
+        #: Cached structure-of-arrays topology (DESIGN.md §11): born with
+        #: the graph (:meth:`born`) or built lazily by :meth:`topology`;
+        #: :meth:`invalidate_soa` drops it.
         self._topology = None
-        self._ft_census = None
         #: The committed dynamic columns (:data:`DYNAMIC`), one entry per
         #: position: the one store of that state — a column state adopts
-        #: them, a bound slot reads and writes them.  Values start as
-        #: Python objects; the first column state casts them to its dtype.
+        #: them, a bound slot reads and writes them.  Activity is the
+        #: ``active`` column alone: a compute loop visits its set
+        #: positions.  Values start as Python objects; the first column
+        #: state casts them to its dtype.
         self.values = np.zeros(0, dtype=object)
         self.active = np.zeros(0, dtype=bool)
         self.last_activates = np.zeros(0, dtype=bool)
@@ -430,25 +407,23 @@ class LocalGraph:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def born(cls, node_id: int, rows: RecoveryBatch, topology, ft_census,
+    def born(cls, node_id: int, rows: RecoveryBatch, topology,
              ft_only: np.ndarray, full_edges: bool,
              state=None) -> "LocalGraph":
         """A node's graph born whole — at load, or reborn at Rebirth —
         from its birth record ``rows`` (one row per copy, in position
-        order), the SoA image and FT census cut from the same columns,
-        each row's ``ft_only`` and, with ``full_edges``, the mirrors'
-        in-edge copies in the record's edge CSR.  ``state`` holds the
-        rows' :data:`DYNAMIC` columns (default: a fresh slot's, until
-        ``Engine`` sets the initial state); the active sets follow
-        ``active``.  No slot is stamped."""
+        order), the SoA image cut from the same columns, each row's
+        ``ft_only`` and, with ``full_edges``, the mirrors' in-edge copies
+        in the record's edge CSR.  ``state`` holds the rows'
+        :data:`DYNAMIC` columns (default: a fresh slot's, until
+        ``Engine`` sets the initial state).  No slot is stamped."""
         lg = cls(node_id)
         # The record keeps the static columns only: the state lives in
         # the graph's columns from here on.
         rows = dataclasses.replace(rows, values=[])
         lg.slots = SlotArray(lg, rows, topology, ft_only, full_edges)
-        lg.index_of = dict(zip(lg.slots.gids[rows.positions].tolist(),
-                               rows.positions.tolist()))
-        lg._topology, lg._ft_census = topology, ft_census
+        lg.index_of = dict(zip(rows.gids.tolist(), rows.positions.tolist()))
+        lg._topology = topology
         count = len(rows)
         if state is None:
             state = ([None] * count, np.zeros(count, dtype=bool),
@@ -460,7 +435,6 @@ class LocalGraph:
                            dtype=object if name == "values" else type(fill))
             _put(full, rows.positions, column)
             setattr(lg, name, full)
-        lg._index_activity(topology)
         return lg
 
     def reset(self, values: np.ndarray, active: np.ndarray) -> None:
@@ -479,17 +453,6 @@ class LocalGraph:
                                                  topo.occupied)
         self.mirror_self_active[:] = self.active & (topo.is_master
                                                     | topo.is_mirror)
-        self._index_activity(topo)
-
-    def _index_activity(self, topo) -> None:
-        """Rebuild both active sets from the ``active`` column of a graph
-        as born."""
-        live = self.active & topo.occupied
-        gids = self.slots.gids
-        self.active_masters = set(gids[live & topo.is_master].tolist())
-        self.active_others = set(gids[live & ~topo.is_master].tolist())
-        self._masters_snapshot = None
-        self._others_snapshot = None
 
     def add_slot(self, slot: VertexSlot, position: int | None = None) -> int:
         """Append (or place at a fixed position) one vertex slot, bound
@@ -508,26 +471,7 @@ class LocalGraph:
         slots[position] = slot
         self.index_of[slot.gid] = position
         self.invalidate_soa()
-        if slot.active:
-            self.set_active(slot, True)
         return position
-
-    def set_active(self, slot: VertexSlot, flag: bool) -> None:
-        """Flip a slot's activity, keeping the active indexes in sync.
-
-        Also call this after a role change (Migration promotion) so the
-        gid moves to the matching set.
-        """
-        slot.active = flag
-        self.active_masters.discard(slot.gid)
-        self.active_others.discard(slot.gid)
-        if flag:
-            if slot.role is Role.MASTER:
-                self.active_masters.add(slot.gid)
-            else:
-                self.active_others.add(slot.gid)
-        self._masters_snapshot = None
-        self._others_snapshot = None
 
     def remove_slot(self, gid: int) -> VertexSlot:
         """Tombstone a slot (a drain removes copies); the slot comes back
@@ -538,44 +482,14 @@ class LocalGraph:
                 f"vertex {gid} not present on node {self.node_id}")
         slot = self.slots[position]
         self.slots[position] = None
-        self.active_masters.discard(gid)
-        self.active_others.discard(gid)
-        self._masters_snapshot = None
-        self._others_snapshot = None
         self.invalidate_soa()
         return slot
-
-    def set_active_bulk(self, positions, flags) -> None:
-        """Vectorized bulk form of :meth:`set_active`, by position, over
-        the image's roles: the ``active`` column and the active sets.
-
-        Used by the barrier commit of the vectorized path, by recovery
-        replay and by the multiprocessing parent's state pull; must keep
-        the same contract as per-slot writes — the active sets stay in
-        sync and the iteration snapshots are invalidated (a stale
-        snapshot here would feed the next superstep's compute loop the
-        previous superstep's active set).
-        """
-        topo = self.topology()
-        self.active[positions] = flags
-        masters, others = self.active_masters, self.active_others
-        for gid, master, flag in zip(topo.gids[positions].tolist(),
-                                     topo.is_master[positions].tolist(),
-                                     flags):
-            if flag:
-                (masters if master else others).add(gid)
-            else:
-                masters.discard(gid)
-                others.discard(gid)
-        self._masters_snapshot = None
-        self._others_snapshot = None
 
     # -- the committed columns ---------------------------------------------
 
     def store(self, positions: np.ndarray, **columns) -> None:
         """Write committed ``columns`` (by :data:`DYNAMIC` name, one
-        value per position; activity goes through
-        :meth:`set_active_bulk`) at ``positions``."""
+        value per position) at ``positions``."""
         for name, values in columns.items():
             _put(getattr(self, name), positions, values)
 
@@ -599,19 +513,9 @@ class LocalGraph:
         validity checks peek, they never build."""
         return self._topology
 
-    def ft_census(self) -> tuple[int, dict[int, list[int]]]:
-        """``(masters, ft_level -> master gids)``, cached like the topology:
-        FT repair and the gauges re-scan only the nodes written on."""
-        if self._ft_census is None:
-            by_level: dict[int, list[int]] = {}
-            for slot in self.iter_masters():
-                by_level.setdefault(slot.meta.ft_level, []).append(slot.gid)
-            self._ft_census = (sum(map(len, by_level.values())), by_level)
-        return self._ft_census
-
     def invalidate_soa(self) -> None:
-        """Drop this node's SoA topology (hence the executor's state) and
-        FT census.  The write-site rule (DESIGN.md §11), structural
+        """Drop this node's SoA topology (hence the executor's state).
+        The write-site rule (DESIGN.md §11), structural
         writes only: whoever writes a slot's role, placement or edge
         list, or a ``MasterMeta``, of this node outside the barrier
         commit calls this — ``add_slot`` and ``remove_slot`` do
@@ -619,24 +523,6 @@ class LocalGraph:
         column writes and drop nothing.
         """
         self._topology = None
-        self._ft_census = None
-
-    def active_masters_snapshot(self) -> tuple[int, ...]:
-        """Stable iteration snapshot of ``active_masters``.
-
-        Cached until the set next mutates; lets a compute loop iterate
-        while apply results flip activity, without copying the set per
-        node per superstep.
-        """
-        if self._masters_snapshot is None:
-            self._masters_snapshot = tuple(self.active_masters)
-        return self._masters_snapshot
-
-    def active_others_snapshot(self) -> tuple[int, ...]:
-        """Stable iteration snapshot of ``active_others``."""
-        if self._others_snapshot is None:
-            self._others_snapshot = tuple(self.active_others)
-        return self._others_snapshot
 
     # -- lookup ---------------------------------------------------------------
 

@@ -18,7 +18,7 @@ DESIGN.md §12:
   array path needs beside them: the state cache.
 
 The contract is *bit-for-bit* equality with the scalar loop: identical
-committed values, activity sets, message/byte counters, elision counts
+committed values, activity flags, message/byte counters, elision counts
 and simulated time.
 
 Lifecycle
@@ -46,18 +46,16 @@ Lifecycle
   (a sync record carries its position here).
 * The barrier commit is split where the multiprocessing backend splits
   it: an abortable stage 1 (activation scatter), the activation intake,
-  and a finalize that *alone* writes the committed columns and applies
-  activity via :meth:`~repro.engine.local_graph.LocalGraph.
-  set_active_bulk`.
+  and a finalize that *alone* writes the committed columns, activity
+  included (the ``active`` column is the only record of it).
 * A rollback clears the uncommitted staging; the committed columns
   stay, since only the commit writes them.
 
-Ordering notes: records within one batch are emitted in *position*
-order here versus active-set iteration order in the scalar path.  That
-is observationally equivalent — gids within a batch are distinct, the
-byte accounting is order-independent, and the vertex-cut master fold
-re-sorts partials by (position, sender) exactly as the scalar fold
-sorts by sender per vertex.
+Ordering notes: both paths visit a node's active copies in *position*
+order (the scalar loops walk the set positions of the ``active``
+column), so records within one batch come out in the same order; the
+vertex-cut master fold re-sorts partials by (position, sender) exactly
+as the scalar fold sorts by sender per vertex.
 """
 
 from __future__ import annotations
@@ -160,9 +158,8 @@ class _NodeState:
         return outbox
 
     def broadcast_apply(self, batch) -> None:
-        self.lg.set_active_bulk(
-            self.topo.translate(np.asarray(batch.gids, dtype=np.int64))
-            .tolist(), batch.actives)
+        self.active[self.topo.translate(
+            np.asarray(batch.gids, dtype=np.int64))] = batch.actives
 
     def compute(self, ctx, outbox: dict) -> tuple[int, int, int]:
         return self.proto.edge_cut_compute_node(self, ctx, outbox)
@@ -208,6 +205,10 @@ class _NodeState:
     def topk(self, k: int) -> list[tuple]:
         pos = np.flatnonzero(self.topo.is_master)
         return top_masters(self.topo.gids[pos], self.values[pos], k)
+
+    def active_master_count(self) -> int:
+        """The masters whose committed ``active`` flag is set."""
+        return int(np.count_nonzero(self.active & self.topo.is_master))
 
     def committed_state(self) -> list[list]:
         """Every local copy's committed state, one list per column:
@@ -520,34 +521,22 @@ class ArrayNodeProtocol:
         """
         topo = st.topo
         pm = st.pend_mask
-        pos = np.flatnonzero(pm)
-        if pos.size:
-            st.values[pos] = st.pend_values[pos]
-            st.last_activates[pos] = st.pend_activates[pos]
-            st.last_update[pos] = iteration
+        np.copyto(st.values, st.pend_values, where=pm)
+        np.copyto(st.last_activates, st.pend_activates, where=pm)
+        np.copyto(st.last_update, iteration, where=pm)
+        # Masters and mirrors shadow the self-sustained activity.
+        np.copyto(st.mirror_self_active, st.pend_self_active,
+                  where=pm & (topo.is_master | topo.is_mirror))
+        # A master touched this superstep is active iff it stays active
+        # by itself or a neighbour activated it.
+        touched = (pm | st.next_active) & topo.is_master
+        np.copyto(st.active, (pm & st.pend_self_active) | st.next_active,
+                  where=touched)
         stale: list = []
-        touched = np.flatnonzero((pm | st.next_active) & topo.is_master)
-        if touched.size:
-            new_active = ((pm[touched] & st.pend_self_active[touched])
-                          | st.next_active[touched])
-            # Master/mirror self-activity shadows.
-            withp = touched[pm[touched]]
-            st.mirror_self_active[withp] = st.pend_self_active[withp]
-            # Only flip positions whose activity actually changed — the
-            # delta filter leaves the active sets exactly as the
-            # full-write would (always-active programs skip the whole
-            # per-position loop).
-            cmask = new_active != st.active[touched]
-            if cmask.any():
-                lg.set_active_bulk(touched[cmask].tolist(),
-                                   new_active[cmask].tolist())
-            st.active[touched] = new_active
-            if not self.is_edge_cut:
-                stale = topo.gids[touched[
-                    new_active != st.replicas_known_active[touched]]
-                ].tolist()
-        mirrors = np.flatnonzero(pm & topo.is_mirror)
-        st.mirror_self_active[mirrors] = st.pend_self_active[mirrors]
+        if not self.is_edge_cut:
+            stale = topo.gids[touched & (st.active
+                                         != st.replicas_known_active)
+                              ].tolist()
         # Reset the per-superstep staging; value/flag staging
         # arrays need no clearing — every read is pend_mask-gated.
         st.pend_mask[:] = False

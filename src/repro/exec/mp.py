@@ -182,7 +182,7 @@ class _NodeWorker:
         for _src, enc in frames:
             self.st.activate(decode_batch(enc).gids)
         self.pending_broadcast.update(self.st.finalize(it))
-        return ("committed", it, len(self.st.lg.active_masters))
+        return ("committed", it, self.st.active_master_count())
 
     # Reads of committed state: the coordinator only sends these at
     # protocol-safe points (workers idle between rounds, never inside
@@ -505,9 +505,9 @@ class MultiprocessingBackend(ExecutionBackend):
             gids, value, la, lui, msa, active, rka = frames[rank][1]
             pos = np.fromiter(map(lg.index_of.__getitem__, gids), np.int64,
                               len(gids))
-            lg.store(pos, values=value, last_activates=la, last_update=lui,
-                     mirror_self_active=msa, replicas_known_active=rka)
-            lg.set_active_bulk(pos, active)
+            lg.store(pos, values=value, active=active, last_activates=la,
+                     last_update=lui, mirror_self_active=msa,
+                     replicas_known_active=rka)
         if engine.is_edge_cut:
             return
         # ``broadcast_build`` marks replicas as knowing a master's

@@ -11,7 +11,7 @@ Three layers, the same on both execution backends:
   drives: ``broadcast_build`` / ``broadcast_apply``, ``compute``,
   ``gather``, ``intake``, ``fold_apply``, ``stage``, ``stage1``,
   ``activate``, ``finalize``, ``abort``, and the committed reads
-  ``read``, ``topk``, ``committed_state``.
+  ``read``, ``topk``, ``active_master_count``, ``committed_state``.
 * one driver per backend — ``Engine`` (the deterministic in-process
   simulator) and the forked workers of :mod:`repro.exec.mp` — calling
   that interface and nothing else.
@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import heapq
 from typing import Any
+
+import numpy as np
 
 from repro.cluster.network import MessageKind
 from repro.engine.combine import combiner_of, fold_raw_batch
@@ -194,9 +196,8 @@ class NodeProtocol:
         edges = 0
         vertices = 0
         elided = 0
-        for gid in lg.active_masters_snapshot():
-            slot = lg.slot_of(gid)
-            if not program.participates(gid, ctx):
+        for slot in _active_masters(lg):
+            if not program.participates(slot.gid, ctx):
                 continue
             acc, updates = self.gather_edges(lg, slot, ctx, mutation_log)
             edges += len(slot.in_edges)
@@ -217,9 +218,8 @@ class NodeProtocol:
         combiner = self.combiner
         node = lg.node_id
         edges = 0
-        for gid in (lg.active_masters_snapshot()
-                    + lg.active_others_snapshot()):
-            slot = lg.slot_of(gid)
+        for slot in _active_slots(lg):
+            gid = slot.gid
             if not slot.in_edges:
                 continue
             if not program.participates(gid, ctx):
@@ -282,8 +282,8 @@ class NodeProtocol:
         program = self.program
         vertices = 0
         elided = 0
-        for gid in lg.active_masters_snapshot():
-            slot = lg.slot_of(gid)
+        for slot in _active_masters(lg):
+            gid = slot.gid
             if not program.participates(gid, ctx):
                 continue
             acc = program.gather_init()
@@ -324,8 +324,8 @@ class NodeProtocol:
 
     @staticmethod
     def broadcast_apply(lg, batch) -> None:
-        for gid, active in zip(batch.gids, batch.actives):
-            lg.set_active(lg.slot_of(gid), active)
+        lg.store([lg.index_of[gid] for gid in batch.gids],
+                 active=batch.actives)
 
     # -- sync application -----------------------------------------------
 
@@ -409,7 +409,7 @@ class NodeProtocol:
                     # Track the self-active flag the mirrors just
                     # received, so recovery can rebuild them.
                     slot.mirror_self_active = slot.pending_active
-                lg.set_active(slot, bool(self_part or slot.next_active))
+                slot.active = bool(self_part or slot.next_active)
                 if (not self.is_edge_cut
                         and slot.active != slot.replicas_known_active):
                     stale.append(slot.gid)
@@ -419,6 +419,18 @@ class NodeProtocol:
                 slot.mirror_self_active = slot.pending_active
             slot.clear_pending()
         return stale
+
+
+def _active_slots(lg) -> list:
+    """The slots at the set positions of ``lg``'s ``active`` column, in
+    position order: a snapshot, so a loop over it may stage freely."""
+    slots = lg.slots.materialize()
+    return [slots[pos] for pos in np.flatnonzero(lg.active).tolist()]
+
+
+def _active_masters(lg) -> list:
+    """:func:`_active_slots`, the masters only."""
+    return [slot for slot in _active_slots(lg) if slot.is_master]
 
 
 class ScalarNodeState:
@@ -538,6 +550,12 @@ class ScalarNodeState:
         top = heapq.nlargest(k, ((slot.value, -slot.gid)
                                  for slot in self.lg.iter_masters()))
         return [(value, -neg_gid) for value, neg_gid in top]
+
+    def active_master_count(self) -> int:
+        """The masters whose committed ``active`` flag is set, by their
+        stamped slots (an edge-mutating run drops the image every
+        superstep, so this must not ask for one)."""
+        return len(_active_masters(self.lg))
 
     def committed_state(self) -> list[list]:
         """Every local copy's committed state, one list per column:

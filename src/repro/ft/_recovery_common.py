@@ -11,8 +11,8 @@ Both strategies decompose into the paper's three phases:
   reading the metadata as columns (``SlotArray.metadata``): no slot is
   stamped;
 * **Reconstruction** — received rows are written positionally into the
-  destination's vertex array: a reborn node is built whole, SoA image and
-  FT census included, in one pass (:func:`reborn_graph`), and new copies
+  destination's vertex array: a reborn node is built whole, SoA image
+  included, in one pass (:func:`reborn_graph`), and new copies
   join a live node a batch at a time (:func:`place_replicas`);
 * **Replay** — activation operations stamped with the last committed
   iteration are re-executed, and selfish vertices' dynamic state is
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.cluster.network import Message, MessageKind
-from repro.engine.construction import ft_census, sync_columns
+from repro.engine.construction import sync_columns
 from repro.engine.local_graph import DYNAMIC, LocalGraph, stamp_slots
 from repro.engine.messages import (RecoveryBatch, csr_first, csr_ptr,
                                    csr_rows)
@@ -219,8 +219,8 @@ def reborn_graph(node: int, rows: RecoveryBatch, last_commit: int,
                  ) -> tuple[LocalGraph, int]:
     """Rebirth's reconstruction: ``node``'s graph born from the rows it
     received (:meth:`RecoveryBatch.merge`, so in position order) as a
-    loaded node is — the rows are its birth record, beside its SoA image,
-    FT census and committed columns — so no slot is stamped.
+    loaded node is — the rows are its birth record, beside its SoA image
+    and committed columns — so no slot is stamped.
 
     Under edge-cut the edges are the masters' shipped in-edges, under
     vertex-cut the crashed node's deduplicated edge-ckpt ``edges``.
@@ -238,10 +238,10 @@ def reborn_graph(node: int, rows: RecoveryBatch, last_commit: int,
     edges = (_shipped_edges(rows, gids) if edge_cut
              else _reloaded_edges(node, rows, edges))
     linked = edges[0].size
-    topo, census = _reborn_image(rows, gids, *edges)
+    topo = _reborn_image(rows, gids, *edges)
     ft_only = (~topo.is_master & ~topo.has_in
                & (np.bincount(topo.out_src, minlength=n) == 0))[pos]
-    return LocalGraph.born(node, rows, topo, census, ft_only, edge_cut,
+    return LocalGraph.born(node, rows, topo, ft_only, edge_cut,
                            _row_state(rows, last_commit)), linked
 
 
@@ -278,9 +278,9 @@ def _reloaded_edges(node: int, rows: RecoveryBatch, edges: Edges):
 
 def _reborn_image(rows: RecoveryBatch, gids: np.ndarray, src: np.ndarray,
                   dst: np.ndarray, weight: np.ndarray):
-    """The reborn node's ``(NodeTopology, FT census)``: the edge CSRs
-    are stable sorts of the edges' link order, and the masters' sync
-    fan-out and FT levels come from their shipped metadata."""
+    """The reborn node's ``NodeTopology``: the edge CSRs are stable
+    sorts of the edges' link order, and the masters' sync fan-out comes
+    from their shipped metadata."""
     n, pos = gids.size, rows.positions
     masters = np.flatnonzero(rows.roles == _B.MASTER)
     rp, copies = csr_rows(rows.replica_ptr, masters)
@@ -310,7 +310,7 @@ def _reborn_image(rows: RecoveryBatch, gids: np.ndarray, src: np.ndarray,
         *sync_columns(copy_node * 2 + is_mirror_copy,
                       np.repeat(pos[masters], copies),
                       rows.replica_positions[rp]))
-    return topo, ft_census(rows.gids[masters], np.minimum(seats, copies))
+    return topo
 
 
 def _positions_of(rows: RecoveryBatch, by_gid: np.ndarray,
@@ -323,14 +323,6 @@ def _positions_of(rows: RecoveryBatch, by_gid: np.ndarray,
     have = rows.gids[by_gid]
     at = np.minimum(np.searchsorted(have, want), have.size - 1)
     return rows.positions[by_gid][at], have[at] == want
-
-
-def _activate(lg: LocalGraph, positions) -> None:
-    """Set the activity of the masters at ``positions`` (unique)."""
-    positions = np.asarray(positions, dtype=np.int64)
-    flip = positions[~lg.active[positions]]
-    if flip.size:
-        lg.set_active_bulk(flip.tolist(), [True] * flip.size)
 
 
 def replay_activations(engine: "Engine", nodes: list[int],
@@ -360,7 +352,7 @@ def replay_activations(engine: "Engine", nodes: list[int],
             hit = hit[np.isin(topo.gids[hit], targets)]
         ops += hit.size
         local = topo.is_master[hit]
-        _activate(lg, sorted_unique(hit[local]).tolist())
+        lg.active[hit[local]] = True
         far = sorted_unique(hit[~local])
         remote.extend(zip([node] * far.size, topo.master_node[far].tolist(),
                           topo.gids[far].tolist()))
@@ -377,7 +369,7 @@ def replay_activations(engine: "Engine", nodes: list[int],
             if kind == "replay-activate" and gid in lg.index_of:
                 position = lg.index_of[gid]
                 if lg.topology().is_master[position]:
-                    _activate(lg, (position,))
+                    lg.active[position] = True
     return ops
 
 
@@ -455,7 +447,7 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
         # A selfish vertex is no edge's source, so no gather above read a
         # value this store writes.
         lg.store(pos, values=new)
-        lg.set_active_bulk(pos, [
+        lg.store(pos, active=[
             program.stays_active(gid, value, value, ctx)
             for (gid, *_), value in zip(held, lg.values[pos].tolist())])
     return edges
@@ -504,6 +496,24 @@ def check_recoverable(engine: "Engine", failed: set[int], rung: str,
                 n for n in engine._alive() if n not in failed))
 
 
+def ft_levels(lg: LocalGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The gids of ``lg``'s masters, in position order, and each one's
+    FT level (``MasterMeta.ft_level``).  Read from the node's image when
+    one is cached — the mirrors among a master's sync targets (a mirror
+    is one of its copies, so the bound by the copies holds) — else from
+    the metadata columns (``SlotArray.metadata``): an FT read builds no
+    image (an edge-mutating run drops its image every superstep) and
+    stamps no slot."""
+    topo = lg.cached_topology
+    if topo is None:
+        pos, gids = lg.slots.masters()
+        meta = lg.slots.metadata(pos)
+        return np.array(gids, dtype=np.int64), np.minimum(
+            np.diff(meta["mirror_ptr"]), np.diff(meta["replica_ptr"]))
+    levels = np.bincount(topo.sync_pos[topo.sync_mirror], minlength=topo.n)
+    return topo.gids[topo.is_master], levels[topo.is_master]
+
+
 def masters_below(engine: "Engine", alive: list[int],
                   k: int) -> tuple[list[int], int]:
     """Scan the live nodes' masters for FT levels below ``k``.
@@ -514,18 +524,20 @@ def masters_below(engine: "Engine", alive: list[int],
     deficit: list[int] = []
     widest = 0
     for node in alive:
-        masters, by_level = engine.local_graphs[node].ft_census()
-        widest = max(widest, masters)
-        for level, gids in by_level.items():
-            if level < k:
-                deficit.extend(gids)
+        gids, levels = ft_levels(engine.local_graphs[node])
+        widest = max(widest, gids.size)
+        deficit.extend(gids[levels < k].tolist())
     return sorted(deficit), widest
 
 
 def min_ft_level(engine: "Engine", cap: int) -> int:
     """The lowest FT level any live master has, capped at ``cap``."""
-    return min([cap, *(level for node in engine._alive()
-                       for level in engine.local_graphs[node].ft_census()[1])])
+    lows = [cap]
+    for node in engine._alive():
+        _, levels = ft_levels(engine.local_graphs[node])
+        if levels.size:
+            lows.append(int(levels.min()))
+    return min(lows)
 
 
 def repair_transfer_s(engine: "Engine", created: int,
@@ -699,8 +711,7 @@ def forget_nodes(meta: MasterMeta, nodes) -> None:
 def crown(lg: LocalGraph, slot: VertexSlot, meta: MasterMeta) -> None:
     """Seat ``slot`` as its vertex's master on ``lg``, holding ``meta``:
     the master role, no mirror id, and the node and position in slot and
-    metadata alike.  Call it before ``lg.set_active``, which files a slot
-    by its role."""
+    metadata alike."""
     slot.role = Role.MASTER
     slot.mirror_id = -1
     slot.meta = meta

@@ -371,7 +371,7 @@ class CheckpointManager:
         missed = np.flatnonzero(~known)
         for i, gid in zip(missed.tolist(), gids[missed].tolist()):
             active[i] = engine.program.is_initially_active(gid)
-        lg.set_active_bulk(pos, active)
+        lg.store(pos, active=active)
         return pos.size
 
 
@@ -540,8 +540,8 @@ def _full_resync(engine: "Engine", alive: list[int]) -> float:
             pos, flags = msg.payload.positions, msg.payload.flags
             self_active = (flags & SyncBatch.FLAG_SELF_ACTIVE) != 0
             lg.store(pos, values=msg.payload.values.tolist(),
-                     last_activates=(flags & SyncBatch.FLAG_ACTIVATES) != 0)
-            lg.set_active_bulk(pos, self_active.tolist())
+                     last_activates=(flags & SyncBatch.FLAG_ACTIVATES) != 0,
+                     active=self_active)
             mirrors = is_mirror[pos]
             lg.store(pos[mirrors], mirror_self_active=self_active[mirrors])
     for node in alive:

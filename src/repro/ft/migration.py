@@ -179,7 +179,7 @@ class MigrationRecovery:
         # replicas' gather flags reflect the old master's last
         # broadcast, which the mirror's own flag also carried.
         old_gather_flag = slot.active
-        lg.set_active(slot, slot.mirror_self_active)
+        slot.active = slot.mirror_self_active
         slot.replicas_known_active = old_gather_flag
 
     # ------------------------------------------------------------------

@@ -19,14 +19,14 @@ Reloading is a selection by array masks over each survivor's SoA image
 among its mirrors of dead masters), packed into one columnar
 :class:`~repro.engine.messages.RecoveryBatch` per (survivor, newbie).
 Reconstruction is positional and lock-free: each newbie is built whole
-from the columns it received — slots, edges, SoA image and FT census in
-one pass (:func:`~repro.ft._recovery_common.reborn_graph`).  Under
+from the columns it received — slots, edges and SoA image in one
+pass (:func:`~repro.ft._recovery_common.reborn_graph`).  Under
 edge-cut it happens while messages arrive, so the phase reports zero
 explicit time (Fig. 9a shows no reconstruction bar for Rebirth).  Replay
 re-executes activation operations on the new node only.
 
 Write set (DESIGN.md §11): the reborn nodes' new ``LocalGraph``s only —
-survivors read and send, so their SoA images and FT census stay valid.
+survivors read and send, so their SoA images stay valid.
 They read their metadata as columns (``SlotArray.metadata``), so a
 Rebirth stamps no slot anywhere.
 """
@@ -158,7 +158,7 @@ class RebirthRecovery:
 
         # ---------------- Reconstruction ----------------
         # Each newbie is built whole from the rows it received: slots,
-        # edges, SoA image and FT census in one pass (DESIGN.md §11).
+        # edges and SoA image in one pass (DESIGN.md §11).
         last_commit = common.last_committed_iteration(engine)
         reconstruct_times = []
         for node in failed:

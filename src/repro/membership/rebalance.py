@@ -74,7 +74,7 @@ def move_master(engine: "Engine", gid: int, dst: int) -> int:
     dst_slot.last_update_iter = src_slot.last_update_iter
     dst_slot.replicas_known_active = broadcast_flag
     dst_slot.mirror_self_active = src_slot.mirror_self_active
-    dst_lg.set_active(dst_slot, src_slot.active)
+    dst_slot.active = src_slot.active
 
     # -- rebuild the complete in-edge list on dst, in source order ------
     in_edges = src_slot.in_edges
@@ -85,7 +85,7 @@ def move_master(engine: "Engine", gid: int, dst: int) -> int:
     src_slot.clear_pending()
     # A demoted copy holds the flag the master last broadcast, exactly
     # like every other replica.
-    src_lg.set_active(src_slot, broadcast_flag)
+    src_slot.active = broadcast_flag
 
     # -- every mirror re-seated on the new master's full state ----------
     meta = dst_slot.meta

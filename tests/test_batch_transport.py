@@ -17,7 +17,6 @@ from repro.api import make_engine
 from repro.chaos.controller import ChaosController
 from repro.chaos.schedule import FailureSchedule
 from repro.cluster.network import Message, MessageKind, Network
-from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import (
     ActivateBatch,
     ActiveBroadcastBatch,
@@ -25,7 +24,7 @@ from repro.engine.messages import (
     RawGatherBatch,
     SyncBatch,
 )
-from repro.engine.state import MasterMeta, Role, VertexSlot
+from repro.engine.state import MasterMeta
 from repro.graph import generators
 from repro.utils.sizing import BYTES_PER_MSG_HEADER, BYTES_PER_VID
 
@@ -306,48 +305,8 @@ class TestSyncTargetCache:
 
 
 class TestActiveSnapshots:
-    def make_slot(self, gid, role=Role.MASTER):
-        # ``set_active_bulk`` reads roles from the image, which a
-        # master's metadata is part of.
-        return VertexSlot(gid=gid, role=role,
-                          meta=MasterMeta() if role is Role.MASTER else None)
-
-    def test_snapshot_cached_until_mutation(self):
-        lg = LocalGraph(0)
-        a, b = self.make_slot(1), self.make_slot(2)
-        lg.add_slot(a)
-        lg.add_slot(b)
-        lg.set_active(a, True)
-        snap = lg.active_masters_snapshot()
-        assert set(snap) == {1}
-        assert lg.active_masters_snapshot() is snap
-        lg.set_active(b, True)
-        assert set(lg.active_masters_snapshot()) == {1, 2}
-        lg.remove_slot(2)
-        assert set(lg.active_masters_snapshot()) == {1}
-
-    def test_snapshot_invalidated_by_bulk_activity_write(self):
-        """Regression (DESIGN.md §11): the vectorized barrier commit
-        flips activity through ``set_active_bulk``; a snapshot cached
-        before that write must not survive it, or the next superstep's
-        compute loop would run on the previous superstep's active set."""
-        lg = LocalGraph(0)
-        a = self.make_slot(1)
-        b = self.make_slot(2)
-        m = self.make_slot(3, role=Role.MIRROR)
-        pos = [lg.add_slot(s) for s in (a, b, m)]
-        lg.set_active(a, True)
-        stale_masters = lg.active_masters_snapshot()
-        stale_others = lg.active_others_snapshot()
-        assert set(stale_masters) == {1} and stale_others == ()
-        lg.set_active_bulk(pos, [False, True, True])
-        # Both caches were dropped, slots + sets agree with the bulk
-        # write, and the gid landed in the set matching its role.
-        assert lg.active_masters_snapshot() is not stale_masters
-        assert set(lg.active_masters_snapshot()) == {2}
-        assert set(lg.active_others_snapshot()) == {3}
-        assert (a.active, b.active, m.active) == (False, True, True)
-        assert lg.active_masters == {2} and lg.active_others == {3}
+    """The compute loops read activity off the ``active`` column as the
+    last barrier left it: there is no cached snapshot to go stale."""
 
     def test_mid_iteration_activation_takes_effect_next_superstep(self):
         """Regression for the snapshot cache: activations committed at

@@ -2,14 +2,15 @@
 
 ``repro.engine.construction.build_local_graphs`` computes every node's
 layout with numpy group-bys and hands each ``LocalGraph`` its SoA image
-and FT census at birth; ``tests/reference/construction.py`` is the
+at birth; ``tests/reference/construction.py`` is the
 three-pass build it replaced, and it builds from the plan of the list
 planner ``tests/reference/replication.py`` (the production planner's
 CSR plan feeds the production build), so two independent pipelines
 meet here.  Everything observable must be equal:
 the slots (dataclass ``==``), the insertion orders that are send or
-scan orders (``index_of``, ``replica_positions``, the census' levels),
-the image field for field (dtype, values, ``sync_plan`` key order)
+scan orders (``index_of``, ``replica_positions``), the masters' FT
+levels the image holds against a walk of the reference's slots, the
+image field for field (dtype, values, ``sync_plan`` key order)
 against ``NodeTopology.build`` of the reference graph, and the report.
 The two checks the reference made one slot at a time — no vertex twice
 on a node, no edge endpoint without a copy — must survive as typed
@@ -29,6 +30,7 @@ from repro.config import FaultToleranceConfig, FTMode
 from repro.engine.construction import build_local_graphs
 from repro.engine.soa import NodeTopology
 from repro.errors import ConfigError, EngineError
+from repro.ft import _recovery_common as common
 from repro.ft.replication import NodeRows, plan_replication
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -36,6 +38,7 @@ from repro.partition import hash_edge_cut, hybrid_cut
 from repro.partition.fennel import fennel_edge_cut
 from repro.partition.grid_vertex_cut import grid_vertex_cut
 from repro.partition.random_vertex_cut import random_vertex_cut
+from tests.reference import activity
 from tests.reference import construction as reference
 from tests.reference import replication as reference_replication
 
@@ -92,14 +95,17 @@ def assert_same_build(graph, part, level, seed) -> None:
             if want_slot.meta is not None:
                 assert (list(slot.meta.replica_positions.items())
                         == list(want_slot.meta.replica_positions.items()))
-        assert have.active_masters == have.active_others == set()
+        assert activity.active_gids(have) == (set(), set())
         assert_same_image(have.cached_topology, NodeTopology.build(want))
-        # The census handed over at birth is what a scan finds.
-        born, scanned = have.ft_census(), want.ft_census()
-        assert born == scanned and list(born[1]) == list(scanned[1])
+        # The FT levels the image born at load holds are what a slot
+        # walk finds, and what the image read back finds.
+        born = common.ft_levels(have)
+        assert dict(zip(*(column.tolist() for column in born))) == \
+            activity.ft_levels(want)
         have.invalidate_soa()
-        assert have.ft_census() == born
         assert_same_image(have.topology(), NodeTopology.build(want))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(common.ft_levels(have), born))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

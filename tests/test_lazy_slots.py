@@ -5,7 +5,7 @@
   order, some before the supersteps that write them and the rest after,
   equal an eager stamp of the whole node field for field.
 * One copy: a stamped slot is a view of its graph's columns.  A column
-  write (the commit, ``set_active_bulk``, ``store``) shows through a
+  write (the commit, ``store``) shows through a
   slot stamped before it, and a slot write shows in the live column
   state without a rebuild; a slot keeps its fields when it leaves its
   position and writes them into the columns when it takes one.
@@ -44,6 +44,7 @@ from repro.graph import generators
 from repro.serve.view import CommittedView
 from repro.utils.sizing import BYTES_PER_EDGE
 from tests.reference import edge_ckpt as reference
+from tests.reference.activity import active_gids
 from tests.test_edge_mutation import DecayingDegree
 from tests.test_edge_mutation import graph as mutation_graph
 
@@ -111,11 +112,11 @@ def test_any_stamping_order_equals_an_eager_stamp(partition, level, seed,
         # A slot write, then column writes, the same on both engines.
         for g, s in ((lg, slot), (twin, twin.slots[pos])):
             s.value = pos + 0.5
-            g.set_active(s, flag)
+            s.active = flag
         assert (state.values[pos], state.active[pos]) == (pos + 0.5, flag)
         for g in (lg, twin):
-            g.store(np.array([pos]), last_update=[7], values=[pos + 0.25])
-            g.set_active_bulk([pos], [not flag])
+            g.store(np.array([pos]), last_update=[7], values=[pos + 0.25],
+                    active=[not flag])
         assert (slot.value, slot.last_update_iter, slot.active) == (
             pos + 0.25, 7, not flag)
         _assert_a_view(lg, slot, pos)
@@ -131,8 +132,7 @@ def test_any_stamping_order_equals_an_eager_stamp(partition, level, seed,
                 assert (list(have.meta.replica_positions.items())
                         == list(slot.meta.replica_positions.items()))
         assert lg.materialized == len(lg.slots)
-        assert lg.active_masters == want.active_masters
-        assert lg.active_others == want.active_others
+        assert active_gids(lg) == active_gids(want)
 
 
 class TestOneCopy:
@@ -172,7 +172,7 @@ class TestOneCopy:
             2.5, True, True, True, False, 4]
         assert [getattr(lg, column)[0] for column in DYNAMIC] == list(
             VACANT.values())
-        assert lg.active_masters == {5}
+        assert active_gids(lg) == ({5}, set())
         lg.values[1] = 3.5
         assert slot.value == 3.5
 

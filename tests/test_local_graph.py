@@ -1,4 +1,4 @@
-"""LocalGraph tests: positional array semantics, active-set index."""
+"""LocalGraph tests: positional array semantics, the activity column."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 from repro.engine.local_graph import LocalGraph
 from repro.engine.state import Role, VertexSlot
 from repro.errors import EngineError
+from tests.reference.activity import active_gids
 
 
 def slot(gid, role=Role.MASTER, active=False):
@@ -65,38 +66,39 @@ class TestSlotArray:
 
 
 class TestActiveIndex:
+    """Activity is the ``active`` column; the role splits it."""
+
     def test_set_active_routes_by_role(self):
         lg = LocalGraph(0)
         master = slot(1, Role.MASTER)
         replica = slot(2, Role.REPLICA)
         lg.add_slot(master)
         lg.add_slot(replica)
-        lg.set_active(master, True)
-        lg.set_active(replica, True)
-        assert lg.active_masters == {1}
-        assert lg.active_others == {2}
-        lg.set_active(master, False)
-        assert lg.active_masters == set()
+        master.active = True
+        replica.active = True
+        assert lg.active.tolist() == [True, True]
+        assert active_gids(lg) == ({1}, {2})
+        master.active = False
+        assert active_gids(lg) == (set(), {2})
 
     def test_active_at_insert(self):
         lg = LocalGraph(0)
         lg.add_slot(slot(3, Role.MIRROR, active=True))
-        assert lg.active_others == {3}
+        assert active_gids(lg) == (set(), {3})
 
     def test_role_change_moves_sets(self):
         lg = LocalGraph(0)
         s = slot(4, Role.MIRROR, active=True)
         lg.add_slot(s)
-        s.role = Role.MASTER  # promotion
-        lg.set_active(s, True)
-        assert lg.active_masters == {4}
-        assert lg.active_others == set()
+        s.role = Role.MASTER  # promotion: the flag stays, the role moves
+        assert active_gids(lg) == ({4}, set())
 
     def test_remove_clears_active(self):
         lg = LocalGraph(0)
         lg.add_slot(slot(5, Role.MASTER, active=True))
         lg.remove_slot(5)
-        assert lg.active_masters == set()
+        assert not lg.active.any()
+        assert active_gids(lg) == (set(), set())
 
 
 class TestIterationAndCounts:

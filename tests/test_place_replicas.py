@@ -18,6 +18,7 @@ from repro.cluster.network import MessageKind
 from repro.engine.local_graph import DYNAMIC
 from repro.ft import _recovery_common as common
 from repro.graph import generators
+from tests.reference.activity import active_gids
 from tests.reference.placement import create_replica
 from tests.test_construction_equivalence import assert_same_image
 
@@ -44,7 +45,7 @@ def _state(engine) -> dict:
             list(lg.index_of.items()),
             lg.cached_topology is None,
             {name: getattr(lg, name).tolist() for name in DYNAMIC},
-            sorted(lg.active_masters), sorted(lg.active_others),
+            *map(sorted, active_gids(lg)),
             [(slot.gid, slot.role, slot.mirror_id, slot.master_node,
               slot.ft_only, slot.selfish, slot.out_degree, slot.in_degree,
               slot.in_edges, slot.out_edges, slot.full_edges)

@@ -17,6 +17,7 @@ from repro.ft.edge_ckpt import dedupe
 from repro.graph import generators
 from repro.membership.rebalance import move_master
 from repro.utils.sizing import BYTES_PER_MSG_HEADER
+from tests.reference.activity import active_gids
 from tests.reference.edge_ckpt import rows
 from tests.reference.recovery import surviving_recoverer
 from tests.test_construction_equivalence import assert_same_image
@@ -92,7 +93,7 @@ class TestPlaceRecoveredVertex:
         assert slot.last_update_iter == 4  # shipped verbatim
         assert slot.meta.replica_positions == {1: 0}
         assert slot.full_edges is None  # a master keeps its in-edges only
-        assert lg.active_masters == {3}
+        assert active_gids(lg) == ({3}, set())
 
     def test_unstamped_when_never_updated(self):
         _, slot = self.place(flags=0, last_update=-1)

@@ -9,8 +9,10 @@ from repro.api import make_engine, run_job
 from repro.chaos.invariants import InvariantChecker
 from repro.engine.soa import NodeTopology
 from repro.engine.state import Role
+from repro.ft import _recovery_common as common
 from repro.ft import ladder
 from repro.graph import generators
+from tests.reference import activity
 from tests.test_construction_equivalence import assert_same_image
 
 PARTS = ["hash_edge_cut", "hybrid_cut"]
@@ -118,8 +120,8 @@ def _rebirth_of(engine, node, supersteps):
 
 def _assert_reborn_as_before(engine, before, after):
     """Invariant P7: the reborn array matches the crashed one slot by
-    slot, its image and FT census are what its slots say, and the whole
-    engine is coherent."""
+    slot, its image and the FT levels it holds are what its slots say,
+    and the whole engine is coherent."""
     selfish_opt = engine.selfish_opt_active
     assert len(after.slots) == len(before.slots)
     assert list(after.index_of.items()) == list(before.index_of.items())
@@ -137,11 +139,12 @@ def _assert_reborn_as_before(engine, before, after):
             assert getattr(new, name) == getattr(old, name), (old.gid, name)
     assert_same_image(after.cached_topology, NodeTopology.build(after))
     InvariantChecker().check_all(engine)
-    born = after.ft_census()
-    assert born == before.ft_census()
-    after.invalidate_soa()
-    assert after.ft_census() == born
-    assert list(after.ft_census()[1]) == list(born[1])
+    levels = list(activity.ft_levels(after).items())
+    assert levels == list(activity.ft_levels(before).items())
+    for _ in range(2):  # off the born image, then off the metadata
+        assert list(zip(*(column.tolist()
+                          for column in common.ft_levels(after)))) == levels
+        after.invalidate_soa()
 
 
 class TestPositionStability:

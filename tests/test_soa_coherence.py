@@ -6,8 +6,9 @@ invalidates *that node's* image, which is then read back out of the
 slots; everyone else keeps theirs — through rollback, recovery and
 repair — and values and flags, which live once in the graph's columns,
 invalidate nothing.  The tests here pin the rule from both sides:
-images that must survive do (exact build counts, no FT-census rescan,
-value and flag writes), and images that must go do (the SoA-coherence
+images that must survive do (exact build counts, FT-level reads that
+build and stamp nothing, value and flag writes), and images that must
+go do (the SoA-coherence
 check of :class:`InvariantChecker`, which the chaos matrix, the
 membership acceptance schedules and the ladder tests also run).
 """
@@ -21,13 +22,13 @@ import pytest
 from repro.api import make_engine, run_job
 from repro.chaos import ChaosController, FailureSchedule
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
-from repro.engine.local_graph import LocalGraph
 from repro.engine.soa import NodeTopology
 from repro.ft import _recovery_common as common
 from repro.ft import ladder
 from repro.graph import generators
 from repro.membership.rebalance import move_master
 from repro.obs import Tracer
+from tests.test_edge_mutation import DecayingDegree
 
 PARTS = ["hash_edge_cut", "hybrid_cut"]
 
@@ -236,22 +237,28 @@ class TestWriteSites:
         assert result.values == run_job(g, "pagerank", **kw).values
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Node ids ``NodeTopology.build`` was called for."""
+    calls: list[int] = []
+    real = NodeTopology.build.__func__
+
+    def spy(cls, lg):
+        calls.append(lg.node_id)
+        return real(cls, lg)
+
+    monkeypatch.setattr(NodeTopology, "build", classmethod(spy))
+    return calls
+
+
+def _stamped(engine) -> int:
+    return sum(lg.materialized for lg in engine.local_graphs.values())
+
+
 class TestImageBornAtLoad:
-    """The loader hands every node its topology and FT census; only a
-    node something wrote on ever reads them back out of its slots."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """Node ids ``NodeTopology.build`` was called for."""
-        calls: list[int] = []
-        real = NodeTopology.build.__func__
-
-        def spy(cls, lg):
-            calls.append(lg.node_id)
-            return real(cls, lg)
-
-        monkeypatch.setattr(NodeTopology, "build", classmethod(spy))
-        return calls
+    """The loader hands every node its topology, which holds the FT
+    levels too; only a node something wrote on ever reads it back out of
+    its slots."""
 
     def test_topology_builds_none_on_a_failure_free_run(self, graph,
                                                         builds):
@@ -316,25 +323,18 @@ class TestImageBornAtLoad:
         InvariantChecker()._check_soa_coherence(engine, engine._alive(),
                                                 "manual")
 
-    def test_gauges_at_load_scan_no_slot(self, graph, monkeypatch):
-        scans: list[int] = []
-        real = LocalGraph.ft_census
-
-        def spy(self):
-            if self._ft_census is None:
-                scans.append(self.node_id)
-            return real(self)
-
-        monkeypatch.setattr(LocalGraph, "ft_census", spy)
+    def test_gauges_at_load_scan_no_slot(self, graph, builds):
+        """The gauges at load, and any FT read after, take each master's
+        level off the image born at load: no read-back, no stamp."""
         engine = make_engine(graph, "pagerank", num_nodes=6, ft_level=2)
         assert engine.metrics.gauge("ft.level_current") == 2
-        assert scans == []
-        for lg in engine.local_graphs.values():
-            born = lg.ft_census()
-            lg.invalidate_soa()
-            assert lg.ft_census() == born
-            assert list(lg.ft_census()[1]) == list(born[1])
-        assert sorted(scans) == sorted(engine.local_graphs)
+        alive = engine._alive()
+        assert common.min_ft_level(engine, 3) == 2
+        assert common.masters_below(engine, alive, 3)[0] == list(
+            range(graph.num_vertices))
+        assert common.masters_below(engine, alive, 2)[0] == []
+        assert builds == []
+        assert _stamped(engine) == 0
 
 
 class TestSurvivorsKeepTheirImage:
@@ -364,24 +364,47 @@ class TestSurvivorsKeepTheirImage:
         engine = _ran(graph, supersteps=6, num_nodes=5)
         assert engine._vec.state_builds == 5
 
-    def test_no_census_rescan_of_a_surviving_image(self, graph,
-                                                   monkeypatch):
+    def test_no_census_rescan_of_a_surviving_image(self, graph, builds):
+        """Repair and the gauges read the FT levels after a Rebirth off
+        the survivors' images and the one the reborn node was born with,
+        from the received columns: no read-back, no stamp."""
         engine = _ran(graph, num_nodes=6, num_standby=1)
-        rescans: list[int] = []
-        real = LocalGraph.ft_census
-
-        def spy(self):
-            if self._ft_census is None:
-                rescans.append(self.node_id)
-            return real(self)
-
-        monkeypatch.setattr(LocalGraph, "ft_census", spy)
         engine.cluster.crash(2)
         ladder.recover(engine, (2,))
         assert engine.recoveries[-1].strategy == "rebirth"
-        # Repair and the gauges both consulted the census; the reborn
-        # node's was born with it, from the received columns.
-        assert rescans == []
+        assert engine.metrics.gauge("ft.level_current") == 1
+        assert common.masters_below(engine, engine._alive(), 1) == (
+            [], max(int(lg.cached_topology.is_master.sum())
+                    for lg in engine.local_graphs.values()))
+        assert builds == []
+        assert _stamped(engine) == 0
+
+    def test_ft_reads_build_no_image_on_an_edge_mutating_run(
+            self, builds, monkeypatch):
+        """An edge-mutating run (scalar) drops its images every
+        superstep: the FT reads of its Migration, FT repair and gauges
+        read the metadata columns instead of building one, so the run
+        reads back only the recovery's own six images."""
+        real = common.ft_levels
+        during: list[int] = []
+
+        def spy(lg):
+            before = len(builds)
+            levels = real(lg)
+            during.append(len(builds) - before)
+            return levels
+
+        monkeypatch.setattr(common, "ft_levels", spy)
+        small = generators.power_law(60, alpha=2.0, seed=23, avg_degree=4.0)
+        engine = make_engine(small, DecayingDegree(), num_nodes=4,
+                             recovery="migration", num_standby=0,
+                             max_iterations=6, seed=11)
+        engine.schedule_failure(2, 1)
+        engine.run()
+        assert engine.recoveries[-1].strategy == "migration"
+        assert engine._vec is None
+        assert during and set(during) == {0}
+        assert len(builds) == 6
 
     def test_census_is_what_a_full_scan_finds(self, graph):
         engine = _ran(graph, num_nodes=6, ft_level=2, num_standby=0)
