@@ -66,10 +66,14 @@ class ArrayKernel:
     def edge_fold(self, topo, values: np.ndarray, esel,
                   ) -> tuple[np.ndarray, np.ndarray]:
         """Fold the selected in-edges (``esel``: indices, or
-        ``slice(None)`` for all); return (acc, has_contribution)."""
+        ``slice(None)`` for all); return (acc, has_contribution).  When
+        every in-edge contributed, ``has`` is the image's read-only
+        ``has_in`` itself."""
         seg, contrib = self.edge_contrib(topo, values, esel)
         acc = self.init_acc(topo.n)
         self.fold_into(acc, seg, contrib)
+        if seg.size == topo.in_dst.size:
+            return acc, topo.has_in
         has = np.zeros(topo.n, dtype=bool)
         has[seg] = True
         return acc, has

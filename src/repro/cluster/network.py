@@ -27,6 +27,12 @@ installed, chaos verdicts are drawn per record and a batch splits into
 per-verdict sub-batches (each with its own header), so the chaos matrix
 and differential oracles keep record-level semantics.
 
+A node ships a phase's whole outbox with one :meth:`Network.send_all`:
+the same queues and counter values as one :meth:`Network.send` per
+batch, charged once per call from per-kind sums in the order a per-batch
+loop would first touch each counter (DESIGN.md §10); with a fault
+injector installed it is that loop.
+
 Counters live in a :class:`repro.obs.MetricsRegistry` under the
 ``net.*`` namespace (``net.dropped_msgs``, ``net.chaos_duplicated_msgs``,
 ...); read them with ``net.metrics.value(name)``.
@@ -62,6 +68,15 @@ class MessageKind(enum.Enum):
     RECOVERY = "recovery"
     #: Small control-plane traffic (location updates, promotion notices).
     CONTROL = "control"
+
+
+#: Per kind, the ``net.*`` record and byte counters :meth:`Network.send`
+#: charges, and the combine split's.
+_KIND_COUNTERS = {kind: (f"net.msgs.{kind.value}", f"net.bytes.{kind.value}")
+                  for kind in MessageKind}
+_COMBINE_COUNTERS = {kind: (f"net.combine.records_pre.{kind.value}",
+                            f"net.combine.records_phys.{kind.value}")
+                     for kind in MessageKind}
 
 
 @dataclass
@@ -110,15 +125,43 @@ class TrafficStats:
     total_bytes: int = 0
     total_batches: int = 0
 
-    def record(self, msg: Message) -> None:
+
+class _Charge:
+    """What a run of sends charges, summed: in ``sums``, in the order a
+    per-message loop first touches each counter, per kind ``[records,
+    wire bytes, batches]``, per ``(kind,)`` the combine split ``[pre,
+    phys]`` and under ``None`` the dropped ``[records, wire bytes]``; in
+    ``step``, per destination ``[wire bytes, records]``; in
+    ``sent_total``, the ``[records, wire bytes, batches]`` of all kinds."""
+
+    __slots__ = ("sums", "step", "sent_total")
+
+    def __init__(self) -> None:
+        self.sums: dict = {}
+        self.step: dict[int, list[int]] = {}
+        self.sent_total = [0, 0, 0]
+
+    def sent(self, msg: Message) -> None:
         records = record_count(msg.payload)
         wire = msg.nbytes + BYTES_PER_MSG_HEADER
-        self.msgs_by_kind[msg.kind] += records
-        self.bytes_by_kind[msg.kind] += wire
-        self.batches_by_kind[msg.kind] += 1
-        self.total_msgs += records
-        self.total_bytes += wire
-        self.total_batches += 1
+        counts = self.step.setdefault(msg.dst, [0, 0])
+        counts[0] += wire
+        counts[1] += records
+        for counts in (self.sums.setdefault(msg.kind, [0, 0, 0]),
+                       self.sent_total):
+            counts[0] += records
+            counts[1] += wire
+            counts[2] += 1
+        pre = getattr(msg.payload, "precombine_record_count", None)
+        if pre is not None:
+            counts = self.sums.setdefault((msg.kind,), [0, 0])
+            counts[0] += pre
+            counts[1] += msg.payload.physical_record_count
+
+    def dropped(self, msg: Message) -> None:
+        counts = self.sums.setdefault(None, [0, 0])
+        counts[0] += record_count(msg.payload)
+        counts[1] += msg.nbytes + BYTES_PER_MSG_HEADER
 
 
 class LocalHub:
@@ -242,9 +285,9 @@ class Network:
             self._queues.append(msg.dst, msg)
             return
         if not self._is_alive(msg.dst):
-            self.metrics.inc("net.dropped_msgs", record_count(msg.payload))
-            self.metrics.inc("net.dropped_bytes",
-                             msg.nbytes + BYTES_PER_MSG_HEADER)
+            charge = _Charge()
+            charge.dropped(msg)
+            self._book(msg.src, charge)
             return
         if self.fault_injector is not None:
             if (self.record_fault_injector is not None
@@ -272,28 +315,77 @@ class Network:
             return
         self._enqueue(msg)
 
+    def send_all(self, src: int, outbox: dict) -> None:
+        """Ship one node's outbox — ``(dst, kind) -> batch`` — as one
+        message per batch, in the outbox's order.
+
+        The same queues, drops and counter values as one :meth:`send`
+        per batch, charged once per call from per-kind sums; each
+        counter is first touched where that loop would first touch it,
+        so the registry's key order is the same too.  With a fault
+        injector installed it *is* that loop: verdicts are drawn per
+        batch, in order.
+        """
+        if self.fault_injector is not None:
+            for (dst, kind), batch in outbox.items():
+                self.send(Message(kind, src, dst, batch, batch.nbytes()))
+            return
+        queues, alive, charge = self._queues, self._is_alive, _Charge()
+        for (dst, kind), batch in outbox.items():
+            msg = Message(kind, src, dst, batch, batch.nbytes())
+            if dst == src:  # free, as in :meth:`send`
+                queues.append(dst, msg)
+            elif alive(dst):
+                queues.append(dst, msg)
+                charge.sent(msg)
+            else:
+                charge.dropped(msg)
+        self._book(src, charge)
+
     def _enqueue(self, msg: Message, delayed: bool = False) -> None:
         """Queue one physical message and charge all counters."""
         (self._delayed if delayed else self._queues).append(msg.dst, msg)
-        wire_bytes = msg.nbytes + BYTES_PER_MSG_HEADER
-        records = record_count(msg.payload)
-        self.step_bytes[msg.src][msg.dst] += wire_bytes
-        self.step_msgs[msg.src][msg.dst] += records
-        self.totals.record(msg)
-        self.metrics.inc("net.sent_msgs", records)
-        self.metrics.inc("net.sent_batches")
-        self.metrics.inc("net.sent_bytes", wire_bytes)
-        self.metrics.inc(f"net.msgs.{msg.kind.value}", records)
-        self.metrics.inc(f"net.bytes.{msg.kind.value}", wire_bytes)
-        pre = getattr(msg.payload, "precombine_record_count", None)
-        if pre is not None:
-            phys = msg.payload.physical_record_count
-            self.combine_pre += pre
-            self.combine_phys += phys
-            self.metrics.inc(f"net.combine.records_pre.{msg.kind.value}",
-                             pre)
-            self.metrics.inc(f"net.combine.records_phys.{msg.kind.value}",
-                             phys)
+        charge = _Charge()
+        charge.sent(msg)
+        self._book(msg.src, charge)
+
+    def _book(self, src: int, charge: _Charge) -> None:
+        """Charge ``src``'s summed sends to every counter, each first
+        touched in the order of ``charge.sums``."""
+        if charge.step:
+            step_bytes, step_msgs = self.step_bytes[src], self.step_msgs[src]
+            for dst, (wire, records) in charge.step.items():
+                step_bytes[dst] += wire
+                step_msgs[dst] += records
+        inc, totals = self.metrics.inc, self.totals
+        first = True
+        for key, counts in charge.sums.items():
+            if key is None:
+                inc("net.dropped_msgs", counts[0])
+                inc("net.dropped_bytes", counts[1])
+            elif type(key) is tuple:
+                self.combine_pre += counts[0]
+                self.combine_phys += counts[1]
+                pre_name, phys_name = _COMBINE_COUNTERS[key[0]]
+                inc(pre_name, counts[0])
+                inc(phys_name, counts[1])
+            else:
+                if first:
+                    first = False
+                    records, wire, batches = charge.sent_total
+                    inc("net.sent_msgs", records)
+                    inc("net.sent_batches", batches)
+                    inc("net.sent_bytes", wire)
+                records, wire, batches = counts
+                totals.msgs_by_kind[key] += records
+                totals.bytes_by_kind[key] += wire
+                totals.batches_by_kind[key] += batches
+                totals.total_msgs += records
+                totals.total_bytes += wire
+                totals.total_batches += batches
+                msgs_name, bytes_name = _KIND_COUNTERS[key]
+                inc(msgs_name, records)
+                inc(bytes_name, wire)
 
     @staticmethod
     def _clone_message(msg: Message) -> Message:

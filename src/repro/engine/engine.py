@@ -42,7 +42,7 @@ from typing import Any
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.network import Message, MessageKind
+from repro.cluster.network import MessageKind
 from repro.config import FTMode, JobConfig
 from repro.costmodel import (
     CostModel,
@@ -570,8 +570,7 @@ class Engine:
         alive = self._filter_alive(alive)
         for node in alive:
             st = self._state(node)
-            for msg in net.deliver(node):
-                st.intake(msg.src, msg.payload)
+            st.intake([(msg.src, msg.payload) for msg in net.deliver(node)])
 
         # Phase 2: masters fold partials (node-id order for
         # determinism), apply, and scatter.
@@ -583,10 +582,9 @@ class Engine:
             self._step_vertices[node] += vertices
 
     def _flush_batches(self, node: int, outbox: dict) -> None:
-        """Ship a node's accumulated batches, one message per pair."""
-        net = self.cluster.network
-        for (dst, kind), batch in outbox.items():
-            net.send(Message(kind, node, dst, batch, batch.nbytes()))
+        """Ship a node's accumulated batches, one message per pair, in
+        one network call."""
+        self.cluster.network.send_all(node, outbox)
         outbox.clear()
 
     # ------------------------------------------------------------------
@@ -669,7 +667,8 @@ class Engine:
                 self._flush_batches(src_node, outboxes[src_node])
             for node in alive:
                 st = self._state(node)
-                for msg in net.deliver(node):
+                inbox = net.deliver(node)
+                for msg in inbox:
                     # The activation exchange must only ever see the
                     # ACTIVATE batch just sent above; blindly treating
                     # every inbox message as an activation would flip
@@ -680,7 +679,7 @@ class Engine:
                             f"unexpected {msg.kind.value} message from "
                             f"node {msg.src} in the activation exchange "
                             f"of iteration {iteration}")
-                    st.activate(msg.payload.gids)
+                st.activate([msg.payload.gids for msg in inbox])
 
         # Stage 3: commit values, finalise active flags, mirror
         # shadows, broadcast queue.

@@ -73,7 +73,7 @@ class SyncBatch:
     FLAG_SELF_ACTIVE = 0x2
 
     __slots__ = ("full_state", "gids", "positions", "values", "flags",
-                 "sizes", "edge_updates")
+                 "sizes", "edge_updates", "_nbytes")
 
     def __init__(self, full_state: bool = False):
         self.full_state = full_state
@@ -87,6 +87,8 @@ class SyncBatch:
         #: full-state batch; ``None`` while no record carries any (and
         #: always for plain batches).
         self.edge_updates: list[tuple] | None = None
+        #: The payload total when the builder knew it; else summed.
+        self._nbytes: int | None = None
 
     def append(self, gid: int, position: int, value: Any,
                value_nbytes: int, activates: bool,
@@ -113,14 +115,15 @@ class SyncBatch:
     @classmethod
     def from_columns(cls, gids, positions, values, flags, sizes,
                      full_state: bool = False,
-                     edge_updates: list | None = None) -> "SyncBatch":
+                     edge_updates: list | None = None,
+                     nbytes: int | None = None) -> "SyncBatch":
         """Adopt pre-built columns (array path, codec; no per-record
         calls).
 
         The columns are adopted as-is — callers hand over ownership.
         ``sizes`` must match what :meth:`append` would have computed so
         the byte accounting stays identical to the record-at-a-time
-        build.
+        build; ``nbytes``, when the builder knows it, is their sum.
         """
         batch = cls(full_state)
         batch.gids = gids
@@ -129,6 +132,7 @@ class SyncBatch:
         batch.flags = flags
         batch.sizes = sizes
         batch.edge_updates = edge_updates
+        batch._nbytes = nbytes
         return batch
 
     @property
@@ -136,6 +140,8 @@ class SyncBatch:
         return len(self.gids)
 
     def nbytes(self) -> int:
+        if self._nbytes is not None:
+            return self._nbytes
         return _total(self.sizes)
 
     def record_nbytes(self, index: int) -> int:
@@ -182,7 +188,7 @@ class GatherBatch:
 
     is_columnar = True
 
-    __slots__ = ("gids", "accs", "sizes", "folded")
+    __slots__ = ("gids", "accs", "sizes", "folded", "_nbytes")
 
     def __init__(self):
         self.gids: Any = []
@@ -190,6 +196,8 @@ class GatherBatch:
         self.sizes: Any = []
         #: Pre-combine contribution count per record; None => all 1.
         self.folded: Any = None
+        #: The payload total when the builder knew it; else summed.
+        self._nbytes: int | None = None
 
     def append(self, gid: int, acc: Any, acc_nbytes: int,
                folded: int | None = None) -> None:
@@ -204,13 +212,16 @@ class GatherBatch:
             self.folded.append(1)
 
     @classmethod
-    def from_columns(cls, gids, accs, sizes, folded=None) -> "GatherBatch":
-        """Adopt pre-built columns (array path, codec)."""
+    def from_columns(cls, gids, accs, sizes, folded=None,
+                     nbytes: int | None = None) -> "GatherBatch":
+        """Adopt pre-built columns (array path, codec); ``nbytes``, when
+        the builder knows it, is the sum of ``sizes``."""
         batch = cls()
         batch.gids = gids
         batch.accs = accs
         batch.sizes = sizes
         batch.folded = folded
+        batch._nbytes = nbytes
         return batch
 
     @property
@@ -230,10 +241,12 @@ class GatherBatch:
         return _total(self.folded)
 
     def nbytes(self) -> int:
+        if self._nbytes is not None:
+            return self._nbytes
         return _total(self.sizes)
 
     def physical_nbytes(self) -> int:
-        return _total(self.sizes)
+        return self.nbytes()
 
     def record_nbytes(self, index: int) -> int:
         return int(self.sizes[index])

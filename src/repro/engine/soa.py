@@ -10,7 +10,11 @@ node's graph as flat numpy arrays: role masks,
 degrees, the local in-/out-edge lists in CSR-style per-edge arrays, the
 master->replica sync fan-out grouped by destination (flat in send
 order, ``sync_pos``; ``sync_plan`` holds views of it) and, beside it,
-each planned copy's position on its own node.  :class:`NodeTopology` is
+each planned copy's position on its own node, and the static orders of
+the vertex-cut exchanges (``act_order``: the copies an out-edge can
+activate, by (master node, gid); ``gather_order``: the copies with
+in-edges, stably by master node; ``out_hit`` / ``has_out``: the
+positions out-edges enter / leave).  :class:`NodeTopology` is
 that image, with two constructors the SoA-coherence chaos invariant
 holds equal: the loader — and Rebirth, for a reborn node — cuts it from
 the columns the node's birth record comes from
@@ -36,6 +40,20 @@ import numpy as np
 from repro.engine.state import Role
 
 
+def _mask(n: int, positions: np.ndarray) -> np.ndarray:
+    """A length-``n`` mask set at ``positions``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[positions] = True
+    return mask
+
+
+def _frozen(col: np.ndarray) -> np.ndarray:
+    """``col``, read-only: a column kernels hand out as is (``edge_fold``
+    returns ``has_in`` itself) must not be written through."""
+    col.flags.writeable = False
+    return col
+
+
 class NodeTopology:
     """Immutable array view of one node's local graph topology."""
 
@@ -45,6 +63,7 @@ class NodeTopology:
         "in_src", "in_w", "in_dst", "out_src", "out_dst",
         "gid_sorted", "pos_sorted", "sync_plan", "sync_peer",
         "sync_pos", "sync_ptr", "sync_mirror",
+        "has_out", "out_hit", "act_order", "gather_order",
     )
 
     @classmethod
@@ -128,8 +147,8 @@ class NodeTopology:
         topo.in_dst = np.asarray(in_dst, dtype=np.int64)
         topo.out_src = np.asarray(out_src, dtype=np.int64)
         topo.out_dst = np.asarray(out_dst, dtype=np.int64)
-        topo.in_counts = np.bincount(topo.in_dst, minlength=topo.n)
-        topo.has_in = topo.in_counts > 0
+        topo.in_counts = _frozen(np.bincount(topo.in_dst, minlength=topo.n))
+        topo.has_in = _frozen(topo.in_counts > 0)
         occ = np.flatnonzero(occupied)
         order = np.argsort(gids[occ], kind="stable")
         topo.pos_sorted = occ[order]
@@ -144,6 +163,17 @@ class NodeTopology:
         topo.sync_plan = {key: topo.sync_pos[b:e] for key, b, e in
                           zip(sync_plan, bounds, bounds[1:])}
         topo.sync_peer = np.asarray(sync_peer, dtype=np.int64)
+        # The static orders of the vertex-cut exchanges: only copies an
+        # out-edge can activate, or an in-edge can gather into, are in
+        # them (none under edge-cut).
+        topo.has_out = _frozen(_mask(topo.n, topo.out_src))
+        topo.out_hit = _frozen(_mask(topo.n, topo.out_dst))
+        remote = np.flatnonzero(topo.out_hit & ~is_master)
+        topo.act_order = _frozen(remote[np.lexsort(
+            (gids[remote], master_node[remote]))])
+        remote = np.flatnonzero(topo.has_in & ~is_master)
+        topo.gather_order = _frozen(remote[np.argsort(
+            master_node[remote], kind="stable")])
         return topo
 
     def copies_on(self, node: int) -> tuple[np.ndarray, np.ndarray,

@@ -43,7 +43,12 @@ Lifecycle
   the number of peers: the sync build is one pass over the flat plan
   (``NodeTopology.sync_pos``), and the node's whole inbox of received
   sync batches stages into pending *arrays* with one scatter per column
-  (a sync record carries its position here).
+  (a sync record carries its position here).  The vertex-cut exchanges
+  sort nothing per superstep: the remote gather records and activation
+  signals are read off the image's static ``gather_order`` /
+  ``act_order`` (on a dense frontier the activation hit mask is its
+  ``out_hit``), and a node's whole gather inbox and whole activation
+  inbox each stage with one concatenation and one gid lookup.
 * The barrier commit is split where the multiprocessing backend splits
   it: an abortable stage 1 (activation scatter), the activation intake,
   and a finalize that *alone* writes the committed columns, activity
@@ -73,7 +78,6 @@ from repro.engine.messages import (
     SyncBatch,
 )
 from repro.errors import EngineError
-from repro.utils.arrays import sorted_unique
 from repro.utils.sizing import BYTES_PER_VID
 
 
@@ -167,8 +171,8 @@ class _NodeState:
     def gather(self, ctx, outbox: dict) -> int:
         return self.proto.vertex_gather(self, outbox)
 
-    def intake(self, src: int, batch) -> None:
-        self.proto.intake_partials(self, src, batch)
+    def intake(self, frames) -> None:
+        self.proto.intake_partials(self, frames)
 
     def fold_apply(self, ctx, outbox: dict) -> tuple[int, int]:
         return self.proto.master_fold_apply(self, ctx, outbox)
@@ -179,8 +183,10 @@ class _NodeState:
     def stage1(self, iteration: int) -> dict:
         return self.proto.commit_stage1(self)
 
-    def activate(self, gids) -> None:
-        self.proto.apply_activations(self, gids)
+    def activate(self, columns) -> None:
+        if columns:
+            self.proto.apply_activations(self, np.concatenate(
+                [np.asarray(gids, dtype=np.int64) for gids in columns]))
 
     def finalize(self, iteration: int) -> list:
         return self.proto.finalize_commit(self, self.lg, iteration)
@@ -229,10 +235,15 @@ def _in_edges(topo, sel: np.ndarray):
     return slice(None)
 
 
+def _edge_count(topo, esel) -> int:
+    """How many in-edges an :func:`_in_edges` selection holds."""
+    return topo.in_dst.size if isinstance(esel, slice) else esel.size
+
+
 def _runs(keys: np.ndarray):
     """``(start, stop)`` of every run of equal keys in a sorted column."""
-    bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return zip(bounds, np.r_[bounds[1:], keys.size])
+    bounds = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    return zip([0, *bounds], [*bounds, keys.size])
 
 
 def top_masters(gids: np.ndarray, values: np.ndarray, k: int) -> list[tuple]:
@@ -277,10 +288,10 @@ class ArrayNodeProtocol:
         """
         topo = st.topo
         sel = st.active & topo.is_master
-        acc, has = self.kernel.edge_fold(topo, st.values,
-                                         _in_edges(topo, sel))
+        esel = _in_edges(topo, sel)
+        acc, has = self.kernel.edge_fold(topo, st.values, esel)
         elided = self._master_compute(st, sel, acc, has, ctx, outbox)
-        return int(topo.in_counts[sel].sum()), int(sel.sum()), elided
+        return _edge_count(topo, esel), int(sel.sum()), elided
 
     def vertex_gather(self, st: _NodeState, outbox: dict) -> int:
         """One node's vertex-cut gather phase (phase 1).
@@ -297,23 +308,23 @@ class ArrayNodeProtocol:
         topo = st.topo
         st.partials = []
         sel = st.active & topo.has_in
-        seg, contrib = kernel.edge_contrib(topo, st.values,
-                                           _in_edges(topo, sel))
+        esel = _in_edges(topo, sel)
+        seg, contrib = kernel.edge_contrib(topo, st.values, esel)
         acc = kernel.init_acc(topo.n)
         kernel.fold_into(acc, seg, contrib)
-        cnt = np.bincount(seg, minlength=topo.n) if seg.size \
-            else np.zeros(topo.n, dtype=np.int64)
-        selpos = np.flatnonzero(sel)
-        local = selpos[topo.master_node[selpos] == node]
+        # Every in-edge contributed: the counts are the image's.
+        cnt = topo.in_counts if seg.size == topo.in_dst.size \
+            else np.bincount(seg, minlength=topo.n)
+        local = np.flatnonzero(sel & topo.is_master)
         if local.size:
             st.partials.append(
                 (local, np.full(local.size, node, dtype=np.int64),
                  acc[local]))
-        remote = selpos[topo.master_node[selpos] != node]
+        # The remote records in (master node, position) order, read off
+        # the image's static order: no per-superstep sort.
+        remote = topo.gather_order[sel[topo.gather_order]]
         if remote.size:
-            dsts = topo.master_node[remote]
-            order = np.argsort(dsts, kind="stable")
-            remote, dsts = remote[order], dsts[order]
+            dsts, gids = topo.master_node[remote], topo.gids[remote]
             rec_size = BYTES_PER_VID + kernel.acc_nbytes
             folded_all = np.maximum(cnt[remote], 1)
             if not self.combining:
@@ -333,34 +344,41 @@ class ArrayNodeProtocol:
                 coff = np.concatenate(([0], np.cumsum(counts_all)))
                 phys_all = (BYTES_PER_VID
                             + folded_all * kernel.acc_nbytes)
+            else:
+                accs, sizes = acc[remote], np.full(remote.size, rec_size)
             for b, e in _runs(dsts):
-                grp = remote[b:e]
                 key = (int(dsts[b]), MessageKind.GATHER)
                 if self.combining:
                     outbox[key] = GatherBatch.from_columns(
-                        topo.gids[grp], acc[grp],
-                        np.full(grp.size, rec_size), folded_all[b:e])
+                        gids[b:e], accs[b:e], sizes[b:e], folded_all[b:e],
+                        nbytes=(e - b) * rec_size)
                 else:
                     outbox[key] = RawGatherBatch.from_columns(
-                        topo.gids[grp].tolist(),
+                        gids[b:e].tolist(),
                         counts_all[b:e].tolist(),
                         flat[coff[b]:coff[e]].tolist(),
-                        [rec_size] * grp.size,
+                        [rec_size] * (e - b),
                         phys_all[b:e].tolist())
-        return int(topo.in_counts[sel].sum())
+        return _edge_count(topo, esel)
 
-    def intake_partials(self, st: _NodeState, src: int, batch) -> None:
-        """Stage one received gather batch for the master fold."""
+    def intake_partials(self, st: _NodeState, frames: list) -> None:
+        """Stage a node's whole gather inbox — ``(sender, batch)`` in
+        arrival order — for the master fold: one concatenation and one
+        gid lookup.  Raw batches (combining off) fold per batch."""
+        if not frames:
+            return
         kernel = self.kernel
-        if isinstance(batch, RawGatherBatch):
-            accs = kernel.fold_groups(
-                np.asarray(batch.counts, dtype=np.int64), batch.contribs)
-        else:
-            accs = batch.accs
+        srcs, batches = zip(*frames)
+        accs = np.concatenate([kernel.fold_groups(
+            np.asarray(batch.counts, dtype=np.int64), batch.contribs)
+            if isinstance(batch, RawGatherBatch) else batch.accs
+            for batch in batches])
         # A replica does not know its master's position: look it up.
-        pos = st.topo.translate(batch.gids)
+        pos = st.topo.translate(np.concatenate(
+            [np.asarray(batch.gids, dtype=np.int64) for batch in batches]))
+        counts = [batch.record_count for batch in batches]
         st.partials.append(
-            (pos, np.full(pos.size, src, dtype=np.int64), accs))
+            (pos, np.repeat(np.array(srcs, dtype=np.int64), counts), accs))
 
     def master_fold_apply(self, st: _NodeState, ctx,
                           outbox: dict) -> tuple[int, int]:
@@ -420,8 +438,8 @@ class ArrayNodeProtocol:
         # syncs carry only the activates bit.
         gids, peers, values = topo.gids[keep], topo.sync_peer[idx], new[keep]
         flags = act[keep] + 2 * (stay[keep] & mirror)
-        sizes = np.where(mirror, BYTES_PER_VID + kernel.value_nbytes + 2,
-                         BYTES_PER_VID + kernel.value_nbytes + 1)
+        plain = BYTES_PER_VID + kernel.value_nbytes + 1
+        sizes = np.where(mirror, plain + 1, plain)
         bounds = np.searchsorted(idx, topo.sync_ptr).tolist()
         for (dst, is_mirror), b, e in zip(topo.sync_plan, bounds,
                                           bounds[1:]):
@@ -430,7 +448,8 @@ class ArrayNodeProtocol:
                         else MessageKind.SYNC)
                 outbox[(dst, kind)] = SyncBatch.from_columns(
                     gids[b:e], peers[b:e], values[b:e], flags[b:e],
-                    sizes[b:e], full_state=is_mirror)
+                    sizes[b:e], full_state=is_mirror,
+                    nbytes=(e - b) * (plain + 1 if is_mirror else plain))
         return elided
 
     # -- receive staging ----------------------------------------------
@@ -481,29 +500,31 @@ class ArrayNodeProtocol:
 
         Local masters are marked in ``next_active``; remote ones come
         back as one :class:`ActivateBatch` per master node, gids unique
-        and sorted (the scalar path's globally sorted signal set).
-        Abortable: no committed column is touched before
+        and sorted (the scalar path's globally sorted signal set): the
+        hit copies in the image's static (master node, gid) order,
+        ``act_order``, so nothing is sorted here.  On a dense frontier
+        every out-edge fires and the hit mask is the image's
+        ``out_hit``.  Abortable: no committed column is touched before
         :meth:`finalize_commit`, so a backend that loses a worker
         mid-commit can still export the previous commit from survivors.
         """
         topo = st.topo
         outbox: dict = {}
         sources = st.pend_mask & st.pend_activates
-        if sources.any() and topo.out_src.size:
-            tgt = topo.out_dst[sources[topo.out_src]]
-            m = topo.is_master[tgt]
-            st.next_active[tgt[m]] = True
-            rem = tgt[~m]
-            if rem.size:
-                # Unique sorted (master node, gid) pairs on one int64
-                # key; np.unique(axis=0) on the row pairs is 10x slower.
-                stride = int(topo.gids.max()) + 1
-                dcol, gcol = np.divmod(sorted_unique(
-                    topo.master_node[rem] * stride + topo.gids[rem]),
-                    stride)
-                for b, e in _runs(dcol):
-                    outbox[(int(dcol[b]), MessageKind.ACTIVATE)] = \
-                        ActivateBatch(gcol[b:e])
+        if not (sources.any() and topo.out_src.size):
+            return outbox
+        if (topo.has_out & ~sources).any():
+            hit = np.zeros(topo.n, dtype=bool)
+            hit[topo.out_dst[sources[topo.out_src]]] = True
+        else:
+            hit = topo.out_hit
+        st.next_active |= hit & topo.is_master
+        rem = topo.act_order[hit[topo.act_order]]
+        if rem.size:
+            dsts, gids = topo.master_node[rem], topo.gids[rem]
+            for b, e in _runs(dsts):
+                outbox[(int(dsts[b]), MessageKind.ACTIVATE)] = \
+                    ActivateBatch(gids[b:e])
         return outbox
 
     def apply_activations(self, st: _NodeState, gids) -> None:

@@ -168,8 +168,7 @@ class _NodeWorker:
         return ("vc1_done", it, _encode_outbox(outbox), edges)
 
     def vc2(self, it: int, frames: list) -> tuple:
-        for src, enc in frames:
-            self.st.intake(src, decode_batch(enc))
+        self.st.intake([(src, decode_batch(enc)) for src, enc in frames])
         outbox: dict = {}
         counts = self.st.fold_apply(self.ctx(it), outbox)
         return ("vc2_done", it, _encode_outbox(outbox), *counts)
@@ -179,8 +178,7 @@ class _NodeWorker:
         return ("staged", it, _encode_outbox(self.st.stage1(it)))
 
     def commit2(self, it: int, frames: list) -> tuple:
-        for _src, enc in frames:
-            self.st.activate(decode_batch(enc).gids)
+        self.st.activate([decode_batch(enc).gids for _src, enc in frames])
         self.pending_broadcast.update(self.st.finalize(it))
         return ("committed", it, self.st.active_master_count())
 

@@ -479,17 +479,19 @@ class ScalarNodeState:
                 (self.lg.node_id, acc))
         return edges
 
-    def intake(self, src: int, batch) -> None:
-        """Stage one received gather batch for the master fold."""
-        if isinstance(batch, RawGatherBatch):
-            # Combining off: fold each record's raw contribution group
-            # on receipt (DESIGN.md §15) — the partial the sender would
-            # have shipped combined.
-            accs = self.proto.fold_raw_gather(batch)
-        else:
-            accs = batch.accs
-        for gid, acc in zip(batch.gids, accs):
-            self.partials.setdefault(gid, []).append((src, acc))
+    def intake(self, frames) -> None:
+        """Stage a node's received gather batches — ``(sender, batch)``
+        in arrival order — for the master fold."""
+        for src, batch in frames:
+            if isinstance(batch, RawGatherBatch):
+                # Combining off: fold each record's raw contribution
+                # group on receipt (DESIGN.md §15) — the partial the
+                # sender would have shipped combined.
+                accs = self.proto.fold_raw_gather(batch)
+            else:
+                accs = batch.accs
+            for gid, acc in zip(batch.gids, accs):
+                self.partials.setdefault(gid, []).append((src, acc))
 
     def fold_apply(self, ctx, outbox: dict) -> tuple[int, int]:
         """Vertex-cut phase 2; ``(vertices, syncs_elided)``."""
@@ -514,8 +516,10 @@ class ScalarNodeState:
                               ActivateBatch()).append(gid)
         return outbox
 
-    def activate(self, gids) -> None:
-        self.proto.apply_activations(self.lg, gids, self.dirty)
+    def activate(self, columns) -> None:
+        """Mark the node's received activation gid columns."""
+        for gids in columns:
+            self.proto.apply_activations(self.lg, gids, self.dirty)
 
     def finalize(self, iteration: int) -> list[int]:
         """The point of no return; returns the stale-broadcast gids."""

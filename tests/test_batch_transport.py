@@ -97,8 +97,8 @@ class TestBatchAccounting:
 
         Shipping every record as its own message would pay one header
         per record; batching saves exactly (records - batches) headers
-        and changes nothing else.  Checked against what actually went
-        through ``Network.send``.
+        and changes nothing else.  Checked against the batches that
+        actually went through ``Network.send_all``.
         """
         graph = generators.power_law(80, alpha=2.0, seed=3, name="pl80")
         engine = make_engine(graph, "pagerank", partition=partition,
@@ -106,19 +106,19 @@ class TestBatchAccounting:
                              max_iterations=6)
         net = engine.cluster.network
         sent = []
-        send = net.send
+        send_all = net.send_all
 
-        def spy(msg):
-            sent.append(msg)
-            return send(msg)
+        def spy(src, outbox):
+            sent.extend(outbox.values())
+            return send_all(src, outbox)
 
-        net.send = spy
+        net.send_all = spy
         result = engine.run()
         totals = net.totals
-        records = sum(msg.payload.record_count for msg in sent)
+        records = sum(batch.record_count for batch in sent)
         payload_bytes = sum(
-            msg.payload.record_nbytes(i) for msg in sent
-            for i in range(msg.payload.record_count))
+            batch.record_nbytes(i) for batch in sent
+            for i in range(batch.record_count))
         assert totals.total_batches == len(sent)
         assert totals.total_msgs == records > len(sent)
         assert result.total_bytes == totals.total_bytes == (

@@ -11,6 +11,10 @@ places copies on, so a recovery over ``s`` survivors packs at most
 wrote on at most once.  A per-row writer packs one batch per copy.
 The barrier stages each alive node's received syncs in one call, through
 a Rebirth too; a per-batch loop stages once per (sender, kind) batch.
+Likewise a node ships each phase's outbox with one network call, takes
+its gather and activation inboxes in one call each, and sorts nothing in
+the activation scatter or the combining gather: their orders are the
+image's.
 """
 
 from __future__ import annotations
@@ -21,9 +25,13 @@ import textwrap
 
 import pytest
 
+import numpy as np
+
 from repro.api import make_engine
+from repro.cluster.network import Network
+from repro.engine.engine import Engine
 from repro.engine.soa import NodeTopology
-from repro.engine.vectorized import ArrayNodeProtocol
+from repro.engine.vectorized import ArrayNodeProtocol, _NodeState
 from repro.ft import _recovery_common as common
 from repro.ft.migration import MigrationRecovery
 from repro.ft.rebirth import RebirthRecovery
@@ -178,6 +186,161 @@ def test_a_node_stages_its_inbox_once_per_superstep(graph, partition,
     assert len(set(calls)) == len(calls)
     assert {it for it, _node in calls} == set(range(6))
     assert sum(batches) > len(calls)
+
+
+def _reborn_once(graph, partition, **kwargs):
+    """Six PageRank supersteps on four nodes, node 1 killed before
+    superstep 3 computes and reborn (so superstep 3 runs twice)."""
+    engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                         partition=partition, num_standby=1,
+                         max_iterations=6, **kwargs)
+    engine.schedule_failure(3, [1], "compute")
+    return engine
+
+
+def _run(engine) -> None:
+    result = engine.run()
+    assert [r.strategy for r in result.recoveries] == ["rebirth"]
+
+
+@pytest.fixture
+def attempts(monkeypatch):
+    """The alive nodes of each superstep attempt, in order (a rolled-back
+    superstep is attempted again)."""
+    log: list[frozenset] = []
+    real = Engine._run_superstep
+
+    def run_superstep(self):
+        log.append(frozenset(self._alive()))
+        return real(self)
+
+    monkeypatch.setattr(Engine, "_run_superstep", run_superstep)
+    return log
+
+
+@pytest.mark.parametrize("partition", PARTS)
+def test_a_node_ships_each_phase_in_one_network_call(graph, partition,
+                                                     attempts, monkeypatch):
+    """At most one ``Network.send_all`` per alive node per phase (the
+    round method whose outbox it ships) of every superstep attempt,
+    through a Rebirth too; a per-batch flush called the network once per
+    (destination, kind)."""
+    phase, calls, batches = [None], [], []
+    real_send_all = Network.send_all
+
+    def send_all(self, src, outbox):
+        calls.append((len(attempts), phase[0], src))
+        batches.append(len(outbox))
+        return real_send_all(self, src, outbox)
+
+    def tagged(name):
+        real = getattr(_NodeState, name)
+
+        def method(self, *args):
+            phase[0] = name
+            return real(self, *args)
+        return method
+
+    monkeypatch.setattr(Network, "send_all", send_all)
+    for name in ("compute", "broadcast_build", "gather", "fold_apply",
+                 "stage1"):
+        monkeypatch.setattr(_NodeState, name, tagged(name))
+    _run(_reborn_once(graph, partition))
+    assert len(attempts) == 7
+    assert len(set(calls)) == len(calls)
+    assert all(node in attempts[at - 1] for at, _phase, node in calls)
+    compute = {"compute"} if partition == "hash_edge_cut" \
+        else {"gather", "fold_apply", "stage1"}
+    assert {name for _at, name, _node in calls} == compute
+    assert sum(batches) > len(calls)
+
+
+def test_a_vertex_cut_node_takes_each_inbox_in_one_call(graph, attempts,
+                                                        monkeypatch):
+    """Exactly one gather intake per alive node per hybrid-cut superstep
+    attempt and one activation intake per alive node per committed
+    superstep, through a Rebirth too, and at most one gid lookup for
+    each; a per-batch loop, in a driver or in the node's object, took
+    one per received batch."""
+    intakes, activations, lookups = [], [], []
+
+    def spy(cls, name, log):
+        real = getattr(cls, name)
+
+        def method(self, *args):
+            st = args[0] if cls is ArrayNodeProtocol else self
+            log.append((len(attempts), st.node, name, len(args[-1])))
+            return real(self, *args)
+        monkeypatch.setattr(cls, name, method)
+
+    spy(_NodeState, "intake", intakes)
+    spy(_NodeState, "activate", activations)
+    spy(ArrayNodeProtocol, "intake_partials", lookups)
+    spy(ArrayNodeProtocol, "apply_activations", lookups)
+    _run(_reborn_once(graph, "hybrid_cut"))
+    # Attempt 4 (superstep 3 without node 1) is rolled back before its
+    # commit.
+    for log, reached in ((intakes, range(1, 8)),
+                         (activations, [1, 2, 3, 5, 6, 7])):
+        steps = [(at, node) for at, node, _name, _n in log]
+        assert sorted(steps) == sorted((at, node) for at in reached
+                                       for node in attempts[at - 1])
+        assert sum(n for *_, n in log) > len(log)
+    calls = [(at, node, name) for at, node, name, _n in lookups]
+    assert len(set(calls)) == len(calls)
+    assert {name for *_, name in calls} == {"intake_partials",
+                                            "apply_activations"}
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """numpy sorts called inside the activation scatter or the gather,
+    by protocol step."""
+    calls: list[str] = []
+    inside = [None]
+
+    def spying(name):
+        real = getattr(np, name)
+
+        def sort(*args, **kwargs):
+            if inside[0] is not None:
+                calls.append(inside[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np, name, sort)
+
+    def step(name):
+        real = getattr(ArrayNodeProtocol, name)
+
+        def method(self, *args):
+            inside[0] = name
+            try:
+                return real(self, *args)
+            finally:
+                inside[0] = None
+        monkeypatch.setattr(ArrayNodeProtocol, name, method)
+
+    for name in ("sort", "argsort", "lexsort", "unique"):
+        spying(name)
+    for name in ("commit_stage1", "vertex_gather"):
+        step(name)
+    return calls
+
+
+@pytest.mark.parametrize("partition", PARTS)
+def test_the_scatter_and_the_gather_sort_nothing(graph, partition, sorts):
+    """The activation scatter (both cuts) and the combining gather read
+    their orders off the image: no sort in any superstep, through a
+    Rebirth too.  The per-superstep ``sorted_unique`` / ``argsort`` of
+    the remote records fails this."""
+    _run(_reborn_once(graph, partition))
+    assert sorts == []
+
+
+def test_the_raw_gather_still_sorts(graph, sorts):
+    """Non-vacuity of the spy: with combining off, the gather keeps its
+    stable sort of the raw contributions."""
+    _run(_reborn_once(graph, "hybrid_cut", combining=False))
+    assert "vertex_gather" in sorts and "commit_stage1" not in sorts
 
 
 def test_a_rebirth_leaves_numpy_ma_unimported():

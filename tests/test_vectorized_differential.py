@@ -227,10 +227,13 @@ def _drive_by_hand(engine, states, supersteps, probe=lambda when: None):
             for rank in ranks:
                 gathers[rank] = {}
                 edges[rank] = states[rank].gather(ctx, gathers[rank])
+            frames = {rank: [] for rank in ranks}
             for rank in ranks:
                 for (dst, _kind), batch in ship(rank,
                                                 gathers[rank]).items():
-                    states[dst].intake(rank, batch)
+                    frames[dst].append((rank, batch))
+            for rank in ranks:
+                states[rank].intake(frames[rank])
             for rank in ranks:
                 outbox = {}
                 counts[rank] = (edges[rank],
@@ -244,13 +247,16 @@ def _drive_by_hand(engine, states, supersteps, probe=lambda when: None):
         for dst, inbox in inboxes.items():
             states[dst].stage(inbox)
         probe("computed")
+        staged = {rank: states[rank].stage1(it) for rank in ranks}
         signals = {rank: [(dst, gid) for (dst, _kind), batch in
-                          states[rank].stage1(it).items()
-                          for gid in batch.gids]
+                          staged[rank].items() for gid in batch.gids]
                    for rank in ranks}
-        for pairs in signals.values():
-            for dst, gid in pairs:
-                states[dst].activate([gid])
+        columns = {rank: [] for rank in ranks}
+        for outbox in staged.values():
+            for (dst, _kind), batch in outbox.items():
+                columns[dst].append(batch.gids)
+        for rank in ranks:
+            states[rank].activate(columns[rank])
         probe("staged")
         for rank in ranks:
             pending[rank].update(states[rank].finalize(it))
@@ -314,25 +320,32 @@ def test_commit_stage1_leaves_the_committed_columns_alone(chaos_graph):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_commit_stage1_remote_dedup_equals_row_unique(seed):
-    """Remote activations are de-duplicated on one int64 key; the
-    batches must be what ``np.unique(axis=0)`` over (master node, gid)
-    rows produced — same pairs, same (dst, gid) order."""
+    """Remote activations come out unique, in the image's static
+    (master node, gid) order; the batches must be what
+    ``np.unique(axis=0)`` over (master node, gid) rows produced — same
+    pairs, same (dst, gid) order."""
     from types import SimpleNamespace
 
     import numpy as np
 
     from repro.cluster.network import MessageKind
+    from repro.engine.soa import NodeTopology
     from repro.engine.vectorized import ArrayNodeProtocol
 
     rng = np.random.default_rng(seed)
     n = 300
     gids = rng.permutation(50 * n)[:n].astype(np.int64)
-    gids[rng.random(n) < 0.05] = -1  # tombstones, never edge targets
-    live = np.flatnonzero(gids >= 0)
-    topo = SimpleNamespace(
-        gids=gids, is_master=rng.random(n) < 0.3,
-        master_node=rng.integers(0, 8, n),
-        out_src=rng.choice(live, 5 * n), out_dst=rng.choice(live, 5 * n))
+    occupied = rng.random(n) >= 0.05  # tombstones, never edge targets
+    gids[~occupied] = -1
+    live = np.flatnonzero(occupied)
+    is_master = occupied & (rng.random(n) < 0.3)
+    master_node = np.where(occupied, rng.integers(0, 8, n), -1)
+    no_edges = np.zeros(0, dtype=np.int64)
+    topo = NodeTopology.from_columns(
+        gids, occupied, is_master, np.zeros(n, dtype=bool),
+        np.zeros(n, dtype=bool), master_node, np.ones(n), no_edges,
+        no_edges, no_edges, rng.choice(live, 5 * n),
+        rng.choice(live, 5 * n), {}, no_edges)
     st = SimpleNamespace(topo=topo, pend_mask=np.ones(n, dtype=bool),
                          pend_activates=rng.random(n) < 0.7,
                          next_active=np.zeros(n, dtype=bool))
