@@ -5,7 +5,10 @@ plus a :class:`~repro.ft.replication.ReplicationPlan`, array-natively:
 numpy group-bys lay out, for all nodes at once, the position tables
 (masters in vertex-id order, then computation/FT replicas in vertex-id
 order), the role / degree / mirror columns, the edge CSR and each
-master's sync fan-out.  Each node's SoA image
+master's sync fan-out, with no binary search and no comparison sort: a
+copy lookup is a gather from a per-node gid table, and each sort is a
+radix pass over keys known to be small (node ids, positions;
+:func:`~repro.utils.arrays.stable_order`).  Each node's SoA image
 (:class:`~repro.engine.soa.NodeTopology`, DESIGN.md §11) is cut from
 those columns, and so is its birth record (:func:`_birth_record`):
 every copy's position recorded in the master metadata so recovery
@@ -33,6 +36,7 @@ from repro.errors import EngineError
 from repro.graph.graph import Graph
 from repro.obs import NULL_TRACER
 from repro.partition.base import EdgeCutPartitioning, VertexCutPartitioning
+from repro.utils.arrays import stable_order
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ft.replication import ReplicationPlan
@@ -98,72 +102,71 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
         # Every copy once — masters in vertex-id order, then replicas in
         # (vertex id, listed node) order — stably sorted by node: a
         # copy's array position is its rank within its node, and its
-        # *index* from here on is ``offset[node] + position``.
+        # *index* from here on is ``offset[node] + position``.  The
+        # plan's copies find theirs through the inverse permutation.
         copy_node = np.concatenate([master_of, rep_node])
-        order = np.argsort(copy_node, kind="stable")
+        order = stable_order(copy_node, num_nodes)
         total = order.size
-        offset = np.concatenate(
-            [[0], np.cumsum(np.bincount(copy_node, minlength=num_nodes))])
+        offset = csr_ptr(np.bincount(copy_node, minlength=num_nodes))
         gids = np.concatenate([np.arange(num_vertices), rep_gid])[order]
         node_of = copy_node[order]
         position = np.arange(total) - offset[node_of]
         is_master = order < num_vertices
+        inverse = np.empty(total, dtype=np.int64)
+        inverse[order] = np.arange(total)
+        master_index = inverse[:num_vertices].copy()
+        rep_index = inverse[num_vertices:]
 
-        # (vertex, node) -> copy index, with the two checks ``add_slot``
-        # and ``position_of`` made one slot at a time: no vertex twice
-        # on a node, no lookup of a copy that is not there (a bare
-        # ``searchsorted`` would return its neighbour's).
-        key = gids * num_nodes + node_of
-        by_key = np.argsort(key)
-        key_sorted = key[by_key]
-        twice = np.flatnonzero(key_sorted[1:] == key_sorted[:-1])
-        if twice.size:
-            gid, node = divmod(int(key_sorted[twice[0]]), num_nodes)
-            raise EngineError(
-                f"vertex {gid} already present on node {node}")
-
-        def copy_index(vertices, nodes):
-            want = vertices * num_nodes + nodes
-            found = np.minimum(np.searchsorted(key_sorted, want), total - 1)
-            absent = np.flatnonzero(key_sorted[found] != want)
-            if absent.size:
-                gid, node = divmod(int(want[absent[0]]), num_nodes)
-                raise EngineError(
-                    f"vertex {gid} has no copy on node {node}")
-            return by_key[found]
-
-        master_index = copy_index(np.arange(num_vertices), master_of)
-        rep_index = copy_index(rep_gid, rep_node)
         # Mirror election effects; an FT replica is recognised only
-        # among the replicas (the master's node is never one).
+        # among the replicas (the master's node is never one).  Any
+        # other (vertex, node) -> copy lookup is a gather from ``table``
+        # (gid -> index on the node at hand, -1 elsewhere), filled and
+        # cleared one node at a time, with the check ``add_slot`` made
+        # one slot at a time: no vertex twice on a node.
+        table = np.full(num_vertices, -1, dtype=np.int64)
         mirror_id = np.full(total, -1, dtype=np.int64)
-        mirror_id[copy_index(mir_gid, mir_node)] = (
-            np.arange(mir_gid.size)
-            - np.repeat(plan.mirror_nodes.ptr[:-1], mir_len))
+        mirror_rank = (np.arange(mir_gid.size)
+                       - np.repeat(plan.mirror_nodes.ptr[:-1], mir_len))
+        ft_only = np.zeros(total, dtype=bool)
+        mir_at, mir_ptr = _by_node(mir_node, num_nodes)
+        ft_at, ft_ptr = _by_node(ft_node, num_nodes)
+        for node in range(num_nodes):
+            index = np.arange(offset[node], offset[node + 1])
+            here = gids[index]
+            table[here] = index
+            twice = here[table[here] != index]
+            if twice.size:
+                raise EngineError(f"vertex {twice.min()} already present "
+                                  f"on node {node}")
+            rows = mir_at[mir_ptr[node]:mir_ptr[node + 1]]
+            mirror_id[_copies(table, mir_gid[rows], node)] = mirror_rank[rows]
+            found = table[ft_gid[ft_at[ft_ptr[node]:ft_ptr[node + 1]]]]
+            ft_only[found[found >= 0]] = True
+            table[here] = -1
         is_mirror = mirror_id >= 0
-        ft_only = ~is_master & np.isin(key, ft_gid * num_nodes + ft_node)
+        ft_only &= ~is_master
         out_deg = graph.out_degrees()[gids]
         selfish = vertex_selfish[gids]
         master_node = master_of[gids]
         # Sync fan-out: one row per replica, in vertex-id order (the
         # order of every node's masters), filed under its master's node.
-        sync_from = master_of[rep_gid]
+        sync_at, sync_ptr = _by_node(master_of[rep_gid], num_nodes)
 
         # Each node's image, its edges linked one node at a time (the
         # edge-sized sorts are the phase's memory peak): local CSR in
         # (position, edge id) order.
-        by_node = np.argsort(edge_node, kind="stable")
-        edge_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(edge_node, minlength=num_nodes))])
+        by_node, edge_ptr = _by_node(edge_node, num_nodes)
         images = []
         for node in range(num_nodes):
             lo, hi = offset[node], offset[node + 1]
+            table[gids[lo:hi]] = np.arange(hi - lo)
             edges = by_node[edge_ptr[node]:edge_ptr[node + 1]]
-            src_pos = copy_index(graph.sources[edges], node) - lo
-            dst_pos = copy_index(graph.targets[edges], node) - lo
-            by_dst = np.argsort(dst_pos, kind="stable")
-            by_src = np.argsort(src_pos, kind="stable")
-            rows = np.flatnonzero(sync_from == node)
+            src_pos = _copies(table, graph.sources[edges], node)
+            dst_pos = _copies(table, graph.targets[edges], node)
+            table[gids[lo:hi]] = -1
+            by_dst = stable_order(dst_pos, hi - lo)
+            by_src = stable_order(src_pos, hi - lo)
+            rows = sync_at[sync_ptr[node]:sync_ptr[node + 1]]
             topology = NodeTopology.from_columns(
                 gids[lo:hi].copy(), np.ones(hi - lo, dtype=bool),
                 is_master[lo:hi].copy(), is_mirror[lo:hi].copy(),
@@ -198,10 +201,11 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
                 np.concatenate([t.in_w for t in images]))
         # The edge- and copy-sized scratch dies before the records are
         # cut (freed heap under live arrays still counts toward peak
-        # RSS).
-        del (copy_node, order, node_of, rep_index, key, by_key, key_sorted,
-             gids, position, is_master, is_mirror, by_node, edge_node,
-             rep_gid, sync_from)
+        # RSS), the last node's slices too: a view keeps its base alive.
+        del (copy_node, order, node_of, inverse, rep_index, table, mir_at,
+             ft_at, mirror_rank, gids, position, is_master, is_mirror,
+             by_node, edge_node, rep_gid, sync_at, index, here, found, rows,
+             edges, src_pos, dst_pos, by_dst, by_src)
 
     with tracer.span("load.construct.slots", cat="load", slots=total):
         locals_: dict[int, LocalGraph] = {}
@@ -211,6 +215,25 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
                 node, _birth_record(node, topo, lo, hi, records),
                 topo, records["ft_only"][lo:hi], edge_cut)
     return locals_, report
+
+
+def _by_node(nodes: np.ndarray, num_nodes: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices grouped by node, in row order within a node, and the
+    groups' CSR pointer."""
+    return (stable_order(nodes, num_nodes),
+            csr_ptr(np.bincount(nodes, minlength=num_nodes)))
+
+
+def _copies(table: np.ndarray, vertices: np.ndarray,
+            node: int) -> np.ndarray:
+    """``vertices``' entries in ``node``'s gid table, each one there."""
+    found = table[vertices]
+    absent = np.flatnonzero(found < 0)
+    if absent.size:
+        raise EngineError(
+            f"vertex {vertices[absent[0]]} has no copy on node {node}")
+    return found
 
 
 def _birth_record(node: int, topo: NodeTopology, lo: int, hi: int,

@@ -415,8 +415,9 @@ class LocalGraph:
         order), the SoA image cut from the same columns, each row's
         ``ft_only`` and, with ``full_edges``, the mirrors' in-edge copies
         in the record's edge CSR.  ``state`` holds the rows'
-        :data:`DYNAMIC` columns (default: a fresh slot's, until
-        ``Engine`` sets the initial state).  No slot is stamped."""
+        :data:`DYNAMIC` columns; ``None`` (at load, where every position
+        holds a row) fills each column whole with a fresh slot's field,
+        until ``Engine`` sets the initial state.  No slot is stamped."""
         lg = cls(node_id)
         # The record keeps the static columns only: the state lives in
         # the graph's columns from here on.
@@ -424,12 +425,11 @@ class LocalGraph:
         lg.slots = SlotArray(lg, rows, topology, ft_only, full_edges)
         lg.index_of = dict(zip(rows.gids.tolist(), rows.positions.tolist()))
         lg._topology = topology
-        count = len(rows)
         if state is None:
-            state = ([None] * count, np.zeros(count, dtype=bool),
-                     np.zeros(count, dtype=bool), np.zeros(count, dtype=bool),
-                     np.ones(count, dtype=bool),
-                     np.full(count, -1, dtype=np.int64))
+            for name, field in DYNAMIC.items():
+                setattr(lg, name, np.full(topology.n, getattr(
+                    VertexSlot, field), dtype=getattr(lg, name).dtype))
+            return lg
         for (name, fill), column in zip(VACANT.items(), state):
             full = np.full(topology.n, fill,
                            dtype=object if name == "values" else type(fill))

@@ -38,6 +38,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.state import Role
+from repro.utils.arrays import stable_order
+
+
+def _order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative ``keys``."""
+    return stable_order(keys, int(keys.max(initial=0)) + 1)
 
 
 def _mask(n: int, positions: np.ndarray) -> np.ndarray:
@@ -150,8 +156,7 @@ class NodeTopology:
         topo.in_counts = _frozen(np.bincount(topo.in_dst, minlength=topo.n))
         topo.has_in = _frozen(topo.in_counts > 0)
         occ = np.flatnonzero(occupied)
-        order = np.argsort(gids[occ], kind="stable")
-        topo.pos_sorted = occ[order]
+        topo.pos_sorted = occ[_order(gids[occ])]
         topo.gid_sorted = gids[topo.pos_sorted]
         # The plan flat once, in send order (``sync_plan[key]`` a view).
         plan = [np.asarray(p, dtype=np.int64) for p in sync_plan.values()]
@@ -169,11 +174,10 @@ class NodeTopology:
         topo.has_out = _frozen(_mask(topo.n, topo.out_src))
         topo.out_hit = _frozen(_mask(topo.n, topo.out_dst))
         remote = np.flatnonzero(topo.out_hit & ~is_master)
-        topo.act_order = _frozen(remote[np.lexsort(
-            (gids[remote], master_node[remote]))])
+        remote = remote[_order(gids[remote])]
+        topo.act_order = _frozen(remote[_order(master_node[remote])])
         remote = np.flatnonzero(topo.has_in & ~is_master)
-        topo.gather_order = _frozen(remote[np.argsort(
-            master_node[remote], kind="stable")])
+        topo.gather_order = _frozen(remote[_order(master_node[remote])])
         return topo
 
     def copies_on(self, node: int) -> tuple[np.ndarray, np.ndarray,

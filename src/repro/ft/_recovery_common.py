@@ -38,7 +38,7 @@ from repro.engine.soa import NodeTopology
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError, UnrecoverableFailureError
 from repro.ft.edge_ckpt import NO_EDGES, Edges
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import sorted_unique, stable_order
 from repro.utils.rng import SeededRng
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
@@ -263,12 +263,14 @@ def _shipped_edges(rows: RecoveryBatch, gids: np.ndarray):
 
 def _reloaded_edges(node: int, rows: RecoveryBatch, edges: Edges):
     """``(src, dst, weight)`` of the crashed node's edge-ckpt ``edges``,
-    translated to positions, in their order."""
+    translated to positions through a gid -> position table, in their
+    order."""
     src_gid, dst_gid, weight = edges
-    by_gid = np.argsort(rows.gids, kind="stable")
-    src, src_ok = _positions_of(rows, by_gid, src_gid)
-    dst, dst_ok = _positions_of(rows, by_gid, dst_gid)
-    bad = np.flatnonzero(~(src_ok & dst_ok))
+    table = np.full(int(max(rows.gids.max(initial=-1), src_gid.max(
+        initial=-1), dst_gid.max(initial=-1))) + 1, -1, dtype=np.int64)
+    table[rows.gids] = rows.positions
+    src, dst = table[src_gid], table[dst_gid]
+    bad = np.flatnonzero((src < 0) | (dst < 0))
     if bad.size:
         raise UnrecoverableFailureError(
             f"edge ({src_gid[bad[0]]}, {dst_gid[bad[0]]}) endpoints missing "
@@ -299,8 +301,8 @@ def _reborn_image(rows: RecoveryBatch, gids: np.ndarray, src: np.ndarray,
         return column
 
     role = at_positions(rows.roles, -1)
-    by_dst = np.argsort(dst, kind="stable")
-    by_src = np.argsort(src, kind="stable")
+    by_dst = stable_order(dst, n)
+    by_src = stable_order(src, n)
     topo = NodeTopology.from_columns(
         gids, at_positions(True, False, bool), role == _B.MASTER,
         role == _B.MIRROR, at_positions(rows.selfish, False, bool),
@@ -311,18 +313,6 @@ def _reborn_image(rows: RecoveryBatch, gids: np.ndarray, src: np.ndarray,
                       np.repeat(pos[masters], copies),
                       rows.replica_positions[rp]))
     return topo
-
-
-def _positions_of(rows: RecoveryBatch, by_gid: np.ndarray,
-                  gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``gids`` among ``rows`` (sorted by gid through
-    ``by_gid``) and which of them are there at all."""
-    want = np.asarray(gids, dtype=np.int64)
-    if not by_gid.size:
-        return want, np.zeros(want.size, dtype=bool)
-    have = rows.gids[by_gid]
-    at = np.minimum(np.searchsorted(have, want), have.size - 1)
-    return rows.positions[by_gid][at], have[at] == want
 
 
 def replay_activations(engine: "Engine", nodes: list[int],

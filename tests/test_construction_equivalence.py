@@ -14,7 +14,9 @@ image field for field (dtype, values, ``sync_plan`` key order)
 against ``NodeTopology.build`` of the reference graph, and the report.
 The two checks the reference made one slot at a time — no vertex twice
 on a node, no edge endpoint without a copy — must survive as typed
-errors.
+errors.  And the build searches nothing: a copy lookup is a gather from
+a gid table, and every sort is over keys of 16 bits or less (radix
+passes, ``repro.utils.arrays.stable_order``).
 """
 
 from __future__ import annotations
@@ -172,9 +174,9 @@ class TestTypedFailures:
         return generators.power_law(120, alpha=2.0, seed=11, avg_degree=4.0)
 
     def test_edge_placed_where_an_endpoint_has_no_copy(self, graph):
-        """A bare ``KeyError`` out of ``position_of`` before; and a bulk
-        ``searchsorted`` alone would silently link the neighbouring
-        copy's position."""
+        """A bare ``KeyError`` out of ``position_of`` before; and an
+        unchecked gather from the gid table would silently link
+        position -1, the node's last copy."""
         part = hybrid_cut(graph, 4, seed=1)
         plan = plan_for(graph, part, 0)
         eid, node = next(
@@ -189,6 +191,46 @@ class TestTypedFailures:
         with pytest.raises(EngineError,
                            match=f"vertex {gid} has no copy on node {node}"):
             build_local_graphs(graph, corrupted, plan)
+
+    def test_edge_placed_where_its_target_has_no_copy(self, graph):
+        """The target's lookup is checked too: the edge moves to a node
+        that holds its source but not its target."""
+        part = hybrid_cut(graph, 4, seed=1)
+        plan = plan_for(graph, part, 0)
+
+        def holds(gid, node):
+            return (node == plan.master_of[gid]
+                    or node in plan.replica_nodes[gid])
+        eid, node = next(
+            (eid, node) for eid in range(graph.num_edges)
+            for node in range(4)
+            if holds(graph.sources[eid], node)
+            and not holds(graph.targets[eid], node))
+        edge_node = np.array(part.edge_node)
+        edge_node[eid] = node
+        corrupted = dataclasses.replace(part, edge_node=edge_node)
+        gid = int(graph.targets[eid])
+        with pytest.raises(EngineError,
+                           match=f"vertex {gid} has no copy on node {node}"):
+            build_local_graphs(graph, corrupted, plan)
+
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_replica_listed_twice_on_a_later_node(self, graph, partition):
+        """Two replicas of one vertex on one node other than node 0 (the
+        first node the build fills its table for)."""
+        part = PARTITIONERS[partition](graph, 4, seed=1)
+        plan = plan_for(graph, part, 1)
+        rows = plan.replica_nodes
+        gid, node = next((gid, int(node)) for gid in range(graph.num_vertices)
+                         for node in rows[gid] if node != 0)
+        at = rows.ptr[gid] + np.searchsorted(rows[gid], node)
+        corrupted = dataclasses.replace(plan, replica_nodes=NodeRows(
+            rows.ptr + (np.arange(rows.ptr.size) > gid),
+            np.insert(rows.nodes, at, node)))
+        assert corrupted.replica_nodes[gid].tolist().count(node) == 2
+        with pytest.raises(EngineError, match=(
+                f"vertex {gid} already present on node {node}")):
+            build_local_graphs(graph, part, corrupted)
 
     @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
     def test_master_inside_its_own_replica_set(self, graph, partition):
@@ -217,3 +259,40 @@ class TestTypedFailures:
         with pytest.raises(ConfigError, match=(
                 f"vertex {gid}: master node {node} also in replicas")):
             corrupted.validate()
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """The numpy searches and sorts a call makes, as ``(name, key
+    dtype)``."""
+    calls: list[tuple[str, np.dtype]] = []
+
+    def spying(name):
+        real = getattr(np, name)
+
+        def spy(keys, *args, **kwargs):
+            calls.append((name, np.asarray(keys).dtype))
+            return real(keys, *args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+
+    for name in ("searchsorted", "isin", "sort", "argsort", "lexsort",
+                 "unique"):
+        spying(name)
+    return calls
+
+
+@pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+def test_the_build_searches_nothing_and_sorts_small_keys(partition,
+                                                         numpy_calls):
+    """No ``searchsorted`` or ``isin`` (a copy lookup is a gather), and
+    each ``argsort`` is a radix pass over a 16-bit or narrower key.  A
+    ``searchsorted`` put back into a copy lookup fails this, and so does
+    a comparison ``argsort`` of the edges' positions or the gids."""
+    graph = generators.power_law(3000, alpha=2.0, seed=5, avg_degree=8.0)
+    part = PARTITIONERS[partition](graph, 8, seed=5)
+    plan = plan_for(graph, part, 2, seed=5)
+    numpy_calls.clear()
+    build_local_graphs(graph, part, plan)
+    assert {name for name, _ in numpy_calls} == {"argsort"}
+    assert all(dtype.itemsize <= 2 for _, dtype in numpy_calls), \
+        numpy_calls

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.utils.arrays import percentile, sorted_unique
+from repro.utils.arrays import percentile, sorted_unique, stable_order
 from repro.utils.hashing import hash_to_node, stable_hash, stable_hash_array
 from repro.utils.rng import SeededRng, derive_seed
 from repro.utils.sizing import (
@@ -107,6 +107,11 @@ class TestSizing:
         assert BYTES_PER_EDGE == 2 * BYTES_PER_VID + 8
 
 
+#: One 8-bit digit (its smallest and largest bound), one 16-bit digit at
+#: its limit, one past it (two digits), and three digits.
+BOUNDS = [1, 2**8, 2**16, 2**16 + 1, 2**32 + 1]
+
+
 class TestArrayIdioms:
     """Each helper is the numpy call it stands in for, bit for bit."""
 
@@ -126,3 +131,27 @@ class TestArrayIdioms:
         want = float(np.percentile(values, q))
         assert np.float64(percentile(values, q)).tobytes() == \
             np.float64(want).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.sampled_from(BOUNDS), st.sampled_from(
+        [np.int32, np.int64]), st.integers(0, 80))
+    def test_stable_order_is_a_stable_argsort(self, data, bound, dtype,
+                                              size):
+        top = min(bound, np.iinfo(dtype).max + 1) - 1
+        # A few keys drawn again and again (ties are where stability
+        # shows), both ends of the range, and anything in between.
+        few = data.draw(st.lists(st.integers(0, top), min_size=1,
+                                 max_size=3))
+        keys = np.array(data.draw(st.lists(st.one_of(
+            st.sampled_from([*few, 0, top]), st.integers(0, top)),
+            min_size=size, max_size=size)), dtype=dtype)
+        have, want = stable_order(keys, bound), np.argsort(keys, kind="stable")
+        assert have.dtype == want.dtype
+        assert np.array_equal(have, want)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_stable_order_of_nothing(self, bound, dtype):
+        have = stable_order(np.zeros(0, dtype=dtype), bound)
+        assert have.dtype == np.argsort(np.zeros(0, dtype=dtype)).dtype
+        assert have.size == 0
