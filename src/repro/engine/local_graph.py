@@ -26,6 +26,7 @@ birth record (:meth:`SlotArray.metadata`).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import weakref
 from typing import Iterator
 
@@ -54,6 +55,8 @@ VACANT = {"values": 0, "active": False, "last_activates": False,
 _UNSTAMPED = object()
 #: A role's code in a :class:`RecoveryBatch`.
 _ROLE_CODE = {role: code for code, role in enumerate(_B.ROLES)}
+#: Structure versions, unique across graphs (:attr:`LocalGraph.structure`).
+_VERSIONS = itertools.count()
 
 
 def stamp_slots(rows: RecoveryBatch, at: np.ndarray, ft_only,
@@ -268,7 +271,8 @@ class SlotArray:
     def placement(self, pos: int) -> tuple[bool, object]:
         """The selfish flag and replica nodes (metadata order) of the
         master at ``pos``, from its slot if stamped, else from the birth
-        record; stamps nothing.  A read's routing: once per query."""
+        record; stamps nothing.  The per-gid read of the reference
+        router (the drain path reads its candidate table instead)."""
         slot = self._items[pos]
         if slot is not _UNSTAMPED:
             return slot.selfish, slot.meta.replica_positions
@@ -391,6 +395,10 @@ class LocalGraph:
         #: the graph (:meth:`born`) or built lazily by :meth:`topology`;
         #: :meth:`invalidate_soa` drops it.
         self._topology = None
+        #: This graph's structure version, renewed by every
+        #: :meth:`invalidate_soa`: state derived from the roles and
+        #: placement stays valid while it holds (the read router's rows).
+        self.structure = next(_VERSIONS)
         #: The committed dynamic columns (:data:`DYNAMIC`), one entry per
         #: position: the one store of that state — a column state adopts
         #: them, a bound slot reads and writes them.  Activity is the
@@ -523,6 +531,7 @@ class LocalGraph:
         column writes and drop nothing.
         """
         self._topology = None
+        self.structure = next(_VERSIONS)
 
     # -- lookup ---------------------------------------------------------------
 

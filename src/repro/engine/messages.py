@@ -441,12 +441,15 @@ class ActiveBroadcastBatch:
         return self.select(range(len(self.gids)))
 
 
-def csr_rows(ptr: np.ndarray, rows: np.ndarray
+def csr_rows(ptr: np.ndarray, rows: np.ndarray, limit: int = 0
              ) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of CSR rows ``rows`` (row by row, in the given
-    order) and each row's length."""
+    order) and each row's length; ``limit`` > 0 keeps the first
+    ``limit`` entries of a longer row."""
     starts = ptr[rows]
     counts = ptr[rows + 1] - starts
+    if limit:
+        np.minimum(counts, limit, out=counts)
     return (np.arange(int(counts.sum()))
             - np.repeat(np.cumsum(counts) - counts - starts, counts)), counts
 

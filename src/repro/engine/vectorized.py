@@ -250,6 +250,15 @@ def top_masters(gids: np.ndarray, values: np.ndarray, k: int) -> list[tuple]:
     """The K ``(value, gid)`` pairs with the largest values among one
     node's masters (their ``gids`` and committed ``values``),
     best-first, ties toward the lower gid."""
+    if values.dtype.kind in "fi" and 0 < k < values.size:
+        # Only a value at least the K-th largest can rank: keep those
+        # (ties included), sort only them.  NaN sorts last, as in the
+        # sort; fewer than K non-NaN values keep everything.
+        neg = -values
+        kth = np.partition(neg, k - 1)[k - 1]
+        if kth == kth:
+            keep = np.flatnonzero(neg <= kth)
+            gids, values = gids[keep], values[keep]
     order = np.lexsort((gids, -values))[:k]
     return list(zip(values[order].tolist(), gids[order].tolist()))
 

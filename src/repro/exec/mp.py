@@ -96,6 +96,7 @@ from repro.exec.serialize import (TAG_GATHER, TAG_RAW_GATHER, decode_batch,
 from repro.ft import ladder
 from repro.serve.server import ServePump, serve_pump
 from repro.serve.view import merge_top
+from repro.utils.arrays import sorted_unique
 from repro.utils.sizing import BYTES_PER_MSG_HEADER
 
 
@@ -281,17 +282,14 @@ class _WorkerReader:
         self._values: dict[int, dict] = {}
         self._top: list = []
 
-    def fetch(self, copies, k: int | None) -> float:
-        start = time.perf_counter()
+    def fetch(self, nodes: np.ndarray, gids: np.ndarray,
+              k: int | None) -> None:
         backend = self.backend
-        by_rank: dict[int, set] = defaultdict(set)
-        for node, gid in copies:
-            by_rank[node].add(gid)
-        if by_rank:
+        if nodes.size:
             self._req += 1
-            ranks = sorted(by_rank)
+            ranks = sorted_unique(nodes).tolist()
             backend._send_all(ranks, "read", self._req, per_rank={
-                r: sorted(by_rank[r]) for r in ranks})
+                r: sorted_unique(gids[nodes == r]).tolist() for r in ranks})
             frames = backend._collect("read_done", self._req, ranks)
             self._values = {r: frame[2] for r, frame in frames.items()}
         if k is not None:
@@ -300,10 +298,12 @@ class _WorkerReader:
             backend._send_all(alive, "topk", self._req, k)
             frames = backend._collect("topk_done", self._req, alive)
             self._top = merge_top((frame[2] for frame in frames.values()), k)
-        return time.perf_counter() - start
 
-    def value_at(self, node: int, gid: int):
-        return self._values[node][gid]
+    def values_at(self, nodes: np.ndarray, gids: np.ndarray,
+                  positions: np.ndarray) -> np.ndarray:
+        values = self._values
+        return np.fromiter((values[n][g] for n, g in zip(
+            nodes.tolist(), gids.tolist())), dtype=object, count=nodes.size)
 
     def top_k(self, k: int) -> list:
         return self._top

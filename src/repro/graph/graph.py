@@ -101,6 +101,12 @@ class Graph:
         """Edge ids with target ``v``."""
         return self._in_edge_ids[self._in_offsets[v]:self._in_offsets[v + 1]]
 
+    @property
+    def out_offsets(self) -> np.ndarray:
+        """The out-CSR's row pointer: ``v``'s out-edges are the ids
+        ``out_offsets[v]:out_offsets[v + 1]``; read-only view."""
+        return self._out_offsets
+
     def out_neighbors(self, v: int) -> np.ndarray:
         return self._dst[self._out_offsets[v]:self._out_offsets[v + 1]]
 

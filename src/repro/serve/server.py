@@ -5,12 +5,13 @@ arrival has passed at one engine phase hook, a range of query indices —
 against committed state through a
 :class:`~repro.serve.router.ReplicaRouter`, stamping every response
 with the superstep it reflects and the degraded flag.  It is the one
-server of both backends: a drain is routed whole, then a *reader*
-fetches and answers the reads — :class:`EngineReader` from the
-engine's committed columns in process, mp's worker reader over
-``read`` / ``topk`` frames.  Responses land in :class:`ServeStats`'
-parallel columns; no per-read object is built.  Service-time latency
-(wall-clock per query) and per-replica load feed the obs
+server of both backends: a drain is flattened into one column of
+routed reads and routed whole, then a *reader* fetches and answers them
+— :class:`EngineReader` from the engine's committed columns in process,
+mp's worker reader over ``read`` / ``topk`` frames.  Responses land in
+:class:`ServeStats`' parallel columns; no per-read object is built.
+Latency (a drain's wall until its answers are recorded) and
+per-replica load feed the obs
 :class:`~repro.obs.registry.MetricsRegistry`.
 
 :class:`ServePump` drives the server *concurrently with the run*: the
@@ -25,12 +26,13 @@ seconds map onto run progress (supersteps are the engine's clock) via
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.engine.messages import csr_ptr
 from repro.serve.router import MISS, ReplicaRouter
 from repro.serve.view import CommittedView
 from repro.serve.workload import (
@@ -41,7 +43,7 @@ from repro.serve.workload import (
     OpenLoopWorkload,
     workload_from_config,
 )
-from repro.utils.arrays import percentile
+from repro.utils.arrays import percentile, sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
@@ -97,8 +99,8 @@ class ResponseView(Sequence):
 
 
 class ServeStats:
-    """Response accounting: one column per response field, plus the
-    per-query service time."""
+    """Response accounting: one column per response field, plus each
+    query's latency."""
 
     def __init__(self, keep_responses: bool = True):
         self.keep_responses = keep_responses
@@ -125,22 +127,23 @@ class ServeStats:
     def responses(self) -> ResponseView:
         return ResponseView(self)
 
-    def record(self, gid: int, kind: int, value: Any, superstep: int,
-               degraded: bool, node: int, latency_s: float) -> None:
-        """Append one answered query."""
-        self.latencies_s.append(latency_s)
-        self.kinds.append(kind)
-        if degraded:
-            self.degraded_served += 1
+    def extend(self, gids: list, kinds: list, values: list,
+               superstep: int, degraded: list, nodes: list,
+               latency_s: float) -> None:
+        """Append one drain's answered queries, all recorded at
+        ``latency_s`` after the drain started."""
+        self.latencies_s.extend([latency_s] * len(kinds))
+        self.kinds.extend(kinds)
+        self.degraded_served += sum(degraded)
         if self.keep_responses:
-            self.gids.append(gid)
-            self.values.append(value)
-            self.supersteps.append(superstep)
-            self.degraded.append(degraded)
-            self.nodes.append(node)
+            self.gids.extend(gids)
+            self.values.extend(values)
+            self.supersteps.extend([superstep] * len(kinds))
+            self.degraded.extend(degraded)
+            self.nodes.extend(nodes)
 
     def report(self, router: ReplicaRouter, metrics=None) -> dict:
-        """p50/p99 service latency, per-replica load, degraded counts —
+        """p50/p99 latency, per-replica load, degraded counts —
         also published to a metrics registry when one is given, with
         the p50 of each query kind."""
         lat = np.asarray(self.latencies_s, dtype=np.float64)
@@ -173,25 +176,35 @@ class ServeStats:
 
 class EngineReader:
     """The in-process reader: it fetches nothing, and reads the engine's
-    committed columns (:meth:`Engine.committed_value_at`) and
-    :meth:`CommittedView.top_k`.
+    committed value columns and :meth:`CommittedView.top_k`.
 
     The reader seam of :class:`ReadServer`: after a drain is routed,
-    ``fetch(copies, k)`` gets every routed ``(node, gid)`` copy (a lazy
-    iterable) and the top-K ``k`` (``None`` when the drain holds no
-    top-K query) and returns the wall seconds it spent;
-    ``value_at(node, gid)`` and ``top_k(k)`` then answer from what was
-    fetched.  mp's coordinator plugs in a reader over worker frames
+    ``fetch(nodes, gids, k)`` gets every served copy as two columns
+    (the copy's node, its gid) and the top-K ``k`` (``None`` when the
+    drain holds no top-K query); ``values_at(nodes, gids, positions)``
+    then returns those copies' values as an object array — the router
+    also hands over each copy's position on its node — and ``top_k(k)``
+    the ranking.  mp's coordinator plugs in a reader over worker frames
     (:mod:`repro.exec.mp`).
     """
 
     def __init__(self, engine: "Engine", view: CommittedView):
-        self.value_at = engine.committed_value_at
+        self.engine = engine
         self.top_k = view.top_k
 
     @staticmethod
-    def fetch(copies: Iterable[tuple[int, int]], k: int | None) -> float:
-        return 0.0
+    def fetch(nodes: np.ndarray, gids: np.ndarray, k: int | None) -> None:
+        pass
+
+    def values_at(self, nodes: np.ndarray, gids: np.ndarray,
+                  positions: np.ndarray) -> np.ndarray:
+        """One gather per node out of its committed value column."""
+        out = np.empty(nodes.size, dtype=object)
+        graphs = self.engine.local_graphs
+        for node in sorted_unique(nodes).tolist():
+            at = nodes == node
+            out[at] = graphs[node].values[positions[at]]
+        return out
 
 
 class ReadServer:
@@ -228,118 +241,84 @@ class ReadServer:
 
     # -- query execution -------------------------------------------------
 
-    def serve_drain(self, kinds: list[int], gids: list[int], k: int,
-                    superstep: int) -> None:
+    def serve_drain(self, kinds, gids, k: int, superstep: int) -> None:
         """Answer queries ``(kinds[i], gids[i])`` in order, top-K ones
         with ``k``, under one routing snapshot, tagged with the
         committed ``superstep``.
 
-        Every query is routed, the reader fetches, then every query is
-        read and recorded.  A query's latency is its own routing plus
-        its own reads plus the reader's fetch (zero in process); only
-        the O(nodes) drain set-up sits outside.
+        The drain's point gids and each neighbourhood's capped
+        out-neighbours flatten into one column of routed reads, in
+        query order; it is routed whole, the reader fetches and answers
+        the served copies, and every query is recorded at once.  Each
+        query's latency is the drain's wall from here until then.
         """
-        engine, router, stats = self.engine, self.router, self.stats
-        router.open_snapshot()
-        try:
-            route = router.route
-            out_neighbors = self.view.out_neighbors
-            limit = self.neighborhood_limit
-            in_recovery = engine.in_recovery
+        start = time.perf_counter()
+        engine, reader = self.engine, self.reader
+        kinds = np.asarray(kinds, dtype=np.int8)
+        gids = np.asarray(gids, dtype=np.int64)
+        point, hood, topk = (kinds == POINT, kinds == NEIGHBORHOOD,
+                             kinds == TOPK)
+        if not (point | hood | topk).all():
+            raise ValueError(
+                f"unknown query kind {kinds[~(point | hood | topk)][0]}")
+        # The routed reads, in query order: one per point query, one per
+        # neighbour of a neighbourhood query.
+        counts = point.astype(np.int64)
+        counts[hood], nbrs = self.view.out_neighbors(
+            gids[hood], self.neighborhood_limit)
+        ptr = csr_ptr(counts)
+        reads = np.empty(int(ptr[-1]), dtype=np.int64)
+        of_hood = np.repeat(hood, counts)
+        reads[of_hood], reads[~of_hood] = nbrs, gids[point]
+        nodes, positions, flags = self.router.route_reads(reads)
+        served = np.flatnonzero(nodes != MISS)
+        self.stats.misses += reads.size - served.size
+        reader.fetch(nodes[served], reads[served],
+                     k if topk.any() else None)
+        # One slot past the reads: a top-K query's (empty) first read.
+        values = np.full(reads.size + 1, None, dtype=object)
+        values[served] = reader.values_at(nodes[served], reads[served],
+                                          positions[served])
+        answers = values[ptr[:-1]].tolist()
+        # A query is degraded when one of its reads is (a neighbourhood
+        # also in recovery), and served by its first served read's node.
+        query = np.repeat(np.arange(kinds.size), counts)
+        degraded = np.zeros(kinds.size, dtype=bool)
+        degraded[query[flags]] = True
+        degraded[hood] |= engine.in_recovery
+        owner = query[served]
+        first = np.ones(owner.size, dtype=bool)
+        first[1:] = owner[1:] != owner[:-1]
+        node = np.full(kinds.size, MISS, dtype=np.int64)
+        node[owner[first]] = nodes[served[first]]
+        if hood.any():
+            nbrs, values, bounds = reads.tolist(), values.tolist(), ptr.tolist()
+            for i in np.flatnonzero(hood).tolist():
+                b, e = bounds[i], bounds[i + 1]
+                answers[i] = tuple(zip(nbrs[b:e], values[b:e]))
+        if topk.any():
             # Top-K coverage is partial with any node dead (even before
-            # detection fires) or recovery-recomputed selfish masters in
-            # the ranking (they reflect the *next* commit).
+            # detection fires) or recovery-recomputed selfish masters
+            # in the ranking (they reflect the *next* commit).
             # ``expected_workers`` follows elastic membership, so a
             # cleanly drained node does not read as a degraded cluster.
             cluster = engine.cluster
-            topk_degraded = in_recovery or bool(
+            degraded[topk] = engine.in_recovery or bool(
                 engine.selfish_read_fence) or (
                 len(cluster.alive_workers()) < cluster.expected_workers())
-            perf = time.perf_counter
-            # Route.  Per query: the serving node, the degraded tag and
-            # the routing seconds; per neighbourhood query also its
-            # ``(neighbours, copies)``.  A miss counts when it is routed.
-            # A point query keeps only atoms: a container per query,
-            # held until the drain ends, cost serve_kill_sim one more
-            # full garbage collection.
-            nodes: list[int] = []
-            flags: list[bool] = []
-            route_s: list[float] = []
-            hoods: list[tuple[list[int], list[int]]] = []
-            add_node, add_flag, add_s = (nodes.append, flags.append,
-                                         route_s.append)
-            topk = None
-            for kind, gid in zip(kinds, gids):
-                start = perf()
-                if kind == POINT:
-                    node, degraded = route(gid)
-                    if node == MISS:
-                        stats.misses += 1
-                elif kind == NEIGHBORHOOD:
-                    degraded = in_recovery
-                    node = MISS
-                    nbrs = out_neighbors(gid, limit)
-                    copies = []
-                    for nbr in nbrs:
-                        copy, deg = route(nbr)
-                        degraded = degraded or deg
-                        if copy == MISS:
-                            stats.misses += 1
-                        elif node == MISS:
-                            node = copy
-                        copies.append(copy)
-                    hoods.append((nbrs, copies))
-                elif kind == TOPK:
-                    node, degraded, topk = MISS, topk_degraded, k
-                else:
-                    raise ValueError(f"unknown query kind {kind}")
-                add_s(perf() - start)
-                add_node(node)
-                add_flag(degraded)
-            reader = self.reader
-            fetch_s = reader.fetch(_copies(kinds, gids, nodes, hoods), topk)
-            # Read and record.
-            value_at, top_k = reader.value_at, reader.top_k
-            record = stats.record
-            hood = iter(hoods)
-            for kind, gid, node, degraded, own_s in zip(
-                    kinds, gids, nodes, flags, route_s):
-                start = perf()
-                if kind == POINT:
-                    value = None if node == MISS else value_at(node, gid)
-                elif kind == NEIGHBORHOOD:
-                    nbrs, copies = next(hood)
-                    value = tuple([
-                        (nbr, None if copy == MISS else value_at(copy, nbr))
-                        for nbr, copy in zip(nbrs, copies)])
-                else:
-                    gid = -1
-                    value = tuple(top_k(k))
-                record(gid, kind, value, superstep, degraded, node,
-                       own_s + fetch_s + perf() - start)
-        finally:
-            router.close_snapshot()
+            top = tuple(reader.top_k(k))
+            for i in np.flatnonzero(topk).tolist():
+                answers[i] = top
+            gids = np.where(topk, -1, gids)
+        self.stats.extend(gids.tolist(), kinds.tolist(), answers, superstep,
+                          degraded.tolist(), node.tolist(),
+                          time.perf_counter() - start)
 
     # -- reporting -------------------------------------------------------
 
     def report(self) -> dict[str, Any]:
         """Serve-side stats, also published to the engine's metrics."""
         return self.stats.report(self.router, self.engine.metrics)
-
-
-def _copies(kinds: list[int], gids: list[int], nodes: list[int],
-            hoods: list[tuple[list[int], list[int]]]):
-    """Every routed ``(node, gid)`` copy of a drain, misses left out."""
-    hood = iter(hoods)
-    for kind, gid, node in zip(kinds, gids, nodes):
-        if kind == POINT:
-            if node != MISS:
-                yield node, gid
-        elif kind == NEIGHBORHOOD:
-            nbrs, copies = next(hood)
-            for nbr, copy in zip(nbrs, copies):
-                if copy != MISS:
-                    yield copy, nbr
 
 
 #: Fraction of a superstep each engine phase hook sits at — maps the
@@ -370,16 +349,16 @@ class WorkloadCursor:
     ``expected_supersteps``.  Both backends share this mapping, so the
     query-to-drain-point assignment is identical wherever the drain
     points coincide.  A drain is a range ``[lo, hi)`` of query indices;
-    :attr:`kinds` and :attr:`gids` are the workload's columns as lists,
-    made once, for the server to slice.
+    :attr:`kinds` and :attr:`gids` are the workload's columns, for the
+    server to slice.
     """
 
     def __init__(self, workload: OpenLoopWorkload,
                  expected_supersteps: int):
         scale = expected_supersteps / workload.horizon_s
         self._arrival_progress = workload.arrival_s * scale
-        self.kinds: list[int] = workload.kinds.tolist()
-        self.gids: list[int] = workload.gids.tolist()
+        self.kinds: np.ndarray = workload.kinds
+        self.gids: np.ndarray = workload.gids
         self.topk_k = workload.topk_k
         self._next = 0
 

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.engine.messages import csr_rows
 from repro.engine.vectorized import top_masters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,13 +45,14 @@ class CommittedView:
 
     # -- neighborhood reads ---------------------------------------------
 
-    def out_neighbors(self, gid: int, limit: int = 0) -> list[int]:
-        """Out-neighbor gids from the static graph topology
-        (``limit`` > 0 caps power-law hubs)."""
-        nbrs = self.engine.graph.out_neighbors(gid)
-        if limit and nbrs.size > limit:
-            nbrs = nbrs[:limit]
-        return nbrs.tolist()
+    def out_neighbors(self, gids: np.ndarray, limit: int = 0
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Each of ``gids``' out-neighbours from the static graph
+        topology (``limit`` > 0 caps power-law hubs): per gid its count,
+        and all of them flat, gid by gid — one gather from the out-CSR."""
+        graph = self.engine.graph
+        at, counts = csr_rows(graph.out_offsets, gids, limit)
+        return counts, graph.targets[at]
 
     # -- top-K ----------------------------------------------------------
 
@@ -60,8 +62,8 @@ class CommittedView:
         Masters only (each vertex counted once), alive nodes only; each
         node's masters are found in its cached image, else by
         ``SlotArray.masters`` (a read never builds an image nor stamps a
-        slot).  Ranked by :func:`merge_top`.  Returns ``[(gid, value),
-        ...]`` best-first.
+        slot).  Ranked as :func:`merge_top` ranks.  Returns ``[(gid,
+        value), ...]`` best-first.
 
         One ranking per committed snapshot: the result is cached under
         ``(k, committed_iteration, alive workers, membership_epoch)``,
@@ -81,20 +83,24 @@ class CommittedView:
         return list(self._top)
 
     def _rank(self, alive: list[int], k: int) -> list[tuple[int, Any]]:
-        """The uncached ranking over ``alive`` nodes' masters."""
+        """The uncached ranking over ``alive`` nodes' masters: one
+        selection over their gids and values, concatenated."""
         engine = self.engine
-        per_node: list[list[tuple[Any, int]]] = []
+        gids, values = [], []
         for node in alive:
             lg = engine.local_graphs[node]
             topo = lg.cached_topology
             if topo is None:
-                pos, gids = lg.slots.masters()
-                gids = np.asarray(gids, dtype=np.int64)
+                pos, own = lg.slots.masters()
+                gids.append(np.asarray(own, dtype=np.int64))
             else:
                 pos = np.flatnonzero(topo.is_master)
-                gids = topo.gids[pos]
-            per_node.append(top_masters(gids, lg.values[pos], k))
-        return merge_top(per_node, k)
+                gids.append(topo.gids[pos])
+            values.append(lg.values[pos])
+        if not values:
+            return []
+        return [(gid, value) for value, gid in top_masters(
+            np.concatenate(gids), np.concatenate(values), k)]
 
 
 def merge_top(parts, k: int) -> list[tuple[int, Any]]:

@@ -1,9 +1,10 @@
 """Reference read path, one query at a time: the oracle of the drain
 path in ``repro.serve`` (imported by tests only).
 
-* :class:`ReferenceRouter` re-derives every routing input — candidates,
+* :class:`ReferenceRouter` re-derives every routing input — candidates
+  (per gid, from the slots / birth record: ``SlotArray.placement``),
   alive copies, the membership-ineligible set, the fence — on each
-  ``route`` call, with no snapshot and no plan cache;
+  ``route`` call, with no snapshot and no candidate table;
 * :class:`ReferenceServer` builds a :class:`~repro.serve.server.
   ReadResponse` per query and answers top-K with :func:`top_k`, the
   uncached ranking;
@@ -21,34 +22,53 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.vectorized import top_masters
-from repro.serve.router import MISS, ReplicaRouter
+from collections import Counter
+
+from repro.serve.router import MISS
 from repro.serve.server import PHASE_PROGRESS, ReadResponse
-from repro.serve.view import CommittedView
 from repro.serve.workload import NEIGHBORHOOD, POINT, TOPK, Query
 
 
 def top_k(engine, k: int) -> list[tuple[int, Any]]:
-    """The K masters with the largest committed values, recomputed."""
-    per_node: list[list[tuple[Any, int]]] = []
+    """The K masters with the largest committed values, recomputed: one
+    sort of every alive node's masters."""
+    ranked: list[tuple[Any, int]] = []
     for node in engine.cluster.alive_workers():
         lg = engine.local_graphs[node]
         topo = lg.cached_topology
         if topo is None:
             pos, gids = lg.slots.masters()
-            gids = np.asarray(gids, dtype=np.int64)
         else:
             pos = np.flatnonzero(topo.is_master)
-            gids = topo.gids[pos]
-        per_node.append(top_masters(gids, lg.values[pos], k))
-    merged: list[tuple[Any, int]] = [t for part in per_node
-                                     for t in part]
-    merged.sort(key=lambda t: (-t[0], t[1]))
-    return [(gid, value) for value, gid in merged[:k]]
+            gids = topo.gids[pos].tolist()
+        ranked.extend(zip(lg.values[pos].tolist(), gids))
+    ranked.sort(key=lambda t: (-t[0], t[1]))
+    return [(gid, value) for value, gid in ranked[:k]]
 
 
-class ReferenceRouter(ReplicaRouter):
+class ReferenceRouter:
     """Per-query routing over live engine state."""
+
+    def __init__(self, engine, seed: int = 0, policy: str = "round_robin"):
+        self.engine = engine
+        self.policy = policy
+        self.load: Counter[int] = Counter()
+        self._rr = seed
+
+    def candidates(self, gid: int) -> list[int]:
+        """Nodes hosting a committed copy of ``gid``, master first (a
+        fenced selfish vertex: its master only); stamps nothing."""
+        engine = self.engine
+        master = engine.master_node_of[gid]
+        lg = engine.local_graphs[master]
+        selfish, replicas = lg.slots.placement(lg.index_of[gid])
+        if engine.selfish_opt_active and selfish:
+            return [master]
+        return [master] + sorted(replicas)
+
+    def membership_ineligible(self) -> set[int]:
+        cluster = self.engine.cluster
+        return cluster._transitioning | cluster._retired
 
     def route(self, gid: int) -> tuple[int, bool]:
         if gid in self.engine.selfish_read_fence:
@@ -82,7 +102,6 @@ class ReferenceServer:
                  neighborhood_limit: int = 16):
         self.engine = engine
         self.neighborhood_limit = neighborhood_limit
-        self.view = CommittedView(engine)
         self.router = ReferenceRouter(engine, seed=seed, policy=policy)
         self.responses: list[ReadResponse] = []
         self.misses = 0
@@ -111,8 +130,8 @@ class ReferenceServer:
                             degraded=degraded, replica_node=node)
 
     def _serve_neighborhood(self, gid: int) -> ReadResponse:
-        nbrs = self.view.out_neighbors(gid,
-                                       limit=self.neighborhood_limit)
+        nbrs = self.engine.graph.out_neighbors(gid)
+        nbrs = nbrs[:self.neighborhood_limit or nbrs.size].tolist()
         parts: list[tuple[int, Any]] = []
         degraded = self.engine.in_recovery
         node0 = MISS

@@ -383,19 +383,22 @@ class TestServeRouting:
 
         cluster = engine.cluster
         violations = []
-        original = server.router.route
+        routed = []
+        original = server.router.route_reads
 
-        def checked(gid):
-            node, degraded = original(gid)
+        def checked(gids):
+            nodes, positions, degraded = original(gids)
             ineligible = cluster._transitioning | cluster._retired
-            if node >= 0 and node in ineligible:
-                violations.append((gid, node))
-            return node, degraded
+            routed.append(gids.size)
+            violations.extend((gid, node) for gid, node in zip(
+                gids.tolist(), nodes.tolist()) if node in ineligible)
+            return nodes, positions, degraded
 
-        server.router.route = checked
+        server.router.route_reads = checked
         result = engine.run()
         pump.finish()
         assert violations == []
+        assert sum(routed) >= 500
         assert server.stats.misses == 0
         assert result.membership["joins"] == 1
 

@@ -22,9 +22,12 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import make_engine
 from repro.chaos import InvariantViolation, ReadConsistencyChecker
+from repro.engine.vectorized import top_masters
 from repro.errors import ConfigError
 from repro.exec.base import BackendSpec
 from repro.exec.simulator import SimulatorBackend
@@ -46,6 +49,7 @@ from repro.serve import (
     replay_committed_history,
     workload_from_config,
 )
+from repro.serve.workload import Query
 from tests.reference.serve import ReferencePump, ReferenceServer
 
 #: Mirrors the serve-smoke acceptance scenario: a power-law graph large
@@ -457,6 +461,207 @@ class TestReferenceEquivalence:
         assert topk
         if schedule in ("rebirth", "migration"):
             assert any(r.degraded for r in topk)
+
+
+#: The targeted drains' neighbourhood cap (power-law hubs exceed it).
+LIMIT = 4
+
+
+def _all_transitioning(engine):
+    """Every worker joining or draining, node 0 also retired: each read
+    falls back to its master, a miss where that master is node 0."""
+    cluster = engine.cluster
+    saved = set(cluster._transitioning), set(cluster._retired)
+    cluster._transitioning |= set(engine.local_graphs)
+    cluster._retired.add(0)
+
+    def restore():
+        cluster._transitioning, cluster._retired = saved
+    return restore
+
+
+class _PairedDrain:
+    """Serve hook: at the first ``(iteration, phase)`` one drain — every
+    gid twice
+    as a point read, a neighbourhood of out-degree 0 and one of
+    out-degree above :data:`LIMIT`, a top-K — goes to the drain path
+    and, query by query, to the reference, each with its own router.
+    ``prepare(engine)`` may change the cluster first and return the
+    undo."""
+
+    def __init__(self, at, policy, prepare=None):
+        self.at, self.policy, self.prepare = at, policy, prepare
+        self.new = self.ref = self.seen = None
+
+    def on_phase(self, engine, phase):
+        if self.new is None:
+            kwargs = dict(seed=3, policy=self.policy,
+                          neighborhood_limit=LIMIT)
+            self.new = ReadServer(engine, **kwargs)
+            self.ref = ReferenceServer(engine, **kwargs)
+        if (engine.iteration, phase) != self.at or self.seen is not None:
+            return
+        restore = self.prepare(engine) if self.prepare else None
+        try:
+            degree = engine.graph.out_degrees()
+            gids = [*range(engine.graph.num_vertices)] * 2 + [
+                int(np.flatnonzero(degree == 0)[0]),
+                int(np.flatnonzero(degree > LIMIT)[0]), -1]
+            kinds = ([POINT] * (len(gids) - 3)
+                     + [NEIGHBORHOOD, NEIGHBORHOOD, TOPK])
+            self.new.serve_drain(kinds, gids, 5, engine.committed_iteration)
+            for kind, gid in zip(kinds, gids):
+                self.ref.serve(Query(0, 0.0, kind, gid, 5))
+            self.seen = (sorted(n for n, node in engine.cluster.nodes.items()
+                                if not node.is_alive and
+                                n in engine.local_graphs),
+                         engine.in_recovery, len(engine.selfish_read_fence))
+        finally:
+            if restore is not None:
+                restore()
+
+
+#: name -> (spec overrides, drain point, prepare, what the drain holds).
+TARGETED = {
+    # Node 1 is killed in superstep 2's compute phase; detection waits
+    # for the barrier, so the sync drain routes around a dead node.
+    "undetected_kill": (dict(num_standby=2, failures=((2, (1,), "compute"),)),
+                        (2, "sync"), None,
+                        lambda seen: seen[0] == [1] and not seen[1]),
+    "selfish_fence": (dict(num_standby=2, failures=((2, (1,), "compute"),)),
+                      (2, "post_recovery"), None,
+                      lambda seen: seen[2] > 0),
+    "all_transitioning": ({}, (1, "superstep_start"), _all_transitioning,
+                          lambda seen: True),
+    "migration_protocol": (dict(recovery="migration", num_standby=0,
+                                failures=((2, (1,), "compute"),)),
+                           (2, "recovery_protocol"), None,
+                           lambda seen: seen[0] == [1] and seen[1]),
+    "migration_protocol_scalar": (dict(recovery="migration", num_standby=0,
+                                       vectorized=False,
+                                       failures=((2, (1,), "compute"),)),
+                                  (2, "recovery_protocol"), None,
+                                  lambda seen: seen[0] == [1] and seen[1]),
+}
+
+
+class TestTargetedDrains:
+    """The drain path equals the reference on drains built to hold each
+    routing rule: copies on a killed, undetected node, fenced selfish
+    masters, the all-transitioning master fallback (and its miss), both
+    policies, neighbourhoods of degree 0 and above the cap, and a drain
+    inside a Migration recovery."""
+
+    @pytest.mark.parametrize("policy", ["round_robin", "least_loaded"])
+    @pytest.mark.parametrize("case", list(TARGETED))
+    def test_drain_equals_reference(self, case, policy):
+        overrides, at, prepare, holds = TARGETED[case]
+        graph = generators.power_law(200, alpha=2.0, seed=77,
+                                     avg_degree=5.0, selfish_frac=0.1)
+        spec = BackendSpec(algorithm="pagerank", num_nodes=4,
+                           partition="hash_edge_cut", max_iterations=4,
+                           seed=11, **overrides)
+        engine = make_engine(graph, **spec.engine_kwargs())
+        for iteration, ranks, phase in spec.failures:
+            engine.schedule_failure(iteration, list(ranks), phase)
+        paired = _PairedDrain(at, policy, prepare)
+        engine.attach_serve(paired)
+        engine.run()
+        assert paired.seen is not None and holds(paired.seen)
+        new, ref = paired.new, paired.ref
+        rows = [(r.gid, r.kind, r.value, r.superstep, r.degraded,
+                 r.replica_node) for r in ref.responses]
+        assert list(zip(*new.responses.columns())) == rows
+        assert new.router.load == ref.router.load
+        assert new.router._rr == ref.router._rr
+        assert new.misses == ref.misses
+        hoods = [r.value for r in ref.responses if r.kind == NEIGHBORHOOD]
+        assert hoods[0] == () and len(hoods[1]) == LIMIT
+        if case == "all_transitioning":
+            assert ref.misses and all(r.degraded for r in ref.responses
+                                      if r.kind == POINT)
+            assert {r.replica_node for r in ref.responses} >= {1, MISS}
+
+
+class TestReadWork:
+    """A drain touches no slot: no ``SlotArray.placement``, no image
+    built, no slot stamped; a node's candidate rows are derived once per
+    structure version (so once per image object)."""
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_drains_stamp_nothing_and_derive_once(self, graph, monkeypatch,
+                                                  vectorized):
+        from repro.engine.local_graph import SlotArray
+        from repro.engine.soa import NodeTopology
+        calls = {"placement": 0, "build": 0, "from_columns": 0}
+
+        def counting(name, original):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(SlotArray, "placement", counting(
+            "placement", SlotArray.placement))
+        for name in ("build", "from_columns"):
+            monkeypatch.setattr(NodeTopology, name, classmethod(counting(
+                name, getattr(NodeTopology, name).__func__)))
+        derived = []
+        derive = ReplicaRouter._derive
+
+        def spy_derive(router, node, lg):
+            derived.append((node, lg.structure, lg.cached_topology))
+            derive(router, node, lg)
+
+        monkeypatch.setattr(ReplicaRouter, "_derive", spy_derive)
+        footprints = []
+        serve_drain = ReadServer.serve_drain
+
+        def spy_drain(server, *args):
+            before = (dict(calls), _footprint(server.engine))
+            serve_drain(server, *args)
+            footprints.append((before, (dict(calls),
+                                        _footprint(server.engine))))
+
+        monkeypatch.setattr(ReadServer, "serve_drain", spy_drain)
+        # One spare: the second kill recovers by Migration, whose
+        # survivors, on the scalar path, keep no image until rebuilt.
+        result = run_checked(graph, make_spec(failures=FAILURES,
+                                              num_standby=1,
+                                              vectorized=vectorized))
+        assert result.failures_recovered == 2
+        assert len(footprints) > 20
+        assert all(before == after for before, after in footprints)
+        versions = [(node, version) for node, version, _ in derived]
+        assert len(set(versions)) == len(versions)
+        images = [(node, id(image)) for node, _, image in derived
+                  if image is not None]
+        assert len(set(images)) == len(images)
+        assert vectorized or any(image is None for *_, image in derived)
+        # Re-derived after the recoveries, not on every drain.
+        nodes = len(result.extra["serve"]["per_replica_load"])
+        assert nodes <= len(derived) < len(footprints)
+
+
+class TestTopMasters:
+    """``top_masters`` sorts only the values at least the K-th largest;
+    it must rank exactly as one lexsort of them all."""
+
+    @settings(max_examples=150, deadline=None)
+    # Fewer non-NaN values than K; a tie straddling the K-th place.
+    @example(values=[np.nan, np.nan, 1.0], k=2, ints=False)
+    @example(values=[0.5, 1.0, 0.5, 0.5, 0.0], k=2, ints=False)
+    @given(values=st.lists(st.just(np.nan) | st.sampled_from(
+        [0.0, -0.0, 0.5, 0.25, 1.0, -1.0, np.inf, -np.inf]), max_size=40),
+        k=st.integers(0, 45), ints=st.booleans())
+    def test_equals_a_full_lexsort(self, values, k, ints):
+        values = np.asarray(values, dtype=np.float64)
+        if ints:
+            values = np.nan_to_num(values, posinf=9, neginf=-9).astype(int)
+        gids = np.random.default_rng(k).permutation(values.size)
+        order = np.lexsort((gids, -values))[:k]
+        want = list(zip(values[order].tolist(), gids[order].tolist()))
+        assert repr(top_masters(gids, values, k)) == repr(want)
 
 
 class TestDrainPath:
