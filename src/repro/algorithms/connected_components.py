@@ -7,6 +7,8 @@ what the tests assert on symmetric inputs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.engine.vertex_program import (
     ApplyContext,
     VertexProgram,
@@ -23,6 +25,13 @@ class ConnectedComponents(VertexProgram):
 
     def initial_value(self, vid: int, ctx: ApplyContext) -> int:
         return vid
+
+    def initial_values(self, gids: np.ndarray,
+                       ctx: ApplyContext) -> np.ndarray:
+        return np.array(gids, dtype=np.int64)
+
+    def initially_active(self, gids: np.ndarray) -> np.ndarray:
+        return np.ones(len(gids), dtype=bool)
 
     def gather_init(self) -> int | None:
         return None

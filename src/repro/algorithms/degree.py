@@ -6,6 +6,8 @@ vertex's value equals the sum of its in-edge weights.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.engine.vertex_program import (
     ApplyContext,
     VertexProgram,
@@ -22,6 +24,13 @@ class DegreeCount(VertexProgram):
 
     def initial_value(self, vid: int, ctx: ApplyContext) -> float:
         return 0.0
+
+    def initial_values(self, gids: np.ndarray,
+                       ctx: ApplyContext) -> np.ndarray:
+        return np.zeros(len(gids))
+
+    def initially_active(self, gids: np.ndarray) -> np.ndarray:
+        return np.ones(len(gids), dtype=bool)
 
     def gather_init(self) -> float:
         return 0.0

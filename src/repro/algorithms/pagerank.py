@@ -9,6 +9,8 @@ the selfish-vertex optimisation applies (Section 4.4).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.engine.vertex_program import (
     ApplyContext,
     VertexProgram,
@@ -30,6 +32,13 @@ class PageRank(VertexProgram):
 
     def initial_value(self, vid: int, ctx: ApplyContext) -> float:
         return 1.0
+
+    def initial_values(self, gids: np.ndarray,
+                       ctx: ApplyContext) -> np.ndarray:
+        return np.ones(len(gids))
+
+    def initially_active(self, gids: np.ndarray) -> np.ndarray:
+        return np.ones(len(gids), dtype=bool)
 
     def gather_init(self) -> float:
         return 0.0

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.engine.vertex_program import (
     ApplyContext,
     VertexProgram,
@@ -35,6 +37,13 @@ class SingleSourceShortestPath(VertexProgram):
 
     def is_initially_active(self, vid: int) -> bool:
         return vid == self.source
+
+    def initial_values(self, gids: np.ndarray,
+                       ctx: ApplyContext) -> np.ndarray:
+        return np.where(gids == self.source, 0.0, math.inf)
+
+    def initially_active(self, gids: np.ndarray) -> np.ndarray:
+        return gids == self.source
 
     def gather_init(self) -> float:
         return math.inf

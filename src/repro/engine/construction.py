@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import RecoveryBatch, csr_ptr, csr_rows
-from repro.engine.soa import NodeTopology
+from repro.engine.soa import NodeTopology, sync_columns
 from repro.errors import EngineError
 from repro.graph.graph import Graph
 from repro.obs import NULL_TRACER
@@ -174,7 +174,7 @@ def build_local_graphs(graph: Graph, partitioning, plan: ReplicationPlan,
                 out_deg[lo:hi].astype(np.float64),
                 src_pos[by_dst], graph.weights[edges[by_dst]],
                 dst_pos[by_dst], src_pos[by_src], dst_pos[by_src],
-                *sync_columns(
+                sync_columns(
                     rep_node[rows] * 2 + is_mirror[rep_index[rows]],
                     position[master_index[rep_gid[rows]]],
                     position[rep_index[rows]]))
@@ -279,18 +279,4 @@ def _birth_record(node: int, topo: NodeTopology, lo: int, hi: int,
         edge_ptr=csr_ptr(edge_count), edge_gids=edge_gids[edges],
         edge_positions=edge_positions[edges],
         edge_weights=edge_weights[edges])
-
-
-def sync_columns(to: np.ndarray, master_pos: np.ndarray,
-                 peer_pos: np.ndarray) -> tuple[dict, np.ndarray]:
-    """A node's ``sync_plan`` and ``sync_peer`` from one row per
-    (master, copy) pair in the order a walk over the masters meets them
-    (send order): ``to`` is the copy's node * 2 + is-mirror,
-    ``master_pos`` the master's position, ``peer_pos`` the copy's."""
-    keys = dict.fromkeys(to.tolist())
-    masks = [to == key for key in keys]
-    return ({(key >> 1, bool(key & 1)): master_pos[mask]
-             for key, mask in zip(keys, masks)},
-            np.concatenate([np.zeros(0, dtype=np.int64),
-                            *(peer_pos[mask] for mask in masks)]))
 

@@ -368,10 +368,9 @@ class Engine:
         master_of = np.asarray(self.master_node_of)
         for node in sorted_unique(master_of).tolist():
             lg = self.local_graphs[node]
-            gids = np.flatnonzero(master_of == node).tolist()
-            positions = np.fromiter(map(lg.index_of.__getitem__, gids),
-                                    np.int64, len(gids))
-            for gid, value in zip(gids, lg.values[positions].tolist()):
+            gids = np.flatnonzero(master_of == node)
+            for gid, value in zip(gids.tolist(),
+                                  lg.values[lg.positions(gids)].tolist()):
                 out[gid] = value
         return dict(enumerate(out))
 
@@ -400,25 +399,16 @@ class Engine:
                 for node, lg in self.local_graphs.items()
                 if self.cluster.node(node).is_alive}
 
-    def initial_value_of(self, gid: int) -> Any:
-        """Deterministic pre-run value (checkpoint recovery baseline)."""
-        return self.program.initial_value(gid, self._ctx())
-
     # ------------------------------------------------------------------
     # loading helpers
     # ------------------------------------------------------------------
 
     def _init_values(self) -> None:
         """Every copy's initial state: one column fill per graph from
-        the program's per-vertex initial values and activity."""
-        ctx = self._ctx()
-        program = self.program
-        num_vertices = self.graph.num_vertices
-        values = np.empty(num_vertices, dtype=object)
-        for gid in range(num_vertices):
-            values[gid] = program.initial_value(gid, ctx)
-        active = np.fromiter(map(program.is_initially_active,
-                                 range(num_vertices)), bool, num_vertices)
+        the program's initial value and activity columns."""
+        gids = np.arange(self.graph.num_vertices)
+        values = self.program.initial_values(gids, self._ctx())
+        active = self.program.initially_active(gids)
         for lg in self.local_graphs.values():
             lg.reset(values, active)
 

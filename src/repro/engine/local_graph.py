@@ -390,7 +390,9 @@ class LocalGraph:
     def __init__(self, node_id: int):
         self.node_id = node_id
         self.slots = SlotArray(self)
-        self.index_of: dict[int, int] = {}
+        #: The gid index (:attr:`index_of`); ``None`` until first asked
+        #: for on a graph born from a record.
+        self._index_of: dict[int, int] | None = {}
         #: Cached structure-of-arrays topology (DESIGN.md §11): born with
         #: the graph (:meth:`born`) or built lazily by :meth:`topology`;
         #: :meth:`invalidate_soa` drops it.
@@ -403,8 +405,9 @@ class LocalGraph:
         #: position: the one store of that state — a column state adopts
         #: them, a bound slot reads and writes them.  Activity is the
         #: ``active`` column alone: a compute loop visits its set
-        #: positions.  Values start as Python objects; the first column
-        #: state casts them to its dtype.
+        #: positions.  Values start as Python objects; :meth:`reset`
+        #: gives a kernel program's the kernel's dtype, and a reborn
+        #: node's first column state casts them to it.
         self.values = np.zeros(0, dtype=object)
         self.active = np.zeros(0, dtype=bool)
         self.last_activates = np.zeros(0, dtype=bool)
@@ -431,7 +434,7 @@ class LocalGraph:
         # the graph's columns from here on.
         rows = dataclasses.replace(rows, values=[])
         lg.slots = SlotArray(lg, rows, topology, ft_only, full_edges)
-        lg.index_of = dict(zip(rows.gids.tolist(), rows.positions.tolist()))
+        lg._index_of = None
         lg._topology = topology
         if state is None:
             for name, field in DYNAMIC.items():
@@ -448,11 +451,15 @@ class LocalGraph:
     def reset(self, values: np.ndarray, active: np.ndarray) -> None:
         """Every copy's state before the first superstep, from the
         job's per-gid initial ``values`` and ``active`` flags: one
-        column fill, in place (a column state keeps what it adopted).
-        Masters and mirrors mirror the master's self-activity, masters
-        record what their replicas believe."""
+        column fill, in place (a column state keeps what it adopted),
+        but that the value column takes the dtype of ``values`` (a
+        kernel program's, not ``object``).  Masters and mirrors mirror
+        the master's self-activity, masters record what their replicas
+        believe."""
         topo = self.topology()
         gids = np.where(topo.occupied, topo.gids, 0)
+        if self.values.dtype != values.dtype:
+            self.values = np.empty(topo.n, dtype=values.dtype)
         self.values[:] = values[gids]
         self.active[:] = active[gids] & topo.occupied
         self.last_activates[:] = False
@@ -535,6 +542,40 @@ class LocalGraph:
 
     # -- lookup ---------------------------------------------------------------
 
+    @property
+    def index_of(self) -> dict[int, int]:
+        """gid -> position of every copy held here, derived from the
+        birth record on first use (DESIGN.md §3): until a structural
+        write, the record's rows are exactly the copies, and
+        :meth:`add_slot` / :meth:`remove_slot` build the index before
+        they write it.  The scalar path, the invariants and the
+        structural writers ask for it; readers of positions and counts
+        on the steady-state, Rebirth and mp-pull paths use
+        :meth:`positions` and :attr:`num_copies`, which build none."""
+        if self._index_of is None:
+            rows = self.slots.birth[0]
+            self._index_of = dict(zip(rows.gids.tolist(),
+                                      rows.positions.tolist()))
+        return self._index_of
+
+    @property
+    def num_copies(self) -> int:
+        """The copies held here; builds no index."""
+        if self._index_of is None:
+            return len(self.slots.birth[0])
+        return len(self._index_of)
+
+    def positions(self, gids) -> np.ndarray:
+        """The positions of ``gids`` (each held here): through the
+        cached image where one is, else through the gid index; builds
+        no image."""
+        topo = self._topology
+        if topo is not None:
+            return topo.translate(np.asarray(gids, dtype=np.int64))
+        index_of = self.index_of
+        return np.fromiter(map(index_of.__getitem__, gids), np.int64,
+                           len(gids))
+
     def __contains__(self, gid: int) -> bool:
         return gid in self.index_of
 
@@ -613,7 +654,7 @@ class LocalGraph:
         for slot in self.iter_slots():
             total += slot.nbytes(program.value_nbytes(slot.value))
         # The array itself and the gid index.
-        total += len(self.slots) * 8 + len(self.index_of) * 24
+        total += len(self.slots) * 8 + self.num_copies * 24
         return total
 
 

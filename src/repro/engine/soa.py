@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.messages import csr_ptr
 from repro.engine.state import Role
 from repro.utils.arrays import stable_order
 
@@ -51,6 +52,32 @@ def _mask(n: int, positions: np.ndarray) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[positions] = True
     return mask
+
+
+def sync_columns(to, master_pos, peer_pos) -> tuple:
+    """A node's sync plan, flat, from one row per (master, copy) pair in
+    the order a walk over the masters meets them (send order): ``to`` is
+    the copy's node * 2 + is-mirror, ``master_pos`` the master's
+    position, ``peer_pos`` the copy's.  Returns ``(keys, ptr, pos,
+    peer)``: the ``(node, is_mirror)`` keys in first-appearance order
+    and, as the CSR slices ``ptr[i]:ptr[i + 1]``, each key's master and
+    copy positions in send order — one stable counting pass over ``to``,
+    not a mask per key."""
+    to = np.asarray(to, dtype=np.int64)
+    bound = int(to.max(initial=-1)) + 1
+    order = stable_order(to, bound)
+    start = csr_ptr(np.bincount(to, minlength=bound))
+    present = np.flatnonzero(start[1:] > start[:-1])
+    # A key's first row in the stable order is its first row overall.
+    keys = [key for _, key in sorted(zip(order[start[present]].tolist(),
+                                         present.tolist()))]
+    bounds = start.tolist()
+    take = np.concatenate([np.zeros(0, dtype=np.int64), *(
+        order[bounds[key]:bounds[key + 1]] for key in keys)])
+    return ([(key >> 1, bool(key & 1)) for key in keys],
+            csr_ptr([bounds[key + 1] - bounds[key] for key in keys]),
+            np.asarray(master_pos, dtype=np.int64)[take],
+            np.asarray(peer_pos, dtype=np.int64)[take])
 
 
 def _frozen(col: np.ndarray) -> np.ndarray:
@@ -89,8 +116,9 @@ class NodeTopology:
         in_dst: list[int] = []
         out_src: list[int] = []
         out_dst: list[int] = []
-        sync_plan: dict[tuple[int, bool], list[int]] = {}
-        peers: dict[tuple[int, bool], list[int]] = {}
+        sync_to: list[int] = []
+        sync_master: list[int] = []
+        sync_peer: list[int] = []
         node_id = lg.node_id
         for pos, slot in enumerate(slots):
             if slot is None:
@@ -103,9 +131,10 @@ class NodeTopology:
                 is_master[pos] = True
                 master_node[pos] = node_id
                 where = slot.meta.replica_positions
-                for key in slot.meta.sync_targets():
-                    sync_plan.setdefault(key, []).append(pos)
-                    peers.setdefault(key, []).append(where[key[0]])
+                for node, mirror in slot.meta.sync_targets():
+                    sync_to.append(node * 2 + mirror)
+                    sync_master.append(pos)
+                    sync_peer.append(where[node])
             else:
                 if slot.role is Role.MIRROR:
                     is_mirror[pos] = True
@@ -124,18 +153,19 @@ class NodeTopology:
                 out_dst.extend(outs)
         return cls.from_columns(
             gids, occupied, is_master, is_mirror, selfish, master_node,
-            out_deg, in_src, in_w, in_dst, out_src, out_dst, sync_plan,
-            [p for key in sync_plan for p in peers[key]])
+            out_deg, in_src, in_w, in_dst, out_src, out_dst,
+            sync_columns(sync_to, sync_master, sync_peer))
 
     @classmethod
     def from_columns(cls, gids, occupied, is_master, is_mirror, selfish,
                      master_node, out_deg, in_src, in_w, in_dst, out_src,
-                     out_dst, sync_plan, sync_peer) -> "NodeTopology":
+                     out_dst, sync) -> "NodeTopology":
         """Adopt per-position columns, per-edge columns in (position,
-        edge) order, a ``sync_plan`` in send order and ``sync_peer`` —
-        each planned copy's position on its own node, flattened in
-        ``sync_plan`` order — and derive the rest.  The loader cuts them
-        from its global columns (``engine/construction.py``), Rebirth
+        edge) order and the flat sync plan ``sync`` that
+        :func:`sync_columns` returns — the keys in send order, their CSR
+        pointer, the masters' positions and each planned copy's
+        position on its own node (``sync_peer``) — and derive the rest.
+        The loader cuts them from its global columns (``engine/construction.py``), Rebirth
         from the columns its reborn node received
         (``ft/_recovery_common.py``), and :meth:`build` reads them off
         the slots."""
@@ -158,16 +188,13 @@ class NodeTopology:
         occ = np.flatnonzero(occupied)
         topo.pos_sorted = occ[_order(gids[occ])]
         topo.gid_sorted = gids[topo.pos_sorted]
-        # The plan flat once, in send order (``sync_plan[key]`` a view).
-        plan = [np.asarray(p, dtype=np.int64) for p in sync_plan.values()]
-        topo.sync_pos = np.concatenate([np.zeros(0, np.int64), *plan])
-        topo.sync_ptr = np.cumsum([0, *map(len, plan)], dtype=np.int64)
+        # The plan flat, in send order (``sync_plan[key]`` a view).
+        keys, topo.sync_ptr, topo.sync_pos, topo.sync_peer = sync
         topo.sync_mirror = np.repeat(np.array(
-            [m for _, m in sync_plan], dtype=bool), np.diff(topo.sync_ptr))
+            [m for _, m in keys], dtype=bool), np.diff(topo.sync_ptr))
         bounds = topo.sync_ptr.tolist()
         topo.sync_plan = {key: topo.sync_pos[b:e] for key, b, e in
-                          zip(sync_plan, bounds, bounds[1:])}
-        topo.sync_peer = np.asarray(sync_peer, dtype=np.int64)
+                          zip(keys, bounds, bounds[1:])}
         # The static orders of the vertex-cut exchanges: only copies an
         # out-edge can activate, or an in-edge can gather into, are in
         # them (none under edge-cut).
@@ -194,3 +221,14 @@ class NodeTopology:
     def translate(self, gid_array: np.ndarray) -> np.ndarray:
         """Map an array of gids to local positions (all must be local)."""
         return self.pos_sorted[np.searchsorted(self.gid_sorted, gid_array)]
+
+    def find(self, gid_array: np.ndarray) -> np.ndarray:
+        """Map an array of gids to local positions, -1 for a gid with no
+        copy here."""
+        gid_array = np.asarray(gid_array, dtype=np.int64)
+        if not self.gid_sorted.size:
+            return np.full(gid_array.size, -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.gid_sorted, gid_array),
+                        self.gid_sorted.size - 1)
+        return np.where(self.gid_sorted[at] == gid_array,
+                        self.pos_sorted[at], -1)

@@ -142,9 +142,8 @@ class _NodeState:
         Stamps nothing: a copy's placement is its slot's if stamped,
         else its birth record's."""
         lg = self.lg
-        index_of = lg.index_of
-        pos = np.fromiter((index_of[gid] for gid in sorted(pending)
-                           if gid in index_of), np.int64)
+        pos = self.topo.find(sorted(pending))
+        pos = pos[pos >= 0]
         pos = pos[self.topo.is_master[pos]
                   & (self.active[pos] != self.replicas_known_active[pos])]
         flags = self.active[pos]
@@ -202,10 +201,11 @@ class _NodeState:
 
     def read(self, gids) -> dict:
         """Committed values by gid (``None`` for a gid not held here)."""
-        local = [gid for gid in gids if gid in self.lg.index_of]
+        pos = self.topo.find(gids)
+        held = np.flatnonzero(pos >= 0)
         values = dict.fromkeys(gids)
-        values.update(zip(local, self.values[self.topo.translate(
-            np.asarray(local, dtype=np.int64))].tolist()))
+        values.update(zip(np.asarray(gids, dtype=np.int64)[held].tolist(),
+                          self.values[pos[held]].tolist()))
         return values
 
     def topk(self, k: int) -> list[tuple]:

@@ -20,6 +20,8 @@ import abc
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.utils.sizing import BYTES_PER_VALUE
 
 
@@ -77,6 +79,24 @@ class VertexProgram(abc.ABC):
     def is_initially_active(self, vid: int) -> bool:
         """Whether the vertex computes in the first superstep."""
         return True
+
+    def initial_values(self, gids: np.ndarray,
+                       ctx: ApplyContext) -> np.ndarray:
+        """:meth:`initial_value` of every vertex in ``gids``, as one
+        column: by default an object column, one call per vertex.  A
+        program with an array kernel returns a column of the kernel's
+        dtype, equal element by element to the per-vertex values, and
+        its graphs are born with a value column of that dtype."""
+        values = np.empty(len(gids), dtype=object)
+        for i, gid in enumerate(gids.tolist()):
+            values[i] = self.initial_value(gid, ctx)
+        return values
+
+    def initially_active(self, gids: np.ndarray) -> np.ndarray:
+        """:meth:`is_initially_active` of every vertex in ``gids``, as
+        one bool column (by default one call per vertex)."""
+        return np.fromiter(map(self.is_initially_active, gids.tolist()),
+                           bool, len(gids))
 
     # -- gather ------------------------------------------------------------
 

@@ -501,11 +501,9 @@ class MultiprocessingBackend(ExecutionBackend):
         for rank in alive:
             lg = engine.local_graphs[rank]
             gids, value, la, lui, msa, active, rka = frames[rank][1]
-            pos = np.fromiter(map(lg.index_of.__getitem__, gids), np.int64,
-                              len(gids))
-            lg.store(pos, values=value, active=active, last_activates=la,
-                     last_update=lui, mirror_self_active=msa,
-                     replicas_known_active=rka)
+            lg.store(lg.positions(gids), values=value, active=active,
+                     last_activates=la, last_update=lui,
+                     mirror_self_active=msa, replicas_known_active=rka)
         if engine.is_edge_cut:
             return
         # ``broadcast_build`` marks replicas as knowing a master's

@@ -30,11 +30,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.cluster.network import Message, MessageKind
-from repro.engine.construction import sync_columns
 from repro.engine.local_graph import DYNAMIC, LocalGraph, stamp_slots
 from repro.engine.messages import (RecoveryBatch, csr_first, csr_ptr,
                                    csr_rows)
-from repro.engine.soa import NodeTopology
+from repro.engine.soa import NodeTopology, sync_columns
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError, UnrecoverableFailureError
 from repro.ft.edge_ckpt import NO_EDGES, Edges
@@ -309,9 +308,9 @@ def _reborn_image(rows: RecoveryBatch, gids: np.ndarray, src: np.ndarray,
         at_positions(rows.master_node, -1),
         at_positions(rows.out_degree, 0, np.float64),
         src[by_dst], weight[by_dst], dst[by_dst], src[by_src], dst[by_src],
-        *sync_columns(copy_node * 2 + is_mirror_copy,
-                      np.repeat(pos[masters], copies),
-                      rows.replica_positions[rp]))
+        sync_columns(copy_node * 2 + is_mirror_copy,
+                     np.repeat(pos[masters], copies),
+                     rows.replica_positions[rp]))
     return topo
 
 
@@ -353,13 +352,15 @@ def replay_activations(engine: "Engine", nodes: list[int],
         net.send(Message(MessageKind.RECOVERY, src, dst,
                          ("replay-activate", gid), BYTES_PER_VID))
     for node in engine._alive():
-        lg = engine.local_graphs[node]
-        for msg in net.deliver(node):
-            kind, gid = msg.payload
-            if kind == "replay-activate" and gid in lg.index_of:
-                position = lg.index_of[gid]
-                if lg.topology().is_master[position]:
-                    lg.active[position] = True
+        gids = [gid for kind, gid in (msg.payload
+                                      for msg in net.deliver(node))
+                if kind == "replay-activate"]
+        if gids:
+            lg = engine.local_graphs[node]
+            topo = lg.topology()
+            pos = topo.find(gids)
+            pos = pos[pos >= 0]
+            lg.active[pos[topo.is_master[pos]]] = True
     return ops
 
 
@@ -391,13 +392,11 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
         by_node[engine.master_node_of[gid]].append(gid)
     partials: dict[int, list[tuple[int, Any]]] = defaultdict(list)
 
-    def in_edges(lg: LocalGraph, wanted) -> tuple[np.ndarray, list]:
-        """The positions of the ``wanted`` gids on ``lg``, ascending, and
-        per position its gid and in-edges ``(src positions, weights)``,
-        from the node's image."""
-        pos = np.sort(np.fromiter((lg.index_of[gid] for gid in wanted),
-                                  np.int64))
-        topo = lg.topology()
+    def in_edges(topo, pos: np.ndarray) -> tuple[np.ndarray, list]:
+        """The positions ``pos`` on a node, ascending, and per position
+        its gid and in-edges ``(src positions, weights)``, from the
+        node's image ``topo``."""
+        pos = np.sort(pos)
         ptr = csr_ptr(topo.in_counts)
         return pos, [(gid, topo.in_src[lo:hi].tolist(),
                       topo.in_w[lo:hi].tolist())
@@ -406,11 +405,12 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
                                             ptr[pos + 1].tolist())]
 
     if not engine.is_edge_cut:
-        want = set(gids)
+        want = np.fromiter(set(gids), np.int64)
         for node in engine._alive():
             lg = engine.local_graphs[node]
-            _, held = in_edges(lg, [gid for gid in want
-                                    if gid in lg.index_of])
+            topo = lg.topology()
+            found = topo.find(want)
+            _, held = in_edges(topo, found[found >= 0])
             for gid, srcs, weights in held:
                 if not srcs:
                     continue
@@ -421,7 +421,9 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
                 partials[gid].append((node, acc))
     for node, group in sorted(by_node.items()):
         lg = engine.local_graphs[node]
-        pos, held = in_edges(lg, group)
+        topo = lg.topology()
+        pos, held = in_edges(topo, topo.translate(np.asarray(
+            group, dtype=np.int64)))
         new = []
         for (gid, srcs, weights), old in zip(held, lg.values[pos].tolist()):
             acc = program.gather_init()
@@ -466,7 +468,7 @@ def find_lost_vertices(engine: "Engine", failed: set[int],
         covered = np.concatenate(covered)
     dead = np.flatnonzero(np.isin(np.asarray(engine.master_node_of),
                                   sorted(failed)))
-    return dead[~np.isin(dead, np.fromiter(covered, np.int64))].tolist()
+    return dead[~np.isin(dead, np.asarray(covered, dtype=np.int64))].tolist()
 
 
 def check_recoverable(engine: "Engine", failed: set[int], rung: str,

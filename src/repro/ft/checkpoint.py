@@ -356,8 +356,9 @@ class CheckpointManager:
         # Python objects, as a slot would read them back.
         values = _take(state, "values", hit, at, None).tolist()
         missed = np.flatnonzero(~hit)
-        for i, gid in zip(missed.tolist(), gids[missed].tolist()):
-            values[i] = engine.initial_value_of(gid)
+        for i, value in zip(missed.tolist(), engine.program.initial_values(
+                gids[missed], engine._ctx()).tolist()):
+            values[i] = value
         lg.store(pos, values=values,
                  last_activates=_take(state, "last_activates", hit, at,
                                       False),
@@ -367,10 +368,8 @@ class CheckpointManager:
                 "mirror_self_active"][at[hit]])
         known = np.isin(gids, flags["gids"])
         where = np.searchsorted(flags["gids"], gids)
-        active = _take(flags, "active", known, where, False).tolist()
-        missed = np.flatnonzero(~known)
-        for i, gid in zip(missed.tolist(), gids[missed].tolist()):
-            active[i] = engine.program.is_initially_active(gid)
+        active = _take(flags, "active", known, where, False)
+        active[~known] = engine.program.initially_active(gids[~known])
         lg.store(pos, active=active)
         return pos.size
 

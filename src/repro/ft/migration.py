@@ -68,7 +68,7 @@ class MigrationRecovery:
         selfish_opt = engine.selfish_opt_active
         for node in survivors:
             lg = engine.local_graphs[node]
-            scan_cost[node] = len(lg.index_of)
+            scan_cost[node] = lg.num_copies
             lead = common.leading_mirrors(engine, node, failed_set)
             topo = lg.topology()
             holders[node] = np.flatnonzero(topo.is_master | topo.is_mirror)
@@ -77,7 +77,7 @@ class MigrationRecovery:
                 promotions.append((gid, node))
                 if selfish and selfish_opt:
                     selfish_promoted.append(gid)
-        promoted = {gid for gid, _ in promotions}
+        promoted = [gid for gid, _ in promotions]
         common.check_recoverable(engine, failed_set, self.rung, promoted)
 
         for gid, node in promotions:

@@ -100,7 +100,7 @@ class RebirthRecovery:
         for node in survivors:
             lg = engine.local_graphs[node]
             topo = lg.topology()
-            scan_cost[node] = len(lg.index_of)
+            scan_cost[node] = lg.num_copies
             lead = common.leading_mirrors(engine, node, failed_set)
             meta = lg.slots.metadata(lead)
             recovered_masters.append(topo.gids[lead])
@@ -169,9 +169,9 @@ class RebirthRecovery:
                 reloaded.get(node, NO_EDGES))
             engine.local_graphs[node] = lg
             engine.cluster.node(node).local = lg
-            stats.vertices_recovered += len(lg.index_of)
+            stats.vertices_recovered += lg.num_copies
             stats.edges_recovered += linked
-            cost = (len(lg.index_of) * model.per_vertex_reconstruct_s
+            cost = (lg.num_copies * model.per_vertex_reconstruct_s
                     + linked * model.per_edge_compute_s) * model.data_scale
             reconstruct_times.append(cost)
         if engine.is_edge_cut:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import FaultToleranceConfig
+from repro.engine.messages import csr_ptr
 from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.obs import NULL_TRACER
@@ -40,7 +41,7 @@ class NodeRows:
     @classmethod
     def of(cls, owner: np.ndarray, nodes, num_vertices: int) -> NodeRows:
         """Rows from ``(owner, node)`` columns sorted by owner."""
-        return cls(np.searchsorted(owner, np.arange(num_vertices + 1)),
+        return cls(csr_ptr(np.bincount(owner, minlength=num_vertices)),
                    np.asarray(nodes, dtype=np.int64))
 
     def __getitem__(self, v: int) -> np.ndarray:
@@ -220,18 +221,23 @@ def _elect_mirrors(replica_nodes: NodeRows, ft_nodes: NodeRows,
     rows, ptr = replica_nodes.nodes.tolist(), replica_nodes.ptr.tolist()
     fts, ft_ptr = ft_nodes.nodes.tolist(), ft_nodes.ptr.tolist()
     elected: list[int] = []
-    for v, master in enumerate(master_of.tolist()):
+    for master, lo, hi, ft_lo, ft_hi in zip(master_of.tolist(), ptr,
+                                            ptr[1:], ft_ptr, ft_ptr[1:]):
         counter = counters[master]
-        row = rows[ptr[v]:ptr[v + 1]]
-        chosen = fts[ft_ptr[v]:ft_ptr[v + 1]]
-        if chosen:
-            row = [node for node in row if node not in chosen]
-            chosen = chosen + sorted(row, key=counter.__getitem__)
+        if ft_lo != ft_hi:
+            # An FT row was topped up to k replicas: all mirrors, FT first.
+            chosen = fts[ft_lo:ft_hi]
+            chosen += sorted([node for node in rows[lo:hi]
+                              if node not in chosen],
+                             key=counter.__getitem__)
+        elif hi - lo > 1:
+            # One stable sort by counter (rows list nodes in ascending
+            # order, so a tie goes to the lowest node).
+            chosen = sorted(rows[lo:hi], key=counter.__getitem__)[:k]
         else:
-            chosen = sorted(row, key=counter.__getitem__)[:k]
+            chosen = rows[lo:hi]
         for node in chosen:
             counter[node] += 1
         elected += chosen
     lengths = np.minimum(replica_nodes.lengths, k)
-    return NodeRows(np.concatenate(([0], np.cumsum(lengths))),
-                    np.array(elected, dtype=np.int64))
+    return NodeRows(csr_ptr(lengths), np.array(elected, dtype=np.int64))

@@ -1,6 +1,8 @@
 """The per-key sync build and the per-batch sync staging: the oracles of
 ``ArrayNodeProtocol._master_compute`` and ``ArrayNodeProtocol.
-stage_inbox`` in ``repro.engine.vectorized`` (imported by tests only).
+stage_inbox`` in ``repro.engine.vectorized`` (imported by tests only),
+and the one-mask-per-key plan split, the oracle of
+``repro.engine.soa.sync_columns``.
 
 :func:`master_compute` walks ``topo.sync_plan`` one ``(dst, kind)`` key
 at a time — a mask, a selfish filter and an elision filter per key —
@@ -101,3 +103,16 @@ def stage_inbox(st, batches: list) -> None:
     """One :func:`stage_batch` per batch, in arrival order."""
     for batch in batches:
         stage_batch(st, batch)
+
+
+def sync_columns(to, master_pos, peer_pos) -> tuple[dict, np.ndarray]:
+    """A node's ``sync_plan`` (a dict, keys in first-appearance order)
+    and ``sync_peer`` from one row per (master, copy) pair in send
+    order, one mask pass per ``(node, is_mirror)`` key."""
+    to = np.asarray(to)
+    keys = dict.fromkeys(to.tolist())
+    masks = [to == key for key in keys]
+    return ({(key >> 1, bool(key & 1)): np.asarray(master_pos)[mask]
+             for key, mask in zip(keys, masks)},
+            np.concatenate([np.zeros(0, dtype=np.int64),
+                            *(np.asarray(peer_pos)[mask] for mask in masks)]))

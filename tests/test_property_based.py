@@ -245,6 +245,36 @@ class TestVectorizedKernelProperties:
         assert np.array_equal(topo.translate(topo.gids[occ]), occ)
 
 
+class TestInitialStateProperties:
+    """A kernel program's initial state is two columns
+    (``VertexProgram.initial_values`` / ``initially_active``), equal to
+    its per-vertex ``initial_value`` / ``is_initially_active`` bit for
+    bit, in the kernel's dtype, for any gids in any order."""
+
+    @SLOW
+    @given(name=st.sampled_from(["pagerank", "sssp", "cc", "degree"]),
+           gids=st.lists(st.integers(0, 10 ** 6), max_size=40),
+           source=st.integers(0, 50), iteration=st.integers(0, 3))
+    def test_initial_columns_equal_the_per_gid_values(self, name, gids,
+                                                      source, iteration):
+        from repro.algorithms import ALGORITHMS
+        from repro.engine.vertex_program import ApplyContext
+        program = ALGORITHMS[name](
+            **({"source": source} if name == "sssp" else {}))
+        dtype = np.dtype(program.kernel().dtype)
+        ctx = ApplyContext(iteration, 10 ** 6 + 1, 0)
+        gids = np.array(gids + [source], dtype=np.int64)
+        values = program.initial_values(gids, ctx)
+        scalar = [program.initial_value(g, ctx) for g in gids.tolist()]
+        assert values.dtype == dtype and values.shape == gids.shape
+        assert values.tobytes() == np.array(scalar, dtype=dtype).tobytes()
+        assert [type(v) for v in values.tolist()] == list(map(type, scalar))
+        active = program.initially_active(gids)
+        assert active.dtype == np.dtype(bool)
+        assert active.tolist() == [program.is_initially_active(g)
+                                   for g in gids.tolist()]
+
+
 class TestCombinerProperties:
     """Combining-layer invariants (DESIGN.md §15): the declared
     combiners are commutative-associative over the values the programs

@@ -14,7 +14,10 @@ a Rebirth too; a per-batch loop stages once per (sender, kind) batch.
 Likewise a node ships each phase's outbox with one network call, takes
 its gather and activation inboxes in one call each, and sorts nothing in
 the activation scatter or the combining gather: their orders are the
-image's.
+image's.  Load, the supersteps, a Rebirth and the multiprocessing
+backend's state pull build no gid index (``LocalGraph.index_of``): they
+read positions through the image.  Loading a kernel program fills its
+initial state as columns, with no per-vertex call.
 """
 
 from __future__ import annotations
@@ -27,13 +30,17 @@ import pytest
 
 import numpy as np
 
+from repro.algorithms import (ConnectedComponents, DegreeCount, PageRank,
+                              SingleSourceShortestPath)
 from repro.api import make_engine
 from repro.cluster.network import Network
 from repro.engine.engine import Engine
+from repro.engine.local_graph import LocalGraph
 from repro.engine.soa import NodeTopology
 from repro.engine.vectorized import ArrayNodeProtocol, _NodeState
 from repro.ft import _recovery_common as common
 from repro.ft.migration import MigrationRecovery
+from repro.exec import BackendSpec, MultiprocessingBackend
 from repro.ft.rebirth import RebirthRecovery
 from repro.graph import generators
 
@@ -366,3 +373,89 @@ def test_a_rebirth_leaves_numpy_ma_unimported():
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False"]
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """The node of every gid index built, in order: a read of
+    ``LocalGraph.index_of`` on a graph that holds none yet."""
+    built: list[int] = []
+    real = LocalGraph.index_of.fget
+
+    def index_of(lg):
+        if lg._index_of is None:
+            built.append(lg.node_id)
+        return real(lg)
+
+    monkeypatch.setattr(LocalGraph, "index_of", property(index_of))
+    return built
+
+
+@pytest.mark.parametrize("partition", PARTS)
+def test_a_clean_load_and_run_build_no_gid_index(graph, partition,
+                                                 index_builds):
+    """Load, the supersteps and the result read positions through the
+    image; the gid index is never built."""
+    engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                         partition=partition, max_iterations=6)
+    result = engine.run()
+    assert result.values == engine.values() and len(result.values) == 400
+    assert index_builds == []
+
+
+@pytest.mark.parametrize("partition", PARTS)
+def test_a_rebirth_builds_no_gid_index(partition, index_builds):
+    """Two Rebirths — the survivors' scan, the newbies' counts, the
+    selfish recompute — and the supersteps around them build no gid
+    index, on the survivors or the newbies."""
+    graph = generators.power_law(400, alpha=2.0, seed=3, avg_degree=6.0,
+                                 selfish_frac=0.1)
+    engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                         partition=partition, num_standby=2, max_iterations=8)
+    engine.schedule_failure(3, [1], "compute")
+    engine.schedule_failure(5, [2], "after_commit")
+    result = engine.run()
+    assert [r.strategy for r in result.recoveries] == ["rebirth"] * 2
+    assert index_builds == []
+    # Non-vacuity: a scalar run asks for it on every node.
+    make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                partition=partition, vectorized=False,
+                max_iterations=2).run()
+    assert sorted(set(index_builds)) == [0, 1, 2, 3]
+
+
+def test_an_mp_state_pull_builds_no_gid_index(graph, index_builds):
+    """The multiprocessing backend pulls every worker's committed state
+    into its parent image at the end of a run; the parent reads the
+    positions through its images."""
+    spec = BackendSpec(algorithm="pagerank", num_nodes=2, ft_level=1,
+                       max_iterations=4)
+    with MultiprocessingBackend() as backend:
+        result = backend.run(graph, spec)
+    assert len(result.values) == 400
+    assert index_builds == []
+
+
+@pytest.mark.parametrize("program", [
+    PageRank(), SingleSourceShortestPath(source=3), ConnectedComponents(),
+    DegreeCount()], ids=lambda program: program.name)
+def test_loading_a_kernel_program_calls_nothing_per_vertex(graph, program,
+                                                           monkeypatch):
+    """A kernel program's initial state is two columns: no per-vertex
+    ``initial_value`` or ``is_initially_active`` call, and every graph is
+    born with a value column of the kernel's dtype."""
+    calls: list[str] = []
+    cls = type(program)
+    for name in ("initial_value", "is_initially_active"):
+        real = getattr(cls, name)
+
+        def spy(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(cls, name, spy)
+    engine = make_engine(graph, program, num_nodes=4, ft_level=1,
+                         max_iterations=2)
+    assert calls == []
+    assert {lg.values.dtype for lg in engine.local_graphs.values()} == {
+        np.dtype(program.kernel().dtype)}

@@ -7,6 +7,9 @@ its per-key and per-batch oracles (``tests/reference/sync.py``).
   must emit the outbox the per-key walk emits — the same keys in the
   same order, column for column and dtype for dtype — the same
   ``elided`` count and the same pending columns.
+* Plan: ``repro.engine.soa.sync_columns`` splits a node's (master,
+  copy) rows by ``(node, kind)`` key in one stable counting pass; it
+  must equal one mask per key, keys in first-appearance order.
 * Staging: ``ArrayNodeProtocol.stage_inbox`` stages a node's whole inbox
   with one gid check and one scatter per column.  It must stage what one
   per-batch call per batch in arrival order stages, through duplicated
@@ -25,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import make_engine
+from repro.engine.soa import sync_columns
 from repro.engine.vectorized import ArrayNodeProtocol, _in_edges
 from repro.engine.vertex_program import ApplyContext
 from repro.errors import EngineError
@@ -85,6 +89,28 @@ def _randomised_state(proto, lg, rng, values):
     state.last_activates = rng.random(n) < 0.5
     state.mirror_self_active = rng.random(n) < 0.5
     return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(to=st.lists(st.integers(0, 2 * 9 - 1), max_size=60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_flat_plan_matches_the_per_key_masks(to, seed):
+    """``sync_columns`` gives the keys, rows and peers the per-key masks
+    give, in the same order and dtype."""
+    rng = np.random.default_rng(seed)
+    to = np.array(to, dtype=np.int64)
+    master_pos = rng.integers(0, 500, to.size)
+    peer_pos = rng.integers(0, 500, to.size)
+    keys, ptr, pos, peer = sync_columns(to, master_pos, peer_pos)
+    plan, want_peer = reference.sync_columns(to, master_pos, peer_pos)
+    assert keys == list(plan)
+    bounds = ptr.tolist()
+    assert bounds[0] == 0 and bounds[-1] == to.size
+    for key, lo, hi in zip(keys, bounds, bounds[1:]):
+        assert _bits(pos[lo:hi]) == _bits(plan[key]), key
+    assert _bits(peer) == _bits(want_peer)
+    assert _bits(ptr) == _bits(np.cumsum(
+        [0, *map(len, plan.values())], dtype=np.int64))
 
 
 @settings(max_examples=120, deadline=None)

@@ -329,7 +329,7 @@ def test_commit_stage1_remote_dedup_equals_row_unique(seed):
     import numpy as np
 
     from repro.cluster.network import MessageKind
-    from repro.engine.soa import NodeTopology
+    from repro.engine.soa import NodeTopology, sync_columns
     from repro.engine.vectorized import ArrayNodeProtocol
 
     rng = np.random.default_rng(seed)
@@ -345,7 +345,8 @@ def test_commit_stage1_remote_dedup_equals_row_unique(seed):
         gids, occupied, is_master, np.zeros(n, dtype=bool),
         np.zeros(n, dtype=bool), master_node, np.ones(n), no_edges,
         no_edges, no_edges, rng.choice(live, 5 * n),
-        rng.choice(live, 5 * n), {}, no_edges)
+        rng.choice(live, 5 * n),
+        sync_columns(no_edges, no_edges, no_edges))
     st = SimpleNamespace(topo=topo, pend_mask=np.ones(n, dtype=bool),
                          pend_activates=rng.random(n) < 0.7,
                          next_active=np.zeros(n, dtype=bool))

@@ -39,7 +39,7 @@ from repro.api import make_engine
 from repro.cluster.network import MessageKind, Network
 from repro.engine.messages import (ActivateBatch, ActiveBroadcastBatch,
                                    GatherBatch, RawGatherBatch, SyncBatch)
-from repro.engine.soa import NodeTopology
+from repro.engine.soa import NodeTopology, sync_columns
 from repro.engine.vectorized import ArrayNodeProtocol, _in_edges
 from repro.graph import generators
 from repro.obs.registry import MetricsRegistry
@@ -89,7 +89,7 @@ def _random_topology(rng, node: int) -> NodeTopology:
     return NodeTopology.from_columns(
         gids, occupied, is_master, is_mirror, np.zeros(n, dtype=bool),
         master_node, out_deg, in_src, rng.random(in_dst.size) * 5, in_dst,
-        out_src, out_dst, {}, np.zeros(0, dtype=np.int64))
+        out_src, out_dst, sync_columns(*[np.zeros(0, dtype=np.int64)] * 3))
 
 
 def _image(image, node: int, rng):
