@@ -103,8 +103,7 @@ class InvariantChecker:
     def _check_masters(self, engine: "Engine", alive: list[int],
                        phase: str) -> None:
         alive_set = set(alive)
-        for gid in range(engine.graph.num_vertices):
-            node = engine.master_node_of[gid]
+        for gid, node in enumerate(engine.master_node_of.tolist()):
             if node not in alive_set:
                 self._fail(phase, f"vertex {gid}: master node {node} is "
                                   f"not alive")
@@ -135,8 +134,7 @@ class InvariantChecker:
         # completed), not the static configured K (DESIGN.md §14).
         k = engine.membership.enforced_floor
         alive_set = set(alive)
-        for gid in range(engine.graph.num_vertices):
-            node = engine.master_node_of[gid]
+        for gid, node in enumerate(engine.master_node_of.tolist()):
             meta = engine.local_graphs[node].slot_of(gid).meta
             copies = 1 + len(meta.replica_positions)
             if copies < min(k + 1, len(alive_set)):
@@ -322,15 +320,14 @@ class MembershipInvariant:
                                       f"both node {owner[slot.gid]} and "
                                       f"node {node}")
                 owner[slot.gid] = node
-        for gid in range(engine.graph.num_vertices):
+        for gid, told in enumerate(engine.master_node_of.tolist()):
             node = owner.get(gid)
             if node is None:
                 self._fail(phase, f"vertex {gid}: no master on any "
                                   f"alive node")
-            if engine.master_node_of[gid] != node:
+            if told != node:
                 self._fail(phase, f"vertex {gid}: master hosted on node "
-                                  f"{node} but master_node_of says "
-                                  f"{engine.master_node_of[gid]}")
+                                  f"{node} but master_node_of says {told}")
         if engine.job.ft.mode is not FTMode.REPLICATION:
             return
         floor = engine.membership.enforced_floor

@@ -229,7 +229,8 @@ class Engine:
                     graph, partitioning, self.plan, self.tracer)
             for node_id, lg in self.local_graphs.items():
                 self.cluster.node(node_id).local = lg
-            self.master_node_of: list[int] = self.plan.master_of.tolist()
+            #: gid -> the node holding its master, an integer column.
+            self.master_node_of = self.plan.master_of.astype(np.int64)
             self.is_edge_cut = partitioning.kind == "edge-cut"
             #: Transport policy (DESIGN.md §10): no-op sync elision.
             self._sync_elision = self.job.engine.sync_elision
@@ -365,7 +366,7 @@ class Engine:
         """Current committed value of every vertex, from its master's
         column."""
         out: list[Any] = [None] * self.graph.num_vertices
-        master_of = np.asarray(self.master_node_of)
+        master_of = self.master_node_of
         for node in sorted_unique(master_of).tolist():
             lg = self.local_graphs[node]
             gids = np.flatnonzero(master_of == node)

@@ -32,10 +32,12 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.engine.messages import RecoveryBatch, csr_ptr, csr_rows
+from repro.engine.messages import (META_ROW, RecoveryBatch, csr_ptr,
+                                   csr_rows, gather_rows, take_rows)
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.engine.vertex_program import VertexProgram, VertexView
 from repro.errors import EngineError
+from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
 _B = RecoveryBatch
 
@@ -131,24 +133,29 @@ def _metas(nodes, positions, replicas, mirror_nodes, mirrors, master_node,
         seat += seats
 
 
-def _csr_group(n: int, rec: RecoveryBatch, ptr: str, names, fresh, rows,
-               at, counts: list, columns) -> dict[str, np.ndarray]:
-    """One CSR group of :meth:`SlotArray.metadata`'s ``n`` rows: rows
-    ``fresh`` sliced from the birth record ``rec`` at its ``rows``, rows
-    ``at`` from the stamped slots' ``counts`` and flat ``columns``, every
-    other row empty."""
-    count = np.zeros(n, dtype=np.int64)
-    src, count[fresh] = csr_rows(getattr(rec, ptr), rows)
-    count[at] = counts
-    out = {ptr: csr_ptr(count)}
-    into, _ = csr_rows(out[ptr], fresh)
-    here, _ = csr_rows(out[ptr], at)
-    for name, column in zip(names, columns):
-        flat = out[name] = np.empty(
-            int(out[ptr][-1]),
-            dtype=np.float64 if name == "edge_weights" else np.int64)
-        flat[into] = getattr(rec, name)[src]
-        flat[here] = column
+def _slot_columns(slots: list[VertexSlot]) -> dict[str, np.ndarray]:
+    """Stamped ``slots`` as a :meth:`SlotArray.metadata` read: their
+    static fields, their metadata's replica entries and mirror seats,
+    and a mirror's edge backup."""
+    static = [(s.gid, _ROLE_CODE[s.role], s.selfish, s.master_node,
+               -1 if s.meta is None else s.meta.master_position)
+              for s in slots]
+    out = {name: np.array([row[k] for row in static],
+                          dtype=bool if name == "selfish" else np.int64)
+           for k, name in enumerate(META_ROW)}
+    for (ptr, names), entries in zip(_B._CSR, (
+            [[] if s.meta is None else list(s.meta.replica_positions.items())
+             for s in slots],
+            [[] if s.meta is None else [(n,) for n in s.meta.mirror_nodes]
+             for s in slots],
+            [list(s.full_edges or ()) if s.role is Role.MIRROR else []
+             for s in slots])):
+        out[ptr] = csr_ptr([len(row) for row in entries])
+        flat = [entry for row in entries for entry in row]
+        for k, name in enumerate(names):
+            out[name] = np.array(
+                [entry[k] for entry in flat],
+                dtype=np.float64 if name == "edge_weights" else np.int64)
     return out
 
 
@@ -161,12 +168,13 @@ class SlotArray:
     one pass.  Assigning a slot binds it and writes its committed fields
     into the columns; assigning ``None`` (a tombstone) detaches the slot
     there first.  :meth:`grow` keeps the columns the array's length.
-    :attr:`materialized` counts the slots stamped from the record.
+    :attr:`materialized` counts the slots stamped from the record;
+    ``_pure`` holds while no entry has held a slot at all.
     """
 
-    __slots__ = ("_graph", "_items", "materialized", "_lazy",
+    __slots__ = ("_graph", "_items", "materialized", "_lazy", "_pure",
                  "_rows", "_row_of", "_ft_only", "_topo", "_full_edges",
-                 "_in_ptr", "_out_ptr", "_placement")
+                 "_in_ptr", "_out_ptr")
 
     def __init__(self, graph: "LocalGraph", rows: RecoveryBatch | None = None,
                  topology=None, ft_only: np.ndarray | None = None,
@@ -176,6 +184,7 @@ class SlotArray:
         n = 0 if topology is None else topology.n
         self.materialized = 0
         self._lazy = 0 if rows is None else len(rows)
+        self._pure = True
         if rows is None or rows.positions.size == n:
             self._items = [_UNSTAMPED] * self._lazy
             self._row_of = None
@@ -188,7 +197,6 @@ class SlotArray:
         self._rows, self._topo = rows, topology
         self._ft_only, self._full_edges = ft_only, full_edges
         self._in_ptr = self._out_ptr = None
-        self._placement = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -221,6 +229,7 @@ class SlotArray:
         elif old is not None:
             old.detach()  # a removed slot keeps its state
         self._items[pos] = item
+        self._pure &= item is None
         if item is None:
             graph = self._graph()
             for name, fill in VACANT.items():
@@ -268,44 +277,14 @@ class SlotArray:
         row = pos if self._row_of is None else self._row_of[pos]
         return getattr(self._rows, name)[row].item()
 
-    def placement(self, pos: int) -> tuple[bool, object]:
-        """The selfish flag and replica nodes (metadata order) of the
-        master at ``pos``, from its slot if stamped, else from the birth
-        record; stamps nothing.  The per-gid read of the reference
-        router (the drain path reads its candidate table instead)."""
-        slot = self._items[pos]
-        if slot is not _UNSTAMPED:
-            return slot.selfish, slot.meta.replica_positions
-        row = pos if self._row_of is None else self._row_of[pos]
-        if self._placement is None:
-            # Lists, made on first use: a read indexes them once.
-            rows = self._rows
-            self._placement = (rows.selfish.tolist(),
-                               rows.replica_ptr.tolist(),
-                               rows.replica_nodes.tolist())
-        selfish, ptr, nodes = self._placement
-        return selfish[row], nodes[ptr[row]:ptr[row + 1]]
-
-    def masters(self) -> tuple[np.ndarray, list[int]]:
-        """The masters' positions and gids, from each slot if stamped,
-        else from the birth record; stamps nothing.  A read's walk where
-        no image is cached."""
-        rows, row_of = self._rows, self._row_of
-        if rows is not None:
-            roles, gids = rows.roles.tolist(), rows.gids.tolist()
-            if row_of is not None:
-                row_of = row_of.tolist()
-        positions, out = [], []
-        for pos, item in enumerate(self._items):
-            if item is _UNSTAMPED:
-                row = pos if row_of is None else row_of[pos]
-                if roles[row] == _B.MASTER:
-                    positions.append(pos)
-                    out.append(gids[row])
-            elif item is not None and item.role is Role.MASTER:
-                positions.append(pos)
-                out.append(item.gid)
-        return np.array(positions, dtype=np.int64), out
+    def masters(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The masters' positions and their :meth:`metadata`, read off
+        every held position's; stamps nothing.  A read's walk where no
+        image is cached."""
+        pos = np.flatnonzero([item is not None for item in self._items])
+        meta = self.metadata(pos)
+        master = np.flatnonzero(meta["roles"] == _B.MASTER)
+        return pos[master], take_rows(meta, master)
 
     def metadata(self, positions) -> dict[str, np.ndarray]:
         """The copies at ``positions`` as columns in the
@@ -313,47 +292,39 @@ class SlotArray:
         ``master_node``, ``master_position`` (-1 on a replica) and the
         metadata CSR groups — replica nodes and positions and mirror nodes
         of a master or mirror, an edge-cut mirror's edge backup.  Read
-        from the slot where one is stamped, else from the birth record,
-        one ``csr_rows`` slice per group: the rule of :meth:`placement`,
-        exact because every structural writer reaches a slot first.
-        Stamps nothing."""
+        from the slot where one is stamped, else from the birth record —
+        exact, as every structural writer reaches a slot first — in one
+        gather per column and per group (:func:`take_rows`): only an
+        array with stamped slots walks the positions.  Stamps nothing."""
         pos = np.asarray(positions, dtype=np.int64)
-        entries = [self._items[p] for p in pos.tolist()]
-        lazy = np.array([s is _UNSTAMPED for s in entries], dtype=bool)
-        fresh, at = np.flatnonzero(lazy), np.flatnonzero(~lazy)
-        slots = [entries[i] for i in at.tolist()]
-        metas = [s.meta for s in slots]
+        lazy = (np.ones(pos.size, dtype=bool) if self._pure else np.array(
+            [self._items[p] is _UNSTAMPED for p in pos.tolist()], dtype=bool))
         rec = _B.empty() if self._rows is None else self._rows
-        rows = pos[fresh] if self._row_of is None else self._row_of[
-            pos[fresh]]
-        out = {}
-        for name, dtype, stamped in (
-                ("gids", np.int64, [s.gid for s in slots]),
-                ("roles", np.int64, [_ROLE_CODE[s.role] for s in slots]),
-                ("selfish", bool, [s.selfish for s in slots]),
-                ("master_node", np.int64, [s.master_node for s in slots]),
-                ("master_position", np.int64,
-                 [-1 if m is None else m.master_position for m in metas])):
-            column = out[name] = np.empty(pos.size, dtype=dtype)
-            column[fresh] = getattr(rec, name)[rows]
-            column[at] = stamped
-        held = [i for i, m in enumerate(metas) if m is not None]
-        metas = [metas[i] for i in held]
-        mirrors = [i for i, s in enumerate(slots) if s.role is Role.MIRROR]
-        backups = [slots[i].full_edges or () for i in mirrors]
-        backed = (rec.roles[rows] == _B.MIRROR) & self._full_edges
-        for (ptr, names), group in zip(_B._CSR, (
-                (fresh, rows, at[held],
-                 [len(m.replica_positions) for m in metas],
-                 ([n for m in metas for n in m.replica_positions],
-                  [p for m in metas for p in m.replica_positions.values()])),
-                (fresh, rows, at[held], [len(m.mirror_nodes) for m in metas],
-                 ([n for m in metas for n in m.mirror_nodes],)),
-                (fresh[backed], rows[backed], at[mirrors],
-                 [len(b) for b in backups],
-                 [[e[k] for b in backups for e in b] for k in range(3)]))):
-            out.update(_csr_group(pos.size, rec, ptr, names, *group))
-        return out
+        rows = pos[lazy] if self._row_of is None else self._row_of[pos[lazy]]
+        out = take_rows(vars(rec), rows, self._full_edges & (
+            rec.roles[rows] == _B.MIRROR))
+        out["roles"] = out["roles"].astype(np.int64)
+        if lazy.all():
+            return out
+        # Each row's place among the record rows, then the slots.
+        order = np.where(lazy, lazy.cumsum(), lazy.sum() + (~lazy).cumsum()) - 1
+        return gather_rows([out, _slot_columns(self.take(pos[~lazy]))],
+                           order)
+
+    def held(self) -> tuple[np.ndarray, int]:
+        """The positions a copy lives at, and their local in- and
+        out-edge entries: a stamped slot's lists, else the birth image's
+        rows.  Stamps nothing."""
+        items = self._items
+        held = [pos for pos, item in enumerate(items) if item is not None]
+        lazy = [pos for pos in held if items[pos] is _UNSTAMPED]
+        edges = sum(len(items[pos].in_edges) + len(items[pos].out_edges)
+                    for pos in held if items[pos] is not _UNSTAMPED)
+        if lazy:
+            topo = self._topo
+            edges += int(topo.in_counts[lazy].sum()
+                         + np.isin(topo.out_src, lazy).sum())
+        return np.array(held, dtype=np.int64), edges
 
     @property
     def birth(self) -> tuple[RecoveryBatch, object]:
@@ -379,6 +350,7 @@ class SlotArray:
         for p, slot in zip(positions, slots):
             slot.bind(graph, p)
             items[p] = slot
+        self._pure &= not slots
         self._lazy -= len(slots)
         self.materialized += len(slots)
         return slots
@@ -407,7 +379,7 @@ class LocalGraph:
         #: ``active`` column alone: a compute loop visits its set
         #: positions.  Values start as Python objects; :meth:`reset`
         #: gives a kernel program's the kernel's dtype, and a reborn
-        #: node's first column state casts them to it.
+        #: node's takes the dtype of the rows it was born from.
         self.values = np.zeros(0, dtype=object)
         self.active = np.zeros(0, dtype=bool)
         self.last_activates = np.zeros(0, dtype=bool)
@@ -442,8 +414,8 @@ class LocalGraph:
                     VertexSlot, field), dtype=getattr(lg, name).dtype))
             return lg
         for (name, fill), column in zip(VACANT.items(), state):
-            full = np.full(topology.n, fill,
-                           dtype=object if name == "values" else type(fill))
+            full = np.full(topology.n, fill, dtype=column.dtype
+                           if name == "values" else type(fill))
             _put(full, rows.positions, column)
             setattr(lg, name, full)
         return lg
@@ -630,32 +602,27 @@ class LocalGraph:
 
     # -- stats ------------------------------------------------------------------
 
-    def counts(self) -> dict[str, int]:
-        masters = mirrors = replicas = ft = 0
-        edges = 0
-        for slot in self.iter_slots():
-            if slot.role is Role.MASTER:
-                masters += 1
-            elif slot.role is Role.MIRROR:
-                mirrors += 1
-                if slot.ft_only:
-                    ft += 1
-            else:
-                replicas += 1
-            edges += len(slot.in_edges)
-        return {"masters": masters, "mirrors": mirrors,
-                "replicas": replicas, "ft_replicas": ft,
-                "local_in_edges": edges,
-                "total": masters + mirrors + replicas}
-
     def memory_nbytes(self, program: VertexProgram) -> int:
-        """Approximate resident footprint of this node's graph state."""
-        total = 0
-        for slot in self.iter_slots():
-            total += slot.nbytes(program.value_nbytes(slot.value))
-        # The array itself and the gid index.
-        total += len(self.slots) * 8 + self.num_copies * 24
-        return total
+        """Approximate resident footprint of this node's graph state,
+        summed from columns (the model of ``tests/reference/memory.py``):
+        per copy a 64-byte header and its value (an array kernel's
+        constant size), its local edges (:meth:`SlotArray.held`), a
+        master's or mirror's metadata and a mirror's edge backup
+        (:meth:`SlotArray.metadata`); plus the array itself and the gid
+        index.  Stamps nothing."""
+        pos, edges = self.slots.held()
+        meta = self.slots.metadata(pos)
+        kernel = program.kernel()
+        values = (pos.size * kernel.value_nbytes if kernel is not None
+                  else sum(map(program.value_nbytes,
+                               self.values[pos].tolist())))
+        with_meta = np.count_nonzero(meta["roles"] != _B.REPLICA)
+        edges += meta["edge_gids"].size
+        return int(64 * pos.size + values + edges * BYTES_PER_EDGE
+                   + with_meta * (BYTES_PER_VID + 4)
+                   + meta["replica_nodes"].size * 5
+                   + meta["mirror_nodes"].size
+                   + len(self.slots) * 8 + self.num_copies * 24)
 
 
 def _put(column: np.ndarray, positions: np.ndarray, values) -> None:

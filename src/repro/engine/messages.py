@@ -471,6 +471,44 @@ def csr_ptr(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
+#: The per-row columns of a ``SlotArray.metadata`` read.
+META_ROW = ("gids", "roles", "selfish", "master_node", "master_position")
+
+
+def take_rows(columns: dict, rows: np.ndarray, edges=None,
+              names=META_ROW) -> dict[str, np.ndarray]:
+    """Rows ``rows`` of ``columns`` in the :class:`RecoveryBatch` shape —
+    a batch's ``vars`` or a ``SlotArray.metadata`` read — as the per-row
+    columns ``names`` and the CSR groups: one gather per column and per
+    group.  ``edges``, a mask over ``rows``, keeps the edge slices of
+    those rows only."""
+    out = {name: columns[name][rows] for name in names}
+    for ptr, flat in RecoveryBatch._CSR:
+        idx, counts = csr_rows(columns[ptr], rows)
+        if edges is not None and ptr == "edge_ptr":
+            idx, counts = idx[np.repeat(edges, counts)], counts * edges
+        out[ptr] = csr_ptr(counts)
+        for name in flat:
+            out[name] = columns[name][idx]
+    return out
+
+
+def gather_rows(parts: list[dict], rows: np.ndarray,
+                names=META_ROW) -> dict[str, np.ndarray]:
+    """:func:`take_rows` over the rows of ``parts`` one part after
+    another, joining one column at a time: no joined copy of the whole
+    is held."""
+    out = {name: np.concatenate([part[name] for part in parts])[rows]
+           for name in names}
+    for ptr, flat in RecoveryBatch._CSR:
+        idx, counts = csr_rows(csr_ptr(np.concatenate(
+            [np.diff(part[ptr]) for part in parts])), rows)
+        out[ptr] = csr_ptr(counts)
+        for name in flat:
+            out[name] = np.concatenate([part[name] for part in parts])[idx]
+    return out
+
+
 @dataclass(eq=False)
 class RecoveryBatch:
     """Recovered vertex copies plus shared global state, as parallel
@@ -513,7 +551,7 @@ class RecoveryBatch:
     gids: np.ndarray
     positions: np.ndarray
     roles: np.ndarray
-    values: list
+    values: np.ndarray
     flags: np.ndarray
     last_update: np.ndarray
     out_degree: np.ndarray
@@ -553,39 +591,33 @@ class RecoveryBatch:
             cols[ptr] = np.zeros(1, dtype=np.int64)
             cols.update(dict.fromkeys(flat, ints))
         cols.update(selfish=np.zeros(0, dtype=bool), edge_weights=np.zeros(0))
-        return cls(src_node, iteration, values=[], **cols)
+        return cls(src_node, iteration, values=np.zeros(0), **cols)
 
     @classmethod
     def merge(cls, batches: Sequence["RecoveryBatch"]) -> "RecoveryBatch":
         """Every row of ``batches`` in destination-position order — the
-        order the destination's array is built in — as one batch."""
-        batches = [cls.empty(), *batches]
-        order = np.argsort(np.concatenate([b.positions for b in batches]),
+        order the destination's array is built in — as one batch: each
+        column, the values in their own dtype, gathered once."""
+        parts = [vars(b) for b in batches] or [vars(cls.empty())]
+        order = np.argsort(np.concatenate([p["positions"] for p in parts]),
                            kind="stable")
-        cols = {name: np.concatenate([getattr(b, name)
-                                      for b in batches])[order]
-                for name in cls._ROW}
-        values = [v for b in batches for v in b.values]
-        cols["values"] = [values[i] for i in order.tolist()]
-        for ptr, flat in cls._CSR:
-            idx, counts = csr_rows(csr_ptr(np.concatenate(
-                [np.diff(getattr(b, ptr)) for b in batches])), order)
-            cols[ptr] = csr_ptr(counts)
-            for name in flat:
-                cols[name] = np.concatenate([getattr(b, name)
-                                             for b in batches])[idx]
-        return cls(-1, batches[-1].iteration, **cols)
+        return cls(-1, batches[-1].iteration if batches else 0,
+                   **gather_rows(parts, order, (*cls._ROW, "values")))
 
-    def row_nbytes(self, value_nbytes_of) -> np.ndarray:
+    def row_nbytes(self, value_nbytes) -> np.ndarray:
         """Wire size of each row: an id, 8 bytes of flags and degrees, the
-        value and a 4-byte position, plus its edges and metadata entries."""
-        return (np.fromiter(map(value_nbytes_of, self.values), np.int64,
-                            len(self)) + (BYTES_PER_VID + 12)
+        value and a 4-byte position, plus its edges and metadata entries.
+        ``value_nbytes`` sizes one value, or is every value's constant
+        size (an array kernel's)."""
+        if callable(value_nbytes):
+            value_nbytes = np.fromiter(map(value_nbytes, self.values),
+                                       np.int64, len(self))
+        return (value_nbytes + (BYTES_PER_VID + 12)
                 + np.diff(self.edge_ptr) * BYTES_PER_EDGE
                 + np.diff(self.replica_ptr) * (BYTES_PER_VID + 4)
                 + np.diff(self.mirror_ptr) * 4)
 
-    def nbytes(self, value_nbytes_of) -> int:
+    def nbytes(self, value_nbytes) -> int:
         """Wire size of the batch: the rows plus 16 bytes of shared
         global state."""
-        return 16 + int(self.row_nbytes(value_nbytes_of).sum())
+        return 16 + int(self.row_nbytes(value_nbytes).sum())

@@ -16,8 +16,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
-
 
 class Role(enum.Enum):
     """What a local copy of a vertex is.
@@ -90,17 +88,6 @@ class MasterMeta:
         """Drop derived caches after mutating replica placement."""
         self._mirror_set = None
         self._sync_targets = None
-
-    def nbytes(self) -> int:
-        """Memory footprint of this metadata.
-
-        Modeled after the compact encodings of the C++ systems: replica
-        locations as a node bitmap (amortised ~1 byte per entry at 50
-        nodes) plus a 4-byte array position per replica; mirror ids one
-        byte each.
-        """
-        return (len(self.replica_positions) * 5
-                + len(self.mirror_nodes) + BYTES_PER_VID + 4)
 
 
 class _Committed:
@@ -232,17 +219,6 @@ class VertexSlot:
         """``(graph, position)`` the committed fields live at, or
         ``None`` for a detached slot."""
         return None if self._at is None else (self._at[0](), self._at[1])
-
-    # -- memory accounting ------------------------------------------------
-
-    def nbytes(self, value_nbytes: int) -> int:
-        """Approximate in-memory footprint of this slot."""
-        base = 64  # object header, flags, degrees
-        edges = (len(self.in_edges) + len(self.out_edges)) * BYTES_PER_EDGE
-        if self.full_edges is not None:
-            edges += len(self.full_edges) * BYTES_PER_EDGE
-        meta = self.meta.nbytes() if self.meta is not None else 0
-        return base + value_nbytes + edges + meta
 
     @property
     def is_master(self) -> bool:

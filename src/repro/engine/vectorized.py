@@ -148,10 +148,12 @@ class _NodeState:
                   & (self.active[pos] != self.replicas_known_active[pos])]
         flags = self.active[pos]
         outbox: dict = {}
-        placement = lg.slots.placement
-        for p, gid, flag in zip(pos.tolist(), self.topo.gids[pos].tolist(),
-                                flags.tolist()):
-            for replica_node in placement(p)[1]:
+        meta = lg.slots.metadata(pos)
+        ptr, nodes = (meta[name].tolist()
+                      for name in ("replica_ptr", "replica_nodes"))
+        for gid, flag, lo, hi in zip(self.topo.gids[pos].tolist(),
+                                     flags.tolist(), ptr, ptr[1:]):
+            for replica_node in nodes[lo:hi]:
                 key = (replica_node, MessageKind.CONTROL)
                 batch = outbox.get(key)
                 if batch is None:

@@ -5,11 +5,13 @@ Both strategies decompose into the paper's three phases:
 * **Reloading** — surviving nodes decide what they must recover with
   array masks over their SoA image (fully decentralised: the needed
   location knowledge is in the master metadata every master and mirror
-  already holds, and in the image's ``sync_plan`` / ``sync_peer``), then
-  pack the selected rows into columnar
+  already holds, and in the image's ``sync_plan`` / ``sync_peer``): one
+  :class:`ReloadScan` per ladder pass, one :class:`SurvivorScan` — one
+  orphan mask, one ``SlotArray.metadata`` read — per survivor, read by
+  the ladder's precheck, the rungs' guard and what they ship.  The
+  selected rows are packed into columnar
   :class:`~repro.engine.messages.RecoveryBatch`\\ es (:func:`pack_rows`),
-  reading the metadata as columns (``SlotArray.metadata``): no slot is
-  stamped;
+  values in their column's dtype: no slot is stamped;
 * **Reconstruction** — received rows are written positionally into the
   destination's vertex array: a reborn node is built whole, SoA image
   included, in one pass (:func:`reborn_graph`), and new copies
@@ -32,7 +34,7 @@ import numpy as np
 from repro.cluster.network import Message, MessageKind
 from repro.engine.local_graph import DYNAMIC, LocalGraph, stamp_slots
 from repro.engine.messages import (RecoveryBatch, csr_first, csr_ptr,
-                                   csr_rows)
+                                   csr_rows, take_rows)
 from repro.engine.soa import NodeTopology, sync_columns
 from repro.engine.state import MasterMeta, Role, VertexSlot
 from repro.errors import EngineError, UnrecoverableFailureError
@@ -52,37 +54,85 @@ def last_committed_iteration(engine: "Engine") -> int:
     return engine.iteration - 1
 
 
-def _orphaned_mirrors(topo, failed: set[int]) -> np.ndarray:
-    """Positions of the mirrors whose master sat on a failed node."""
-    return np.flatnonzero(topo.is_mirror
-                          & np.isin(topo.master_node, sorted(failed)))
+class SurvivorScan:
+    """One survivor's reload scan for one ladder pass, a function of its
+    own image and metadata (Sections 5.1.1 and 5.3.1): one mask pass
+    for the mirrors whose master sat on a node ``dead`` marks (a vacant
+    position's -1 reads its never-set last entry); one
+    ``SlotArray.metadata`` read of them and of the masters here with a
+    mirror seat on a failed node; the leading-mirror mask (the surviving
+    mirror with the lowest id does the work, the others stay silent).
+    :meth:`meta_of` gathers read rows again, reading nothing."""
+
+    def __init__(self, lg: LocalGraph, dead: np.ndarray):
+        self.topo = topo = lg.topology()
+        #: Positions of the orphaned mirrors, and of those leading here.
+        self.orphans = np.flatnonzero(topo.is_mirror
+                                      & dead[topo.master_node])
+        seated = [at for (dst, mirror), at in topo.sync_plan.items()
+                  if mirror and dead[dst]]
+        read = np.concatenate((self.orphans, *seated))
+        self.meta = meta = lg.slots.metadata(read)
+        self._row = np.full(topo.n, -1, dtype=np.int64)
+        self._row[read] = np.arange(read.size)
+        seats = meta["mirror_nodes"]
+        first = csr_first(meta["mirror_ptr"],
+                          ~dead[seats])[:self.orphans.size]
+        lead = first >= 0
+        lead[lead] = seats[first[lead]] == lg.node_id
+        #: The leading mirrors' rows of ``meta``, and their positions.
+        self.lead_rows = np.flatnonzero(lead)
+        self.lead = self.orphans[lead]
+
+    def meta_of(self, pos: np.ndarray) -> dict[str, np.ndarray]:
+        """The metadata read's rows at positions ``pos`` (each read)."""
+        return take_rows(self.meta, self._row[pos])
 
 
-def leading_mirrors(engine: "Engine", node: int,
-                    failed: set[int]) -> np.ndarray:
-    """The positions, ascending, of the mirrors on ``node`` leading the
-    recovery of a master lost with ``failed``: mirror ids order the
-    mirrors, and the surviving one with the lowest id does the work so
-    the others stay silent (Section 5.3.1).  A mask over the node's image
-    picks the candidates (:func:`_orphaned_mirrors`); their mirror lists
-    are read as columns (``SlotArray.metadata``)."""
-    lg = engine.local_graphs[node]
-    candidates = _orphaned_mirrors(lg.topology(), failed)
-    meta = lg.slots.metadata(candidates)
-    seats = meta["mirror_nodes"]
-    first = csr_first(meta["mirror_ptr"], ~np.isin(seats, sorted(failed)))
-    lead = first >= 0
-    lead[lead] = seats[first[lead]] == node
-    return candidates[lead]
+class ReloadScan:
+    """The survivor side of one ladder pass (DESIGN.md §11): a
+    :class:`SurvivorScan` per survivor, read by the lost-vertex
+    precheck, the rungs' guard and what they ship.  ``lost`` are the
+    dead masters no orphaned mirror covers (only mirrors hold a master's
+    full state), ``led`` the gids the leading mirrors recover, survivor
+    by survivor."""
+
+    def __init__(self, engine: "Engine", failed: set[int]):
+        self.failed = failed
+        # One entry per node id, and a last one that stays False.
+        dead = np.zeros(max(engine.cluster.nodes) + 2, dtype=bool)
+        dead[list(failed)] = True
+        self.survivors = [n for n in engine._alive() if n not in failed]
+        self.nodes = {n: SurvivorScan(engine.local_graphs[n], dead)
+                      for n in self.survivors}
+        self._master_dead = dead[engine.master_node_of]
+        self.led, orphaned = (np.concatenate([np.zeros(0, np.int64), *(
+            scan.topo.gids[getattr(scan, name)]
+            for scan in self.nodes.values())]) for name in ("lead", "orphans"))
+        self.lost = self.uncovered(orphaned)
+
+    def uncovered(self, covered: np.ndarray) -> list[int]:
+        """The dead masters' gids not in ``covered``, ascending."""
+        lost = self._master_dead.copy()
+        lost[covered] = False
+        return np.flatnonzero(lost).tolist()
+
+
+def value_nbytes(engine: "Engine"):
+    """A recovery row's value size: the running array kernel's constant
+    (its SYNC batches'), else the program's size of each value."""
+    vec = engine._vec
+    return engine.program.value_nbytes if vec is None else \
+        vec.proto.kernel.value_nbytes
 
 
 def _committed_rows(lg: LocalGraph, pos: np.ndarray):
     """``gid, value, active, last_activates, mirror_self_active,
     replicas_known_active, last_update_iter, is_master, selfish,
     master_node`` of the copies at positions ``pos`` of ``lg``, one
-    column each: the committed half from the node's columns, the static
-    half from its image — or, with none cached, from
-    ``SlotArray.metadata``."""
+    column each: the committed half from the node's columns (values in
+    their own dtype), the static half from its image — or, with none
+    cached, from ``SlotArray.metadata``."""
     topo = lg.cached_topology
     if topo is None:
         meta = lg.slots.metadata(pos)
@@ -91,14 +141,14 @@ def _committed_rows(lg: LocalGraph, pos: np.ndarray):
     else:
         static = (topo.gids[pos], topo.is_master[pos], topo.selfish[pos],
                   topo.master_node[pos])
-    return (static[0], lg.values[pos].tolist(), lg.active[pos],
+    return (static[0], lg.values[pos], lg.active[pos],
             lg.last_activates[pos], lg.mirror_self_active[pos],
             lg.replicas_known_active[pos], lg.last_update[pos], *static[1:])
 
 
 def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
-              roles: np.ndarray, dst: int,
-              dst_pos: np.ndarray) -> RecoveryBatch:
+              roles: np.ndarray, dst: int, dst_pos: np.ndarray,
+              read=None) -> RecoveryBatch:
     """The recovery batch ``node`` sends ``dst``: row *i* restores, at
     position ``dst_pos[i]`` there, a copy of role ``roles[i]`` of the
     vertex whose master — or, for a dead master, leading mirror — sits at
@@ -106,9 +156,10 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
     shipped by that mirror.
 
     Values and flags come from :func:`_committed_rows`; the metadata of
-    master and mirror rows and a mirror's edge backup from
-    ``SlotArray.metadata``; a master's in-edges from the node's image;
-    degrees from the graph.  Stamps nothing.
+    master and mirror rows and a mirror's edge backup from ``read`` —
+    a :class:`SurvivorScan`'s ``meta_of``, else ``SlotArray.metadata``;
+    a master's in-edges from the node's image; degrees from the graph.
+    Stamps nothing.
     """
     lg = engine.local_graphs[node]
     rows = pos.size
@@ -125,7 +176,7 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
     # Master and mirror rows carry the metadata (Section 4.2); a mirror
     # row its seat, the index of ``dst`` in the mirror list.
     with_meta = np.flatnonzero(roles != _B.REPLICA)
-    meta = lg.slots.metadata(pos[with_meta])
+    meta = (read or lg.slots.metadata)(pos[with_meta])
     mirror_id = np.full(rows, -1, dtype=np.int64)
     seat = csr_first(meta["mirror_ptr"], meta["mirror_nodes"] == dst)
     mirror_id[roles == _B.MIRROR] = (seat - meta["mirror_ptr"][:-1])[
@@ -205,7 +256,7 @@ def place_rows(lg: LocalGraph, batch: RecoveryBatch, last_commit: int,
                         full_edges=edge_cut)
     lg.slots.grow(int(batch.positions.max(initial=-1)) + 1)
     for slot, position, *state in zip(
-            slots, batch.positions.tolist(), values,
+            slots, batch.positions.tolist(), values.tolist(),
             *(column.tolist() for column in flags)):
         for name, value in zip(DYNAMIC.values(), state):
             setattr(slot, name, value)
@@ -388,8 +439,9 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
     edges = 0
     engine.selfish_read_fence.update(gids)
     by_node: dict[int, list[int]] = defaultdict(list)
-    for gid in gids:
-        by_node[engine.master_node_of[gid]].append(gid)
+    for gid, node in zip(gids, engine.master_node_of[
+            np.asarray(gids, dtype=np.int64)].tolist()):
+        by_node[node].append(gid)
     partials: dict[int, list[tuple[int, Any]]] = defaultdict(list)
 
     def in_edges(topo, pos: np.ndarray) -> tuple[np.ndarray, list]:
@@ -445,47 +497,20 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
     return edges
 
 
-def find_lost_vertices(engine: "Engine", failed: set[int],
-                       covered=None) -> list[int]:
-    """Gids of dead masters no surviving mirror can recover.
-
-    A cheap survivor-side scan (no mutation), run *before* any rung of
-    the fallback ladder mutates cluster state: only mirrors hold the
-    master's full state (plain FT replicas carry neither metadata nor
-    edge backups), so a master is in-memory recoverable iff one of its
-    mirrors survives — the lowest-id one then leads it
-    (:func:`leading_mirrors`).  By default the survivors' masks of
-    :func:`_orphaned_mirrors` find them; a rung passes the gids its own
-    reload scan led as ``covered``.  Anything else needs the checkpoint
-    rung — or is genuinely unrecoverable.
-    """
-    if covered is None:
-        covered = [np.zeros(0, dtype=np.int64)]
-        for node in engine._alive():
-            if node not in failed:
-                topo = engine.local_graphs[node].topology()
-                covered.append(topo.gids[_orphaned_mirrors(topo, failed)])
-        covered = np.concatenate(covered)
-    dead = np.flatnonzero(np.isin(np.asarray(engine.master_node_of),
-                                  sorted(failed)))
-    return dead[~np.isin(dead, np.asarray(covered, dtype=np.int64))].tolist()
-
-
-def check_recoverable(engine: "Engine", failed: set[int], rung: str,
-                      covered) -> None:
-    """Raise unless ``covered`` — the dead masters a rung's reload scan
-    found a leading mirror for — is all of them: the in-memory rungs'
-    own guard, so one called directly reports what the ladder would."""
-    lost = find_lost_vertices(engine, failed, covered)
+def check_recoverable(engine: "Engine", scan: ReloadScan,
+                      rung: str) -> None:
+    """Raise unless the survivors' leading mirrors (``scan.led``) cover
+    every dead master: the in-memory rungs' own guard, read off the
+    ladder pass's scan, so one called directly reports what the ladder
+    would."""
+    lost = scan.uncovered(scan.led)
     if lost:
         raise UnrecoverableFailureError(
             f"{len(lost)} vertices lost every copy "
             f"(e.g. vertex {lost[0]}); ft_level "
             f"{engine.job.ft.ft_level} cannot cover nodes "
-            f"{sorted(failed)}", lost_vertices=len(lost),
-            rungs_attempted=(rung,),
-            surviving_nodes=tuple(
-                n for n in engine._alive() if n not in failed))
+            f"{sorted(scan.failed)}", lost_vertices=len(lost),
+            rungs_attempted=(rung,), surviving_nodes=tuple(scan.survivors))
 
 
 def ft_levels(lg: LocalGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -498,9 +523,8 @@ def ft_levels(lg: LocalGraph) -> tuple[np.ndarray, np.ndarray]:
     stamps no slot."""
     topo = lg.cached_topology
     if topo is None:
-        pos, gids = lg.slots.masters()
-        meta = lg.slots.metadata(pos)
-        return np.array(gids, dtype=np.int64), np.minimum(
+        _, meta = lg.slots.masters()
+        return meta["gids"], np.minimum(
             np.diff(meta["mirror_ptr"]), np.diff(meta["replica_ptr"]))
     levels = np.bincount(topo.sync_pos[topo.sync_mirror], minlength=topo.n)
     return topo.gids[topo.is_master], levels[topo.is_master]
@@ -572,7 +596,7 @@ def restore_ft_level(engine: "Engine", gids: list[int],
     def load(n: int) -> tuple[int, int]:
         return len(engine.local_graphs[n].slots) + len(planned.get(n, ())), n
     for gid in gids:
-        master_node = engine.master_node_of[gid]
+        master_node = int(engine.master_node_of[gid])
         master_lg = engine.local_graphs[master_node]
         master_slot = master_lg.slot_of(gid)
         meta = master_slot.meta
@@ -656,7 +680,7 @@ def place_replicas(engine: "Engine", node: int, gids,
         return 0
     lg = engine.local_graphs[node]
     positions = np.arange(len(lg.slots), len(lg.slots) + len(gids))
-    owners = np.array([engine.master_node_of[gid] for gid in gids])
+    owners = engine.master_node_of[np.asarray(gids, dtype=np.int64)]
     masters = sorted_unique(owners).tolist()
     batches = []
     for owner in masters:
@@ -668,7 +692,7 @@ def place_replicas(engine: "Engine", node: int, gids,
     batch = RecoveryBatch.merge(batches)
     place_rows(lg, batch, last_committed_iteration(engine), ft_only,
                engine.is_edge_cut)
-    sizes = batch.row_nbytes(engine.program.value_nbytes).tolist()
+    sizes = batch.row_nbytes(value_nbytes(engine)).tolist()
     for gid, position, owner, nbytes in zip(gids, positions.tolist(),
                                             owners.tolist(), sizes):
         for meta in metadata_copies(engine, gid):
@@ -796,15 +820,15 @@ def relink_masters(engine: "Engine", lg: LocalGraph,
                    masters: list[VertexSlot], backups: list) -> int:
     """Rebuild ``masters``' local in-edges on ``lg``, in one
     :func:`link_edges`, from their ``(src gid, position, weight)``
-    ``backups``, and the backups from them.  Returns the replicas' bytes."""
+    ``backups``.  A master keeps its in-edges only — its mirrors hold
+    the backups — so a promoted mirror's backup goes.  Returns the
+    replicas' bytes."""
     for master in masters:
         master.in_edges = []
-    nbytes = link_edges(engine, lg.node_id, [
+        master.full_edges = None
+    return link_edges(engine, lg.node_id, [
         (gid, master.gid, w)
         for master, backup in zip(masters, backups) for gid, _, w in backup])
-    for master in masters:
-        master.full_edges = edge_backup(lg, master)
-    return nbytes
 
 
 def edge_backup(lg: LocalGraph, master: VertexSlot) -> list:

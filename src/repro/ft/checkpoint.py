@@ -470,7 +470,7 @@ class CheckpointRecovery:
         # also restarts from the loading-time values and flags; in CKPT
         # mode the reader and the resync below overwrite everything a
         # rebuilt copy holds.
-        engine.master_node_of = [int(n) for n in engine.plan.master_of]
+        engine.master_node_of = engine.plan.master_of.astype(np.int64)
         if safety:
             engine._init_values()
         ckpt.journal.clear()

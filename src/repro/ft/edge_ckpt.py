@@ -51,9 +51,7 @@ def receivers_of(engine, targets: np.ndarray, owner: int) -> np.ndarray:
     """The receiver rule once recovery has written structure: per edge
     of ``owner`` into ``targets``, the surviving node that would reload
     it, the owner's metadata read as columns (``SlotArray.metadata``)."""
-    master_of = engine.master_node_of
-    receivers = np.array([master_of[t] for t in targets.tolist()],
-                         dtype=np.int64)
+    receivers = engine.master_node_of[targets]
     # Mastered on the owner: its first mirror elsewhere, else (ft_level
     # 0) the next node round-robin, and the checkpoint path recovers it.
     at = np.flatnonzero(receivers == owner)

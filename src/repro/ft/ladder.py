@@ -207,19 +207,19 @@ def _run_ladder(engine: "Engine", failed: tuple[int, ...]
     ft = engine.job.ft
     if ft.mode is FTMode.CHECKPOINT:
         return CheckpointRecovery(engine).recover(failed), "checkpoint"
-    failed_set = set(failed)
-    survivors = [n for n in engine._alive() if n not in failed_set]
+    # One survivor-side reload scan per pass, read by every rung below.
+    scan = common.ReloadScan(engine, set(failed))
     rungs: list = []
     attempted: list[str] = []
     # In-memory rungs need every dead master to have kept a mirror;
     # checked *before* any of them mutates cluster state.
-    lost = common.find_lost_vertices(engine, failed_set)
+    lost = scan.lost
     if lost:
         attempted.append("replication:exhausted")
     else:
         if ft.recovery is RecoveryStrategy.REBIRTH:
-            rungs.append(RebirthRecovery(engine))
-        rungs.append(MigrationRecovery(engine))
+            rungs.append(RebirthRecovery(engine, scan))
+        rungs.append(MigrationRecovery(engine, scan))
     if engine.ckpt.safety:
         rungs.append(CheckpointRecovery(engine))
     first_error: UnrecoverableFailureError | None = None
@@ -235,12 +235,12 @@ def _run_ladder(engine: "Engine", failed: tuple[int, ...]
                                if first_error else 0)
     raise UnrecoverableFailureError(
         f"no recovery rung could handle the failure of nodes "
-        f"{sorted(failed_set)} (attempted: "
+        f"{sorted(failed)} (attempted: "
         f"{', '.join(attempted) or 'none'}; {lost_count} vertices "
-        f"lost every copy)",
+        f"lost every copy{f', e.g. vertex {lost[0]}' if lost else ''})",
         lost_vertices=lost_count,
         rungs_attempted=tuple(attempted),
-        surviving_nodes=tuple(survivors))
+        surviving_nodes=tuple(scan.survivors))
 
 
 def _repair_ft_level(engine: "Engine") -> None:

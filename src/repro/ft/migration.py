@@ -44,8 +44,11 @@ class MigrationRecovery:
     #: This rung's label in ``rungs_attempted`` and the trace.
     rung = "migration"
 
-    def __init__(self, engine: "Engine"):
+    def __init__(self, engine: "Engine",
+                 scan: common.ReloadScan | None = None):
         self.engine = engine
+        #: The ladder pass's reload scan; a direct call makes its own.
+        self.scan = scan
 
     def recover(self, failed: tuple[int, ...]) -> RecoveryStats:
         engine = self.engine
@@ -59,26 +62,25 @@ class MigrationRecovery:
                 "every worker node crashed",
                 lost_vertices=len(engine.master_node_of),
                 rungs_attempted=(self.rung,))
+        scan = self.scan or common.ReloadScan(engine, failed_set)
+        common.check_recoverable(engine, scan, self.rung)
 
         # ---------------- Reloading: promotion ----------------
+        # The leading mirrors of the ladder pass's scan are promoted.
         promotions: list[tuple[int, int]] = []  # (gid, new master node)
         selfish_promoted: list[int] = []
         scan_cost: dict[int, int] = {}
         holders = {}  # node -> metadata positions (promotion keeps them)
         selfish_opt = engine.selfish_opt_active
         for node in survivors:
-            lg = engine.local_graphs[node]
-            scan_cost[node] = lg.num_copies
-            lead = common.leading_mirrors(engine, node, failed_set)
-            topo = lg.topology()
+            scan_cost[node] = engine.local_graphs[node].num_copies
+            topo, lead = scan.nodes[node].topo, scan.nodes[node].lead
             holders[node] = np.flatnonzero(topo.is_master | topo.is_mirror)
             for gid, selfish in zip(topo.gids[lead].tolist(),
                                     topo.selfish[lead].tolist()):
                 promotions.append((gid, node))
                 if selfish and selfish_opt:
                     selfish_promoted.append(gid)
-        promoted = [gid for gid, _ in promotions]
-        common.check_recoverable(engine, failed_set, self.rung, promoted)
 
         for gid, node in promotions:
             self._promote(gid, node, failed_set)
@@ -123,10 +125,10 @@ class MigrationRecovery:
         scale = model.data_scale
         reload_times = []
         for node in survivors:
-            scan = scan_cost[node] * model.per_vertex_scan_s * scale
             comm = pairwise_comm_time(model, net.step_bytes, net.step_msgs,
                                       node)
-            reload_times.append(scan + comm)
+            reload_times.append(
+                scan_cost[node] * model.per_vertex_scan_s * scale + comm)
         # Migration needs several cluster-wide coordination rounds:
         # promotion, replica creation, location updates, commit
         # (Section 6.4: "multiple rounds of message exchanges").
@@ -145,8 +147,7 @@ class MigrationRecovery:
         ) * scale / max(1, len(survivors))
 
         # ---------------- Replay ----------------
-        replay_ops = common.replay_activations(engine, survivors,
-                                               promoted)
+        replay_ops = common.replay_activations(engine, survivors, scan.led)
         replay_edges = common.recompute_selfish_masters(
             engine, sorted(selfish_promoted))
         stats.replay_s = ((replay_ops * model.per_vertex_reconstruct_s

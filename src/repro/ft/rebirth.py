@@ -14,10 +14,13 @@ its graph state is reconstructed from the surviving replicas:
   files from persistent storage, overlapped with the vertex transfer
   (Section 5.2.1 discusses the same overlap for Migration).
 
-Reloading is a selection by array masks over each survivor's SoA image
-(the ``sync_plan`` / ``sync_peer`` of its masters, the leading mirrors
-among its mirrors of dead masters), packed into one columnar
-:class:`~repro.engine.messages.RecoveryBatch` per (survivor, newbie).
+Reloading is a function of each survivor's own image: the ladder pass's
+:class:`~repro.ft._recovery_common.SurvivorScan` (one mask pass, one
+metadata read) names the leading mirrors among its mirrors of dead
+masters, and the ``sync_plan`` / ``sync_peer`` of its masters their
+copies on a crashed node; the rows are packed into one columnar
+:class:`~repro.engine.messages.RecoveryBatch` per (survivor, newbie),
+values in their column's dtype.
 Reconstruction is positional and lock-free: each newbie is built whole
 from the columns it received — slots, edges and SoA image in one
 pass (:func:`~repro.ft._recovery_common.reborn_graph`).  Under
@@ -27,8 +30,8 @@ re-executes activation operations on the new node only.
 
 Write set (DESIGN.md §11): the reborn nodes' new ``LocalGraph``s only —
 survivors read and send, so their SoA images stay valid.
-They read their metadata as columns (``SlotArray.metadata``), so a
-Rebirth stamps no slot anywhere.
+Each reads its metadata once per ladder pass, as columns
+(``SlotArray.metadata``), so a Rebirth stamps no slot anywhere.
 """
 
 from __future__ import annotations
@@ -56,8 +59,11 @@ class RebirthRecovery:
     #: This rung's label in ``rungs_attempted`` and the trace.
     rung = "rebirth"
 
-    def __init__(self, engine: "Engine"):
+    def __init__(self, engine: "Engine",
+                 scan: common.ReloadScan | None = None):
         self.engine = engine
+        #: The ladder pass's reload scan; a direct call makes its own.
+        self.scan = scan
 
     def recover(self, failed: tuple[int, ...]) -> RecoveryStats:
         engine = self.engine
@@ -74,6 +80,10 @@ class RebirthRecovery:
             raise NoStandbyNodeError(
                 f"Rebirth of nodes {list(failed)} needs as many live "
                 f"standbys, {len(spares)} available")
+        # Detect unrecoverable vertices: masters on crashed nodes whose
+        # mirrors all crashed too.
+        scan = self.scan or common.ReloadScan(engine, failed_set)
+        common.check_recoverable(engine, scan, self.rung)
         stats = RecoveryStats(strategy="rebirth", failed_nodes=failed,
                               newbie_nodes=failed)
 
@@ -84,43 +94,37 @@ class RebirthRecovery:
             engine.local_graphs[node] = fresh
             engine.cluster.node(node).local = fresh
 
-        survivors = [n for n in engine._alive() if n not in failed_set]
+        survivors = scan.survivors
 
         # ---------------- Reloading ----------------
-        # Each survivor selects by mask over its image (DESIGN.md §11):
-        # its masters' copies on a crashed node come straight out of
+        # Each survivor selects off its scan (DESIGN.md §11): its
+        # masters' copies on a crashed node come straight out of
         # ``sync_plan`` / ``sync_peer``; the dead masters it leads are
         # the ones it holds the lowest surviving mirror of (Section
         # 5.3.1), and it also re-sends their copies lost on *other*
         # crashed nodes on their behalf.
         batches: dict[tuple[int, int], RecoveryBatch] = {}
         scan_cost: dict[int, int] = {}
-        recovered_masters = [np.zeros(0, dtype=np.int64)]
         selfish_recovered = [np.zeros(0, dtype=np.int64)]
         for node in survivors:
-            lg = engine.local_graphs[node]
-            topo = lg.topology()
-            scan_cost[node] = lg.num_copies
-            lead = common.leading_mirrors(engine, node, failed_set)
-            meta = lg.slots.metadata(lead)
-            recovered_masters.append(topo.gids[lead])
+            survivor = scan.nodes[node]
+            topo, lead = survivor.topo, survivor.lead
+            scan_cost[node] = engine.local_graphs[node].num_copies
             if engine.selfish_opt_active:
                 selfish_recovered.append(topo.gids[lead[topo.selfish[lead]]])
             for dst in failed:
-                pos, peer, roles = _rows_for(topo, lead, meta, dst)
+                pos, peer, roles = _rows_for(survivor, dst)
                 if pos.size:
                     batches[(node, dst)] = common.pack_rows(
-                        engine, node, pos, roles, dst, peer)
-        recovered = np.concatenate(recovered_masters)
-
-        # Detect unrecoverable vertices: masters on crashed nodes whose
-        # mirrors all crashed too.
-        common.check_recoverable(engine, failed_set, self.rung, recovered)
+                        engine, node, pos, roles, dst, peer,
+                        survivor.meta_of)
+            # Packed: the read is not held through reconstruction.
+            survivor.meta = None
 
         # Ship the batches (counted as RECOVERY traffic).
         net = engine.cluster.network
         net.begin_step()
-        value_nbytes = engine.program.value_nbytes
+        value_nbytes = common.value_nbytes(engine)
         for (src, dst), payload in sorted(batches.items()):
             nbytes = payload.nbytes(value_nbytes)
             net.send(Message(MessageKind.RECOVERY, src, dst, payload,
@@ -135,9 +139,8 @@ class RebirthRecovery:
         scale = model.data_scale
         reload_times = []
         for node in survivors:
-            scan = scan_cost[node] * model.per_vertex_scan_s * scale
-            comm = _comm_time(engine, net, node)
-            reload_times.append(scan + comm)
+            reload_times.append(scan_cost[node] * model.per_vertex_scan_s
+                                * scale + _comm_time(engine, net, node))
         dfs_time = 0.0
         reloaded: dict[int, Edges] = {}
         if engine.ckpt.edges is not None:  # vertex-cut only
@@ -188,7 +191,7 @@ class RebirthRecovery:
             # scattered along the survivors' edges reached the dead
             # master as remote signals, which only they can re-send.
             replay_ops += common.replay_activations(
-                engine, survivors, recovered)
+                engine, survivors, scan.led)
         replay_edges = common.recompute_selfish_masters(
             engine, np.sort(np.concatenate(selfish_recovered)).tolist())
         # Each newbie replays its own node's operations concurrently
@@ -207,20 +210,21 @@ class RebirthRecovery:
         return stats
 
 
-def _rows_for(topo, lead: np.ndarray, meta: dict, dst: int
+def _rows_for(survivor: common.SurvivorScan, dst: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What a survivor with image ``topo``, leading the dead masters'
-    mirrors at ``lead`` (their ``SlotArray.metadata`` columns ``meta``),
-    ships to the newbie ``dst``: positions here, positions there and
-    roles of its masters' copies on ``dst``, of the dead masters ``dst``
-    held, and of the copies on ``dst`` of dead masters held elsewhere."""
+    """What a survivor ships to the newbie ``dst``, read off its scan:
+    positions here, positions there and roles of its masters' copies on
+    ``dst``, of the dead masters ``dst`` held, and of the copies on
+    ``dst`` of dead masters held elsewhere."""
+    topo, lead, meta = survivor.topo, survivor.lead, survivor.meta
+    rows = survivor.lead_rows
     pos, peer, mirror = topo.copies_on(dst)
     held = topo.master_node[lead] == dst
-    entry = csr_first(meta["replica_ptr"], meta["replica_nodes"] == dst)
-    seat = csr_first(meta["mirror_ptr"], meta["mirror_nodes"] == dst)
+    entry = csr_first(meta["replica_ptr"], meta["replica_nodes"] == dst)[rows]
+    seat = csr_first(meta["mirror_ptr"], meta["mirror_nodes"] == dst)[rows]
     copied = entry >= 0
     return (np.concatenate((pos, lead[held], lead[copied])),
-            np.concatenate((peer, meta["master_position"][held],
+            np.concatenate((peer, meta["master_position"][rows[held]],
                             meta["replica_positions"][entry[copied]])),
             np.concatenate((
                 np.where(mirror, RecoveryBatch.MIRROR, RecoveryBatch.REPLICA),

@@ -443,7 +443,7 @@ class MembershipManager:
             op = self._queue[0]
             while op.pending and budget > 0:
                 gid, dst = op.pending.pop(0)
-                cur = engine.master_node_of[gid]
+                cur = int(engine.master_node_of[gid])
                 if cur == dst:
                     continue
                 if op.kind == "drain" and cur != op.node:

@@ -44,7 +44,7 @@ def move_master(engine: "Engine", gid: int, dst: int) -> int:
     number of bytes shipped (state, edge backups, control traffic),
     already accounted on the network.
     """
-    src = engine.master_node_of[gid]
+    src = int(engine.master_node_of[gid])
     if src == dst:
         return 0
     src_lg = engine.local_graphs[src]

@@ -117,10 +117,8 @@ class ReplicaRouter:
                                         dtype=np.int64),
                                np.diff(topo.sync_ptr))
         else:
-            pos, gids = lg.slots.masters()
-            gids = np.asarray(gids, dtype=np.int64)
-            meta = lg.slots.metadata(pos)
-            selfish = meta["selfish"]
+            pos, meta = lg.slots.masters()
+            gids, selfish = meta["gids"], meta["selfish"]
             rgids = np.repeat(gids, np.diff(meta["replica_ptr"]))
             rnodes, rpos = meta["replica_nodes"], meta["replica_positions"]
         size = self._count.size

@@ -91,8 +91,8 @@ class CommittedView:
             lg = engine.local_graphs[node]
             topo = lg.cached_topology
             if topo is None:
-                pos, own = lg.slots.masters()
-                gids.append(np.asarray(own, dtype=np.int64))
+                pos, meta = lg.slots.masters()
+                gids.append(meta["gids"])
             else:
                 pos = np.flatnonzero(topo.is_master)
                 gids.append(topo.gids[pos])

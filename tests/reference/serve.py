@@ -2,7 +2,8 @@
 path in ``repro.serve`` (imported by tests only).
 
 * :class:`ReferenceRouter` re-derives every routing input — candidates
-  (per gid, from the slots / birth record: ``SlotArray.placement``),
+  (per gid, from the slots / birth record: a one-position
+  ``SlotArray.metadata`` read),
   alive copies, the membership-ineligible set, the fence — on each
   ``route`` call, with no snapshot and no candidate table;
 * :class:`ReferenceServer` builds a :class:`~repro.serve.server.
@@ -37,7 +38,8 @@ def top_k(engine, k: int) -> list[tuple[int, Any]]:
         lg = engine.local_graphs[node]
         topo = lg.cached_topology
         if topo is None:
-            pos, gids = lg.slots.masters()
+            pos, meta = lg.slots.masters()
+            gids = meta["gids"].tolist()
         else:
             pos = np.flatnonzero(topo.is_master)
             gids = topo.gids[pos].tolist()
@@ -61,7 +63,8 @@ class ReferenceRouter:
         engine = self.engine
         master = engine.master_node_of[gid]
         lg = engine.local_graphs[master]
-        selfish, replicas = lg.slots.placement(lg.index_of[gid])
+        meta = lg.slots.metadata([lg.index_of[gid]])
+        selfish, replicas = meta["selfish"][0], meta["replica_nodes"].tolist()
         if engine.selfish_opt_active and selfish:
             return [master]
         return [master] + sorted(replicas)

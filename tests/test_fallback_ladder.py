@@ -165,7 +165,7 @@ class TestLadderOutcomes:
             self, graph, failed, kwargs, survivors):
         from repro.ft import _recovery_common as common
         engine = crashed_engine(graph, failed, **kwargs)
-        lost = common.find_lost_vertices(engine, set(failed))
+        lost = common.ReloadScan(engine, set(failed)).lost
         with pytest.raises(UnrecoverableFailureError) as err:
             ladder.recover(engine, failed)
         assert err.value.rungs_attempted == ("replication:exhausted",)
@@ -194,6 +194,37 @@ class TestLadderOutcomes:
                                              "migration")
         assert err.value.lost_vertices == 7
         assert err.value.surviving_nodes == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("partition", PARTS)
+    def test_a_master_without_a_surviving_mirror_is_named(self, graph,
+                                                          partition):
+        # Both nodes of a vertex's master and only mirror crash: the
+        # ladder's precheck and each in-memory rung called directly with
+        # the ladder pass's shared scan raise the typed error, naming
+        # the same lost vertex.
+        from repro.ft import _recovery_common as common
+        from repro.ft.migration import MigrationRecovery
+        from repro.ft.rebirth import RebirthRecovery
+        failed = (1, 4)
+        kwargs = dict(ft_level=1, num_standby=2, partition=partition)
+        engine = crashed_engine(graph, failed, **kwargs)
+        lost = common.ReloadScan(engine, set(failed)).lost
+        assert lost
+        with pytest.raises(UnrecoverableFailureError,
+                           match=f"e.g. vertex {lost[0]}\\)"):
+            ladder.recover(engine, failed)
+        for recovery in (RebirthRecovery, MigrationRecovery):
+            engine = crashed_engine(graph, failed, **kwargs)
+            scan = common.ReloadScan(engine, set(failed))
+            assert scan.lost == lost
+            with pytest.raises(UnrecoverableFailureError,
+                               match=f"e.g. vertex {lost[0]}\\)") as err:
+                recovery(engine, scan).recover(failed)
+            assert err.value.rungs_attempted == (recovery.rung,)
+            assert err.value.lost_vertices == len(lost)
+            # Raised before the rung touched anything.
+            assert engine.cluster.node(1).is_crashed
+            assert len(engine.cluster.live_standby_nodes()) == 2
 
     def test_each_rung_checks_its_own_precondition_first(self, graph):
         # One spare cannot cover two crashed nodes: Rebirth says so

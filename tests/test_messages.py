@@ -10,6 +10,15 @@ from repro.engine.state import Role
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
 
+def _values(values) -> np.ndarray:
+    """A value column of one object per value (a tuple stays one)."""
+    values = list(values)
+    column = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        column[i] = value
+    return column
+
+
 def make_batch(*rows: dict, src_node: int = 0,
                iteration: int = 4) -> RecoveryBatch:
     """A recovery batch from one dict per row (unnamed fields default to
@@ -26,7 +35,7 @@ def make_batch(*rows: dict, src_node: int = 0,
         positions=column("position", 0),
         roles=np.array([RecoveryBatch.ROLES.index(Role(row.get(
             "role", "replica"))) for row in rows], dtype=np.int64),
-        values=[row.get("value", 1.0) for row in rows],
+        values=_values(row.get("value", 1.0) for row in rows),
         flags=column("flags", 0), last_update=column("last_update", -1),
         out_degree=column("out_degree", 0), in_degree=column("in_degree", 0),
         selfish=column("selfish", False, bool),

@@ -43,9 +43,10 @@ class TestSurvivingRecoverer:
                              partition=partition)
         failed = {1, 3}
         led = 0
+        scan = common.ReloadScan(engine, failed)
         for node in (0, 2, 4):
             lg = engine.local_graphs[node]
-            got = common.leading_mirrors(engine, node, failed).tolist()
+            got = scan.nodes[node].lead.tolist()
             assert lg.materialized == 0
             assert got == [pos for pos, slot in enumerate(lg.slots)
                            if slot.role is Role.MIRROR

@@ -13,6 +13,7 @@ from repro.ft import _recovery_common as common
 from repro.ft import ladder
 from repro.graph import generators
 from tests.reference import activity
+from tests.reference.memory import counts as census
 from tests.test_construction_equivalence import assert_same_image
 
 PARTS = ["hash_edge_cut", "hybrid_cut"]
@@ -179,7 +180,7 @@ class TestPositionStability:
                              ft_level=ft_level, partition=partition,
                              max_iterations=8)
         before, after = _rebirth_of(engine, 2, 3)
-        assert after.counts() == before.counts()
+        assert census(after) == census(before)
 
     def test_meta_positions_still_valid(self, graph):
         engine = make_engine(graph, "pagerank", num_nodes=5,

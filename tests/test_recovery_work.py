@@ -17,7 +17,9 @@ the activation scatter or the combining gather: their orders are the
 image's.  Load, the supersteps, a Rebirth and the multiprocessing
 backend's state pull build no gid index (``LocalGraph.index_of``): they
 read positions through the image.  Loading a kernel program fills its
-initial state as columns, with no per-vertex call.
+initial state as columns, with no per-vertex call.  Per ladder pass each
+survivor makes one reload scan — one orphan mask, one metadata read —
+and a kernel program's recovery rows are sized without a per-value call.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -35,10 +38,12 @@ from repro.algorithms import (ConnectedComponents, DegreeCount, PageRank,
 from repro.api import make_engine
 from repro.cluster.network import Network
 from repro.engine.engine import Engine
-from repro.engine.local_graph import LocalGraph
+from repro.engine.local_graph import LocalGraph, SlotArray
 from repro.engine.soa import NodeTopology
 from repro.engine.vectorized import ArrayNodeProtocol, _NodeState
+from repro.engine.vertex_program import VertexProgram
 from repro.ft import _recovery_common as common
+from repro.ft import ladder
 from repro.ft.migration import MigrationRecovery
 from repro.exec import BackendSpec, MultiprocessingBackend
 from repro.ft.rebirth import RebirthRecovery
@@ -167,6 +172,89 @@ def test_rebirth_stamps_no_slot(partition, monkeypatch):
     assert [r.strategy for r in result.recoveries] == ["rebirth"] * 2
     assert selfish
     assert stamped == [dict.fromkeys(range(4), 0)] * 2
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Per ladder pass, in order: the survivor scans made and the
+    ``SlotArray.metadata`` reads, by node, and the program's per-value
+    ``value_nbytes`` calls."""
+    log: list[dict] = []
+    real_ladder = ladder._run_ladder
+    real_init = common.SurvivorScan.__init__
+    real_metadata = SlotArray.metadata
+    real_size = VertexProgram.value_nbytes
+
+    def run_ladder(engine, failed):
+        log.append({"scans": Counter(), "metadata": Counter(),
+                    "sizes": 0, "open": True})
+        try:
+            return real_ladder(engine, failed)
+        finally:
+            log[-1]["open"] = False
+
+    def spy(key, real, node_of=None):
+        def method(*args, **kwargs):
+            if log and log[-1]["open"]:
+                if node_of is None:
+                    log[-1][key] += 1
+                else:
+                    log[-1][key][node_of(*args)] += 1
+            return real(*args, **kwargs)
+        return method
+
+    monkeypatch.setattr(ladder, "_run_ladder", run_ladder)
+    monkeypatch.setattr(common.SurvivorScan, "__init__", spy(
+        "scans", real_init, lambda self, lg, dead: lg.node_id))
+    monkeypatch.setattr(SlotArray, "metadata", spy(
+        "metadata", real_metadata, lambda self, pos: self._graph().node_id))
+    monkeypatch.setattr(VertexProgram, "value_nbytes",
+                        spy("sizes", real_size))
+    return log
+
+
+def _two_rebirths(graph, partition, **kwargs):
+    engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
+                         partition=partition, num_standby=2,
+                         max_iterations=8, **kwargs)
+    engine.schedule_failure(3, [1], "compute")
+    engine.schedule_failure(5, [2], "after_commit")
+    result = engine.run()
+    assert [r.strategy for r in result.recoveries] == ["rebirth"] * 2
+    return result
+
+
+@pytest.mark.parametrize("partition", PARTS)
+def test_a_survivor_reads_its_image_once_per_ladder_pass(graph, partition,
+                                                         passes):
+    """Per Rebirth, each survivor makes one reload scan — one orphan
+    mask, one ``SlotArray.metadata`` read — shared by the ladder's
+    lost-vertex precheck, the rung's guard, the rows it selects and the
+    rows it packs.  A second read in ``pack_rows`` or a precheck that
+    scans again makes two."""
+    _two_rebirths(graph, partition)
+    assert [len(p["scans"]) for p in passes] == [3, 3]
+    for p in passes:
+        assert set(p["scans"].values()) == {1}
+        assert p["metadata"] == p["scans"]
+
+
+@pytest.mark.parametrize("partition", PARTS)
+@pytest.mark.parametrize("vectorized,per_value", [(True, False),
+                                                  (False, True)])
+def test_kernel_rows_are_sized_without_a_per_value_call(
+        graph, partition, vectorized, per_value, passes):
+    """A Rebirth of a kernel program charges each row the kernel's
+    constant value size, the one its SYNC batches are charged: no
+    ``value_nbytes`` call.  The scalar twin still sizes each value, and
+    both book the same recovery bytes."""
+    assert "value_nbytes" not in vars(PageRank)
+    result = _two_rebirths(graph, partition, vectorized=vectorized)
+    calls = sum(p["sizes"] for p in passes)
+    assert (calls > 0) == per_value
+    assert [r.recovery_bytes for r in result.recoveries] == [
+        r.recovery_bytes for r in _two_rebirths(
+            graph, partition, vectorized=not vectorized).recoveries]
 
 
 @pytest.mark.parametrize("partition", PARTS)

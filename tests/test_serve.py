@@ -584,16 +584,16 @@ class TestTargetedDrains:
 
 
 class TestReadWork:
-    """A drain touches no slot: no ``SlotArray.placement``, no image
-    built, no slot stamped; a node's candidate rows are derived once per
-    structure version (so once per image object)."""
+    """A drain touches no slot: no image built, no slot stamped (the
+    per-gid ``SlotArray.placement`` read is gone); a node's candidate
+    rows are derived once per structure version (so once per image
+    object)."""
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_drains_stamp_nothing_and_derive_once(self, graph, monkeypatch,
                                                   vectorized):
-        from repro.engine.local_graph import SlotArray
         from repro.engine.soa import NodeTopology
-        calls = {"placement": 0, "build": 0, "from_columns": 0}
+        calls = {"build": 0, "from_columns": 0}
 
         def counting(name, original):
             def spy(*args, **kwargs):
@@ -601,8 +601,6 @@ class TestReadWork:
                 return original(*args, **kwargs)
             return spy
 
-        monkeypatch.setattr(SlotArray, "placement", counting(
-            "placement", SlotArray.placement))
         for name in ("build", "from_columns"):
             monkeypatch.setattr(NodeTopology, name, classmethod(counting(
                 name, getattr(NodeTopology, name).__func__)))
