@@ -312,18 +312,24 @@ class SlotArray:
                            order)
 
     def held(self) -> tuple[np.ndarray, int]:
-        """The positions a copy lives at, and their local in- and
-        out-edge entries: a stamped slot's lists, else the birth image's
-        rows.  Stamps nothing."""
+        """The positions a copy lives at, and every edge entry they hold
+        — local in- and out-edges and edge backups: a stamped slot's
+        lists, else the birth image's rows and the record's backup.
+        Stamps nothing."""
         items = self._items
         held = [pos for pos, item in enumerate(items) if item is not None]
         lazy = [pos for pos in held if items[pos] is _UNSTAMPED]
-        edges = sum(len(items[pos].in_edges) + len(items[pos].out_edges)
-                    for pos in held if items[pos] is not _UNSTAMPED)
+        edges = sum(len(slot.in_edges) + len(slot.out_edges)
+                    + len(slot.full_edges or ())
+                    for slot in (items[pos] for pos in held)
+                    if slot is not _UNSTAMPED)
         if lazy:
-            topo = self._topo
+            topo, rec = self._topo, self._rows
+            rows = lazy if self._row_of is None else self._row_of[lazy]
+            backed = self._full_edges & (rec.roles[rows] == _B.MIRROR)
             edges += int(topo.in_counts[lazy].sum()
-                         + np.isin(topo.out_src, lazy).sum())
+                         + np.isin(topo.out_src, lazy).sum()
+                         + np.diff(rec.edge_ptr)[rows][backed].sum())
         return np.array(held, dtype=np.int64), edges
 
     @property
@@ -605,19 +611,15 @@ class LocalGraph:
     def memory_nbytes(self, program: VertexProgram) -> int:
         """Approximate resident footprint of this node's graph state,
         summed from columns (the model of ``tests/reference/memory.py``):
-        per copy a 64-byte header and its value (an array kernel's
-        constant size), its local edges (:meth:`SlotArray.held`), a
-        master's or mirror's metadata and a mirror's edge backup
-        (:meth:`SlotArray.metadata`); plus the array itself and the gid
-        index.  Stamps nothing."""
+        per copy a 64-byte header, its value
+        (:meth:`VertexProgram.value_sizes`) and its edge entries, local
+        and backed up (:meth:`SlotArray.held`), and a master's or
+        mirror's metadata (:meth:`SlotArray.metadata`); plus the array
+        itself and the gid index.  Stamps nothing."""
         pos, edges = self.slots.held()
         meta = self.slots.metadata(pos)
-        kernel = program.kernel()
-        values = (pos.size * kernel.value_nbytes if kernel is not None
-                  else sum(map(program.value_nbytes,
-                               self.values[pos].tolist())))
+        values = int(program.value_sizes(self.values[pos]).sum())
         with_meta = np.count_nonzero(meta["roles"] != _B.REPLICA)
-        edges += meta["edge_gids"].size
         return int(64 * pos.size + values + edges * BYTES_PER_EDGE
                    + with_meta * (BYTES_PER_VID + 4)
                    + meta["replica_nodes"].size * 5

@@ -496,17 +496,14 @@ def take_rows(columns: dict, rows: np.ndarray, edges=None,
 def gather_rows(parts: list[dict], rows: np.ndarray,
                 names=META_ROW) -> dict[str, np.ndarray]:
     """:func:`take_rows` over the rows of ``parts`` one part after
-    another, joining one column at a time: no joined copy of the whole
-    is held."""
-    out = {name: np.concatenate([part[name] for part in parts])[rows]
-           for name in names}
-    for ptr, flat in RecoveryBatch._CSR:
-        idx, counts = csr_rows(csr_ptr(np.concatenate(
-            [np.diff(part[ptr]) for part in parts])), rows)
-        out[ptr] = csr_ptr(counts)
-        for name in flat:
-            out[name] = np.concatenate([part[name] for part in parts])[idx]
-    return out
+    another: the parts joined, then one gather."""
+    flat = [name for _, group in RecoveryBatch._CSR for name in group]
+    joined = {name: np.concatenate([part[name] for part in parts])
+              for name in (*names, *flat)}
+    for ptr, _ in RecoveryBatch._CSR:
+        joined[ptr] = csr_ptr(np.concatenate([np.diff(part[ptr])
+                                              for part in parts]))
+    return take_rows(joined, rows, names=names)
 
 
 @dataclass(eq=False)
@@ -604,20 +601,16 @@ class RecoveryBatch:
         return cls(-1, batches[-1].iteration if batches else 0,
                    **gather_rows(parts, order, (*cls._ROW, "values")))
 
-    def row_nbytes(self, value_nbytes) -> np.ndarray:
+    def row_nbytes(self, program) -> np.ndarray:
         """Wire size of each row: an id, 8 bytes of flags and degrees, the
-        value and a 4-byte position, plus its edges and metadata entries.
-        ``value_nbytes`` sizes one value, or is every value's constant
-        size (an array kernel's)."""
-        if callable(value_nbytes):
-            value_nbytes = np.fromiter(map(value_nbytes, self.values),
-                                       np.int64, len(self))
-        return (value_nbytes + (BYTES_PER_VID + 12)
+        value (:meth:`VertexProgram.value_sizes` of ``program``) and a
+        4-byte position, plus its edges and metadata entries."""
+        return (program.value_sizes(self.values) + (BYTES_PER_VID + 12)
                 + np.diff(self.edge_ptr) * BYTES_PER_EDGE
                 + np.diff(self.replica_ptr) * (BYTES_PER_VID + 4)
                 + np.diff(self.mirror_ptr) * 4)
 
-    def nbytes(self, value_nbytes) -> int:
+    def nbytes(self, program) -> int:
         """Wire size of the batch: the rows plus 16 bytes of shared
         global state."""
-        return 16 + int(self.row_nbytes(value_nbytes).sum())
+        return 16 + int(self.row_nbytes(program).sum())

@@ -210,3 +210,14 @@ class VertexProgram(abc.ABC):
         if isinstance(value, (tuple, list)):
             return max(1, len(value)) * BYTES_PER_VALUE
         return BYTES_PER_VALUE
+
+    def value_sizes(self, values: np.ndarray) -> np.ndarray:
+        """Wire size of each of ``values``: the array kernel's constant
+        where the program has one (it matches :meth:`value_nbytes` on
+        every value, however the run executes), else
+        :meth:`value_nbytes` of each."""
+        kernel = self.kernel()
+        if kernel is not None:
+            return np.full(len(values), kernel.value_nbytes, dtype=np.int64)
+        return np.fromiter(map(self.value_nbytes, values.tolist()),
+                           np.int64, len(values))

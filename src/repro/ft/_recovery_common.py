@@ -85,8 +85,13 @@ class SurvivorScan:
         self.lead = self.orphans[lead]
 
     def meta_of(self, pos: np.ndarray) -> dict[str, np.ndarray]:
-        """The metadata read's rows at positions ``pos`` (each read)."""
-        return take_rows(self.meta, self._row[pos])
+        """The metadata read's rows at positions ``pos``; a position the
+        scan did not read is an error, not another row's metadata."""
+        rows = self._row[pos]
+        if (rows < 0).any():
+            raise EngineError(f"positions {pos[rows < 0].tolist()} are "
+                              "outside the reload scan's read")
+        return take_rows(self.meta, rows)
 
 
 class ReloadScan:
@@ -116,14 +121,6 @@ class ReloadScan:
         lost = self._master_dead.copy()
         lost[covered] = False
         return np.flatnonzero(lost).tolist()
-
-
-def value_nbytes(engine: "Engine"):
-    """A recovery row's value size: the running array kernel's constant
-    (its SYNC batches'), else the program's size of each value."""
-    vec = engine._vec
-    return engine.program.value_nbytes if vec is None else \
-        vec.proto.kernel.value_nbytes
 
 
 def _committed_rows(lg: LocalGraph, pos: np.ndarray):
@@ -692,7 +689,7 @@ def place_replicas(engine: "Engine", node: int, gids,
     batch = RecoveryBatch.merge(batches)
     place_rows(lg, batch, last_committed_iteration(engine), ft_only,
                engine.is_edge_cut)
-    sizes = batch.row_nbytes(value_nbytes(engine)).tolist()
+    sizes = batch.row_nbytes(engine.program).tolist()
     for gid, position, owner, nbytes in zip(gids, positions.tolist(),
                                             owners.tolist(), sizes):
         for meta in metadata_copies(engine, gid):
@@ -820,15 +817,15 @@ def relink_masters(engine: "Engine", lg: LocalGraph,
                    masters: list[VertexSlot], backups: list) -> int:
     """Rebuild ``masters``' local in-edges on ``lg``, in one
     :func:`link_edges`, from their ``(src gid, position, weight)``
-    ``backups``.  A master keeps its in-edges only — its mirrors hold
-    the backups — so a promoted mirror's backup goes.  Returns the
-    replicas' bytes."""
+    ``backups``, and the backups from them.  Returns the replicas' bytes."""
     for master in masters:
         master.in_edges = []
-        master.full_edges = None
-    return link_edges(engine, lg.node_id, [
+    nbytes = link_edges(engine, lg.node_id, [
         (gid, master.gid, w)
         for master, backup in zip(masters, backups) for gid, _, w in backup])
+    for master in masters:
+        master.full_edges = edge_backup(lg, master)
+    return nbytes
 
 
 def edge_backup(lg: LocalGraph, master: VertexSlot) -> list:

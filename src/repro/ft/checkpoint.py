@@ -177,8 +177,8 @@ class CheckpointManager:
                     "actives": _select(lg, masters, ("active",))}
                 nbytes = (2 * table["gids"].size + 12 * len(edges)
                           + (int(masters.sum()) + 7) // 8)
-            nbytes += table["gids"].size * BYTES_PER_VID + sum(map(
-                self.engine.program.value_nbytes, table["values"].tolist()))
+            nbytes += table["gids"].size * BYTES_PER_VID + int(
+                self.engine.program.value_sizes(table["values"]).sum())
             payload["iteration"] = iteration
             self.store.write(path, payload, nbytes)
             serialise = (table["gids"].size * self.model.ckpt_per_record_s
@@ -511,7 +511,6 @@ def _full_resync(engine: "Engine", alive: list[int]) -> float:
     communication time (max over nodes)."""
     net = engine.cluster.network
     net.begin_step()
-    value_nbytes = engine.program.value_nbytes
     for node in alive:
         lg = engine.local_graphs[node]
         topo = lg.topology()
@@ -523,8 +522,7 @@ def _full_resync(engine: "Engine", alive: list[int]) -> float:
             order = np.argsort(pos, kind="stable")
             pos, peer = pos[order], peer[order]
             values = lg.values[pos]
-            sizes = np.fromiter(map(value_nbytes, values.tolist()), np.int64,
-                                pos.size) + (BYTES_PER_VID + 2)
+            sizes = engine.program.value_sizes(values) + (BYTES_PER_VID + 2)
             flags = lg.last_activates[pos] + 2 * lg.active[pos]
             outbox[(dst, MessageKind.RECOVERY)] = SyncBatch.from_columns(
                 topo.gids[pos], peer, values, flags, sizes, full_state=True)

@@ -124,9 +124,8 @@ class RebirthRecovery:
         # Ship the batches (counted as RECOVERY traffic).
         net = engine.cluster.network
         net.begin_step()
-        value_nbytes = common.value_nbytes(engine)
         for (src, dst), payload in sorted(batches.items()):
-            nbytes = payload.nbytes(value_nbytes)
+            nbytes = payload.nbytes(engine.program)
             net.send(Message(MessageKind.RECOVERY, src, dst, payload,
                              nbytes))
             stats.recovery_messages += 1

@@ -50,7 +50,7 @@ def create_replica(engine: "Engine", gid: int,
         meta.invalidate_replica_cache()
     # Its sync plan grew; ``add_slot`` covered ``node``.
     engine.local_graphs[master_node].invalidate_soa()
-    nbytes = int(batch.row_nbytes(engine.program.value_nbytes)[0])
+    nbytes = int(batch.row_nbytes(engine.program)[0])
     engine.cluster.network.send(
         Message(MessageKind.RECOVERY, master_node, node,
                 ("replica-state", gid), nbytes))

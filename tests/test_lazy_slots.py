@@ -41,6 +41,7 @@ from repro.exec.base import BackendSpec
 from repro.exec.mp import MultiprocessingBackend
 from repro.ft import _recovery_common as common
 from repro.graph import generators
+from repro.membership.rebalance import move_master
 from repro.serve.view import CommittedView
 from repro.utils.sizing import BYTES_PER_EDGE
 from tests.reference import edge_ckpt as reference
@@ -421,17 +422,23 @@ def test_the_birth_record_gather_equals_the_slot_merge(partition, level,
 
 
 @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
-@pytest.mark.parametrize("history", ["load", "rebirth", "migration"])
+@pytest.mark.parametrize("history", ["load", "rebirth", "migration",
+                                     "move"])
 def test_the_memory_report_equals_the_slot_walk(graph, partition, history):
     """``Engine.memory_report`` sums the slot model of
     ``tests/reference/memory.py`` from columns — the image's edge
     counts, the metadata's CSR lengths, the value size — and stamps no
-    slot: as loaded, after a Rebirth and after a Migration (which
-    stamps the copies it writes, and no more for the report)."""
+    slot: as loaded, after a Rebirth, after a Migration and after
+    membership master moves (which stamp the copies they write, and no
+    more for the report; a promoted master keeps an edge backup)."""
     engine = make_engine(graph, "pagerank", num_nodes=4, ft_level=1,
                          partition=partition, max_iterations=5,
                          num_standby=int(history == "rebirth"))
-    if history != "load":
+    if history == "move":
+        for gid in range(0, graph.num_vertices, 17):
+            src = int(engine.master_node_of[gid])
+            move_master(engine, gid, (src + 1) % 4)
+    elif history != "load":
         engine.schedule_failure(2, (1,), "compute")
         result = engine.run()
         assert [r.strategy for r in result.recoveries] == [history]
@@ -439,7 +446,7 @@ def test_the_memory_report_equals_the_slot_walk(graph, partition, history):
     report = engine.memory_report()
     assert stamped == {n: lg.materialized
                        for n, lg in engine.local_graphs.items()}
-    if history != "migration":
+    if history in ("load", "rebirth"):
         assert set(stamped.values()) == {0}
     assert report == {node: memory.memory_nbytes(lg, engine.program)
                       for node, lg in engine.local_graphs.items()

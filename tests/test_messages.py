@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import CommunityDetection, PageRank
 from repro.engine.messages import RecoveryBatch, csr_ptr
 from repro.engine.state import Role
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
@@ -56,12 +57,16 @@ def make_batch(*rows: dict, src_node: int = 0,
         edge_weights=np.array([e[2] for e in flat], dtype=np.float64))
 
 
+#: A kernel program: every value at the kernel's constant 8 bytes.
+KERNEL = PageRank()
+
+
 class TestRecoveredVertex:
     """One row of a recovery batch: an id, 8 bytes of flags and degrees,
     the value and a 4-byte position, plus its edges and metadata."""
 
     def row_nbytes(self, **kw):
-        return int(make_batch(dict(kw)).row_nbytes(lambda v: 8)[0])
+        return int(make_batch(dict(kw)).row_nbytes(KERNEL)[0])
 
     def test_replica_size(self):
         assert self.row_nbytes() == BYTES_PER_VID + 8 + 8 + 4
@@ -80,9 +85,9 @@ class TestRecoveryBatch:
     def test_batch_sums_vertices(self):
         one = make_batch(dict(gid=1, position=0))
         two = make_batch(dict(gid=1, position=0), dict(gid=2, position=1))
-        assert two.nbytes(lambda v: 8) > one.nbytes(lambda v: 8)
-        assert two.nbytes(lambda v: 8) == 16 + 2 * int(one.row_nbytes(
-            lambda v: 8)[0])
+        assert two.nbytes(KERNEL) > one.nbytes(KERNEL)
+        assert two.nbytes(KERNEL) == 16 + 2 * int(one.row_nbytes(
+            KERNEL)[0])
 
     def test_nbytes_pinned_on_every_kind_of_row(self):
         """A master with its in-edges and metadata, an edge-cut mirror,
@@ -101,11 +106,12 @@ class TestRecoveryBatch:
                  8: 8 + 12 + 8 + 24 + 2 * 12 + 2 * 4,
                  9: 8 + 12 + 16}
         assert sizes == {7: 128, 8: 84, 9: 36}
-        value_nbytes = (lambda v: 8 * len(v) if isinstance(v, tuple)
-                        else 8)
-        assert batch.nbytes(value_nbytes) == 16 + 128 + 84 + 36
-        assert RecoveryBatch.empty().nbytes(value_nbytes) == 16
-        assert RecoveryBatch.merge([]).nbytes(value_nbytes) == 16
+        # No kernel: each value is sized, a tuple at 8 bytes a number.
+        per_value = CommunityDetection()
+        assert per_value.kernel() is None
+        assert batch.nbytes(per_value) == 16 + 128 + 84 + 36
+        assert RecoveryBatch.empty().nbytes(per_value) == 16
+        assert RecoveryBatch.merge([]).nbytes(per_value) == 16
 
     def test_merge_orders_rows_by_position_and_keeps_them_whole(self):
         first = make_batch(
@@ -123,8 +129,8 @@ class TestRecoveryBatch:
         assert merged.edge_gids.tolist() == [6, 7, 4]
         assert merged.replica_nodes.tolist() == [5, 2]
         assert merged.selfish.dtype == bool
-        assert merged.nbytes(lambda v: 8) == (
-            first.nbytes(lambda v: 8) + second.nbytes(lambda v: 8) - 16)
+        assert merged.nbytes(KERNEL) == (
+            first.nbytes(KERNEL) + second.nbytes(KERNEL) - 16)
 
     def test_negative_message_size_rejected(self):
         from repro.cluster.network import Message, MessageKind

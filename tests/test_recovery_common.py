@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import make_engine, run_job
@@ -10,7 +11,7 @@ from repro.engine.local_graph import LocalGraph
 from repro.engine.messages import RecoveryBatch
 from repro.engine.soa import NodeTopology
 from repro.engine.state import MasterMeta, Role
-from repro.errors import UnrecoverableFailureError
+from repro.errors import EngineError, UnrecoverableFailureError
 from repro.ft import _recovery_common as common
 from repro.ft._recovery_common import place_rows, reborn_graph
 from repro.ft.edge_ckpt import dedupe
@@ -54,6 +55,21 @@ class TestSurvivingRecoverer:
                            and surviving_recoverer(slot.meta, failed) == node]
             led += len(got)
         assert led > 0
+
+    def test_meta_of_refuses_a_position_it_did_not_read(self):
+        """A survivor scan reads its orphans and its masters seated on a
+        dead node; ``meta_of`` at any other position raises rather than
+        return another row's metadata."""
+        g = generators.power_law(300, alpha=2.0, seed=4, avg_degree=5.0)
+        engine = make_engine(g, "pagerank", num_nodes=5, ft_level=2)
+        survivor = common.ReloadScan(engine, {1, 3}).nodes[0]
+        topo, orphans = survivor.topo, survivor.orphans
+        assert orphans.size
+        assert (survivor.meta_of(orphans)["gids"].tolist()
+                == topo.gids[orphans].tolist())
+        replicas = np.flatnonzero(~(topo.is_master | topo.is_mirror))
+        with pytest.raises(EngineError, match="reload scan"):
+            survivor.meta_of(np.concatenate((orphans, replicas[:1])))
 
 
 class TestDedupeEdgeRecords:

@@ -33,8 +33,8 @@ import pytest
 
 import numpy as np
 
-from repro.algorithms import (ConnectedComponents, DegreeCount, PageRank,
-                              SingleSourceShortestPath)
+from repro.algorithms import (AlternatingLeastSquares, ConnectedComponents,
+                              DegreeCount, PageRank, SingleSourceShortestPath)
 from repro.api import make_engine
 from repro.cluster.network import Network
 from repro.engine.engine import Engine
@@ -183,7 +183,6 @@ def passes(monkeypatch):
     real_ladder = ladder._run_ladder
     real_init = common.SurvivorScan.__init__
     real_metadata = SlotArray.metadata
-    real_size = VertexProgram.value_nbytes
 
     def run_ladder(engine, failed):
         log.append({"scans": Counter(), "metadata": Counter(),
@@ -208,8 +207,9 @@ def passes(monkeypatch):
         "scans", real_init, lambda self, lg, dead: lg.node_id))
     monkeypatch.setattr(SlotArray, "metadata", spy(
         "metadata", real_metadata, lambda self, pos: self._graph().node_id))
-    monkeypatch.setattr(VertexProgram, "value_nbytes",
-                        spy("sizes", real_size))
+    for cls in (VertexProgram, AlternatingLeastSquares):
+        monkeypatch.setattr(cls, "value_nbytes",
+                            spy("sizes", vars(cls)["value_nbytes"]))
     return log
 
 
@@ -240,21 +240,37 @@ def test_a_survivor_reads_its_image_once_per_ladder_pass(graph, partition,
 
 
 @pytest.mark.parametrize("partition", PARTS)
-@pytest.mark.parametrize("vectorized,per_value", [(True, False),
-                                                  (False, True)])
+@pytest.mark.parametrize("vectorized", [True, False])
 def test_kernel_rows_are_sized_without_a_per_value_call(
-        graph, partition, vectorized, per_value, passes):
+        graph, partition, vectorized, passes):
     """A Rebirth of a kernel program charges each row the kernel's
-    constant value size, the one its SYNC batches are charged: no
-    ``value_nbytes`` call.  The scalar twin still sizes each value, and
-    both book the same recovery bytes."""
+    constant value size, the one its SYNC batches are charged and the
+    program's size of each value: no ``value_nbytes`` call, whether the
+    kernel runs or not, and the same recovery bytes either way."""
     assert "value_nbytes" not in vars(PageRank)
+    assert PageRank().kernel().value_nbytes == PageRank().value_nbytes(0.5)
     result = _two_rebirths(graph, partition, vectorized=vectorized)
-    calls = sum(p["sizes"] for p in passes)
-    assert (calls > 0) == per_value
+    assert sum(p["sizes"] for p in passes) == 0
     assert [r.recovery_bytes for r in result.recoveries] == [
         r.recovery_bytes for r in _two_rebirths(
             graph, partition, vectorized=not vectorized).recoveries]
+
+
+@pytest.mark.parametrize("partition", PARTS)
+def test_a_program_without_a_kernel_makes_a_per_value_call(partition,
+                                                           passes):
+    """The twin that keeps the pin above from passing vacuously: an ALS
+    Rebirth (no kernel; a value is ``rank`` numbers) sizes each value."""
+    graph = generators.bipartite(40, 12, edges_per_user=4, seed=7)
+    engine = make_engine(graph, "als", num_nodes=4, ft_level=1,
+                         partition=partition, num_standby=2,
+                         max_iterations=8,
+                         algorithm_kwargs={"num_users": 40, "rank": 3})
+    engine.schedule_failure(3, [1], "compute")
+    engine.schedule_failure(5, [2], "after_commit")
+    result = engine.run()
+    assert [r.strategy for r in result.recoveries] == ["rebirth"] * 2
+    assert [p["sizes"] > 0 for p in passes] == [True, True]
 
 
 @pytest.mark.parametrize("partition", PARTS)

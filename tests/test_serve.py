@@ -584,16 +584,21 @@ class TestTargetedDrains:
 
 
 class TestReadWork:
-    """A drain touches no slot: no image built, no slot stamped (the
-    per-gid ``SlotArray.placement`` read is gone); a node's candidate
-    rows are derived once per structure version (so once per image
-    object)."""
+    """A drain touches no slot: no image built, no slot stamped, and
+    every ``SlotArray.metadata`` read it makes is a whole node's
+    ``masters()`` — one per derive where no image is cached, none where
+    one is; a node's candidate rows are derived once per structure
+    version (so once per image object).  A per-gid metadata read in
+    ``_derive`` or in a drain breaks the count."""
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_drains_stamp_nothing_and_derive_once(self, graph, monkeypatch,
                                                   vectorized):
+        from repro.engine.local_graph import SlotArray
         from repro.engine.soa import NodeTopology
         calls = {"build": 0, "from_columns": 0}
+        reads = {"metadata": 0, "masters": 0}
+        in_derive = []  # SlotArray.metadata calls of the open _derive
 
         def counting(name, original):
             def spy(*args, **kwargs):
@@ -604,22 +609,43 @@ class TestReadWork:
         for name in ("build", "from_columns"):
             monkeypatch.setattr(NodeTopology, name, classmethod(counting(
                 name, getattr(NodeTopology, name).__func__)))
+        metadata, masters = SlotArray.metadata, SlotArray.masters
+
+        def spy_metadata(slots, positions):
+            reads["metadata"] += 1
+            if in_derive:
+                in_derive[-1] += 1
+            return metadata(slots, positions)
+
+        def spy_masters(slots):
+            reads["masters"] += 1
+            return masters(slots)
+
+        monkeypatch.setattr(SlotArray, "metadata", spy_metadata)
+        monkeypatch.setattr(SlotArray, "masters", spy_masters)
         derived = []
         derive = ReplicaRouter._derive
 
         def spy_derive(router, node, lg):
             derived.append((node, lg.structure, lg.cached_topology))
-            derive(router, node, lg)
+            in_derive.append(0)
+            try:
+                derive(router, node, lg)
+            finally:
+                derived[-1] += (in_derive.pop(),)
 
         monkeypatch.setattr(ReplicaRouter, "_derive", spy_derive)
-        footprints = []
+        footprints, drain_reads = [], []
         serve_drain = ReadServer.serve_drain
 
         def spy_drain(server, *args):
             before = (dict(calls), _footprint(server.engine))
+            read = dict(reads)
             serve_drain(server, *args)
             footprints.append((before, (dict(calls),
                                         _footprint(server.engine))))
+            drain_reads.append(tuple(reads[name] - read[name]
+                                     for name in ("metadata", "masters")))
 
         monkeypatch.setattr(ReadServer, "serve_drain", spy_drain)
         # One spare: the second kill recovers by Migration, whose
@@ -630,12 +656,18 @@ class TestReadWork:
         assert result.failures_recovered == 2
         assert len(footprints) > 20
         assert all(before == after for before, after in footprints)
-        versions = [(node, version) for node, version, _ in derived]
+        versions = [(node, version) for node, version, *_ in derived]
         assert len(set(versions)) == len(versions)
-        images = [(node, id(image)) for node, _, image in derived
+        images = [(node, id(image)) for node, _, image, _ in derived
                   if image is not None]
         assert len(set(images)) == len(images)
-        assert vectorized or any(image is None for *_, image in derived)
+        assert vectorized or any(image is None for *_, image, _ in derived)
+        # One metadata read per derive without an image, none with one;
+        # a drain reads whole nodes' masters only.
+        assert [n for *_, n in derived] == [
+            int(image is None) for *_, image, _ in derived]
+        assert all(meta == whole for meta, whole in drain_reads)
+        assert vectorized or any(meta for meta, _ in drain_reads)
         # Re-derived after the recoveries, not on every drain.
         nodes = len(result.extra["serve"]["per_replica_load"])
         assert nodes <= len(derived) < len(footprints)
