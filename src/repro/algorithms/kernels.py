@@ -14,7 +14,11 @@ with the scalar per-vertex loop, which pins down the numerics:
   values these programs produce (no NaNs), so ordering is free.
 * PageRank filters zero-out-degree sources out of the edge selection
   (instead of adding ``0.0``) to match the scalar ``if out_degree == 0:
-  skip`` branch literally.
+  skip`` branch literally.  On an image whose every in-edge source has
+  out-edges (``NodeTopology.in_src_live``, every image a graph loads)
+  there is nothing to filter: it divides each position's value by its
+  out-degree once and gathers the quotient per edge, bit-equal to the
+  per-edge divide (the same IEEE division of the same operands).
 
 A kernel also declares its value dtype and the constant wire sizes of
 one value / one partial accumulator, matching what
@@ -122,11 +126,15 @@ class PageRankKernel(ArrayKernel):
 
     def edge_contrib(self, topo, values, esel):
         src = topo.in_src[esel]
+        if topo.in_src_live:
+            # Every source has out-edges: one divide per position, one
+            # gather per edge — the same division of the same operands.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                share = values / topo.out_deg_f
+            return topo.in_dst[esel], share[src]
         deg = topo.out_deg_f[src]
         nz = deg > 0.0
-        if nz.all():
-            return topo.in_dst[esel], values[src] / deg
-        return (topo.in_dst[esel][nz], values[src[nz]] / deg[nz])
+        return topo.in_dst[esel][nz], values[src[nz]] / deg[nz]
 
     def apply(self, gids, old, acc, has, ctx):
         return (1.0 - self.damping) + self.damping * acc

@@ -92,7 +92,7 @@ class NodeTopology:
 
     __slots__ = (
         "n", "gids", "occupied", "is_master", "is_mirror", "selfish",
-        "master_node", "out_deg_f", "in_counts", "has_in",
+        "master_node", "out_deg_f", "in_counts", "has_in", "in_src_live",
         "in_src", "in_w", "in_dst", "out_src", "out_dst",
         "gid_sorted", "pos_sorted", "sync_plan", "sync_peer",
         "sync_pos", "sync_ptr", "sync_mirror",
@@ -185,6 +185,9 @@ class NodeTopology:
         topo.out_dst = np.asarray(out_dst, dtype=np.int64)
         topo.in_counts = _frozen(np.bincount(topo.in_dst, minlength=topo.n))
         topo.has_in = _frozen(topo.in_counts > 0)
+        # Every in-edge's source has out-edges (PageRank divides once
+        # per position, not per edge, when it does).
+        topo.in_src_live = (topo.out_deg_f[topo.in_src] > 0.0).all()
         occ = np.flatnonzero(occupied)
         topo.pos_sorted = occ[_order(gids[occ])]
         topo.gid_sorted = gids[topo.pos_sorted]

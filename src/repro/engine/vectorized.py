@@ -41,7 +41,9 @@ Lifecycle
   masters).
 * A superstep is a constant number of array passes per node, whatever
   the number of peers: the sync build is one pass over the flat plan
-  (``NodeTopology.sync_pos``), and the node's whole inbox of received
+  (``NodeTopology.sync_pos``) — on a dense superstep (every master
+  computes, nothing elided) one gather of the values over the state's
+  static :class:`_DensePlan` — and the node's whole inbox of received
   sync batches stages into pending *arrays* with one scatter per column
   (a sync record carries its position here).  The vertex-cut exchanges
   sort nothing per superstep: the remote gather records and activation
@@ -95,7 +97,7 @@ class _NodeState:
                  "last_activates", "mirror_self_active",
                  "replicas_known_active", "last_update",
                  "pend_mask", "pend_values", "pend_activates",
-                 "pend_self_active", "next_active", "partials")
+                 "pend_self_active", "next_active", "partials", "plan")
 
     def __init__(self, proto, lg):
         topo = lg.topology()
@@ -126,6 +128,8 @@ class _NodeState:
         #: Vertex-cut: [(positions, sender_nodes, accs)] gathered this
         #: superstep for the local masters.
         self.partials: list = []
+        #: The image's :class:`_DensePlan`, built on first use.
+        self.plan: _DensePlan | None = None
 
     @property
     def lg(self):
@@ -227,6 +231,41 @@ class _NodeState:
             self.topo.gids, self.values, self.last_activates,
             self.last_update, self.mirror_self_active, self.active,
             self.replicas_known_active)]
+
+
+class _DensePlan:
+    """One image's sync batches on a dense superstep — every master
+    computes, nothing is elided — where only the values (and the flags,
+    unless every master activates and stays active) change (DESIGN.md
+    §10).  ``pos`` / ``mirror``: the live plan records, every planned
+    copy minus selfish masters under ``selfish`` masking (views of the
+    image's plan when nothing is masked); per batch, its key, kind,
+    bounds in ``pos``, read-only gid and receiver-position columns,
+    zero-stride sizes and constant flags, and ``nbytes``."""
+
+    __slots__ = ("selfish", "pos", "mirror", "batches")
+
+    def __init__(self, topo, kernel, selfish: bool):
+        self.selfish = selfish
+        pos, peers, mirror = topo.sync_pos, topo.sync_peer, topo.sync_mirror
+        bounds = topo.sync_ptr
+        if selfish and topo.selfish[pos].any():
+            live = ~topo.selfish[pos]
+            bounds = np.concatenate(([0], np.cumsum(live)))[bounds]
+            pos, peers, mirror = pos[live], peers[live], mirror[live]
+        self.pos, self.mirror = pos, mirror
+        gids = topo.gids[pos]
+        gids.flags.writeable = peers.flags.writeable = False
+        plain = BYTES_PER_VID + kernel.value_nbytes + 1
+        bounds = bounds.tolist()
+        self.batches = [
+            ((dst, MessageKind.MIRROR_SYNC if full else MessageKind.SYNC),
+             full, b, e, gids[b:e], peers[b:e],
+             np.broadcast_to(np.int64(plain + full), e - b),
+             np.broadcast_to(np.int64(1 + 2 * full), e - b),
+             (e - b) * (plain + full))
+            for (dst, full), b, e in zip(topo.sync_plan, bounds, bounds[1:])
+            if b < e]
 
 
 def _in_edges(topo, sel: np.ndarray):
@@ -418,9 +457,12 @@ class ArrayNodeProtocol:
                         acc: np.ndarray, has: np.ndarray, ctx,
                         outbox: dict) -> int:
         """Apply + stage + build syncs for one node's computed masters;
-        returns the number of sync records elided.  One pass over the
-        flat plan (``topo.sync_pos``) picks and gathers every record;
-        each ``(dst, kind)`` batch is then a slice of those columns."""
+        returns the number of sync records elided.  When every master
+        computes and nothing is elided, the batches are the image's
+        :class:`_DensePlan` with this superstep's values; otherwise one
+        pass over the flat plan (``topo.sync_pos``) picks and gathers
+        every record, and each ``(dst, kind)`` batch is a slice of those
+        columns."""
         kernel = self.kernel
         topo = st.topo
         old = st.values
@@ -431,13 +473,32 @@ class ArrayNodeProtocol:
         np.copyto(st.pend_values, new, where=sel)
         np.copyto(st.pend_activates, act, where=sel)
         np.copyto(st.pend_self_active, stay, where=sel)
+        # ``sel`` holds masters only: as many as the image has is all.
+        dense = np.count_nonzero(sel) == np.count_nonzero(topo.is_master)
+        every = dense and act.all()
+        # Elision needs ``~act``: nothing to elide when every copy
+        # activates.
+        noop = ~act & ~st.last_activates & (new == old) \
+            if self.sync_elision and not every else None
+        if dense and (noop is None or not (noop & sel).any()):
+            plan = st.plan
+            if plan is None or plan.selfish != self.selfish_opt:
+                plan = st.plan = _DensePlan(topo, kernel, self.selfish_opt)
+            values = new[plan.pos]
+            flags = None if every and stay.all() else \
+                act[plan.pos] + 2 * (stay[plan.pos] & plan.mirror)
+            for key, full, b, e, gids, peers, sizes, const, nbytes in \
+                    plan.batches:
+                outbox[key] = SyncBatch.from_columns(
+                    gids, peers, values[b:e],
+                    const if flags is None else flags[b:e], sizes,
+                    full_state=full, nbytes=nbytes)
+            return 0
         pos, mirror = topo.sync_pos, topo.sync_mirror
         pick = sel[pos]
         if self.selfish_opt:
             pick &= ~topo.selfish[pos]
         elided = 0
-        noop = ~act & ~st.last_activates & (new == old) \
-            if self.sync_elision else None
         if noop is not None and noop.any():
             mirror_elide = noop & (stay == st.mirror_self_active)
             before = int(np.count_nonzero(pick))

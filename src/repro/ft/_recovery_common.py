@@ -210,12 +210,13 @@ def pack_rows(engine: "Engine", node: int, pos: np.ndarray,
         for column, name in zip(edges, ("edge_gids", "edge_positions",
                                         "edge_weights")):
             column[at] = meta[name]
+    out_off, in_off = engine.graph.out_offsets, engine.graph.in_offsets
     return RecoveryBatch(
         src_node=node, iteration=engine.iteration, gids=gids,
         positions=dst_pos, roles=roles, values=values, flags=flags,
         last_update=last_update,
-        out_degree=engine.graph.out_degrees()[gids],
-        in_degree=engine.graph.in_degrees()[gids], selfish=selfish,
+        out_degree=out_off[gids + 1] - out_off[gids],
+        in_degree=in_off[gids + 1] - in_off[gids], selfish=selfish,
         mirror_id=mirror_id, master_node=master_node,
         master_position=master_position,
         replica_ptr=csr_ptr(replica_count),
@@ -421,8 +422,10 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
     precondition), one gather+apply over the last committed neighbor
     values restores it.  Under vertex-cut the gather spans nodes, so
     partials are folded in node-id order like the engine does.  Each
-    node works through its masters in position order.  Returns the
-    number of gather operations (edges) performed.
+    node works through its masters in position order.  A run on the
+    array path folds with its kernel (:func:`_refold`); the per-edge
+    loop is for the scalar path.  Returns the number of gather
+    operations (edges) performed.
 
     The recomputed value is the one the *retried* superstep will
     commit, not the last-committed one — and because selfish syncs are
@@ -439,6 +442,8 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
     for gid, node in zip(gids, engine.master_node_of[
             np.asarray(gids, dtype=np.int64)].tolist()):
         by_node[node].append(gid)
+    if engine._vec is not None:
+        return _refold(engine, engine._vec.proto.kernel, by_node, ctx)
     partials: dict[int, list[tuple[int, Any]]] = defaultdict(list)
 
     def in_edges(topo, pos: np.ndarray) -> tuple[np.ndarray, list]:
@@ -491,6 +496,44 @@ def recompute_selfish_masters(engine: "Engine", gids: list[int]) -> int:
         lg.store(pos, active=[
             program.stays_active(gid, value, value, ctx)
             for (gid, *_), value in zip(held, lg.values[pos].tolist())])
+    return edges
+
+
+def _refold(engine: "Engine", kernel, by_node: dict, ctx) -> int:
+    """:func:`recompute_selfish_masters` with the array kernel: per node
+    one ``edge_fold`` over the masters' in-edges it holds, each master
+    then folding its partials in node-id order (as ``master_fold_apply``
+    does; under edge-cut the master's node holds them all), and one
+    ``apply`` / ``stays_active`` over each node's masters."""
+    want = np.fromiter({gid for group in by_node.values()
+                        for gid in group}, np.int64)
+    edges, parts = 0, []
+    for node in engine._alive():  # ascending: the partials' fold order
+        lg = engine.local_graphs[node]
+        topo = lg.topology()
+        pos = topo.find(want)
+        pos = pos[pos >= 0]
+        pos = pos[topo.has_in[pos]]
+        edges += int(topo.in_counts[pos].sum())
+        sel = np.zeros(topo.n, dtype=bool)
+        sel[pos] = True
+        acc, _ = kernel.edge_fold(topo, lg.values,
+                                  np.flatnonzero(sel[topo.in_dst]))
+        parts.append((topo.gids[pos], acc[pos]))
+    gids, accs = map(np.concatenate, zip(*parts))
+    for node, group in sorted(by_node.items()):
+        lg = engine.local_graphs[node]
+        topo = lg.topology()
+        pos = np.sort(topo.translate(np.asarray(group, dtype=np.int64)))
+        mine = engine.master_node_of[gids] == node
+        at = topo.translate(gids[mine])
+        acc, has = kernel.init_acc(topo.n), np.zeros(topo.n, dtype=bool)
+        kernel.fold_into(acc, at, accs[mine])
+        has[at] = True
+        new = kernel.apply(topo.gids[pos], lg.values[pos], acc[pos],
+                           has[pos], ctx)
+        lg.store(pos, values=new.tolist(), active=kernel.stays_active(
+            topo.gids[pos], new, new, ctx).tolist())
     return edges
 
 

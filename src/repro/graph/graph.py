@@ -107,6 +107,12 @@ class Graph:
         ``out_offsets[v]:out_offsets[v + 1]``; read-only view."""
         return self._out_offsets
 
+    @property
+    def in_offsets(self) -> np.ndarray:
+        """The in-CSR's row pointer: ``v``'s in-degree is
+        ``in_offsets[v + 1] - in_offsets[v]``."""
+        return self._in_offsets
+
     def out_neighbors(self, v: int) -> np.ndarray:
         return self._dst[self._out_offsets[v]:self._out_offsets[v + 1]]
 

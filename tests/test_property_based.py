@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import run_job
@@ -181,6 +181,59 @@ class TestVectorizedKernelProperties:
                            ctx=None)
         expected = (1.0 - 0.85) + 0.85 * acc
         assert np.array_equal(new, expected)
+
+    @SLOW
+    @given(graph=small_graphs(), seed=st.integers(0, 1000),
+           dense=st.booleans())
+    def test_pagerank_divides_once_per_position(self, graph, seed, dense):
+        """A loaded image's every in-edge source has out-edges, so
+        PageRank divides each position's value by its out-degree once
+        and gathers per edge: bit-equal to the per-edge divide, and the
+        out-degree-0 positions (values zero or not) raise no
+        ``RuntimeWarning`` under ``-W error``."""
+        import warnings
+
+        from repro.algorithms.kernels import PageRankKernel
+
+        _, topo = self._single_node_topo(graph)
+        assume((topo.out_deg_f[topo.occupied] == 0.0).any())
+        assert topo.in_src_live
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.random(topo.n) < 0.3, 0.0,
+                          rng.uniform(0.1, 2.0, topo.n))
+        esel = slice(None) if dense else np.flatnonzero(
+            rng.random(topo.in_dst.size) < 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seg, contrib = PageRankKernel(0.85).edge_contrib(topo, values,
+                                                             esel)
+        src = topo.in_src[esel]
+        want = values[src] / topo.out_deg_f[src]
+        assert np.array_equal(seg, topo.in_dst[esel])
+        assert contrib.dtype == want.dtype
+        assert contrib.tobytes() == want.tobytes()
+
+    def test_pagerank_filters_a_dead_source_off_a_hand_built_image(self):
+        """An image whose in-edge source has out-degree 0 (hand-built:
+        no loaded graph has one) keeps the per-edge ``[nz]`` filter:
+        that edge contributes nothing, as the scalar ``out_degree == 0``
+        branch skips it."""
+        from repro.algorithms.kernels import PageRankKernel
+        from repro.engine.soa import NodeTopology, sync_columns
+
+        n, none = 3, np.zeros(0, dtype=np.int64)
+        topo = NodeTopology.from_columns(
+            np.arange(n), np.ones(n, dtype=bool), np.ones(n, dtype=bool),
+            np.zeros(n, dtype=bool), np.zeros(n, dtype=bool),
+            np.zeros(n, dtype=np.int64), np.array([0.0, 2.0, 1.0]),
+            [0, 1, 2], [1.0, 1.0, 1.0], [2, 2, 0], none, none,
+            sync_columns(none, none, none))
+        assert not topo.in_src_live
+        values = np.array([4.0, 3.0, 5.0])
+        seg, contrib = PageRankKernel(0.85).edge_contrib(topo, values,
+                                                         slice(None))
+        assert seg.tolist() == [2, 0]
+        assert contrib.tolist() == [3.0 / 2.0, 5.0 / 1.0]
 
     @SLOW
     @given(graph=small_graphs(), mask_seed=st.integers(0, 1000))

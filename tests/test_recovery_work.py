@@ -20,6 +20,9 @@ read positions through the image.  Loading a kernel program fills its
 initial state as columns, with no per-vertex call.  Per ladder pass each
 survivor makes one reload scan — one orphan mask, one metadata read —
 and a kernel program's recovery rows are sized without a per-value call.
+A dense superstep (every master computes) builds its syncs off the
+image's plan, with no numpy search, and each state builds that plan
+once.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.cluster.network import Network
 from repro.engine.engine import Engine
 from repro.engine.local_graph import LocalGraph, SlotArray
 from repro.engine.soa import NodeTopology
-from repro.engine.vectorized import ArrayNodeProtocol, _NodeState
+from repro.engine.vectorized import ArrayNodeProtocol, _DensePlan, _NodeState
 from repro.engine.vertex_program import VertexProgram
 from repro.ft import _recovery_common as common
 from repro.ft import ladder
@@ -477,6 +480,70 @@ def test_a_rebirth_leaves_numpy_ma_unimported():
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False"]
+
+
+@pytest.fixture
+def dense_work(monkeypatch):
+    """The numpy searches (``flatnonzero``, ``searchsorted``) called
+    inside ``ArrayNodeProtocol._master_compute``, and the image of every
+    dense plan built, in order."""
+    log: dict[str, list] = {"searches": [], "plans": []}
+    inside = [False]
+    for name in ("flatnonzero", "searchsorted"):
+        def search(*args, _name=name, _real=getattr(np, name), **kwargs):
+            if inside[0]:
+                log["searches"].append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, search)
+    real_compute = ArrayNodeProtocol._master_compute
+    real_plan = _DensePlan.__init__
+
+    def master_compute(self, *args):
+        inside[0] = True
+        try:
+            return real_compute(self, *args)
+        finally:
+            inside[0] = False
+
+    def plan(self, topo, *args):
+        log["plans"].append(topo)
+        real_plan(self, topo, *args)
+
+    monkeypatch.setattr(ArrayNodeProtocol, "_master_compute",
+                        master_compute)
+    monkeypatch.setattr(_DensePlan, "__init__", plan)
+    return log
+
+
+@pytest.mark.parametrize("partition", PARTS)
+def test_a_dense_superstep_builds_its_syncs_without_a_search(
+        graph, partition, dense_work):
+    """PageRank computes every master in every superstep, so each sync
+    build takes the image's dense plan: no ``flatnonzero`` and no
+    ``searchsorted``, through a Rebirth too.  Each state builds its plan
+    once: four at load, then only the reborn node's; the survivors keep
+    theirs.  A per-superstep pick and ``searchsorted`` fail the first
+    count, a plan rebuilt per superstep the second."""
+    engine = _reborn_once(graph, partition)
+    _run(engine)
+    assert dense_work["searches"] == []
+    plans = dense_work["plans"]
+    assert len(plans) == engine._vec.state_builds == 5
+    images = [engine.local_graphs[node].cached_topology
+              for node in range(4)]
+    # Node 1 is reborn in place: its load-time image is gone.
+    assert [plans[i] is images[i] for i in range(4)] == [
+        True, False, True, True]
+    assert plans[4] is images[1]
+
+
+def test_a_sparse_superstep_still_picks(graph, dense_work):
+    """Non-vacuity of the spy: SSSP's frontier is sparse, so its sync
+    build picks records and searches batch bounds every superstep."""
+    engine = make_engine(graph, "sssp", num_nodes=4, ft_level=1,
+                         max_iterations=6, algorithm_kwargs={"source": 0})
+    engine.run()
+    assert {"flatnonzero", "searchsorted"} <= set(dense_work["searches"])
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import pytest
 
 from repro.api import make_engine, run_job
 from repro.chaos import FailureSchedule, run_differential
+from repro.engine.local_graph import LocalGraph
+from repro.ft import _recovery_common as common
 from repro.graph import generators
 
 
@@ -68,6 +70,53 @@ class TestRecoveryWithSelfishOptimization:
         for v in range(graph.num_vertices):
             assert result.values[v] == pytest.approx(base.values[v],
                                                      rel=1e-9)
+
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut",
+                                           "random_vertex_cut"])
+    def test_the_kernel_recompute_equals_the_per_edge_loop(
+            self, partition, monkeypatch):
+        """On the array path a Rebirth recomputes the selfish masters
+        with the kernel's fold, reading no ``LocalGraph.view``; the
+        values, activity and edge count it leaves equal those the
+        scalar run's per-edge loop leaves, bit for bit.  The denser
+        graph spreads a selfish master's in-edges over three or more
+        nodes under the random vertex-cut, so the order its partials
+        fold in shows in the sums."""
+        graph = generators.power_law(300, alpha=2.0, seed=91,
+                                     avg_degree=12.0, selfish_frac=0.25)
+        real, views, seen = common.recompute_selfish_masters, [0], []
+        real_view = LocalGraph.view
+
+        def view(self, position):
+            views[0] += 1
+            return real_view(self, position)
+
+        def recompute(engine, gids):
+            before = views[0]
+            edges = real(engine, gids)
+            rows = []
+            for gid in sorted(gids):
+                lg = engine.local_graphs[int(engine.master_node_of[gid])]
+                pos = int(lg.topology().find([gid])[0])
+                rows.append((gid, lg.values.item(pos), lg.active.item(pos)))
+            seen.append((views[0] - before, edges, rows))
+            return edges
+
+        monkeypatch.setattr(LocalGraph, "view", view)
+        monkeypatch.setattr(common, "recompute_selfish_masters", recompute)
+        values = []
+        for vectorized in (True, False):
+            engine = make_engine(graph, "pagerank", num_nodes=6,
+                                 partition=partition, num_standby=1,
+                                 max_iterations=6, vectorized=vectorized)
+            engine.schedule_failure(3, [1], "compute")
+            result = engine.run()
+            assert [r.strategy for r in result.recoveries] == ["rebirth"]
+            values.append(result.values)
+        (kernel_views, *kernel), (loop_views, *loop) = seen
+        assert kernel[1] and kernel == loop
+        assert kernel_views == 0 < loop_views
+        assert values[0] == values[1]
 
     def test_selfish_flagged_in_slots(self, graph):
         engine = make_engine(graph, "pagerank", num_nodes=6)

@@ -7,6 +7,11 @@ its per-key and per-batch oracles (``tests/reference/sync.py``).
   must emit the outbox the per-key walk emits — the same keys in the
   same order, column for column and dtype for dtype — the same
   ``elided`` count and the same pending columns.
+* Dense build: when every master computes and nothing is elided the
+  batches come off the image's static plan (``_DensePlan``) with only
+  the values (and flags, unless constant) gathered.  It must emit the
+  same outbox as the per-key walk, and a shipped batch's plan-backed
+  columns are read-only.
 * Plan: ``repro.engine.soa.sync_columns`` splits a node's (master,
   copy) rows by ``(node, kind)`` key in one stable counting pass; it
   must equal one mask per key, keys in first-appearance order.
@@ -150,6 +155,75 @@ def test_sync_build_matches_the_per_key_oracle(case, node, seed, density,
                                               ctx, wanted)
     _assert_same_outbox(got, wanted)
     _assert_same_pending(have, want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(CASES), node=st.integers(0, NODES - 1),
+       seed=st.integers(0, 2 ** 32 - 1), selfish=st.booleans(),
+       elision=st.booleans(), iteration=st.integers(0, 2))
+def test_the_dense_build_matches_the_per_key_oracle(case, node, seed,
+                                                    selfish, elision,
+                                                    iteration):
+    """Every master computes: PageRank ships the plan's constant flags
+    (elision on or off: every master activates); SSSP and CC, with
+    elision off, gather theirs.  Both take the dense plan, and the
+    outbox, ``elided`` and the pending columns equal the per-key walk's."""
+    engine = _engine(*case)
+    kernel = engine._protocol.kernel
+    pagerank = case[0] == "pagerank"
+    proto = ArrayNodeProtocol(kernel, engine.is_edge_cut,
+                              sync_elision=elision and pagerank,
+                              selfish_opt=selfish)
+    lg = engine.local_graphs[node]
+    rng = np.random.default_rng(seed)
+    topo = lg.topology()
+    values = rng.integers(0, 50, topo.n) if kernel.dtype == np.int64 \
+        else rng.random(topo.n) * 9
+    have = _randomised_state(proto, lg, np.random.default_rng(seed), values)
+    want = _randomised_state(proto, lg, np.random.default_rng(seed), values)
+    sel = topo.is_master.copy()
+    acc, has = kernel.edge_fold(topo, values, slice(None))
+    ctx = _ctx(engine, iteration)
+    got, wanted = {}, {}
+    assert proto._master_compute(have, sel, acc, has, ctx, got) == 0
+    assert reference.master_compute(proto, want, sel, acc, has, ctx,
+                                    wanted) == 0
+    _assert_same_outbox(got, wanted)
+    _assert_same_pending(have, want)
+    # Non-vacuity: the plan was taken, and its constant columns are
+    # zero-stride views (the flags exactly when every master activates
+    # and stays active: PageRank).
+    assert have.plan is not None and have.plan.selfish == selfish
+    assert got
+    for batch in got.values():
+        assert batch.sizes.strides == (0,)
+        assert (batch.flags.strides == (0,)) == pagerank
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_shipped_batch_s_plan_columns_are_read_only(case):
+    """A batch off the dense plan shares the plan's gids, receiver
+    positions, sizes (and PageRank's flags) with every later superstep:
+    writing into any of them raises instead of corrupting the next."""
+    engine = _engine(*case)
+    kernel = engine._protocol.kernel
+    proto = ArrayNodeProtocol(kernel, engine.is_edge_cut,
+                              sync_elision=False)
+    for lg in engine.local_graphs.values():
+        state = proto.new_state(lg)
+        topo = state.topo
+        acc, has = kernel.edge_fold(topo, state.values, slice(None))
+        outbox: dict = {}
+        proto._master_compute(state, topo.is_master.copy(), acc, has,
+                              _ctx(engine, 1), outbox)
+        assert outbox and state.plan is not None
+        for batch in outbox.values():
+            names = ["gids", "positions", "sizes"]
+            if batch.flags.strides == (0,):
+                names.append("flags")
+            for name in names:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(batch, name)[0] = 0
 
 
 def test_the_build_oracle_sees_every_filter():
