@@ -125,7 +125,8 @@ class SyncBatch:
         the byte accounting stays identical to the record-at-a-time
         build; ``nbytes``, when the builder knows it, is their sum.
         """
-        batch = cls(full_state)
+        batch = cls.__new__(cls)
+        batch.full_state = full_state
         batch.gids = gids
         batch.positions = positions
         batch.values = values
@@ -216,7 +217,7 @@ class GatherBatch:
                      nbytes: int | None = None) -> "GatherBatch":
         """Adopt pre-built columns (array path, codec); ``nbytes``, when
         the builder knows it, is the sum of ``sizes``."""
-        batch = cls()
+        batch = cls.__new__(cls)
         batch.gids = gids
         batch.accs = accs
         batch.sizes = sizes
@@ -310,7 +311,7 @@ class RawGatherBatch:
     @classmethod
     def from_columns(cls, gids: list, counts: list, contribs: list,
                      sizes: list, phys_sizes: list) -> "RawGatherBatch":
-        batch = cls()
+        batch = cls.__new__(cls)
         batch.gids = gids
         batch.counts = counts
         batch.contribs = contribs

@@ -92,8 +92,8 @@ class NodeTopology:
 
     __slots__ = (
         "n", "gids", "occupied", "is_master", "is_mirror", "selfish",
-        "master_node", "out_deg_f", "in_counts", "has_in", "in_src_live",
-        "in_src", "in_w", "in_dst", "out_src", "out_dst",
+        "shadow", "master_node", "out_deg_f", "in_counts", "has_in",
+        "in_src_live", "in_src", "in_w", "in_dst", "out_src", "out_dst",
         "gid_sorted", "pos_sorted", "sync_plan", "sync_peer",
         "sync_pos", "sync_ptr", "sync_mirror",
         "has_out", "out_hit", "act_order", "gather_order",
@@ -175,6 +175,8 @@ class NodeTopology:
         topo.occupied = occupied
         topo.is_master = is_master
         topo.is_mirror = is_mirror
+        # The copies that shadow self-sustained activity.
+        topo.shadow = _frozen(is_master | is_mirror)
         topo.selfish = selfish
         topo.master_node = master_node
         topo.out_deg_f = out_deg

@@ -51,6 +51,11 @@ Lifecycle
   ``act_order`` (on a dense frontier the activation hit mask is its
   ``out_hit``), and a node's whole gather inbox and whole activation
   inbox each stage with one concatenation and one gid lookup.
+* A dense combined gather ships the state's static :class:`_GatherPlan`,
+  and the receive side is static too: per exchange (sync staging,
+  gather intake, master fold) a state reuses the *layout* it derived
+  from its last inbox when the next one carries the same read-only key
+  columns (:func:`_recall`; DESIGN.md §10).
 * The barrier commit is split where the multiprocessing backend splits
   it: an abortable stage 1 (activation scatter), the activation intake,
   and a finalize that *alone* writes the committed columns, activity
@@ -67,6 +72,7 @@ as the scalar fold sorts by sender per vertex.
 
 from __future__ import annotations
 
+import operator
 import weakref
 
 import numpy as np
@@ -97,7 +103,8 @@ class _NodeState:
                  "last_activates", "mirror_self_active",
                  "replicas_known_active", "last_update",
                  "pend_mask", "pend_values", "pend_activates",
-                 "pend_self_active", "next_active", "partials", "plan")
+                 "pend_self_active", "next_active", "partials", "plan",
+                 "gather_plan", "layouts")
 
     def __init__(self, proto, lg):
         topo = lg.topology()
@@ -128,8 +135,12 @@ class _NodeState:
         #: Vertex-cut: [(positions, sender_nodes, accs)] gathered this
         #: superstep for the local masters.
         self.partials: list = []
-        #: The image's :class:`_DensePlan`, built on first use.
+        #: The image's :class:`_DensePlan` / :class:`_GatherPlan`, built
+        #: on first use.
         self.plan: _DensePlan | None = None
+        self.gather_plan: _GatherPlan | None = None
+        #: exchange -> (keys, shape, layout) of its last inbox.
+        self.layouts: dict = {}
 
     @property
     def lg(self):
@@ -268,6 +279,54 @@ class _DensePlan:
             if b < e]
 
 
+class _GatherPlan:
+    """One image's combined gather when every in-edge contributes:
+    the local masters and their sender column, ``remote`` (the image's
+    ``gather_order``) and, per master node, a batch of static read-only
+    columns that only this superstep's accumulators join (DESIGN.md
+    §15)."""
+
+    __slots__ = ("local", "senders", "remote", "batches")
+
+    def __init__(self, topo, kernel, node: int):
+        self.local = np.flatnonzero(topo.has_in & topo.is_master)
+        self.senders = np.broadcast_to(np.int64(node), self.local.size)
+        self.local.flags.writeable = False
+        remote = self.remote = topo.gather_order
+        dsts, gids = topo.master_node[remote], topo.gids[remote]
+        # Every record has an in-edge: ``folded`` is its in-degree.
+        folded = topo.in_counts[remote]
+        gids.flags.writeable = folded.flags.writeable = False
+        size = BYTES_PER_VID + kernel.acc_nbytes
+        self.batches = [
+            ((int(dsts[b]), MessageKind.GATHER), b, e, gids[b:e],
+             np.broadcast_to(np.int64(size), e - b), folded[b:e],
+             (e - b) * size)
+            for b, e in (_runs(dsts) if remote.size else ())]
+
+
+def _recall(st: _NodeState, exchange: str, keys: list, shape: tuple):
+    """The layout ``st`` derived from its last ``exchange`` inbox if
+    this one has the same key columns (the same objects, in order) and
+    per-batch scalars ``shape``, else ``None``."""
+    held = st.layouts.get(exchange)
+    if held is None or held[1] != shape or len(held[0]) != len(keys):
+        return None
+    return held[2] if all(map(operator.is_, held[0], keys)) else None
+
+
+def _remember(st: _NodeState, exchange: str, keys: list, shape: tuple,
+              layout) -> bool:
+    """Keep ``layout`` as ``exchange``'s (the latest only) if every key
+    column is a read-only array: held here, its id is not reused, and
+    what was derived from it stays true.  Returns whether it was kept."""
+    if not all(isinstance(col, np.ndarray) and not col.flags.writeable
+               for col in keys):
+        return False
+    st.layouts[exchange] = (keys, shape, layout)
+    return True
+
+
 def _in_edges(topo, sel: np.ndarray):
     """The in-edges into the ``sel`` positions: ``slice(None)`` when
     that is every in-edge (a dense frontier gathers nothing)."""
@@ -304,6 +363,37 @@ def top_masters(gids: np.ndarray, values: np.ndarray, k: int) -> list[tuple]:
     return list(zip(values[order].tolist(), gids[order].tolist()))
 
 
+def _stage_layout(st: _NodeState, batches: list) -> tuple:
+    """What staging derives from a sync inbox's positions, gids and
+    kinds once the gid check passes: the hit mask, the positions, the
+    last-record-wins selection if one repeats (else ``None``), and the
+    full-state records' indices and positions."""
+    pos, gids = (np.concatenate([getattr(batch, name) for batch in batches],
+                                dtype=np.int64)
+                 for name in ("positions", "gids"))
+    try:
+        stale = not np.array_equal(st.topo.gids[pos], gids)
+    except IndexError:
+        stale = True
+    if stale:
+        raise EngineError(
+            f"node {st.node}: a sync batch's positions do not hold "
+            f"its gids")
+    full = np.repeat([batch.full_state for batch in batches],
+                     [batch.record_count for batch in batches])
+    hit = np.zeros(st.topo.n, dtype=bool)
+    hit[pos] = True
+    keep = None
+    if np.count_nonzero(hit) < pos.size:
+        # A stable sort keeps arrival order within each position's run;
+        # the last record of a run wins.
+        order = np.argsort(pos, kind="stable")
+        keep = order[np.r_[pos[order[1:]] != pos[order[:-1]], True]]
+        pos, full = pos[keep], full[keep]
+    full = np.flatnonzero(full)
+    return hit, pos, keep, full, pos[full]
+
+
 class ArrayNodeProtocol:
     """The array superstep protocol of one partition (both modes).
 
@@ -338,6 +428,8 @@ class ArrayNodeProtocol:
         """
         topo = st.topo
         sel = st.active & topo.is_master
+        if not sel.any():
+            return 0, 0, 0
         esel = _in_edges(topo, sel)
         acc, has = self.kernel.edge_fold(topo, st.values, esel)
         elided = self._master_compute(st, sel, acc, has, ctx, outbox)
@@ -351,7 +443,8 @@ class ArrayNodeProtocol:
         combiner, so the combined batches carry their pre-combine
         contribution counts (``folded``), and with combining off the
         raw per-edge contributions ship in a RawGatherBatch instead
-        (DESIGN.md §15).  Returns the number of edges folded.
+        (DESIGN.md §15); when every in-edge contributes, they ship the
+        state's :class:`_GatherPlan`.  Returns the number of edges folded.
         """
         kernel = self.kernel
         node = st.node
@@ -362,6 +455,19 @@ class ArrayNodeProtocol:
         seg, contrib = kernel.edge_contrib(topo, st.values, esel)
         acc = kernel.init_acc(topo.n)
         kernel.fold_into(acc, seg, contrib)
+        if self.combining and isinstance(esel, slice) \
+                and seg.size == topo.in_dst.size:
+            plan = st.gather_plan
+            if plan is None:
+                plan = st.gather_plan = _GatherPlan(topo, kernel, node)
+            if plan.local.size:
+                st.partials.append((plan.local, plan.senders,
+                                    acc[plan.local]))
+            accs = acc[plan.remote]
+            for key, b, e, gids, sizes, folded, nbytes in plan.batches:
+                outbox[key] = GatherBatch.from_columns(
+                    gids, accs[b:e], sizes, folded, nbytes=nbytes)
+            return topo.in_dst.size
         # Every in-edge contributed: the counts are the image's.
         cnt = topo.in_counts if seg.size == topo.in_dst.size \
             else np.bincount(seg, minlength=topo.n)
@@ -414,7 +520,8 @@ class ArrayNodeProtocol:
     def intake_partials(self, st: _NodeState, frames: list) -> None:
         """Stage a node's whole gather inbox — ``(sender, batch)`` in
         arrival order — for the master fold: one concatenation and one
-        gid lookup.  Raw batches (combining off) fold per batch."""
+        gid lookup, which an inbox of the last one's senders and gid
+        columns reuses.  Raw batches (combining off) fold per batch."""
         if not frames:
             return
         kernel = self.kernel
@@ -423,32 +530,46 @@ class ArrayNodeProtocol:
             np.asarray(batch.counts, dtype=np.int64), batch.contribs)
             if isinstance(batch, RawGatherBatch) else batch.accs
             for batch in batches])
-        # A replica does not know its master's position: look it up.
-        pos = st.topo.translate(np.concatenate(
-            [np.asarray(batch.gids, dtype=np.int64) for batch in batches]))
-        counts = [batch.record_count for batch in batches]
-        st.partials.append(
-            (pos, np.repeat(np.array(srcs, dtype=np.int64), counts), accs))
+        keys = [batch.gids for batch in batches]
+        layout = _recall(st, "intake", keys, srcs)
+        if layout is None:
+            # A replica does not know its master's position: look it up.
+            pos = st.topo.translate(np.concatenate(
+                [np.asarray(gids, dtype=np.int64) for gids in keys]))
+            sender = np.repeat(np.array(srcs, dtype=np.int64),
+                               [batch.record_count for batch in batches])
+            layout = pos, sender
+            if _remember(st, "intake", keys, srcs, layout):
+                pos.flags.writeable = sender.flags.writeable = False
+        st.partials.append((*layout, accs))
 
     def master_fold_apply(self, st: _NodeState, ctx,
                           outbox: dict) -> tuple[int, int]:
         """One node's vertex-cut apply phase (phase 2): masters fold
         partials in (position, sender) order — the vector image of the
         scalar per-vertex sort-by-sender fold.  Returns
-        ``(vertices_computed, syncs_elided)``."""
+        ``(vertices_computed, syncs_elided)``.  Partials of the last
+        fold's columns, all for computing masters, reuse its order."""
         kernel = self.kernel
         topo = st.topo
         sel = st.active & topo.is_master
         acc = kernel.init_acc(topo.n)
         has = np.zeros(topo.n, dtype=bool)
         if st.partials:
-            pos = np.concatenate([p for p, _, _ in st.partials])
-            src = np.concatenate([s for _, s, _ in st.partials])
+            keys = [col for part in st.partials for col in part[:2]]
             accs = np.concatenate([a for _, _, a in st.partials])
-            keep = sel[pos]
-            pos, src, accs = pos[keep], src[keep], accs[keep]
-            order = np.lexsort((src, pos))
-            kernel.fold_into(acc, pos[order], accs[order])
+            layout = _recall(st, "fold", keys, ())
+            if layout is None or not sel[layout[0]].all():
+                pos = np.concatenate(keys[::2])
+                src = np.concatenate(keys[1::2])
+                keep = sel[pos]
+                pos, src, accs = pos[keep], src[keep], accs[keep]
+                order = np.lexsort((src, pos))
+                layout = pos, order, pos[order]
+                if keep.all():
+                    _remember(st, "fold", keys, (), layout)
+            pos, order, spos = layout
+            kernel.fold_into(acc, spos, accs[order])
             has[pos] = True
         elided = self._master_compute(st, sel, acc, has, ctx, outbox)
         return int(sel.sum()), elided
@@ -531,39 +652,30 @@ class ArrayNodeProtocol:
         check and one scatter per column at the positions the records
         carry (kernel programs never mutate edges).  A stale position
         anywhere raises before anything is staged; a repeated one (a
-        duplicated or split batch) keeps its last record."""
+        duplicated or split batch) keeps its last record.  An inbox of
+        the last one's position and gid columns reuses its layout."""
         if not batches:
             return
-        pos, gids, values, flags = (np.concatenate(
+        keys = [col for batch in batches
+                for col in (batch.positions, batch.gids)]
+        shape = tuple(batch.full_state for batch in batches)
+        layout = _recall(st, "stage", keys, shape)
+        if layout is None:
+            layout = _stage_layout(st, batches)
+            _remember(st, "stage", keys, shape, layout)
+        hit, pos, keep, full, full_pos = layout
+        values, flags = (np.concatenate(
             [getattr(batch, name) for batch in batches], dtype=dtype)
-            for name, dtype in (("positions", np.int64), ("gids", np.int64),
-                                ("values", st.pend_values.dtype),
+            for name, dtype in (("values", st.pend_values.dtype),
                                 ("flags", np.int64)))
-        try:
-            stale = not np.array_equal(st.topo.gids[pos], gids)
-        except IndexError:
-            stale = True
-        if stale:
-            raise EngineError(
-                f"node {st.node}: a sync batch's positions do not hold "
-                f"its gids")
-        full = np.repeat([batch.full_state for batch in batches],
-                         [batch.record_count for batch in batches])
-        hit = np.zeros(st.topo.n, dtype=bool)
-        hit[pos] = True
-        if np.count_nonzero(hit) < pos.size:
-            # A stable sort keeps arrival order within each position's
-            # run; the last record of a run wins.
-            order = np.argsort(pos, kind="stable")
-            keep = order[np.r_[pos[order[1:]] != pos[order[:-1]], True]]
-            pos, values, flags, full = (pos[keep], values[keep],
-                                        flags[keep], full[keep])
+        if keep is not None:
+            values, flags = values[keep], flags[keep]
         st.pend_mask |= hit
         st.pend_values[pos] = values
-        st.pend_activates[pos] = (flags & SyncBatch.FLAG_ACTIVATES) != 0
-        if full.any():
-            st.pend_self_active[pos[full]] = \
-                (flags[full] & SyncBatch.FLAG_SELF_ACTIVE) != 0
+        st.pend_activates[pos] = flags & SyncBatch.FLAG_ACTIVATES
+        if full.size:
+            st.pend_self_active[full_pos] = \
+                flags[full] & SyncBatch.FLAG_SELF_ACTIVE
 
     # -- barrier commit ------------------------------------------------
 
@@ -614,12 +726,14 @@ class ArrayNodeProtocol:
         """
         topo = st.topo
         pm = st.pend_mask
+        if not (pm.any() or st.next_active.any()):
+            return []
         np.copyto(st.values, st.pend_values, where=pm)
         np.copyto(st.last_activates, st.pend_activates, where=pm)
         np.copyto(st.last_update, iteration, where=pm)
         # Masters and mirrors shadow the self-sustained activity.
         np.copyto(st.mirror_self_active, st.pend_self_active,
-                  where=pm & (topo.is_master | topo.is_mirror))
+                  where=pm & topo.shadow)
         # A master touched this superstep is active iff it stays active
         # by itself or a neighbour activated it.
         touched = (pm | st.next_active) & topo.is_master

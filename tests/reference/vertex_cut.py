@@ -1,14 +1,16 @@
 """The sorting activation scatter, the sorting gather, the per-batch
-intakes and the per-batch flush: the oracles of ``ArrayNodeProtocol.
-commit_stage1`` / ``vertex_gather`` / ``intake_partials`` /
-``apply_activations`` in ``repro.engine.vectorized`` and of
-``Network.send_all`` (imported by tests only).
+intakes, the sorting master fold and the per-batch flush: the oracles
+of ``ArrayNodeProtocol.commit_stage1`` / ``vertex_gather`` /
+``intake_partials`` / ``master_fold_apply`` / ``apply_activations`` in
+``repro.engine.vectorized`` and of ``Network.send_all`` (imported by
+tests only).
 
 :func:`commit_stage1` de-duplicates the remote activation targets with a
 sort every superstep; :func:`vertex_gather` re-counts the contributions
 with ``bincount`` and orders the remote records with a stable
 ``argsort`` of their master nodes; :func:`intake` and :func:`activate`
-take a node's inbox one batch at a time, one gid lookup each; and
+take a node's inbox one batch at a time, one gid lookup each;
+:func:`master_fold_apply` sorts the partials every superstep; and
 :func:`send_each` ships an outbox as one :func:`send` per batch —
 ``Network.send`` as it was, charging every counter per message.  (The
 old code verbatim, but that the protocol steps take the protocol as an
@@ -140,6 +142,27 @@ def intake(proto, st, frames: list) -> None:
     order."""
     for src, batch in frames:
         intake_partials(proto, st, src, batch)
+
+
+def master_fold_apply(proto, st, ctx, outbox: dict) -> tuple[int, int]:
+    """The master fold that sorts its partials by (position, sender)
+    every superstep, dropping those of masters that do not compute."""
+    kernel = proto.kernel
+    topo = st.topo
+    sel = st.active & topo.is_master
+    acc = kernel.init_acc(topo.n)
+    has = np.zeros(topo.n, dtype=bool)
+    if st.partials:
+        pos = np.concatenate([p for p, _, _ in st.partials])
+        src = np.concatenate([s for _, s, _ in st.partials])
+        accs = np.concatenate([a for _, _, a in st.partials])
+        keep = sel[pos]
+        pos, src, accs = pos[keep], src[keep], accs[keep]
+        order = np.lexsort((src, pos))
+        kernel.fold_into(acc, pos[order], accs[order])
+        has[pos] = True
+    elided = proto._master_compute(st, sel, acc, has, ctx, outbox)
+    return int(sel.sum()), elided
 
 
 def activate(st, columns: list) -> None:

@@ -611,6 +611,68 @@ class TestPositionalSync:
         st.stage([batch])
         assert st.pend_mask.sum() == batch.record_count
 
+    def test_a_stale_position_after_a_hit_raises_and_stages_nothing(self):
+        """The layout answers only for the columns it was derived from:
+        a read-only positions column swapped in after a hit, holding a
+        wrong position, is checked afresh."""
+        from repro.errors import EngineError
+
+        engine = self.engine()
+        dst = 1
+        inbox = [batch for node in range(4) if node != dst
+                 for (to, _kind), batch in
+                 _computed_syncs(engine, node).items() if to == dst]
+        assert len(inbox) > 1
+        assert not any(batch.positions.flags.writeable for batch in inbox)
+        st = engine._protocol.new_state(engine.local_graphs[dst])
+        for _ in range(2):
+            st.stage(inbox)
+            st.abort()
+        layout = st.layouts["stage"]
+        at = max(range(len(inbox)), key=lambda i: inbox[i].record_count)
+        batch = inbox[at]
+        assert batch.record_count > 1
+        for positions in (np.roll(batch.positions, 1),
+                          np.r_[batch.positions[:-1], st.topo.n + 4]):
+            positions.flags.writeable = False
+            stale = SyncBatch.from_columns(
+                batch.gids, positions, batch.values, batch.flags,
+                batch.sizes, batch.full_state)
+            with pytest.raises(EngineError, match="positions"):
+                st.stage([*inbox[:at], stale, *inbox[at + 1:]])
+            assert not st.pend_mask.any()
+            assert st.layouts["stage"] is layout
+        st.stage(inbox)
+        assert st.pend_mask.sum() == sum(b.record_count for b in inbox)
+
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_a_reborn_node_starts_with_no_layout(self, partition,
+                                                 monkeypatch):
+        """Layouts live on the per-node state, which a Rebirth replaces:
+        every state — the ones built after the recovery too — looks up
+        each exchange's layout in vain the first time, and stores its
+        own."""
+        from repro.engine import vectorized
+
+        first: dict = {}
+        recall = vectorized._recall
+
+        def spy(st, exchange, keys, shape):
+            layout = recall(st, exchange, keys, shape)
+            first.setdefault((st, exchange), layout)
+            return layout
+
+        monkeypatch.setattr(vectorized, "_recall", spy)
+        engine = self.engine(partition=partition, ft_level=2, num_standby=1)
+        engine.schedule_failure(2, nodes=1)
+        result = engine.run()
+        assert len(result.recoveries) == 1
+        assert len({st for st, _ in first}) > 4
+        assert all(layout is None for layout in first.values())
+        for node in engine._alive():
+            st = engine._vec.valid_state(node)
+            assert (st, "stage") in first and "stage" in st.layouts, node
+
     @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
     def test_every_staged_sync_passes_the_position_check(self, partition,
                                                          monkeypatch):

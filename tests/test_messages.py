@@ -136,3 +136,44 @@ class TestRecoveryBatch:
         from repro.cluster.network import Message, MessageKind
         with pytest.raises(ValueError):
             Message(MessageKind.SYNC, 0, 1, None, -2)
+
+
+class TestFromColumns:
+    """``from_columns`` adopts its columns without ``__init__``: every
+    slot is set, as an appended batch's is."""
+
+    @staticmethod
+    def _same(have, want) -> None:
+        assert type(have) is type(want)
+        for name in type(want).__slots__:
+            assert getattr(have, name) == getattr(want, name), name
+
+    @pytest.mark.parametrize("full_state", [False, True])
+    def test_sync_batch(self, full_state):
+        from repro.engine.messages import SyncBatch
+
+        want = SyncBatch(full_state)
+        want.append(7, 2, 0.5, 8, True, full_state)
+        want.append(9, 4, 1.5, 8, False)
+        have = SyncBatch.from_columns(
+            list(want.gids), list(want.positions), list(want.values),
+            list(want.flags), list(want.sizes), full_state=full_state)
+        self._same(have, want)
+        assert have.edge_updates is None and have._nbytes is None
+        assert have.nbytes() == want.nbytes()
+
+    def test_gather_batches(self):
+        from repro.engine.messages import GatherBatch, RawGatherBatch
+
+        want = GatherBatch()
+        want.append(3, 0.25, 8, folded=2)
+        want.append(5, 0.75, 8)
+        have = GatherBatch.from_columns(list(want.gids), list(want.accs),
+                                        list(want.sizes), list(want.folded))
+        self._same(have, want)
+        assert have._nbytes is None
+        raw = RawGatherBatch()
+        raw.append(3, [0.5, 0.25], 16, 24)
+        self._same(RawGatherBatch.from_columns(
+            list(raw.gids), list(raw.counts), list(raw.contribs),
+            list(raw.sizes), list(raw.phys_sizes)), raw)

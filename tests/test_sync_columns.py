@@ -26,6 +26,7 @@ its per-key and per-batch oracles (``tests/reference/sync.py``).
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import make_engine
+from repro.engine.messages import SyncBatch
 from repro.engine.soa import sync_columns
 from repro.engine.vectorized import ArrayNodeProtocol, _in_edges
 from repro.engine.vertex_program import ApplyContext
@@ -351,3 +353,103 @@ def test_the_staging_oracle_sees_repeats_of_both_kinds():
         inbox = _shaped_inbox(inboxes[0], np.random.default_rng(1))
         positions = np.concatenate([batch.positions for batch in inbox])
         assert np.unique(positions).size < positions.size, case
+
+
+# -- receive layouts ----------------------------------------------------------
+
+
+def _reshaped(batches: list, rng) -> list:
+    """The same batch *objects* in a random order, some twice (a
+    retransmission of one object), and some split into sub-batches that
+    arrive last (delayed)."""
+    inbox = [batches[i] for i in rng.permutation(len(batches))]
+    inbox += [batch for batch in inbox if rng.random() < 0.2]
+    late = []
+    for i, batch in enumerate(inbox):
+        if rng.random() < 0.2 and batch.record_count > 1:
+            cut = int(rng.integers(1, batch.record_count))
+            inbox[i] = batch.select(range(cut))
+            late.append(batch.select(range(cut, batch.record_count)))
+    return inbox + late
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(CASES), node=st.integers(0, NODES - 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_repeated_inboxes_stay_equal_to_the_per_batch_oracle(case, node,
+                                                             seed):
+    """One state stages a sequence of inboxes, the plan's batches again
+    and again (the layout's hits) between reordered, duplicated and
+    delayed ones; after each it holds what the per-batch oracle
+    stages."""
+    engine = _engine(*case)
+    rng = np.random.default_rng(seed)
+    plan = _inboxes(*case)[node]
+    have, want = _fresh(engine, node), _fresh(engine, node)
+    for inbox in (plan, plan, _reshaped(plan, rng), plan,
+                  _shaped_inbox(plan, rng), plan, _reshaped(plan, rng)):
+        have.abort()
+        want.abort()
+        have.stage(inbox)
+        reference.stage_inbox(want, inbox)
+        _assert_same_pending(have, want)
+
+
+def test_the_plan_s_inbox_is_staged_from_its_layout():
+    """Non-vacuity: every case's plan inboxes are all read-only, so a
+    second staging of one finds the layout the first stored."""
+    for case in CASES:
+        engine = _engine(*case)
+        for node, plan in _inboxes(*case).items():
+            state = _fresh(engine, node)
+            state.stage(plan)
+            keys, shape, layout = state.layouts["stage"]
+            mine = [col for batch in plan
+                    for col in (batch.positions, batch.gids)]
+            assert len(keys) == len(mine)
+            assert all(map(operator.is_, keys, mine))
+            assert shape == tuple(batch.full_state for batch in plan)
+            state.abort()
+            state.stage(plan)
+            assert state.layouts["stage"][2] is layout
+
+
+def test_a_layout_answers_only_its_own_columns_in_order():
+    """A stored layout is found for the very key columns it was derived
+    from, in order, with the same per-batch scalars and exchange; an
+    equal copy, a prefix, a longer list, a reorder or another shape
+    misses."""
+    from repro.engine.vectorized import _recall, _remember
+
+    state = _fresh(_engine("pagerank", "hash_edge_cut"), 0)
+    a, b = np.arange(4), np.arange(4, 8)
+    a.flags.writeable = b.flags.writeable = False
+    layout = object()
+    assert _remember(state, "stage", [a, b], (True,), layout)
+    assert _recall(state, "stage", [a, b], (True,)) is layout
+    for keys, shape in (([a, b], (False,)), ([a], (True,)),
+                        ([a, b, a], (True,)), ([b, a], (True,)),
+                        ([a, b.copy()], (True,))):
+        assert _recall(state, "stage", keys, shape) is None
+    assert _recall(state, "fold", [a, b], (True,)) is None
+
+
+def test_a_writeable_column_never_enters_a_layout():
+    """One writeable positions or gids column — the plan's, copied —
+    keeps an inbox out of the layouts, and its staging still matches
+    the oracle."""
+    engine = _engine("pagerank", "hash_edge_cut")
+    plan = _inboxes("pagerank", "hash_edge_cut")[0]
+    for name in ("positions", "gids"):
+        last = SyncBatch.from_columns(
+            *(getattr(plan[-1], column) for column in COLUMNS),
+            full_state=plan[-1].full_state)
+        setattr(last, name, getattr(last, name).copy())
+        inbox = [*plan[:-1], last]
+        have, want = _fresh(engine, 0), _fresh(engine, 0)
+        have.stage(inbox)
+        reference.stage_inbox(want, inbox)
+        _assert_same_pending(have, want)
+        assert "stage" not in have.layouts
+        have.stage(plan)
+        assert "stage" in have.layouts

@@ -364,3 +364,38 @@ def test_commit_stage1_remote_dedup_equals_row_unique(seed):
         == list(want.items())
     assert (st.next_active == np.isin(
         np.arange(n), tgt[topo.is_master[tgt]])).all()
+
+
+def test_an_idle_node_folds_nothing_and_ends_as_the_scalar_run(chaos_graph,
+                                                               monkeypatch):
+    """An edge-cut node with no active master returns at once: no edge
+    fold, no sync build.  SSSP's sparse frontier leaves nodes idle, and
+    the run still matches the scalar one stat for stat."""
+    from repro.engine.vectorized import ArrayNodeProtocol
+
+    kw = _kwargs("sssp", "hash_edge_cut", 1)
+    engine = make_engine(chaos_graph, "sssp", **kw)
+    kernel = engine._protocol.kernel
+    folds: list = []
+    edge_fold = kernel.edge_fold
+    monkeypatch.setattr(kernel, "edge_fold",
+                        lambda *args: folds.append(1) or edge_fold(*args))
+    idle: list = []
+    compute = ArrayNodeProtocol.edge_cut_compute_node
+
+    def spy(self, st, ctx, outbox):
+        before = len(folds)
+        quiet = not (st.active & st.topo.is_master).any()
+        counts = compute(self, st, ctx, outbox)
+        if quiet:
+            idle.append((len(folds) - before, counts, dict(outbox)))
+        return counts
+
+    monkeypatch.setattr(ArrayNodeProtocol, "edge_cut_compute_node", spy)
+    result = engine.run()
+    assert idle
+    assert all(item == (0, (0, 0, 0), {}) for item in idle)
+    scalar = _run(chaos_graph, "sssp", False, kw)
+    assert result.iteration_stats == scalar["iteration_stats"]
+    assert engine.values() == scalar["values"]
+    assert engine.syncs_elided == scalar["syncs_elided"]

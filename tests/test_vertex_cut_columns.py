@@ -44,6 +44,7 @@ from repro.engine.vectorized import ArrayNodeProtocol, _in_edges
 from repro.graph import generators
 from repro.obs.registry import MetricsRegistry
 from tests.reference import vertex_cut as reference
+from tests.test_sync_columns import _assert_same_outbox, _ctx
 
 NODES = 4
 CASES = [(algorithm, partition)
@@ -173,6 +174,7 @@ def test_the_scatter_oracle_sees_dense_frontiers_and_repeats():
 
 def _gather_state(topo, kernel, node: int, rng, density: float):
     return SimpleNamespace(node=node, topo=topo, partials=[],
+                           gather_plan=None, layouts={},
                            values=_values(kernel, topo.n, rng),
                            active=_mask(rng, topo.n, density))
 
@@ -313,6 +315,195 @@ def test_the_intake_oracle_sees_full_inboxes():
             assert any(dst == node for _, dst, _ in sent["activate"])
         raw = {type(batch) for *_, batch in sent["gather"]}
         assert raw == {GatherBatch if combining else RawGatherBatch}
+
+
+# -- dense gather plan and receive layouts ------------------------------------
+
+
+def _dead_source_topology(node: int) -> NodeTopology:
+    """A random image where some in-edge's source has no out-edges, so
+    PageRank's contributions skip it (no ``in_src_live``)."""
+    for seed in range(100):
+        topo = _random_topology(np.random.default_rng(seed), node)
+        if (topo.out_deg_f[topo.in_src] == 0).any() \
+                and (topo.has_in & topo.is_master).any():
+            return topo
+    raise AssertionError("no image with a dead source")
+
+
+@pytest.mark.parametrize("live", [True, False])
+def test_the_dense_gather_plan_matches_the_general_gather(live):
+    """A dense combined PageRank gather ships the state's plan, built
+    once, equal to the sorting gather; without ``in_src_live`` some
+    in-edge contributes nothing and the general path runs."""
+    node = 1
+    kernel = KERNELS["pagerank"]
+    proto = ArrayNodeProtocol(kernel, is_edge_cut=False)
+    topo = (_engine("pagerank", "hybrid_cut").local_graphs[node].topology()
+            if live else _dead_source_topology(node))
+    assert topo.in_src_live == live
+    have = _gather_state(topo, kernel, node, np.random.default_rng(3), 1.0)
+    plans = []
+    for seed in (3, 4):
+        want = _gather_state(topo, kernel, node,
+                             np.random.default_rng(seed), 1.0)
+        have.values = want.values.copy()
+        got, wanted = {}, {}
+        assert proto.vertex_gather(have, got) == \
+            reference.vertex_gather(proto, want, wanted)
+        _assert_same_gathers(got, wanted)
+        _assert_same_partials(have.partials, want.partials)
+        plans.append(have.gather_plan)
+    if live:
+        assert plans[0] is not None and plans[1] is plans[0]
+        assert got and all(not batch.gids.flags.writeable
+                           and not batch.folded.flags.writeable
+                           for batch in got.values())
+    else:
+        assert plans == [None, None]
+
+
+def _exchange(states: dict, proto, vary: bool) -> dict:
+    """One gather phase over ``states`` (node -> state): each node's
+    gather frames, in sender order."""
+    frames: dict = {node: [] for node in states}
+    for node, state in states.items():
+        state.partials = []
+        outbox: dict = {}
+        if vary:
+            proto.vertex_gather(state, outbox)
+        else:
+            reference.vertex_gather(proto, state, outbox)
+        for (dst, _kind), batch in outbox.items():
+            frames[dst].append((node, batch))
+    return frames
+
+
+@pytest.mark.parametrize("algorithm", ["pagerank", "sssp", "cc"])
+@pytest.mark.parametrize("partition", ["hybrid_cut", "random_vertex_cut"])
+def test_intake_and_fold_match_their_sorting_oracles_superstep_after_superstep(
+        partition, algorithm, monkeypatch):
+    """Every node gathers, takes its gather inbox and folds for three
+    supersteps with every copy active; the second reuses the first's
+    layouts.  In the third a master that received partials stops
+    computing between the gather and the fold, so the fold drops its
+    partials.  Each fold emits what the sorting oracle emits, and hands
+    ``apply`` the same accumulators and ``has`` mask."""
+    engine = _engine(algorithm, partition)
+    kernel = engine._protocol.kernel
+    proto = ArrayNodeProtocol(kernel, is_edge_cut=False)
+    applied: list = []
+    apply = kernel.apply
+
+    def spy(gids, old, acc, has, ctx):
+        applied.append((_bits(acc), _bits(has)))
+        return apply(gids, old, acc, has, ctx)
+
+    monkeypatch.setattr(kernel, "apply", spy)
+    have = {node: proto.new_state(lg)
+            for node, lg in engine.local_graphs.items()}
+    want = {node: proto.new_state(lg)
+            for node, lg in engine.local_graphs.items()}
+    rng = np.random.default_rng(11)
+    layouts: dict = {}
+    for step in range(3):
+        for node in have:
+            values = _values(kernel, have[node].topo.n, rng)
+            for side in (have, want):
+                side[node].abort()
+                side[node].values = values.copy()
+                side[node].active = np.ones(side[node].topo.n, dtype=bool)
+        have_frames = _exchange(have, proto, vary=True)
+        want_frames = _exchange(want, proto, vary=False)
+        for node in have:
+            have[node].intake(have_frames[node])
+            reference.intake(proto, want[node], want_frames[node])
+            if step == 2 and want[node].partials:
+                pos = np.concatenate([p for p, _, _ in want[node].partials])
+                for side in (have, want):
+                    side[node].active[pos[0]] = False
+            got, wanted = {}, {}
+            ctx = _ctx(engine, step)
+            assert proto.master_fold_apply(have[node], ctx, got) == \
+                reference.master_fold_apply(proto, want[node], ctx, wanted)
+            assert applied[-2] == applied[-1], (step, node)
+            _assert_same_outbox(got, wanted)
+            for name in ("pend_mask", "pend_values", "pend_activates",
+                         "pend_self_active"):
+                assert _bits(getattr(have[node], name)) == \
+                    _bits(getattr(want[node], name)), (step, node, name)
+            held = {name: layout[2]
+                    for name, layout in have[node].layouts.items()}
+            if step == 0:
+                # Every sender ships its static plan: the layouts of
+                # the exchanges the node took part in are kept.
+                assert set(held) == {"fold", *["intake"] * bool(
+                    have_frames[node])}, node
+                layouts[node] = held
+            else:
+                # Hits, and a dropped master does not replace the fold's.
+                assert set(held) == set(layouts[node]), (step, node)
+                assert all(held[name] is layouts[node][name]
+                           for name in held), (step, node)
+    assert any(len(held) == 2 for held in layouts.values())
+
+
+def test_a_writeable_gather_column_never_enters_a_layout():
+    """Cloned gather batches (fresh, writeable gid columns) take no
+    intake layout, and their partials no fold layout."""
+    engine = _engine("pagerank", "hybrid_cut")
+    proto = ArrayNodeProtocol(engine._protocol.kernel, is_edge_cut=False)
+    sent = _superstep("pagerank", "hybrid_cut", True)
+    for node, lg in engine.local_graphs.items():
+        state = proto.new_state(lg)
+        state.intake([(src, batch.clone()) for src, dst, batch
+                      in sent["gather"] if dst == node])
+        state.fold_apply(_ctx(engine, 0), {})
+        assert state.layouts == {}, node
+
+
+@pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut",
+                                       "random_vertex_cut"])
+def test_a_steady_run_builds_each_layout_once_and_hits_it_after(
+        partition, monkeypatch):
+    """Non-vacuity: on a steady PageRank run every node stores each of
+    its layouts on its first superstep and finds it on every later one,
+    and builds its dense gather plan once."""
+    from repro.engine import vectorized
+
+    calls: list = []
+    recall = vectorized._recall
+
+    def spy(st, exchange, keys, shape):
+        layout = recall(st, exchange, keys, shape)
+        calls.append((st.node, exchange, layout is not None))
+        return layout
+
+    plans: list = []
+
+    class CountedPlan(vectorized._GatherPlan):
+        def __init__(self, topo, kernel, node):
+            plans.append(node)
+            super().__init__(topo, kernel, node)
+
+    monkeypatch.setattr(vectorized, "_recall", spy)
+    monkeypatch.setattr(vectorized, "_GatherPlan", CountedPlan)
+    graph = generators.power_law(240, alpha=2.0, seed=5, avg_degree=5.0)
+    iterations = 5
+    engine = make_engine(graph, "pagerank", num_nodes=NODES, ft_level=2,
+                         partition=partition, max_iterations=iterations)
+    engine.run()
+    exchanges = ("stage",) if engine.is_edge_cut else (
+        "stage", "intake", "fold")
+    steady = [False] + [True] * (iterations - 1)
+    for exchange in exchanges:
+        seen = [[hit for n, name, hit in calls
+                 if n == node and name == exchange] for node in range(NODES)]
+        # A node no gather reaches takes no intake.
+        assert all(hits in ([], steady) for hits in seen), exchange
+        assert steady in seen, exchange
+    assert sorted(plans) == ([] if engine.is_edge_cut
+                             else list(range(NODES)))
 
 
 # -- transport ---------------------------------------------------------------
